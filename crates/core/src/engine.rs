@@ -17,8 +17,6 @@
 //! sender's table) that stops a continued walk as soon as no candidate
 //! can lie below the current vertex.
 
-use std::collections::HashSet;
-
 use clue_lookup::{Family, LengthBinarySearch, RangeIndex, StrideTrie};
 use clue_telemetry::{CacheTelemetry, LookupClass, LookupEvent, LookupTelemetry, Registry};
 use clue_trie::{Address, BinaryTrie, Cost, Location, NodeId, PatriciaTrie, Prefix};
@@ -26,6 +24,7 @@ use clue_trie::{Address, BinaryTrie, Cost, Location, NodeId, PatriciaTrie, Prefi
 use crate::cache::{CacheStats, PresenceCache};
 use crate::classify::{classify, Classification};
 use crate::clue::ClueHeader;
+use crate::fxhash::FxHashSet;
 use crate::profile::{record_walk_split, Span, Stage, StageProfiler};
 use crate::table::{CandidateRange, ClueEntry, ClueTable, Continuation, TableKind};
 
@@ -198,7 +197,12 @@ pub struct ClueEngine<A: Address> {
     table: ClueTable<A>,
     /// What we know of the sender's prefixes: the full snapshot
     /// (precomputed mode) or the clues seen so far (learning mode).
-    sender: HashSet<Prefix<A>>,
+    /// Probed once per trie child when classifying, so keyed through the
+    /// in-workspace fast hasher for the same reason as [`ClueTable`]. It
+    /// holds the same keys as the table (learned clues come from packet
+    /// headers), so it adds no collision exposure beyond the table's,
+    /// which `max_learned_entries` bounds.
+    sender: FxHashSet<Prefix<A>>,
     /// Section 4 per-vertex continuation Booleans, by arena index.
     bits_bin: Option<Vec<bool>>,
     bits_pat: Option<Vec<bool>>,
@@ -280,7 +284,7 @@ impl<A: Address> ClueEngine<A> {
             t2,
             inner,
             table: ClueTable::new(config.table_kind),
-            sender: HashSet::new(),
+            sender: FxHashSet::default(),
             bits_bin: None,
             bits_pat: None,
             cache: None,
@@ -788,32 +792,22 @@ impl<A: Address> ClueEngine<A> {
     /// Useful in learning mode: early entries were classified against
     /// less knowledge and may be pessimistically problematic.
     pub fn reclassify_all(&mut self) {
-        match self.config.table_kind {
-            TableKind::Hashed => {
-                let clues: Vec<Prefix<A>> = self.table.entries().map(|e| e.clue).collect();
-                for clue in clues {
-                    let entry = self.build_entry(clue);
-                    self.table.insert(entry, None);
-                }
-            }
-            TableKind::Indexed => {
-                let slots: Vec<(u16, Prefix<A>)> =
-                    self.table.entries_with_indices().map(|(i, e)| (i, e.clue)).collect();
-                for (i, clue) in slots {
-                    let entry = self.build_entry(clue);
-                    self.table.insert(entry, Some(i));
-                }
-            }
-        }
+        // Every clue lies on the chain of the root prefix.
+        self.reclassify_chain(&Prefix::ROOT);
     }
 
     /// Adds a route to the receiver's table, updating the search
     /// structures and reclassifying the clue-table entries the change
     /// can affect (clues on the ancestor/descendant chain of `prefix`).
+    /// The chain comes from the table's ordered key index and the
+    /// Section 4 Booleans are refreshed along `prefix`'s root path only,
+    /// so a Regular engine with a hashed table pays O(W + chain).
     ///
-    /// The trie families update incrementally; the Binary/B-way/Log W
-    /// index structures are rebuilt (they are precomputed arrays — the
-    /// paper assumes reconstruction alongside routing-table updates).
+    /// The binary and Patricia tries update incrementally (Patricia then
+    /// re-projects its Booleans over the whole Patricia trie); the
+    /// Binary/B-way/Log W/Stride index structures are rebuilt (they are
+    /// precomputed arrays — the paper assumes reconstruction alongside
+    /// routing-table updates).
     pub fn add_receiver_route(&mut self, prefix: Prefix<A>) {
         self.t2.insert(prefix, ());
         self.apply_receiver_change(&prefix, true);
@@ -838,7 +832,7 @@ impl<A: Address> ClueEngine<A> {
             self.table.insert(entry, None);
         }
         self.reclassify_chain(&prefix);
-        self.refresh_vertex_bits();
+        self.refresh_vertex_bits(&prefix);
     }
 
     /// Records that the sender withdrew a prefix. The entry itself is
@@ -847,27 +841,28 @@ impl<A: Address> ClueEngine<A> {
     pub fn remove_sender_prefix(&mut self, prefix: &Prefix<A>) {
         self.sender.remove(prefix);
         self.reclassify_chain(prefix);
-        self.refresh_vertex_bits();
+        self.refresh_vertex_bits(prefix);
     }
 
-    fn apply_receiver_change(&mut self, prefix: &Prefix<A>, _added: bool) {
-        // Patricia updates incrementally; array-based indexes rebuild.
-        let receiver: Vec<Prefix<A>> = self.t2.prefixes().collect();
+    fn apply_receiver_change(&mut self, prefix: &Prefix<A>, added: bool) {
+        // Patricia updates incrementally; the array-based indexes
+        // rebuild from the receiver's prefixes, the only families that
+        // read them.
         match &mut self.inner {
             Inner::Regular => {}
             Inner::Patricia(p) => {
-                if _added {
+                if added {
                     p.insert(*prefix);
                 } else {
                     p.remove(prefix);
                 }
             }
-            Inner::Ranges { index, .. } => *index = RangeIndex::new(receiver.iter().copied()),
-            Inner::LogW(l) => *l = LengthBinarySearch::new(receiver.iter().copied()),
-            Inner::Stride(s) => *s = StrideTrie::new(receiver.iter().copied()),
+            Inner::Ranges { index, .. } => *index = RangeIndex::new(self.t2.prefixes()),
+            Inner::LogW(l) => *l = LengthBinarySearch::new(self.t2.prefixes()),
+            Inner::Stride(s) => *s = StrideTrie::new(self.t2.prefixes()),
         }
         self.reclassify_chain(prefix);
-        self.refresh_vertex_bits();
+        self.refresh_vertex_bits(prefix);
     }
 
     /// Rebuilds every clue-table entry on the ancestor/descendant chain
@@ -876,47 +871,50 @@ impl<A: Address> ClueEngine<A> {
     /// affect. (Trie vertices elsewhere are untouched by insert/remove
     /// pruning, so their stored `NodeId`s remain valid.)
     fn reclassify_chain(&mut self, changed: &Prefix<A>) {
-        let related = |clue: &Prefix<A>| {
-            clue.is_prefix_of(changed) || changed.is_prefix_of(clue)
-        };
-        match self.config.table_kind {
-            TableKind::Hashed => {
-                let clues: Vec<Prefix<A>> =
-                    self.table.entries().map(|e| e.clue).filter(|c| related(c)).collect();
-                for clue in clues {
-                    let entry = self.build_entry(clue);
-                    self.table.insert(entry, None);
-                }
-            }
-            TableKind::Indexed => {
-                let slots: Vec<(u16, Prefix<A>)> = self
-                    .table
-                    .entries_with_indices()
-                    .filter(|(_, e)| related(&e.clue))
-                    .map(|(i, e)| (i, e.clue))
-                    .collect();
-                for (i, clue) in slots {
-                    let entry = self.build_entry(clue);
-                    self.table.insert(entry, Some(i));
-                }
-            }
+        for (index, clue) in self.table.chain(changed) {
+            let entry = self.build_entry(clue);
+            self.table.insert(entry, index);
         }
     }
 
-    /// Recomputes the Section 4 per-vertex Booleans if they are in use
-    /// (their values can change anywhere under a modified chain, and the
-    /// arena may have recycled vertices).
-    fn refresh_vertex_bits(&mut self) {
-        if self.bits_bin.is_some() {
-            self.compute_vertex_bits();
+    /// Brings the Section 4 per-vertex Booleans, if in use, up to date
+    /// after a single receiver or sender change at `changed`.
+    ///
+    /// A Boolean depends only on the vertex's children (their marks,
+    /// the sender's knowledge of them, their own Booleans), and one
+    /// change touches only vertices on `changed`'s root path: its mark
+    /// or sender status, and the vertices insert allocates (recycled
+    /// arena slots included) or remove prunes along that path. So
+    /// recomputing bottom-up from the deepest surviving vertex on the
+    /// path to the root is exact — O(W), not a whole-trie pass.
+    fn refresh_vertex_bits(&mut self, changed: &Prefix<A>) {
+        let Some(bits) = &mut self.bits_bin else {
+            return;
+        };
+        bits.resize(self.t2.arena_len(), false);
+        let mut path = Vec::with_capacity(changed.len() as usize + 1);
+        let mut cur = self.t2.root();
+        path.push(cur);
+        for i in 0..changed.len() {
+            match self.t2.children(cur)[changed.bit(i) as usize] {
+                Some(c) => {
+                    cur = c;
+                    path.push(c);
+                }
+                None => break,
+            }
         }
+        for &v in path.iter().rev() {
+            bits[v.index()] = Self::vertex_bit(&self.t2, &self.sender, bits, v);
+        }
+        self.project_patricia_bits();
     }
 
     /// Computes the Section 4 per-vertex continuation Booleans for the
-    /// trie families (Advance only): `bit[v]` is `true` iff some receiver
-    /// prefix lies strictly below `v` with no sender prefix on the way.
+    /// trie families (Advance only) in one whole-trie pass at build
+    /// time: `bit[v]` is `true` iff some receiver prefix lies strictly
+    /// below `v` with no sender prefix on the way.
     fn compute_vertex_bits(&mut self) {
-        let knows = |p: &Prefix<A>| self.sender.contains(p);
         // Pre-order collection: ancestors precede descendants, so the
         // reversed order is a valid bottom-up schedule.
         let mut order = Vec::with_capacity(self.t2.node_count());
@@ -924,41 +922,50 @@ impl<A: Address> ClueEngine<A> {
             order.push(n);
             true
         });
-        let size = order.iter().map(|n| n.index() + 1).max().unwrap_or(1);
-        let mut bits = vec![false; size];
+        let mut bits = vec![false; self.t2.arena_len()];
         for &v in order.iter().rev() {
-            let mut b = false;
-            for c in self.t2.children(v).into_iter().flatten() {
-                let cp = self.t2.node_prefix(c);
-                if !knows(&cp) && (self.t2.is_marked(c) || bits[c.index()]) {
-                    b = true;
-                    break;
-                }
-            }
-            bits[v.index()] = b;
-        }
-
-        if let Inner::Patricia(p) = &self.inner {
-            // Project onto Patricia vertices via their labels.
-            let mut pat_bits = vec![false; 0];
-            let mut stack = vec![p.root()];
-            while let Some(id) = stack.pop() {
-                if pat_bits.len() <= id.index() {
-                    pat_bits.resize(id.index() + 1, false);
-                }
-                let label = p.node_prefix(id);
-                let bin = self
-                    .t2
-                    .node_of_prefix(&label)
-                    .expect("Patricia label exists in the binary trie");
-                pat_bits[id.index()] = bits[bin.index()];
-                for c in p.children(id).into_iter().flatten() {
-                    stack.push(c);
-                }
-            }
-            self.bits_pat = Some(pat_bits);
+            bits[v.index()] = Self::vertex_bit(&self.t2, &self.sender, &bits, v);
         }
         self.bits_bin = Some(bits);
+        self.project_patricia_bits();
+    }
+
+    /// The Claim-1 Boolean of `v` from its children's: some child the
+    /// sender does not know is marked or has its own Boolean set.
+    fn vertex_bit(
+        t2: &BinaryTrie<A, ()>,
+        sender: &FxHashSet<Prefix<A>>,
+        bits: &[bool],
+        v: NodeId,
+    ) -> bool {
+        t2.children(v).into_iter().flatten().any(|c| {
+            !sender.contains(&t2.node_prefix(c)) && (t2.is_marked(c) || bits[c.index()])
+        })
+    }
+
+    /// Patricia family only: projects the binary-trie Booleans onto the
+    /// Patricia vertices via their labels.
+    fn project_patricia_bits(&mut self) {
+        let (Inner::Patricia(p), Some(bits)) = (&self.inner, &self.bits_bin) else {
+            return;
+        };
+        let mut pat_bits = vec![false; 0];
+        let mut stack = vec![p.root()];
+        while let Some(id) = stack.pop() {
+            if pat_bits.len() <= id.index() {
+                pat_bits.resize(id.index() + 1, false);
+            }
+            let label = p.node_prefix(id);
+            let bin = self
+                .t2
+                .node_of_prefix(&label)
+                .expect("Patricia label exists in the binary trie");
+            pat_bits[id.index()] = bits[bin.index()];
+            for c in p.children(id).into_iter().flatten() {
+                stack.push(c);
+            }
+        }
+        self.bits_pat = Some(pat_bits);
     }
 
     /// Bit-by-bit continuation walk that stops as soon as the per-vertex
@@ -1040,6 +1047,65 @@ impl<A: Address> ClueEngine<A> {
                 best = Some(cp);
             }
             cur = c;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clue_trie::Ip4;
+
+    /// Path-local Boolean refresh equals the whole-trie pass after every
+    /// kind of update, sender withdraws included (which no from-scratch
+    /// precompute can reproduce: the withdrawn clue's entry is kept).
+    #[test]
+    fn path_local_bits_match_a_full_recompute() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let prefix = |next: &mut dyn FnMut() -> u64| {
+            let shape = (next() % 16) as u32;
+            let len = [4u8, 8, 12, 16, 20, 24, 32][(next() % 7) as usize];
+            Prefix::new(Ip4(shape << 28 | shape << 16 | shape << 4), len)
+        };
+        let sender: Vec<_> = (0..12).map(|_| prefix(&mut next)).collect();
+        let receiver: Vec<_> = (0..12).map(|_| prefix(&mut next)).collect();
+        for family in [Family::Regular, Family::Patricia] {
+            let mut engine = ClueEngine::precomputed(
+                &sender,
+                &receiver,
+                EngineConfig::new(family, Method::Advance),
+            );
+            for step in 0..400 {
+                let p = prefix(&mut next);
+                match next() % 4 {
+                    0 => engine.add_receiver_route(p),
+                    1 => {
+                        engine.remove_receiver_route(&p);
+                    }
+                    2 => engine.add_sender_prefix(p),
+                    _ => engine.remove_sender_prefix(&p),
+                }
+                let incremental = engine.bits_bin.clone().expect("Advance keeps bits");
+                let incremental_pat = engine.bits_pat.clone();
+                engine.compute_vertex_bits();
+                let full = engine.bits_bin.as_ref().expect("recomputed");
+                engine.t2.walk_subtree(engine.t2.root(), |v| {
+                    assert_eq!(
+                        incremental[v.index()],
+                        full[v.index()],
+                        "{family} step {step}: bit of {}",
+                        engine.t2.node_prefix(v)
+                    );
+                    true
+                });
+                assert_eq!(incremental_pat, engine.bits_pat, "{family} step {step}: Patricia bits");
+            }
         }
     }
 }

@@ -29,8 +29,6 @@
 //! `tests/frozen_prop.rs`). Freezing is a snapshot: later mutation of
 //! the live engine does not show through.
 
-use std::collections::HashMap;
-
 use clue_telemetry::{LookupClass, LookupEvent, LookupTelemetry};
 use clue_trie::{Address, Cost, Prefix};
 
@@ -175,18 +173,19 @@ impl<A: Address> ClueEngine<A> {
 
         // Breadth-first flattening: parents precede children, siblings
         // are adjacent, so a top-down walk streams forward through the
-        // array. Remember old arena index → new index to translate the
+        // array. Remember old arena slot → new index (a dense array over
+        // the arena, dead slots left at NONE_NODE) to translate the
         // table's continuation pointers and project the Claim-1 bits.
-        let mut order = Vec::with_capacity(t2.node_count());
-        let mut old_to_new: HashMap<usize, u32> = HashMap::with_capacity(t2.node_count());
+        let mut order = Vec::with_capacity(t2.arena_len());
+        let mut old_to_new = vec![NONE_NODE; t2.arena_len()];
         order.push(t2.root());
-        old_to_new.insert(t2.root().index(), 0);
+        old_to_new[t2.root().index()] = 0;
         let mut head = 0;
         while head < order.len() {
             let id = order[head];
             head += 1;
             for c in t2.children(id).into_iter().flatten() {
-                old_to_new.insert(c.index(), order.len() as u32);
+                old_to_new[c.index()] = order.len() as u32;
                 order.push(c);
             }
         }
@@ -211,7 +210,7 @@ impl<A: Address> ClueEngine<A> {
                 None => true,
             };
             let children = t2.children(id).map(|c| match c {
-                Some(c) => old_to_new[&c.index()],
+                Some(c) => old_to_new[c.index()],
                 None => NONE_NODE,
             });
             nodes.push(FrozenNode {
@@ -235,7 +234,7 @@ impl<A: Address> ClueEngine<A> {
         // canonical (sorted-clue) order. Every payload a compiled
         // lookup can resolve to thus has exactly one dense `u32` tag —
         // the basis of `lookup_finish_tag` on all compiled backends.
-        let mut tag_of: HashMap<Prefix<A>, u32> =
+        let mut tag_of: FxHashMap<Prefix<A>, u32> =
             routes.iter().enumerate().map(|(i, p)| (*p, i as u32)).collect();
 
         let mut entries = Vec::with_capacity(self.table().len());
@@ -243,7 +242,7 @@ impl<A: Address> ClueEngine<A> {
         for e in table_entries {
             let cont = match &e.cont {
                 None => NONE_NODE,
-                Some(Continuation::TrieNode(n)) => old_to_new[&n.index()],
+                Some(Continuation::TrieNode(n)) => old_to_new[n.index()],
                 // The Regular family only ever builds TrieNode
                 // continuations; anything else means the family check
                 // above is out of sync with `build_entry`.

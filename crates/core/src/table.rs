@@ -20,7 +20,7 @@
 //!   one-instruction check the paper treats as free). A mismatch means
 //!   the slot is stale and is overwritten by the learner.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use clue_lookup::{LengthBinarySearch, RangeIndex, SNodeId};
 use clue_trie::{Address, Cost, Location, NodeId, Prefix};
@@ -146,13 +146,20 @@ pub struct ClueTable<A: Address> {
     /// once per clue-routed packet, so SipHash would dominate the
     /// “one memory access” the probe is meant to model.
     map: FxHashMap<Prefix<A>, ClueEntry<A>>,
+    /// The hashed table's keys in [`Prefix`] order (bits, then length),
+    /// so the ancestor/descendant chain of a changed route is a few
+    /// probes plus one range scan instead of a filter over every entry.
+    /// Built in bulk by the first [`Self::chain`] query and kept in step
+    /// by [`Self::insert`] from then on, so a table that never sees a
+    /// route update (a serving-only engine) never pays for it.
+    keys: Option<BTreeSet<Prefix<A>>>,
     slots: Vec<Option<ClueEntry<A>>>,
 }
 
 impl<A: Address> ClueTable<A> {
     /// An empty table of the given kind.
     pub fn new(kind: TableKind) -> Self {
-        ClueTable { kind, map: FxHashMap::default(), slots: Vec::new() }
+        ClueTable { kind, map: FxHashMap::default(), keys: None, slots: Vec::new() }
     }
 
     /// The addressing flavour.
@@ -221,7 +228,10 @@ impl<A: Address> ClueTable<A> {
     pub fn insert(&mut self, entry: ClueEntry<A>, index: Option<u16>) {
         match self.kind {
             TableKind::Hashed => {
-                self.map.insert(entry.clue, entry);
+                let clue = entry.clue;
+                if let (None, Some(keys)) = (self.map.insert(clue, entry), &mut self.keys) {
+                    keys.insert(clue);
+                }
             }
             TableKind::Indexed => {
                 let idx = index.expect("indexed clue table requires an index") as usize;
@@ -230,6 +240,36 @@ impl<A: Address> ClueTable<A> {
                 }
                 self.slots[idx] = Some(entry);
             }
+        }
+    }
+
+    /// The stored clues on the ancestor/descendant chain of `p` — every
+    /// clue `c` with `c.is_prefix_of(p) || p.is_prefix_of(c)`, `p`
+    /// itself included — as `(slot, clue)` pairs ready to hand back to
+    /// [`Self::insert`] (`None` slots for hashed tables).
+    ///
+    /// A hashed table answers in O(W + chain): at most W probes for the
+    /// strict ancestors `p.truncate(l)`, then one range scan of the key
+    /// index from `p` to `(last address of p)/W` — in (bits, length)
+    /// order that range holds exactly `p` and its descendants. The
+    /// first query builds the index from the sorted keys in one pass.
+    /// An indexed table has at most 64K slots and is never frozen, so it
+    /// scans them.
+    pub fn chain(&mut self, p: &Prefix<A>) -> Vec<(Option<u16>, Prefix<A>)> {
+        match self.kind {
+            TableKind::Hashed => {
+                let map = &self.map;
+                let keys = self.keys.get_or_insert_with(|| map.keys().copied().collect());
+                let ancestors =
+                    (0..p.len()).map(|l| p.truncate(l)).filter(|a| map.contains_key(a));
+                let below = keys.range(*p..=Prefix::new(p.last_address(), A::BITS));
+                ancestors.chain(below.copied()).map(|c| (None, c)).collect()
+            }
+            TableKind::Indexed => self
+                .entries_with_indices()
+                .filter(|(_, e)| e.clue.is_prefix_of(p) || p.is_prefix_of(&e.clue))
+                .map(|(i, e)| (Some(i), e.clue))
+                .collect(),
         }
     }
 
@@ -254,6 +294,7 @@ impl<A: Address> ClueTable<A> {
     /// using the paper's keep-and-mark-invalid option).
     pub fn clear(&mut self) {
         self.map.clear();
+        self.keys = None;
         self.slots.clear();
     }
 
@@ -269,7 +310,8 @@ impl<A: Address> ClueTable<A> {
     }
 
     /// Actual resident bytes of this implementation, including candidate
-    /// sets (which the paper keeps in the same cache lines).
+    /// sets (which the paper keeps in the same cache lines). The ordered
+    /// key index serves route updates, not lookups, and is not counted.
     pub fn memory_bytes_actual(&self) -> usize {
         let base = core::mem::size_of::<ClueEntry<A>>();
         self.entries()
@@ -439,6 +481,58 @@ mod tests {
     }
 
     #[test]
+    fn chain_equals_the_full_scan_filter() {
+        let clues = [
+            "0.0.0.0/0",
+            "10.0.0.0/8",
+            "10.0.0.0/16",
+            "10.1.0.0/16",
+            "10.1.2.0/24",
+            "10.1.2.3/32",
+            "10.1.2.4/32",
+            "10.255.255.255/32",
+            "11.0.0.0/8",
+            "128.0.0.0/1",
+            "255.255.255.255/32",
+        ];
+        let probes = [
+            "0.0.0.0/0",          // root: every clue is a descendant
+            "10.0.0.0/8",         // present, with ancestors and descendants
+            "10.1.0.0/12",        // absent, between stored clues
+            "10.1.2.3/32",        // present host route
+            "10.1.2.5/32",        // absent host route
+            "10.128.0.0/9",       // absent, range ends at a stored /32
+            "12.0.0.0/8",         // absent, no descendants
+            "255.255.255.255/32", // the top of the address space
+        ];
+        for kind in [TableKind::Hashed, TableKind::Indexed] {
+            let mut t = ClueTable::new(kind);
+            for (i, c) in clues.iter().enumerate() {
+                if i == clues.len() / 2 {
+                    // Build the key index midway: later inserts must
+                    // keep it in step.
+                    t.chain(&p("0.0.0.0/0"));
+                }
+                t.insert(entry(c, None), Some(i as u16));
+            }
+            // Overwriting an existing clue must not disturb the index.
+            t.insert(entry("10.0.0.0/8", Some("10.0.0.0/8")), Some(1));
+            for probe in probes {
+                let q = p(probe);
+                let mut got: Vec<_> = t.chain(&q).into_iter().map(|(_, c)| c).collect();
+                got.sort();
+                let mut want: Vec<_> = t
+                    .entries()
+                    .map(|e| e.clue)
+                    .filter(|c| c.is_prefix_of(&q) || q.is_prefix_of(c))
+                    .collect();
+                want.sort();
+                assert_eq!(got, want, "{kind:?} chain of {q}");
+            }
+        }
+    }
+
+    #[test]
     fn clear_empties_both_kinds() {
         for kind in [TableKind::Hashed, TableKind::Indexed] {
             let mut t = ClueTable::new(kind);
@@ -446,6 +540,7 @@ mod tests {
             assert!(!t.is_empty());
             t.clear();
             assert!(t.is_empty());
+            assert!(t.chain(&p("10.0.0.0/8")).is_empty(), "{kind:?} key index cleared");
         }
     }
 }

@@ -6,11 +6,16 @@
 //!
 //! This is the single-update core of the live-churn serving contract:
 //! `clue churn --check` relies on a whole update stream composing out
-//! of such identities.
+//! of such identities. The sequence property at the end checks the
+//! composition directly: after every step of a random update stream the
+//! incrementally updated engine equals a from-scratch precompute of the
+//! same state, at both address widths.
+
+use std::collections::BTreeSet;
 
 use clue_core::{ClueEngine, EngineConfig, Method};
 use clue_lookup::{reference_bmp, Family};
-use clue_trie::{Cost, Ip4, Prefix};
+use clue_trie::{Address, Cost, Ip4, Ip6, Prefix};
 use proptest::prelude::*;
 
 fn arb_prefix() -> impl Strategy<Value = Prefix<Ip4>> {
@@ -50,7 +55,9 @@ fn workload(sender: &[Prefix<Ip4>], raws: &[u32]) -> Vec<(Ip4, Option<Prefix<Ip4
 
 /// The observable classification of one clue-table entry: which prefix,
 /// what final decision, and whether Claim 1 let it stop the search.
-fn classifications(engine: &ClueEngine<Ip4>) -> Vec<(Prefix<Ip4>, Option<Prefix<Ip4>>, bool)> {
+fn classifications<A: Address>(
+    engine: &ClueEngine<A>,
+) -> Vec<(Prefix<A>, Option<Prefix<A>>, bool)> {
     let mut out: Vec<_> =
         engine.table().entries().map(|e| (e.clue, e.fd, e.is_final())).collect();
     out.sort();
@@ -124,4 +131,168 @@ proptest! {
         }
         prop_assert!(pristine.freeze().unwrap().bit_identical(&churned.freeze().unwrap()));
     }
+
+    /// A random stream of receiver announces, withdraws, modifies and
+    /// re-announces (so pruned arena slots are recycled), interleaved
+    /// with sender announces, leaves the engine equal to a from-scratch
+    /// precompute after every step: same clue-table classifications,
+    /// same lookup answers and costs, and a bit-identical freeze.
+    #[test]
+    fn update_sequences_match_precomputed_ip4(
+        (sender, receiver) in arb_tables(),
+        ops in proptest::collection::vec(arb_op(), 1..40),
+        raws in proptest::collection::vec(any::<u32>(), 1..12),
+    ) {
+        check_sequence(&sender, &receiver, &ops, &raws, Ip4)?;
+    }
+
+    /// As [`update_sequences_match_precomputed_ip4`], at IPv6 width: the
+    /// same prefix shapes in the top 32 bits, with lengths beyond 32.
+    #[test]
+    fn update_sequences_match_precomputed_ip6(
+        (sender, receiver) in arb_tables(),
+        ops in proptest::collection::vec(arb_op(), 1..40),
+        raws in proptest::collection::vec(any::<u32>(), 1..12),
+    ) {
+        let widen = |p: &Prefix<Ip4>| Prefix::new(Ip6(u128::from(p.bits().0) << 96), p.len());
+        let sender: Vec<_> = sender.iter().map(widen).collect();
+        let receiver: Vec<_> = receiver.iter().map(widen).collect();
+        check_sequence(&sender, &receiver, &ops, &raws, |v| Ip6(u128::from(v) << 96))?;
+    }
+}
+
+/// One step of an update stream. Prefixes are drawn as `(shape, length
+/// index)` so both widths share one strategy; picks select among the
+/// receiver's current routes.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Announce(u32, usize),
+    Withdraw(u32),
+    Modify(u32),
+    /// Re-announce the most recently withdrawn route, if any.
+    Reannounce,
+    SenderAnnounce(u32, usize),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u32..32, 0usize..9).prop_map(|(s, l)| Op::Announce(s, l)),
+        any::<u32>().prop_map(Op::Withdraw),
+        any::<u32>().prop_map(Op::Modify),
+        Just(Op::Reannounce),
+        (0u32..32, 0usize..9).prop_map(|(s, l)| Op::SenderAnnounce(s, l)),
+    ]
+}
+
+/// Nested shapes: the shape's bits repeat at three offsets, so short
+/// and long prefixes of different shapes share ancestors.
+fn shaped<A: Address>(shape: u32, len_index: usize, addr: fn(u32) -> A) -> Prefix<A> {
+    let lens = [6u8, 8, 12, 16, 20, 24, 28, 32, 48];
+    let len = lens[len_index % lens.len()].min(A::BITS);
+    Prefix::new(addr(shape << 27 | shape << 16 | shape << 4), len)
+}
+
+fn check_sequence<A: Address>(
+    sender: &[Prefix<A>],
+    receiver: &[Prefix<A>],
+    ops: &[Op],
+    raws: &[u32],
+    addr: fn(u32) -> A,
+) -> Result<(), TestCaseError> {
+    let families = [Family::Regular, Family::Patricia, Family::Binary, Family::LogW];
+    let mut sender_now: BTreeSet<Prefix<A>> = sender.iter().copied().collect();
+    let mut receiver_now: BTreeSet<Prefix<A>> = receiver.iter().copied().collect();
+    let mut engines: Vec<ClueEngine<A>> = families
+        .iter()
+        .map(|&f| ClueEngine::precomputed(sender, receiver, EngineConfig::new(f, Method::Advance)))
+        .collect();
+    let mut withdrawn: Vec<Prefix<A>> = Vec::new();
+    let pick = |set: &BTreeSet<Prefix<A>>, k: u32| {
+        (!set.is_empty()).then(|| *set.iter().nth(k as usize % set.len()).expect("in range"))
+    };
+
+    for (step, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Announce(s, l) => {
+                let p = shaped(s, l, addr);
+                receiver_now.insert(p);
+                engines.iter_mut().for_each(|e| e.add_receiver_route(p));
+            }
+            Op::Withdraw(k) => {
+                if let Some(p) = pick(&receiver_now, k) {
+                    receiver_now.remove(&p);
+                    withdrawn.push(p);
+                    for e in &mut engines {
+                        prop_assert!(e.remove_receiver_route(&p), "step {}: withdraw {}", step, p);
+                    }
+                }
+            }
+            Op::Modify(k) => {
+                if let Some(p) = pick(&receiver_now, k) {
+                    for e in &mut engines {
+                        prop_assert!(e.remove_receiver_route(&p), "step {}: modify {}", step, p);
+                        e.add_receiver_route(p);
+                    }
+                }
+            }
+            Op::Reannounce => {
+                if let Some(p) = withdrawn.pop() {
+                    receiver_now.insert(p);
+                    engines.iter_mut().for_each(|e| e.add_receiver_route(p));
+                }
+            }
+            Op::SenderAnnounce(s, l) => {
+                let p = shaped(s, l, addr);
+                sender_now.insert(p);
+                engines.iter_mut().for_each(|e| e.add_sender_prefix(p));
+            }
+        }
+
+        let sender_v: Vec<_> = sender_now.iter().copied().collect();
+        let receiver_v: Vec<_> = receiver_now.iter().copied().collect();
+        let packets: Vec<(A, Option<Prefix<A>>)> = raws
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| {
+                // Even packets land inside a sender prefix, odd ones anywhere.
+                let base = sender_v[i % sender_v.len()];
+                let noise = u128::from(r) >> base.len().min(32);
+                let dest = if i % 2 == 0 {
+                    A::from_u128(base.bits().to_u128() | noise)
+                } else {
+                    addr(r)
+                };
+                (dest, reference_bmp(&sender_v, dest).filter(|c| !c.is_empty()))
+            })
+            .collect();
+        for (engine, &family) in engines.iter_mut().zip(&families) {
+            let mut fresh = ClueEngine::precomputed(
+                &sender_v,
+                &receiver_v,
+                EngineConfig::new(family, Method::Advance),
+            );
+            prop_assert_eq!(
+                classifications(engine),
+                classifications(&fresh),
+                "step {} ({:?}): {} classifications diverged",
+                step,
+                op,
+                family
+            );
+            for &(dest, clue) in &packets {
+                let (mut c_inc, mut c_fresh) = (Cost::new(), Cost::new());
+                let got = engine.lookup(dest, clue, None, &mut c_inc);
+                let want = fresh.lookup(dest, clue, None, &mut c_fresh);
+                let at = format!("step {step} {family}: dest {dest} clue {clue:?}");
+                prop_assert_eq!(got, want, "{}", at);
+                prop_assert_eq!(c_inc, c_fresh, "cost at {}", at);
+            }
+            if family == Family::Regular {
+                let a = engine.freeze().expect("Regular engines freeze");
+                let b = fresh.freeze().expect("Regular engines freeze");
+                prop_assert!(a.bit_identical(&b), "step {} ({:?}): freeze differs", step, op);
+            }
+        }
+    }
+    Ok(())
 }
