@@ -2,7 +2,7 @@
 //! network walk against the sequential per-packet reference, and the
 //! engine-level replica serving loop, at 1/2/4 worker cores.
 
-use clue_core::{EngineConfig, EpochCell, Method, StrideConfig};
+use clue_core::{CompiledBackend, EngineConfig, EpochCell, Method, StrideConfig};
 use clue_lookup::Family;
 use clue_netsim::{
     run_workload_per_packet, serve_lookups, Network, NetworkConfig, RuntimeConfig, StrideNetwork,

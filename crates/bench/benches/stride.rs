@@ -15,7 +15,7 @@
 use std::hint::black_box;
 
 use clue_bench::isp_pair;
-use clue_core::{ClueEngine, Decision, EngineConfig, Method, StrideConfig};
+use clue_core::{ClueEngine, CompiledBackend, Decision, EngineConfig, Method, StrideConfig};
 use clue_lookup::Family;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

@@ -10,7 +10,7 @@
 use std::hint::black_box;
 
 use clue_bench::isp_pair;
-use clue_core::{ClueEngine, Decision, EngineConfig, Method};
+use clue_core::{ClueEngine, CompiledBackend, Decision, EngineConfig, Method};
 use clue_lookup::Family;
 use clue_netsim::{run_workload_parallel, Network, NetworkConfig, Topology};
 use clue_trie::Cost;

@@ -5,7 +5,9 @@ use std::fmt::Write as _;
 use std::fs;
 use std::sync::Arc;
 
-use clue_core::{ClueEngine, CompiledBackend, CramReport, EngineConfig, Method, Stage, StageProfiler};
+use clue_core::{
+    ClueEngine, CompiledBackend, CramReport, EngineConfig, Method, Stage, StageMeter, StageProfiler,
+};
 use clue_lookup::{reference_bmp, Family};
 use clue_tablegen::{
     derive_neighbor, export_length_histogram, format_prefixes, generate, length_histogram,
@@ -444,9 +446,10 @@ fn metrics(args: &[String]) -> Result<(), String> {
     let mut stride = frozen
         .compile_stride(clue_core::StrideConfig::default())
         .map_err(|e| e.to_string())?;
-    stride.attach_stride_telemetry(clue_telemetry::StrideTelemetry::registered(
+    stride.attach_batch_telemetry(clue_telemetry::BatchTelemetry::registered(
         &registry,
         "clue_stride",
+        "stride",
     ));
     let mut out = vec![clue_core::Decision::default(); dests.len()];
     let _ = stride.lookup_batch_interleaved(&dests, &clues, &mut out, clue_core::DEFAULT_INTERLEAVE);
@@ -652,8 +655,36 @@ fn profile_path_json(prof: &StageProfiler, snap: &HistogramSnapshot) -> String {
     )
 }
 
-/// Runs the per-stage lookup profiler over the scalar, frozen and
-/// stride paths (plus the sharded network driver), cross-validating
+/// Profiles one compiled backend over the workload: every packet runs
+/// through the plain lookup and then through the profiling meter.
+/// Returns the attribution and whether every packet agreed (BMP,
+/// class, per-packet `Cost`).
+fn profile_backend<E: CompiledBackend<Ip4>>(
+    backend: &E,
+    dests: &[Ip4],
+    clues: &[Option<Prefix<Ip4>>],
+    hist: &Histogram,
+    lookups_total: &clue_telemetry::Counter,
+) -> (StageProfiler, bool) {
+    let mut meter = StageMeter::default();
+    let mut inert = true;
+    for (&dest, &clue) in dests.iter().zip(clues) {
+        let mut c0 = Cost::new();
+        let r0 = backend.lookup(dest, clue, &mut c0);
+        let t0 = std::time::Instant::now();
+        meter.cost = Cost::new();
+        let r1 = backend.lookup(dest, clue, &mut meter);
+        hist.observe(t0.elapsed().as_nanos() as u64);
+        lookups_total.inc();
+        if r0 != r1 || c0 != meter.cost {
+            inert = false;
+        }
+    }
+    (meter.profiler, inert)
+}
+
+/// Runs the per-stage lookup profiler over the scalar path, every
+/// compiled backend and the sharded network driver, cross-validating
 /// the paper's predicted [`Cost`] ticks against measured nanoseconds
 /// stage by stage. Every packet runs through both the plain and the
 /// profiled variant of each path; `--check` fails unless they agree
@@ -725,6 +756,7 @@ fn profile(args: &[String]) -> Result<(), String> {
     let stride = frozen
         .compile_stride(clue_core::StrideConfig::new(stride_bits, clue_core::DEFAULT_INNER_BITS))
         .map_err(|e| format!("--stride: {e}"))?;
+    let compressed = frozen.compile_compressed(clue_core::CompressedConfig);
     let dests = generate(
         &sender,
         &receiver,
@@ -744,7 +776,8 @@ fn profile(args: &[String]) -> Result<(), String> {
             clue_telemetry::LOOKUP_NANOS_BOUNDS,
         )
     };
-    let (h_scalar, h_frozen, h_stride) = (hist("scalar"), hist("frozen"), hist("stride"));
+    let (h_scalar, h_frozen, h_stride, h_compressed) =
+        (hist("scalar"), hist("frozen"), hist("stride"), hist("compressed"));
     let lookups_total =
         registry.counter("clue_profile_lookups_total", "Profiled lookups across all paths");
     let _server = match &serve {
@@ -772,33 +805,13 @@ fn profile(args: &[String]) -> Result<(), String> {
         inert = false;
     }
 
-    let mut prof_frozen = StageProfiler::new();
-    for (&dest, &clue) in dests.iter().zip(&clues) {
-        let mut c0 = Cost::new();
-        let r0 = frozen.lookup(dest, clue, &mut c0);
-        let t0 = std::time::Instant::now();
-        let mut c1 = Cost::new();
-        let r1 = frozen.lookup_profiled(dest, clue, &mut c1, &mut prof_frozen);
-        h_frozen.observe(t0.elapsed().as_nanos() as u64);
-        lookups_total.inc();
-        if r0 != r1 || c0 != c1 {
-            inert = false;
-        }
-    }
-
-    let mut prof_stride = StageProfiler::new();
-    for (&dest, &clue) in dests.iter().zip(&clues) {
-        let mut c0 = Cost::new();
-        let r0 = stride.lookup(dest, clue, &mut c0);
-        let t0 = std::time::Instant::now();
-        let mut c1 = Cost::new();
-        let r1 = stride.lookup_profiled(dest, clue, &mut c1, &mut prof_stride);
-        h_stride.observe(t0.elapsed().as_nanos() as u64);
-        lookups_total.inc();
-        if r0 != r1 || c0 != c1 {
-            inert = false;
-        }
-    }
+    let (prof_frozen, ok) = profile_backend(&frozen, &dests, &clues, &h_frozen, &lookups_total);
+    inert &= ok;
+    let (prof_stride, ok) = profile_backend(&stride, &dests, &clues, &h_stride, &lookups_total);
+    inert &= ok;
+    let (prof_compressed, ok) =
+        profile_backend(&compressed, &dests, &clues, &h_compressed, &lookups_total);
+    inert &= ok;
 
     // Network leg: the sharded driver with per-thread profilers merged
     // in order — stats must match the unprofiled driver exactly.
@@ -832,7 +845,8 @@ fn profile(args: &[String]) -> Result<(), String> {
         &prof_stride,
         &h_stride.snapshot(),
     );
-    print_profile_path("network (per hop)", &prof_net, &h_net.snapshot());
+    print_profile_path("compressed", &prof_compressed, &h_compressed.snapshot());
+    print_profile_path("network (per hop, frozen)", &prof_net, &h_net.snapshot());
     if check {
         if !inert {
             return Err(
@@ -848,10 +862,12 @@ fn profile(args: &[String]) -> Result<(), String> {
             "{{\n  \"packets\": {packets},\n  \"net_packets\": {net_packets},\n  \
              \"seed\": {seed},\n  \"table\": {table},\n  \"stride_bits\": {stride_bits},\n  \
              \"checked\": {check},\n  \"inert\": {inert},\n  \"paths\": {{\n  \
-             \"scalar\": {},\n  \"frozen\": {},\n  \"stride\": {},\n  \"network\": {}\n  }}\n}}\n",
+             \"scalar\": {},\n  \"frozen\": {},\n  \"stride\": {},\n  \"compressed\": {},\n  \
+             \"network\": {}\n  }}\n}}\n",
             profile_path_json(&prof_scalar, &h_scalar.snapshot()),
             profile_path_json(&prof_frozen, &h_frozen.snapshot()),
             profile_path_json(&prof_stride, &h_stride.snapshot()),
+            profile_path_json(&prof_compressed, &h_compressed.snapshot()),
             profile_path_json(&prof_net, &h_net.snapshot()),
         );
         fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
@@ -1308,9 +1324,10 @@ fn throughput(args: &[String]) -> Result<(), String> {
         Some(addr) => {
             scalar.instrument(&registry);
             if let Some(stride) = &mut stride {
-                stride.attach_stride_telemetry(clue_telemetry::StrideTelemetry::registered(
+                stride.attach_batch_telemetry(clue_telemetry::BatchTelemetry::registered(
                     &registry,
                     "clue_stride",
+                    "stride",
                 ));
             }
             if let Some(compressed) = &mut compressed {
@@ -1502,7 +1519,7 @@ fn throughput(args: &[String]) -> Result<(), String> {
     }
     let (par, report) = best.expect("ran at least once");
     let par_pps = report.pps();
-    let per_core_pps = report.per_core_pps();
+    let per_core_pps: Vec<f64> = report.cores.iter().map(|c| c.pps()).collect();
     let replica_clone_ms = report.replica_clone_ns as f64 / 1e6;
 
     if check && par != seq {
@@ -1610,7 +1627,7 @@ fn throughput(args: &[String]) -> Result<(), String> {
                 ",\n  \"runtime_pps\": {:.1},\n  \"runtime_per_core_pps\": {},\n  \
                  \"runtime_replica_clone_ms\": {:.3}",
                 r.pps(),
-                fmt_pps(&r.per_core_pps()),
+                fmt_pps(&r.cores.iter().map(|c| c.pps()).collect::<Vec<_>>()),
                 r.replica_clone_ns as f64 / 1e6
             );
         }

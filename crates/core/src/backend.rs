@@ -1,20 +1,27 @@
 //! The [`CompiledBackend`] abstraction: one trait over every compiled
 //! lookup path.
 //!
-//! The workspace has grown three read-only compilations of a
+//! The workspace has three read-only compilations of a
 //! [`ClueEngine`] — the pointer-flattened [`FrozenEngine`], the
 //! multibit [`crate::StrideEngine`] and the entropy-compressed
 //! [`crate::CompressedEngine`] — and the serving runtime, the parallel
-//! harness and the fleet simulator each want to run on *any* of them.
-//! This trait captures the shared contract those consumers rely on:
+//! harness and the fleet simulator each run on *any* of them. Each
+//! backend implements one lookup kernel, split in two:
 //!
-//! * compilation from a scalar engine (with a backend-specific config);
-//! * the Cost-parity lookup in scalar, split (prepare/finish) and
-//!   batched interleaved forms, plus the tag-resolving finish the
-//!   runtime's precomputed hop tables consume;
-//! * cheap [`CompiledBackend::replicate`] for per-core replicas;
-//! * a layout self-description (arena/bucket/dictionary bytes and a
-//!   per-level visit profile) feeding the [`CramReport`] cache model.
+//! * [`CompiledBackend::prepare`] decodes the packet and prefetches the
+//!   first line its lookup will touch;
+//! * [`CompiledBackend::finish`] walks, generic over the [`Meter`] it
+//!   charges, and returns what it found: the deepest route plus the
+//!   final-decision slot of the clue entry it hit, if any.
+//!
+//! Two cheap projections ([`CompiledBackend::found_prefix`],
+//! [`CompiledBackend::found_tag`]) turn that into a BMP or a dense
+//! route tag, each with the one final load the layout needs. Every
+//! other lookup entry point — single, decision, tagged, batched,
+//! profiled — is a default method built from those four, so a backend
+//! adds only its kernel, its layout description
+//! ([`CompiledBackend::cram_levels`] and the byte accessors feeding
+//! [`CramReport`]) and a cheap [`CompiledBackend::replicate`].
 //!
 //! Every implementation honors the same semantic baseline — identical
 //! BMP, [`LookupClass`] and tick-identical [`Cost`] versus the scalar
@@ -26,14 +33,73 @@
 use std::fmt;
 use std::str::FromStr;
 
-use clue_telemetry::LookupClass;
+use clue_telemetry::{BatchTelemetry, LookupClass, LookupEvent, LookupTelemetry};
 use clue_trie::{Address, Cost, Prefix};
 
-use crate::compressed::{CompressedConfig, CompressedEngine};
 use crate::cram::{CramLevel, CramReport};
 use crate::engine::{ClueEngine, EngineStats, Method};
-use crate::frozen::{Decision, FreezeError, FrozenEngine, FrozenNode};
-use crate::stride::{PreparedLookup, StrideConfig, StrideEngine, StrideError};
+use crate::frozen::{Decision, FreezeError, FrozenEngine, NO_ROUTE};
+use crate::profile::Meter;
+use crate::stride::{StrideEngine, StrideError};
+use crate::CompressedEngine;
+
+/// “No match” tag returned by [`CompiledBackend::lookup_finish_tag`];
+/// every real tag is below it.
+pub const NO_TAG: u32 = NO_ROUTE;
+
+/// Default interleave group for the prefetched batch loop: 8 packets
+/// in flight cover an L2 miss on the machines we target without
+/// spilling the per-group state out of registers. Benchmarked against
+/// 1/4/16 in `clue-bench/benches/stride.rs`.
+pub const DEFAULT_INTERLEAVE: usize = 8;
+
+/// Hard cap on the interleave group: the decoded ops live in a fixed
+/// stack buffer so the group loop never touches the allocator (larger
+/// requests are clamped, which is semantically inert — see
+/// [`CompiledBackend::lookup_batch_interleaved`]).
+const MAX_INTERLEAVE: usize = 64;
+
+/// A packet decoded by [`CompiledBackend::prepare`]: either a full walk
+/// (with its already-determined class) or a clue probe whose home
+/// counter is precomputed, so the resolve step starts at the slot the
+/// prefetch pointed to instead of re-deriving it.
+#[derive(Clone, Copy)]
+pub(crate) enum PacketOp {
+    /// Clue not consulted: Clueless or Malformed, walk from the root.
+    Walk(LookupClass),
+    /// Clue consulted: probe length `len`'s window from counter `k`.
+    Probe { k: u32, len: u8 },
+}
+
+impl PacketOp {
+    /// Classifies a packet the way every backend does: `Common`
+    /// engines and clueless packets walk, a clue that does not contain
+    /// its destination is Malformed and walks, and any other clue is
+    /// probed from counter `home(len, bits)`.
+    #[inline]
+    pub(crate) fn decode<A: Address>(
+        method: Method,
+        dest: A,
+        clue: Option<Prefix<A>>,
+        home: impl FnOnce(u8, A) -> u32,
+    ) -> PacketOp {
+        match (method, clue) {
+            (Method::Common, _) | (_, None) => PacketOp::Walk(LookupClass::Clueless),
+            (_, Some(s)) if s.contains(dest) => {
+                PacketOp::Probe { k: home(s.len(), s.bits()), len: s.len() }
+            }
+            (_, Some(_)) => PacketOp::Walk(LookupClass::Malformed),
+        }
+    }
+}
+
+/// An opaque decoded lookup with its first probe line already
+/// requested from memory — the output of [`CompiledBackend::prepare`],
+/// consumed by [`CompiledBackend::finish`] on the same `(dest, clue)`.
+/// The longer a caller waits between the two, the more of the fetch
+/// latency is hidden.
+#[derive(Clone, Copy)]
+pub struct PreparedLookup(pub(crate) PacketOp);
 
 /// Why a backend could not be compiled from a scalar engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,10 +179,7 @@ impl FromStr for BackendKind {
     }
 }
 
-/// A compiled, read-only lookup engine; see the module docs. All
-/// methods forward to the concrete engines' inherent implementations —
-/// the trait adds no indirection on the hot path when used with a
-/// concrete type or a monomorphized generic.
+/// A compiled, read-only lookup engine; see the module docs.
 pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized + 'static {
     /// The canonical lowercase backend name.
     const NAME: &'static str;
@@ -124,57 +187,55 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
     /// Backend-specific compilation knobs.
     type Config: Clone + Default + Send + Sync;
 
+    /// What [`Self::finish`] resolved to, in the backend's own
+    /// locators: the deepest route its walk found and the FD slot of
+    /// the clue entry it hit, either possibly absent.
+    type Found: Copy;
+
     /// Compiles a scalar engine into this backend.
     fn compile(engine: &ClueEngine<A>, config: &Self::Config) -> Result<Self, BackendError>;
 
     /// The compiled method flavour.
     fn method(&self) -> Method;
 
-    /// One lookup; Cost-parity with the scalar engine.
-    fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass);
+    /// Decodes one packet and prefetches the cache line its lookup
+    /// will start from, without resolving it.
+    fn prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup;
 
-    /// As [`Self::lookup`], packaged as a [`Decision`].
-    fn lookup_decision(&self, dest: A, clue: Option<Prefix<A>>) -> Decision<A> {
-        let mut cost = Cost::new();
-        let (bmp, class) = self.lookup(dest, clue, &mut cost);
-        Decision { bmp, class, cost }
-    }
-
-    /// Decode-and-prefetch half of the split lookup.
-    fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup;
-
-    /// Resolves a prepared lookup to a dense route tag into
-    /// [`Self::tag_prefixes`] ([`crate::NO_TAG`] for no match).
-    fn lookup_finish_tag(
+    /// Resolves a prepared lookup on the same `(dest, clue)`, charging
+    /// `meter` exactly what the scalar engine charges (Cost parity)
+    /// and bracketing each [`crate::Stage`] it passes through.
+    fn finish<M: Meter>(
         &self,
         op: PreparedLookup,
         dest: A,
         clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass);
+        meter: &mut M,
+    ) -> (Self::Found, LookupClass);
 
-    /// The tag → prefix dictionary behind [`Self::lookup_finish_tag`].
+    /// The BMP a [`Self::finish`] result stands for.
+    fn found_prefix(&self, found: Self::Found, dest: A) -> Option<Prefix<A>>;
+
+    /// The dense tag into [`Self::tag_prefixes`] a [`Self::finish`]
+    /// result stands for ([`NO_TAG`] for no match).
+    fn found_tag(&self, found: Self::Found) -> u32;
+
+    /// The tag → prefix dictionary: every prefix a lookup can resolve
+    /// to (route vertices, then FD-only prefixes in canonical order),
+    /// identical on every backend compiled from one snapshot.
     fn tag_prefixes(&self) -> &[Prefix<A>];
 
-    /// Batched lookup in lockstep prefetch groups of `group` packets
-    /// (a latency treatment only — decisions and stats are identical
-    /// at every group size, including on backends that cannot
-    /// prefetch and ignore it).
-    fn lookup_batch_interleaved(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        group: usize,
-    ) -> EngineStats;
+    /// The per-lookup telemetry inherited from the scalar engine, if
+    /// any; the batch loop records one event per packet into it.
+    fn telemetry(&self) -> Option<&LookupTelemetry>;
+
+    /// The batch-loop counters, if the backend has them attached.
+    fn batch_telemetry(&self) -> Option<&BatchTelemetry> {
+        None
+    }
 
     /// A telemetry-detached per-core replica sharing the compiled
-    /// arenas (cheap — no deep copy).
+    /// arenas where the backend can (no deep copy).
     fn replicate(&self) -> Self;
 
     /// Total resident bytes of every compiled structure.
@@ -203,272 +264,195 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
             self.dict_bytes(),
         )
     }
+
+    /// One lookup: the BMP and its class, charged to `meter` — pass a
+    /// [`Cost`] to serve, or a [`crate::StageMeter`] to profile.
+    #[inline]
+    fn lookup<M: Meter>(
+        &self,
+        dest: A,
+        clue: Option<Prefix<A>>,
+        meter: &mut M,
+    ) -> (Option<Prefix<A>>, LookupClass) {
+        let whole = meter.mark();
+        let op = self.prepare(dest, clue);
+        let (found, class) = self.finish(op, dest, clue, meter);
+        meter.done(whole);
+        (self.found_prefix(found, dest), class)
+    }
+
+    /// As [`Self::lookup`], packaged as a [`Decision`].
+    fn lookup_decision(&self, dest: A, clue: Option<Prefix<A>>) -> Decision<A> {
+        let mut cost = Cost::new();
+        let (bmp, class) = self.lookup(dest, clue, &mut cost);
+        Decision { bmp, class, cost }
+    }
+
+    /// Resolves a prepared lookup to a dense route tag into
+    /// [`Self::tag_prefixes`] ([`NO_TAG`] for no match) — the form the
+    /// serving runtime's precomputed hop tables consume: a tag indexes
+    /// a next-hop array with no prefix-map probe.
+    #[inline]
+    fn lookup_finish_tag<M: Meter>(
+        &self,
+        op: PreparedLookup,
+        dest: A,
+        clue: Option<Prefix<A>>,
+        meter: &mut M,
+    ) -> (u32, LookupClass) {
+        let (found, class) = self.finish(op, dest, clue, meter);
+        (self.found_tag(found), class)
+    }
+
+    /// Batched lookup in lockstep groups of `group` packets: pass one
+    /// prepares (and prefetches for) every packet of a group, pass two
+    /// resolves the group while the fetches are in flight. `group <= 1`
+    /// resolves each packet right after preparing it; larger groups
+    /// are clamped to an internal cap (64) so the decoded ops stay on
+    /// the stack. Decisions and stats are identical at every group size
+    /// — interleave is a latency treatment, not a semantic one.
+    ///
+    /// With lookup telemetry attached every packet records a full
+    /// [`LookupEvent`]; attached batch counters record the batch once.
+    ///
+    /// # Panics
+    /// Panics unless `dests`, `clues` and `out` have equal lengths.
+    fn lookup_batch_interleaved(
+        &self,
+        dests: &[A],
+        clues: &[Option<Prefix<A>>],
+        out: &mut [Decision<A>],
+        group: usize,
+    ) -> EngineStats {
+        assert_eq!(dests.len(), clues.len(), "one clue slot per destination");
+        assert_eq!(dests.len(), out.len(), "one decision slot per destination");
+        let group = group.clamp(1, MAX_INTERLEAVE);
+        // The telemetry branch is hoisted clear of the loop; both arms
+        // monomorphize `batch_core` with their record closure inlined.
+        let stats = match self.telemetry() {
+            None => batch_core(self, dests, clues, out, group, |_, _| {}),
+            Some(t) => batch_core(self, dests, clues, out, group, |clue, d| {
+                t.record(&LookupEvent {
+                    clue_len: clue.map(|s| s.len()),
+                    class: d.class,
+                    search_depth: search_depth(d.class, d.cost),
+                    cache_hit: None,
+                    memory_references: d.cost.total(),
+                });
+            }),
+        };
+        if let Some(bt) = self.batch_telemetry() {
+            let packets = dests.len() as u64;
+            let prefetches = if group > 1 { packets } else { 0 };
+            bt.record_batch(packets, dests.len().div_ceil(group) as u64, prefetches);
+        }
+        stats
+    }
+
+    /// Batched lookup at [`DEFAULT_INTERLEAVE`]; see
+    /// [`Self::lookup_batch_interleaved`].
+    fn lookup_batch(
+        &self,
+        dests: &[A],
+        clues: &[Option<Prefix<A>>],
+        out: &mut [Decision<A>],
+    ) -> EngineStats {
+        self.lookup_batch_interleaved(dests, clues, out, DEFAULT_INTERLEAVE)
+    }
+
+    /// As [`Self::lookup_batch`], resizing and reusing a
+    /// caller-supplied buffer — the steady-state form for drivers that
+    /// loop over windows.
+    fn lookup_batch_into(
+        &self,
+        dests: &[A],
+        clues: &[Option<Prefix<A>>],
+        out: &mut Vec<Decision<A>>,
+    ) -> EngineStats {
+        out.clear();
+        out.resize(dests.len(), Decision::default());
+        self.lookup_batch(dests, clues, out)
+    }
+
+    /// Allocating convenience over [`Self::lookup_batch`].
+    fn lookup_batch_vec(
+        &self,
+        dests: &[A],
+        clues: &[Option<Prefix<A>>],
+    ) -> (Vec<Decision<A>>, EngineStats) {
+        let mut out = Vec::new();
+        let stats = self.lookup_batch_into(dests, clues, &mut out);
+        (out, stats)
+    }
+}
+
+/// The batch loop body: each group is prepared in one pass and
+/// resolved in a second, so every prefetch has a group's worth of work
+/// to hide behind and the classify/hash step runs once per packet.
+fn batch_core<A: Address, E: CompiledBackend<A>>(
+    engine: &E,
+    dests: &[A],
+    clues: &[Option<Prefix<A>>],
+    out: &mut [Decision<A>],
+    group: usize,
+    mut record: impl FnMut(Option<Prefix<A>>, &Decision<A>),
+) -> EngineStats {
+    let mut stats = EngineStats::default();
+    let mut ops = [PreparedLookup(PacketOp::Walk(LookupClass::Clueless)); MAX_INTERLEAVE];
+    for ((dests, clues), out) in
+        dests.chunks(group).zip(clues.chunks(group)).zip(out.chunks_mut(group))
+    {
+        for ((&dest, &clue), op) in dests.iter().zip(clues).zip(ops.iter_mut()) {
+            *op = engine.prepare(dest, clue);
+        }
+        for (((&dest, &clue), slot), &op) in dests.iter().zip(clues).zip(out.iter_mut()).zip(&ops)
+        {
+            let mut cost = Cost::new();
+            let (found, class) = engine.finish(op, dest, clue, &mut cost);
+            *slot = Decision { bmp: engine.found_prefix(found, dest), class, cost };
+            bump(&mut stats, class);
+            record(clue, slot);
+        }
+    }
+    stats
+}
+
+#[inline]
+fn bump(stats: &mut EngineStats, class: LookupClass) {
+    match class {
+        LookupClass::Clueless => stats.clueless += 1,
+        LookupClass::Final => stats.finals += 1,
+        LookupClass::Continued => stats.continued += 1,
+        LookupClass::Miss => stats.misses += 1,
+        LookupClass::Malformed => stats.malformed += 1,
+    }
+}
+
+/// The scalar engine reports the continuation's cost as the search
+/// depth; for a Continued lookup that is everything but the mandatory
+/// table probe.
+#[inline]
+fn search_depth(class: LookupClass, cost: Cost) -> u64 {
+    if class == LookupClass::Continued {
+        cost.total() - cost.hash_probes
+    } else {
+        0
+    }
 }
 
 /// Expected visits of a trie level `depth` holding `count` vertices,
 /// under uniform random destinations: a walk reaches depth `d` with
 /// probability (covered address space) `count / 2^d`.
-fn trie_level_visits(depth: usize, count: u64) -> f64 {
+pub(crate) fn trie_level_visits(depth: usize, count: u64) -> f64 {
     count as f64 / 2f64.powi(depth as i32)
-}
-
-impl<A: Address> CompiledBackend<A> for FrozenEngine<A> {
-    const NAME: &'static str = "frozen";
-
-    type Config = ();
-
-    fn compile(engine: &ClueEngine<A>, _config: &Self::Config) -> Result<Self, BackendError> {
-        Ok(engine.freeze()?)
-    }
-
-    fn method(&self) -> Method {
-        FrozenEngine::method(self)
-    }
-
-    fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        FrozenEngine::lookup(self, dest, clue, cost)
-    }
-
-    fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup {
-        FrozenEngine::lookup_prepare(self, dest, clue)
-    }
-
-    fn lookup_finish_tag(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass) {
-        FrozenEngine::lookup_finish_tag(self, op, dest, clue, cost)
-    }
-
-    fn tag_prefixes(&self) -> &[Prefix<A>] {
-        FrozenEngine::tag_prefixes(self)
-    }
-
-    // The frozen batch has no prefetch pass (the hash map's home slot
-    // is not address-computable), so the group size is irrelevant.
-    fn lookup_batch_interleaved(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        _group: usize,
-    ) -> EngineStats {
-        FrozenEngine::lookup_batch(self, dests, clues, out)
-    }
-
-    fn replicate(&self) -> Self {
-        FrozenEngine::replicate(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        FrozenEngine::memory_bytes(self)
-    }
-
-    fn arena_bytes(&self) -> u64 {
-        (self.node_count() * core::mem::size_of::<FrozenNode>()) as u64
-    }
-
-    /// Entry payloads only; the `FxHashMap` index over them is heap
-    /// storage the byte model cannot see per-level and is excluded
-    /// here (it *is* counted in [`Self::memory_bytes`]).
-    fn bucket_bytes(&self) -> u64 {
-        core::mem::size_of_val(self.raw_entries()) as u64
-    }
-
-    fn dict_bytes(&self) -> u64 {
-        core::mem::size_of_val(self.raw_routes()) as u64
-    }
-
-    fn cram_levels(&self) -> Vec<CramLevel> {
-        self.level_node_counts()
-            .iter()
-            .enumerate()
-            .map(|(d, &count)| CramLevel {
-                bytes: count * core::mem::size_of::<FrozenNode>() as u64,
-                visits: trie_level_visits(d, count),
-            })
-            .collect()
-    }
-}
-
-impl<A: Address> CompiledBackend<A> for StrideEngine<A> {
-    const NAME: &'static str = "stride";
-
-    type Config = StrideConfig;
-
-    fn compile(engine: &ClueEngine<A>, config: &Self::Config) -> Result<Self, BackendError> {
-        Ok(engine.freeze()?.compile_stride(*config)?)
-    }
-
-    fn method(&self) -> Method {
-        StrideEngine::method(self)
-    }
-
-    fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        StrideEngine::lookup(self, dest, clue, cost)
-    }
-
-    fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup {
-        StrideEngine::lookup_prepare(self, dest, clue)
-    }
-
-    fn lookup_finish_tag(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass) {
-        StrideEngine::lookup_finish_tag(self, op, dest, clue, cost)
-    }
-
-    fn tag_prefixes(&self) -> &[Prefix<A>] {
-        StrideEngine::tag_prefixes(self)
-    }
-
-    fn lookup_batch_interleaved(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        group: usize,
-    ) -> EngineStats {
-        StrideEngine::lookup_batch_interleaved(self, dests, clues, out, group)
-    }
-
-    fn replicate(&self) -> Self {
-        StrideEngine::replicate(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        StrideEngine::memory_bytes(self)
-    }
-
-    fn arena_bytes(&self) -> u64 {
-        StrideEngine::arena_bytes(self)
-    }
-
-    fn bucket_bytes(&self) -> u64 {
-        StrideEngine::bucket_bytes(self)
-    }
-
-    fn dict_bytes(&self) -> u64 {
-        StrideEngine::dict_bytes(self)
-    }
-
-    fn cram_levels(&self) -> Vec<CramLevel> {
-        self.level_profile()
-            .into_iter()
-            .map(|(bytes, visits)| CramLevel { bytes, visits })
-            .collect()
-    }
-}
-
-impl<A: Address> CompiledBackend<A> for CompressedEngine<A> {
-    const NAME: &'static str = "compressed";
-
-    type Config = CompressedConfig;
-
-    fn compile(engine: &ClueEngine<A>, config: &Self::Config) -> Result<Self, BackendError> {
-        Ok(engine.freeze()?.compile_compressed(*config))
-    }
-
-    fn method(&self) -> Method {
-        CompressedEngine::method(self)
-    }
-
-    fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        CompressedEngine::lookup(self, dest, clue, cost)
-    }
-
-    fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup {
-        CompressedEngine::lookup_prepare(self, dest, clue)
-    }
-
-    fn lookup_finish_tag(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass) {
-        CompressedEngine::lookup_finish_tag(self, op, dest, clue, cost)
-    }
-
-    fn tag_prefixes(&self) -> &[Prefix<A>] {
-        CompressedEngine::tag_prefixes(self)
-    }
-
-    fn lookup_batch_interleaved(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        group: usize,
-    ) -> EngineStats {
-        CompressedEngine::lookup_batch_interleaved(self, dests, clues, out, group)
-    }
-
-    fn replicate(&self) -> Self {
-        CompressedEngine::replicate(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        CompressedEngine::memory_bytes(self)
-    }
-
-    fn arena_bytes(&self) -> u64 {
-        CompressedEngine::arena_bytes(self)
-    }
-
-    fn bucket_bytes(&self) -> u64 {
-        CompressedEngine::bucket_bytes(self)
-    }
-
-    fn dict_bytes(&self) -> u64 {
-        CompressedEngine::dict_bytes(self)
-    }
-
-    // Per-level bytes prorate the whole arena (quads + rank
-    // directories) by vertex share, so the levels partition exactly
-    // what `arena_bytes` reports.
-    fn cram_levels(&self) -> Vec<CramLevel> {
-        let arena = CompiledBackend::<A>::arena_bytes(self) as f64;
-        let total = self.node_count().max(1) as f64;
-        self.level_node_counts()
-            .iter()
-            .enumerate()
-            .map(|(d, &count)| CramLevel {
-                bytes: (arena * count as f64 / total).round() as u64,
-                visits: trie_level_visits(d, count),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::stride::NO_TAG;
+    use crate::profile::{Stage, StageMeter};
+    use crate::{CompressedConfig, StrideConfig};
     use clue_lookup::Family;
     use clue_trie::Ip4;
 
@@ -476,7 +460,7 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn engine() -> ClueEngine<Ip4> {
+    fn engine(method: Method) -> ClueEngine<Ip4> {
         let sender = vec![p("10.0.0.0/8"), p("10.1.0.0/16"), p("192.168.0.0/16")];
         let receiver = vec![
             p("10.0.0.0/8"),
@@ -485,42 +469,69 @@ mod tests {
             p("10.2.0.0/16"),
             p("192.168.0.0/16"),
         ];
-        ClueEngine::precomputed(
-            &sender,
-            &receiver,
-            EngineConfig::new(Family::Regular, Method::Advance),
-        )
+        ClueEngine::precomputed(&sender, &receiver, EngineConfig::new(Family::Regular, method))
     }
 
-    fn exercise<E: CompiledBackend<Ip4>>(scalar: &ClueEngine<Ip4>) -> Vec<Decision<Ip4>> {
-        let backend = E::compile(scalar, &E::Config::default()).unwrap();
+    /// Runs every lookup entry point of backend `E` over one packet of
+    /// each class, for every method, and checks they agree: the tagged
+    /// path, the batch loop, a replica, and the profiling meter — which
+    /// must return the same BMP, class and cost, record one lookup per
+    /// packet, attribute every charged tick to exactly one stage, and
+    /// never report a Cache stage (compiled engines have no cache).
+    fn exercise<E: CompiledBackend<Ip4>>(config: &E::Config) -> Vec<Decision<Ip4>> {
         let cases: Vec<(Ip4, Option<Prefix<Ip4>>)> = vec![
-            ("10.1.2.3".parse().unwrap(), None),
-            ("10.1.2.3".parse().unwrap(), Some(p("10.1.0.0/16"))),
-            ("192.168.3.4".parse().unwrap(), Some(p("192.168.0.0/16"))),
-            ("10.1.2.3".parse().unwrap(), Some(p("192.168.0.0/16"))),
-            ("10.1.2.3".parse().unwrap(), Some(p("10.1.2.0/24"))),
-            ("11.1.2.3".parse().unwrap(), None),
+            ("10.1.2.3".parse().unwrap(), None),                       // clueless
+            ("10.1.2.3".parse().unwrap(), Some(p("10.1.0.0/16"))),     // continued
+            ("192.168.3.4".parse().unwrap(), Some(p("192.168.0.0/16"))), // final
+            ("10.1.2.3".parse().unwrap(), Some(p("192.168.0.0/16"))),  // malformed
+            ("10.1.2.3".parse().unwrap(), Some(p("10.1.2.0/24"))),     // miss
+            ("11.1.2.3".parse().unwrap(), None),                       // no route
         ];
-        let mut decisions = Vec::new();
-        for &(dest, clue) in &cases {
-            let d = backend.lookup_decision(dest, clue);
-            // The tagged path agrees with the value path.
-            let mut cost = Cost::new();
-            let op = backend.lookup_prepare(dest, clue);
-            let (tag, class) = backend.lookup_finish_tag(op, dest, clue, &mut cost);
-            let tag_bmp = (tag != NO_TAG).then(|| backend.tag_prefixes()[tag as usize]);
-            assert_eq!(tag_bmp, d.bmp, "{} tag path for {dest} {clue:?}", E::NAME);
-            assert_eq!(class, d.class, "{} tag class for {dest} {clue:?}", E::NAME);
-            assert_eq!(cost, d.cost, "{} tag cost for {dest} {clue:?}", E::NAME);
-            decisions.push(d);
+        let mut all = Vec::new();
+        for method in [Method::Common, Method::Simple, Method::Advance] {
+            let backend = E::compile(&engine(method), config).unwrap();
+            let mut meter = StageMeter::default();
+            let mut decisions = Vec::new();
+            for &(dest, clue) in &cases {
+                let d = backend.lookup_decision(dest, clue);
+                // The tagged path agrees with the value path.
+                let mut cost = Cost::new();
+                let op = backend.prepare(dest, clue);
+                let (tag, class) = backend.lookup_finish_tag(op, dest, clue, &mut cost);
+                let tag_bmp = (tag != NO_TAG).then(|| backend.tag_prefixes()[tag as usize]);
+                let at = format!("{} {method} {dest} {clue:?}", E::NAME);
+                assert_eq!(tag_bmp, d.bmp, "{at}: tag path");
+                assert_eq!(class, d.class, "{at}: tag class");
+                assert_eq!(cost, d.cost, "{at}: tag cost");
+                // The profiling meter is semantically inert.
+                meter.cost = Cost::new();
+                let profiled = backend.lookup(dest, clue, &mut meter);
+                assert_eq!(profiled, (d.bmp, d.class), "{at}: profiled");
+                assert_eq!(meter.cost, d.cost, "{at}: profiled cost");
+                decisions.push(d);
+            }
+            let prof = &meter.profiler;
+            assert_eq!(prof.lookups(), cases.len() as u64, "{}", E::NAME);
+            let charged: u64 = decisions.iter().map(|d| d.cost.total()).sum();
+            assert_eq!(prof.total_ticks(), charged, "{} {method}: ticks sum to cost", E::NAME);
+            assert!(prof.stage(Stage::Root).visits > 0, "{}", E::NAME);
+            assert_eq!(prof.stage(Stage::Cache).visits, 0, "{}: no cache stage", E::NAME);
+            // Batched form agrees with the scalar form.
+            let dests: Vec<Ip4> = cases.iter().map(|c| c.0).collect();
+            let clues: Vec<Option<Prefix<Ip4>>> = cases.iter().map(|c| c.1).collect();
+            let mut out = vec![Decision::default(); cases.len()];
+            backend.lookup_batch_interleaved(&dests, &clues, &mut out, 4);
+            assert_eq!(out, decisions, "{} batch parity", E::NAME);
+            let replica = backend.replicate();
+            assert_eq!(
+                replica.lookup_decision(dests[1], clues[1]),
+                decisions[1],
+                "{} replica parity",
+                E::NAME
+            );
+            all.extend(decisions);
         }
-        // Batched form agrees with the scalar form.
-        let dests: Vec<Ip4> = cases.iter().map(|c| c.0).collect();
-        let clues: Vec<Option<Prefix<Ip4>>> = cases.iter().map(|c| c.1).collect();
-        let mut out = vec![Decision::default(); cases.len()];
-        backend.lookup_batch_interleaved(&dests, &clues, &mut out, 4);
-        assert_eq!(out, decisions, "{} batch parity", E::NAME);
+        let backend = E::compile(&engine(Method::Advance), config).unwrap();
         // Layout self-description is coherent.
         assert!(backend.arena_bytes() > 0, "{}", E::NAME);
         assert!(
@@ -538,35 +549,30 @@ mod tests {
         // array alone overflows L1 by design — 8192 direct-indexed
         // slots at the default 13 initial bits).
         assert_eq!(cram.expected_l2_misses, 0.0, "{}", E::NAME);
-        let replica = backend.replicate();
-        assert_eq!(
-            replica.lookup_decision(dests[0], clues[0]),
-            decisions[0],
-            "{} replica parity",
-            E::NAME
-        );
-        decisions
+        all
     }
 
     #[test]
     fn all_backends_agree_with_each_other() {
-        let scalar = engine();
-        let frozen = exercise::<FrozenEngine<Ip4>>(&scalar);
-        let stride = exercise::<StrideEngine<Ip4>>(&scalar);
-        let compressed = exercise::<CompressedEngine<Ip4>>(&scalar);
-        assert_eq!(frozen, stride);
-        assert_eq!(frozen, compressed);
+        let frozen = exercise::<FrozenEngine<Ip4>>(&());
+        for config in [
+            StrideConfig::default(),
+            StrideConfig::new(8, 8),
+            StrideConfig::new(16, 8),
+            StrideConfig::new(5, 3),
+        ] {
+            assert_eq!(exercise::<StrideEngine<Ip4>>(&config), frozen, "{config:?}");
+        }
+        assert_eq!(exercise::<CompressedEngine<Ip4>>(&CompressedConfig), frozen);
     }
 
     #[test]
     fn compressed_arena_is_the_smallest() {
-        let scalar = engine();
+        let scalar = engine(Method::Advance);
         let frozen = FrozenEngine::compile(&scalar, &()).unwrap();
         let stride = StrideEngine::compile(&scalar, &StrideConfig::default()).unwrap();
         let compressed = CompressedEngine::compile(&scalar, &CompressedConfig).unwrap();
-        let fa = CompiledBackend::<Ip4>::arena_bytes(&frozen);
-        let sa = CompiledBackend::<Ip4>::arena_bytes(&stride);
-        let ca = CompiledBackend::<Ip4>::arena_bytes(&compressed);
+        let (fa, sa, ca) = (frozen.arena_bytes(), stride.arena_bytes(), compressed.arena_bytes());
         assert!(ca * 3 < fa, "compressed {ca} vs frozen {fa}");
         assert!(ca < sa, "compressed {ca} vs stride {sa}");
     }

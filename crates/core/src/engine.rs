@@ -640,7 +640,7 @@ impl<A: Address> ClueEngine<A> {
         let mut walk = Cost::new();
         let bmp = self.common_lookup(dest, &mut walk);
         let ns = span.stop();
-        record_walk_split(prof, &walk, ns, node_bytes);
+        record_walk_split(prof, walk.total(), ns, node_bytes);
         *cost += walk;
         bmp
     }

@@ -413,6 +413,7 @@ impl<A: Address> std::fmt::Debug for EpochEngine<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::CompiledBackend;
     use crate::engine::{EngineConfig, Method};
     use clue_lookup::Family;
     use clue_trie::{Cost, Ip4, Prefix};

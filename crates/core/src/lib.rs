@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 mod backend;
+mod buckets;
 mod cache;
 pub mod channel;
 mod classify;
@@ -84,7 +85,9 @@ mod soundness;
 mod stride;
 mod table;
 
-pub use backend::{BackendError, BackendKind, CompiledBackend};
+pub use backend::{
+    BackendError, BackendKind, CompiledBackend, PreparedLookup, DEFAULT_INTERLEAVE, NO_TAG,
+};
 pub use cache::{CacheStats, ClueCache, LruCache, PresenceCache};
 pub use compressed::{CompressedConfig, CompressedEngine};
 pub use cram::{CramLevel, CramReport, L1_BYTES, L2_BYTES, L3_BYTES};
@@ -96,7 +99,7 @@ pub use clue::{ClueHeader, EncodedClue};
 pub use engine::{ClueEngine, EngineConfig, EngineStats, Method};
 pub use epoch::{EpochCell, EpochEngine, EpochGuard, EpochReader};
 pub use frozen::{Decision, FreezeError, FrozenEngine, NONE_NODE};
-pub use profile::{Stage, StageAccum, StageProfiler};
+pub use profile::{Meter, Stage, StageAccum, StageMeter, StageProfiler};
 pub use reputation::{
     BatchSignals, LinkState, NeighborReputation, QuarantineGate, ReputationBook,
     ReputationConfig, Transition,
@@ -104,7 +107,6 @@ pub use reputation::{
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use soundness::{check_soundness, Divergence, SoundnessReport};
 pub use stride::{
-    PreparedLookup, StrideConfig, StrideEngine, StrideError, DEFAULT_INITIAL_BITS,
-    DEFAULT_INNER_BITS, DEFAULT_INTERLEAVE, NO_TAG,
+    StrideConfig, StrideEngine, StrideError, DEFAULT_INITIAL_BITS, DEFAULT_INNER_BITS,
 };
 pub use table::{CandidateRange, ClueEntry, ClueIndexer, ClueTable, Continuation, TableKind};

@@ -1,7 +1,8 @@
 //! Software prefetch behind a safe wrapper.
 //!
-//! The stride batch loop (see [`crate::stride`]) processes packets in
-//! interleaved groups: pass one computes where each packet's walk will
+//! The compiled backends' batch loop
+//! ([`crate::CompiledBackend::lookup_batch_interleaved`]) processes
+//! packets in interleaved groups: pass one computes where each packet's walk will
 //! start and asks the hardware to pull that line toward L1, pass two
 //! does the walks while the fetches are in flight. The intrinsic lives
 //! here so the rest of the crate stays `#![deny(unsafe_code)]`.

@@ -2,23 +2,29 @@
 //!
 //! The paper's entire evaluation metric is *predicted* — [`Cost`] ticks
 //! model memory references per lookup (Tables 4–9). This module
-//! cross-validates that model against the machine: each engine exposes
-//! a `lookup_profiled` variant that attributes every lookup's ticks,
-//! measured nanoseconds and touched record bytes to a pipeline
-//! [`Stage`], and accumulates per-stage running sums from which a
-//! Pearson correlation between predicted ticks and measured time falls
-//! out. A high per-stage correlation is empirical support for the
-//! paper's claim that tick counts are the right cost model; a low one
-//! flags a stage whose "one access" abstraction leaks (e.g. a probe
-//! that is one tick but two dependent cache lines).
+//! cross-validates that model against the machine: a lookup attributes
+//! its ticks, measured nanoseconds and touched record bytes to a
+//! pipeline [`Stage`], and a [`StageProfiler`] accumulates per-stage
+//! running sums from which a Pearson correlation between predicted
+//! ticks and measured time falls out. A high per-stage correlation is
+//! empirical support for the paper's claim that tick counts are the
+//! right cost model; a low one flags a stage whose "one access"
+//! abstraction leaks (e.g. a probe that is one tick but two dependent
+//! cache lines).
 //!
-//! **Profiling is opt-in by construction, not by flag**: the profiled
-//! lookups are separate functions, so the normal paths compile without
-//! a single profiling branch — disabled profiling costs literally
-//! nothing. The profiled variants replicate the unprofiled control flow
-//! exactly (same BMP, same class, tick-for-tick the same `Cost`);
-//! `clue profile --check` and the parity tests in each engine hold
-//! them to it.
+//! **One kernel, monomorphised over a [`Meter`]**: every compiled
+//! backend's lookup kernel is generic over the meter it charges. The
+//! serving meter is [`Cost`] itself, whose span hooks are empty and
+//! inline away, so serving code carries no profiling branch. The
+//! profiling meter, [`StageMeter`], wraps a `Cost` and a
+//! [`StageProfiler`] and turns the same hooks into timed spans. The
+//! kernel is the same code either way, so profiling is inert by
+//! construction: same BMP, same class, tick-for-tick the same `Cost`,
+//! and every charged tick lands in exactly one stage. `clue profile
+//! --check` and the backend tests hold it to that. The scalar
+//! [`crate::ClueEngine::lookup_profiled`] is the one hand-written
+//! profiled path: it is the reference engine, with learning and cache
+//! side effects no compiled kernel has.
 //!
 //! Timing is *span*-based: a stage is timed once per lookup with a
 //! pair of `Instant` reads around its whole span, never per node —
@@ -29,18 +35,18 @@ use std::time::Instant;
 
 use clue_trie::Cost;
 
-/// A pipeline stage of a clue lookup, across all three engine
-/// representations (scalar, frozen, stride).
+/// A pipeline stage of a clue lookup, across every engine
+/// representation (scalar and the compiled backends).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// The entry read: the stride engine's direct-indexed root slot, or
-    /// the first trie vertex of a scalar/frozen common walk.
+    /// the first trie vertex of a bit-by-bit common walk.
     Root,
     /// The descent below the entry: multibit inner-node steps (stride)
-    /// or the remaining vertices of a common walk (scalar/frozen).
+    /// or the remaining vertices of a bit-by-bit common walk.
     Inner,
     /// The mandatory clue-table consult: hash probe (scalar/frozen) or
-    /// flat length-bucket probe (stride).
+    /// flat length-bucket probe (stride/compressed).
     ClueProbe,
     /// The continued walk from the clue's continuation vertex,
     /// honoring the Section 4 Claim-1 bits.
@@ -164,8 +170,8 @@ impl StageAccum {
 }
 
 /// Accumulates per-stage and per-lookup attribution; the object a
-/// profiled run threads through `lookup_profiled` calls and merges
-/// across threads at the end.
+/// profiled run fills (through a [`StageMeter`] or the scalar
+/// `lookup_profiled`) and merges across threads at the end.
 #[derive(Debug, Default, Clone)]
 pub struct StageProfiler {
     stages: [StageAccum; 5],
@@ -251,8 +257,106 @@ impl StageProfiler {
     }
 }
 
-/// A running span timer for one stage: created at the stage boundary,
-/// [`Self::stop`]ped at the end, yielding elapsed nanoseconds.
+/// What a compiled lookup charges as it walks. Every kernel charges its
+/// [`Cost`] ticks through [`Self::cost`] and brackets each stage with a
+/// [`Self::mark`] and a closing hook; what the hooks record is up to
+/// the meter. See the module docs for the inertness contract.
+pub trait Meter {
+    /// A span's opening state: nothing for [`Cost`], the tick count and
+    /// clock reading for a [`StageMeter`].
+    type Mark: Copy;
+
+    /// The running tick count every charge goes to.
+    fn cost(&mut self) -> &mut Cost;
+
+    /// Opens a span.
+    fn mark(&self) -> Self::Mark;
+
+    /// Closes a span opened at `mark` as one visit of `stage` that
+    /// dereferenced `bytes`, plus `bytes_per_tick` for every tick
+    /// charged inside it.
+    fn stage(&mut self, stage: Stage, mark: Self::Mark, bytes: u64, bytes_per_tick: u64);
+
+    /// Closes a bit-by-bit common walk opened at `mark`, each tick one
+    /// `bytes_per_tick` record: the first tick is [`Stage::Root`] and
+    /// the rest [`Stage::Inner`], time split in proportion to ticks.
+    fn walk(&mut self, mark: Self::Mark, bytes_per_tick: u64);
+
+    /// Closes a whole lookup opened at `mark`.
+    fn done(&mut self, mark: Self::Mark);
+}
+
+/// The serving meter: ticks only. Every span hook is empty, so a
+/// kernel monomorphised over `Cost` is the plain hot loop.
+impl Meter for Cost {
+    type Mark = ();
+
+    #[inline(always)]
+    fn cost(&mut self) -> &mut Cost {
+        self
+    }
+
+    #[inline(always)]
+    fn mark(&self) {}
+
+    #[inline(always)]
+    fn stage(&mut self, _stage: Stage, _mark: (), _bytes: u64, _bytes_per_tick: u64) {}
+
+    #[inline(always)]
+    fn walk(&mut self, _mark: (), _bytes_per_tick: u64) {}
+
+    #[inline(always)]
+    fn done(&mut self, _mark: ()) {}
+}
+
+/// The profiling meter: the lookup's [`Cost`] plus a [`StageProfiler`]
+/// that every span hook feeds with ticks, touched bytes and measured
+/// nanoseconds.
+#[derive(Debug, Default, Clone)]
+pub struct StageMeter {
+    /// Ticks charged since the caller last reset it.
+    pub cost: Cost,
+    /// The per-stage attribution accumulated so far.
+    pub profiler: StageProfiler,
+}
+
+impl Meter for StageMeter {
+    type Mark = (Instant, u64);
+
+    #[inline]
+    fn cost(&mut self) -> &mut Cost {
+        &mut self.cost
+    }
+
+    #[inline]
+    fn mark(&self) -> Self::Mark {
+        (Instant::now(), self.cost.total())
+    }
+
+    fn stage(&mut self, stage: Stage, (start, ticks): Self::Mark, bytes: u64, bytes_per_tick: u64) {
+        let ns = elapsed_ns(start);
+        let ticks = self.cost.total() - ticks;
+        self.profiler.record(stage, ticks, bytes + bytes_per_tick * ticks, ns);
+    }
+
+    fn walk(&mut self, (start, ticks): Self::Mark, bytes_per_tick: u64) {
+        let ns = elapsed_ns(start);
+        record_walk_split(&mut self.profiler, self.cost.total() - ticks, ns, bytes_per_tick);
+    }
+
+    fn done(&mut self, (start, ticks): Self::Mark) {
+        let ns = elapsed_ns(start);
+        self.profiler.record_lookup(self.cost.total() - ticks, ns);
+    }
+}
+
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A running span timer for one stage of the scalar engine's profiled
+/// lookup: created at the stage boundary, [`Self::stop`]ped at the
+/// end, yielding elapsed nanoseconds.
 #[derive(Debug)]
 pub(crate) struct Span(Instant);
 
@@ -264,23 +368,22 @@ impl Span {
 
     #[inline]
     pub(crate) fn stop(self) -> u64 {
-        u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        elapsed_ns(self.0)
     }
 }
 
-/// Splits a common-walk span between [`Stage::Root`] (the first
-/// charged vertex) and [`Stage::Inner`] (the rest), attributing time
-/// proportionally to ticks: the walk is timed once — per-vertex
-/// timestamps would dwarf the vertices — so the split follows the
-/// model.  `delta` is the walk's total cost delta, `nanos` its span,
-/// `bytes_per_tick` the record size the walk dereferences per tick.
+/// Splits a common-walk span of `ticks` ticks between [`Stage::Root`]
+/// (the first charged vertex) and [`Stage::Inner`] (the rest),
+/// attributing time proportionally to ticks: the walk is timed once —
+/// per-vertex timestamps would dwarf the vertices — so the split
+/// follows the model. `nanos` is the span, `bytes_per_tick` the record
+/// size the walk dereferences per tick.
 pub(crate) fn record_walk_split(
     prof: &mut StageProfiler,
-    delta: &Cost,
+    ticks: u64,
     nanos: u64,
     bytes_per_tick: u64,
 ) {
-    let ticks = delta.total();
     if ticks == 0 {
         return;
     }
@@ -380,11 +483,7 @@ mod tests {
     #[test]
     fn walk_split_attributes_root_then_inner() {
         let mut p = StageProfiler::new();
-        let mut delta = Cost::new();
-        for _ in 0..4 {
-            delta.trie_node();
-        }
-        record_walk_split(&mut p, &delta, 400, 12);
+        record_walk_split(&mut p, 4, 400, 12);
         assert_eq!(p.stage(Stage::Root).ticks, 1);
         assert_eq!(p.stage(Stage::Root).nanos, 100);
         assert_eq!(p.stage(Stage::Root).bytes, 12);
@@ -394,15 +493,13 @@ mod tests {
 
         // A one-tick walk is all Root, no Inner.
         let mut p = StageProfiler::new();
-        let mut one = Cost::new();
-        one.trie_node();
-        record_walk_split(&mut p, &one, 50, 12);
+        record_walk_split(&mut p, 1, 50, 12);
         assert_eq!(p.stage(Stage::Root).ticks, 1);
         assert_eq!(p.stage(Stage::Inner).visits, 0);
 
         // An empty walk records nothing.
         let mut p = StageProfiler::new();
-        record_walk_split(&mut p, &Cost::new(), 50, 12);
+        record_walk_split(&mut p, 0, 50, 12);
         assert_eq!(p.stage(Stage::Root).visits, 0);
     }
 

@@ -40,6 +40,7 @@
 
 use clue_trie::{Address, Cost, Prefix};
 
+use crate::backend::CompiledBackend;
 use crate::engine::{ClueEngine, EngineStats};
 use crate::frozen::FrozenEngine;
 

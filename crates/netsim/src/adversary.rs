@@ -36,8 +36,8 @@
 //! [`participation_sweep`](crate::participation_sweep).
 
 use clue_core::{
-    check_soundness, BatchSignals, ClueEngine, EngineConfig, Method, ReputationBook,
-    ReputationConfig, StrideError, Transition,
+    check_soundness, BatchSignals, ClueEngine, CompiledBackend, EngineConfig, Method,
+    ReputationBook, ReputationConfig, StrideError, Transition,
 };
 use clue_lookup::Family;
 use clue_tablegen::{

@@ -557,6 +557,7 @@ fn churn_traffic<A: Address>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clue_core::CompiledBackend;
     use clue_tablegen::{derive_neighbor, generate_churn, synthesize_ipv4, ChurnConfig, NeighborConfig};
     use clue_trie::Ip4;
     use std::time::Duration;

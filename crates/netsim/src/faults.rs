@@ -22,7 +22,8 @@
 use std::time::Duration;
 
 use clue_core::{
-    check_soundness, ClueEngine, ClueHeader, Divergence, EngineConfig, EngineStats, Method,
+    check_soundness, ClueEngine, ClueHeader, CompiledBackend, Divergence, EngineConfig,
+    EngineStats, Method,
 };
 use clue_lookup::Family;
 use clue_tablegen::{

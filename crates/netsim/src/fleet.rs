@@ -39,8 +39,9 @@ use std::time::Instant;
 
 use clue_core::channel::{mpsc, spsc, SpscReceiver, TryRecvError};
 use clue_core::{
-    BatchSignals, ClueEngine, ClueHeader, EngineConfig, EpochCell, EpochGuard, EpochReader,
-    Method, ReputationBook, ReputationConfig, StrideConfig, StrideEngine, StrideError, NO_TAG,
+    BatchSignals, ClueEngine, ClueHeader, CompiledBackend, EngineConfig, EpochCell, EpochGuard,
+    EpochReader, Method, ReputationBook, ReputationConfig, StrideConfig, StrideEngine, StrideError,
+    NO_TAG,
 };
 use clue_lookup::Family;
 use clue_tablegen::{rebase_into_block, synthesize_ipv4, ZipfSampler};
@@ -480,11 +481,11 @@ impl Fleet {
             let (tag, class) = match engine {
                 Some(e) => {
                     let eng = &node.engines[e];
-                    let op = eng.lookup_prepare(flow.dest, clue);
+                    let op = eng.prepare(flow.dest, clue);
                     eng.lookup_finish_tag(op, flow.dest, clue, &mut cost)
                 }
                 None => {
-                    let op = node.base.lookup_prepare(flow.dest, None);
+                    let op = node.base.prepare(flow.dest, None);
                     node.base.lookup_finish_tag(op, flow.dest, None, &mut cost)
                 }
             };
@@ -493,7 +494,7 @@ impl Fleet {
             let base_cost = match engine {
                 Some(_) => {
                     let mut c = Cost::new();
-                    let op = node.base.lookup_prepare(flow.dest, None);
+                    let op = node.base.prepare(flow.dest, None);
                     node.base.lookup_finish_tag(op, flow.dest, None, &mut c);
                     c
                 }
@@ -1165,11 +1166,11 @@ impl Fleet {
             let (tag, class) = match engine {
                 Some(e) => {
                     let eng = &node.engines[e];
-                    let op = eng.lookup_prepare(flow.dest, clue);
+                    let op = eng.prepare(flow.dest, clue);
                     eng.lookup_finish_tag(op, flow.dest, clue, &mut cost)
                 }
                 None => {
-                    let op = node.base.lookup_prepare(flow.dest, None);
+                    let op = node.base.prepare(flow.dest, None);
                     node.base.lookup_finish_tag(op, flow.dest, None, &mut cost)
                 }
             };
@@ -1182,7 +1183,7 @@ impl Fleet {
             let (base_tag, base_cost) = match engine {
                 Some(_) => {
                     let mut c = Cost::new();
-                    let op = node.base.lookup_prepare(flow.dest, None);
+                    let op = node.base.prepare(flow.dest, None);
                     let (bt, _) = node.base.lookup_finish_tag(op, flow.dest, None, &mut c);
                     (bt, c)
                 }

@@ -31,7 +31,8 @@
 //! makes it deterministic.
 
 use clue_core::{
-    BackendError, ClueHeader, CompiledBackend, FreezeError, FrozenEngine, StageProfiler,
+    BackendError, ClueHeader, CompiledBackend, FreezeError, FrozenEngine, Meter, StageMeter,
+    StageProfiler,
 };
 use clue_trie::{Address, Cost, CostStats};
 use rand::rngs::StdRng;
@@ -74,8 +75,7 @@ pub struct PacketNetwork<'n, A: Address, E: CompiledBackend<A>> {
     routers: Vec<CompiledRouter<E>>,
 }
 
-/// The sharded driver on the frozen backend — the historical name, and
-/// the only backend with a stage-profiled routing path.
+/// The sharded driver on the frozen backend — the historical name.
 pub type FrozenNetwork<'n, A> = PacketNetwork<'n, A, FrozenEngine<A>>;
 
 impl<'n, A: Address> FrozenNetwork<'n, A> {
@@ -125,91 +125,23 @@ impl<'n, A: Address, E: CompiledBackend<A>> PacketNetwork<'n, A, E> {
     /// Forwards one packet exactly like
     /// [`Network::route_packet`] — same hops, same per-hop [`Cost`],
     /// same Section 5.4 shifted work — but from `&self`, through the
-    /// frozen engines.
+    /// compiled engines.
     pub fn route_packet(&self, src: RouterId, dest: A) -> PathTrace<A> {
-        let config = self.net.config();
-        let routers = self.net.routers();
-        let mut hops = Vec::new();
-        let mut header = ClueHeader::none();
-        let mut prev: Option<RouterId> = None;
-        let mut cur = src;
-        let mut delivered = false;
-        let max_hops = self.net.topology().len() * 2 + 4;
-
-        for _ in 0..max_hops {
-            let mut cost = Cost::new();
-            let node = &self.routers[cur];
-            let fib = &routers[cur].fib;
-            let engine_slot =
-                prev.map_or(NO_ENGINE, |p| node.by_neighbor.get(p).copied().unwrap_or(NO_ENGINE));
-            let used_clue =
-                node.participates && engine_slot != NO_ENGINE && header.clue.is_some();
-            let bmp = if used_clue {
-                let engine = &node.engines[engine_slot as usize];
-                engine.lookup(dest, header.decode(dest), &mut cost).0
-            } else {
-                node.base.lookup(dest, None, &mut cost).0
-            };
-
-            let next = bmp.and_then(|p| fib.get(&p)).map(|r| *fib.value(r));
-
-            let mut shift_cost = Cost::new();
-            if node.participates {
-                if let Some(p) = bmp {
-                    header = ClueHeader::with_clue(&p);
-                }
-                if config.shift_work_to_edges {
-                    if let Some(Hop::Via(nh)) = next {
-                        if config.core.contains(&nh) {
-                            let nb_fib = &routers[nh].fib;
-                            let nb_bmp = match bmp.and_then(|p| nb_fib.node_of_prefix(&p)) {
-                                Some(start) => nb_fib
-                                    .lookup_from(start, dest, &mut shift_cost)
-                                    .map(|r| nb_fib.prefix(r)),
-                                None => nb_fib
-                                    .lookup_counted(dest, &mut shift_cost)
-                                    .map(|r| nb_fib.prefix(r)),
-                            };
-                            if let Some(p) = nb_bmp {
-                                header = ClueHeader::with_clue(&p);
-                            }
-                        }
-                    }
-                }
-            }
-
-            hops.push(HopRecord { router: cur, from: prev, bmp, cost, shift_cost, used_clue });
-
-            match next {
-                Some(Hop::Local) => {
-                    delivered = true;
-                    break;
-                }
-                Some(Hop::Via(nh)) => {
-                    prev = Some(cur);
-                    cur = nh;
-                }
-                None => break,
-            }
-        }
-        PathTrace { dest, hops, delivered }
+        self.route_packet_with(src, dest, &mut Cost::new())
     }
-}
 
-impl<'n, A: Address> FrozenNetwork<'n, A> {
-    /// As [`Self::route_packet`], additionally attributing every hop's
-    /// engine lookup to pipeline stages in `prof` (see
-    /// [`StageProfiler`]). Semantically inert: same hops, same
-    /// per-hop [`Cost`], same delivery — the profiled engine paths
-    /// observe the walk deltas, they never alter them. The Section
-    /// 5.4 shifted-work leg is raw FIB trie work rather than an
-    /// engine lookup and stays unprofiled. Frozen-backend only: the
-    /// stage-profiled lookup exists on [`FrozenEngine`] alone.
-    pub fn route_packet_profiled(
+    /// As [`Self::route_packet`], charging every hop's engine lookup
+    /// to `meter` (reset to a zero [`Cost`] at each hop, whose ticks
+    /// the hop record keeps). With a [`StageMeter`] the lookups are
+    /// attributed to pipeline stages; the route is the same either way
+    /// (see [`clue_core::Meter`]). The Section 5.4 shifted-work leg is
+    /// raw FIB trie work rather than an engine lookup and is charged
+    /// to the hop's `shift_cost`, outside the meter.
+    pub fn route_packet_with<M: Meter>(
         &self,
         src: RouterId,
         dest: A,
-        prof: &mut StageProfiler,
+        meter: &mut M,
     ) -> PathTrace<A> {
         let config = self.net.config();
         let routers = self.net.routers();
@@ -221,7 +153,7 @@ impl<'n, A: Address> FrozenNetwork<'n, A> {
         let max_hops = self.net.topology().len() * 2 + 4;
 
         for _ in 0..max_hops {
-            let mut cost = Cost::new();
+            *meter.cost() = Cost::new();
             let node = &self.routers[cur];
             let fib = &routers[cur].fib;
             let engine_slot =
@@ -230,10 +162,11 @@ impl<'n, A: Address> FrozenNetwork<'n, A> {
                 node.participates && engine_slot != NO_ENGINE && header.clue.is_some();
             let bmp = if used_clue {
                 let engine = &node.engines[engine_slot as usize];
-                engine.lookup_profiled(dest, header.decode(dest), &mut cost, prof).0
+                engine.lookup(dest, header.decode(dest), meter).0
             } else {
-                node.base.lookup_profiled(dest, None, &mut cost, prof).0
+                node.base.lookup(dest, None, meter).0
             };
+            let cost = *meter.cost();
 
             let next = bmp.and_then(|p| fib.get(&p)).map(|r| *fib.value(r));
 
@@ -300,43 +233,9 @@ impl<'n, A: Address, E: CompiledBackend<A>> PacketNetwork<'n, A, E> {
         seed: u64,
         threads: usize,
     ) -> RunStats {
-        assert!(threads > 0, "need at least one thread");
-        assert!(!sources.is_empty(), "need at least one source");
-        let origins = self.net.config().origins.clone();
-        assert!(!origins.is_empty(), "need at least one origin");
-
-        let n = self.net.topology().len();
-        let chunk = packets.div_ceil(threads);
-        let mut acc = Accum::new(n);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = (t * chunk).min(packets);
-                    let hi = ((t + 1) * chunk).min(packets);
-                    let (frozen, origins, sources) = (&*self, &origins, sources);
-                    scope.spawn(move || {
-                        let mut shard = Accum::new(n);
-                        for i in lo..hi {
-                            let (src, dest) =
-                                draw_packet(frozen.network(), sources, origins, seed, i as u64);
-                            shard.record(&frozen.route_packet(src, dest));
-                        }
-                        shard
-                    })
-                })
-                .collect();
-            // Join in spawn order: shard t covers packets
-            // [t·chunk, …), so a left-to-right merge is packet order.
-            for h in handles {
-                acc.merge(&h.join().expect("shard thread panicked"));
-            }
-        });
-        acc.finish(packets)
+        self.drive::<Cost>(sources, packets, seed, threads).0
     }
-}
 
-impl<'n, A: Address> FrozenNetwork<'n, A> {
     /// As [`Self::run_workload`], additionally aggregating a
     /// [`StageProfiler`] across every hop's engine lookup: per-thread
     /// profilers, merged left to right like the cost shards, so the
@@ -345,8 +244,7 @@ impl<'n, A: Address> FrozenNetwork<'n, A> {
     /// only the measured nanoseconds vary with the machine.
     ///
     /// # Panics
-    /// Panics if `sources` is empty, the network has no origins, or
-    /// `threads` is zero.
+    /// As [`Self::run_workload`].
     pub fn profile_workload(
         &self,
         sources: &[RouterId],
@@ -354,6 +252,25 @@ impl<'n, A: Address> FrozenNetwork<'n, A> {
         seed: u64,
         threads: usize,
     ) -> (RunStats, StageProfiler) {
+        let (stats, meters) = self.drive::<StageMeter>(sources, packets, seed, threads);
+        let mut prof = StageProfiler::new();
+        for m in &meters {
+            prof.merge(&m.profiler);
+        }
+        (stats, prof)
+    }
+
+    /// The sharded driver behind both entry points: thread `t` routes
+    /// packets `[t·chunk, (t+1)·chunk)` through its own meter and cost
+    /// shard; shards merge in spawn order and the meters come back in
+    /// that order too.
+    fn drive<M: Meter + Default + Send>(
+        &self,
+        sources: &[RouterId],
+        packets: usize,
+        seed: u64,
+        threads: usize,
+    ) -> (RunStats, Vec<M>) {
         assert!(threads > 0, "need at least one thread");
         assert!(!sources.is_empty(), "need at least one source");
         let origins = self.net.config().origins.clone();
@@ -362,37 +279,35 @@ impl<'n, A: Address> FrozenNetwork<'n, A> {
         let n = self.net.topology().len();
         let chunk = packets.div_ceil(threads);
         let mut acc = Accum::new(n);
-        let mut prof = StageProfiler::new();
+        let mut meters = Vec::with_capacity(threads);
 
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     let lo = (t * chunk).min(packets);
                     let hi = ((t + 1) * chunk).min(packets);
-                    let (frozen, origins, sources) = (&*self, &origins, sources);
+                    let (compiled, origins, sources) = (&*self, &origins, sources);
                     scope.spawn(move || {
                         let mut shard = Accum::new(n);
-                        let mut shard_prof = StageProfiler::new();
+                        let mut meter = M::default();
                         for i in lo..hi {
                             let (src, dest) =
-                                draw_packet(frozen.network(), sources, origins, seed, i as u64);
-                            shard.record(&frozen.route_packet_profiled(
-                                src,
-                                dest,
-                                &mut shard_prof,
-                            ));
+                                draw_packet(compiled.network(), sources, origins, seed, i as u64);
+                            shard.record(&compiled.route_packet_with(src, dest, &mut meter));
                         }
-                        (shard, shard_prof)
+                        (shard, meter)
                     })
                 })
                 .collect();
+            // Join in spawn order: shard t covers packets
+            // [t·chunk, …), so a left-to-right merge is packet order.
             for h in handles {
-                let (shard, shard_prof) = h.join().expect("shard thread panicked");
+                let (shard, meter) = h.join().expect("shard thread panicked");
                 acc.merge(&shard);
-                prof.merge(&shard_prof);
+                meters.push(meter);
             }
         });
-        (acc.finish(packets), prof)
+        (acc.finish(packets), meters)
     }
 }
 
@@ -597,7 +512,7 @@ mod tests {
     use super::*;
     use crate::network::NetworkConfig;
     use crate::topology::Topology;
-    use clue_core::{EngineConfig, Method};
+    use clue_core::{CompressedConfig, CompressedEngine, EngineConfig, Method};
     use clue_lookup::Family;
     use clue_trie::Ip4;
 
@@ -679,12 +594,12 @@ mod tests {
         let (net, edges) = build(Method::Advance);
         let origins = net.config().origins.clone();
         let frozen = FrozenNetwork::freeze(&net).unwrap();
-        let mut prof = StageProfiler::new();
+        let mut meter = StageMeter::default();
         let mut charged = 0u64;
         for i in 0..60u64 {
             let (src, dest) = draw_packet(&net, &edges, &origins, 21, i);
             let plain = frozen.route_packet(src, dest);
-            let profiled = frozen.route_packet_profiled(src, dest, &mut prof);
+            let profiled = frozen.route_packet_with(src, dest, &mut meter);
             assert_eq!(plain.delivered, profiled.delivered);
             assert_eq!(plain.hops.len(), profiled.hops.len());
             for (p, q) in plain.hops.iter().zip(&profiled.hops) {
@@ -696,6 +611,7 @@ mod tests {
         }
         // Every charged tick is attributed to exactly one stage; the
         // unprofiled shift leg charges shift_cost, not cost.
+        let prof = &meter.profiler;
         assert_eq!(prof.total_ticks(), charged);
         assert!(prof.lookups() > 0);
         assert!(prof.stage(clue_core::Stage::Root).visits > 0);
@@ -704,6 +620,11 @@ mod tests {
     #[test]
     fn profile_workload_matches_run_workload_and_is_thread_invariant() {
         let (net, edges) = build(Method::Advance);
+        // Any backend profiles; the compressed one attributes the same
+        // ticks as the frozen one, since both charge the paper's model.
+        let compressed =
+            PacketNetwork::<Ip4, CompressedEngine<Ip4>>::compile(&net, &CompressedConfig).unwrap();
+        let (sc, pc) = compressed.profile_workload(&edges, 90, 17, 2);
         let frozen = FrozenNetwork::freeze(&net).unwrap();
         let plain = frozen.run_workload(&edges, 90, 17, 3);
         let (s1, p1) = frozen.profile_workload(&edges, 90, 17, 1);
@@ -721,6 +642,9 @@ mod tests {
             assert_eq!(p1.stage(stage).ticks, p4.stage(stage).ticks, "{}", stage.label());
         }
         assert!(p1.total_ticks() > 0);
+        assert_eq!(sc, s1, "backends route identically");
+        assert_eq!(pc.total_ticks(), p1.total_ticks());
+        assert_eq!(pc.lookups(), p1.lookups());
     }
 
     #[test]

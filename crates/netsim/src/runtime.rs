@@ -39,12 +39,12 @@
 //! root plus multibit nodes instead of a bit-by-bit trie walk);
 //! next-hop resolution — `fib.get(&bmp)`, an *uncharged* binary-trie
 //! descent on the frozen path — is tag-indexed, the compiled lookup
-//! returning a dense payload index ([`StrideEngine::lookup_finish_tag`])
+//! returning a dense payload index ([`CompiledBackend::lookup_finish_tag`])
 //! into a per-engine [`TagHop`] table precomputed at freeze time from
 //! the flat open-addressed prefix→hop map ([`PrefixHopMap`]); and
 //! each worker walks [`WALK_LANES`] packets in lockstep,
 //! decoding-and-prefetching every packet's next lookup
-//! ([`StrideEngine::lookup_prepare`]) a full lane rotation before
+//! ([`CompiledBackend::prepare`]) a full lane rotation before
 //! resolving it, so the dependent loads of one walk hide behind the
 //! other lanes' work. None of the three changes any recorded
 //! statistic: the stride engines are tick-parity with the scalar
@@ -143,6 +143,14 @@ pub struct CoreStats {
     pub backpressure: u64,
 }
 
+impl CoreStats {
+    /// This core's packets per second of its own busy time — its
+    /// serving rate, independent of how long it sat idle.
+    pub fn pps(&self) -> f64 {
+        self.packets as f64 / (self.busy_ns.max(1) as f64 / 1e9)
+    }
+}
+
 /// What a runtime run did, beyond its workload result: wall-clock of
 /// the timed region, setup cost kept out of it, and per-core
 /// attribution.
@@ -163,12 +171,6 @@ impl RuntimeReport {
     pub fn pps(&self) -> f64 {
         let packets: u64 = self.cores.iter().map(|c| c.packets).sum();
         packets as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Each core's packets per second over the (shared) timed region.
-    pub fn per_core_pps(&self) -> Vec<f64> {
-        let secs = self.elapsed_ns.max(1) as f64 / 1e9;
-        self.cores.iter().map(|c| c.packets as f64 / secs).collect()
     }
 
     /// Flushes this report into a telemetry bundle.
@@ -653,10 +655,10 @@ fn prepare<A: Address, E: CompiledBackend<A>>(
     let used_clue = node.participates && engine_slot != NO_ENGINE && header.clue.is_some();
     if used_clue {
         let clue = header.decode(dest);
-        let op = node.engines[engine_slot as usize].lookup_prepare(dest, clue);
+        let op = node.engines[engine_slot as usize].prepare(dest, clue);
         (engine_slot, true, clue, op)
     } else {
-        (engine_slot, false, None, node.base.lookup_prepare(dest, None))
+        (engine_slot, false, None, node.base.prepare(dest, None))
     }
 }
 
@@ -823,12 +825,6 @@ impl ServeReport {
     /// Packets per second over the timed region.
     pub fn pps(&self) -> f64 {
         self.packets as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Each core's packets per second over the (shared) timed region.
-    pub fn per_core_pps(&self) -> Vec<f64> {
-        let secs = self.elapsed_ns.max(1) as f64 / 1e9;
-        self.cores.iter().map(|c| c.packets as f64 / secs).collect()
     }
 }
 
@@ -1166,7 +1162,16 @@ mod tests {
         assert!(report.cores.iter().all(|c| c.replica_clones == 1));
         assert!(report.replica_clone_ns > 0);
         assert!(report.pps() > 0.0);
-        assert_eq!(report.per_core_pps().len(), 3);
+        assert!(report.cores.iter().all(|c| c.pps() > 0.0));
+    }
+
+    #[test]
+    fn core_pps_divides_by_each_cores_own_busy_time() {
+        let core = |packets, busy_ns| CoreStats { packets, busy_ns, ..CoreStats::default() };
+        let (fast, slow) = (core(1_000, 1_000_000), core(1_000, 4_000_000));
+        assert_eq!(fast.pps(), 1e6);
+        assert_eq!(slow.pps(), 250_000.0);
+        assert!(fast.pps() > slow.pps(), "equal packets, unequal busy time");
     }
 
     #[test]

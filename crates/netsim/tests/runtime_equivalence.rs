@@ -5,7 +5,7 @@
 //! plain batch lookup of the same inputs at every worker count.
 
 use clue_core::{
-    ClueEngine, EngineConfig, EpochCell, Method, StrideConfig,
+    ClueEngine, CompiledBackend, EngineConfig, EpochCell, Method, StrideConfig,
 };
 use clue_lookup::Family;
 use clue_netsim::{

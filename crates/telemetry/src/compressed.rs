@@ -1,13 +1,14 @@
 //! Metric bundle for the entropy-compressed compiled path.
 //!
-//! Like [`crate::StrideTelemetry`], the per-packet walk inherits the
-//! ordinary [`crate::LookupTelemetry`] stream; this bundle counts the
-//! compressed batch loop (batches, interleave groups, prefetches) and
-//! additionally exposes the layout gauges the CRAM analysis reports —
+//! The per-packet walk inherits the ordinary [`crate::LookupTelemetry`]
+//! stream; this bundle counts the compressed batch loop through the
+//! shared [`BatchTelemetry`] counters (batches, interleave groups,
+//! prefetches) and additionally exposes the layout gauges the CRAM analysis reports —
 //! arena bytes, bucket bytes, dictionary bytes and bytes/prefix — so a
 //! scrape shows at a glance whether a table fits its cache budget.
 
-use crate::registry::{Counter, Gauge, Registry};
+use crate::batch::BatchTelemetry;
+use crate::registry::{Gauge, Registry};
 
 /// Telemetry for the compressed engine's batch loop and compiled
 /// layout.
@@ -17,15 +18,8 @@ use crate::registry::{Counter, Gauge, Registry};
 /// immutable arena.
 #[derive(Clone, Debug, Default)]
 pub struct CompressedTelemetry {
-    /// Batch calls served by the compressed path.
-    pub batches_total: Counter,
-    /// Packets resolved by the compressed path.
-    pub packets_total: Counter,
-    /// Interleave groups processed (one prefetch pass each).
-    pub groups_total: Counter,
-    /// Software prefetches issued (0 when interleaving is disabled or
-    /// the target has no prefetch intrinsic wired up).
-    pub prefetches_total: Counter,
+    /// The batch-loop counters (`{prefix}_batches_total`, …).
+    pub batch: BatchTelemetry,
     /// Bytes of the compressed walk arena (bitmap quads + rank
     /// directories).
     pub arena_bytes: Gauge,
@@ -61,22 +55,7 @@ impl CompressedTelemetry {
     /// * `{prefix}_bytes_per_prefix`
     pub fn registered(registry: &Registry, prefix: &str) -> Self {
         CompressedTelemetry {
-            batches_total: registry.counter(
-                &format!("{prefix}_batches_total"),
-                "Batch calls served by the compressed path",
-            ),
-            packets_total: registry.counter(
-                &format!("{prefix}_packets_total"),
-                "Packets resolved by the compressed path",
-            ),
-            groups_total: registry.counter(
-                &format!("{prefix}_groups_total"),
-                "Interleave groups processed by the compressed batch loop",
-            ),
-            prefetches_total: registry.counter(
-                &format!("{prefix}_prefetches_total"),
-                "Software prefetches issued by the compressed batch loop",
-            ),
+            batch: BatchTelemetry::registered(registry, prefix, "compressed"),
             arena_bytes: registry.gauge(
                 &format!("{prefix}_arena_bytes"),
                 "Bytes of the compressed walk arena (quads + rank directories)",
@@ -96,16 +75,6 @@ impl CompressedTelemetry {
                 "Compressed walk-arena bytes per receiver prefix",
             ),
         }
-    }
-
-    /// Records one batch: `packets` resolved across `groups` interleave
-    /// groups with `prefetches` prefetch hints issued.
-    #[inline]
-    pub fn record_batch(&self, packets: u64, groups: u64, prefetches: u64) {
-        self.batches_total.inc();
-        self.packets_total.add(packets);
-        self.groups_total.add(groups);
-        self.prefetches_total.add(prefetches);
     }
 
     /// Describes the compiled layout (set once; the arena is
@@ -133,12 +102,12 @@ mod tests {
     #[test]
     fn detached_counts() {
         let t = CompressedTelemetry::detached();
-        t.record_batch(64, 8, 64);
-        t.record_batch(10, 2, 0);
-        assert_eq!(t.batches_total.get(), 2);
-        assert_eq!(t.packets_total.get(), 74);
-        assert_eq!(t.groups_total.get(), 10);
-        assert_eq!(t.prefetches_total.get(), 64);
+        t.batch.record_batch(64, 8, 64);
+        t.batch.record_batch(10, 2, 0);
+        assert_eq!(t.batch.batches_total.get(), 2);
+        assert_eq!(t.batch.packets_total.get(), 74);
+        assert_eq!(t.batch.groups_total.get(), 10);
+        assert_eq!(t.batch.prefetches_total.get(), 64);
         t.record_layout(4096, 512, 256, 1000, 4.1);
         assert_eq!(t.arena_bytes.get(), 4096.0);
         assert_eq!(t.bytes_per_prefix.get(), 4.1);
@@ -148,7 +117,7 @@ mod tests {
     fn registered_uses_the_naming_convention() {
         let registry = Registry::new();
         let t = CompressedTelemetry::registered(&registry, "clue_compressed");
-        t.record_batch(5, 1, 5);
+        t.batch.record_batch(5, 1, 5);
         t.record_layout(1, 2, 3, 4, 5.0);
         for name in [
             "clue_compressed_batches_total",
@@ -163,7 +132,7 @@ mod tests {
         ] {
             assert!(registry.contains(name), "{name} registered");
         }
-        assert_eq!(t.packets_total.get(), 5);
+        assert_eq!(t.batch.packets_total.get(), 5);
         assert_eq!(t.dict_bytes.get(), 3.0);
     }
 }

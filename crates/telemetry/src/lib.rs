@@ -37,6 +37,7 @@
 
 mod adversary;
 mod churn;
+mod batch;
 mod compressed;
 mod export;
 mod fault;
@@ -46,11 +47,11 @@ mod registry;
 mod runtime;
 mod server;
 mod shard;
-mod stride;
 pub mod trace;
 
 pub use adversary::{AdversaryTelemetry, ReputationTelemetry};
 pub use churn::ChurnTelemetry;
+pub use batch::BatchTelemetry;
 pub use compressed::CompressedTelemetry;
 pub use fault::DegradationTelemetry;
 pub use export::{parse_prometheus, to_json, to_prometheus, PromDocument};
@@ -59,7 +60,6 @@ pub use lookup::{CacheTelemetry, LookupTelemetry};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Metric, Registry, Snapshot};
 pub use runtime::RuntimeTelemetry;
 pub use server::ScrapeServer;
-pub use stride::StrideTelemetry;
 pub use trace::{LookupClass, LookupEvent, RingBufferSubscriber, Subscriber};
 
 /// Default memory-reference histogram bounds: fine granularity around

@@ -88,9 +88,11 @@ curl -sf http://127.0.0.1:9184/metrics.json | grep -q '"clue_churn_rebuild_laten
 wait "$CHURN_PID"
 
 # Profile smoke: the per-stage profiler must be semantically inert
-# (--check replays every packet through the plain and profiled
-# variants of the scalar, frozen, stride and network paths and fails
-# on any divergence), and the predicted half of the fresh attribution
+# (--check replays every packet through the plain scalar lookup and
+# its profiled twin, and through each compiled backend's one kernel —
+# frozen, stride, compressed, and the frozen network driver — under
+# both the plain Cost meter and the profiling StageMeter, failing on
+# any divergence), and the predicted half of the fresh attribution
 # (visits, ticks, bytes) must match the committed baseline exactly —
 # only the measured-nanosecond keys are machine-dependent.
 target/release/clue profile 20000 1 --check --json BENCH_profile.json.new
