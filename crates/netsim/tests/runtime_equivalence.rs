@@ -1,16 +1,18 @@
 //! The serving runtime's determinism contract: for any network and
-//! seed, [`StrideNetwork::run_workload`] is **bit-identical** to the
-//! sequential live-engine reference [`run_workload_per_packet`] at
-//! every worker count, and [`serve_lookups`] returns exactly the
-//! plain batch lookup of the same inputs at every worker count.
+//! seed, [`CompiledNetwork::run_workload`] on every compiled backend
+//! (frozen, stride, compressed) is **bit-identical** to the sequential
+//! live-engine reference [`run_workload_per_packet`] at every worker
+//! count, and [`serve_lookups`] returns exactly the plain batch lookup
+//! of the same inputs at every worker count.
 
 use clue_core::{
-    ClueEngine, CompiledBackend, EngineConfig, EpochCell, Method, StrideConfig,
+    ClueEngine, CompiledBackend, CompressedConfig, CompressedEngine, EngineConfig, EpochCell,
+    FrozenEngine, Method, StrideConfig, StrideEngine,
 };
 use clue_lookup::Family;
 use clue_netsim::{
-    run_workload_per_packet, serve_lookups, Network, NetworkConfig, RuntimeConfig, StrideNetwork,
-    Topology,
+    run_workload_per_packet, serve_lookups, CompiledNetwork, Network, NetworkConfig, RouterId,
+    RunStats, RuntimeConfig, Topology,
 };
 use clue_trie::{Ip4, Prefix};
 use proptest::prelude::*;
@@ -23,6 +25,30 @@ fn method(ix: u8) -> Method {
         1 => Method::Simple,
         _ => Method::Advance,
     }
+}
+
+/// Runs `net` at every worker count and checks each run against the
+/// scalar reference, and that every packet is attributed to a core.
+fn check_backend<E: CompiledBackend<Ip4>>(
+    net: &CompiledNetwork<'_, Ip4, E>,
+    backend: &str,
+    edges: &[RouterId],
+    packets: usize,
+    seed: u64,
+    batch: usize,
+    reference: &RunStats,
+) -> Result<(), TestCaseError> {
+    for workers in WORKER_COUNTS {
+        let runtime_cfg = RuntimeConfig { workers, batch, ..RuntimeConfig::default() };
+        let (stats, report) = net.run_workload_timed(edges, packets, seed, &runtime_cfg, None);
+        prop_assert_eq!(
+            &stats, reference,
+            "{} workers={} batch={} diverged from the scalar reference", backend, workers, batch
+        );
+        let attributed: u64 = report.cores.iter().map(|c| c.packets).sum();
+        prop_assert_eq!(attributed, packets as u64, "every packet attributed to a core");
+    }
+    Ok(())
 }
 
 proptest! {
@@ -57,18 +83,16 @@ proptest! {
 
         let packets = 120;
         let reference = run_workload_per_packet(&mut net, &edges, packets, run_seed);
-        let stride = StrideNetwork::freeze(&net, StrideConfig::default()).unwrap();
-        for workers in WORKER_COUNTS {
-            let runtime_cfg = RuntimeConfig { workers, batch, ..RuntimeConfig::default() };
-            let (stats, report) =
-                stride.run_workload_timed(&edges, packets, run_seed, &runtime_cfg, None);
-            prop_assert_eq!(
-                &stats, &reference,
-                "workers={} batch={} diverged from the scalar reference", workers, batch
-            );
-            let attributed: u64 = report.cores.iter().map(|c| c.packets).sum();
-            prop_assert_eq!(attributed, packets as u64, "every packet attributed to a core");
-        }
+        let frozen = CompiledNetwork::<Ip4, FrozenEngine<Ip4>>::compile(&net, &()).unwrap();
+        check_backend(&frozen, "frozen", &edges, packets, run_seed, batch, &reference)?;
+        let stride =
+            CompiledNetwork::<Ip4, StrideEngine<Ip4>>::compile(&net, &StrideConfig::default())
+                .unwrap();
+        check_backend(&stride, "stride", &edges, packets, run_seed, batch, &reference)?;
+        let compressed =
+            CompiledNetwork::<Ip4, CompressedEngine<Ip4>>::compile(&net, &CompressedConfig)
+                .unwrap();
+        check_backend(&compressed, "compressed", &edges, packets, run_seed, batch, &reference)?;
     }
 
     /// Engine-level serving returns the plain batch lookup, decision
