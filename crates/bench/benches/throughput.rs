@@ -1,6 +1,6 @@
 //! Lookup-pipeline throughput: the mutable scalar engine, the same
 //! engine frozen (one call per packet), the frozen batch API, and the
-//! sharded parallel network driver at 1/2/4 threads.
+//! multi-core network runtime on the frozen backend at 1/2/4 workers.
 //!
 //! The acceptance bar for this PR is batched-frozen >= 2x the scalar
 //! engine in packets/second on the engine workload. Run with
@@ -10,10 +10,10 @@
 use std::hint::black_box;
 
 use clue_bench::isp_pair;
-use clue_core::{ClueEngine, CompiledBackend, Decision, EngineConfig, Method};
+use clue_core::{ClueEngine, CompiledBackend, Decision, EngineConfig, FrozenEngine, Method};
 use clue_lookup::Family;
-use clue_netsim::{run_workload_parallel, Network, NetworkConfig, Topology};
-use clue_trie::Cost;
+use clue_netsim::{CompiledNetwork, Network, NetworkConfig, Topology};
+use clue_trie::{Cost, Ip4};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_engine_pipelines(c: &mut Criterion) {
@@ -67,16 +67,17 @@ fn bench_parallel_driver(c: &mut Criterion) {
     let mut cfg =
         NetworkConfig::new(edges.clone(), EngineConfig::new(Family::Regular, Method::Advance));
     cfg.seed = 42;
-    let net: Network<clue_trie::Ip4> = Network::build(topo, cfg);
+    let net: Network<Ip4> = Network::build(topo, cfg);
+    let frozen =
+        CompiledNetwork::<Ip4, FrozenEngine<Ip4>>::compile(&net, &()).expect("freezable");
     let packets = 2_000;
 
     let mut group = c.benchmark_group("parallel_workload");
     group.throughput(Throughput::Elements(packets as u64));
-    for threads in [1usize, 2, 4] {
-        group.bench_function(BenchmarkId::new("backbone_4x2", threads), |b| {
+    for workers in [1usize, 2, 4] {
+        group.bench_function(BenchmarkId::new("backbone_4x2", workers), |b| {
             b.iter(|| {
-                let stats =
-                    run_workload_parallel(&net, &edges, packets, 7, threads).expect("freezable");
+                let stats = frozen.run_workload(&edges, packets, 7, workers);
                 black_box(stats.total_accesses)
             })
         });

@@ -6,7 +6,8 @@ use std::fs;
 use std::sync::Arc;
 
 use clue_core::{
-    ClueEngine, CompiledBackend, CramReport, EngineConfig, Method, Stage, StageMeter, StageProfiler,
+    BackendError, ClueEngine, CompiledBackend, CramReport, EngineConfig, FrozenEngine, Method,
+    Stage, StageMeter, StageProfiler,
 };
 use clue_lookup::{reference_bmp, Family};
 use clue_tablegen::{
@@ -684,7 +685,7 @@ fn profile_backend<E: CompiledBackend<Ip4>>(
 }
 
 /// Runs the per-stage lookup profiler over the scalar path, every
-/// compiled backend and the sharded network driver, cross-validating
+/// compiled backend and the multi-core network runtime, cross-validating
 /// the paper's predicted [`Cost`] ticks against measured nanoseconds
 /// stage by stage. Every packet runs through both the plain and the
 /// profiled variant of each path; `--check` fails unless they agree
@@ -813,22 +814,30 @@ fn profile(args: &[String]) -> Result<(), String> {
         profile_backend(&compressed, &dests, &clues, &h_compressed, &lookups_total);
     inert &= ok;
 
-    // Network leg: the sharded driver with per-thread profilers merged
-    // in order — stats must match the unprofiled driver exactly.
+    // Network leg: the multi-core runtime on the frozen backend, one
+    // profiler per worker merged in worker order — stats must match the
+    // unprofiled run exactly.
     let (topo, edges) = clue_netsim::Topology::backbone(4, 2);
     let mut net_cfg = clue_netsim::NetworkConfig::new(edges.clone(), cfg());
     net_cfg.seed = seed;
     let net: clue_netsim::Network<Ip4> = clue_netsim::Network::build(topo, net_cfg);
     let net_packets = packets.min(5_000);
-    let frozen_net = clue_netsim::FrozenNetwork::freeze(&net)
-        .map_err(|e| format!("cannot freeze the network ({} blocks it): {e}", e.feature()))?;
+    let frozen_net =
+        clue_netsim::CompiledNetwork::<Ip4, FrozenEngine<Ip4>>::compile(&net, &()).map_err(
+            |e| match e {
+                BackendError::Freeze(e) => {
+                    format!("cannot freeze the network ({} blocks it): {e}", e.feature())
+                }
+                e => format!("cannot freeze the network: {e}"),
+            },
+        )?;
     let plain_stats = frozen_net.run_workload(&edges, net_packets, seed, 2);
     let (profiled_stats, prof_net) = frozen_net.profile_workload(&edges, net_packets, seed, 2);
     if profiled_stats != plain_stats {
         inert = false;
     }
     let h_net = hist("network");
-    // The network driver times whole lookups inside the profiler; the
+    // The network runtime times whole lookups inside the profiler; the
     // histogram gets a per-hop mean so the scrape shows all four paths.
     if prof_net.lookups() > 0 {
         h_net.observe(prof_net.total_nanos() / prof_net.lookups());

@@ -47,8 +47,8 @@ use clue_telemetry::{AdversaryTelemetry, ReputationTelemetry};
 use clue_trie::{BinaryTrie, Cost, Ip4, Prefix};
 
 use crate::churn::ChurnError;
-use crate::faults::splitmix64;
 use crate::fleet::{Fleet, FleetAdversaryConfig, FleetConfig};
+use crate::sim::packet_seed;
 
 /// Which systematic adversary to play.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +131,7 @@ where
 /// (a decoded wire clue always contains the destination), so floods
 /// model a compromised engine injecting at the lookup boundary.
 pub fn flood_clue(dest: Ip4, seed: u64, index: u64) -> Prefix<Ip4> {
-    let roll = splitmix64(seed ^ 0xF100_D5EE_D000_0003, index);
+    let roll = packet_seed(seed ^ 0xF100_D5EE_D000_0003, index);
     // Flip the top bit so no truncation of the clue contains `dest`,
     // then scramble the host bits so consecutive clues land in
     // different buckets.

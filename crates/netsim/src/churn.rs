@@ -1,8 +1,8 @@
 //! The live-churn workload: lookups served *through* a route-update
 //! stream.
 //!
-//! [`run_workload_parallel`](crate::run_workload_parallel) shards a
-//! static snapshot; this driver exercises the regime a deployed
+//! [`CompiledNetwork`](crate::CompiledNetwork) serves a static
+//! snapshot; this driver exercises the regime a deployed
 //! router actually lives in. One **builder** thread owns the mutable
 //! [`ClueEngine`], applies one [`RouteUpdate`] batch at a time
 //! (announce → insert, withdraw → delete, modify → delete + re-insert

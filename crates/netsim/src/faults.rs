@@ -16,7 +16,7 @@
 //! wedging.
 //!
 //! Everything is derived from the plan seed with per-packet SplitMix64
-//! streams (the [`crate::run_workload_parallel`] idiom), so a chaos
+//! streams (the [`crate::run_workload_per_packet`] idiom), so a chaos
 //! run is exactly reproducible from its command line.
 
 use std::time::Duration;
@@ -36,6 +36,7 @@ use clue_wire::{checksum, Ipv4Packet};
 
 use crate::adversary::deepest_mismatch_clue;
 use crate::churn::{run_churn, ChurnDriverConfig, ChurnError, ChurnReport};
+use crate::sim::packet_seed;
 
 /// One way a path can mistreat a packet or its clue. The classes cover
 /// every degradation the paper's deployment story admits; `Clean`
@@ -183,24 +184,15 @@ impl FaultPlan {
 
     /// The fault class assigned to packet `index`.
     pub fn class_for(&self, index: u64) -> FaultClass {
-        let roll = splitmix64(self.seed ^ 0xFA17_C1A5_5EED_0001, index);
+        let roll = packet_seed(self.seed ^ 0xFA17_C1A5_5EED_0001, index);
         self.classes[(roll % self.classes.len() as u64) as usize]
     }
 
     /// The per-packet randomness stream for packet `index` (which
     /// bit to flip, where to cut, …), independent of `class_for`.
     pub fn stream(&self, index: u64) -> u64 {
-        splitmix64(self.seed ^ 0xFA17_57EA_4D00_0002, index)
+        packet_seed(self.seed ^ 0xFA17_57EA_4D00_0002, index)
     }
-}
-
-/// SplitMix64 finalizer over a (seed, index) pair — the same
-/// per-packet derivation [`crate::run_workload_parallel`] uses.
-pub(crate) fn splitmix64(seed: u64, index: u64) -> u64 {
-    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Budget-and-backoff policy for snapshot rebuilds in

@@ -14,14 +14,22 @@
 //!   piggybacking, heterogeneous participation (Section 5.3: clue-less
 //!   routers relay clues) and the Section 5.4 load-shifting mode;
 //! * [`run_workload`] — multi-packet runs with per-router / per-hop
-//!   statistics (Figure 1's two curves fall straight out);
-//! * [`run_workload_parallel`] — the same workload sharded over OS
-//!   threads against a [`FrozenNetwork`], bit-identical for a given
-//!   seed regardless of thread count;
-//! * [`StrideNetwork`] / [`serve_lookups`] — the shared-nothing
-//!   multi-core serving runtime: per-core stride-engine replicas fed
-//!   over lock-free channels, bit-identical to the scalar reference at
-//!   any core count, with barrier-free epoch-churn propagation;
+//!   statistics (Figure 1's two curves fall straight out), and
+//!   [`run_workload_per_packet`], the same workload drawn from one RNG
+//!   stream per packet: the live reference of the compiled runtime;
+//! * [`CompiledNetwork`] / [`serve_lookups`] — the shared-nothing
+//!   multi-core serving runtime and the one compiled view of a
+//!   network: per-core replicas of any compiled backend
+//!   ([`StrideNetwork`], [`CompressedNetwork`], frozen) fed over
+//!   lock-free channels, bit-identical to the live reference at any
+//!   core count (a 1-worker run is the compiled sequential
+//!   reference), profiled through the same walk, with barrier-free
+//!   epoch-churn propagation;
+//! * [`Fleet`] — the deployment question at internet scale: thousands
+//!   of stride-compiled routers behind epoch cells, ECMP forwarding and
+//!   per-link clue analytics, with honest, churned and attacked flows
+//!   all walked by one hop-by-hop walk and sharded by the runtime's
+//!   job driver;
 //! * [`LabelSwitchedPath`] — the Figure 8 MPLS aggregation-point
 //!   scenario, plain vs label-as-clue-index hybrid;
 //! * [`PathVector`] — a BGP-like path-vector protocol run to
@@ -48,7 +56,6 @@ mod faults;
 mod fleet;
 mod mpls_path;
 mod network;
-mod parallel;
 mod pathvector;
 mod runtime;
 mod sim;
@@ -73,10 +80,11 @@ pub use pathvector::{Aggregation, PathVector, Rib, Route};
 pub use network::{
     DetailBands, Hop, HopRecord, Network, NetworkConfig, PathTrace, RouterNode,
 };
-pub use parallel::{run_workload_parallel, run_workload_per_packet, FrozenNetwork, PacketNetwork};
 pub use runtime::{
     available_workers, serve_lookups, CompiledNetwork, CompressedNetwork, CoreStats,
     RuntimeConfig, RuntimeReport, ServeReport, StrideNetwork,
 };
-pub use sim::{export_cost_stats, run_workload, run_workload_instrumented, RunStats};
+pub use sim::{
+    export_cost_stats, run_workload, run_workload_instrumented, run_workload_per_packet, RunStats,
+};
 pub use topology::{EcmpTree, RouteTree, RouterId, Topology};

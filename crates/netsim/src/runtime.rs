@@ -1,16 +1,19 @@
-//! Shared-nothing multi-core serving runtime.
+//! Shared-nothing multi-core serving runtime: the one compiled view of
+//! a [`Network`].
 //!
-//! [`FrozenNetwork::run_workload`](crate::FrozenNetwork::run_workload)
-//! shards one workload across scoped threads, but every shard still
-//! routes through the *shared* frozen engines and materialises a
-//! [`PathTrace`](crate::PathTrace) per packet. This module is the
-//! run-to-completion replacement (ROADMAP item 1, after flashroute's
+//! [`CompiledNetwork`] compiles every router's clue engines to one
+//! [`CompiledBackend`] and routes seeded workloads through
+//! run-to-completion workers (ROADMAP item 1, after flashroute's
 //! "mutex or rwlock free; all inter-task communications through
-//! message channels or atomic operations"):
+//! message channels or atomic operations"). A 1-worker run is the
+//! compiled sequential reference; [`CompiledNetwork::profile_workload`]
+//! runs the same walk under a [`StageMeter`], so the per-stage
+//! attribution comes from the walk that serves. The job driver behind
+//! it ([`drive_jobs`]) also drives [`Fleet::run_flows`](crate::Fleet::run_flows).
 //!
 //! * **Per-core replicas.** Each worker owns a private clone of every
-//!   compiled [`StrideEngine`] it serves from ([`StrideEngine::replicate`]
-//!   detaches telemetry handles, so a replica shares not even an `Arc`
+//!   compiled engine it serves from ([`CompiledBackend::replicate`]
+//!   detaches telemetry handles and shares only the immutable arenas
 //!   with its siblings). Replica priming happens before the timed
 //!   region and is reported separately ([`CoreStats::replica_clone_ns`]).
 //! * **Lock-free channels.** The dispatcher feeds each worker over its
@@ -59,15 +62,14 @@ use std::time::{Duration, Instant};
 use clue_core::channel::{mpsc, spsc, MpscSender, SpscReceiver, TryRecvError};
 use clue_core::{
     BackendError, ClueHeader, CompiledBackend, CompressedEngine, Decision, EngineStats, EpochCell,
-    PreparedLookup, QuarantineGate, StrideConfig, StrideEngine, StrideError, DEFAULT_INTERLEAVE,
-    NO_TAG,
+    Meter, PreparedLookup, QuarantineGate, StageMeter, StageProfiler, StrideConfig, StrideEngine,
+    StrideError, DEFAULT_INTERLEAVE, NO_TAG,
 };
 use clue_telemetry::RuntimeTelemetry;
 use clue_trie::{Address, Cost, Prefix};
 
 use crate::network::{Hop, Network};
-use crate::parallel::{draw_packet, Accum};
-use crate::sim::RunStats;
+use crate::sim::{draw_packet, Accum, RunStats};
 use crate::topology::RouterId;
 
 /// The number of worker cores [`RuntimeConfig::default`] uses: every
@@ -393,8 +395,7 @@ impl<A: Address, E: CompiledBackend<A>> CompiledRouter<A, E> {
 
 /// A read-only view of a [`Network`] with every clue engine compiled
 /// to one [`CompiledBackend`] and every FIB's prefix→hop relation
-/// flattened into a [`PrefixHopMap`] — the serving-runtime analogue of
-/// [`FrozenNetwork`](crate::FrozenNetwork), generic over the compiled
+/// flattened into a [`PrefixHopMap`], generic over the compiled
 /// layout. Every backend serves bit-identical results (the Cost-parity
 /// contract); they differ only in bytes touched per lookup.
 #[derive(Debug)]
@@ -464,7 +465,8 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
     /// Routes `packets` random packets through the channel-fed
     /// multi-core runtime. Bit-identical to
     /// [`run_workload_per_packet`](crate::run_workload_per_packet) for
-    /// the same seed at any worker count.
+    /// the same seed at any worker count; a 1-worker run is the
+    /// compiled sequential reference.
     ///
     /// # Panics
     /// Panics if `sources` is empty or the network has no origins.
@@ -494,125 +496,205 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
         config: &RuntimeConfig,
         telemetry: Option<&RuntimeTelemetry>,
     ) -> (RunStats, RuntimeReport) {
-        assert!(!sources.is_empty(), "need at least one source");
-        let origins = self.net.config().origins.clone();
-        assert!(!origins.is_empty(), "need at least one origin");
-        let workers = config.workers.max(1);
-        let batch = config.batch.max(1);
-        let n = self.net.topology().len();
-
-        let mut feeds = Vec::with_capacity(workers);
-        let mut worker_rx: Vec<Option<SpscReceiver<Job>>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = spsc::<Job>(config.depth.max(1));
-            feeds.push(tx);
-            worker_rx.push(Some(rx));
-        }
-        let (res_tx, mut res_rx) = mpsc::<(usize, Accum, CoreStats)>(workers);
-        let priming = AtomicUsize::new(workers);
-
-        let mut shards: Vec<Option<(Accum, CoreStats)>> = (0..workers).map(|_| None).collect();
-        let mut elapsed_ns = 0u64;
-
-        std::thread::scope(|scope| {
-            for (w, slot) in worker_rx.iter_mut().enumerate() {
-                let mut rx = slot.take().expect("receiver consumed once");
-                let res_tx = res_tx.clone();
-                let priming = &priming;
-                let (this, origins, sources) = (&*self, &origins, sources);
-                scope.spawn(move || {
-                    let t0 = Instant::now();
-                    let replicas: Vec<CompiledRouter<A, E>> =
-                        this.routers.iter().map(CompiledRouter::replicate).collect();
-                    let mut stats = CoreStats {
-                        worker: w,
-                        replica_clones: 1,
-                        replica_clone_ns: t0.elapsed().as_nanos() as u64,
-                        ..CoreStats::default()
-                    };
-                    priming.fetch_sub(1, Ordering::Release);
-                    let mut acc = Accum::new(n);
-                    loop {
-                        match rx.try_recv() {
-                            Ok(job) => {
-                                let t = Instant::now();
-                                route_job_into(
-                                    this.net, &replicas, sources, origins, seed, job.lo, job.hi,
-                                    &mut acc,
-                                );
-                                stats.busy_ns += t.elapsed().as_nanos() as u64;
-                                stats.packets += job.hi - job.lo;
-                                stats.batches += 1;
-                            }
-                            Err(TryRecvError::Empty) => {
-                                stats.backpressure += 1;
-                                std::thread::yield_now();
-                            }
-                            Err(TryRecvError::Disconnected) => break,
-                        }
-                    }
-                    let mut msg = (w, acc, stats);
-                    while let Err(back) = res_tx.try_send(msg) {
-                        msg = back;
-                        std::thread::yield_now();
-                    }
-                });
-            }
-            drop(res_tx);
-
-            // Replica priming is setup, not serving: wait it out, then
-            // start the clock.
-            let mut backoff = Backoff::new();
-            while priming.load(Ordering::Acquire) != 0 {
-                backoff.wait();
-            }
-            let t0 = Instant::now();
-            let mut lo = 0u64;
-            let mut w = 0usize;
-            while lo < packets as u64 {
-                let hi = (lo + batch as u64).min(packets as u64);
-                let mut job = Job { lo, hi };
-                while let Err(back) = feeds[w].try_send(job) {
-                    job = back;
-                    std::thread::yield_now();
-                }
-                lo = hi;
-                w = (w + 1) % workers;
-            }
-            for tx in &mut feeds {
-                tx.close();
-            }
-            let mut done = 0;
-            backoff.reset();
-            while done < workers {
-                match res_rx.try_recv() {
-                    Ok((w, acc, stats)) => {
-                        shards[w] = Some((acc, stats));
-                        done += 1;
-                        backoff.reset();
-                    }
-                    Err(TryRecvError::Empty) => backoff.wait(),
-                    Err(TryRecvError::Disconnected) => break,
-                }
-            }
-            elapsed_ns = t0.elapsed().as_nanos() as u64;
-        });
-
-        let mut acc = Accum::new(n);
-        let mut cores = Vec::with_capacity(workers);
-        let mut clone_ns = 0u64;
-        for shard in shards {
-            let (a, c) = shard.expect("every worker reports exactly once");
-            acc.merge(&a);
-            clone_ns += c.replica_clone_ns;
-            cores.push(c);
-        }
-        let report = RuntimeReport { elapsed_ns, replica_clone_ns: clone_ns, cores };
+        let (stats, report, _) = self.run_metered::<Cost>(sources, packets, seed, config);
         if let Some(t) = telemetry {
             report.record(t);
         }
-        (acc.finish(packets), report)
+        (stats, report)
     }
+
+    /// As [`Self::run_workload`], additionally attributing every hop's
+    /// engine lookup to pipeline stages: one [`StageMeter`] per worker,
+    /// merged in worker order. The predicted half of the attribution
+    /// (visits, ticks, bytes) is bit-identical for a given seed at any
+    /// worker count — only the measured nanoseconds vary with the
+    /// machine. The Section 5.4 shifted-work leg is raw FIB trie work
+    /// rather than an engine lookup, so it lands in the [`RunStats`]
+    /// but not in the profiler.
+    ///
+    /// # Panics
+    /// As [`Self::run_workload`].
+    pub fn profile_workload(
+        &self,
+        sources: &[RouterId],
+        packets: usize,
+        seed: u64,
+        workers: usize,
+    ) -> (RunStats, StageProfiler) {
+        let config = RuntimeConfig::with_workers(workers);
+        let (stats, _, meters) = self.run_metered::<StageMeter>(sources, packets, seed, &config);
+        let mut prof = StageProfiler::new();
+        for m in &meters {
+            prof.merge(&m.profiler);
+        }
+        (stats, prof)
+    }
+
+    /// The runtime behind every entry point: each worker primes a
+    /// private replica of every router, then walks its jobs through
+    /// [`route_job_into`] charging its own meter. Shards, cores and
+    /// meters come back in worker order.
+    fn run_metered<M: Meter + Default + Send>(
+        &self,
+        sources: &[RouterId],
+        packets: usize,
+        seed: u64,
+        config: &RuntimeConfig,
+    ) -> (RunStats, RuntimeReport, Vec<M>) {
+        assert!(!sources.is_empty(), "need at least one source");
+        let origins = self.net.config().origins.clone();
+        assert!(!origins.is_empty(), "need at least one origin");
+        let n = self.net.topology().len();
+
+        let (shards, elapsed_ns) = drive_jobs(
+            packets,
+            config.workers,
+            config.batch,
+            config.depth,
+            || {
+                let replicas: Vec<CompiledRouter<A, E>> =
+                    self.routers.iter().map(CompiledRouter::replicate).collect();
+                (replicas, Accum::new(n), M::default())
+            },
+            |(replicas, acc, meter), job| {
+                route_job_into(self.net, replicas, sources, &origins, seed, job, meter, acc);
+            },
+        );
+
+        let mut acc = Accum::new(n);
+        let mut cores = Vec::with_capacity(shards.len());
+        let mut meters = Vec::with_capacity(shards.len());
+        for ((_, shard, meter), core) in shards {
+            acc.merge(&shard);
+            meters.push(meter);
+            cores.push(core);
+        }
+        let replica_clone_ns = cores.iter().map(|c| c.replica_clone_ns).sum();
+        let report = RuntimeReport { elapsed_ns, replica_clone_ns, cores };
+        (acc.finish(packets), report, meters)
+    }
+}
+
+/// The job driver shared by the network runtime and the fleet: deals
+/// `items` indices out as contiguous [`Job`]s of `batch`, round-robin
+/// over `workers` bounded SPSC feeds of `depth` jobs, to scoped worker
+/// threads.
+///
+/// Each worker first builds its private state with `prime` (replica
+/// clones, epoch-reader registration: setup, timed into
+/// [`CoreStats::replica_clone_ns`] and kept out of the clock), then
+/// hands every job it pulls to `serve` and finally ships its state back
+/// over one MPSC drain. Returns every worker's state with its
+/// [`CoreStats`], in worker order, and the nanoseconds from "every
+/// worker primed" to "every state drained". Every index lands in
+/// exactly one job, so callers whose per-job work folds commutatively
+/// get the same result at any worker count.
+pub(crate) fn drive_jobs<W: Send>(
+    items: usize,
+    workers: usize,
+    batch: usize,
+    depth: usize,
+    prime: impl Fn() -> W + Sync,
+    serve: impl Fn(&mut W, Job) + Sync,
+) -> (Vec<(W, CoreStats)>, u64) {
+    let workers = workers.max(1);
+    let batch = batch.max(1) as u64;
+    let items = items as u64;
+
+    let mut feeds = Vec::with_capacity(workers);
+    let mut worker_rx = Vec::with_capacity(workers);
+    for _ in 0..workers {
+        let (tx, rx) = spsc::<Job>(depth.max(1));
+        feeds.push(tx);
+        worker_rx.push(rx);
+    }
+    let (res_tx, mut res_rx) = mpsc::<(W, CoreStats)>(workers);
+    let priming = AtomicUsize::new(workers);
+
+    let mut shards: Vec<Option<(W, CoreStats)>> = (0..workers).map(|_| None).collect();
+    let mut elapsed_ns = 0u64;
+
+    std::thread::scope(|scope| {
+        for (w, mut rx) in worker_rx.into_iter().enumerate() {
+            let res_tx = res_tx.clone();
+            let (priming, prime, serve) = (&priming, &prime, &serve);
+            scope.spawn(move || {
+                let t0 = Instant::now();
+                let mut state = prime();
+                let mut stats = CoreStats {
+                    worker: w,
+                    replica_clones: 1,
+                    replica_clone_ns: t0.elapsed().as_nanos() as u64,
+                    ..CoreStats::default()
+                };
+                priming.fetch_sub(1, Ordering::Release);
+                loop {
+                    match rx.try_recv() {
+                        Ok(job) => {
+                            let t = Instant::now();
+                            serve(&mut state, job);
+                            stats.busy_ns += t.elapsed().as_nanos() as u64;
+                            stats.packets += job.hi - job.lo;
+                            stats.batches += 1;
+                        }
+                        Err(TryRecvError::Empty) => {
+                            stats.backpressure += 1;
+                            std::thread::yield_now();
+                        }
+                        Err(TryRecvError::Disconnected) => break,
+                    }
+                }
+                let mut msg = (state, stats);
+                while let Err(back) = res_tx.try_send(msg) {
+                    msg = back;
+                    std::thread::yield_now();
+                }
+            });
+        }
+        drop(res_tx);
+
+        // Priming is setup, not serving: wait it out, then start the
+        // clock.
+        let mut backoff = Backoff::new();
+        while priming.load(Ordering::Acquire) != 0 {
+            backoff.wait();
+        }
+        let t0 = Instant::now();
+        let mut lo = 0u64;
+        let mut w = 0usize;
+        while lo < items {
+            let hi = (lo + batch).min(items);
+            let mut job = Job { lo, hi };
+            while let Err(back) = feeds[w].try_send(job) {
+                job = back;
+                std::thread::yield_now();
+            }
+            lo = hi;
+            w = (w + 1) % workers;
+        }
+        for tx in &mut feeds {
+            tx.close();
+        }
+        let mut done = 0;
+        backoff.reset();
+        while done < workers {
+            match res_rx.try_recv() {
+                Ok((state, stats)) => {
+                    let w = stats.worker;
+                    shards[w] = Some((state, stats));
+                    done += 1;
+                    backoff.reset();
+                }
+                Err(TryRecvError::Empty) => backoff.wait(),
+                Err(TryRecvError::Disconnected) => break,
+            }
+        }
+        elapsed_ns = t0.elapsed().as_nanos() as u64;
+    });
+
+    let shards =
+        shards.into_iter().map(|s| s.expect("every worker reports exactly once")).collect();
+    (shards, elapsed_ns)
 }
 
 /// In-flight packet walks interleaved per worker. Each lane's next
@@ -662,23 +744,28 @@ fn prepare<A: Address, E: CompiledBackend<A>>(
     }
 }
 
-/// Routes packets `lo..hi` of the seeded workload, walking up to
-/// [`WALK_LANES`] packets in lockstep. Every hop matches
-/// [`FrozenNetwork::route_packet`](crate::FrozenNetwork::route_packet)
-/// — same hops, same per-hop [`Cost`], same Section 5.4 shifted work —
-/// recorded straight into the accumulator instead of materialising a
-/// `PathTrace`. Lanes only change the order packets' hops execute in,
-/// and [`Accum`]'s merges are commutative, so the folded [`RunStats`]
-/// is unchanged.
+/// Routes packets `job.lo..job.hi` of the seeded workload, walking up
+/// to [`WALK_LANES`] packets in lockstep. Every hop matches
+/// [`Network::route_packet`] — same hops, same per-hop [`Cost`], same
+/// Section 5.4 shifted work — recorded straight into the accumulator
+/// instead of materialising a `PathTrace`. Lanes only change the order
+/// packets' hops execute in, and [`Accum`]'s merges are commutative, so
+/// the folded [`RunStats`] is unchanged.
+///
+/// Each hop's engine lookup is charged to `meter`, reset to a zero
+/// [`Cost`] first: a [`Cost`] meter serves, a [`StageMeter`] also
+/// attributes the lookup to pipeline stages, and the route is the same
+/// either way (see [`Meter`]). The shifted-work leg is charged outside
+/// the meter, straight into the hop's recorded cost.
 #[allow(clippy::too_many_arguments)]
-fn route_job_into<A: Address, E: CompiledBackend<A>>(
+fn route_job_into<A: Address, E: CompiledBackend<A>, M: Meter>(
     net: &Network<A>,
     routers: &[CompiledRouter<A, E>],
     sources: &[RouterId],
     origins: &[RouterId],
     seed: u64,
-    lo: u64,
-    hi: u64,
+    Job { lo, hi }: Job,
+    meter: &mut M,
     acc: &mut Accum,
 ) {
     let config = net.config();
@@ -710,15 +797,18 @@ fn route_job_into<A: Address, E: CompiledBackend<A>>(
             // lane state in and out of the `Option`.
             let Some(f) = lane.as_mut() else { continue };
             let node = &routers[f.cur];
-            let mut cost = Cost::new();
+            *meter.cost() = Cost::new();
+            let whole = meter.mark();
             let (tag, table) = if f.used_clue {
                 let e = f.engine_slot as usize;
-                let (tag, _) = node.engines[e].lookup_finish_tag(f.op, f.dest, f.clue, &mut cost);
+                let (tag, _) = node.engines[e].lookup_finish_tag(f.op, f.dest, f.clue, meter);
                 (tag, node.engine_hops[e].as_slice())
             } else {
-                let (tag, _) = node.base.lookup_finish_tag(f.op, f.dest, None, &mut cost);
+                let (tag, _) = node.base.lookup_finish_tag(f.op, f.dest, None, meter);
                 (tag, node.base_hops.as_slice())
             };
+            meter.done(whole);
+            let mut cost = *meter.cost();
 
             // Tag → (prefix, decision): one array read where the
             // reference path hashes the found prefix into the FIB map.
@@ -742,9 +832,10 @@ fn route_job_into<A: Address, E: CompiledBackend<A>>(
                     if let Some(Hop::Via(nh)) = next {
                         if config.core.contains(&nh) {
                             // Shifted-work charges tick straight into
-                            // `cost`: the reference folds them in with
-                            // a category-wise `+=` before recording,
-                            // so charging in place sums identically.
+                            // `cost`, past the meter: the reference
+                            // folds them in with a category-wise `+=`
+                            // before recording, so charging in place
+                            // sums identically.
                             let nb_fib = &live[nh].fib;
                             let nb_bmp = match bmp.and_then(|p| nb_fib.node_of_prefix(&p)) {
                                 Some(start) => nb_fib
@@ -1098,11 +1189,15 @@ fn serve_worker<A: Address, E: CompiledBackend<A>>(
 mod tests {
     use super::*;
     use crate::network::NetworkConfig;
-    use crate::parallel::run_workload_per_packet;
+    use crate::sim::run_workload_per_packet;
     use crate::topology::Topology;
-    use clue_core::{ClueEngine, EngineConfig, Method};
+    use clue_core::{
+        ClueEngine, CompressedConfig, EngineConfig, FreezeError, FrozenEngine, Method, Stage,
+    };
     use clue_lookup::Family;
-    use clue_trie::Ip4;
+    use clue_trie::{CostStats, Ip4};
+
+    type FrozenNetwork<'n> = CompiledNetwork<'n, Ip4, FrozenEngine<Ip4>>;
 
     fn build(method: Method) -> (Network<Ip4>, Vec<RouterId>) {
         let (topo, edges) = Topology::backbone(4, 2);
@@ -1125,7 +1220,6 @@ mod tests {
 
     #[test]
     fn every_backend_serves_the_identical_workload() {
-        use clue_core::{CompressedConfig, FrozenEngine};
         let (mut net, edges) = build(Method::Advance);
         let seq = run_workload_per_packet(&mut net, &edges, 120, 9);
         let frozen: CompiledNetwork<Ip4, FrozenEngine<Ip4>> =
@@ -1137,7 +1231,6 @@ mod tests {
 
     #[test]
     fn compressed_serving_matches_the_plain_batch_lookup() {
-        use clue_core::CompressedConfig;
         let (engine, dests, clues) = engine_fixture();
         let compressed = engine.freeze_compressed(CompressedConfig).unwrap();
         let (want, want_stats) = compressed.lookup_batch_vec(&dests, &clues);
@@ -1200,6 +1293,153 @@ mod tests {
         let seq = run_workload_per_packet(&mut net, &edges, 60, 2);
         let stride = StrideNetwork::freeze(&net, StrideConfig::default()).unwrap();
         assert_eq!(stride.run_workload(&edges, 60, 2, 4), seq);
+    }
+
+    #[test]
+    fn frozen_routing_matches_live_routing() {
+        let (mut net, edges) = build(Method::Advance);
+        let live: Vec<RunStats> =
+            (0..50u64).map(|seed| run_workload_per_packet(&mut net, &edges, 1, seed)).collect();
+        let frozen = FrozenNetwork::compile(&net, &()).unwrap();
+        for (seed, want) in live.iter().enumerate() {
+            let got = frozen.run_workload(&edges, 1, seed as u64, 1);
+            assert_eq!(&got, want, "one-packet run, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn thread_count_does_not_change_results() {
+        let (mut net, edges) = build(Method::Advance);
+        let reference = run_workload_per_packet(&mut net, &edges, 120, 7);
+        let frozen = FrozenNetwork::compile(&net, &()).unwrap();
+        let r1 = frozen.run_workload(&edges, 120, 7, 1);
+        let r2 = frozen.run_workload(&edges, 120, 7, 2);
+        let r8 = frozen.run_workload(&edges, 120, 7, 8);
+        assert_eq!(r1, r2);
+        assert_eq!(r1, r8);
+        assert_eq!(r1, reference, "the compiled runs equal the live reference");
+        let recompiled = FrozenNetwork::compile(&net, &()).unwrap();
+        assert_eq!(recompiled.run_workload(&edges, 120, 7, 3), r1, "compile once = compile again");
+        assert_eq!(r1.packets, 120);
+        assert!(r1.delivered > 0);
+    }
+
+    #[test]
+    fn uneven_and_excess_shards_cover_every_packet() {
+        let (mut net, edges) = build(Method::Simple);
+        let reference = run_workload_per_packet(&mut net, &edges, 17, 5);
+        let empty = run_workload_per_packet(&mut net, &edges, 0, 5);
+        let frozen = FrozenNetwork::compile(&net, &()).unwrap();
+        // 17 packets in jobs of 5 leave a short last job; 32 workers
+        // leave most workers without one.
+        let run = |packets, workers| {
+            let cfg = RuntimeConfig { workers, batch: 5, ..RuntimeConfig::default() };
+            frozen.run_workload_timed(&edges, packets, 5, &cfg, None).0
+        };
+        let a = run(17, 3);
+        let b = run(17, 32);
+        assert_eq!(a, b);
+        assert_eq!(a, reference);
+        let hops: u64 = a.per_router.iter().map(CostStats::samples).sum();
+        assert_eq!(hops, a.total_hops);
+        let none = run(0, 4);
+        assert_eq!(none, empty);
+        assert_eq!((none.packets, none.delivered, none.total_hops), (0, 0, 0));
+    }
+
+    #[test]
+    fn profiled_routing_is_semantically_inert() {
+        let (topo, edges) = Topology::backbone(4, 1);
+        let mut cfg =
+            NetworkConfig::new(edges.clone(), EngineConfig::new(Family::Regular, Method::Advance));
+        cfg.specifics_per_origin = 8;
+        cfg.core = vec![0, 1, 2, 3];
+        cfg.shift_work_to_edges = true;
+        cfg.seed = 11;
+        let mut net: Network<Ip4> = Network::build(topo, cfg);
+        // The ticks the live engines charge per hop, shifted work left
+        // out: exactly what the profiler may see.
+        let origins = net.config().origins.clone();
+        let (mut charged, mut shifted) = (0u64, 0u64);
+        for i in 0..60u64 {
+            let (src, dest) = draw_packet(&net, &edges, &origins, 21, i);
+            for hop in net.route_packet(src, dest).hops {
+                charged += hop.cost.total();
+                shifted += hop.shift_cost.total();
+            }
+        }
+        assert!(shifted > 0, "the fixture must exercise shifted work");
+        let frozen = FrozenNetwork::compile(&net, &()).unwrap();
+        let plain = frozen.run_workload(&edges, 60, 21, 2);
+        let (profiled, prof) = frozen.profile_workload(&edges, 60, 21, 2);
+        assert_eq!(plain, profiled, "profiling must not change the route or its cost");
+        assert_eq!(plain.total_accesses, charged + shifted);
+        // Every charged tick is attributed to exactly one stage; the
+        // unprofiled shift leg charges the hop, not the meter.
+        assert_eq!(prof.total_ticks(), charged);
+        assert_eq!(prof.lookups(), plain.total_hops, "one profiled lookup per hop");
+        assert!(prof.stage(Stage::Root).visits > 0);
+    }
+
+    #[test]
+    fn profile_workload_matches_run_workload_and_is_thread_invariant() {
+        let (net, edges) = build(Method::Advance);
+        // Any backend profiles; the compressed one attributes the same
+        // ticks as the frozen one, since both charge the paper's model.
+        let compressed = CompressedNetwork::compile(&net, &CompressedConfig).unwrap();
+        let (sc, pc) = compressed.profile_workload(&edges, 90, 17, 2);
+        let frozen = FrozenNetwork::compile(&net, &()).unwrap();
+        let plain = frozen.run_workload(&edges, 90, 17, 3);
+        let (s1, p1) = frozen.profile_workload(&edges, 90, 17, 1);
+        let (s4, p4) = frozen.profile_workload(&edges, 90, 17, 4);
+        assert_eq!(plain, s1, "profiling must not change the workload stats");
+        assert_eq!(s1, s4);
+        assert_eq!(p1.lookups(), s1.total_hops, "one profiled lookup per hop");
+        assert_eq!(p1.lookups(), p4.lookups());
+        // The predicted half of the attribution is deterministic; only
+        // the measured nanoseconds depend on the machine and workers.
+        assert_eq!(p1.total_ticks(), p4.total_ticks());
+        assert_eq!(p1.total_bytes(), p4.total_bytes());
+        for stage in Stage::all() {
+            assert_eq!(p1.stage(stage).visits, p4.stage(stage).visits, "{}", stage.label());
+            assert_eq!(p1.stage(stage).ticks, p4.stage(stage).ticks, "{}", stage.label());
+        }
+        assert!(p1.total_ticks() > 0);
+        assert_eq!(sc, s1, "backends route identically");
+        assert_eq!(pc.total_ticks(), p1.total_ticks());
+        assert_eq!(pc.lookups(), p1.lookups());
+    }
+
+    #[test]
+    fn cached_networks_refuse_to_freeze() {
+        let (topo, edges) = Topology::backbone(4, 2);
+        let mut cfg =
+            NetworkConfig::new(edges.clone(), EngineConfig::new(Family::Regular, Method::Advance));
+        cfg.specifics_per_origin = 8;
+        cfg.cache_capacity = Some(16);
+        cfg.seed = 1;
+        let net: Network<Ip4> = Network::build(topo, cfg);
+        assert_eq!(
+            FrozenNetwork::compile(&net, &()).unwrap_err(),
+            BackendError::Freeze(FreezeError::CacheEnabled)
+        );
+    }
+
+    #[test]
+    fn shift_work_mode_survives_freezing() {
+        let (topo, edges) = Topology::backbone(4, 1);
+        let mut cfg =
+            NetworkConfig::new(edges.clone(), EngineConfig::new(Family::Regular, Method::Advance));
+        cfg.specifics_per_origin = 8;
+        cfg.core = vec![0, 1, 2, 3];
+        cfg.shift_work_to_edges = true;
+        cfg.seed = 11;
+        let mut net: Network<Ip4> = Network::build(topo, cfg);
+        let seq = run_workload_per_packet(&mut net, &edges, 60, 2);
+        let frozen = FrozenNetwork::compile(&net, &()).unwrap();
+        let par = frozen.run_workload(&edges, 60, 2, 4);
+        assert_eq!(par, seq);
+        assert!(par.per_router.iter().any(|s| s.sum().total() > 0));
     }
 
     fn engine_fixture() -> (ClueEngine<Ip4>, Vec<Ip4>, Vec<Option<Prefix<Ip4>>>) {

@@ -1,15 +1,22 @@
 //! Workload runner: many packets over a network, with the per-router and
 //! per-hop aggregations the paper's Figure 1 and Sections 5.3–5.4 need.
+//!
+//! [`run_workload`] draws every packet from one sequential RNG stream.
+//! [`run_workload_per_packet`] instead gives packet `i` its own stream
+//! ([`packet_seed`]) and folds hops into an integer [`Accum`], which is
+//! what lets the multi-core runtime
+//! ([`CompiledNetwork`](crate::CompiledNetwork)) split the workload
+//! into jobs and still reproduce it bit for bit.
 
 use clue_telemetry::{
     Counter, Histogram, Registry, MEMORY_REFERENCE_BOUNDS, PREFIX_LENGTH_BOUNDS,
 };
-use clue_trie::{Address, CostStats};
+use clue_trie::{Address, Cost, CostStats};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::network::Network;
+use crate::network::{Network, PathTrace};
 use crate::topology::RouterId;
 
 /// The simulator's per-hop metric bundle, registered under
@@ -147,6 +154,178 @@ impl RunStats {
             export_cost_stats(registry, "clue_netsim_clue_hop", &steady);
         }
     }
+}
+
+/// SplitMix64 finalizer over a (seed, packet index) pair: the root of
+/// packet `i`'s private RNG stream. Cheap, and two distinct indices
+/// never collide for a fixed seed (the finalizer is a bijection).
+pub(crate) fn packet_seed(seed: u64, index: u64) -> u64 {
+    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Draws packet `i`'s (source, destination) pair from its private
+/// stream — the shared half of the determinism contract between
+/// [`run_workload_per_packet`] and the multi-core runtime.
+pub(crate) fn draw_packet<A: Address>(
+    net: &Network<A>,
+    sources: &[RouterId],
+    origins: &[RouterId],
+    seed: u64,
+    index: u64,
+) -> (RouterId, A) {
+    let mut rng = StdRng::seed_from_u64(packet_seed(seed, index));
+    let src = *sources.choose(&mut rng).expect("non-empty sources");
+    let oi = loop {
+        let i = rng.random_range(0..origins.len());
+        if origins[i] != src || origins.len() == 1 {
+            break i;
+        }
+    };
+    (src, net.random_destination(oi, &mut rng))
+}
+
+/// Order-merged shard accumulator; integer-only so merge grouping
+/// cannot change the result — every field is a sum or a maximum, so
+/// the merge is commutative and associative, and *any* exactly-once
+/// partition of the packet stream (the one-packet-at-a-time reference
+/// here, channel-fed batches in [`crate::runtime`]) folds to the same
+/// [`RunStats`].
+pub(crate) struct Accum {
+    per_router: Vec<CostStats>,
+    per_hop_position: Vec<CostStats>,
+    bmp_len_sum: Vec<(u64, u64)>,
+    delivered: usize,
+    total: u64,
+    clue_hops: u64,
+    total_hops: u64,
+}
+
+impl Accum {
+    pub(crate) fn new(routers: usize) -> Self {
+        Accum {
+            per_router: vec![CostStats::new(); routers],
+            per_hop_position: Vec::new(),
+            bmp_len_sum: Vec::new(),
+            delivered: 0,
+            total: 0,
+            clue_hops: 0,
+            total_hops: 0,
+        }
+    }
+
+    pub(crate) fn record<A: Address>(&mut self, trace: &PathTrace<A>) {
+        if trace.delivered {
+            self.record_delivered();
+        }
+        for (pos, hop) in trace.hops.iter().enumerate() {
+            let mut full = hop.cost;
+            full += hop.shift_cost;
+            self.record_hop(pos, hop.router, hop.bmp.map_or(0, |p| p.len()), full, hop.used_clue);
+        }
+    }
+
+    /// One hop, recorded without materialising a [`PathTrace`] — the
+    /// allocation-free twin of [`Self::record`] used by the serving
+    /// runtime's inline walk. `full` is the hop's own cost plus its
+    /// Section 5.4 shifted work, exactly as `record` folds them.
+    #[inline]
+    pub(crate) fn record_hop(
+        &mut self,
+        pos: usize,
+        router: RouterId,
+        bmp_len: u8,
+        full: Cost,
+        used_clue: bool,
+    ) {
+        let t = full.total();
+        self.per_router[router].record_with_total(full, t);
+        if self.per_hop_position.len() <= pos {
+            self.per_hop_position.resize(pos + 1, CostStats::new());
+            self.bmp_len_sum.resize(pos + 1, (0, 0));
+        }
+        self.per_hop_position[pos].record_with_total(full, t);
+        let (s, c) = &mut self.bmp_len_sum[pos];
+        *s += bmp_len as u64;
+        *c += 1;
+        self.total += t;
+        self.total_hops += 1;
+        if used_clue {
+            self.clue_hops += 1;
+        }
+    }
+
+    pub(crate) fn record_delivered(&mut self) {
+        self.delivered += 1;
+    }
+
+    pub(crate) fn merge(&mut self, other: &Accum) {
+        for (a, b) in self.per_router.iter_mut().zip(&other.per_router) {
+            a.merge(b);
+        }
+        if self.per_hop_position.len() < other.per_hop_position.len() {
+            self.per_hop_position.resize(other.per_hop_position.len(), CostStats::new());
+            self.bmp_len_sum.resize(other.bmp_len_sum.len(), (0, 0));
+        }
+        for (a, b) in self.per_hop_position.iter_mut().zip(&other.per_hop_position) {
+            a.merge(b);
+        }
+        for (a, b) in self.bmp_len_sum.iter_mut().zip(&other.bmp_len_sum) {
+            a.0 += b.0;
+            a.1 += b.1;
+        }
+        self.delivered += other.delivered;
+        self.total += other.total;
+        self.clue_hops += other.clue_hops;
+        self.total_hops += other.total_hops;
+    }
+
+    pub(crate) fn finish(self, packets: usize) -> RunStats {
+        RunStats {
+            per_router: self.per_router,
+            bmp_len_by_position: self
+                .bmp_len_sum
+                .iter()
+                .map(|&(s, c)| if c == 0 { 0.0 } else { s as f64 / c as f64 })
+                .collect(),
+            per_hop_position: self.per_hop_position,
+            packets,
+            delivered: self.delivered,
+            total_accesses: self.total,
+            clue_hops: self.clue_hops,
+            total_hops: self.total_hops,
+        }
+    }
+}
+
+/// The scalar reference for the multi-core runtime: routes packet `i`
+/// of the seeded workload from its own RNG stream (`packet_seed`),
+/// one packet at a time, through the **live**
+/// [`ClueEngine`](clue_core::ClueEngine)s. For any compilable network,
+/// `run_workload_per_packet(net, …) ==
+/// CompiledNetwork::compile(net, …)?.run_workload(…, workers)` on every
+/// backend and at every worker count — the property
+/// `tests/runtime_equivalence.rs` pins down. (It is not draw-for-draw
+/// identical to [`run_workload`], which shares one sequential RNG
+/// stream across packets.)
+pub fn run_workload_per_packet<A: Address>(
+    net: &mut Network<A>,
+    sources: &[RouterId],
+    packets: usize,
+    seed: u64,
+) -> RunStats {
+    assert!(!sources.is_empty(), "need at least one source");
+    let origins = net.config().origins.clone();
+    assert!(!origins.is_empty(), "need at least one origin");
+    let mut acc = Accum::new(net.topology().len());
+    for i in 0..packets {
+        let (src, dest) = draw_packet(net, sources, &origins, seed, i as u64);
+        let trace = net.route_packet(src, dest);
+        acc.record(&trace);
+    }
+    acc.finish(packets)
 }
 
 /// Runs `packets` random edge-to-edge packets over the network.

@@ -9,7 +9,7 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Throughput smoke: the batched-frozen, stride-compiled,
-# entropy-compressed and sharded-parallel pipelines must agree exactly
+# entropy-compressed and multi-core runtime pipelines must agree exactly
 # with the scalar engine
 # (--check aborts on any divergence); also seeds the BENCH_*
 # trajectory. The perf gates are part of the bar: the stride path must
@@ -90,7 +90,8 @@ wait "$CHURN_PID"
 # Profile smoke: the per-stage profiler must be semantically inert
 # (--check replays every packet through the plain scalar lookup and
 # its profiled twin, and through each compiled backend's one kernel —
-# frozen, stride, compressed, and the frozen network driver — under
+# frozen, stride, compressed, and the multi-core network runtime on the
+# frozen backend — under
 # both the plain Cost meter and the profiling StageMeter, failing on
 # any divergence), and the predicted half of the fresh attribution
 # (visits, ticks, bytes) must match the committed baseline exactly —
