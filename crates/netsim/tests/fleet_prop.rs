@@ -2,9 +2,12 @@
 //! arbitrary connected topologies, the all-pairs BFS [`RouteTree`]s and
 //! ECMP DAGs must be loop-free and hop-minimal, and the per-flow
 //! hashed ECMP choice must be stable under router renumbering — the
-//! invariant the fleet's deterministic packet leg leans on.
+//! invariant the fleet's deterministic packet leg leans on. On small
+//! built fleets, the sharded flow leg must equal the sequential
+//! reference at every worker count and flow count, including empty and
+//! partial last jobs.
 
-use clue_netsim::Topology;
+use clue_netsim::{Fleet, FleetConfig, Topology, TopologyKind};
 use proptest::prelude::*;
 
 const MAX_N: usize = 40;
@@ -129,6 +132,52 @@ proptest! {
                     let p2 = e2.path_from(perm[src], key).expect("connected");
                     prop_assert_eq!(&p1, &p2, "renumbering changed the flow path");
                 }
+            }
+        }
+    }
+}
+
+/// A small fleet: 16–96 routers, either topology family, half or full
+/// participation, eight origins of four specifics each.
+fn arb_fleet() -> impl Strategy<Value = Fleet> {
+    (16usize..=96, any::<bool>(), any::<bool>(), any::<u64>()).prop_map(
+        |(routers, preferential, half, seed)| {
+            let mut c = FleetConfig::new(routers, seed);
+            c.topology =
+                if preferential { TopologyKind::Preferential } else { TopologyKind::TransitStub };
+            c.participation = if half { 0.5 } else { 1.0 };
+            c.origins = 8;
+            c.specifics_per_origin = 4;
+            Fleet::build(c).expect("a small fleet compiles")
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The sharded flow leg is bit-identical to the sequential
+    /// reference at 1..=8 workers, for no flows, one flow, flow counts
+    /// on either side of a 1024-flow job boundary and a random count:
+    /// every index is walked exactly once whatever the job cut and the
+    /// walk order.
+    #[test]
+    fn sharded_flows_match_sequential_at_every_worker_count(
+        fleet in arb_fleet(),
+        extra in 0usize..=2500,
+    ) {
+        for flows in [0, 1, 1023, 1024, 1025, extra] {
+            let reference = fleet.run_flows_sequential(flows);
+            prop_assert_eq!(reference.flows, flows as u64);
+            for workers in 1..=8 {
+                let run = fleet.run_flows(flows, workers);
+                prop_assert_eq!(
+                    &run.stats,
+                    &reference,
+                    "{} flows diverged at {} workers",
+                    flows,
+                    workers
+                );
             }
         }
     }
