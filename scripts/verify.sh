@@ -66,8 +66,16 @@ target/release/clue bench-diff BENCH_compressed.json BENCH_compressed.json.new \
 mv BENCH_compressed.json.new BENCH_compressed.json
 
 # The serving runtime's whole metric family must be registered and
-# live in one scrape of the default instrumented workload.
-target/release/clue metrics 2000 1 --prom | grep -q '^clue_runtime_packets_total'
+# live in one scrape of the default instrumented workload, and its
+# deterministic series must be exact: 2 cores, 2000 packets in 8 jobs
+# of 256, one priming clone per core timed once, one staleness sample
+# per job.
+metrics=$(target/release/clue metrics 2000 1 --prom)
+for line in 'clue_runtime_workers 2' 'clue_runtime_packets_total 2000' \
+  'clue_runtime_batches_total 8' 'clue_runtime_replica_clones_total 2' \
+  'clue_runtime_replica_clone_us_count 2' 'clue_runtime_staleness_epochs_count 8'; do
+  grep -qx "$line" <<<"$metrics"
+done
 
 # Churn smoke: builder + 4 epoch-pinned readers; --check aborts unless
 # the final published snapshot is bit-identical to a from-scratch
