@@ -3,7 +3,7 @@
 
 use clue_core::{ClueEngine, ClueHeader, ClueIndexer, EngineConfig, Method};
 use clue_lookup::{reference_bmp, Family};
-use clue_trie::{Cost, Ip4, Prefix};
+use clue_trie::{Address, Cost, Ip4, Ip6, Prefix};
 
 fn p(s: &str) -> Prefix<Ip4> {
     s.parse().unwrap()
@@ -379,44 +379,54 @@ fn randomized_matrix_agreement() {
 /// The profiled scalar lookup must be a perfect mirror of the plain
 /// one: same BMP, tick-for-tick the same cost, the same evolving
 /// engine state (stats, cache residency) — across every family and
-/// method, with honest clues, and with the Section 3.5 cache enabled.
+/// method, with honest clues, and with the Section 3.5 cache enabled —
+/// at IPv4 and, with the same tables widened into the top of the
+/// address, at IPv6.
 #[test]
 fn profiled_lookup_mirrors_plain_lookup() {
-    use clue_core::{Stage, StageProfiler};
     let (sender, receiver) = tables();
-    let families = [Family::Regular, Family::Patricia, Family::Binary, Family::LogW];
-    for family in families {
+    let dests = destinations();
+    mirror_profiled(&sender, &receiver, &dests);
+
+    let widen = |p: &Prefix<Ip4>| Prefix::new(Ip6(u128::from(p.bits().0) << 96), p.len());
+    let sender: Vec<_> = sender.iter().map(widen).collect();
+    let receiver: Vec<_> = receiver.iter().map(widen).collect();
+    let dests: Vec<_> = dests.iter().map(|d| Ip6(u128::from(d.0) << 96)).collect();
+    mirror_profiled(&sender, &receiver, &dests);
+}
+
+fn mirror_profiled<A: Address>(sender: &[Prefix<A>], receiver: &[Prefix<A>], dests: &[A]) {
+    use clue_core::{Stage, StageMeter};
+    for family in Family::all_extended() {
         for method in Method::all() {
             for with_cache in [false, true] {
                 let config = EngineConfig::new(family, method);
-                let mut plain = ClueEngine::precomputed(&sender, &receiver, config);
-                let mut profiled = ClueEngine::precomputed(&sender, &receiver, config);
+                let mut plain = ClueEngine::precomputed(sender, receiver, config);
+                let mut profiled = ClueEngine::precomputed(sender, receiver, config);
                 if with_cache {
                     plain.enable_cache(4);
                     profiled.enable_cache(4);
                 }
-                let mut prof = StageProfiler::new();
-                let mut lookups = 0u64;
-                for &dest in &destinations() {
-                    for clue in [None, reference_bmp(&sender, dest)] {
+                let mut meter = StageMeter::default();
+                let (mut lookups, mut ticks) = (0u64, 0u64);
+                for &dest in dests {
+                    for clue in [None, reference_bmp(sender, dest)] {
                         let mut pc = Cost::new();
                         let want = plain.lookup(dest, clue, None, &mut pc);
-                        let mut qc = Cost::new();
-                        let got = profiled.lookup_profiled(dest, clue, None, &mut qc, &mut prof);
-                        assert_eq!(
-                            got, want,
-                            "{family:?}/{method} cache={with_cache} {dest} {clue:?}"
-                        );
-                        assert_eq!(
-                            qc, pc,
-                            "{family:?}/{method} cache={with_cache} cost for {dest} {clue:?}"
-                        );
+                        meter.cost = Cost::new();
+                        let got = profiled.lookup(dest, clue, None, &mut meter);
+                        let tag = format!("{family:?}/{method} cache={with_cache} {dest} {clue:?}");
+                        assert_eq!(got, want, "{tag}");
+                        assert_eq!(meter.cost, pc, "{tag} cost");
                         lookups += 1;
+                        ticks += pc.total();
                     }
                 }
+                let prof = &meter.profiler;
                 assert_eq!(plain.stats(), profiled.stats(), "{family:?}/{method} stats");
                 assert_eq!(prof.lookups(), lookups);
-                assert!(prof.total_ticks() > 0);
+                assert!(ticks > 0);
+                assert_eq!(prof.total_ticks(), ticks, "every tick lands in one stage");
                 if with_cache && method != Method::Common {
                     assert!(
                         prof.stage(Stage::Cache).visits > 0,
