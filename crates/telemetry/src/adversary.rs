@@ -39,23 +39,11 @@ pub struct AdversaryTelemetry {
     pub attack_overhead: Histogram,
 }
 
-impl Default for AdversaryTelemetry {
-    fn default() -> Self {
-        Self::detached()
-    }
-}
-
 impl AdversaryTelemetry {
-    /// A detached bundle: live cells, nothing exported.
+    /// A detached bundle: live cells in a private registry, exported
+    /// nowhere.
     pub fn detached() -> Self {
-        AdversaryTelemetry {
-            attacked_hops_total: Counter::new(),
-            crafted_clues_total: Counter::new(),
-            flood_clues_total: Counter::new(),
-            bound_violations_total: Counter::new(),
-            worst_overhead: Gauge::new(),
-            attack_overhead: Histogram::new(DEGRADED_COST_BOUNDS),
-        }
+        Self::registered(&Registry::new(), "detached")
     }
 
     /// A bundle registered into `registry` under `prefix` (the
@@ -116,23 +104,11 @@ pub struct ReputationTelemetry {
     pub min_score: Gauge,
 }
 
-impl Default for ReputationTelemetry {
-    fn default() -> Self {
-        Self::detached()
-    }
-}
-
 impl ReputationTelemetry {
-    /// A detached bundle: live cells, nothing exported.
+    /// A detached bundle: live cells in a private registry, exported
+    /// nowhere.
     pub fn detached() -> Self {
-        ReputationTelemetry {
-            batches_observed_total: Counter::new(),
-            quarantines_total: Counter::new(),
-            probations_total: Counter::new(),
-            readmissions_total: Counter::new(),
-            quarantined_links: Gauge::new(),
-            min_score: Gauge::new(),
-        }
+        Self::registered(&Registry::new(), "detached")
     }
 
     /// A bundle registered into `registry` under `prefix` (the

@@ -16,7 +16,7 @@ use crate::registry::{Counter, Registry};
 /// Counters are recorded once per batch (accumulated locally in the
 /// hot loop), so attaching the bundle costs a handful of relaxed adds
 /// per `lookup_batch`, not per packet.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct BatchTelemetry {
     /// Batch calls served.
     pub batches_total: Counter,
@@ -30,9 +30,10 @@ pub struct BatchTelemetry {
 }
 
 impl BatchTelemetry {
-    /// A detached bundle: live cells, no registry.
+    /// A detached bundle: live cells in a private registry, exported
+    /// nowhere.
     pub fn detached() -> Self {
-        Self::default()
+        Self::registered(&Registry::new(), "detached", "detached")
     }
 
     /// A bundle registered into `registry` under `prefix` (e.g.

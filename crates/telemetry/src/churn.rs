@@ -35,23 +35,11 @@ pub struct ChurnTelemetry {
     pub reclaimed_total: Counter,
 }
 
-impl Default for ChurnTelemetry {
-    fn default() -> Self {
-        Self::detached()
-    }
-}
-
 impl ChurnTelemetry {
-    /// A detached bundle.
+    /// A detached bundle: live cells in a private registry, exported
+    /// nowhere.
     pub fn detached() -> Self {
-        ChurnTelemetry {
-            swaps_total: Counter::new(),
-            updates_applied_total: Counter::new(),
-            rebuild_latency_us: Histogram::new(REBUILD_LATENCY_BOUNDS_US),
-            staleness: Gauge::new(),
-            stale_lookups_total: Counter::new(),
-            reclaimed_total: Counter::new(),
-        }
+        Self::registered(&Registry::new(), "detached")
     }
 
     /// A bundle registered into `registry` under `prefix` (the

@@ -16,7 +16,7 @@ use crate::registry::{Gauge, Registry};
 /// Counters are recorded once per batch; the layout gauges are set
 /// once at compile/attach time and are pure descriptions of the
 /// immutable arena.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CompressedTelemetry {
     /// The batch-loop counters (`{prefix}_batches_total`, …).
     pub batch: BatchTelemetry,
@@ -36,9 +36,10 @@ pub struct CompressedTelemetry {
 }
 
 impl CompressedTelemetry {
-    /// A detached bundle: live cells, no registry.
+    /// A detached bundle: live cells in a private registry, exported
+    /// nowhere.
     pub fn detached() -> Self {
-        Self::default()
+        Self::registered(&Registry::new(), "detached")
     }
 
     /// A bundle registered into `registry` under `prefix` (e.g.

@@ -54,30 +54,11 @@ pub struct DegradationTelemetry {
     classes: Vec<(String, Counter)>,
 }
 
-impl Default for DegradationTelemetry {
-    fn default() -> Self {
-        Self::detached(&[])
-    }
-}
-
 impl DegradationTelemetry {
-    /// A detached bundle with per-class counters for `class_labels`.
+    /// A detached bundle with per-class counters for `class_labels`:
+    /// live cells in a private registry, exported nowhere.
     pub fn detached(class_labels: &[&str]) -> Self {
-        DegradationTelemetry {
-            injected_total: Counter::new(),
-            parse_errors_total: Counter::new(),
-            degraded_lookups_total: Counter::new(),
-            divergences_total: Counter::new(),
-            reader_panics_total: Counter::new(),
-            watchdog_trips_total: Counter::new(),
-            backoff_retries_total: Counter::new(),
-            recoveries_total: Counter::new(),
-            degraded_cost_overhead: Histogram::new(DEGRADED_COST_BOUNDS),
-            classes: class_labels
-                .iter()
-                .map(|l| (l.to_string(), Counter::new()))
-                .collect(),
-        }
+        Self::registered(&Registry::new(), "detached", class_labels)
     }
 
     /// A bundle registered into `registry` under `prefix` (the

@@ -72,36 +72,11 @@ pub struct FleetTelemetry {
     pub staleness_epochs: Histogram,
 }
 
-impl Default for FleetTelemetry {
-    fn default() -> Self {
-        FleetTelemetry {
-            routers: Gauge::new(),
-            links: Gauge::new(),
-            flows_total: Counter::new(),
-            packets_total: Counter::new(),
-            hops_total: Counter::new(),
-            clue_hops_total: Counter::new(),
-            delivered_total: Counter::new(),
-            link_hits_total: Counter::new(),
-            link_problematic_total: Counter::new(),
-            link_misses_total: Counter::new(),
-            link_clueless_total: Counter::new(),
-            clue_refs_total: Counter::new(),
-            baseline_refs_total: Counter::new(),
-            savings_ratio: Gauge::new(),
-            link_hit_rate_pct: Histogram::new(&LINK_HIT_RATE_BOUNDS),
-            churn_events_total: Counter::new(),
-            republished_total: Counter::new(),
-            rebuild_us: Histogram::new(&REBUILD_US_BOUNDS),
-            staleness_epochs: Histogram::new(&STALENESS_BOUNDS),
-        }
-    }
-}
-
 impl FleetTelemetry {
-    /// A detached bundle: live cells, no registry.
+    /// A detached bundle: live cells in a private registry, exported
+    /// nowhere.
     pub fn detached() -> Self {
-        Self::default()
+        Self::registered(&Registry::new(), "detached")
     }
 
     /// A bundle registered into `registry` under `prefix` (e.g.

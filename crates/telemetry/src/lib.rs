@@ -23,14 +23,17 @@
 //!   keeps the last N events in bounded memory.
 //! * [`export`] — renders any registry to Prometheus text-exposition
 //!   format or to JSON (hand-rolled writer; no serde).
-//! * [`LookupTelemetry`] / [`CacheTelemetry`] — pre-named metric
-//!   bundles for the workspace's hot paths, following the
-//!   `clue_<component>_<metric>` naming convention
-//!   (`clue_core_lookups_total`, `clue_cache_hits_total`, …).
+//! * [`LookupTelemetry`] / [`CacheTelemetry`] and the other bundles —
+//!   pre-named metric bundles for the workspace's hot paths, following
+//!   the `clue_<component>_<metric>` naming convention
+//!   (`clue_core_lookups_total`, `clue_cache_hits_total`, …). Each
+//!   bundle has one constructor, `registered(registry, prefix, …)`; a
+//!   `detached()` bundle is the same bundle registered into a private
+//!   registry that nothing exports.
 //!
 //! Instrumentation is runtime-gated: components hold an
-//! `Option<LookupTelemetry>` and skip all recording when detached, so
-//! a disabled registry costs one predictable branch per lookup.
+//! `Option<LookupTelemetry>` and skip all recording when it is absent,
+//! so a disabled registry costs one predictable branch per lookup.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,10 +3,10 @@
 //! Components don't invent metric names ad hoc: they hold a
 //! [`LookupTelemetry`] (per-lookup classification, memory references,
 //! search depth) or a [`CacheTelemetry`] (hits/misses/evictions/
-//! invalidations), constructed either *detached* — standalone atomic
-//! cells, nothing exported — or *registered* into a shared
-//! [`Registry`] under the workspace naming convention
-//! `clue_<component>_<metric>`.
+//! invalidations), *registered* into a shared [`Registry`] under the
+//! workspace naming convention `clue_<component>_<metric>`, or
+//! *detached*: the same bundle registered into a private registry, so
+//! its cells are live but nothing exports them.
 //!
 //! Because handles share their cells with the registry, a component
 //! recording into a registered bundle is automatically visible to
@@ -46,23 +46,11 @@ impl std::fmt::Debug for LookupTelemetry {
     }
 }
 
-impl Default for LookupTelemetry {
-    fn default() -> Self {
-        Self::detached()
-    }
-}
-
 impl LookupTelemetry {
-    /// A detached bundle: live cells, no registry, no subscriber.
+    /// A detached bundle: live cells in a private registry, exported
+    /// nowhere, and no subscriber.
     pub fn detached() -> Self {
-        LookupTelemetry {
-            lookups_total: Counter::new(),
-            by_class: Default::default(),
-            memory_references: Histogram::new(MEMORY_REFERENCE_BOUNDS),
-            search_depth: Histogram::new(SEARCH_DEPTH_BOUNDS),
-            clue_length: Histogram::new(PREFIX_LENGTH_BOUNDS),
-            subscriber: None,
-        }
+        Self::registered(&Registry::new(), "detached")
     }
 
     /// A bundle registered into `registry` under `prefix` (e.g.
@@ -164,7 +152,7 @@ impl LookupTelemetry {
 }
 
 /// Telemetry for an LRU cache.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CacheTelemetry {
     /// Lookups served from the cache.
     pub hits: Counter,
@@ -177,9 +165,10 @@ pub struct CacheTelemetry {
 }
 
 impl CacheTelemetry {
-    /// A detached bundle.
+    /// A detached bundle: live cells in a private registry, exported
+    /// nowhere.
     pub fn detached() -> Self {
-        Self::default()
+        Self::registered(&Registry::new(), "detached")
     }
 
     /// A bundle registered into `registry` under `prefix` (the

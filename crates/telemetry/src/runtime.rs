@@ -40,24 +40,11 @@ pub struct RuntimeTelemetry {
     pub backpressure_total: Counter,
 }
 
-impl Default for RuntimeTelemetry {
-    fn default() -> Self {
-        RuntimeTelemetry {
-            workers: Gauge::new(),
-            batches_total: Counter::new(),
-            packets_total: Counter::new(),
-            replica_clones_total: Counter::new(),
-            replica_clone_us: Histogram::new(&CLONE_US_BOUNDS),
-            staleness_epochs: Histogram::new(&STALENESS_BOUNDS),
-            backpressure_total: Counter::new(),
-        }
-    }
-}
-
 impl RuntimeTelemetry {
-    /// A detached bundle: live cells, no registry.
+    /// A detached bundle: live cells in a private registry, exported
+    /// nowhere.
     pub fn detached() -> Self {
-        Self::default()
+        Self::registered(&Registry::new(), "detached")
     }
 
     /// A bundle registered into `registry` under `prefix` (e.g.
