@@ -2083,6 +2083,17 @@ fn fleet(args: &[String]) -> Result<(), String> {
         fleet.directed_link_count(),
         fleet.origin_routers().len(),
     );
+    let memory = fleet.memory();
+    let mb = |bytes: u64| bytes as f64 / 1e6;
+    println!(
+        "engines: {:.2} MB = {:.2} MB router arenas + {:.2} MB per-link Claim-1 arrays \
+         + {:.2} MB clue buckets + {:.2} MB tag codes",
+        mb(memory.total()),
+        mb(memory.arena),
+        mb(memory.link),
+        mb(memory.buckets),
+        mb(memory.codes),
+    );
 
     let run = fleet.run_flows(flows, threads);
     let stats = &run.stats;
@@ -2380,6 +2391,8 @@ fn fleet(args: &[String]) -> Result<(), String> {
              \"clue_hops\": {},\n  \"link_hits\": {},\n  \"link_problematic\": {},\n  \
              \"link_misses\": {},\n  \"link_clueless\": {},\n  \"clue_refs\": {},\n  \
              \"baseline_refs\": {},\n  \"savings\": {:.4},\n  \"checked\": {check},\n  \
+             \"engine_arena_bytes\": {},\n  \"engine_link_bytes\": {},\n  \
+             \"engine_bucket_bytes\": {},\n  \
              \"build_ms\": {build_ms:.1},\n  \"route_ms\": {route_ms:.1},\n  \
              \"flows_pps\": {flows_pps:.0}{churn_json}{adversary_json},\n  \
              \"per_hop\": [{per_hop}\n  ]\n}}\n",
@@ -2399,10 +2412,14 @@ fn fleet(args: &[String]) -> Result<(), String> {
             stats.clue_refs,
             stats.baseline_refs,
             stats.savings(),
+            memory.arena,
+            memory.link,
+            memory.buckets,
         );
         fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {path}");
     }
+    println!("checked: {check}\ndropped: {}", stats.dropped);
     Ok(())
 }
 

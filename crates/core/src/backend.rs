@@ -23,6 +23,14 @@
 //! ([`CompiledBackend::cram_levels`] and the byte accessors feeding
 //! [`CramReport`]) and a cheap [`CompiledBackend::replicate`].
 //!
+//! A router compiles one arena for all its incoming links (paper
+//! §3.4): [`CompiledBackend::compile`] builds the router's own engine,
+//! and [`CompiledBackend::compile_link`] compiles each link's clue
+//! engine over it, `Arc`-sharing every array that does not depend on
+//! the clues. A link owns only its clue-probe structures and the one
+//! walk array that carries its Claim-1 continue bits
+//! ([`CompiledBackend::claim_bytes`]).
+//!
 //! Every implementation honors the same semantic baseline — identical
 //! BMP, [`LookupClass`] and tick-identical [`Cost`] versus the scalar
 //! engine — so backends are interchangeable *results-wise* and differ
@@ -108,6 +116,10 @@ pub enum BackendError {
     Freeze(FreezeError),
     /// The frozen snapshot cannot be stride-expanded as configured.
     Stride(StrideError),
+    /// A link engine's flattened trie differs from its router's (other
+    /// children, route indices or tag dictionary), so the router's
+    /// arena cannot serve it ([`CompiledBackend::compile_link`]).
+    LinkMismatch,
 }
 
 impl fmt::Display for BackendError {
@@ -115,6 +127,9 @@ impl fmt::Display for BackendError {
         match self {
             BackendError::Freeze(e) => write!(f, "freeze failed: {e}"),
             BackendError::Stride(e) => write!(f, "stride compilation failed: {e}"),
+            BackendError::LinkMismatch => {
+                f.write_str("the link engine's receiver trie differs from its router's")
+            }
         }
     }
 }
@@ -194,6 +209,28 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
 
     /// Compiles a scalar engine into this backend.
     fn compile(engine: &ClueEngine<A>, config: &Self::Config) -> Result<Self, BackendError>;
+
+    /// Compiles `engine`, a clue engine over the same receiver table
+    /// as `router`, into an engine that `Arc`-shares every
+    /// clue-independent array with `router` (same shape, same
+    /// dictionary) and owns only its clue-probe structures and the
+    /// array carrying its Claim-1 bits. Serves exactly what
+    /// [`Self::compile`] of `engine` would.
+    ///
+    /// # Errors
+    /// As [`Self::compile`], and [`BackendError::LinkMismatch`] when
+    /// `engine` flattens to other children, route indices or tags than
+    /// `router`: a mismatched arena is never shared.
+    fn compile_link(router: &Self, engine: &ClueEngine<A>) -> Result<Self, BackendError>;
+
+    /// True iff every clue-independent array of `self` is the same
+    /// allocation as `router`'s ([`std::sync::Arc::ptr_eq`]) — what
+    /// [`Self::compile_link`] builds.
+    fn shares_arena(&self, router: &Self) -> bool;
+
+    /// Bytes of the walk array that carries the Claim-1 continue bits,
+    /// the part of [`Self::arena_bytes`] a link engine owns.
+    fn claim_bytes(&self) -> u64;
 
     /// The compiled method flavour.
     fn method(&self) -> Method;

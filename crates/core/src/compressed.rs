@@ -71,6 +71,8 @@ const CONT_NIB: u64 = 8;
 const CHILD_MASK: u64 = 0x3333_3333_3333_3333;
 /// The route bit of every nibble in a word.
 const ROUTE_MASK: u64 = 0x4444_4444_4444_4444;
+/// The Claim-1 bit of every nibble in a word.
+const CONT_MASK: u64 = 0x8888_8888_8888_8888;
 
 /// Shape of the compressed compilation. The bit-packed layout is fully
 /// determined by the snapshot today; the struct exists so the
@@ -128,24 +130,7 @@ impl<A: Address> FrozenEngine<A> {
     pub fn compile_compressed(&self, _config: CompressedConfig) -> CompressedEngine<A> {
         let nodes = self.raw_nodes();
         let n = nodes.len();
-        let words = n.div_ceil(NODES_PER_WORD as usize);
-        let mut quads = vec![0u64; words.max(1)];
-        for (i, node) in nodes.iter().enumerate() {
-            let mut nib = 0u64;
-            if node.children[0] != NONE_NODE {
-                nib |= L_BIT;
-            }
-            if node.children[1] != NONE_NODE {
-                nib |= L_BIT << 1;
-            }
-            if node.route_word & NO_ROUTE != NO_ROUTE {
-                nib |= ROUTE_NIB;
-            }
-            if node.may_continue() {
-                nib |= CONT_NIB;
-            }
-            quads[i / NODES_PER_WORD as usize] |= nib << ((i as u32 % NODES_PER_WORD) * 4);
-        }
+        let quads = self.nibble_quads();
 
         let blocks = quads.len().div_ceil(RANK_SPAN_WORDS);
         let mut child_rank = Vec::with_capacity(blocks);
@@ -197,6 +182,31 @@ impl<A: Address> FrozenEngine<A> {
         }
 
         engine
+    }
+
+    /// The snapshot's vertices as 4-bit nibbles, 16 per word, BFS
+    /// order.
+    fn nibble_quads(&self) -> Vec<u64> {
+        let nodes = self.raw_nodes();
+        let words = nodes.len().div_ceil(NODES_PER_WORD as usize);
+        let mut quads = vec![0u64; words.max(1)];
+        for (i, node) in nodes.iter().enumerate() {
+            let mut nib = 0u64;
+            if node.children[0] != NONE_NODE {
+                nib |= L_BIT;
+            }
+            if node.children[1] != NONE_NODE {
+                nib |= L_BIT << 1;
+            }
+            if node.route_word & NO_ROUTE != NO_ROUTE {
+                nib |= ROUTE_NIB;
+            }
+            if node.may_continue() {
+                nib |= CONT_NIB;
+            }
+            quads[i / NODES_PER_WORD as usize] |= nib << ((i as u32 % NODES_PER_WORD) * 4);
+        }
+        quads
     }
 }
 
@@ -385,6 +395,45 @@ impl<A: Address> CompiledBackend<A> for CompressedEngine<A> {
 
     fn compile(engine: &ClueEngine<A>, config: &Self::Config) -> Result<Self, BackendError> {
         Ok(engine.freeze()?.compile_compressed(*config))
+    }
+
+    /// Shares the router's rank directories (they count child and
+    /// route bits only), level map and dictionary. The link owns its
+    /// nibble quads, which carry its Claim-1 bits, and its clue
+    /// buckets. Equal quads with the Claim-1 bits masked mean equal
+    /// children and route ranks, i.e. the same trie.
+    fn compile_link(router: &Self, engine: &ClueEngine<A>) -> Result<Self, BackendError> {
+        let frozen = engine.freeze()?;
+        let quads = frozen.nibble_quads();
+        let same_trie = quads.len() == router.quads.len()
+            && quads.iter().zip(router.quads.iter()).all(|(a, b)| (a ^ b) & !CONT_MASK == 0)
+            && frozen.raw_routes() == router.routes.as_slice();
+        if !same_trie {
+            return Err(BackendError::LinkMismatch);
+        }
+        Ok(CompressedEngine {
+            method: frozen.method(),
+            node_count: router.node_count,
+            quads: Arc::new(quads),
+            child_rank: Arc::clone(&router.child_rank),
+            route_rank: Arc::clone(&router.route_rank),
+            routes: Arc::clone(&router.routes),
+            buckets: Arc::new(ClueBuckets::build(&frozen)),
+            level_nodes: Arc::clone(&router.level_nodes),
+            telemetry: frozen.telemetry().cloned(),
+            compressed_telemetry: None,
+        })
+    }
+
+    fn shares_arena(&self, router: &Self) -> bool {
+        Arc::ptr_eq(&self.child_rank, &router.child_rank)
+            && Arc::ptr_eq(&self.route_rank, &router.route_rank)
+            && Arc::ptr_eq(&self.routes, &router.routes)
+            && Arc::ptr_eq(&self.level_nodes, &router.level_nodes)
+    }
+
+    fn claim_bytes(&self) -> u64 {
+        core::mem::size_of_val(self.quads.as_slice()) as u64
     }
 
     fn method(&self) -> Method {

@@ -231,29 +231,51 @@ impl<A: Address> ClueEngine<A> {
         receiver: &[Prefix<A>],
         config: EngineConfig,
     ) -> Self {
-        let mut engine = Self::learning_base(receiver, config);
-        if config.method == Method::Common {
+        Self::learning_base(receiver, config).precompute(clues)
+    }
+
+    /// As [`Self::precomputed`] over `router`'s receiver table, its trie
+    /// cloned rather than rebuilt prefix by prefix: how a router builds
+    /// one clue engine per incoming link over its own table.
+    ///
+    /// # Panics
+    /// Panics unless `router` and `config` are of the Regular family,
+    /// the one whose search structure is the trie itself.
+    pub fn precomputed_over(router: &Self, clues: &[Prefix<A>], config: EngineConfig) -> Self {
+        assert!(
+            router.is_regular_family() && config.family == Family::Regular,
+            "only a Regular-family engine searches the receiver trie itself"
+        );
+        let mut engine = Self::learning_base(&[], config);
+        engine.t2 = router.t2.clone();
+        engine.precompute(clues)
+    }
+
+    /// Fills the clue table from the sender's `clues`, knowing exactly
+    /// those (the Section 3.3.2 construction).
+    fn precompute(mut self, clues: &[Prefix<A>]) -> Self {
+        if self.config.method == Method::Common {
             // A clue-less engine needs no table, knowledge, or bits.
-            return engine;
+            return self;
         }
-        engine.sender = clues.iter().copied().collect();
-        if config.vertex_bits && config.method == Method::Advance {
-            engine.compute_vertex_bits();
+        self.sender = clues.iter().copied().collect();
+        if self.config.vertex_bits && self.config.method == Method::Advance {
+            self.compute_vertex_bits();
         }
         for (i, clue) in clues.iter().enumerate() {
             if clue.is_empty() {
                 continue; // a zero-length BMP is never sent as a clue
             }
-            let entry = engine.build_entry(*clue);
-            let index = match config.table_kind {
+            let entry = self.build_entry(*clue);
+            let index = match self.config.table_kind {
                 TableKind::Hashed => None,
                 TableKind::Indexed => {
                     Some(u16::try_from(i).expect("more than 64K clues for one neighbor"))
                 }
             };
-            engine.table.insert(entry, index);
+            self.table.insert(entry, index);
         }
-        engine
+        self
     }
 
     /// Builds an engine with an empty clue table that learns entries on

@@ -29,6 +29,8 @@
 //! `tests/frozen_prop.rs`). Freezing is a snapshot: later mutation of
 //! the live engine does not show through.
 
+use std::sync::Arc;
+
 use clue_telemetry::{LookupClass, LookupTelemetry};
 use clue_trie::{Address, Cost, Prefix};
 
@@ -142,8 +144,10 @@ pub struct FrozenEngine<A: Address> {
     method: Method,
     /// BFS-ordered vertices; index 0 is the root.
     nodes: Vec<FrozenNode>,
-    /// Route prefixes referenced by the nodes' route words.
-    routes: Vec<Prefix<A>>,
+    /// Route prefixes referenced by the nodes' route words, then the
+    /// FD-only tags; shared with the router's engine by
+    /// [`CompiledBackend::compile_link`].
+    routes: Arc<Vec<Prefix<A>>>,
     /// Clue-table entries, dense.
     entries: Vec<FrozenEntry<A>>,
     /// Clue → entry index, one fast-hash probe per consult.
@@ -268,7 +272,7 @@ impl<A: Address> ClueEngine<A> {
         Ok(FrozenEngine {
             method: self.config().method,
             nodes,
-            routes,
+            routes: Arc::new(routes),
             entries,
             map,
             telemetry: self.telemetry().cloned(),
@@ -334,6 +338,29 @@ impl<A: Address> FrozenEngine<A> {
 
     pub(crate) fn raw_routes(&self) -> &[Prefix<A>] {
         &self.routes
+    }
+
+    /// Checks that this snapshot flattens the same receiver trie as a
+    /// router whose binary nodes are `nodes` and whose tag dictionary
+    /// is `routes`: the same children and route indices (the Claim-1
+    /// bits may differ) and the same dictionary. What a link engine
+    /// must satisfy before it shares the router's arena.
+    pub(crate) fn check_link(
+        &self,
+        nodes: &[FrozenNode],
+        routes: &[Prefix<A>],
+    ) -> Result<(), BackendError> {
+        let same_node = |a: &FrozenNode, b: &FrozenNode| {
+            a.children == b.children && (a.route_word ^ b.route_word) & NO_ROUTE == 0
+        };
+        if self.nodes.len() == nodes.len()
+            && self.nodes.iter().zip(nodes).all(|(a, b)| same_node(a, b))
+            && self.routes[..] == *routes
+        {
+            Ok(())
+        } else {
+            Err(BackendError::LinkMismatch)
+        }
     }
 
     pub(crate) fn raw_entries(&self) -> &[FrozenEntry<A>] {
@@ -461,6 +488,23 @@ impl<A: Address> CompiledBackend<A> for FrozenEngine<A> {
         Ok(engine.freeze()?)
     }
 
+    /// Shares the route dictionary; the nodes carry the link's Claim-1
+    /// bits, so the link keeps its own.
+    fn compile_link(router: &Self, engine: &ClueEngine<A>) -> Result<Self, BackendError> {
+        let mut link = engine.freeze()?;
+        link.check_link(&router.nodes, &router.routes)?;
+        link.routes = Arc::clone(&router.routes);
+        Ok(link)
+    }
+
+    fn shares_arena(&self, router: &Self) -> bool {
+        Arc::ptr_eq(&self.routes, &router.routes)
+    }
+
+    fn claim_bytes(&self) -> u64 {
+        self.arena_bytes()
+    }
+
     fn method(&self) -> Method {
         self.method
     }
@@ -544,9 +588,10 @@ impl<A: Address> CompiledBackend<A> for FrozenEngine<A> {
         self.telemetry.as_ref()
     }
 
-    /// A per-core replica for the shared-nothing runtime. The frozen
-    /// arrays are owned (this is a deep clone); telemetry is detached
-    /// so replicas never contend on shared counter cells.
+    /// A per-core replica for the shared-nothing runtime. The nodes
+    /// and clue entries are owned (deep-cloned), the route dictionary
+    /// is `Arc`-shared; telemetry is detached so replicas never
+    /// contend on shared counter cells.
     fn replicate(&self) -> Self {
         let mut replica = self.clone();
         replica.detach_telemetry();

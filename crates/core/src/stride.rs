@@ -480,6 +480,38 @@ impl<A: Address> CompiledBackend<A> for StrideEngine<A> {
         Ok(engine.freeze()?.compile_stride(*config)?)
     }
 
+    /// Shares the router's root array, inner nodes and slots (they
+    /// depend only on children and route indices) and its dictionary;
+    /// expands no stride level. The link owns its binary nodes, which
+    /// carry its Claim-1 bits, and its clue buckets.
+    fn compile_link(router: &Self, engine: &ClueEngine<A>) -> Result<Self, BackendError> {
+        let frozen = engine.freeze()?;
+        frozen.check_link(&router.bin_nodes, &router.routes)?;
+        Ok(StrideEngine {
+            method: frozen.method(),
+            config: router.config,
+            root: Arc::clone(&router.root),
+            inner: Arc::clone(&router.inner),
+            slots: Arc::clone(&router.slots),
+            bin_nodes: Arc::new(frozen.raw_nodes().to_vec()),
+            routes: Arc::clone(&router.routes),
+            buckets: Arc::new(ClueBuckets::build(&frozen)),
+            telemetry: frozen.telemetry().cloned(),
+            batch_telemetry: None,
+        })
+    }
+
+    fn shares_arena(&self, router: &Self) -> bool {
+        Arc::ptr_eq(&self.root, &router.root)
+            && Arc::ptr_eq(&self.inner, &router.inner)
+            && Arc::ptr_eq(&self.slots, &router.slots)
+            && Arc::ptr_eq(&self.routes, &router.routes)
+    }
+
+    fn claim_bytes(&self) -> u64 {
+        core::mem::size_of_val(self.bin_nodes.as_slice()) as u64
+    }
+
     fn method(&self) -> Method {
         self.method
     }

@@ -36,8 +36,8 @@
 //! [`participation_sweep`](crate::participation_sweep).
 
 use clue_core::{
-    check_soundness, BatchSignals, ClueEngine, CompiledBackend, EngineConfig, Method,
-    ReputationBook, ReputationConfig, StrideError, Transition,
+    check_soundness, BackendError, BatchSignals, ClueEngine, CompiledBackend, EngineConfig,
+    Method, ReputationBook, ReputationConfig, Transition,
 };
 use clue_lookup::Family;
 use clue_tablegen::{
@@ -448,12 +448,12 @@ pub struct SweepPoint {
 /// [`Fleet::run_adversarial`](crate::Fleet::run_adversarial)).
 ///
 /// # Errors
-/// Returns the [`StrideError`] of the first fleet that fails to build.
+/// Returns the [`BackendError`] of the first fleet that fails to build.
 pub fn participation_sweep(
     base: &FleetConfig,
     adversary: &FleetAdversaryConfig,
     steps: &[f64],
-) -> Result<Vec<SweepPoint>, StrideError> {
+) -> Result<Vec<SweepPoint>, BackendError> {
     let mut points = Vec::with_capacity(steps.len());
     for &p in steps {
         let mut config = base.clone();

@@ -17,8 +17,12 @@
 //!   forwarding state is the serving runtime's compiled clue router
 //!   ([`ClueRouter`] on [`StrideEngine`]: one clue-less base engine
 //!   plus one precomputed clue engine per incoming link, their tags
-//!   resolving to origins). It is compiled once and published through
-//!   an [`EpochCell`], so a churn builder can republish routers
+//!   resolving to origins). The router holds one stride arena: each
+//!   link engine shares the base engine's root array, inner nodes and
+//!   tag dictionary and owns only its clue buckets and the binary
+//!   nodes carrying its Claim-1 bits ([`Fleet::memory`] counts the
+//!   parts). It is compiled once and published through an
+//!   [`EpochCell`], so a churn builder can republish routers
 //!   barrier-free while serving workers keep routing off pinned
 //!   snapshots.
 //!
@@ -50,8 +54,8 @@ use std::time::Instant;
 
 use clue_core::channel::{mpsc, TryRecvError};
 use clue_core::{
-    BatchSignals, ClueEngine, ClueHeader, EngineConfig, EpochCell, EpochGuard,
-    EpochReader, Method, ReputationBook, ReputationConfig, StrideConfig, StrideEngine, StrideError,
+    BackendError, BatchSignals, ClueEngine, ClueHeader, EngineConfig, EpochCell, EpochGuard,
+    EpochReader, Method, ReputationBook, ReputationConfig, StrideConfig, StrideEngine,
 };
 use clue_lookup::Family;
 use clue_tablegen::{rebase_into_block, synthesize_ipv4, ZipfSampler};
@@ -63,7 +67,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::adversary::{deepest_mismatch_clue, flood_clue, AttackProfile};
-use crate::runtime::{drive_jobs, Backoff, ClueRouter};
+use crate::runtime::{drive_jobs, Backoff, ClueRouter, EngineMemory};
 use crate::sim::packet_seed;
 use crate::topology::{EcmpTree, RouterId, Topology};
 
@@ -124,8 +128,11 @@ pub struct FleetConfig {
     pub bands: Vec<(usize, u8)>,
     /// Clue-engine configuration for the per-link engines.
     pub engine: EngineConfig,
-    /// Stride shape for the compiled engines. Keep it small: a fleet
-    /// compiles `routers + 2·links` engines.
+    /// Stride shape for the compiled engines. A fleet expands one
+    /// stride arena per router; each of its `2·links` link engines
+    /// shares its router's and owns only its binary nodes and clue
+    /// buckets. The root array is `2^initial_bits` slots per router,
+    /// so keep it small.
     pub stride: StrideConfig,
     /// Fraction of routers that participate in the clue scheme
     /// (Section 5.3's heterogeneous deployment).
@@ -174,9 +181,10 @@ pub struct Flow {
 /// One router's compiled forwarding state, the value inside its
 /// [`EpochCell`]: a clue-less base engine (`Method::Common`), the
 /// baseline and the resolver for clueless hops; for participants, one
-/// clue engine per incoming link, indexed by the position of the
-/// upstream router in `topology.neighbors(r)`; and tag codes that are
-/// origin indices ([`NO_ORIGIN`] when the tag prefix left the FIB).
+/// clue engine per incoming link over the base engine's arena, indexed
+/// by the position of the upstream router in `topology.neighbors(r)`;
+/// and tag codes that are origin indices ([`NO_ORIGIN`] when the tag
+/// prefix left the FIB).
 type StrideRouter = ClueRouter<Ip4, StrideEngine<Ip4>>;
 
 /// The built fleet: topology, address plan, ECMP trees, and one
@@ -223,7 +231,7 @@ impl Fleet {
     /// disjoint blocks, per-router FIBs with distance-decaying detail,
     /// ECMP trees, and every router's engine bundle compiled and
     /// published at epoch 0.
-    pub fn build(config: FleetConfig) -> Result<Self, StrideError> {
+    pub fn build(config: FleetConfig) -> Result<Self, BackendError> {
         assert!(config.routers >= 2, "a fleet needs at least two routers");
         assert!(config.specifics_per_origin > 0, "origins must advertise something");
         assert!(
@@ -386,6 +394,15 @@ impl Fleet {
     /// Origin routers, by origin index.
     pub fn origin_routers(&self) -> &[RouterId] {
         &self.origin_routers
+    }
+
+    /// Resident bytes of every router's current compiled state, each
+    /// shared array counted once ([`EngineMemory`]).
+    pub fn memory(&self) -> EngineMemory {
+        self.readers()
+            .iter_mut()
+            .map(|reader| reader.pin().memory())
+            .sum()
     }
 
     /// One registered epoch reader per router — a worker registers its
@@ -1109,8 +1126,10 @@ impl Fleet {
 
 /// Compiles router `r`'s engine bundle from the FIB tables: a
 /// `Method::Common` base engine, and (for participants) one
-/// precomputed clue engine per incoming link whose clue set is exactly
-/// "the upstream's FIB prefixes it ECMP-routes through me".
+/// precomputed clue engine per incoming link, built over the base
+/// engine's trie and compiled over its arena, whose clue set is
+/// exactly "the upstream's FIB prefixes it ECMP-routes through me".
+/// Serves the build and every churn republish.
 fn compile_router(
     topology: &Topology,
     fibs: &[Vec<(Prefix<Ip4>, u32)>],
@@ -1118,7 +1137,7 @@ fn compile_router(
     r: RouterId,
     participates: bool,
     config: &FleetConfig,
-) -> Result<StrideRouter, StrideError> {
+) -> Result<StrideRouter, BackendError> {
     let fib = &fibs[r];
     let own: Vec<Prefix<Ip4>> = fib.iter().map(|&(p, _)| p).collect();
     let origin_of = |prefix: &Prefix<Ip4>| -> u32 {
@@ -1129,22 +1148,18 @@ fn compile_router(
     };
 
     let base_config = EngineConfig::new(config.engine.family, Method::Common);
-    let base = ClueEngine::precomputed(&[], &own, base_config).freeze_stride(config.stride)?;
+    let base = ClueEngine::precomputed(&[], &own, base_config);
 
-    let mut engines = Vec::new();
-    if participates {
-        for &nb in topology.neighbors(r) {
-            let clues: Vec<Prefix<Ip4>> = fibs[nb]
-                .iter()
-                .filter(|&&(_, oi)| ecmp[oi as usize].next_hops[nb].contains(&r))
-                .map(|&(p, _)| p)
-                .collect();
-            let engine = ClueEngine::precomputed(&clues, &own, config.engine)
-                .freeze_stride(config.stride)?;
-            engines.push(engine);
-        }
-    }
-    Ok(ClueRouter::new(participates, base, engines, origin_of))
+    // Built one at a time, each dropped once compiled.
+    let links = topology.neighbors(r).iter().filter(|_| participates).map(|&nb| {
+        let clues: Vec<Prefix<Ip4>> = fibs[nb]
+            .iter()
+            .filter(|&&(_, oi)| ecmp[oi as usize].next_hops[nb].contains(&r))
+            .map(|&(p, _)| p)
+            .collect();
+        ClueEngine::precomputed_over(&base, &clues, config.engine)
+    });
+    ClueRouter::compile(participates, &base, links, &config.stride, origin_of)
 }
 
 /// Flows each churn-serving worker routes between epoch re-pins.
@@ -1647,6 +1662,18 @@ mod tests {
         // Per-link outcomes account for every clued hop.
         let clued = stats.link_hits() + stats.link_problematic() + stats.link_misses();
         assert_eq!(clued, stats.clue_hops);
+    }
+
+    #[test]
+    fn link_engines_share_their_routers_arena() {
+        let fleet = Fleet::build(small_config()).unwrap();
+        let mut links = 0;
+        for reader in &mut fleet.readers() {
+            links += reader.pin().assert_one_arena();
+        }
+        assert_eq!(links, fleet.directed_link_count(), "every participant's link is compiled");
+        let m = fleet.memory();
+        assert!(m.arena > 0 && m.link > 0 && m.buckets > 0 && m.codes > 0, "{m:?}");
     }
 
     #[test]

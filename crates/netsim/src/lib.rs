@@ -82,7 +82,7 @@ pub use network::{
 };
 pub use runtime::{
     available_workers, serve_lookups, CompiledNetwork, CompressedNetwork, CoreStats,
-    RuntimeConfig, RuntimeReport, ServeReport, StrideNetwork,
+    EngineMemory, RuntimeConfig, RuntimeReport, ServeReport, StrideNetwork,
 };
 pub use sim::{
     export_cost_stats, run_workload, run_workload_instrumented, run_workload_per_packet, RunStats,

@@ -49,8 +49,9 @@
 //! next-hop resolution — `fib.get(&bmp)`, an *uncharged* binary-trie
 //! descent on the live path — is tag-indexed, the compiled lookup
 //! returning a dense payload index ([`CompiledBackend::lookup_finish_tag`])
-//! into per-engine tag codes that [`ClueRouter`] fills at compile time
-//! from `fib.get` of every tag's prefix; and each worker walks
+//! into the tag codes that [`ClueRouter`] fills at compile time from
+//! `fib.get` of every tag's prefix (one array per router: its link
+//! engines share its arena and tag dictionary); and each worker walks
 //! [`WALK_LANES`] packets in lockstep, decoding-and-prefetching every
 //! packet's next lookup ([`CompiledBackend::prepare`]) a full lane
 //! rotation before resolving it, so the dependent loads of one walk
@@ -60,6 +61,7 @@
 //! exactly what the FIB walk resolves while both charge nothing, and
 //! lane order only permutes commutative accumulator merges.
 
+use std::borrow::Borrow;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,9 +70,9 @@ use std::time::{Duration, Instant};
 
 use clue_core::channel::{mpsc, spsc, TryRecvError};
 use clue_core::{
-    BackendError, ClueHeader, CompiledBackend, CompressedEngine, Decision, EngineStats, EpochCell,
-    EpochReader, Meter, PreparedLookup, QuarantineGate, StageMeter, StageProfiler, StrideConfig,
-    StrideEngine, StrideError, DEFAULT_INTERLEAVE, NO_TAG,
+    BackendError, ClueEngine, ClueHeader, CompiledBackend, CompressedEngine, Decision, EngineStats,
+    EpochCell, EpochReader, Meter, PreparedLookup, QuarantineGate, StageMeter, StageProfiler,
+    StrideConfig, StrideEngine, DEFAULT_INTERLEAVE, NO_TAG,
 };
 use clue_telemetry::{LookupClass, RuntimeTelemetry};
 use clue_trie::{Address, Cost, Prefix};
@@ -269,10 +271,16 @@ fn hop_of(code: u32) -> Option<Hop> {
 
 /// One router's compiled clue state, shared by the network runtime and
 /// the fleet: a clue-less base engine, one clue engine per incoming
-/// link slot (the owner maps links to slots) and, per engine, a code
-/// for each tag — a next hop in the runtime, an origin in the fleet —
-/// so the hot walk turns "look the found prefix up in the FIB" into one
-/// tag-addressed array read.
+/// link slot (the owner maps links to slots) and a code for each tag —
+/// a next hop in the runtime, an origin in the fleet — so the hot walk
+/// turns "look the found prefix up in the FIB" into one tag-addressed
+/// array read.
+///
+/// The router holds one walk arena (paper §3.4): every link engine is
+/// compiled over the base engine ([`CompiledBackend::compile_link`])
+/// and `Arc`-shares its clue-independent arrays and tag dictionary, so
+/// a link owns only its clue buckets and the array carrying its
+/// Claim-1 bits, and one code array serves every engine.
 ///
 /// It owns the per-hop rule of the paper's network-wide scheme
 /// (Sections 3 and 5.3): a participating router runs the clue engine of
@@ -280,8 +288,8 @@ fn hop_of(code: u32) -> Option<Hop> {
 /// clue-less table otherwise ([`Self::engine`]). The owner then stamps
 /// the resolved BMP as the next hop's clue if the router participates.
 ///
-/// Tag codes are immutable and `Arc`-shared into every replica, so
-/// together with the engines' own `Arc`-shared arenas
+/// The tag codes are immutable and `Arc`-shared into every replica,
+/// so together with the engines' own `Arc`-shared arenas
 /// [`Self::replicate`] is a handful of refcount bumps even at
 /// million-prefix scale.
 #[derive(Debug, Clone)]
@@ -292,27 +300,98 @@ pub(crate) struct ClueRouter<A: Address, E: CompiledBackend<A>> {
     pub(crate) participates: bool,
     base: E,
     engines: Vec<E>,
-    /// Tag codes, parallel to each engine's
-    /// [`CompiledBackend::tag_prefixes`]: `base`'s first, then one per
-    /// clue engine.
-    codes: Arc<[Vec<u32>]>,
+    /// Tag codes, parallel to the tag dictionary every engine shares
+    /// ([`CompiledBackend::tag_prefixes`]).
+    codes: Arc<[u32]>,
     family: PhantomData<A>,
 }
 
+/// Resident bytes of compiled routers, each array counted once however
+/// many engines share it ([`Fleet::memory`](crate::Fleet::memory)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineMemory {
+    /// The routers' own engines: walk arena and tag dictionary, which
+    /// every link engine shares.
+    pub arena: u64,
+    /// The link engines' Claim-1 arrays
+    /// ([`CompiledBackend::claim_bytes`]), one per link.
+    pub link: u64,
+    /// Clue-probe structures of every engine (a base engine's hold no
+    /// clue).
+    pub buckets: u64,
+    /// Tag code arrays, one per router.
+    pub codes: u64,
+}
+
+impl EngineMemory {
+    /// All four parts.
+    pub fn total(&self) -> u64 {
+        self.arena + self.link + self.buckets + self.codes
+    }
+}
+
+impl std::iter::Sum for EngineMemory {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(EngineMemory::default(), |a, b| EngineMemory {
+            arena: a.arena + b.arena,
+            link: a.link + b.link,
+            buckets: a.buckets + b.buckets,
+            codes: a.codes + b.codes,
+        })
+    }
+}
+
 impl<A: Address, E: CompiledBackend<A>> ClueRouter<A, E> {
-    /// Bundles compiled engines, filling every engine's tag codes with
-    /// `code` of the tag's prefix.
-    pub(crate) fn new(
+    /// Compiles a router: `base` with [`CompiledBackend::compile`] and
+    /// each of `links` over it with [`CompiledBackend::compile_link`],
+    /// then fills the tag codes with `code` of each tag's prefix.
+    ///
+    /// # Panics
+    /// Panics if a link engine does not share the base engine's arena
+    /// and tag dictionary ([`CompiledBackend::shares_arena`]).
+    pub(crate) fn compile<L: Borrow<ClueEngine<A>>>(
         participates: bool,
-        base: E,
-        engines: Vec<E>,
+        base: &ClueEngine<A>,
+        links: impl IntoIterator<Item = L>,
+        config: &E::Config,
         code: impl Fn(&Prefix<A>) -> u32,
-    ) -> Self {
-        let codes = std::iter::once(&base)
-            .chain(&engines)
-            .map(|e| e.tag_prefixes().iter().map(&code).collect())
-            .collect();
-        ClueRouter { participates, base, engines, codes, family: PhantomData }
+    ) -> Result<Self, BackendError> {
+        let base = E::compile(base, config)?;
+        let engines: Vec<E> = links
+            .into_iter()
+            .map(|e| E::compile_link(&base, e.borrow()))
+            .collect::<Result<_, _>>()?;
+        assert!(
+            engines.iter().all(|e| e.shares_arena(&base)),
+            "every link engine shares its router's arena and tag dictionary"
+        );
+        let codes = base.tag_prefixes().iter().map(code).collect();
+        Ok(ClueRouter { participates, base, engines, codes, family: PhantomData })
+    }
+
+    /// Resident bytes by part. [`Self::compile`] has checked that every
+    /// link shares the base engine's arena, so the shared arrays are
+    /// counted once, from the base.
+    pub(crate) fn memory(&self) -> EngineMemory {
+        EngineMemory {
+            arena: self.base.arena_bytes() + self.base.dict_bytes(),
+            link: self.engines.iter().map(E::claim_bytes).sum(),
+            buckets: std::iter::once(&self.base).chain(&self.engines).map(E::bucket_bytes).sum(),
+            codes: std::mem::size_of_val(&*self.codes) as u64,
+        }
+    }
+
+    /// Panics unless every link engine `Arc`-shares the base engine's
+    /// arena and dictionary and the one code array is parallel to it;
+    /// returns the link count.
+    #[cfg(test)]
+    pub(crate) fn assert_one_arena(&self) -> usize {
+        for e in &self.engines {
+            assert!(e.shares_arena(&self.base), "a link engine copies its router's arena");
+            assert!(std::ptr::eq(e.tag_prefixes(), self.base.tag_prefixes()));
+        }
+        assert_eq!(self.codes.len(), self.base.tag_prefixes().len());
+        self.engines.len()
     }
 
     /// A worker-private replica: every engine re-cloned with telemetry
@@ -338,10 +417,10 @@ impl<A: Address, E: CompiledBackend<A>> ClueRouter<A, E> {
     }
 
     #[inline]
-    fn tagged(&self, engine: Option<usize>) -> (&E, &[u32]) {
+    fn at(&self, engine: Option<usize>) -> &E {
         match engine {
-            None => (&self.base, &self.codes[0]),
-            Some(e) => (&self.engines[e], &self.codes[e + 1]),
+            None => &self.base,
+            Some(e) => &self.engines[e],
         }
     }
 
@@ -354,7 +433,7 @@ impl<A: Address, E: CompiledBackend<A>> ClueRouter<A, E> {
         dest: A,
         clue: Option<Prefix<A>>,
     ) -> PreparedLookup {
-        self.tagged(engine).0.prepare(dest, clue.filter(|_| engine.is_some()))
+        self.at(engine).prepare(dest, clue.filter(|_| engine.is_some()))
     }
 
     /// Resolves a lookup [`Self::prepare`]d with the same arguments,
@@ -369,10 +448,11 @@ impl<A: Address, E: CompiledBackend<A>> ClueRouter<A, E> {
         clue: Option<Prefix<A>>,
         meter: &mut M,
     ) -> (Option<(Prefix<A>, u32)>, LookupClass) {
-        let (e, codes) = self.tagged(engine);
+        let e = self.at(engine);
         let clue = clue.filter(|_| engine.is_some());
         let (tag, class) = e.lookup_finish_tag(op, dest, clue, meter);
-        let found = (tag != NO_TAG).then(|| (e.tag_prefixes()[tag as usize], codes[tag as usize]));
+        let found =
+            (tag != NO_TAG).then(|| (e.tag_prefixes()[tag as usize], self.codes[tag as usize]));
         (found, class)
     }
 
@@ -420,14 +500,10 @@ pub type StrideNetwork<'n, A> = CompiledNetwork<'n, A, StrideEngine<A>>;
 pub type CompressedNetwork<'n, A> = CompiledNetwork<'n, A, CompressedEngine<A>>;
 
 impl<'n, A: Address> StrideNetwork<'n, A> {
-    /// Stride-compiles every engine in `net`. Fails like a freeze
-    /// fails (non-Regular family, indexed table, cache) or if the
-    /// stride shape is invalid.
-    pub fn freeze(net: &'n Network<A>, stride: StrideConfig) -> Result<Self, StrideError> {
-        Self::compile(net, &stride).map_err(|e| match e {
-            BackendError::Stride(e) => e,
-            BackendError::Freeze(e) => StrideError::Freeze(e),
-        })
+    /// Stride-compiles every engine in `net`: [`Self::compile`] at
+    /// stride shape `stride`.
+    pub fn freeze(net: &'n Network<A>, stride: StrideConfig) -> Result<Self, BackendError> {
+        Self::compile(net, &stride)
     }
 }
 
@@ -443,15 +519,14 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
             .iter()
             .map(|r| {
                 let mut by_neighbor = vec![NO_ENGINE; n];
-                let mut engines = Vec::with_capacity(r.engines.len());
+                let mut links = Vec::with_capacity(r.engines.len());
                 for (&nb, e) in &r.engines {
-                    by_neighbor[nb] = engines.len() as u32;
-                    engines.push(E::compile(e, config)?);
+                    by_neighbor[nb] = links.len() as u32;
+                    links.push(e);
                 }
                 slots.push(by_neighbor);
-                let base = E::compile(&r.base, config)?;
                 let hop = |p: &Prefix<A>| hop_code(r.fib.get(p).map(|id| *r.fib.value(id)));
-                Ok(ClueRouter::new(r.participates, base, engines, hop))
+                ClueRouter::compile(r.participates, &r.base, links, config, hop)
             })
             .collect::<Result<Vec<_>, BackendError>>()?;
         Ok(CompiledNetwork { net, routers, slots })
@@ -1283,6 +1358,35 @@ mod tests {
         let par = frozen.run_workload(&edges, 60, 2, 4);
         assert_eq!(par, seq);
         assert!(par.per_router.iter().any(|s| s.sum().total() > 0));
+    }
+
+    /// Every router compiles one arena: its link engines share it on
+    /// every backend, with and without Section 5.4's shifted clues, and
+    /// replicas keep sharing it.
+    #[test]
+    fn link_engines_share_their_routers_arena() {
+        fn check<E: CompiledBackend<Ip4>>(net: &Network<Ip4>, config: &E::Config) {
+            let compiled = CompiledNetwork::<Ip4, E>::compile(net, config).unwrap();
+            let links: usize = compiled.routers.iter().map(ClueRouter::assert_one_arena).sum();
+            assert!(links > 0, "{}: the network has clue links", E::NAME);
+            for r in &compiled.routers {
+                r.replicate().assert_one_arena();
+            }
+        }
+        for shift in [false, true] {
+            let (topo, edges) = Topology::backbone(4, 1);
+            let mut cfg = NetworkConfig::new(
+                edges.clone(),
+                EngineConfig::new(Family::Regular, Method::Advance),
+            );
+            cfg.specifics_per_origin = 8;
+            cfg.shift_work_to_edges = shift;
+            cfg.seed = 11;
+            let net: Network<Ip4> = Network::build(topo, cfg);
+            check::<StrideEngine<Ip4>>(&net, &StrideConfig::default());
+            check::<CompressedEngine<Ip4>>(&net, &CompressedConfig);
+            check::<FrozenEngine<Ip4>>(&net, &());
+        }
     }
 
     fn engine_fixture() -> (ClueEngine<Ip4>, Vec<Ip4>, Vec<Option<Prefix<Ip4>>>) {

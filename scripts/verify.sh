@@ -163,6 +163,12 @@ target/release/clue bench-diff BENCH_fleet.json BENCH_fleet.json.new \
   --tolerance 0 --time-tolerance 100000
 mv BENCH_fleet.json.new BENCH_fleet.json
 
+# The held-out fleet seed: the same determinism check on seed 2, with
+# no baseline to diff against; every flow must be delivered.
+fleet2=$(target/release/clue fleet 20000 2 --routers 1024 --threads 4 --check)
+grep -qx 'checked: true' <<<"$fleet2"
+grep -qx 'dropped: 0' <<<"$fleet2"
+
 # Adversarial fleet smoke: 8 lying routers at the best-connected
 # non-origin positions, each crafting the deepest-mismatch clue per
 # packet. --check asserts the whole robustness contract: the +1-probe
