@@ -43,7 +43,7 @@ use crate::fxhash::FxHashMap;
 use crate::profile::{Meter, Stage};
 use crate::table::{Continuation, TableKind};
 
-/// “No child” sentinel in [`FrozenNode::children`].
+/// “No child” sentinel in `FrozenNode::children`.
 pub const NONE_NODE: u32 = u32::MAX;
 /// Claim-1 continue bit: set iff a candidate may lie strictly below.
 pub(crate) const CONT_BIT: u32 = 1 << 31;

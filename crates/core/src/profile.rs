@@ -161,7 +161,7 @@ impl StageAccum {
     }
 
     /// Pearson correlation between per-event predicted ticks and
-    /// measured nanoseconds; `None` when undefined (see [`Corr::r`]).
+    /// measured nanoseconds; `None` when undefined (see `Corr::r`).
     pub fn correlation(&self) -> Option<f64> {
         self.corr.r()
     }

@@ -33,7 +33,7 @@
 //! reconverges to the honest baseline. The fleet-scale version (many
 //! routers, partial deployment) lives in
 //! [`Fleet::run_adversarial`](crate::Fleet::run_adversarial) and
-//! [`participation_sweep`](crate::participation_sweep).
+//! [`participation_sweep`].
 
 use clue_core::{
     check_soundness, BackendError, BatchSignals, ClueEngine, CompiledBackend, EngineConfig,

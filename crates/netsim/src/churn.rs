@@ -3,14 +3,15 @@
 //!
 //! [`CompiledNetwork`](crate::CompiledNetwork) serves a static
 //! snapshot; this driver exercises the regime a deployed
-//! router actually lives in. One **builder** thread owns the mutable
-//! [`ClueEngine`], applies one [`RouteUpdate`] batch at a time
-//! (announce → insert, withdraw → delete, modify → delete + re-insert
-//! of the same prefix, forcing the localized reclassify), re-freezes,
-//! and publishes each snapshot through an [`EpochEngine`]. Meanwhile
-//! `readers` threads pin snapshots and run `lookup_batch` over a
+//! router actually lives in. The **builder**, on the calling thread,
+//! owns the mutable [`ClueEngine`], applies one [`RouteUpdate`] batch
+//! at a time (announce → insert, withdraw → delete, modify → delete +
+//! re-insert of the same prefix, forcing the localized reclassify),
+//! re-freezes, and publishes each snapshot through an
+//! [`EpochEngine`]. Meanwhile `readers` workers of the serving
+//! runtime's job driver pin snapshots and run `lookup_batch` over a
 //! deterministic pre-generated packet stream, never blocking on the
-//! builder.
+//! builder, each at least once.
 //!
 //! Two numbers characterise the run:
 //!
@@ -23,13 +24,13 @@
 //!   with lookup throughput.
 //!
 //! The driver is hardened for partial failure: it returns a typed
-//! [`ChurnError`] instead of panicking, reader-thread panics are
-//! caught and attributed per reader (a panicking reader unwinds
-//! through its `EpochGuard`, quiescing it, so reclamation never
-//! wedges), and an optional [`RebuildWatchdog`] discards over-budget
-//! rebuilds with backoff-and-retry instead of publishing over-stale
-//! snapshots — one slow rebuild can delay convergence but never stop
-//! the serving loop. The chaos harness
+//! [`ChurnError`] instead of panicking, reader panics are caught by
+//! the job driver and attributed per reader (a panicking reader
+//! unwinds through its `EpochGuard` and its registration, quiescing
+//! both, so reclamation never wedges), and an optional
+//! [`RebuildWatchdog`] discards over-budget rebuilds with
+//! backoff-and-retry instead of publishing over-stale snapshots — one
+//! slow rebuild can delay convergence but never stop the serving loop. The chaos harness
 //! ([`run_chaos`](crate::run_chaos)) injects exactly these failures.
 //!
 //! With [`ChurnDriverConfig::check`] set, the run ends by freezing a
@@ -38,11 +39,12 @@
 //! [`bit_identical`](FrozenEngine::bit_identical) to it — the
 //! incremental path provably converges to the batch path.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 use clue_core::{
-    ClueEngine, Decision, EngineConfig, EngineStats, EpochEngine, FreezeError, Method,
+    ClueEngine, Decision, EngineConfig, EngineStats, EpochEngine, EpochReader, FreezeError,
+    FrozenEngine, Method,
 };
 use clue_lookup::Family;
 use clue_tablegen::{end_state, RouteUpdate, UpdateKind};
@@ -50,6 +52,7 @@ use clue_telemetry::{ChurnTelemetry, DegradationTelemetry};
 use clue_trie::{Address, BinaryTrie, Cost, Prefix};
 
 use crate::faults::{ChurnFaultPlan, RebuildWatchdog};
+use crate::runtime::drive_while;
 
 /// Why a churn run could not complete. Every failure the driver can
 /// hit is typed here — the serving loop itself never panics.
@@ -62,9 +65,8 @@ pub enum ChurnError {
     NoReaders,
     /// The derived traffic pool was empty — nothing to serve.
     EmptyTraffic,
-    /// A reader thread panicked outside any injected fault plan; the
-    /// panic was caught and is attributed here instead of poisoning
-    /// the join.
+    /// A reader panicked outside any injected fault plan; the job
+    /// driver caught the panic, and it is attributed here.
     ReaderPanicked {
         /// Index of the reader that panicked.
         reader: usize,
@@ -159,7 +161,9 @@ pub struct ChurnReport {
     pub max_staleness: u64,
     /// Microseconds per accepted freeze, one entry per published epoch.
     pub rebuild_us: Vec<u64>,
-    /// Lookups served per reader thread (0 for a panicked reader).
+    /// Lookups served per reader, as the job driver counted them
+    /// ([`CoreStats::packets`](crate::CoreStats::packets); 0 for a
+    /// panicked reader).
     pub reader_lookups: Vec<u64>,
     /// Per-class lookup counts aggregated from every completed
     /// `lookup_batch` — each served lookup counted exactly once
@@ -230,15 +234,16 @@ fn apply_update<A: Address>(engine: &mut ClueEngine<A>, update: &RouteUpdate<A>)
     }
 }
 
-/// Stringifies a caught panic payload for attribution.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// One churn reader's state: its registered epoch reader, decision
+/// buffer and position in the traffic, and what it saw.
+struct ChurnReader<'e, A: Address> {
+    index: usize,
+    reader: EpochReader<'e, FrozenEngine<A>>,
+    out: Vec<Decision<A>>,
+    pos: usize,
+    /// Lookups served from a superseded snapshot.
+    stale: u64,
+    stats: EngineStats,
 }
 
 /// Runs the churn workload for a sender/receiver pair and an update
@@ -290,89 +295,19 @@ pub fn run_churn<A: Address>(
     let stale_by_epoch: Vec<AtomicU64> =
         (0..=final_epoch).map(|_| AtomicU64::new(0)).collect();
     let max_staleness = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
     let mut rebuild_us = Vec::with_capacity(batches.len());
     let mut updates_applied = 0u64;
-    let mut reader_lookups = vec![0u64; config.readers];
-    let mut batch_stats = EngineStats::default();
-    let mut reader_panics: Vec<(usize, String)> = Vec::new();
-    let mut builder_error: Option<ChurnError> = None;
     let mut watchdog_trips = 0u64;
     let mut backoff_retries = 0u64;
     let mut skipped_epochs = 0u64;
     let mut recovered_rebuilds = 0u64;
     let mut recovery_publishes = 0u64;
+    let chunk = config.chunk.min(dests.len()).max(1);
+    let injected_panic = config.fault.as_ref().and_then(|f| f.panic_reader);
 
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.readers)
-            .map(|r| {
-                let mut reader = epochs.reader();
-                let (dests, clues) = (&dests, &clues);
-                let (stale_by_epoch, max_staleness, stop) =
-                    (&stale_by_epoch, &max_staleness, &stop);
-                let telemetry = telemetry.cloned();
-                let chunk = config.chunk.min(dests.len()).max(1);
-                let injected_panic = config.fault.as_ref().and_then(|f| f.panic_reader);
-                scope.spawn(move || {
-                    // Catch panics here so a dying reader is an
-                    // attributed event, not a poisoned join. Unwinding
-                    // drops the pinned guard (quiescing the slot) and
-                    // the reader registration, so reclamation and the
-                    // epoch counter stay sound — the epoch-module
-                    // catch-unwind tests pin exactly this.
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                        let mut out = vec![Decision::default(); chunk];
-                        let mut served = 0u64;
-                        let mut stale = 0u64;
-                        let mut stats = EngineStats::default();
-                        // Stagger start offsets so readers don't
-                        // stampede the same cache lines.
-                        let mut pos = (r * chunk * 7) % dests.len();
-                        loop {
-                            let end = (pos + chunk).min(dests.len());
-                            let window = end - pos;
-                            let guard = reader.pin();
-                            let chunk_stats = guard.lookup_batch(
-                                &dests[pos..end],
-                                &clues[pos..end],
-                                &mut out[..window],
-                            );
-                            let lag = guard.lag();
-                            let epoch = guard.epoch();
-                            if injected_panic == Some(r) {
-                                // Deliberately while the guard is held:
-                                // the unwind must quiesce it.
-                                panic!(
-                                    "injected reader fault: reader {r} panicked while pinned"
-                                );
-                            }
-                            drop(guard);
-                            stats.merge(&chunk_stats);
-                            served += window as u64;
-                            if lag > 0 {
-                                stale += window as u64;
-                                stale_by_epoch[epoch as usize]
-                                    .fetch_add(window as u64, Relaxed);
-                                max_staleness.fetch_max(lag, Relaxed);
-                            }
-                            if let Some(t) = &telemetry {
-                                t.staleness.set(lag as f64);
-                                if lag > 0 {
-                                    t.stale_lookups_total.add(window as u64);
-                                }
-                            }
-                            pos = if end == dests.len() { 0 } else { end };
-                            if stop.load(Relaxed) {
-                                break;
-                            }
-                        }
-                        (served, stale, stats)
-                    }))
-                })
-            })
-            .collect();
-
-        'batches: for (b, batch) in batches.iter().enumerate() {
+    // The builder, on the calling thread while the readers serve.
+    let build = || -> Result<(), FreezeError> {
+        for (b, batch) in batches.iter().enumerate() {
             for update in batch {
                 apply_update(&mut live, update);
             }
@@ -400,13 +335,7 @@ pub fn run_churn<A: Address>(
                         std::thread::sleep(fault.stall);
                     }
                 }
-                let frozen = match live.freeze() {
-                    Ok(f) => f,
-                    Err(e) => {
-                        builder_error = Some(ChurnError::Freeze(e));
-                        break 'batches;
-                    }
-                };
+                let frozen = live.freeze()?;
                 let elapsed = started.elapsed();
                 if let Some(watchdog) = &config.watchdog {
                     if elapsed > watchdog.budget {
@@ -443,40 +372,82 @@ pub fn run_churn<A: Address>(
                 break;
             }
         }
-        stop.store(true, Relaxed);
+        Ok(())
+    };
 
-        let mut stale_total = 0u64;
-        for (r, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(Ok((served, stale, stats))) => {
-                    reader_lookups[r] = served;
-                    stale_total += stale;
-                    batch_stats.merge(&stats);
-                }
-                Ok(Err(payload)) => reader_panics.push((r, panic_message(payload))),
-                // Only reachable if the catch itself unwound; attribute
-                // it the same way rather than re-panicking.
-                Err(payload) => reader_panics.push((r, panic_message(payload))),
+    // Each reader serves one pinned chunk per call. A panicking reader
+    // unwinds through its pinned guard and its registration, quiescing
+    // both, so reclamation never wedges; the driver attributes the
+    // panic to its slot.
+    let (built, slots) = drive_while(
+        build,
+        config.readers,
+        |r| ChurnReader {
+            index: r,
+            reader: epochs.reader(),
+            out: vec![Decision::default(); chunk],
+            // Stagger start offsets so readers don't stampede the same
+            // cache lines.
+            pos: (r * chunk * 7) % dests.len(),
+            stale: 0,
+            stats: EngineStats::default(),
+        },
+        |rd| {
+            let (pos, end) = (rd.pos, (rd.pos + chunk).min(dests.len()));
+            let window = end - pos;
+            let guard = rd.reader.pin();
+            let chunk_stats =
+                guard.lookup_batch(&dests[pos..end], &clues[pos..end], &mut rd.out[..window]);
+            let lag = guard.lag();
+            let epoch = guard.epoch();
+            if injected_panic == Some(rd.index) {
+                // Deliberately while the guard is held: the unwind must
+                // quiesce it.
+                panic!("injected reader fault: reader {} panicked while pinned", rd.index);
             }
-        }
-        if reader_panics.is_empty() {
-            // A panicked reader's in-flight chunk may be counted in the
-            // atomics but not in its lost return value, so this only
-            // holds on clean runs.
-            debug_assert_eq!(
-                stale_total,
-                stale_by_epoch.iter().map(|c| c.load(Relaxed)).sum::<u64>()
-            );
-        }
-    });
+            drop(guard);
+            rd.stats.merge(&chunk_stats);
+            if lag > 0 {
+                rd.stale += window as u64;
+                stale_by_epoch[epoch as usize].fetch_add(window as u64, Relaxed);
+                max_staleness.fetch_max(lag, Relaxed);
+            }
+            if let Some(t) = telemetry {
+                t.staleness.set(lag as f64);
+                if lag > 0 {
+                    t.stale_lookups_total.add(window as u64);
+                }
+            }
+            rd.pos = if end == dests.len() { 0 } else { end };
+            window
+        },
+    );
+    built?;
 
-    if let Some(e) = builder_error {
-        return Err(e);
+    let mut reader_lookups = vec![0u64; config.readers];
+    let mut batch_stats = EngineStats::default();
+    let mut reader_panics: Vec<(usize, String)> = Vec::new();
+    let mut stale_total = 0u64;
+    for (r, slot) in slots.into_iter().enumerate() {
+        match slot {
+            Ok((rd, core)) => {
+                reader_lookups[r] = core.packets;
+                stale_total += rd.stale;
+                batch_stats.merge(&rd.stats);
+            }
+            Err(message) => reader_panics.push((r, message)),
+        }
     }
+    if reader_panics.is_empty() {
+        // A panicked reader's in-flight chunk may be counted in the
+        // atomics but not in its lost state, so this only holds on
+        // clean runs.
+        debug_assert_eq!(stale_total, stale_by_epoch.iter().map(|c| c.load(Relaxed)).sum::<u64>());
+    }
+
     if let Some(d) = degradation {
         d.reader_panics_total.add(reader_panics.len() as u64);
     }
-    let injected_panic = config.fault.as_ref().and_then(|f| f.panic_reader);
     if let Some((reader, message)) =
         reader_panics.iter().find(|(r, _)| Some(*r) != injected_panic)
     {
@@ -691,6 +662,20 @@ mod tests {
         assert!(report.reader_lookups[1] > 0, "surviving reader kept serving");
         assert_eq!(report.final_identical, Some(true), "convergence survives the panic");
         assert_eq!(report.retired_after, 0, "the unwound guard never blocks reclamation");
+    }
+
+    #[test]
+    fn an_empty_update_stream_still_serves_on_every_reader() {
+        let (sender, receiver) = pair();
+        let mut cfg = ChurnDriverConfig::new(4, 3);
+        cfg.traffic = 256;
+        cfg.chunk = 64;
+        let no_updates: &[Vec<RouteUpdate<Ip4>>] = &[];
+        let report = run_churn(&sender, &receiver, no_updates, &cfg, None, None).unwrap();
+        assert_eq!(report.epochs, 0);
+        assert_eq!(report.final_identical, Some(true));
+        assert!(report.reader_lookups.iter().all(|&n| n > 0), "{:?}", report.reader_lookups);
+        assert_eq!(report.batch_stats.total(), report.lookups_total);
     }
 
     #[test]

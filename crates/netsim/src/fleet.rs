@@ -49,10 +49,8 @@
 //! baseline run over the *same* hops, and churn-induced staleness per
 //! router.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use clue_core::channel::{mpsc, TryRecvError};
 use clue_core::{
     BackendError, BatchSignals, ClueEngine, ClueHeader, EngineConfig, EpochCell, EpochGuard,
     EpochReader, Method, ReputationBook, ReputationConfig, StrideConfig, StrideEngine,
@@ -67,7 +65,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::adversary::{deepest_mismatch_clue, flood_clue, AttackProfile};
-use crate::runtime::{drive_jobs, Backoff, ClueRouter, EngineMemory};
+use crate::runtime::{drive_jobs, drive_while, expect_workers, ClueRouter, EngineMemory};
 use crate::sim::packet_seed;
 use crate::topology::{EcmpTree, RouterId, Topology};
 
@@ -188,7 +186,7 @@ pub struct Flow {
 type StrideRouter = ClueRouter<Ip4, StrideEngine<Ip4>>;
 
 /// The built fleet: topology, address plan, ECMP trees, and one
-/// epoch-published [`StrideRouter`] per router.
+/// epoch-published `StrideRouter` per router.
 pub struct Fleet {
     config: FleetConfig,
     topology: Topology,
@@ -637,8 +635,8 @@ impl Fleet {
     }
 
     /// Routes `flows` flows over `workers` OS threads. The flows are
-    /// first sorted into destination order ([`Self::flow_order`]), then
-    /// dealt out as jobs of [`FLOW_JOB`] consecutive positions on
+    /// first sorted into destination order (`Self::flow_order`), then
+    /// dealt out as jobs of `FLOW_JOB` consecutive positions on
     /// per-worker SPSC feeds; per-worker accumulators merge in worker
     /// order. Every merge is a commutative add or max, so the result is
     /// bit-identical to [`Self::run_flows_sequential`] (index order)
@@ -659,7 +657,7 @@ impl Fleet {
             // Priming = registering this worker's epoch readers (one
             // per router), hoisted out of the timed region like the
             // serving runtime's replica clones.
-            || (self.readers(), FleetAccum::new(links)),
+            |_| (self.readers(), FleetAccum::new(links)),
             |(readers, acc), keys| {
                 // Pin per job: the runtime's epoch refresh at job
                 // boundaries.
@@ -729,66 +727,25 @@ impl Fleet {
         }
     }
 
-    /// Runs the churn leg: a builder thread applies `config.events`
-    /// origin re-advertisements — resynthesizing the origin's
-    /// specifics, patching the FIBs of routers within
+    /// Runs the churn leg: a builder on the calling thread applies
+    /// `config.events` origin re-advertisements — resynthesizing the
+    /// origin's specifics, patching the FIBs of routers within
     /// `detail_radius`, recompiling and republishing their engine
     /// bundles through the epoch cells — while `config.workers`
-    /// serving threads keep routing flows off pinned snapshots and
-    /// record how stale the fleet got.
+    /// workers of the job driver, each at least once, keep routing
+    /// flows off pinned snapshots and record how stale the fleet got.
+    /// The cells reclaim once every worker has stopped, so `reclaimed`
+    /// equals `republished`. A worker panic is re-raised.
     pub fn run_churn(&self, config: &FleetChurnConfig) -> FleetChurnReport {
-        let stop = AtomicBool::new(false);
         let links = self.link_from.len();
-        let (res_tx, mut res_rx) = mpsc::<FleetAccum>(config.workers.max(1));
-
         let mut events = 0u64;
         let mut republished = 0u64;
         let mut rebuild_ns = 0u64;
         let mut reclaimed = 0u64;
-        let mut shards: Vec<FleetAccum> = Vec::new();
 
-        std::thread::scope(|scope| {
-            for w in 0..config.workers.max(1) {
-                let res_tx = res_tx.clone();
-                let stop = &stop;
-                let this = &*self;
-                let base = config.seed ^ (w as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F);
-                scope.spawn(move || {
-                    let mut readers = this.readers();
-                    let mut acc = FleetAccum::new(links);
-                    let mut i = 0u64;
-                    loop {
-                        // Worker-private flow stream: churn serving is
-                        // about liveness and staleness, not the
-                        // bit-determinism of the packet leg. A whole
-                        // batch routes off one set of pinned
-                        // snapshots, so a builder publish mid-batch
-                        // shows up as genuine staleness; the next
-                        // batch re-pins fresh. Route before polling
-                        // the stop flag so even an instant churn leg
-                        // serves at least one batch per worker.
-                        let guards: Vec<EpochGuard<'_, StrideRouter>> =
-                            readers.iter_mut().map(|r| r.pin()).collect();
-                        for _ in 0..CHURN_SERVE_BATCH {
-                            this.route_flow(&guards, packet_seed(base, i), &mut acc, None);
-                            i += 1;
-                        }
-                        drop(guards);
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                    }
-                    let mut msg = acc;
-                    while let Err(back) = res_tx.try_send(msg) {
-                        msg = back;
-                        std::thread::yield_now();
-                    }
-                });
-            }
-            drop(res_tx);
-
-            // The builder runs on this thread: one mutable copy of the
-            // address plan, events applied in sequence.
+        // The builder: one mutable copy of the address plan, events
+        // applied in sequence.
+        let build = || {
             let mut rng = StdRng::seed_from_u64(config.seed);
             let mut specifics = self.specifics.clone();
             let min_len = self.config.block_len + 2;
@@ -828,35 +785,45 @@ impl Fleet {
                         &self.config,
                     )
                     .expect("the build already compiled this shape");
-                    let pub_ = self.cells[r].publish(router);
-                    reclaimed += pub_.reclaimed as u64;
+                    reclaimed += self.cells[r].publish(router).reclaimed as u64;
                     republished += 1;
                 }
                 rebuild_ns += t0.elapsed().as_nanos() as u64;
             }
-            for cell in &self.cells {
-                reclaimed += cell.reclaim() as u64;
-            }
-            stop.store(true, Ordering::Relaxed);
+        };
 
-            let mut backoff = Backoff::new();
-            let mut done = 0;
-            while done < config.workers.max(1) {
-                match res_rx.try_recv() {
-                    Ok(acc) => {
-                        shards.push(acc);
-                        done += 1;
-                        backoff.reset();
-                    }
-                    Err(TryRecvError::Empty) => backoff.wait(),
-                    Err(TryRecvError::Disconnected) => break,
+        let ((), slots) = drive_while(
+            build,
+            config.workers,
+            |w| {
+                let base = config.seed ^ (w as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F);
+                (self.readers(), FleetAccum::new(links), base, 0u64)
+            },
+            |(readers, acc, base, i)| {
+                // Worker-private flow stream: churn serving is about
+                // liveness and staleness, not the bit-determinism of
+                // the packet leg. A whole batch routes off one set of
+                // pinned snapshots, so a builder publish mid-batch
+                // shows up as genuine staleness; the next batch re-pins
+                // fresh.
+                let guards: Vec<EpochGuard<'_, StrideRouter>> =
+                    readers.iter_mut().map(|r| r.pin()).collect();
+                for _ in 0..CHURN_SERVE_BATCH {
+                    self.route_flow(&guards, packet_seed(*base, *i), acc, None);
+                    *i += 1;
                 }
-            }
-        });
+                CHURN_SERVE_BATCH
+            },
+        );
 
+        // Every worker has stopped; dropping its readers here lets each
+        // cell reclaim everything the builder retired.
         let mut acc = FleetAccum::new(links);
-        for shard in &shards {
-            acc.merge(shard);
+        for ((_, shard, _, _), _) in expect_workers(slots) {
+            acc.merge(&shard);
+        }
+        for cell in &self.cells {
+            reclaimed += cell.reclaim() as u64;
         }
         let stats = self.finish(acc);
         FleetChurnReport { events, republished, rebuild_ns, reclaimed, stats }
@@ -1755,6 +1722,32 @@ mod tests {
         // Liveness: serving never wedges; delivery may dip but the
         // aggregate keeps flows routable.
         assert!(report.stats.delivered > 0);
+    }
+
+    #[test]
+    fn churn_reclaims_every_retired_snapshot() {
+        for seed in [11, 12, 13, 14] {
+            let fleet = Fleet::build(FleetConfig { seed, ..small_config() }).unwrap();
+            let report = fleet.run_churn(&FleetChurnConfig {
+                events: 6,
+                workers: 2,
+                detail_radius: 3,
+                seed,
+            });
+            assert!(report.republished >= 6, "seed {seed}");
+            assert_eq!(report.reclaimed, report.republished, "seed {seed}");
+            assert!(fleet.cells.iter().all(|c| c.retired_count() == 0), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn an_instant_churn_leg_still_serves_on_every_worker() {
+        let fleet = Fleet::build(small_config()).unwrap();
+        let workers = 3;
+        let report =
+            fleet.run_churn(&FleetChurnConfig { events: 0, workers, detail_radius: 2, seed: 5 });
+        assert_eq!((report.events, report.republished, report.reclaimed), (0, 0, 0));
+        assert!(report.stats.flows >= (workers * CHURN_SERVE_BATCH) as u64);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! runs the same walk under a [`StageMeter`], so the per-stage
 //! attribution comes from the walk that serves. The job driver behind
 //! it ([`drive_jobs`]) also drives [`serve_lookups`] and
-//! [`Fleet::run_flows`](crate::Fleet::run_flows), and the compiled
-//! router each hop runs ([`ClueRouter`]) is the fleet's too.
+//! [`Fleet::run_flows`](crate::Fleet::run_flows), its open-ended job
+//! source ([`drive_while`]) both churn loops, and the compiled router
+//! each hop runs ([`ClueRouter`]) is the fleet's too.
 //!
 //! * **Per-core replicas.** Each worker owns a private clone of every
 //!   compiled engine it serves from ([`CompiledBackend::replicate`]
@@ -20,12 +21,15 @@
 //!   region and is reported separately ([`CoreStats::replica_clone_ns`]).
 //! * **Lock-free channels.** The dispatcher deals the caller's jobs to
 //!   each worker over its own bounded SPSC ring
-//!   ([`clue_core::channel::spsc`]); each worker's state drains once,
-//!   after its feed closes, through one MPSC ring
-//!   ([`clue_core::channel::mpsc`]). [`serve_lookups`] jobs are
-//!   disjoint slices of the output that workers fill in place, so no
-//!   job sends a result message. Full and empty are yield-and-retry,
-//!   never a lock.
+//!   ([`clue_core::channel::spsc`]); each worker hands its state back
+//!   once, when it is joined. [`serve_lookups`] jobs are disjoint
+//!   slices of the output that workers fill in place, so no job sends
+//!   a result message. Full and empty are yield-and-retry, never a
+//!   lock.
+//! * **Panics end the call, never hang it.** A worker that panics
+//!   drops its state, drains its ring and reports the message in its
+//!   slot: a job list re-raises it, an open-ended run's caller
+//!   attributes it.
 //! * **Deterministic partitioning.** Network jobs are contiguous
 //!   packet-index ranges and every packet derives its own SplitMix64
 //!   RNG stream from its index, so what a worker computes is
@@ -61,14 +65,16 @@
 //! exactly what the FIB walk resolves while both charge nothing, and
 //! lane order only permutes commutative accumulator merges.
 
+use std::any::Any;
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clue_core::channel::{mpsc, spsc, TryRecvError};
+use clue_core::channel::{spsc, SpscReceiver, TryRecvError};
 use clue_core::{
     BackendError, ClueEngine, ClueHeader, CompiledBackend, CompressedEngine, Decision, EngineStats,
     EpochCell, EpochReader, Meter, PreparedLookup, QuarantineGate, StageMeter, StageProfiler,
@@ -198,37 +204,6 @@ fn record_cores(t: &RuntimeTelemetry, cores: &[CoreStats], priming_ns: impl Iter
     for (c, ns) in cores.iter().zip(priming_ns) {
         t.record_core(c.packets, c.batches, c.replica_clones, c.backpressure);
         t.replica_clone_us.observe(ns / 1_000);
-    }
-}
-
-/// Idle backoff for the *coordinator* (dispatcher/collector) thread
-/// only: a couple of yields for low latency, then short sleeps so an
-/// oversubscribed core (more workers than hardware threads) is not
-/// robbed of scheduler quanta by a spinning coordinator. Workers keep
-/// plain `yield_now` — their feeds are primed deep, so they rarely
-/// poll empty, and job latency matters there.
-pub(crate) struct Backoff {
-    idle: u32,
-}
-
-impl Backoff {
-    pub(crate) fn new() -> Self {
-        Backoff { idle: 0 }
-    }
-
-    /// Called when a poll made progress.
-    pub(crate) fn reset(&mut self) {
-        self.idle = 0;
-    }
-
-    /// Called when a poll found nothing to do.
-    pub(crate) fn wait(&mut self) {
-        self.idle += 1;
-        if self.idle <= 3 {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(Duration::from_micros(50));
-        }
     }
 }
 
@@ -479,7 +454,7 @@ impl<A: Address, E: CompiledBackend<A>> ClueRouter<A, E> {
 const NO_ENGINE: u32 = u32::MAX;
 
 /// A read-only view of a [`Network`] with every router compiled to a
-/// [`ClueRouter`] on one [`CompiledBackend`], its tags resolved to next
+/// `ClueRouter` on one [`CompiledBackend`], its tags resolved to next
 /// hops, generic over the compiled layout. Every backend serves
 /// bit-identical results (the Cost-parity contract); they differ only
 /// in bytes touched per lookup.
@@ -637,7 +612,7 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
             jobs,
             config.workers,
             config.depth,
-            || {
+            |_| {
                 let replicas: Vec<ClueRouter<A, E>> =
                     self.routers.iter().map(ClueRouter::replicate).collect();
                 (replicas, Accum::new(n), M::default())
@@ -800,116 +775,193 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
 /// The job driver behind every multi-core entry point — the network
 /// runtime, [`serve_lookups`] and the fleet walk: deals the caller's
 /// `jobs` round-robin over `workers` bounded SPSC feeds of `depth`
-/// jobs, to scoped worker threads.
+/// jobs, to scoped worker threads ([`drive`]).
 ///
-/// Each worker first builds its private state with `prime` (replica
-/// clones, epoch-reader registration: setup, timed into
+/// Each worker first builds its private state with `prime`, given its
+/// index (replica clones, epoch-reader registration: setup, timed into
 /// [`CoreStats::replica_clone_ns`] and kept out of the clock), then
 /// hands every job it pulls to `serve`, which returns how many items
-/// the job held ([`CoreStats::packets`]), and finally ships its state
-/// back over one MPSC drain. Returns every worker's state with its
-/// [`CoreStats`], in worker order, and the nanoseconds from "every
-/// worker primed" to "every state drained". Callers whose jobs are
-/// disjoint and whose per-job work folds commutatively get the same
-/// result at any worker count.
+/// the job held ([`CoreStats::packets`]). Returns every worker's state
+/// with its [`CoreStats`], in worker order, and the nanoseconds from
+/// "every worker primed" to "every worker joined". Callers whose jobs
+/// are disjoint and whose per-job work folds commutatively get the
+/// same result at any worker count.
+///
+/// # Panics
+/// Re-raises a worker's panic with its index and message once every
+/// worker has stopped.
 pub(crate) fn drive_jobs<J: Send, W: Send>(
     jobs: impl IntoIterator<Item = J>,
     workers: usize,
     depth: usize,
-    prime: impl Fn() -> W + Sync,
+    prime: impl Fn(usize) -> W + Sync,
     serve: impl Fn(&mut W, J) -> usize + Sync,
 ) -> (Vec<(W, CoreStats)>, u64) {
     let workers = workers.max(1);
-
-    let mut feeds = Vec::with_capacity(workers);
-    let mut worker_rx = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = spsc::<J>(depth.max(1));
-        feeds.push(tx);
-        worker_rx.push(rx);
-    }
-    let (res_tx, mut res_rx) = mpsc::<(W, CoreStats)>(workers);
-    let priming = AtomicUsize::new(workers);
-
-    let mut shards: Vec<Option<(W, CoreStats)>> = (0..workers).map(|_| None).collect();
-    let mut elapsed_ns = 0u64;
-
-    std::thread::scope(|scope| {
-        for (w, mut rx) in worker_rx.into_iter().enumerate() {
-            let res_tx = res_tx.clone();
-            let (priming, prime, serve) = (&priming, &prime, &serve);
-            scope.spawn(move || {
-                let t0 = Instant::now();
-                let mut state = prime();
-                let mut stats = CoreStats {
-                    worker: w,
-                    replica_clones: 1,
-                    replica_clone_ns: t0.elapsed().as_nanos() as u64,
-                    ..CoreStats::default()
-                };
-                priming.fetch_sub(1, Ordering::Release);
-                loop {
-                    match rx.try_recv() {
-                        Ok(job) => {
-                            let t = Instant::now();
-                            let items = serve(&mut state, job);
-                            stats.busy_ns += t.elapsed().as_nanos() as u64;
-                            stats.packets += items as u64;
-                            stats.batches += 1;
-                        }
-                        Err(TryRecvError::Empty) => {
-                            stats.backpressure += 1;
-                            std::thread::yield_now();
-                        }
-                        Err(TryRecvError::Disconnected) => break,
-                    }
-                }
-                let mut msg = (state, stats);
-                while let Err(back) = res_tx.try_send(msg) {
-                    msg = back;
-                    std::thread::yield_now();
-                }
-            });
-        }
-        drop(res_tx);
-
-        // Priming is setup, not serving: wait it out, then start the
-        // clock.
-        let mut backoff = Backoff::new();
-        while priming.load(Ordering::Acquire) != 0 {
-            backoff.wait();
-        }
-        let t0 = Instant::now();
+    let (mut feeds, rings): (Vec<_>, Vec<_>) =
+        (0..workers).map(|_| spsc::<J>(depth.max(1))).map(|(tx, rx)| (tx, Feed::Ring(rx))).unzip();
+    // The dispatch owns the senders, so its end — or its unwinding —
+    // closes every feed.
+    let deal = move || {
         for (i, mut job) in jobs.into_iter().enumerate() {
-            let feed = &mut feeds[i % workers];
-            while let Err(back) = feed.try_send(job) {
+            while let Err(back) = feeds[i % workers].try_send(job) {
                 job = back;
                 std::thread::yield_now();
             }
         }
-        for tx in &mut feeds {
-            tx.close();
-        }
-        let mut done = 0;
-        backoff.reset();
-        while done < workers {
-            match res_rx.try_recv() {
-                Ok((state, stats)) => {
-                    let w = stats.worker;
-                    shards[w] = Some((state, stats));
-                    done += 1;
-                    backoff.reset();
-                }
-                Err(TryRecvError::Empty) => backoff.wait(),
-                Err(TryRecvError::Disconnected) => break,
+    };
+    let ((), slots, elapsed_ns) = drive(rings, prime, serve, deal);
+    (expect_workers(slots), elapsed_ns)
+}
+
+/// [`drive_jobs`]'s job source with no fixed end: runs `writer` on the
+/// calling thread once every worker is primed, while each worker calls
+/// `serve` back to back until the writer returns, and at least once.
+/// Returns the writer's output and every worker's slot, in worker
+/// order. A writer panic is re-raised once every worker has stopped.
+pub(crate) fn drive_while<W: Send, R>(
+    writer: impl FnOnce() -> R,
+    workers: usize,
+    prime: impl Fn(usize) -> W + Sync,
+    serve: impl Fn(&mut W) -> usize + Sync,
+) -> (R, Vec<WorkerSlot<W>>) {
+    let stop = AtomicBool::new(false);
+    let feeds = (0..workers.max(1)).map(|_| Feed::Until { stop: &stop, job: || () }).collect();
+    let write = || {
+        let out = catch_unwind(AssertUnwindSafe(writer));
+        stop.store(true, Ordering::Relaxed);
+        out
+    };
+    let (out, slots, _) = drive(feeds, prime, |state, ()| serve(state), write);
+    (out.unwrap_or_else(|payload| resume_unwind(payload)), slots)
+}
+
+/// What a worker hands back: its state with its [`CoreStats`], or the
+/// message of the panic that stopped it (its state dropped as it
+/// unwound, and its epoch pins and reader registrations with it).
+pub(crate) type WorkerSlot<W> = Result<(W, CoreStats), String>;
+
+/// Unwraps every slot, re-raising the first panic with its worker
+/// index and message.
+pub(crate) fn expect_workers<W>(slots: Vec<WorkerSlot<W>>) -> Vec<(W, CoreStats)> {
+    let slots = slots.into_iter().enumerate();
+    slots.map(|(w, slot)| slot.unwrap_or_else(|msg| panic!("worker {w} panicked: {msg}"))).collect()
+}
+
+/// A worker's end of a job source.
+enum Feed<'d, J> {
+    /// Its SPSC ring of a job list.
+    Ring(SpscReceiver<J>),
+    /// A writer's run: serve `job()` until `stop` is raised. The flag
+    /// publishes nothing (states come back through the join): `Relaxed`.
+    Until { stop: &'d AtomicBool, job: fn() -> J },
+}
+
+/// The one thread driver: spawns a scoped worker per feed, waits out
+/// their priming, runs `lead` — a job list's dispatch or a writer — on
+/// the calling thread, and joins every worker. `lead` must end every
+/// feed, also when it unwinds, or the join waits forever. Returns
+/// `lead`'s output, the slots and the nanoseconds from "every worker
+/// primed" to "every worker joined".
+fn drive<J: Send, W: Send, R>(
+    feeds: Vec<Feed<'_, J>>,
+    prime: impl Fn(usize) -> W + Sync,
+    serve: impl Fn(&mut W, J) -> usize + Sync,
+    lead: impl FnOnce() -> R,
+) -> (R, Vec<WorkerSlot<W>>, u64) {
+    let priming = AtomicUsize::new(feeds.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = feeds
+            .into_iter()
+            .enumerate()
+            .map(|(w, feed)| {
+                let (priming, prime, serve) = (&priming, &prime, &serve);
+                scope.spawn(move || work(w, feed, priming, prime, serve))
+            })
+            .collect();
+        // Priming is setup, not serving: wait it out, then start the
+        // clock. A few yields, then short sleeps, so workers that
+        // outnumber the cores are not robbed of scheduler quanta.
+        let mut idle = 0u32;
+        while priming.load(Ordering::Acquire) != 0 {
+            idle += 1;
+            if idle <= 3 {
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(Duration::from_micros(50));
             }
         }
-        elapsed_ns = t0.elapsed().as_nanos() as u64;
-    });
+        let t0 = Instant::now();
+        let out = lead();
+        let slots = handles.into_iter().map(|h| h.join().expect("workers catch their panics"));
+        (out, slots.collect(), t0.elapsed().as_nanos() as u64)
+    })
+}
 
-    let shards =
-        shards.into_iter().map(|s| s.expect("every worker reports exactly once")).collect();
-    (shards, elapsed_ns)
+/// One worker: prime, serve its feed until it ends, hand back its
+/// slot. A panic is caught once, outside the serving loop; the dead
+/// worker still counts itself primed and drains its ring, since the
+/// dispatcher cannot see a dead receiver and would spin on it forever.
+fn work<J, W>(
+    w: usize,
+    mut feed: Feed<'_, J>,
+    priming: &AtomicUsize,
+    prime: &impl Fn(usize) -> W,
+    serve: &impl Fn(&mut W, J) -> usize,
+) -> WorkerSlot<W> {
+    let mut stats = CoreStats { worker: w, replica_clones: 1, ..CoreStats::default() };
+    let mut primed = false;
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let t0 = Instant::now();
+        let mut state = prime(w);
+        stats.replica_clone_ns = t0.elapsed().as_nanos() as u64;
+        primed = true;
+        priming.fetch_sub(1, Ordering::Release);
+        loop {
+            let job = match &mut feed {
+                Feed::Ring(rx) => match rx.try_recv() {
+                    Ok(job) => job,
+                    Err(TryRecvError::Empty) => {
+                        stats.backpressure += 1;
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    Err(TryRecvError::Disconnected) => break,
+                },
+                Feed::Until { stop, job } => {
+                    if stats.batches > 0 && stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    job()
+                }
+            };
+            let t = Instant::now();
+            let items = serve(&mut state, job);
+            stats.busy_ns += t.elapsed().as_nanos() as u64;
+            stats.packets += items as u64;
+            stats.batches += 1;
+        }
+        state
+    }));
+    run.map(|state| (state, stats)).map_err(|payload| {
+        if !primed {
+            priming.fetch_sub(1, Ordering::Release);
+        }
+        if let Feed::Ring(rx) = &mut feed {
+            while !matches!(rx.try_recv(), Err(TryRecvError::Disconnected)) {
+                std::thread::yield_now();
+            }
+        }
+        panic_message(payload)
+    })
+}
+
+/// Stringifies a caught panic payload.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p.downcast_ref::<&str>().map_or("non-string panic payload", |s| s).to_string(),
+    }
 }
 
 /// In-flight packet walks interleaved per worker. Each lane's next
@@ -986,7 +1038,7 @@ struct ServeCore<'c, A: Address, E> {
 /// drops in unchanged).
 ///
 /// `out` is cut into jobs of `config.batch` decisions, dealt to the
-/// workers by [`drive_jobs`]. Each worker registers an
+/// workers by the job driver. Each worker registers an
 /// [`EpochReader`], clones a private replica from the pinned snapshot
 /// (priming, outside the timed region), then runs the prefetched batch
 /// lookup of every job it pulls straight into that job's disjoint
@@ -1021,7 +1073,7 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
         jobs,
         config.workers,
         config.depth,
-        || {
+        |_| {
             let mut reader = cell.reader();
             let (replica, epoch) = {
                 let guard = reader.pin();
@@ -1386,6 +1438,74 @@ mod tests {
             check::<StrideEngine<Ip4>>(&net, &StrideConfig::default());
             check::<CompressedEngine<Ip4>>(&net, &CompressedConfig);
             check::<FrozenEngine<Ip4>>(&net, &());
+        }
+    }
+
+    /// Runs `f` on a thread of its own and waits at most a minute for
+    /// it, so a driver that hangs fails the test instead of stalling
+    /// the suite.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(60)).expect("the driver returned within a minute")
+    }
+
+    #[test]
+    fn a_worker_panic_ends_a_job_list_call() {
+        // Job 3 lands on worker 1, whose 4-deep feed would fill with
+        // the thousands of jobs still to come if it stopped draining.
+        let caught = within_a_minute(|| {
+            catch_unwind(|| {
+                drive_jobs(
+                    0..10_000u32,
+                    2,
+                    4,
+                    |_| (),
+                    |(), job| {
+                        assert_ne!(job, 3, "job 3 is poisoned");
+                        1
+                    },
+                )
+            })
+            .map(|_| ())
+            .map_err(panic_message)
+        });
+        let message = caught.expect_err("the worker's panic is re-raised");
+        assert!(message.starts_with("worker 1 panicked:"), "{message}");
+        assert!(message.contains("job 3 is poisoned"), "{message}");
+    }
+
+    #[test]
+    fn a_worker_panic_leaves_the_writer_and_the_other_workers_running() {
+        let (out, slots) = within_a_minute(|| {
+            let gone = AtomicBool::new(false);
+            drive_while(
+                || {
+                    // Keep writing until worker 1 has panicked.
+                    while !gone.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
+                    "written"
+                },
+                3,
+                |w| w,
+                |&mut w| {
+                    if w == 1 {
+                        gone.store(true, Ordering::Relaxed);
+                        panic!("worker one gives up");
+                    }
+                    5
+                },
+            )
+        });
+        assert_eq!(out, "written");
+        assert_eq!(slots.len(), 3);
+        assert!(matches!(&slots[1], Err(m) if m.contains("worker one gives up")), "{:?}", slots[1]);
+        for w in [0, 2] {
+            let (state, core) = slots[w].as_ref().expect("a surviving worker keeps its state");
+            assert_eq!((*state, core.worker), (w, w));
+            assert!(core.batches >= 1, "every worker serves at least once");
+            assert_eq!(core.packets, 5 * core.batches);
         }
     }
 

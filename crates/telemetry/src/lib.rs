@@ -21,7 +21,7 @@
 //! * [`trace`] — structured per-lookup events ([`LookupEvent`]) with a
 //!   pluggable [`Subscriber`]; the default [`RingBufferSubscriber`]
 //!   keeps the last N events in bounded memory.
-//! * [`export`] — renders any registry to Prometheus text-exposition
+//! * `export` — renders any registry to Prometheus text-exposition
 //!   format or to JSON (hand-rolled writer; no serde).
 //! * [`LookupTelemetry`] / [`CacheTelemetry`] and the other bundles —
 //!   pre-named metric bundles for the workspace's hot paths, following

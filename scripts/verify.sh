@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification gate: release build, test suite, lint wall.
+# Full verification gate: release build, test suite, lint wall, doc
+# wall.
 # Run from the repo root. Any failure aborts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -7,6 +8,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# Documentation gate: every intra-doc link resolves, unambiguously, and
+# no public doc links a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Throughput smoke: the batched-frozen, stride-compiled,
 # entropy-compressed and multi-core runtime pipelines must agree exactly
