@@ -644,11 +644,13 @@ impl<A: Address> ClueEngine<A> {
                     );
                     Continuation::PatriciaLoc(loc)
                 }
-                Inner::Ranges { .. } => Continuation::Range(CandidateRange::new(
+                Inner::Ranges { .. } => Continuation::Range(Box::new(CandidateRange::new(
                     candidates,
                     self.config.line_capacity,
-                )),
-                Inner::LogW(_) => Continuation::Lengths(LengthBinarySearch::new(candidates)),
+                ))),
+                Inner::LogW(_) => {
+                    Continuation::Lengths(Box::new(LengthBinarySearch::new(candidates)))
+                }
                 Inner::Stride(s) => match s.node_at_clue(&clue) {
                     // The clue determines at least one full level: resume
                     // below it.

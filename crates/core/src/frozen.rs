@@ -13,7 +13,13 @@
 //!   `u32` indices (`NONE_NODE` for absent), and the Section 4 Claim-1
 //!   Boolean rides in bit 31 of the node's route word, so a continued
 //!   walk reads exactly one word-aligned record per vertex it charges
-//!   to [`Cost`];
+//!   to [`Cost`]. The layout needs no BFS queue: within one depth,
+//!   level order is lexicographic order, which is the order a
+//!   pre-order walk meets the vertices. So the freeze sweeps the live
+//!   trie once in pre-order, counting vertices and routes per depth,
+//!   and places each vertex at its level's next free index on a second
+//!   pass over that record. Every snapshot published under churn is
+//!   such a freeze, so this sweep is most of the write path;
 //! * the clue table becomes a flat entry array behind one
 //!   [`FxHashMap`] probe (the paper's single mandatory access);
 //! * lookups take `&self` — the frozen engine is `Sync` and can be
@@ -180,31 +186,51 @@ impl<A: Address> ClueEngine<A> {
 
         // Breadth-first flattening: parents precede children, siblings
         // are adjacent, so a top-down walk streams forward through the
-        // array. Remember old arena slot → new index (a dense array over
-        // the arena, dead slots left at NONE_NODE) to translate the
-        // table's continuation pointers and project the Claim-1 bits.
-        let mut order = Vec::with_capacity(t2.arena_len());
-        let mut old_to_new = vec![NONE_NODE; t2.arena_len()];
-        order.push(t2.root());
-        old_to_new[t2.root().index()] = 0;
-        let mut head = 0;
-        while head < order.len() {
-            let id = order[head];
-            head += 1;
-            for c in t2.children(id).into_iter().flatten() {
-                old_to_new[c.index()] = order.len() as u32;
-                order.push(c);
-            }
-        }
+        // array. It needs no queue: BFS enqueues children left before
+        // right, so within one depth level order is lexicographic
+        // order — the order a pre-order walk meets them.
+        // One pre-order sweep records each vertex with its depth (its
+        // string's length) and counts vertices and marked vertices per
+        // depth; the prefix sums are each level's first node and route
+        // index.
+        let levels = A::BITS as usize + 1;
+        let mut preorder = Vec::with_capacity(t2.arena_len());
+        // One spare level: the deepest vertices read the next level's
+        // start for their (absent) children.
+        let mut level_nodes = vec![0u32; levels + 1];
+        let mut level_routes = vec![0u32; levels];
+        t2.walk_subtree(t2.root(), |id| {
+            let depth = t2.node_prefix(id).len();
+            preorder.push((id, depth));
+            level_nodes[depth as usize] += 1;
+            level_routes[depth as usize] += u32::from(t2.route_at(id).is_some());
+            true
+        });
+        let mut next_node = level_starts(&level_nodes);
+        let mut next_route = level_starts(&level_routes);
+        let route_count = level_routes.iter().sum::<u32>();
+        assert!(route_count < NO_ROUTE, "route count fits 31 bits");
 
-        let mut nodes = Vec::with_capacity(order.len());
-        let mut routes = Vec::new();
-        for &id in &order {
+        // Second pass, same order: a vertex takes its level's next index,
+        // and its children the next ones of the level below — every
+        // vertex placed there so far sorts before them. Remember old
+        // arena slot → new index (a dense array over the arena, dead
+        // slots left at NONE_NODE) to translate the table's continuation
+        // pointers.
+        let vacant = FrozenNode { children: [NONE_NODE; 2], route_word: NO_ROUTE };
+        let mut nodes = vec![vacant; preorder.len()];
+        let mut routes = vec![Prefix::ROOT; route_count as usize];
+        let mut old_to_new = vec![NONE_NODE; t2.arena_len()];
+        for &(id, depth) in &preorder {
+            let d = depth as usize;
+            let at = next_node[d];
+            next_node[d] += 1;
+            old_to_new[id.index()] = at;
             let route = match t2.route_at(id) {
                 Some(r) => {
-                    let i = u32::try_from(routes.len()).expect("route count fits 31 bits");
-                    assert!(i < NO_ROUTE, "route count fits 31 bits");
-                    routes.push(t2.prefix(r));
+                    let i = next_route[d];
+                    next_route[d] += 1;
+                    routes[i as usize] = t2.prefix(r);
                     i
                 }
                 None => NO_ROUTE,
@@ -216,14 +242,14 @@ impl<A: Address> ClueEngine<A> {
                 Some(b) => b.get(id.index()).copied().unwrap_or(false),
                 None => true,
             };
-            let children = t2.children(id).map(|c| match c {
-                Some(c) => old_to_new[c.index()],
-                None => NONE_NODE,
-            });
-            nodes.push(FrozenNode {
-                children,
-                route_word: route | if cont { CONT_BIT } else { 0 },
-            });
+            let [left, right] = t2.children(id);
+            let first = next_node[d + 1];
+            let children = [
+                if left.is_some() { first } else { NONE_NODE },
+                if right.is_some() { first + u32::from(left.is_some()) } else { NONE_NODE },
+            ];
+            nodes[at as usize] =
+                FrozenNode { children, route_word: route | if cont { CONT_BIT } else { 0 } };
         }
 
         // Canonical entry order: the hashed clue table iterates in hash
@@ -231,9 +257,10 @@ impl<A: Address> ClueEngine<A> {
         // makes freezing a pure function of the engine's *logical*
         // state, so two engines that agree route-for-route freeze into
         // bit-identical snapshots — the contract `bit_identical` (and
-        // `clue churn --check`) is built on.
-        let mut table_entries: Vec<_> = self.table().entries().collect();
-        table_entries.sort_by_key(|e| e.clue);
+        // `clue churn --check`) is built on. Clues are unique keys, so
+        // an unstable sort gives that same order.
+        let mut table_entries: Vec<_> = self.table().entries().map(|e| (e.clue, e)).collect();
+        table_entries.sort_unstable_by_key(|&(clue, _)| clue);
 
         // Dense tag dictionary: a route word's low bits already index
         // `routes`, so those indices double as tags; FD prefixes that
@@ -242,11 +269,12 @@ impl<A: Address> ClueEngine<A> {
         // lookup can resolve to thus has exactly one dense `u32` tag —
         // the basis of `found_tag` on all compiled backends.
         let mut tag_of: FxHashMap<Prefix<A>, u32> =
-            routes.iter().enumerate().map(|(i, p)| (*p, i as u32)).collect();
+            FxHashMap::with_capacity_and_hasher(routes.len(), Default::default());
+        tag_of.extend(routes.iter().enumerate().map(|(i, p)| (*p, i as u32)));
 
-        let mut entries = Vec::with_capacity(self.table().len());
-        let mut map = FxHashMap::default();
-        for e in table_entries {
+        let mut entries = Vec::with_capacity(table_entries.len());
+        let mut map = FxHashMap::with_capacity_and_hasher(table_entries.len(), Default::default());
+        for (clue, e) in table_entries {
             let cont = match &e.cont {
                 None => NONE_NODE,
                 Some(Continuation::TrieNode(n)) => old_to_new[n.index()],
@@ -266,7 +294,7 @@ impl<A: Address> ClueEngine<A> {
             };
             let i = u32::try_from(entries.len()).expect("clue table fits u32");
             entries.push(FrozenEntry { fd: e.fd, cont, fd_tag });
-            map.insert(e.clue, i);
+            map.insert(clue, i);
         }
 
         Ok(FrozenEngine {
@@ -278,6 +306,19 @@ impl<A: Address> ClueEngine<A> {
             telemetry: self.telemetry().cloned(),
         })
     }
+}
+
+/// Exclusive prefix sums of per-level counts: the first index of each
+/// level in a breadth-first array.
+fn level_starts(counts: &[u32]) -> Vec<u32> {
+    counts
+        .iter()
+        .scan(0u32, |next, &n| {
+            let start = *next;
+            *next += n;
+            Some(start)
+        })
+        .collect()
 }
 
 impl<A: Address> FrozenEngine<A> {
@@ -639,7 +680,9 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use clue_lookup::Family;
-    use clue_trie::Ip4;
+    use clue_trie::{Ip4, Ip6};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn p(s: &str) -> Prefix<Ip4> {
         s.parse().unwrap()
@@ -884,6 +927,174 @@ mod tests {
                 0,
                 "frozen engines have no cache"
             );
+        }
+    }
+
+    /// The breadth-first layout as a queue-driven walk computes it —
+    /// an oracle independent of the pre-order sweep in
+    /// [`ClueEngine::freeze`]: BFS node order, route indices in node
+    /// order, entries stably sorted by clue, un-reserved maps.
+    fn reference_freeze<A: Address>(engine: &ClueEngine<A>) -> FrozenEngine<A> {
+        let t2 = engine.t2_ref();
+        let bits = engine.bits_bin_ref();
+        let mut order = vec![t2.root()];
+        let mut old_to_new = vec![NONE_NODE; t2.arena_len()];
+        old_to_new[t2.root().index()] = 0;
+        let mut head = 0;
+        while head < order.len() {
+            let id = order[head];
+            head += 1;
+            for c in t2.children(id).into_iter().flatten() {
+                old_to_new[c.index()] = order.len() as u32;
+                order.push(c);
+            }
+        }
+        let mut nodes = Vec::new();
+        let mut routes = Vec::new();
+        for &id in &order {
+            let route = match t2.route_at(id) {
+                Some(r) => {
+                    routes.push(t2.prefix(r));
+                    routes.len() as u32 - 1
+                }
+                None => NO_ROUTE,
+            };
+            let cont = bits.is_none_or(|b| b.get(id.index()).copied().unwrap_or(false));
+            let children = t2.children(id).map(|c| c.map_or(NONE_NODE, |c| old_to_new[c.index()]));
+            nodes.push(FrozenNode {
+                children,
+                route_word: route | if cont { CONT_BIT } else { 0 },
+            });
+        }
+        let mut table_entries: Vec<_> = engine.table().entries().collect();
+        table_entries.sort_by_key(|e| e.clue);
+        let mut tag_of: FxHashMap<Prefix<A>, u32> =
+            routes.iter().enumerate().map(|(i, p)| (*p, i as u32)).collect();
+        let mut entries = Vec::new();
+        let mut map = FxHashMap::default();
+        for e in table_entries {
+            let cont = match &e.cont {
+                None => NONE_NODE,
+                Some(Continuation::TrieNode(n)) => old_to_new[n.index()],
+                Some(_) => unreachable!("Regular entries continue at trie nodes"),
+            };
+            let fd_tag = e.fd.map_or(NO_ROUTE, |p| {
+                *tag_of.entry(p).or_insert_with(|| {
+                    routes.push(p);
+                    routes.len() as u32 - 1
+                })
+            });
+            map.insert(e.clue, entries.len() as u32);
+            entries.push(FrozenEntry { fd: e.fd, cont, fd_tag });
+        }
+        FrozenEngine {
+            method: engine.config().method,
+            nodes,
+            routes: Arc::new(routes),
+            entries,
+            map,
+            telemetry: None,
+        }
+    }
+
+    /// The sweep's layout equals the oracle's node for node, route for
+    /// route and entry for entry, and is a level order: children after
+    /// their parent, siblings adjacent, depth never decreasing.
+    fn check_layout<A: Address>(engine: &ClueEngine<A>) -> Result<(), TestCaseError> {
+        let got = engine.freeze().unwrap();
+        let want = reference_freeze(engine);
+        prop_assert_eq!(&got.nodes, &want.nodes);
+        prop_assert_eq!(&got.routes, &want.routes);
+        prop_assert_eq!(&got.entries, &want.entries);
+        prop_assert!(got.bit_identical(&want));
+        let mut depth = vec![0u32; got.nodes.len()];
+        for (i, n) in got.nodes.iter().enumerate() {
+            for &c in n.children.iter().filter(|&&c| c != NONE_NODE) {
+                prop_assert!(c as usize > i, "child {} not after parent {}", c, i);
+                depth[c as usize] = depth[i] + 1;
+            }
+            if n.children.iter().all(|&c| c != NONE_NODE) {
+                prop_assert_eq!(n.children[1], n.children[0] + 1, "siblings of {}", i);
+            }
+        }
+        prop_assert!(depth.windows(2).all(|w| w[0] <= w[1]), "depth decreases");
+        Ok(())
+    }
+
+    /// Nested prefix shapes: bits repeated at three offsets so short and
+    /// long prefixes share ancestors. At IPv6 they sit in the top 32
+    /// bits, with the shape again at bit 40 for lengths beyond 87;
+    /// `Ip4::from_u128` truncates that copy away.
+    fn shaped<A: Address>(shape: u32, len: u8) -> Prefix<A> {
+        let bits = u128::from(shape << 27 | shape << 16 | shape << 4) << (A::BITS - 32);
+        Prefix::new(A::from_u128(bits | u128::from(shape) << 40), len.min(A::BITS))
+    }
+
+    fn arb_shapes() -> impl Strategy<Value = Vec<(u32, u8)>> {
+        let lens = prop_oneof![Just(6u8), Just(8), Just(12), Just(16), Just(24), Just(32), Just(64)];
+        proptest::collection::vec((0u32..32, lens), 1..40)
+    }
+
+    /// Freeze-vs-oracle before and after an update stream of announces,
+    /// withdraws (pruning frees arena slots) and modifies — later
+    /// announces recycle those slots, so arena order stops being
+    /// pre-order.
+    fn check_sweep<A: Address>(
+        sender: &[(u32, u8)],
+        receiver: &[(u32, u8)],
+        ops: &[(u8, u32, u8)],
+    ) -> Result<(), TestCaseError> {
+        let sender: Vec<Prefix<A>> = sender.iter().map(|&(s, l)| shaped(s, l)).collect();
+        let receiver: BTreeSet<Prefix<A>> = receiver.iter().map(|&(s, l)| shaped(s, l)).collect();
+        let receiver: Vec<_> = receiver.into_iter().collect();
+        for method in [Method::Common, Method::Simple, Method::Advance] {
+            let config = EngineConfig::new(Family::Regular, method);
+            let mut engine = ClueEngine::precomputed(&sender, &receiver, config);
+            check_layout(&engine)?;
+            let mut live: BTreeSet<Prefix<A>> = receiver.iter().copied().collect();
+            for &(kind, k, len) in ops {
+                let pick = (!live.is_empty()).then(|| live.iter().nth(k as usize % live.len()));
+                match (kind % 4, pick.flatten().copied()) {
+                    (1, Some(victim)) => {
+                        prop_assert!(engine.remove_receiver_route(&victim));
+                        live.remove(&victim);
+                    }
+                    (2, Some(victim)) => {
+                        prop_assert!(engine.remove_receiver_route(&victim));
+                        engine.add_receiver_route(victim);
+                    }
+                    (3, _) => engine.add_sender_prefix(shaped(k % 32, len)),
+                    _ => {
+                        let p = shaped(k % 32, len);
+                        engine.add_receiver_route(p);
+                        live.insert(p);
+                    }
+                }
+            }
+            check_layout(&engine)?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn sweep_layout_matches_bfs_oracle_ip4(
+            sender in arb_shapes(),
+            receiver in arb_shapes(),
+            ops in proptest::collection::vec((any::<u8>(), any::<u32>(), 6u8..40), 0..40),
+        ) {
+            check_sweep::<Ip4>(&sender, &receiver, &ops)?;
+        }
+
+        #[test]
+        fn sweep_layout_matches_bfs_oracle_ip6(
+            sender in arb_shapes(),
+            receiver in arb_shapes(),
+            ops in proptest::collection::vec((any::<u8>(), any::<u32>(), 6u8..129), 0..40),
+        ) {
+            check_sweep::<Ip6>(&sender, &receiver, &ops)?;
         }
     }
 

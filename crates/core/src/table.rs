@@ -108,10 +108,11 @@ pub enum Continuation<A: Address> {
     /// Resume the Patricia walk at this location (Patricia family).
     PatriciaLoc(Location),
     /// Search the candidate range set (Binary and B-way families).
-    Range(CandidateRange<A>),
+    /// Boxed, like `Lengths`, so the Regular family's entries stay small.
+    Range(Box<CandidateRange<A>>),
     /// Binary-search the candidate lengths (Log W family, Section 4's
     /// “adapting the log W method”).
-    Lengths(LengthBinarySearch<A>),
+    Lengths(Box<LengthBinarySearch<A>>),
     /// Resume the multibit walk at this stride node (Stride family,
     /// extension): the clue's bits already determined the earlier
     /// levels.
@@ -310,15 +311,20 @@ impl<A: Address> ClueTable<A> {
     }
 
     /// Actual resident bytes of this implementation, including candidate
-    /// sets (which the paper keeps in the same cache lines). The ordered
-    /// key index serves route updates, not lookups, and is not counted.
+    /// sets (which the paper keeps in the same cache lines) and the boxed
+    /// continuation records that hold them. The ordered key index serves
+    /// route updates, not lookups, and is not counted.
     pub fn memory_bytes_actual(&self) -> usize {
         let base = core::mem::size_of::<ClueEntry<A>>();
         self.entries()
             .map(|e| {
                 base + match &e.cont {
-                    Some(Continuation::Range(r)) => r.memory_bytes(),
-                    Some(Continuation::Lengths(l)) => l.memory_bytes(),
+                    Some(Continuation::Range(r)) => {
+                        core::mem::size_of::<CandidateRange<A>>() + r.memory_bytes()
+                    }
+                    Some(Continuation::Lengths(l)) => {
+                        core::mem::size_of::<LengthBinarySearch<A>>() + l.memory_bytes()
+                    }
                     _ => 0,
                 }
             })
@@ -433,13 +439,47 @@ mod tests {
         for i in 0..100u32 {
             let mut e = entry(&format!("{}.0.0.0/8", i + 1), None);
             if i < 10 {
-                e.cont = Some(Continuation::Range(CandidateRange::new(vec![], 3)));
+                e.cont = Some(Continuation::Range(Box::new(CandidateRange::new(vec![], 3))));
             }
             t.insert(e, None);
         }
         // 90 final entries at 8 B + 10 problematic at 12 B = 840 B.
         assert_eq!(t.memory_bytes_model(), 90 * 8 + 10 * 12);
         assert!((t.problematic_fraction() - 0.10).abs() < 1e-9);
+    }
+
+    #[test]
+    fn entry_record_is_compact() {
+        // The Regular family's entries never hold a candidate set: the
+        // boxed Range/Lengths continuations keep the record at 40 B.
+        assert_eq!(core::mem::size_of::<ClueEntry<Ip4>>(), 40);
+    }
+
+    #[test]
+    fn actual_size_counts_boxed_continuations() {
+        let mut t = ClueTable::new(TableKind::Hashed);
+        t.insert(entry("10.0.0.0/8", None), None);
+        let base = core::mem::size_of::<ClueEntry<Ip4>>();
+        assert_eq!(t.memory_bytes_actual(), base);
+        let cands = vec![p("20.1.0.0/16"), p("20.2.0.0/16")];
+        let range = CandidateRange::new(cands.clone(), 3);
+        let range_heap = range.memory_bytes();
+        let mut e = entry("20.0.0.0/8", None);
+        e.cont = Some(Continuation::Range(Box::new(range)));
+        t.insert(e, None);
+        let lengths = LengthBinarySearch::new(cands);
+        let lengths_heap = lengths.memory_bytes();
+        let mut e = entry("30.0.0.0/8", None);
+        e.cont = Some(Continuation::Lengths(Box::new(lengths)));
+        t.insert(e, None);
+        assert_eq!(
+            t.memory_bytes_actual(),
+            3 * base
+                + core::mem::size_of::<CandidateRange<Ip4>>()
+                + range_heap
+                + core::mem::size_of::<LengthBinarySearch<Ip4>>()
+                + lengths_heap
+        );
     }
 
     #[test]

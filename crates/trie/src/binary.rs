@@ -13,6 +13,7 @@
 //! baseline; each vertex visited costs one memory access.
 
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 
 use crate::addr::Address;
 use crate::cost::Cost;
@@ -20,26 +21,43 @@ use crate::prefix::Prefix;
 
 /// Identifier of a trie vertex. Stable for the lifetime of the vertex
 /// (slots are recycled through a free list only after removal).
+///
+/// Stored as arena index + 1 in a [`NonZeroU32`], so `Option<NodeId>`
+/// is 4 bytes: the arena node's four vertex links stay one word each.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct NodeId(pub(crate) u32);
+pub struct NodeId(NonZeroU32);
 
 /// Identifier of a route (a marked prefix and its payload). Stable across
 /// unrelated insertions and removals; reused only if the same prefix is
-/// re-inserted after removal freed its slot.
+/// re-inserted after removal freed its slot. Stored as index + 1, like
+/// [`NodeId`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct RouteId(pub(crate) u32);
+pub struct RouteId(NonZeroU32);
+
+/// Index + 1 as a non-zero word; `what` names the arena that overflowed.
+fn one_based(index: usize, what: &str) -> NonZeroU32 {
+    u32::try_from(index + 1).ok().and_then(NonZeroU32::new).expect(what)
+}
 
 impl NodeId {
+    fn from_index(index: usize) -> Self {
+        NodeId(one_based(index, "trie too large"))
+    }
+
     /// The arena index (useful for building per-node side tables).
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.0.get() as usize - 1
     }
 }
 
 impl RouteId {
+    fn from_index(index: usize) -> Self {
+        RouteId(one_based(index, "too many routes"))
+    }
+
     /// The arena index (useful for building per-route side tables).
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.0.get() as usize - 1
     }
 }
 
@@ -114,7 +132,7 @@ impl<A: Address, T> BinaryTrie<A, T> {
 
     /// The root vertex (the empty prefix).
     pub fn root(&self) -> NodeId {
-        NodeId(0)
+        NodeId::from_index(0)
     }
 
     /// Number of routes (marked prefixes) stored.
@@ -141,13 +159,13 @@ impl<A: Address, T> BinaryTrie<A, T> {
     }
 
     fn node(&self, id: NodeId) -> &Node<A> {
-        let n = &self.nodes[id.0 as usize];
+        let n = &self.nodes[id.index()];
         debug_assert!(n.alive, "dangling NodeId {id:?}");
         n
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut Node<A> {
-        let n = &mut self.nodes[id.0 as usize];
+        let n = &mut self.nodes[id.index()];
         debug_assert!(n.alive, "dangling NodeId {id:?}");
         n
     }
@@ -163,12 +181,12 @@ impl<A: Address, T> BinaryTrie<A, T> {
         };
         match self.free_nodes {
             Some(id) => {
-                self.free_nodes = self.nodes[id.0 as usize].next_free;
-                self.nodes[id.0 as usize] = fresh;
+                self.free_nodes = self.nodes[id.index()].next_free;
+                self.nodes[id.index()] = fresh;
                 id
             }
             None => {
-                let id = NodeId(u32::try_from(self.nodes.len()).expect("trie too large"));
+                let id = NodeId::from_index(self.nodes.len());
                 self.nodes.push(fresh);
                 id
             }
@@ -176,7 +194,7 @@ impl<A: Address, T> BinaryTrie<A, T> {
     }
 
     fn free_node(&mut self, id: NodeId) {
-        let n = &mut self.nodes[id.0 as usize];
+        let n = &mut self.nodes[id.index()];
         n.alive = false;
         n.children = [None, None];
         n.route = None;
@@ -202,17 +220,17 @@ impl<A: Address, T> BinaryTrie<A, T> {
             };
         }
         if let Some(rid) = self.node(cur).route {
-            let old = self.routes[rid.0 as usize].value.replace(value);
+            let old = self.routes[rid.index()].value.replace(value);
             return (rid, old);
         }
         let rid = match self.free_routes.pop() {
             Some(rid) => {
-                self.routes[rid.0 as usize] =
+                self.routes[rid.index()] =
                     RouteSlot { prefix, value: Some(value), node: cur };
                 rid
             }
             None => {
-                let rid = RouteId(u32::try_from(self.routes.len()).expect("too many routes"));
+                let rid = RouteId::from_index(self.routes.len());
                 self.routes.push(RouteSlot { prefix, value: Some(value), node: cur });
                 rid
             }
@@ -227,8 +245,8 @@ impl<A: Address, T> BinaryTrie<A, T> {
     /// descendants. Returns the payload if the prefix was present.
     pub fn remove(&mut self, prefix: &Prefix<A>) -> Option<T> {
         let rid = self.by_prefix.remove(prefix)?;
-        let node = self.routes[rid.0 as usize].node;
-        let value = self.routes[rid.0 as usize].value.take();
+        let node = self.routes[rid.index()].node;
+        let value = self.routes[rid.index()].value.take();
         self.free_routes.push(rid);
         self.node_mut(node).route = None;
         self.route_count -= 1;
@@ -259,7 +277,7 @@ impl<A: Address, T> BinaryTrie<A, T> {
     /// # Panics
     /// Panics if `rid` does not refer to a live route.
     pub fn prefix(&self, rid: RouteId) -> Prefix<A> {
-        let slot = &self.routes[rid.0 as usize];
+        let slot = &self.routes[rid.index()];
         assert!(slot.value.is_some(), "dangling RouteId {rid:?}");
         slot.prefix
     }
@@ -269,7 +287,7 @@ impl<A: Address, T> BinaryTrie<A, T> {
     /// # Panics
     /// Panics if `rid` does not refer to a live route.
     pub fn value(&self, rid: RouteId) -> &T {
-        self.routes[rid.0 as usize]
+        self.routes[rid.index()]
             .value
             .as_ref()
             .expect("dangling RouteId")
@@ -277,7 +295,7 @@ impl<A: Address, T> BinaryTrie<A, T> {
 
     /// Mutable payload access.
     pub fn value_mut(&mut self, rid: RouteId) -> &mut T {
-        self.routes[rid.0 as usize]
+        self.routes[rid.index()]
             .value
             .as_mut()
             .expect("dangling RouteId")
@@ -285,7 +303,7 @@ impl<A: Address, T> BinaryTrie<A, T> {
 
     /// The vertex at which a route is marked.
     pub fn node_of_route(&self, rid: RouteId) -> NodeId {
-        let slot = &self.routes[rid.0 as usize];
+        let slot = &self.routes[rid.index()];
         assert!(slot.value.is_some(), "dangling RouteId {rid:?}");
         slot.node
     }
@@ -487,7 +505,7 @@ impl<A: Address, T> BinaryTrie<A, T> {
         self.routes.iter().enumerate().filter_map(|(i, slot)| {
             slot.value
                 .as_ref()
-                .map(|v| (RouteId(i as u32), slot.prefix, v))
+                .map(|v| (RouteId::from_index(i), slot.prefix, v))
         })
     }
 
@@ -711,6 +729,27 @@ mod tests {
         let t: BinaryTrie<Ip4, ()> =
             [(p("1.0.0.0/8"), ()), (p("2.0.0.0/8"), ())].into_iter().collect();
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn vertex_records_are_compact() {
+        // Index + 1 ids give `Option` a niche: four links, four words.
+        assert_eq!(core::mem::size_of::<Option<NodeId>>(), 4);
+        assert_eq!(core::mem::size_of::<Option<RouteId>>(), 4);
+        assert_eq!(core::mem::size_of::<Node<Ip4>>(), 32);
+    }
+
+    #[test]
+    fn ids_round_trip_their_arena_index() {
+        let t = sample();
+        assert_eq!(t.root().index(), 0);
+        for (rid, p, _) in t.iter() {
+            assert_eq!(t.prefix(rid), p);
+            assert_eq!(t.node_prefix(t.node_of_route(rid)), p);
+        }
+        let mut ids: Vec<usize> = t.iter().map(|(rid, _, _)| rid.index()).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]

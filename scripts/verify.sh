@@ -5,6 +5,30 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Polls a live scrape endpoint until its body matches PATTERN, for at
+# most 30 s. Fails if the serving process exits before the match, and
+# checks it is still alive once the match lands, so the scrape really
+# happened mid-run. Usage: scrape_until PID URL PATTERN
+scrape_until() {
+  local pid=$1 url=$2 pattern=$3 body
+  for _ in $(seq 300); do
+    if ! kill -0 "$pid" 2>/dev/null; then
+      echo "verify: process $pid exited before $url showed $pattern" >&2
+      return 1
+    fi
+    if body=$(curl -sf "$url") && grep -q "$pattern" <<<"$body"; then
+      if kill -0 "$pid" 2>/dev/null; then
+        return 0
+      fi
+      echo "verify: process $pid exited while $url was scraped" >&2
+      return 1
+    fi
+    sleep 0.1
+  done
+  echo "verify: $url did not show $pattern within 30 s" >&2
+  return 1
+}
+
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
@@ -98,9 +122,8 @@ grep -q '"identical": true' BENCH_churn.json
 # contract, end to end over real HTTP.
 target/release/clue churn 20000 1 --readers 4 --check --serve 127.0.0.1:9184 &
 CHURN_PID=$!
-sleep 2
-curl -sf http://127.0.0.1:9184/metrics | grep -q '^clue_churn_swaps_total'
-curl -sf http://127.0.0.1:9184/metrics.json | grep -q '"clue_churn_rebuild_latency_us"'
+scrape_until "$CHURN_PID" http://127.0.0.1:9184/metrics '^clue_churn_swaps_total'
+scrape_until "$CHURN_PID" http://127.0.0.1:9184/metrics.json '"clue_churn_rebuild_latency_us"'
 wait "$CHURN_PID"
 
 # Profile smoke: the per-stage profiler must be semantically inert
@@ -140,9 +163,8 @@ mv BENCH_chaos.json.new BENCH_chaos.json
 target/release/clue chaos 2000000 1 --faults lying_neighbor --check \
   --serve 127.0.0.1:9186 &
 CHAOS_PID=$!
-sleep 1
-curl -sf http://127.0.0.1:9186/metrics \
-  | grep -q '^clue_fault_lying_neighbor_injected_total'
+scrape_until "$CHAOS_PID" http://127.0.0.1:9186/metrics \
+  '^clue_fault_lying_neighbor_injected_total'
 wait "$CHAOS_PID"
 
 # Fleet smoke: a 1000+-router transit-stub fleet of stride-compiled
@@ -156,9 +178,8 @@ wait "$CHAOS_PID"
 target/release/clue fleet 50000 1 --routers 1024 --threads 4 --check \
   --churn 4 --json BENCH_fleet.json.new --serve 127.0.0.1:9185 &
 FLEET_PID=$!
-sleep 1
-curl -sf http://127.0.0.1:9185/metrics | grep -q '^clue_fleet_routers'
-curl -sf http://127.0.0.1:9185/metrics.json | grep -q '"clue_fleet_link_hit_rate_pct"'
+scrape_until "$FLEET_PID" http://127.0.0.1:9185/metrics '^clue_fleet_routers'
+scrape_until "$FLEET_PID" http://127.0.0.1:9185/metrics.json '"clue_fleet_link_hit_rate_pct"'
 wait "$FLEET_PID"
 test -s BENCH_fleet.json.new
 grep -q '"checked": true' BENCH_fleet.json.new
