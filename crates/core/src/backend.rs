@@ -57,8 +57,8 @@ pub const NO_TAG: u32 = NO_ROUTE;
 
 /// Default interleave group for the prefetched batch loop: 8 packets
 /// in flight cover an L2 miss on the machines we target without
-/// spilling the per-group state out of registers. Benchmarked against
-/// 1/4/16 in `clue-bench/benches/stride.rs`.
+/// spilling the per-group state out of registers. Chosen over 1/4/16;
+/// re-run the sweep with `clue throughput --prefetch N`.
 pub const DEFAULT_INTERLEAVE: usize = 8;
 
 /// Hard cap on the interleave group: the decoded ops live in a fixed
@@ -396,31 +396,6 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
     ) -> EngineStats {
         self.lookup_batch_interleaved(dests, clues, out, DEFAULT_INTERLEAVE)
     }
-
-    /// As [`Self::lookup_batch`], resizing and reusing a
-    /// caller-supplied buffer — the steady-state form for drivers that
-    /// loop over windows.
-    fn lookup_batch_into(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut Vec<Decision<A>>,
-    ) -> EngineStats {
-        out.clear();
-        out.resize(dests.len(), Decision::default());
-        self.lookup_batch(dests, clues, out)
-    }
-
-    /// Allocating convenience over [`Self::lookup_batch`].
-    fn lookup_batch_vec(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-    ) -> (Vec<Decision<A>>, EngineStats) {
-        let mut out = Vec::new();
-        let stats = self.lookup_batch_into(dests, clues, &mut out);
-        (out, stats)
-    }
 }
 
 /// The batch loop body: each group is prepared in one pass and
@@ -498,6 +473,10 @@ mod tests {
     }
 
     fn engine(method: Method) -> ClueEngine<Ip4> {
+        engine_in(Family::Regular, method)
+    }
+
+    fn engine_in(family: Family, method: Method) -> ClueEngine<Ip4> {
         let sender = vec![p("10.0.0.0/8"), p("10.1.0.0/16"), p("192.168.0.0/16")];
         let receiver = vec![
             p("10.0.0.0/8"),
@@ -506,7 +485,7 @@ mod tests {
             p("10.2.0.0/16"),
             p("192.168.0.0/16"),
         ];
-        ClueEngine::precomputed(&sender, &receiver, EngineConfig::new(Family::Regular, method))
+        ClueEngine::precomputed(&sender, &receiver, EngineConfig::new(family, method))
     }
 
     /// Runs every lookup entry point of backend `E` over one packet of
@@ -601,6 +580,26 @@ mod tests {
             assert_eq!(exercise::<StrideEngine<Ip4>>(&config), frozen, "{config:?}");
         }
         assert_eq!(exercise::<CompressedEngine<Ip4>>(&CompressedConfig), frozen);
+    }
+
+    /// Every backend's `compile` refuses what `freeze` refuses and
+    /// passes the freeze error through unchanged.
+    #[test]
+    fn compile_surfaces_freeze_errors() {
+        let mut cached = engine(Method::Advance);
+        cached.enable_cache(8);
+        let cases = [
+            (engine_in(Family::Patricia, Method::Advance), FreezeError::UnsupportedFamily),
+            (cached, FreezeError::CacheEnabled),
+        ];
+        for (scalar, cause) in &cases {
+            let want = Some(BackendError::Freeze(*cause));
+            assert_eq!(FrozenEngine::compile(scalar, &()).err(), want, "frozen");
+            let stride = StrideEngine::compile(scalar, &StrideConfig::default());
+            assert_eq!(stride.err(), want, "stride");
+            let compressed = CompressedEngine::compile(scalar, &CompressedConfig);
+            assert_eq!(compressed.err(), want, "compressed");
+        }
     }
 
     #[test]

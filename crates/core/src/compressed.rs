@@ -48,7 +48,7 @@ use crate::backend::{
 use crate::buckets::{ClueBuckets, FINAL_SLOT};
 use crate::cram::CramLevel;
 use crate::engine::{ClueEngine, Method};
-use crate::frozen::{FreezeError, FrozenEngine, NONE_NODE, NO_ROUTE};
+use crate::frozen::{FrozenEngine, NONE_NODE, NO_ROUTE};
 use crate::prefetch::prefetch_read;
 use crate::profile::{Meter, Stage};
 
@@ -109,17 +109,6 @@ pub struct CompressedEngine<A: Address> {
     level_nodes: Arc<Vec<u64>>,
     telemetry: Option<LookupTelemetry>,
     compressed_telemetry: Option<CompressedTelemetry>,
-}
-
-impl<A: Address> ClueEngine<A> {
-    /// [`ClueEngine::freeze`] followed by
-    /// [`FrozenEngine::compile_compressed`], as one call.
-    pub fn freeze_compressed(
-        &self,
-        config: CompressedConfig,
-    ) -> Result<CompressedEngine<A>, FreezeError> {
-        Ok(self.freeze()?.compile_compressed(config))
-    }
 }
 
 impl<A: Address> FrozenEngine<A> {
@@ -636,7 +625,7 @@ mod tests {
             &receiver,
             EngineConfig::new(Family::Regular, Method::Advance),
         );
-        let compressed = scalar.freeze_compressed(CompressedConfig).unwrap();
+        let compressed = CompressedEngine::compile(&scalar, &CompressedConfig).unwrap();
         let cases: Vec<(Ip4, Option<Prefix<Ip4>>)> = vec![
             (a("10.1.2.3"), None),
             (a("10.1.2.3"), Some(p("10.1.0.0/16"))),
@@ -666,7 +655,7 @@ mod tests {
             &receiver,
             EngineConfig::new(Family::Regular, Method::Advance),
         );
-        let compressed = scalar.freeze_compressed(CompressedConfig).unwrap();
+        let compressed = CompressedEngine::compile(&scalar, &CompressedConfig).unwrap();
         let dests = vec![a("10.1.2.3"), a("192.168.3.4"), a("10.1.2.3"), a("7.7.7.7")];
         let clues = vec![
             Some(p("10.1.0.0/16")),
@@ -674,7 +663,8 @@ mod tests {
             Some(p("192.168.0.0/16")), // malformed
             None,
         ];
-        let (want, want_stats) = compressed.lookup_batch_vec(&dests, &clues);
+        let mut want = vec![Decision::default(); dests.len()];
+        let want_stats = compressed.lookup_batch(&dests, &clues, &mut want);
         for group in [0, 1, 2, 3, 8, 64] {
             let mut out = vec![Decision::default(); dests.len()];
             let stats = compressed.lookup_batch_interleaved(&dests, &clues, &mut out, group);
@@ -725,7 +715,7 @@ mod tests {
         );
         let registry = Registry::new();
         scalar.instrument(&registry);
-        let mut compressed = scalar.freeze_compressed(CompressedConfig).unwrap();
+        let mut compressed = CompressedEngine::compile(&scalar, &CompressedConfig).unwrap();
         assert!(compressed.telemetry().is_some(), "lookup telemetry inherited");
         compressed.attach_compressed_telemetry(CompressedTelemetry::registered(
             &registry,
@@ -753,7 +743,7 @@ mod tests {
             &receiver,
             EngineConfig::new(Family::Regular, Method::Advance),
         );
-        let compressed = scalar.freeze_compressed(CompressedConfig).unwrap();
+        let compressed = CompressedEngine::compile(&scalar, &CompressedConfig).unwrap();
         let replica = compressed.replicate();
         assert!(Arc::ptr_eq(&compressed.quads, &replica.quads), "arena is shared, not copied");
         assert!(replica.telemetry().is_none());

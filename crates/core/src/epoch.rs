@@ -60,7 +60,6 @@ use std::ops::Deref;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use clue_telemetry::ChurnTelemetry;
 use clue_trie::Address;
@@ -322,8 +321,9 @@ impl<T> Drop for EpochGuard<'_, T> {
 
 /// An [`EpochCell`] over [`FrozenEngine`] snapshots with the
 /// freeze-and-publish plumbing a churn driver needs: the builder
-/// thread calls [`publish_from`](Self::publish_from) after each
-/// update batch, reader threads run `lookup_batch` on pinned guards.
+/// thread freezes after each update batch and calls
+/// [`publish`](Self::publish), reader threads run `lookup_batch` on
+/// pinned guards.
 pub struct EpochEngine<A: Address> {
     cell: EpochCell<FrozenEngine<A>>,
     telemetry: Option<ChurnTelemetry>,
@@ -341,7 +341,7 @@ impl<A: Address> EpochEngine<A> {
     }
 
     /// Attaches a churn telemetry bundle; every later publish records
-    /// the swap, its rebuild latency and any reclamation into it.
+    /// the swap and any reclamation into it.
     pub fn attach_telemetry(&mut self, telemetry: ChurnTelemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -351,22 +351,8 @@ impl<A: Address> EpochEngine<A> {
         self.telemetry.as_ref()
     }
 
-    /// Re-freezes `engine` and publishes the snapshot, timing the
-    /// whole rebuild (freeze + swap) as the published epoch's rebuild
-    /// latency. Returns the new epoch.
-    pub fn publish_from(&self, engine: &ClueEngine<A>) -> Result<u64, FreezeError> {
-        let started = Instant::now();
-        let frozen = engine.freeze()?;
-        let publication = self.cell.publish(frozen);
-        if let Some(t) = &self.telemetry {
-            t.swaps_total.inc();
-            t.rebuild_latency_us.observe(started.elapsed().as_micros() as u64);
-            t.reclaimed_total.add(publication.reclaimed as u64);
-        }
-        Ok(publication.epoch)
-    }
-
-    /// Publishes an externally-built snapshot (no freeze timing).
+    /// Publishes a freshly frozen snapshot. The caller times its own
+    /// rebuild and records it in the telemetry's `rebuild_latency_us`.
     pub fn publish(&self, frozen: FrozenEngine<A>) -> Publication {
         let publication = self.cell.publish(frozen);
         if let Some(t) = &self.telemetry {
@@ -542,14 +528,13 @@ mod tests {
         assert_eq!(bmp, Some(p("10.1.0.0/16")));
 
         live.add_receiver_route(p("10.1.2.0/24"));
-        let epoch = epochs.publish_from(&live).unwrap();
-        assert_eq!(epoch, 1);
+        let publication = epochs.publish(live.freeze().unwrap());
+        assert_eq!(publication.epoch, 1);
         let mut cost = Cost::new();
         let (bmp, _) = reader.pin().lookup(dest, clue, &mut cost);
         assert_eq!(bmp, Some(p("10.1.2.0/24")), "re-pin sees the new route");
 
         let t = epochs.telemetry().unwrap();
         assert_eq!(t.swaps_total.get(), 1);
-        assert_eq!(t.rebuild_latency_us.count(), 1);
     }
 }

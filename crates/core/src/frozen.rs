@@ -764,7 +764,8 @@ mod tests {
             Some(p("192.168.0.0/16")), // malformed
             None,
         ];
-        let (batch, stats) = frozen.lookup_batch_vec(&dests, &clues);
+        let mut batch = vec![Decision::default(); dests.len()];
+        let stats = frozen.lookup_batch(&dests, &clues, &mut batch);
         for (i, (&dest, &clue)) in dests.iter().zip(&clues).enumerate() {
             assert_eq!(batch[i], frozen.lookup_decision(dest, clue), "packet {i}");
         }
@@ -790,7 +791,7 @@ mod tests {
         assert!(frozen.telemetry().is_some(), "telemetry inherited at freeze");
         let dests = vec![a("10.1.2.3"), a("192.168.3.4")];
         let clues = vec![Some(p("10.1.0.0/16")), Some(p("192.168.0.0/16"))];
-        let (_, stats) = frozen.lookup_batch_vec(&dests, &clues);
+        let stats = frozen.lookup_batch(&dests, &clues, &mut [Decision::default(); 2]);
         let t = frozen.telemetry().unwrap();
         assert_eq!(t.lookups_total.get(), 2);
         assert_eq!(t.class_count(LookupClass::Final), stats.finals);

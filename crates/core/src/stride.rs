@@ -48,7 +48,7 @@ use crate::buckets::{ClueBuckets, FINAL_SLOT};
 use crate::cram::CramLevel;
 use crate::engine::{ClueEngine, Method};
 use crate::frozen::{
-    walk_from, FreezeError, FrozenEngine, FrozenNode, RouteFd, CONT_BIT, NONE_NODE, NO_ROUTE,
+    walk_from, FrozenEngine, FrozenNode, RouteFd, CONT_BIT, NONE_NODE, NO_ROUTE,
 };
 use crate::prefetch::prefetch_read;
 use crate::profile::{Meter, Stage};
@@ -56,8 +56,8 @@ use crate::profile::{Meter, Stage};
 /// Default initial stride: 13 bits — 8192 root slots (96 KiB) cover
 /// every real-table prefix shorter than a /14 in a single indexed
 /// read, while staying small enough to be cache-resident next to the
-/// inner nodes. Benchmarked against 8 and 16 in
-/// `clue-bench/benches/stride.rs`.
+/// inner nodes. Chosen over 8 and 16 on a ~40k-prefix table; re-run
+/// the sweep with `clue throughput --stride N`.
 pub const DEFAULT_INITIAL_BITS: u8 = 13;
 
 /// Default inner stride width (bits consumed per multibit step).
@@ -113,8 +113,6 @@ pub enum StrideError {
     InitialBits(u8),
     /// The inner stride is 0 or over 16.
     InnerBits(u8),
-    /// The engine could not even be frozen (see [`FreezeError`]).
-    Freeze(FreezeError),
 }
 
 impl core::fmt::Display for StrideError {
@@ -127,18 +125,11 @@ impl core::fmt::Display for StrideError {
             StrideError::InnerBits(b) => {
                 write!(f, "inner stride {b} out of range (1..={MAX_INNER_BITS})")
             }
-            StrideError::Freeze(e) => write!(f, "cannot freeze: {e}"),
         }
     }
 }
 
 impl std::error::Error for StrideError {}
-
-impl From<FreezeError> for StrideError {
-    fn from(e: FreezeError) -> Self {
-        StrideError::Freeze(e)
-    }
-}
 
 /// One root-array slot: the compiled outcome of walking the top
 /// `initial_bits` of an address through the binary trie.
@@ -248,14 +239,6 @@ fn descend(
 #[inline]
 fn has_children(node: &FrozenNode) -> bool {
     node.children[0] != NONE_NODE || node.children[1] != NONE_NODE
-}
-
-impl<A: Address> ClueEngine<A> {
-    /// [`ClueEngine::freeze`] followed by
-    /// [`FrozenEngine::compile_stride`], as one call.
-    pub fn freeze_stride(&self, config: StrideConfig) -> Result<StrideEngine<A>, StrideError> {
-        self.freeze()?.compile_stride(config)
-    }
 }
 
 impl<A: Address> FrozenEngine<A> {
@@ -727,7 +710,7 @@ mod tests {
             &receiver,
             EngineConfig::new(Family::Regular, Method::Advance),
         );
-        let stride = scalar.freeze_stride(StrideConfig::default()).unwrap();
+        let stride = StrideEngine::compile(&scalar, &StrideConfig::default()).unwrap();
         let dests = vec![a("10.1.2.3"), a("192.168.3.4"), a("10.1.2.3"), a("7.7.7.7")];
         let clues = vec![
             Some(p("10.1.0.0/16")),
@@ -735,7 +718,8 @@ mod tests {
             Some(p("192.168.0.0/16")), // malformed
             None,
         ];
-        let (want, want_stats) = stride.lookup_batch_vec(&dests, &clues);
+        let mut want = vec![Decision::default(); dests.len()];
+        let want_stats = stride.lookup_batch(&dests, &clues, &mut want);
         for group in [0, 1, 2, 3, 8, 64] {
             let mut out = vec![Decision::default(); dests.len()];
             let stats = stride.lookup_batch_interleaved(&dests, &clues, &mut out, group);
@@ -752,26 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_into_reuses_the_buffer() {
-        let (sender, receiver) = tables();
-        let scalar = ClueEngine::precomputed(
-            &sender,
-            &receiver,
-            EngineConfig::new(Family::Regular, Method::Advance),
-        );
-        let stride = scalar.freeze_stride(StrideConfig::default()).unwrap();
-        let dests = vec![a("10.1.2.3"), a("192.168.3.4")];
-        let clues = vec![Some(p("10.1.0.0/16")), None];
-        let mut out = Vec::with_capacity(16);
-        stride.lookup_batch_into(&dests, &clues, &mut out);
-        let ptr = out.as_ptr();
-        let (want, _) = stride.lookup_batch_vec(&dests, &clues);
-        stride.lookup_batch_into(&dests, &clues, &mut out);
-        assert_eq!(out, want);
-        assert_eq!(out.as_ptr(), ptr, "no reallocation on reuse");
-    }
-
-    #[test]
     fn telemetry_streams_are_recorded() {
         use clue_telemetry::Registry;
         let (sender, receiver) = tables();
@@ -782,7 +746,7 @@ mod tests {
         );
         let registry = Registry::new();
         scalar.instrument(&registry);
-        let mut stride = scalar.freeze_stride(StrideConfig::default()).unwrap();
+        let mut stride = StrideEngine::compile(&scalar, &StrideConfig::default()).unwrap();
         assert!(stride.telemetry().is_some(), "lookup telemetry inherited through freeze");
         stride.attach_batch_telemetry(BatchTelemetry::registered(
             &registry,
@@ -817,13 +781,12 @@ mod tests {
         ];
         for method in [Method::Common, Method::Simple, Method::Advance] {
             for config in configs() {
-                let stride = ClueEngine::precomputed(
+                let scalar = ClueEngine::precomputed(
                     &sender,
                     &receiver,
                     EngineConfig::new(Family::Regular, method),
-                )
-                .freeze_stride(config)
-                .unwrap();
+                );
+                let stride = StrideEngine::compile(&scalar, &config).unwrap();
                 let mut meter = StageMeter::default();
                 for &(dest, clue) in &cases {
                     meter.cost = Cost::new();
@@ -879,21 +842,6 @@ mod tests {
             );
         }
         assert!(StrideError::InitialBits(0).to_string().contains("initial stride"));
-        assert!(StrideError::Freeze(FreezeError::CacheEnabled).to_string().contains("cache"));
-    }
-
-    #[test]
-    fn freeze_stride_surfaces_freeze_errors() {
-        let (sender, receiver) = tables();
-        let patricia = ClueEngine::<Ip4>::precomputed(
-            &sender,
-            &receiver,
-            EngineConfig::new(Family::Patricia, Method::Advance),
-        );
-        assert_eq!(
-            patricia.freeze_stride(StrideConfig::default()).unwrap_err(),
-            StrideError::Freeze(FreezeError::UnsupportedFamily)
-        );
     }
 
     #[test]
@@ -907,7 +855,7 @@ mod tests {
             &receiver,
             EngineConfig::new(Family::Regular, Method::Advance),
         );
-        let stride = scalar.freeze_stride(StrideConfig::new(8, 8)).unwrap();
+        let stride = StrideEngine::compile(&scalar, &StrideConfig::new(8, 8)).unwrap();
         assert_eq!(stride.root.len(), 256);
         assert!(stride.inner_node_count() > 0);
         assert_eq!(stride.inner_slot_count(), stride.inner_node_count() * 256);

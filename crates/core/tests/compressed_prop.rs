@@ -129,8 +129,9 @@ proptest! {
         let (dests, clues) = workload(&sender, &raws, Ip4);
         let engine = ClueEngine::precomputed(
             &sender, &receiver, EngineConfig::new(Family::Regular, Method::Advance));
-        let compressed = engine.freeze_compressed(CompressedConfig).unwrap();
-        let (baseline, s1) = compressed.lookup_batch_vec(&dests, &clues);
+        let compressed = CompressedEngine::compile(&engine, &CompressedConfig).unwrap();
+        let mut baseline = vec![Default::default(); dests.len()];
+        let s1 = compressed.lookup_batch(&dests, &clues, &mut baseline);
         let mut out = vec![Default::default(); dests.len()];
         let s2 = compressed.lookup_batch_interleaved(&dests, &clues, &mut out, group);
         prop_assert_eq!(&baseline, &out, "group {} diverged", group);

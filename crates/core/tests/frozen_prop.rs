@@ -84,8 +84,10 @@ proptest! {
         let engine = ClueEngine::precomputed(
             &sender, &receiver, EngineConfig::new(Family::Regular, Method::Advance));
         let frozen = engine.freeze().unwrap();
-        let (first, s1) = frozen.lookup_batch_vec(&dests, &clues);
-        let (again, s2) = frozen.lookup_batch_vec(&dests, &clues);
+        let mut first = vec![Default::default(); dests.len()];
+        let s1 = frozen.lookup_batch(&dests, &clues, &mut first);
+        let mut again = vec![Default::default(); dests.len()];
+        let s2 = frozen.lookup_batch(&dests, &clues, &mut again);
         prop_assert_eq!(first, again);
         prop_assert_eq!(s1, s2);
     }

@@ -106,7 +106,8 @@ proptest! {
             &sender, &receiver, EngineConfig::new(Family::Regular, Method::Advance));
         let frozen = engine.freeze().unwrap();
         let stride = frozen.compile_stride(config).unwrap();
-        let (baseline, s1) = stride.lookup_batch_vec(&dests, &clues);
+        let mut baseline = vec![Default::default(); dests.len()];
+        let s1 = stride.lookup_batch(&dests, &clues, &mut baseline);
         let mut out = vec![Default::default(); dests.len()];
         let s2 = stride.lookup_batch_interleaved(&dests, &clues, &mut out, group);
         prop_assert_eq!(&baseline, &out, "group {} diverged", group);

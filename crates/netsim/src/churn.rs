@@ -528,7 +528,6 @@ fn churn_traffic<A: Address>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clue_core::CompiledBackend;
     use clue_tablegen::{derive_neighbor, generate_churn, synthesize_ipv4, ChurnConfig, NeighborConfig};
     use clue_trie::Ip4;
     use std::time::Duration;
@@ -582,14 +581,14 @@ mod tests {
         let engine_config = EngineConfig::new(Family::Regular, Method::Advance);
         let (dests, clues) = churn_traffic(&sender, &receiver, &cfg);
         let mut live = ClueEngine::precomputed(&sender, &receiver, engine_config);
-        let mut decisions = Vec::new();
-        live.freeze().unwrap().lookup_batch_into(&dests, &clues, &mut decisions);
+        let mut decisions = vec![Decision::default(); dests.len()];
+        live.freeze().unwrap().lookup_batch(&dests, &clues, &mut decisions);
         let mut per_epoch = vec![decisions.clone()];
         for batch in &batches {
             for u in batch {
                 apply_update(&mut live, u);
             }
-            live.freeze().unwrap().lookup_batch_into(&dests, &clues, &mut decisions);
+            live.freeze().unwrap().lookup_batch(&dests, &clues, &mut decisions);
             per_epoch.push(decisions.clone());
         }
 
@@ -599,7 +598,7 @@ mod tests {
         assert_eq!(report.final_identical, Some(true));
         let end = end_state(&receiver, &batches);
         let fresh = ClueEngine::precomputed(&sender, &end, engine_config).freeze().unwrap();
-        fresh.lookup_batch_into(&dests, &clues, &mut decisions);
+        fresh.lookup_batch(&dests, &clues, &mut decisions);
         assert_eq!(decisions, *per_epoch.last().unwrap());
     }
 

@@ -1202,8 +1202,9 @@ mod tests {
     #[test]
     fn compressed_serving_matches_the_plain_batch_lookup() {
         let (engine, dests, clues) = engine_fixture();
-        let compressed = engine.freeze_compressed(CompressedConfig).unwrap();
-        let (want, want_stats) = compressed.lookup_batch_vec(&dests, &clues);
+        let compressed = CompressedEngine::compile(&engine, &CompressedConfig).unwrap();
+        let mut want = vec![Decision::default(); dests.len()];
+        let want_stats = compressed.lookup_batch(&dests, &clues, &mut want);
         let cell = EpochCell::new(compressed);
         let cfg = RuntimeConfig { workers: 3, batch: 128, ..RuntimeConfig::default() };
         let mut got = Vec::new();
@@ -1532,8 +1533,9 @@ mod tests {
     #[test]
     fn serving_matches_the_plain_batch_lookup() {
         let (engine, dests, clues) = engine_fixture();
-        let stride = engine.freeze_stride(StrideConfig::default()).unwrap();
-        let (want, want_stats) = stride.lookup_batch_vec(&dests, &clues);
+        let stride = StrideEngine::compile(&engine, &StrideConfig::default()).unwrap();
+        let mut want = vec![Decision::default(); dests.len()];
+        let want_stats = stride.lookup_batch(&dests, &clues, &mut want);
         let cell = EpochCell::new(stride);
         for workers in [1, 2, 4] {
             let cfg = RuntimeConfig { workers, batch: 128, ..RuntimeConfig::default() };
@@ -1551,11 +1553,13 @@ mod tests {
     #[test]
     fn engaged_gate_serves_exactly_like_an_all_none_clue_run() {
         let (engine, dests, clues) = engine_fixture();
-        let stride = engine.freeze_stride(StrideConfig::default()).unwrap();
+        let stride = StrideEngine::compile(&engine, &StrideConfig::default()).unwrap();
         let none_clues: Vec<Option<Prefix<Ip4>>> = vec![None; dests.len()];
-        let (want_quarantined, want_quarantined_stats) =
-            stride.lookup_batch_vec(&dests, &none_clues);
-        let (want_clued, _) = stride.lookup_batch_vec(&dests, &clues);
+        let mut want_quarantined = vec![Decision::default(); dests.len()];
+        let want_quarantined_stats =
+            stride.lookup_batch(&dests, &none_clues, &mut want_quarantined);
+        let mut want_clued = vec![Decision::default(); dests.len()];
+        stride.lookup_batch(&dests, &clues, &mut want_clued);
         let cell = EpochCell::new(stride);
         let gate = std::sync::Arc::new(QuarantineGate::default());
         gate.engage();
@@ -1581,8 +1585,9 @@ mod tests {
     #[test]
     fn publishes_propagate_to_every_core_without_a_barrier() {
         let (engine, dests, clues) = engine_fixture();
-        let stride = engine.freeze_stride(StrideConfig::default()).unwrap();
-        let (want, _) = stride.lookup_batch_vec(&dests, &clues);
+        let stride = StrideEngine::compile(&engine, &StrideConfig::default()).unwrap();
+        let mut want = vec![Decision::default(); dests.len()];
+        stride.lookup_batch(&dests, &clues, &mut want);
         let cell = EpochCell::new(stride.replicate());
         // Publish a bit-identical recompile before serving: every core
         // primes at epoch 1... unless it pinned before the publish, in
@@ -1604,13 +1609,14 @@ mod tests {
     #[test]
     fn mid_run_publish_refreshes_replicas_at_a_job_boundary() {
         let (engine, dests, clues) = engine_fixture();
-        let stride = engine.freeze_stride(StrideConfig::default()).unwrap();
+        let stride = StrideEngine::compile(&engine, &StrideConfig::default()).unwrap();
         let cell = EpochCell::new(stride.replicate());
         // A writer hammers bit-identical publishes while the runtime
         // serves: workers must keep answering correctly and observe at
         // least the publishes' existence (staleness/refresh counters),
         // with zero locks anywhere on the path.
-        let (want, _) = stride.lookup_batch_vec(&dests, &clues);
+        let mut want = vec![Decision::default(); dests.len()];
+        stride.lookup_batch(&dests, &clues, &mut want);
         let t = RuntimeTelemetry::detached();
         std::thread::scope(|scope| {
             let publisher = scope.spawn(|| {

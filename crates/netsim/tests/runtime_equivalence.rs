@@ -170,8 +170,13 @@ fn check_serving<E: CompiledBackend<Ip4>>(
 ) -> Result<(), TestCaseError> {
     let n = dests.len();
     let no_clues = vec![None; n];
-    let clued = engine.lookup_batch_vec(dests, clues);
-    let clueless = engine.lookup_batch_vec(dests, &no_clues);
+    let plain = |clues: &[Option<Prefix<Ip4>>]| {
+        let mut out = vec![Default::default(); n];
+        let stats = engine.lookup_batch(dests, clues, &mut out);
+        (out, stats)
+    };
+    let clued = plain(clues);
+    let clueless = plain(&no_clues);
     let cell = EpochCell::new(engine);
     let gate = Arc::new(QuarantineGate::default());
     for engaged in [false, true] {

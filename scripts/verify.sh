@@ -31,6 +31,10 @@ scrape_until() {
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The benchmark is a package of its own (an empty `[workspace]` table),
+# so no workspace leg compiles it; its unit tests fail when a change
+# breaks the public API it calls.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 # Documentation gate: every intra-doc link resolves, unambiguously, and
 # no public doc links a private item.
