@@ -1525,8 +1525,8 @@ fn throughput(args: &[String]) -> Result<(), String> {
     // Best-of-3 on the runtime's own steady-state clock (replica
     // priming excluded); the report picked is the fastest run's.
     // Batch so each worker sees a handful of jobs: long jobs keep the
-    // lane-interleaved walk out of the dispatcher, a handful (rather
-    // than one) of them per core lets the feed stay primed.
+    // lane-interleaved walk's lanes full, and a handful (rather than
+    // one) per core keeps the round-robin deal close to even.
     let runtime_cfg = clue_netsim::RuntimeConfig {
         workers: threads,
         batch: (net_packets / threads.max(1) / 4).max(512),

@@ -49,10 +49,11 @@
 //! their reader mutably, so a slot is never overwritten while a guard
 //! is live, and readers deregister their slot on drop.
 //!
-//! This is the one module in `clue-core` that uses `unsafe` (the
-//! retire list stores raw `Box` pointers so retirement is explicit
-//! rather than refcounted); the crate root holds `deny(unsafe_code)`
-//! and this file opts back in locally.
+//! This module uses `unsafe` (the retire list stores raw `Box`
+//! pointers so retirement is explicit rather than refcounted); the
+//! crate root holds `deny(unsafe_code)` and this file opts back in
+//! locally. The only other module of `clue-core` that does is
+//! `prefetch`, for its one hint intrinsic.
 
 #![allow(unsafe_code)]
 

@@ -57,16 +57,16 @@
 //! assert_eq!(cost.total(), 1);
 //! ```
 
-// `deny`, not `forbid`: the epoch-swap module opts back in with a
-// scoped `#[allow(unsafe_code)]` for its AtomicPtr reclamation — see
-// the safety argument in `epoch.rs`. Everything else stays safe-only.
+// `deny`, not `forbid`: two modules opt back in with a scoped
+// `#[allow(unsafe_code)]` — `epoch.rs` for its AtomicPtr reclamation
+// and `prefetch.rs` for the prefetch intrinsic, each with its safety
+// argument. Everything else stays safe-only.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backend;
 mod buckets;
 mod cache;
-pub mod channel;
 mod classify;
 mod clue;
 mod compressed;
@@ -91,9 +91,6 @@ pub use backend::{
 pub use cache::{CacheStats, ClueCache, LruCache, PresenceCache};
 pub use compressed::{CompressedConfig, CompressedEngine};
 pub use cram::{CramLevel, CramReport, L1_BYTES, L2_BYTES, L3_BYTES};
-pub use channel::{
-    mpsc, spsc, MpscReceiver, MpscSender, SpscReceiver, SpscSender, TryRecvError,
-};
 pub use classify::{classify, classify_all, problematic_fraction, Classification};
 pub use clue::{ClueHeader, EncodedClue};
 pub use engine::{ClueEngine, EngineConfig, EngineStats, Method};

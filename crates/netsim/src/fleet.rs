@@ -29,8 +29,8 @@
 //! The packet leg runs on the serving runtime's job driver. Each call
 //! first sorts its flows by destination, so consecutive flows cross
 //! the same routers and engine lines, then deals 1024-flow runs of
-//! that order as jobs on lock-free SPSC feeds, with per-worker integer
-//! accumulators merged after the run. Each flow's drawing RNG is a
+//! that order round-robin to the workers as jobs, with per-worker
+//! integer accumulators merged after the run. Each flow's drawing RNG is a
 //! private SplitMix64-seeded stream of its *index*, and every merge is
 //! a commutative integer add or max, so neither the walk order nor the
 //! job cut can change a result: [`Fleet::run_flows`] is bit-identical
@@ -636,9 +636,8 @@ impl Fleet {
 
     /// Routes `flows` flows over `workers` OS threads. The flows are
     /// first sorted into destination order (`Self::flow_order`), then
-    /// dealt out as jobs of `FLOW_JOB` consecutive positions on
-    /// per-worker SPSC feeds; per-worker accumulators merge in worker
-    /// order. Every merge is a commutative add or max, so the result is
+    /// dealt out round-robin as jobs of `FLOW_JOB` consecutive
+    /// positions; per-worker accumulators merge in worker order. Every merge is a commutative add or max, so the result is
     /// bit-identical to [`Self::run_flows_sequential`] (index order)
     /// at any worker count.
     ///
@@ -653,7 +652,6 @@ impl Fleet {
         let (shards, walk_ns) = drive_jobs(
             order.chunks(FLOW_JOB),
             workers,
-            64,
             // Priming = registering this worker's epoch readers (one
             // per router), hoisted out of the timed region like the
             // serving runtime's replica clones.

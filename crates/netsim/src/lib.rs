@@ -20,8 +20,8 @@
 //! * [`CompiledNetwork`] / [`serve_lookups`] — the shared-nothing
 //!   multi-core serving runtime and the one compiled view of a
 //!   network: per-core replicas of any compiled backend
-//!   ([`StrideNetwork`], [`CompressedNetwork`], frozen) fed over
-//!   lock-free channels, bit-identical to the live reference at any
+//!   ([`StrideNetwork`], [`CompressedNetwork`], frozen) serving jobs
+//!   dealt to them up front, bit-identical to the live reference at any
 //!   core count (a 1-worker run is the compiled sequential
 //!   reference), profiled through the same walk, with barrier-free
 //!   epoch-churn propagation;

@@ -19,17 +19,17 @@
 //!   detaches telemetry handles and shares only the immutable arenas
 //!   with its siblings). Replica priming happens before the timed
 //!   region and is reported separately ([`CoreStats::replica_clone_ns`]).
-//! * **Lock-free channels.** The dispatcher deals the caller's jobs to
-//!   each worker over its own bounded SPSC ring
-//!   ([`clue_core::channel::spsc`]); each worker hands its state back
-//!   once, when it is joined. [`serve_lookups`] jobs are disjoint
-//!   slices of the output that workers fill in place, so no job sends
-//!   a result message. Full and empty are yield-and-retry, never a
-//!   lock.
+//! * **Jobs dealt up front.** The driver deals the caller's jobs
+//!   round-robin into one list per worker before any worker starts,
+//!   so a worker never waits for work and nothing passes between
+//!   threads while they serve; each worker hands its state back once,
+//!   when it is joined. [`serve_lookups`] jobs are disjoint slices of
+//!   the output that workers fill in place, so no job sends a result
+//!   message.
 //! * **Panics end the call, never hang it.** A worker that panics
-//!   drops its state, drains its ring and reports the message in its
-//!   slot: a job list re-raises it, an open-ended run's caller
-//!   attributes it.
+//!   drops its state and the rest of its job list and reports the
+//!   message in its slot: a job list re-raises it, an open-ended run's
+//!   caller attributes it.
 //! * **Deterministic partitioning.** Network jobs are contiguous
 //!   packet-index ranges and every packet derives its own SplitMix64
 //!   RNG stream from its index, so what a worker computes is
@@ -74,7 +74,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clue_core::channel::{spsc, SpscReceiver, TryRecvError};
 use clue_core::{
     BackendError, ClueEngine, ClueHeader, CompiledBackend, CompressedEngine, Decision, EngineStats,
     EpochCell, EpochReader, Meter, PreparedLookup, QuarantineGate, StageMeter, StageProfiler,
@@ -98,11 +97,9 @@ pub fn available_workers() -> usize {
 pub struct RuntimeConfig {
     /// Worker cores (default: [`available_workers`]).
     pub workers: usize,
-    /// Packets per job — the unit of channel traffic and of replica
-    /// refresh (churn is observed at job boundaries).
+    /// Packets per job — the unit the driver deals to the workers and
+    /// of replica refresh (churn is observed at job boundaries).
     pub batch: usize,
-    /// SPSC feed depth in jobs.
-    pub depth: usize,
     /// Interleave group for the workers' prefetched batch loops
     /// (engine serving only; `<= 1` disables prefetch).
     pub prefetch: usize,
@@ -119,7 +116,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: available_workers(),
             batch: 512,
-            depth: 64,
             prefetch: DEFAULT_INTERLEAVE,
             gate: None,
         }
@@ -141,9 +137,10 @@ pub struct CoreStats {
     pub worker: usize,
     /// Packets this core served.
     pub packets: u64,
-    /// Jobs this core pulled off its feed.
+    /// Jobs this core served.
     pub batches: u64,
-    /// Nanoseconds spent inside lookups (excludes channel polling).
+    /// Nanoseconds spent serving jobs (excludes priming and the wait
+    /// for the other workers).
     pub busy_ns: u64,
     /// Replica clones: the priming clone plus one per observed epoch
     /// publish.
@@ -152,10 +149,9 @@ pub struct CoreStats {
     pub replica_clone_ns: u64,
     /// Worst epochs-behind-the-writer this core served a batch at.
     pub max_staleness: u64,
-    /// Polls that found this core's feed empty and yielded. Workers
-    /// ship their results once, after the feed closes, and send no
-    /// per-job result messages, so a full result drain is never
-    /// counted here.
+    /// Always 0: every worker's jobs are dealt before it starts, so it
+    /// never finds its feed empty. Kept only while the benchmark still
+    /// reads it.
     pub backpressure: u64,
 }
 
@@ -172,8 +168,8 @@ impl CoreStats {
 /// attribution.
 #[derive(Debug, Clone)]
 pub struct RuntimeReport {
-    /// Nanoseconds from "every replica primed" to "every result
-    /// drained" — the steady-state serving time.
+    /// Nanoseconds from "every replica primed" to "every worker
+    /// joined" — the steady-state serving time.
     pub elapsed_ns: u64,
     /// Total nanoseconds workers spent priming their replicas, all of
     /// it **outside** the timed region.
@@ -202,7 +198,7 @@ impl RuntimeReport {
 fn record_cores(t: &RuntimeTelemetry, cores: &[CoreStats], priming_ns: impl Iterator<Item = u64>) {
     t.workers.set(cores.len() as f64);
     for (c, ns) in cores.iter().zip(priming_ns) {
-        t.record_core(c.packets, c.batches, c.replica_clones, c.backpressure);
+        t.record_core(c.packets, c.batches, c.replica_clones);
         t.replica_clone_us.observe(ns / 1_000);
     }
 }
@@ -522,8 +518,8 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
         self.net
     }
 
-    /// Routes `packets` random packets through the channel-fed
-    /// multi-core runtime. Bit-identical to
+    /// Routes `packets` random packets through the multi-core
+    /// runtime. Bit-identical to
     /// [`run_workload_per_packet`](crate::run_workload_per_packet) for
     /// the same seed at any worker count; a 1-worker run is the
     /// compiled sequential reference.
@@ -611,7 +607,6 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
         let (shards, elapsed_ns) = drive_jobs(
             jobs,
             config.workers,
-            config.depth,
             |_| {
                 let replicas: Vec<ClueRouter<A, E>> =
                     self.routers.iter().map(ClueRouter::replicate).collect();
@@ -774,13 +769,14 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
 
 /// The job driver behind every multi-core entry point — the network
 /// runtime, [`serve_lookups`] and the fleet walk: deals the caller's
-/// `jobs` round-robin over `workers` bounded SPSC feeds of `depth`
-/// jobs, to scoped worker threads ([`drive`]).
+/// `jobs` round-robin into one list per worker (job `i` to worker
+/// `i % workers`, in order) before any worker starts, then runs the
+/// lists on scoped worker threads ([`drive`]).
 ///
 /// Each worker first builds its private state with `prime`, given its
 /// index (replica clones, epoch-reader registration: setup, timed into
 /// [`CoreStats::replica_clone_ns`] and kept out of the clock), then
-/// hands every job it pulls to `serve`, which returns how many items
+/// hands every job of its list to `serve`, which returns how many items
 /// the job held ([`CoreStats::packets`]). Returns every worker's state
 /// with its [`CoreStats`], in worker order, and the nanoseconds from
 /// "every worker primed" to "every worker joined". Callers whose jobs
@@ -793,24 +789,16 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
 pub(crate) fn drive_jobs<J: Send, W: Send>(
     jobs: impl IntoIterator<Item = J>,
     workers: usize,
-    depth: usize,
     prime: impl Fn(usize) -> W + Sync,
     serve: impl Fn(&mut W, J) -> usize + Sync,
 ) -> (Vec<(W, CoreStats)>, u64) {
     let workers = workers.max(1);
-    let (mut feeds, rings): (Vec<_>, Vec<_>) =
-        (0..workers).map(|_| spsc::<J>(depth.max(1))).map(|(tx, rx)| (tx, Feed::Ring(rx))).unzip();
-    // The dispatch owns the senders, so its end — or its unwinding —
-    // closes every feed.
-    let deal = move || {
-        for (i, mut job) in jobs.into_iter().enumerate() {
-            while let Err(back) = feeds[i % workers].try_send(job) {
-                job = back;
-                std::thread::yield_now();
-            }
-        }
-    };
-    let ((), slots, elapsed_ns) = drive(rings, prime, serve, deal);
+    let mut lists: Vec<Vec<J>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        lists[i % workers].push(job);
+    }
+    let feeds = lists.into_iter().map(Vec::into_iter).collect();
+    let ((), slots, elapsed_ns) = drive(feeds, prime, serve, || ());
     (expect_workers(slots), elapsed_ns)
 }
 
@@ -825,8 +813,12 @@ pub(crate) fn drive_while<W: Send, R>(
     prime: impl Fn(usize) -> W + Sync,
     serve: impl Fn(&mut W) -> usize + Sync,
 ) -> (R, Vec<WorkerSlot<W>>) {
-    let stop = AtomicBool::new(false);
-    let feeds = (0..workers.max(1)).map(|_| Feed::Until { stop: &stop, job: || () }).collect();
+    // The flag publishes nothing (states come back through the join):
+    // `Relaxed`.
+    let stop = &AtomicBool::new(false);
+    let more = move || (!stop.load(Ordering::Relaxed)).then_some(());
+    let feeds =
+        (0..workers.max(1)).map(|_| std::iter::once(()).chain(std::iter::from_fn(more))).collect();
     let write = || {
         let out = catch_unwind(AssertUnwindSafe(writer));
         stop.store(true, Ordering::Relaxed);
@@ -848,23 +840,14 @@ pub(crate) fn expect_workers<W>(slots: Vec<WorkerSlot<W>>) -> Vec<(W, CoreStats)
     slots.map(|(w, slot)| slot.unwrap_or_else(|msg| panic!("worker {w} panicked: {msg}"))).collect()
 }
 
-/// A worker's end of a job source.
-enum Feed<'d, J> {
-    /// Its SPSC ring of a job list.
-    Ring(SpscReceiver<J>),
-    /// A writer's run: serve `job()` until `stop` is raised. The flag
-    /// publishes nothing (states come back through the join): `Relaxed`.
-    Until { stop: &'d AtomicBool, job: fn() -> J },
-}
-
 /// The one thread driver: spawns a scoped worker per feed, waits out
-/// their priming, runs `lead` — a job list's dispatch or a writer — on
-/// the calling thread, and joins every worker. `lead` must end every
-/// feed, also when it unwinds, or the join waits forever. Returns
-/// `lead`'s output, the slots and the nanoseconds from "every worker
-/// primed" to "every worker joined".
-fn drive<J: Send, W: Send, R>(
-    feeds: Vec<Feed<'_, J>>,
+/// their priming, runs `lead` — a writer, or nothing for a job list —
+/// on the calling thread, and joins every worker. A feed must end,
+/// for an open-ended one when `lead` returns or unwinds, or the join
+/// waits forever. Returns `lead`'s output, the slots and the
+/// nanoseconds from "every worker primed" to "every worker joined".
+fn drive<J, F: Iterator<Item = J> + Send, W: Send, R>(
+    feeds: Vec<F>,
     prime: impl Fn(usize) -> W + Sync,
     serve: impl Fn(&mut W, J) -> usize + Sync,
     lead: impl FnOnce() -> R,
@@ -898,13 +881,13 @@ fn drive<J: Send, W: Send, R>(
     })
 }
 
-/// One worker: prime, serve its feed until it ends, hand back its
-/// slot. A panic is caught once, outside the serving loop; the dead
-/// worker still counts itself primed and drains its ring, since the
-/// dispatcher cannot see a dead receiver and would spin on it forever.
+/// One worker: prime, serve every job of its feed, hand back its slot.
+/// A panic is caught once, outside the serving loop; the dead worker
+/// still counts itself primed, and the jobs left in its feed are
+/// dropped with it.
 fn work<J, W>(
     w: usize,
-    mut feed: Feed<'_, J>,
+    feed: impl Iterator<Item = J>,
     priming: &AtomicUsize,
     prime: &impl Fn(usize) -> W,
     serve: &impl Fn(&mut W, J) -> usize,
@@ -917,24 +900,7 @@ fn work<J, W>(
         stats.replica_clone_ns = t0.elapsed().as_nanos() as u64;
         primed = true;
         priming.fetch_sub(1, Ordering::Release);
-        loop {
-            let job = match &mut feed {
-                Feed::Ring(rx) => match rx.try_recv() {
-                    Ok(job) => job,
-                    Err(TryRecvError::Empty) => {
-                        stats.backpressure += 1;
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    Err(TryRecvError::Disconnected) => break,
-                },
-                Feed::Until { stop, job } => {
-                    if stats.batches > 0 && stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    job()
-                }
-            };
+        for job in feed {
             let t = Instant::now();
             let items = serve(&mut state, job);
             stats.busy_ns += t.elapsed().as_nanos() as u64;
@@ -946,11 +912,6 @@ fn work<J, W>(
     run.map(|state| (state, stats)).map_err(|payload| {
         if !primed {
             priming.fetch_sub(1, Ordering::Release);
-        }
-        if let Feed::Ring(rx) = &mut feed {
-            while !matches!(rx.try_recv(), Err(TryRecvError::Disconnected)) {
-                std::thread::yield_now();
-            }
         }
         panic_message(payload)
     })
@@ -998,7 +959,7 @@ pub struct ServeReport {
     /// Packets served.
     pub packets: u64,
     /// Nanoseconds from "every replica primed" to "every worker
-    /// drained".
+    /// joined".
     pub elapsed_ns: u64,
     /// Total priming-clone nanoseconds, outside the timed region
     /// (mid-run refresh clones are inside it, attributed per core).
@@ -1072,7 +1033,6 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
     let (shards, elapsed_ns) = drive_jobs(
         jobs,
         config.workers,
-        config.depth,
         |_| {
             let mut reader = cell.reader();
             let (replica, epoch) = {
@@ -1223,6 +1183,12 @@ mod tests {
         assert_eq!(report.cores.len(), 3);
         let attributed: u64 = report.cores.iter().map(|c| c.packets).sum();
         assert_eq!(attributed, 200);
+        // 13 jobs of 16 (the last holds 8) dealt round-robin: worker 0
+        // serves jobs 0, 3, 6, 9 and 12.
+        let packets: Vec<u64> = report.cores.iter().map(|c| c.packets).collect();
+        let batches: Vec<u64> = report.cores.iter().map(|c| c.batches).collect();
+        assert_eq!(packets, [72, 64, 64]);
+        assert_eq!(batches, [5, 4, 4]);
         assert!(report.cores.iter().all(|c| c.replica_clones == 1));
         assert!(report.replica_clone_ns > 0);
         assert!(report.pps() > 0.0);
@@ -1453,14 +1419,13 @@ mod tests {
 
     #[test]
     fn a_worker_panic_ends_a_job_list_call() {
-        // Job 3 lands on worker 1, whose 4-deep feed would fill with
-        // the thousands of jobs still to come if it stopped draining.
+        // Job 3 lands on worker 1; the thousands of jobs dealt after it
+        // must not keep the call waiting once worker 1 is dead.
         let caught = within_a_minute(|| {
             catch_unwind(|| {
                 drive_jobs(
                     0..10_000u32,
                     2,
-                    4,
                     |_| (),
                     |(), job| {
                         assert_ne!(job, 3, "job 3 is poisoned");

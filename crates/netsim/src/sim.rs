@@ -220,7 +220,7 @@ fn draw<A: Address>(
 /// cannot change the result — every field is a sum or a maximum, so
 /// the merge is commutative and associative, and *any* exactly-once
 /// partition of the packet stream (the one-packet-at-a-time reference
-/// here, channel-fed batches in [`crate::runtime`]) folds to the same
+/// here, dealt batches in [`crate::runtime`]) folds to the same
 /// [`RunStats`].
 pub(crate) struct Accum {
     per_router: Vec<CostStats>,

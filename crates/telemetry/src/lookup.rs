@@ -26,7 +26,8 @@ use crate::{MEMORY_REFERENCE_BOUNDS, PREFIX_LENGTH_BOUNDS, SEARCH_DEPTH_BOUNDS};
 pub struct LookupTelemetry {
     /// Every lookup observed.
     pub lookups_total: Counter,
-    /// Lookups by resolution class, indexed like [`LookupClass::all`].
+    /// Lookups by resolution class, indexed by `class as usize`, which
+    /// is the class's position in [`LookupClass::all`].
     pub by_class: [Counter; 5],
     /// Total memory references per lookup.
     pub memory_references: Histogram,
@@ -115,11 +116,7 @@ impl LookupTelemetry {
     #[inline]
     pub fn record(&self, event: &LookupEvent) {
         self.lookups_total.inc();
-        let idx = LookupClass::all()
-            .iter()
-            .position(|c| *c == event.class)
-            .expect("all classes enumerated");
-        self.by_class[idx].inc();
+        self.by_class[event.class as usize].inc();
         self.memory_references.observe(event.memory_references);
         self.search_depth.observe(event.search_depth);
         if let Some(len) = event.clue_len {
@@ -132,11 +129,7 @@ impl LookupTelemetry {
 
     /// The count recorded for `class`.
     pub fn class_count(&self, class: LookupClass) -> u64 {
-        let idx = LookupClass::all()
-            .iter()
-            .position(|c| *c == class)
-            .expect("all classes enumerated");
-        self.by_class[idx].get()
+        self.by_class[class as usize].get()
     }
 
     /// Resets every cell (e.g. after a warm-up phase).
@@ -236,6 +229,13 @@ mod tests {
         t.reset();
         assert_eq!(t.lookups_total.get(), 0);
         assert_eq!(t.memory_references.count(), 0);
+    }
+
+    #[test]
+    fn a_class_discriminant_is_its_position_in_all() {
+        for (i, class) in LookupClass::all().into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class:?}");
+        }
     }
 
     #[test]
