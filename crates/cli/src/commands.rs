@@ -1074,6 +1074,19 @@ fn is_noisy_key(key: &str) -> bool {
     NOISY.iter().any(|p| key.contains(p))
 }
 
+/// How far apart two numbers are, in percent: the larger over the
+/// smaller, less one, when both are positive — so 900 is 10x either
+/// way. A zero or a sign change has no ratio; it drifts by the
+/// difference over the larger magnitude, which never exceeds 200.
+fn drift_pct(x: f64, y: f64) -> f64 {
+    let (lo, hi) = (x.min(y), x.max(y));
+    if lo > 0.0 {
+        (hi / lo - 1.0) * 100.0
+    } else {
+        (x - y).abs() / x.abs().max(y.abs()).max(1e-9) * 100.0
+    }
+}
+
 /// Compares two `BENCH_*.json` exports key by key: every baseline key
 /// must exist in the fresh run; booleans and strings must match
 /// exactly; numbers must agree within a relative tolerance —
@@ -1162,7 +1175,7 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
             (JsonVal::Num(x), JsonVal::Num(y)) => {
                 compared += 1;
                 let tol = if is_noisy_key(key) { time_tolerance } else { tolerance };
-                let drift = (x - y).abs() / x.abs().max(y.abs()).max(1e-9) * 100.0;
+                let drift = drift_pct(*x, *y);
                 if worst.as_ref().is_none_or(|(w, _)| drift > *w) {
                     worst = Some((drift, key.clone()));
                 }
@@ -1571,6 +1584,22 @@ fn throughput(args: &[String]) -> Result<(), String> {
     }
     if check && !equivalent {
         return Err("equivalence check failed: pipelines disagree".to_owned());
+    }
+    if check {
+        let clock = |what: &str, pps: f64, cores: &[clue_netsim::CoreStats]| {
+            let busy_pps: f64 = cores.iter().map(|c| c.pps()).sum();
+            if pps <= busy_pps * (1.0 + 1e-9) {
+                return Ok(());
+            }
+            Err(format!(
+                "clock check failed: the {what} run's {pps:.0} pkts/s exceed its cores' \
+                 summed busy-time rates ({busy_pps:.0} pkts/s)"
+            ))
+        };
+        clock("network", par_pps, &report.cores)?;
+        if let Some(r) = &serve_report {
+            clock("serving", r.pps(), &r.cores)?;
+        }
     }
 
     let batch_speedup = batch_pps / scalar_pps.max(1e-9);
@@ -2725,6 +2754,16 @@ mod tests {
         assert!(run(&s(&["bench-diff", &pa])).is_err());
         assert!(run(&s(&["bench-diff", &pa, "/nonexistent/x.json"])).is_err());
         assert!(run(&s(&["bench-diff", &pa, &pb, "--tolerance"])).is_err());
+    }
+
+    #[test]
+    fn drift_is_a_ratio_between_positive_numbers() {
+        assert_eq!(drift_pct(100.0, 100.0), 0.0);
+        assert!((drift_pct(100.0, 1000.0) - 900.0).abs() < 1e-9);
+        assert!((drift_pct(1000.0, 100.0) - 900.0).abs() < 1e-9);
+        assert!((drift_pct(1.0, 20.0) - 1900.0).abs() < 1e-9);
+        assert!((drift_pct(0.0, 5.0) - 100.0).abs() < 1e-9);
+        assert!((drift_pct(-1.0, 1.0) - 200.0).abs() < 1e-9);
     }
 
     #[test]

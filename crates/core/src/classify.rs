@@ -23,7 +23,9 @@
 //! moves clues from Case 2 to Case 3 — the continuation still returns the
 //! correct BMP, just at a higher cost — so learning is always safe.
 
-use clue_trie::{Address, BinaryTrie, Prefix};
+use std::borrow::Cow;
+
+use clue_trie::{Address, BinaryTrie, NodeId, Prefix};
 
 /// How a clue behaves at the receiving router, per the Advance method.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,18 +122,215 @@ pub fn classify<A: Address, T>(
 
 /// Convenience: classification of every clue a sender table could emit,
 /// with full knowledge of the sender — the *pre-processing construction*
-/// of Section 3.3.2. Returns `(clue, classification)` pairs.
+/// of Section 3.3.2. Returns `(clue, classification)` pairs in
+/// `t1.prefixes()` order, each equal to [`classify`]'s, computed by one
+/// merged sweep of `t2` instead of a search per clue.
 pub fn classify_all<A: Address, T, U>(
     t1: &BinaryTrie<A, T>,
     t2: &BinaryTrie<A, U>,
 ) -> Vec<(Prefix<A>, Classification<A>)> {
-    let knows = |p: &Prefix<A>| t1.contains_prefix(p);
-    t1.prefixes()
-        .map(|clue| {
-            let c = classify(&clue, t2, &knows);
-            (clue, c)
-        })
+    let clues: Vec<_> = t1.prefixes().collect();
+    let sorted = SortedClues::new(&clues);
+    let mut sweep = sweep(t2, sorted.unique(), true, true, false);
+    clues
+        .iter()
+        .enumerate()
+        .map(|(i, &clue)| (clue, sweep.classification(sorted.rank(i))))
         .collect()
+}
+
+/// A clue list in trie pre-order — [`Prefix`] order, duplicates
+/// dropped — with the map from each original position to its place in
+/// that order. A list already strictly increasing (every synthesized
+/// table is) is borrowed as it stands.
+pub(crate) struct SortedClues<'a, A: Address> {
+    unique: Cow<'a, [Prefix<A>]>,
+    /// Original position → index into `unique`; `None` for the identity.
+    rank: Option<Vec<u32>>,
+}
+
+impl<'a, A: Address> SortedClues<'a, A> {
+    pub(crate) fn new(clues: &'a [Prefix<A>]) -> Self {
+        if clues.windows(2).all(|w| w[0] < w[1]) {
+            return SortedClues { unique: Cow::Borrowed(clues), rank: None };
+        }
+        let index = |i: usize| u32::try_from(i).expect("clue list fits u32");
+        let mut by_clue: Vec<(Prefix<A>, u32)> =
+            clues.iter().enumerate().map(|(i, &c)| (c, index(i))).collect();
+        by_clue.sort_unstable();
+        let mut unique = Vec::with_capacity(by_clue.len());
+        let mut rank = vec![0; clues.len()];
+        for (clue, i) in by_clue {
+            if unique.last() != Some(&clue) {
+                unique.push(clue);
+            }
+            rank[i as usize] = index(unique.len() - 1);
+        }
+        SortedClues { unique: Cow::Owned(unique), rank: Some(rank) }
+    }
+
+    /// The distinct clues, in pre-order.
+    pub(crate) fn unique(&self) -> &[Prefix<A>] {
+        &self.unique
+    }
+
+    /// Where the clue at original position `i` sits in [`Self::unique`].
+    pub(crate) fn rank(&self, i: usize) -> usize {
+        self.rank.as_ref().map_or(i, |r| r[i] as usize)
+    }
+}
+
+/// What the merged sweep learned about one clue.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Swept<A: Address> {
+    /// The FD field: the clue's best match in `t2`.
+    pub(crate) fd: Option<Prefix<A>>,
+    /// The clue's vertex in `t2`; `None` is Case 1.
+    pub(crate) node: Option<NodeId>,
+    /// Case 3: some candidate lies below the clue.
+    pub(crate) problematic: bool,
+}
+
+/// [`sweep`]'s output, indexed like the sorted clue list it was given.
+pub(crate) struct Sweep<A: Address> {
+    pub(crate) clues: Vec<Swept<A>>,
+    /// `P(s)` per clue, in [`Prefix`] order, when asked for.
+    pub(crate) candidates: Option<Vec<Vec<Prefix<A>>>>,
+    /// The Section 4 per-vertex Booleans by `t2` arena index, when
+    /// asked for: `bit[v]` is `true` iff some candidate path leaves
+    /// `v` — a marked vertex lies strictly below `v` with no blocking
+    /// clue on the way, `v` itself excluded.
+    pub(crate) bits: Option<Vec<bool>>,
+}
+
+impl<A: Address> Sweep<A> {
+    /// The clue at sorted index `i` as [`classify`] reports it, taking
+    /// its candidate set (asked for at sweep time) out of the sweep.
+    pub(crate) fn classification(&mut self, i: usize) -> Classification<A> {
+        let Swept { fd, node, problematic } = self.clues[i];
+        match (node, problematic) {
+            (None, _) => Classification::AbsentVertex { fd },
+            (Some(_), false) => Classification::Covered { fd },
+            (Some(_), true) => {
+                let candidates = self.candidates.as_mut().expect("candidates asked for");
+                Classification::Problematic { fd, candidates: std::mem::take(&mut candidates[i]) }
+            }
+        }
+    }
+}
+
+/// One vertex on the sweep's ancestor stack.
+struct Ancestor<A: Address> {
+    prefix: Prefix<A>,
+    node: NodeId,
+    /// Nearest marked vertex at or above: the FD of a clue here.
+    fd: Option<Prefix<A>>,
+    /// Nearest clue at or above, as an index into the clue list.
+    clue: Option<u32>,
+    /// Whether this vertex is itself a clue.
+    is_clue: bool,
+}
+
+/// The Claim-1 construction of every clue at once: one pre-order walk
+/// of `t2` merged with `clues`, which must be strictly increasing
+/// ([`SortedClues`]). The walk keeps a stack of the current vertex's
+/// ancestors, one per depth, each with its FD and its nearest clue, so
+/// it costs O(|t2 vertices| + |clues|) plus the candidate sets asked
+/// for — where [`classify`] walks from the root and searches below each
+/// clue in turn.
+///
+/// With `blocking` (Advance) a clue vertex blocks the paths through it,
+/// as in [`classify`] with full knowledge of `clues`: a marked vertex
+/// that is not a clue is a candidate of its nearest strict clue
+/// ancestor alone. Without it (Simple, where nothing blocks) every
+/// marked vertex is a candidate of every strict clue ancestor.
+/// `candidates` asks for the sets `P(s)` themselves, `bits` for the
+/// Section 4 Booleans under the same blocking rule.
+pub(crate) fn sweep<A: Address, T>(
+    t2: &BinaryTrie<A, T>,
+    clues: &[Prefix<A>],
+    blocking: bool,
+    candidates: bool,
+    bits: bool,
+) -> Sweep<A> {
+    debug_assert!(clues.windows(2).all(|w| w[0] < w[1]), "clues sorted and distinct");
+    let mut out = Sweep {
+        clues: vec![Swept { fd: None, node: None, problematic: false }; clues.len()],
+        candidates: candidates.then(|| vec![Vec::new(); clues.len()]),
+        bits: bits.then(|| vec![false; t2.arena_len()]),
+    };
+    // Nearest strict clue ancestor of each clue vertex: the chain
+    // along which a Simple candidate reaches every clue above it.
+    let mut clue_above: Vec<Option<u32>> = vec![None; if blocking { 0 } else { clues.len() }];
+    // `stack[d]` is the current vertex's ancestor at depth `d`: in a
+    // binary trie every string on a vertex's root path is a vertex.
+    let mut stack: Vec<Ancestor<A>> = Vec::with_capacity(A::BITS as usize + 1);
+    let mut next = 0;
+    // A clue met between two vertices is no vertex (Case 1). Its
+    // vertex ancestors all precede it, so they are ancestors of the
+    // last vertex met: the stack entry at their common depth.
+    let absent = |stack: &[Ancestor<A>], clue: Prefix<A>| {
+        stack.last().and_then(|top| stack[top.prefix.common(&clue).len() as usize].fd)
+    };
+    t2.walk_subtree(t2.root(), |v| {
+        let prefix = t2.node_prefix(v);
+        while next < clues.len() && clues[next] < prefix {
+            out.clues[next].fd = absent(&stack, clues[next]);
+            next += 1;
+        }
+        stack.truncate(prefix.len() as usize);
+        let parent = stack.last();
+        let marked = t2.is_marked(v);
+        let fd = if marked { Some(prefix) } else { parent.and_then(|a| a.fd) };
+        let above = parent.and_then(|a| a.clue);
+        let own = if clues.get(next) == Some(&prefix) {
+            let i = next;
+            next += 1;
+            out.clues[i] = Swept { fd, node: Some(v), problematic: false };
+            if !blocking {
+                clue_above[i] = above;
+            }
+            Some(i as u32)
+        } else {
+            None
+        };
+        if marked && !(blocking && own.is_some()) {
+            // A candidate of the clues above it, up to the first that
+            // blocks. Without candidate sets the chain stops at a clue
+            // already known problematic: every clue above it is too.
+            let mut s = above;
+            while let Some(i) = s {
+                let i = i as usize;
+                let known = std::mem::replace(&mut out.clues[i].problematic, true);
+                match &mut out.candidates {
+                    Some(sets) => sets[i].push(prefix),
+                    None if known => break,
+                    None => {}
+                }
+                s = if blocking { None } else { clue_above[i] };
+            }
+            if let Some(bits) = &mut out.bits {
+                // Every vertex from the parent up to the nearest
+                // blocking clue has this candidate path below it. A bit
+                // already set was set by such a path, and so was every
+                // bit above it to that same clue.
+                for a in stack.iter().rev() {
+                    if std::mem::replace(&mut bits[a.node.index()], true) {
+                        break;
+                    }
+                    if blocking && a.is_clue {
+                        break;
+                    }
+                }
+            }
+        }
+        stack.push(Ancestor { prefix, node: v, fd, clue: own.or(above), is_clue: own.is_some() });
+        true
+    });
+    for (swept, &clue) in out.clues[next..].iter_mut().zip(&clues[next..]) {
+        swept.fd = absent(&stack, clue);
+    }
+    out
 }
 
 /// The fraction of a sender's clues that are problematic at the receiver —
@@ -151,7 +350,46 @@ pub fn problematic_fraction<A: Address, T, U>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clue_trie::Ip4;
+    use crate::frozen::tests::{arb_shapes, shaped};
+    use clue_trie::{Ip4, Ip6};
+    use proptest::prelude::*;
+
+    /// The sweep behind [`classify_all`] agrees with [`classify`] clue
+    /// by clue, in `t1.prefixes()` order, candidate sets included.
+    fn check_classify_all<A: Address>(
+        sender: &[(u32, u8)],
+        receiver: &[(u32, u8)],
+    ) -> Result<(), TestCaseError> {
+        let t1: BinaryTrie<A, ()> = sender.iter().map(|&(s, l)| (shaped(s, l), ())).collect();
+        let t2: BinaryTrie<A, ()> = receiver.iter().map(|&(s, l)| (shaped(s, l), ())).collect();
+        let all = classify_all(&t1, &t2);
+        prop_assert_eq!(all.len(), t1.len());
+        for ((clue, got), want) in all.iter().zip(t1.prefixes()) {
+            prop_assert_eq!(*clue, want);
+            prop_assert_eq!(got, &classify(clue, &t2, &|q| t1.contains_prefix(q)), "clue {}", clue);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn classify_all_matches_per_clue_classify_ip4(
+            sender in arb_shapes(),
+            receiver in arb_shapes(),
+        ) {
+            check_classify_all::<Ip4>(&sender, &receiver)?;
+        }
+
+        #[test]
+        fn classify_all_matches_per_clue_classify_ip6(
+            sender in arb_shapes(),
+            receiver in arb_shapes(),
+        ) {
+            check_classify_all::<Ip6>(&sender, &receiver)?;
+        }
+    }
 
     fn p(s: &str) -> Prefix<Ip4> {
         s.parse().unwrap()

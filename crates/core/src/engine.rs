@@ -22,7 +22,7 @@ use clue_telemetry::{CacheTelemetry, LookupClass, LookupEvent, LookupTelemetry, 
 use clue_trie::{Address, BinaryTrie, Cost, Location, NodeId, PatriciaTrie, Prefix};
 
 use crate::cache::{CacheStats, PresenceCache};
-use crate::classify::{classify, Classification};
+use crate::classify::{classify, sweep, Classification, SortedClues, Swept};
 use crate::clue::ClueHeader;
 use crate::fxhash::FxHashSet;
 use crate::profile::{Meter, Stage};
@@ -161,16 +161,6 @@ impl EngineStats {
         self.malformed += other.malformed;
     }
 
-    /// Fraction of clue-carrying lookups resolved by the FD alone.
-    pub fn final_rate(&self) -> f64 {
-        let clued = self.finals + self.continued + self.misses;
-        if clued == 0 {
-            0.0
-        } else {
-            self.finals as f64 / clued as f64
-        }
-    }
-
     /// The same numbers read back out of a telemetry bundle — the
     /// registry view of an instrumented engine. For an engine whose
     /// telemetry was attached at construction and never reset
@@ -252,10 +242,48 @@ impl<A: Address> ClueEngine<A> {
     }
 
     /// Fills the clue table from the sender's `clues`, knowing exactly
-    /// those (the Section 3.3.2 construction).
+    /// those (the Section 3.3.2 construction): one merged pre-order
+    /// sweep of `t2` classifies every clue and sets the Section 4
+    /// Booleans ([`sweep`]), then the table is filled in `clues` order,
+    /// so an indexed table's slots and a repeated clue come out as
+    /// [`Self::build_entry`] clue by clue would make them.
     fn precompute(mut self, clues: &[Prefix<A>]) -> Self {
         if self.config.method == Method::Common {
             // A clue-less engine needs no table, knowledge, or bits.
+            return self;
+        }
+        let sorted = SortedClues::new(clues);
+        let advance = self.config.method == Method::Advance;
+        let candidates = matches!(self.inner, Inner::Ranges { .. } | Inner::LogW(_));
+        let bits = self.config.vertex_bits && advance;
+        let sweep = sweep(&self.t2, sorted.unique(), advance, candidates, bits);
+        self.sender = sorted.unique().iter().copied().collect();
+        if sweep.bits.is_some() {
+            self.bits_bin = sweep.bits;
+            self.project_patricia_bits();
+        }
+        self.table = ClueTable::with_capacity(self.config.table_kind, sorted.unique().len());
+        for (i, clue) in clues.iter().enumerate() {
+            if clue.is_empty() {
+                continue; // a zero-length BMP is never sent as a clue
+            }
+            let r = sorted.rank(i);
+            let Swept { fd, node, problematic } = sweep.clues[r];
+            let cont = problematic.then(|| {
+                let set = sweep.candidates.as_ref().map_or_else(Vec::new, |c| c[r].clone());
+                self.continuation(*clue, node.expect("problematic clue vertex exists"), set)
+            });
+            self.table.insert(ClueEntry { clue: *clue, fd, cont }, self.slot(i));
+        }
+        self
+    }
+
+    /// The per-clue construction [`Self::precompute`] replaced, kept as
+    /// its oracle: the sender set, the bottom-up Booleans, then
+    /// [`Self::build_entry`] for each clue.
+    #[cfg(test)]
+    fn precompute_per_clue(mut self, clues: &[Prefix<A>]) -> Self {
+        if self.config.method == Method::Common {
             return self;
         }
         self.sender = clues.iter().copied().collect();
@@ -263,19 +291,23 @@ impl<A: Address> ClueEngine<A> {
             self.compute_vertex_bits();
         }
         for (i, clue) in clues.iter().enumerate() {
-            if clue.is_empty() {
-                continue; // a zero-length BMP is never sent as a clue
+            if !clue.is_empty() {
+                let entry = self.build_entry(*clue);
+                self.table.insert(entry, self.slot(i));
             }
-            let entry = self.build_entry(*clue);
-            let index = match self.config.table_kind {
-                TableKind::Hashed => None,
-                TableKind::Indexed => {
-                    Some(u16::try_from(i).expect("more than 64K clues for one neighbor"))
-                }
-            };
-            self.table.insert(entry, index);
         }
         self
+    }
+
+    /// The table slot of the `i`-th precomputed clue: its position for
+    /// an indexed table, none for a hashed one.
+    fn slot(&self, i: usize) -> Option<u16> {
+        match self.config.table_kind {
+            TableKind::Hashed => None,
+            TableKind::Indexed => {
+                Some(u16::try_from(i).expect("more than 64K clues for one neighbor"))
+            }
+        }
     }
 
     /// Builds an engine with an empty clue table that learns entries on
@@ -632,42 +664,50 @@ impl<A: Address> ClueEngine<A> {
         };
         let fd = cls.fd();
         let cont = match cls {
-            Classification::Problematic { candidates, .. } => Some(match &self.inner {
-                Inner::Regular => Continuation::TrieNode(
-                    self.t2.node_of_prefix(&clue).expect("problematic clue vertex exists"),
-                ),
-                Inner::Patricia(p) => {
-                    let loc = p.locate(&clue);
-                    debug_assert!(
-                        !matches!(loc, Location::Absent { .. }),
-                        "problematic clue must lie in the Patricia trie"
-                    );
-                    Continuation::PatriciaLoc(loc)
-                }
-                Inner::Ranges { .. } => Continuation::Range(Box::new(CandidateRange::new(
-                    candidates,
-                    self.config.line_capacity,
-                ))),
-                Inner::LogW(_) => {
-                    Continuation::Lengths(Box::new(LengthBinarySearch::new(candidates)))
-                }
-                Inner::Stride(s) => match s.node_at_clue(&clue) {
-                    // The clue determines at least one full level: resume
-                    // below it.
-                    Some(n) => Continuation::StrideNode(n),
-                    // Clue shorter than the first stride: fall back to a
-                    // full multibit walk from the root, which is what a
-                    // missing continuation plus candidates would cost
-                    // anyway. Encode as "walk the binary trie from the
-                    // clue" — cheaper and always available.
-                    None => Continuation::TrieNode(
-                        self.t2.node_of_prefix(&clue).expect("problematic clue vertex exists"),
-                    ),
-                },
-            }),
+            Classification::Problematic { candidates, .. } => {
+                let node = self.t2.node_of_prefix(&clue).expect("problematic clue vertex exists");
+                Some(self.continuation(clue, node, candidates))
+            }
             _ => None,
         };
         ClueEntry { clue, fd, cont }
+    }
+
+    /// Where the engine's family resumes below the problematic `clue`,
+    /// whose `t2` vertex is `node` and candidate set `candidates`.
+    fn continuation(
+        &self,
+        clue: Prefix<A>,
+        node: NodeId,
+        candidates: Vec<Prefix<A>>,
+    ) -> Continuation<A> {
+        match &self.inner {
+            Inner::Regular => Continuation::TrieNode(node),
+            Inner::Patricia(p) => {
+                let loc = p.locate(&clue);
+                debug_assert!(
+                    !matches!(loc, Location::Absent { .. }),
+                    "problematic clue must lie in the Patricia trie"
+                );
+                Continuation::PatriciaLoc(loc)
+            }
+            Inner::Ranges { .. } => Continuation::Range(Box::new(CandidateRange::new(
+                candidates,
+                self.config.line_capacity,
+            ))),
+            Inner::LogW(_) => Continuation::Lengths(Box::new(LengthBinarySearch::new(candidates))),
+            Inner::Stride(s) => match s.node_at_clue(&clue) {
+                // The clue determines at least one full level: resume
+                // below it.
+                Some(n) => Continuation::StrideNode(n),
+                // Clue shorter than the first stride: fall back to a
+                // full multibit walk from the root, which is what a
+                // missing continuation plus candidates would cost
+                // anyway. Encode as "walk the binary trie from the
+                // clue" — cheaper and always available.
+                None => Continuation::TrieNode(node),
+            },
+        }
     }
 
     /// Learns a previously unseen clue (`procedure new-clue`).
@@ -815,10 +855,12 @@ impl<A: Address> ClueEngine<A> {
         self.project_patricia_bits();
     }
 
-    /// Computes the Section 4 per-vertex continuation Booleans for the
-    /// trie families (Advance only) in one whole-trie pass at build
-    /// time: `bit[v]` is `true` iff some receiver prefix lies strictly
-    /// below `v` with no sender prefix on the way.
+    /// The Section 4 per-vertex Booleans from scratch, bottom-up by
+    /// [`Self::vertex_bit`]: the oracle for the sweep's bits and for
+    /// [`Self::refresh_vertex_bits`]. `bit[v]` is `true` iff some
+    /// receiver prefix lies strictly below `v` with no sender prefix on
+    /// the way.
+    #[cfg(test)]
     fn compute_vertex_bits(&mut self) {
         // Pre-order collection: ancestors precede descendants, so the
         // reversed order is a valid bottom-up schedule.
@@ -959,7 +1001,145 @@ impl<A: Address> ClueEngine<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clue_trie::Ip4;
+    use crate::frozen::tests::{arb_shapes, shaped};
+    use clue_trie::{Ip4, Ip6};
+    use proptest::prelude::*;
+
+    /// One entry as the tests compare it: every field, the
+    /// continuation's included. A log-W continuation holds hash maps
+    /// with no stable debug order, so it stands as its levels and
+    /// entry count.
+    fn entry_text<A: Address>(e: &ClueEntry<A>) -> String {
+        match &e.cont {
+            Some(Continuation::Lengths(l)) => {
+                format!("{} {:?} lengths {:?} {}", e.clue, e.fd, l.levels(), l.entry_count())
+            }
+            _ => format!("{e:?}"),
+        }
+    }
+
+    /// The table in slot order (indexed) or clue order (hashed).
+    fn table_text<A: Address>(engine: &ClueEngine<A>) -> Vec<String> {
+        match engine.table.kind() {
+            TableKind::Indexed => engine
+                .table
+                .entries_with_indices()
+                .map(|(i, e)| format!("{i}: {}", entry_text(e)))
+                .collect(),
+            TableKind::Hashed => {
+                let mut entries: Vec<_> = engine.table.entries().collect();
+                entries.sort_by_key(|e| e.clue);
+                entries.into_iter().map(entry_text).collect()
+            }
+        }
+    }
+
+    /// `got` equals `want` in every piece the precompute builds: the
+    /// table entry for entry, the sender knowledge, the Section 4
+    /// Booleans and the frozen snapshot.
+    fn check_same<A: Address>(
+        got: &ClueEngine<A>,
+        want: &ClueEngine<A>,
+        what: &str,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(table_text(got), table_text(want), "{}", what);
+        prop_assert_eq!(&got.sender, &want.sender, "{}", what);
+        prop_assert_eq!(&got.bits_bin, &want.bits_bin, "{}", what);
+        prop_assert_eq!(&got.bits_pat, &want.bits_pat, "{}", what);
+        match (got.freeze(), want.freeze()) {
+            (Ok(g), Ok(w)) => prop_assert!(g.bit_identical(&w), "{}: frozen bytes", what),
+            (g, w) => prop_assert_eq!(g.err(), w.err(), "{}", what),
+        }
+        Ok(())
+    }
+
+    /// The sweep-built precompute equals the per-clue one for every
+    /// family, method and table kind, over an unsorted clue list with
+    /// a duplicate and, when `root.0` is set, the zero-length prefix
+    /// (`root.1` gives it to the receiver); and `precomputed_over` does
+    /// over a router whose arena `toggles` churned out of pre-order.
+    fn check_sweep_matches_per_clue<A: Address>(
+        sender: &[(u32, u8)],
+        receiver: &[(u32, u8)],
+        root: (bool, bool),
+        toggles: &[(u32, u8)],
+    ) -> Result<(), TestCaseError> {
+        let mut clues: Vec<Prefix<A>> = sender.iter().map(|&(s, l)| shaped(s, l)).collect();
+        clues.push(clues[0]);
+        if root.0 {
+            clues.insert(clues.len() / 2, Prefix::ROOT);
+        }
+        let mut receiver: Vec<Prefix<A>> = receiver.iter().map(|&(s, l)| shaped(s, l)).collect();
+        if root.1 {
+            receiver.push(Prefix::ROOT);
+        }
+        let configs = |families: &[Family]| {
+            let mut out = Vec::new();
+            for &family in families {
+                for method in [Method::Simple, Method::Advance] {
+                    let config = EngineConfig::new(family, method);
+                    out.extend([config, config.with_indexed_table()]);
+                }
+            }
+            out
+        };
+        for config in configs(&Family::all_extended()) {
+            let what = format!("{}/{}/{:?}", config.family, config.method, config.table_kind);
+            let got = ClueEngine::precomputed(&clues, &receiver, config);
+            let want = ClueEngine::learning_base(&receiver, config).precompute_per_clue(&clues);
+            check_same(&got, &want, &what)?;
+        }
+        let mut router = ClueEngine::precomputed(
+            &clues,
+            &receiver,
+            EngineConfig::new(Family::Regular, Method::Advance),
+        );
+        // Each toggle withdraws a route or announces it: withdraws
+        // free arena slots that later announces recycle.
+        for &(shape, len) in toggles {
+            let p = shaped(shape, len);
+            if !router.remove_receiver_route(&p) {
+                router.add_receiver_route(p);
+            }
+        }
+        for config in configs(&[Family::Regular]) {
+            let what = format!("over {}/{:?}", config.method, config.table_kind);
+            let got = ClueEngine::precomputed_over(&router, &clues, config);
+            let mut want = ClueEngine::learning_base(&[], config);
+            want.t2 = router.t2.clone();
+            check_same(&got, &want.precompute_per_clue(&clues), &what)?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn sweep_precompute_matches_per_clue_ip4(
+            sender in arb_shapes(),
+            receiver in arb_shapes(),
+            root in (any::<bool>(), any::<bool>()),
+            toggles in arb_shapes(),
+        ) {
+            check_sweep_matches_per_clue::<Ip4>(&sender, &receiver, root, &toggles)?;
+        }
+    }
+
+    proptest! {
+        // Fewer cases: the IPv6 stride tries dominate the test's time.
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn sweep_precompute_matches_per_clue_ip6(
+            sender in arb_shapes(),
+            receiver in arb_shapes(),
+            root in (any::<bool>(), any::<bool>()),
+            toggles in arb_shapes(),
+        ) {
+            check_sweep_matches_per_clue::<Ip6>(&sender, &receiver, root, &toggles)?;
+        }
+    }
 
     /// Path-local Boolean refresh equals the whole-trie pass after every
     /// kind of update, sender withdraws included (which no from-scratch

@@ -676,7 +676,7 @@ impl<A: Address> CompiledBackend<A> for FrozenEngine<A> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use clue_lookup::Family;
@@ -1026,12 +1026,12 @@ mod tests {
     /// long prefixes share ancestors. At IPv6 they sit in the top 32
     /// bits, with the shape again at bit 40 for lengths beyond 87;
     /// `Ip4::from_u128` truncates that copy away.
-    fn shaped<A: Address>(shape: u32, len: u8) -> Prefix<A> {
+    pub(crate) fn shaped<A: Address>(shape: u32, len: u8) -> Prefix<A> {
         let bits = u128::from(shape << 27 | shape << 16 | shape << 4) << (A::BITS - 32);
         Prefix::new(A::from_u128(bits | u128::from(shape) << 40), len.min(A::BITS))
     }
 
-    fn arb_shapes() -> impl Strategy<Value = Vec<(u32, u8)>> {
+    pub(crate) fn arb_shapes() -> impl Strategy<Value = Vec<(u32, u8)>> {
         let lens = prop_oneof![Just(6u8), Just(8), Just(12), Just(16), Just(24), Just(32), Just(64)];
         proptest::collection::vec((0u32..32, lens), 1..40)
     }

@@ -160,7 +160,15 @@ pub struct ClueTable<A: Address> {
 impl<A: Address> ClueTable<A> {
     /// An empty table of the given kind.
     pub fn new(kind: TableKind) -> Self {
-        ClueTable { kind, map: FxHashMap::default(), keys: None, slots: Vec::new() }
+        Self::with_capacity(kind, 0)
+    }
+
+    /// An empty table of the given kind; a hashed one holds `clues`
+    /// entries before it first grows.
+    pub(crate) fn with_capacity(kind: TableKind, clues: usize) -> Self {
+        let clues = if kind == TableKind::Hashed { clues } else { 0 };
+        let map = FxHashMap::with_capacity_and_hasher(clues, Default::default());
+        ClueTable { kind, map, keys: None, slots: Vec::new() }
     }
 
     /// The addressing flavour.

@@ -310,7 +310,6 @@ fn engine_stats_track_resolution_paths() {
     assert_eq!(s.clueless, 1, "{s:?}");
     assert_eq!(s.malformed, 1, "{s:?}");
     assert_eq!(s.total(), 5);
-    assert!((s.final_rate() - 1.0 / 3.0).abs() < 1e-9);
     engine.reset_stats();
     assert_eq!(engine.stats().total(), 0);
 }

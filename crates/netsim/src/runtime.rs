@@ -841,11 +841,13 @@ pub(crate) fn expect_workers<W>(slots: Vec<WorkerSlot<W>>) -> Vec<(W, CoreStats)
 }
 
 /// The one thread driver: spawns a scoped worker per feed, waits out
-/// their priming, runs `lead` — a writer, or nothing for a job list —
-/// on the calling thread, and joins every worker. A feed must end,
-/// for an open-ended one when `lead` returns or unwinds, or the join
-/// waits forever. Returns `lead`'s output, the slots and the
-/// nanoseconds from "every worker primed" to "every worker joined".
+/// their priming, starts the clock, lets the workers and `lead` — a
+/// writer, or nothing for a job list — go, runs `lead` on the calling
+/// thread and joins every worker. A feed must end, for an open-ended
+/// one when `lead` returns or unwinds, or the join waits forever.
+/// Returns `lead`'s output, the slots and the nanoseconds from "every
+/// worker primed" to "every worker joined", which hold every worker's
+/// busy time: no worker serves before the clock starts.
 fn drive<J, F: Iterator<Item = J> + Send, W: Send, R>(
     feeds: Vec<F>,
     prime: impl Fn(usize) -> W + Sync,
@@ -853,42 +855,52 @@ fn drive<J, F: Iterator<Item = J> + Send, W: Send, R>(
     lead: impl FnOnce() -> R,
 ) -> (R, Vec<WorkerSlot<W>>, u64) {
     let priming = AtomicUsize::new(feeds.len());
+    let started = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let handles: Vec<_> = feeds
             .into_iter()
             .enumerate()
             .map(|(w, feed)| {
-                let (priming, prime, serve) = (&priming, &prime, &serve);
-                scope.spawn(move || work(w, feed, priming, prime, serve))
+                let gate = (&priming, &started);
+                let (prime, serve) = (&prime, &serve);
+                scope.spawn(move || work(w, feed, gate, prime, serve))
             })
             .collect();
         // Priming is setup, not serving: wait it out, then start the
-        // clock. A few yields, then short sleeps, so workers that
-        // outnumber the cores are not robbed of scheduler quanta.
-        let mut idle = 0u32;
-        while priming.load(Ordering::Acquire) != 0 {
-            idle += 1;
-            if idle <= 3 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
+        // clock and open the gate.
+        wait_until(|| priming.load(Ordering::Acquire) == 0);
         let t0 = Instant::now();
+        started.store(true, Ordering::Release);
         let out = lead();
         let slots = handles.into_iter().map(|h| h.join().expect("workers catch their panics"));
         (out, slots.collect(), t0.elapsed().as_nanos() as u64)
     })
 }
 
-/// One worker: prime, serve every job of its feed, hand back its slot.
-/// A panic is caught once, outside the serving loop; the dead worker
-/// still counts itself primed, and the jobs left in its feed are
-/// dropped with it.
+/// Polls `ready` with a few yields, then short sleeps, so waiting
+/// threads that outnumber the cores do not rob the ones they wait for
+/// of scheduler quanta.
+fn wait_until(ready: impl Fn() -> bool) {
+    let mut idle = 0u32;
+    while !ready() {
+        idle += 1;
+        if idle <= 3 {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+}
+
+/// One worker: prime, count itself primed on `gate.0`, wait for the
+/// lead to start the clock (`gate.1`), serve every job of its feed and
+/// hand back its slot. A panic is caught once, outside the serving
+/// loop; the dead worker still counts itself primed, and the jobs left
+/// in its feed are dropped with it.
 fn work<J, W>(
     w: usize,
     feed: impl Iterator<Item = J>,
-    priming: &AtomicUsize,
+    (priming, started): (&AtomicUsize, &AtomicBool),
     prime: &impl Fn(usize) -> W,
     serve: &impl Fn(&mut W, J) -> usize,
 ) -> WorkerSlot<W> {
@@ -900,6 +912,7 @@ fn work<J, W>(
         stats.replica_clone_ns = t0.elapsed().as_nanos() as u64;
         primed = true;
         priming.fetch_sub(1, Ordering::Release);
+        wait_until(|| started.load(Ordering::Acquire));
         for job in feed {
             let t = Instant::now();
             let items = serve(&mut state, job);
@@ -1415,6 +1428,46 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || tx.send(f()));
         rx.recv_timeout(Duration::from_secs(60)).expect("the driver returned within a minute")
+    }
+
+    /// The clock holds every worker's serving. Worker 1's priming
+    /// waits for worker 0's first job to finish, up to 300 ms: a driver
+    /// that lets a primed worker serve before every worker is primed
+    /// runs that job, and the 100 ms one after it, outside the clock.
+    #[test]
+    fn no_worker_serves_before_the_clock_starts() {
+        let [served, primed, early] = [(); 3].map(|()| AtomicBool::new(false));
+        let (slots, elapsed_ns) = drive_jobs(
+            [100u64, 1, 100, 1],
+            2,
+            |w| {
+                if w == 1 {
+                    let t0 = Instant::now();
+                    wait_until(|| {
+                        served.load(Ordering::SeqCst) || t0.elapsed() > Duration::from_millis(300)
+                    });
+                    primed.store(true, Ordering::SeqCst);
+                }
+            },
+            |(), ms| {
+                if !primed.load(Ordering::SeqCst) {
+                    early.store(true, Ordering::SeqCst);
+                }
+                std::thread::sleep(Duration::from_millis(ms));
+                served.store(true, Ordering::SeqCst);
+                1
+            },
+        );
+        assert!(!early.load(Ordering::SeqCst), "a job ran while a worker was still priming");
+        for (_, core) in &slots {
+            assert_eq!(core.packets, 2);
+            assert!(
+                core.busy_ns <= elapsed_ns,
+                "worker {} busy {} ns in a {elapsed_ns} ns run",
+                core.worker,
+                core.busy_ns
+            );
+        }
     }
 
     #[test]

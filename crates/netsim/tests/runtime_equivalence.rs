@@ -56,9 +56,9 @@ fn check_backend<E: CompiledBackend<Ip4>>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Channel-fed multi-core routing folds to the same [`RunStats`]
-    /// as the scalar walk, bit for bit, regardless of worker count or
-    /// batch size.
+    /// Multi-core routing over dealt job lists folds to the same
+    /// [`RunStats`] as the scalar walk, bit for bit, regardless of
+    /// worker count or batch size.
     #[test]
     fn runtime_is_bit_identical_to_the_scalar_reference(
         core in 2usize..5,
