@@ -67,11 +67,6 @@ impl<A: Address> GroupedClassifier<A> {
         }
         best.map(|i| &self.rules.rules()[i])
     }
-
-    /// Number of distinct destination buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +122,7 @@ mod tests {
             let b = grouped.classify(&k, &mut Cost::new());
             assert_eq!(a, b, "key {k:?}");
         }
-        assert_eq!(grouped.bucket_count(), 4);
+        assert_eq!(grouped.buckets.len(), 4);
     }
 
     #[test]

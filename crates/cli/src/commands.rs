@@ -488,21 +488,25 @@ fn metrics(args: &[String]) -> Result<(), String> {
     let _ = clue_telemetry::CompressedTelemetry::registered(&registry, "clue_compressed");
     let _ = clue_telemetry::FleetTelemetry::registered(&registry, "clue_fleet");
 
-    // The adversarial layer: a short lying-neighbor scenario against
-    // the reputation quarantine drives the clue_adversary_* and
-    // clue_reputation_* series live in the same dump.
+    // The adversarial layer: two lying routers in a small Method::Simple
+    // fleet (the adversarial trust boundary) drive the clue_adversary_*
+    // and clue_reputation_* series live in the same dump — 12 rounds,
+    // long enough for quarantined links to come back through probation.
+    // The clue_fault_* family registered above stays at zero.
     let adversary_telemetry =
         clue_telemetry::AdversaryTelemetry::registered(&registry, "clue_adversary");
     let reputation_telemetry =
         clue_telemetry::ReputationTelemetry::registered(&registry, "clue_reputation");
-    let mut scenario =
-        clue_netsim::ScenarioConfig::new(clue_netsim::AttackProfile::Lying, seed);
-    scenario.table_size = 200;
-    scenario.batches = 8;
-    scenario.attack_batches = 3;
-    scenario.packets_per_batch = 128;
-    clue_netsim::run_scenario(&scenario, Some(&adversary_telemetry), Some(&reputation_telemetry))
-        .map_err(|e| format!("adversarial scenario: {e}"))?;
+    let mut fleet_cfg = clue_netsim::FleetConfig::new(48, seed);
+    fleet_cfg.origins = 8;
+    fleet_cfg.specifics_per_origin = 4;
+    fleet_cfg.engine.method = Method::Simple;
+    let fleet = clue_netsim::Fleet::build(fleet_cfg).map_err(|e| e.to_string())?;
+    let mut attack = clue_netsim::FleetAdversaryConfig::new(clue_netsim::AttackProfile::Lying, 2);
+    attack.rounds = 12;
+    attack.attack_rounds = 3;
+    attack.flows_per_round = 128;
+    fleet.run_adversarial(&attack, Some(&adversary_telemetry), Some(&reputation_telemetry), None);
 
     if prom {
         print!("{}", registry.to_prometheus());
@@ -1065,11 +1069,14 @@ fn flatten_json(text: &str) -> Result<BTreeMap<String, JsonVal>, String> {
 /// Keys whose values are timing-derived or run-variable rather than
 /// seed-deterministic: measured rates/latencies, correlations and
 /// scheduler-dependent counts. They get `--time-tolerance` instead of
-/// the strict `--tolerance`.
+/// the strict `--tolerance`. Matching is by substring, so a fragment
+/// here must not also name a seeded count (`recovered_rebuilds`,
+/// `churn_reclaimed`): every rebuild and freeze timing already ends in
+/// `_ms` or `_us`.
 fn is_noisy_key(key: &str) -> bool {
     const NOISY: &[&str] = &[
-        "pps", "_ms", "_us", "nanos", "ns_p", "ns_per", "speedup", "correlation", "freeze",
-        "rebuild", "stale", "lookups_total", "epochs", "swaps", "retired", "reclaimed",
+        "pps", "_ms", "_us", "nanos", "ns_p", "ns_per", "speedup", "correlation", "stale",
+        "lookups_total", "epochs", "swaps", "retired",
     ];
     NOISY.iter().any(|p| key.contains(p))
 }
@@ -1544,7 +1551,6 @@ fn throughput(args: &[String]) -> Result<(), String> {
         workers: threads,
         batch: (net_packets / threads.max(1) / 4).max(512),
         prefetch,
-        ..clue_netsim::RuntimeConfig::default()
     };
     let mut best: Option<(clue_netsim::RunStats, clue_netsim::RuntimeReport)> = None;
     for _ in 0..3 {
@@ -2754,6 +2760,31 @@ mod tests {
         assert!(run(&s(&["bench-diff", &pa])).is_err());
         assert!(run(&s(&["bench-diff", &pa, "/nonexistent/x.json"])).is_err());
         assert!(run(&s(&["bench-diff", &pa, &pb, "--tolerance"])).is_err());
+    }
+
+    #[test]
+    fn seeded_counts_get_no_timing_tolerance() {
+        let dir = std::env::temp_dir().join("clue-cli-test9b");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (a, b) = (dir.join("a.json"), dir.join("b.json"));
+        let (pa, pb) = (a.to_str().unwrap().to_owned(), b.to_str().unwrap().to_owned());
+        let export = |rebuilds: u32, reclaimed: u32, freeze_ms: f64, rebuild_us: f64| {
+            format!(
+                "{{\"recovered_rebuilds\": {rebuilds}, \"churn_reclaimed\": {reclaimed}, \
+                 \"freeze_ms\": {freeze_ms}, \"mean_rebuild_us\": {rebuild_us}}}\n"
+            )
+        };
+        // verify.sh's flags for the chaos and fleet legs.
+        let verify = |fresh: String| {
+            std::fs::write(&b, fresh).unwrap();
+            run(&s(&["bench-diff", &pa, &pb, "--tolerance", "0", "--time-tolerance", "100000"]))
+        };
+        std::fs::write(&a, export(1, 52, 5.3, 4002.2)).unwrap();
+        // The chaos and fleet counts are seeded: any drift fails.
+        assert!(verify(export(2, 52, 5.3, 4002.2)).is_err());
+        assert!(verify(export(1, 43, 5.3, 4002.2)).is_err());
+        // The freeze and rebuild timings still get the timing tolerance.
+        verify(export(1, 52, 50.0, 9.5)).unwrap();
     }
 
     #[test]

@@ -373,7 +373,6 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
                     clue_len: clue.map(|s| s.len()),
                     class: d.class,
                     search_depth: search_depth(d.class, d.cost),
-                    cache_hit: None,
                     memory_references: d.cost.total(),
                 });
             }),

@@ -17,7 +17,7 @@ use clue_trie::Prefix;
 use crate::fxhash::{FxBuildHasher, FxHashMap};
 use crate::table::ClueEntry;
 
-/// Hit/miss/churn accounting for a [`ClueCache`].
+/// Hit/miss/eviction accounting for a [`ClueCache`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -26,8 +26,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by LRU pressure.
     pub evictions: u64,
-    /// Entries dropped by explicit invalidation.
-    pub invalidations: u64,
 }
 
 impl CacheStats {
@@ -64,7 +62,6 @@ pub struct LruCache<K: Copy + Eq + core::hash::Hash, V> {
     /// front of the clue table.
     map: FxHashMap<K, usize>,
     slots: Vec<Slot<K, V>>,
-    free: Vec<usize>,
     head: usize,
     tail: usize,
     stats: CacheStats,
@@ -92,7 +89,6 @@ impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
             capacity,
             map: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher),
             slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             stats: CacheStats::default(),
@@ -100,7 +96,7 @@ impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
         }
     }
 
-    /// Mirrors hit/miss/eviction/invalidation counts into `telemetry`
+    /// Mirrors hit/miss/eviction counts into `telemetry`
     /// (shared metric cells, typically registered in a
     /// [`clue_telemetry::Registry`]) from now on.
     pub fn attach_telemetry(&mut self, telemetry: CacheTelemetry) {
@@ -198,70 +194,29 @@ impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
             }
             return None;
         }
-        let mut evicted = None;
-        let slot_index = if self.map.len() >= self.capacity {
-            // Evict the tail.
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL, "capacity > 0 implies a tail when full");
-            self.unlink(victim);
-            let old = self.slots[victim].key;
-            self.map.remove(&old);
-            self.stats.evictions += 1;
-            if let Some(t) = &self.telemetry {
-                t.evictions.inc();
-            }
-            evicted = Some(old);
-            victim
-        } else if let Some(free) = self.free.pop() {
-            free
-        } else {
+        if self.map.len() < self.capacity {
             self.slots.push(Slot { key, value, prev: NIL, next: NIL });
             let i = self.slots.len() - 1;
             self.map.insert(key, i);
             self.push_front(i);
             return None;
-        };
-        self.slots[slot_index] = Slot { key, value, prev: NIL, next: NIL };
-        self.map.insert(key, slot_index);
-        self.push_front(slot_index);
-        evicted
-    }
-
-    /// Drops a key (e.g. when the backing table reclassified its entry).
-    pub fn invalidate(&mut self, key: &K) -> bool {
-        match self.map.remove(key) {
-            Some(i) => {
-                self.unlink(i);
-                self.free.push(i);
-                self.stats.invalidations += 1;
-                if let Some(t) = &self.telemetry {
-                    t.invalidations.inc();
-                }
-                true
-            }
-            None => false,
         }
-    }
-
-    /// Drops everything, keeping statistics.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
-    /// The cached keys, most recent first (diagnostics / tests).
-    pub fn keys_by_recency(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut cur = self.head;
-        while cur != NIL {
-            out.push(self.slots[cur].key);
-            cur = self.slots[cur].next;
+        // Full: the tail's slot is reused for the new key.
+        let victim = self.tail;
+        debug_assert_ne!(victim, NIL, "capacity > 0 implies a tail when full");
+        self.unlink(victim);
+        let old = self.slots[victim].key;
+        self.map.remove(&old);
+        self.stats.evictions += 1;
+        if let Some(t) = &self.telemetry {
+            t.evictions.inc();
         }
-        out
+        self.slots[victim] = Slot { key, value, prev: NIL, next: NIL };
+        self.map.insert(key, victim);
+        self.push_front(victim);
+        Some(old)
     }
+
 }
 
 #[cfg(test)]
@@ -288,15 +243,12 @@ mod tests {
     }
 
     #[test]
-    fn eviction_and_invalidation_are_counted() {
+    fn evictions_are_counted() {
         let mut c = ClueCache::new(2);
         c.insert(p("1.0.0.0/8"), e("1.0.0.0/8"));
         c.insert(p("2.0.0.0/8"), e("2.0.0.0/8"));
         c.insert(p("3.0.0.0/8"), e("3.0.0.0/8")); // evicts 1/8
-        assert!(c.invalidate(&p("2.0.0.0/8")));
-        assert!(!c.invalidate(&p("2.0.0.0/8"))); // absent: not counted
-        let s = c.stats();
-        assert_eq!((s.evictions, s.invalidations), (1, 1));
+        assert_eq!(c.stats().evictions, 1);
         c.reset_stats();
         assert_eq!(c.stats(), CacheStats::default());
     }
@@ -312,12 +264,10 @@ mod tests {
         c.insert(p("3.0.0.0/8"), e("3.0.0.0/8"));
         let _ = c.get(&p("3.0.0.0/8"));
         let _ = c.get(&p("1.0.0.0/8"));
-        c.invalidate(&p("2.0.0.0/8"));
         let (s, t) = (c.stats(), c.telemetry().unwrap().clone());
         assert_eq!(s.hits, t.hits.get());
         assert_eq!(s.misses, t.misses.get());
         assert_eq!(s.evictions, t.evictions.get());
-        assert_eq!(s.invalidations, t.invalidations.get());
         assert!(reg.to_prometheus().contains("clue_cache_evictions_total 1"));
     }
 
@@ -342,46 +292,43 @@ mod tests {
         c.insert(p("1.0.0.0/8"), e("1.0.0.0/8"));
         c.insert(p("2.0.0.0/8"), e("2.0.0.0/8"));
         assert_eq!(c.insert(p("1.0.0.0/8"), e("1.0.0.0/8")), None);
-        assert_eq!(c.keys_by_recency(), vec![p("1.0.0.0/8"), p("2.0.0.0/8")]);
+        // The refresh made 2/8 the least recently used entry.
+        assert_eq!(c.insert(p("3.0.0.0/8"), e("3.0.0.0/8")), Some(p("2.0.0.0/8")));
     }
 
-    #[test]
-    fn invalidate_frees_slot() {
-        let mut c = ClueCache::new(2);
-        c.insert(p("1.0.0.0/8"), e("1.0.0.0/8"));
-        assert!(c.invalidate(&p("1.0.0.0/8")));
-        assert!(!c.invalidate(&p("1.0.0.0/8")));
-        assert!(c.is_empty());
-        // The freed slot is reused.
-        c.insert(p("2.0.0.0/8"), e("2.0.0.0/8"));
-        c.insert(p("3.0.0.0/8"), e("3.0.0.0/8"));
-        assert_eq!(c.len(), 2);
-        c.clear();
-        assert!(c.is_empty());
-    }
-
+    /// Against a most-recent-first `Vec` model: every hit, miss and
+    /// eviction the cache reports is the model's.
     #[test]
     fn recency_list_is_consistent_under_churn() {
         use rand::rngs::StdRng;
         use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         let mut c = ClueCache::new(8);
+        let mut model: Vec<Prefix<Ip4>> = Vec::new();
         for _ in 0..2000 {
             let k = rng.random_range(0u32..32);
             let clue = Prefix::new(Ip4(k << 24), 8);
-            match rng.random_range(0..3) {
-                0 => {
-                    c.insert(clue, ClueEntry { clue, fd: None, cont: None });
-                }
-                1 => {
-                    let _ = c.get(&clue);
-                }
-                _ => {
-                    c.invalidate(&clue);
+            let resident = model.iter().position(|&m| m == clue);
+            if rng.random_range(0..2) == 0 {
+                let evicted = c.insert(clue, ClueEntry { clue, fd: None, cont: None });
+                let want = match resident {
+                    Some(i) => {
+                        model.remove(i);
+                        None
+                    }
+                    None if model.len() == 8 => model.pop(),
+                    None => None,
+                };
+                model.insert(0, clue);
+                assert_eq!(evicted, want);
+            } else {
+                assert_eq!(c.get(&clue).is_some(), resident.is_some());
+                if let Some(i) = resident {
+                    model.remove(i);
+                    model.insert(0, clue);
                 }
             }
-            assert!(c.len() <= 8);
-            assert_eq!(c.keys_by_recency().len(), c.len());
+            assert_eq!(c.len(), model.len());
         }
     }
 

@@ -426,12 +426,6 @@ impl<A: Address> ClueEngine<A> {
         &self.table
     }
 
-    /// The receiver's prefixes. Borrows from the engine's trie — collect
-    /// only if an owned snapshot is genuinely needed.
-    pub fn receiver_prefixes(&self) -> impl Iterator<Item = Prefix<A>> + '_ {
-        self.t2.prefixes()
-    }
-
     /// The receiver's trie, for the freezer.
     pub(crate) fn t2_ref(&self) -> &BinaryTrie<A, ()> {
         &self.t2
@@ -497,7 +491,6 @@ impl<A: Address> ClueEngine<A> {
         let whole = meter.mark();
         let refs_start = meter.cost().total();
         let mut clue_len = None;
-        let mut cache_hit = None;
         let mut search_depth = 0;
         let (resolved, class) = 'clue: {
             let s = match (self.config.method, clue) {
@@ -521,7 +514,6 @@ impl<A: Address> ClueEngine<A> {
                 let mark = meter.mark();
                 meter.cost().cache_read();
                 cached = cache.get(&s).is_some();
-                cache_hit = Some(cached);
                 meter.stage(Stage::Cache, mark, core::mem::size_of::<Prefix<A>>() as u64, 0);
             }
             let mark = meter.mark();
@@ -572,7 +564,6 @@ impl<A: Address> ClueEngine<A> {
                 clue_len,
                 class,
                 search_depth,
-                cache_hit,
                 memory_references: meter.cost().total() - refs_start,
             });
         }

@@ -327,11 +327,6 @@ impl<A: Address> FrozenEngine<A> {
         self.nodes.len()
     }
 
-    /// Number of clue-table entries.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True iff the two snapshots are the same compiled artifact,
     /// field for field: same method, same flattened nodes (children
     /// and packed route words), same route array, same entry array and
@@ -835,7 +830,7 @@ pub(crate) mod tests {
             EngineConfig::new(Family::Regular, Method::Advance),
         );
         let frozen = scalar.freeze().unwrap();
-        assert_eq!(frozen.entry_count(), sender.len());
+        assert_eq!(frozen.entries.len(), sender.len());
         assert!(frozen.node_count() > 0);
         assert!(frozen.memory_bytes() < scalar.t2_ref().memory_bytes());
     }

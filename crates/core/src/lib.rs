@@ -98,8 +98,7 @@ pub use epoch::{EpochCell, EpochEngine, EpochGuard, EpochReader};
 pub use frozen::{Decision, FreezeError, FrozenEngine, NONE_NODE};
 pub use profile::{Meter, Stage, StageAccum, StageMeter, StageProfiler};
 pub use reputation::{
-    BatchSignals, LinkState, NeighborReputation, QuarantineGate, ReputationBook,
-    ReputationConfig, Transition,
+    BatchSignals, LinkState, NeighborReputation, ReputationBook, ReputationConfig, Transition,
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use soundness::{check_soundness, Divergence, SoundnessReport};

@@ -102,11 +102,6 @@ impl<A: Address> MplsRouter<A> {
         MplsRouter { fib, labels }
     }
 
-    /// Number of labels bound.
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// The FEC bound to a label.
     pub fn fec(&self, label: u32) -> Prefix<A> {
         self.labels[label as usize].fec
@@ -241,6 +236,6 @@ mod tests {
         let r = figure8_router();
         assert_eq!(r.aggregation_labels(), vec![0]);
         assert_eq!(r.fec(0), p("10.0.0.0/16"));
-        assert_eq!(r.label_count(), 2);
+        assert_eq!(r.labels.len(), 2);
     }
 }

@@ -96,12 +96,6 @@ impl<A: Address> RecursiveLookup<A> {
         let interface = *self.igp.value(self.igp.get(&igp_bmp)?);
         Some(RecursiveResult { bgp_bmp, next_hop, igp_bmp, interface })
     }
-
-    /// The clues this router would stamp after resolving: the BGP BMP
-    /// (always) and the IGP BMP (the optional second clue).
-    pub fn clues_for(&self, result: &RecursiveResult<A>) -> (Prefix<A>, Prefix<A>) {
-        (result.bgp_bmp, result.igp_bmp)
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +169,9 @@ mod tests {
         let mut r = router();
         let dest = a("30.1.2.3");
         let want = r.lookup(dest, &mut Cost::new()).unwrap();
-        let (c1, c2) = r.clues_for(&want);
+        // The router stamps its BGP BMP and, as the optional second
+        // clue, its IGP BMP.
+        let (c1, c2) = (want.bgp_bmp, want.igp_bmp);
         let mut cost = Cost::new();
         let got = r.lookup_with_clues(dest, Some(c1), Some(c2), &mut cost).unwrap();
         assert_eq!(got, want);

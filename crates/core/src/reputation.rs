@@ -11,11 +11,10 @@
 //! **quarantine** — the neighbor's incoming-link engine is bypassed and
 //! its packets served clue-less, which removes the probe tax entirely.
 //!
-//! The state machine is deliberately batch-grained. Serving workers
-//! only consult reputation at batch boundaries (the same boundaries
-//! where they re-pin epochs, see [`crate::EpochCell`]), so the lock-free
-//! hot path stays untouched: quarantining a link costs one relaxed
-//! atomic load per *batch*, not per packet.
+//! The state machine is deliberately batch-grained. A serving loop
+//! consults reputation only at batch boundaries — the fleet's
+//! adversarial run snapshots [`ReputationBook::uses_clues`] for every
+//! link once per round — so the per-packet path never touches it.
 //!
 //! States and transitions:
 //!
@@ -45,8 +44,6 @@
 //! * **Probation** — re-admission is probed, not granted: the link's
 //!   clues are consulted again (risk bounded by soundness), and one
 //!   dirty batch sends the neighbor straight back to quarantine.
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Tuning of the reputation state machine. The defaults are sized for
 /// the fleet simulator's round-grained batches; every threshold is a
@@ -160,12 +157,11 @@ pub enum Transition {
 pub struct NeighborReputation {
     score: f64,
     state: LinkState,
-    batches: u64,
 }
 
 impl Default for NeighborReputation {
     fn default() -> Self {
-        NeighborReputation { score: 1.0, state: LinkState::Healthy, batches: 0 }
+        NeighborReputation { score: 1.0, state: LinkState::Healthy }
     }
 }
 
@@ -178,11 +174,6 @@ impl NeighborReputation {
     /// The current state.
     pub fn state(&self) -> LinkState {
         self.state
-    }
-
-    /// Batches observed so far.
-    pub fn batches(&self) -> u64 {
-        self.batches
     }
 
     /// Whether the serving side should consult this neighbor's clues
@@ -199,7 +190,6 @@ impl NeighborReputation {
     /// holds (no recovery a liar could exploit) and only the hold-down
     /// ticks.
     pub fn observe(&mut self, signals: &BatchSignals, config: &ReputationConfig) -> Transition {
-        self.batches += 1;
         match self.state {
             LinkState::Quarantined { remaining } => {
                 if remaining <= 1 {
@@ -273,26 +263,6 @@ impl ReputationBook {
         }
     }
 
-    /// Links tracked.
-    pub fn len(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    /// Whether the book tracks no links.
-    pub fn is_empty(&self) -> bool {
-        self.neighbors.is_empty()
-    }
-
-    /// The configuration the book applies.
-    pub fn config(&self) -> &ReputationConfig {
-        &self.config
-    }
-
-    /// The reputation of link `i`.
-    pub fn neighbor(&self, i: usize) -> &NeighborReputation {
-        &self.neighbors[i]
-    }
-
     /// Folds one batch of evidence for link `i`.
     pub fn observe(&mut self, i: usize, signals: &BatchSignals) -> Transition {
         let t = self.neighbors[i].observe(signals, &self.config);
@@ -333,42 +303,6 @@ impl ReputationBook {
     /// Re-admissions since construction.
     pub fn readmissions(&self) -> u64 {
         self.readmissions
-    }
-}
-
-/// A one-bit quarantine switch shared between a reputation controller
-/// and a serving loop ([`serve_lookups`](../clue_netsim/fn.serve_lookups.html)-style
-/// runtimes poll it once per batch): engaged means "serve this link
-/// clue-less". The hot path never sees it — workers read it at batch
-/// boundaries only, alongside their epoch re-pin.
-#[derive(Debug, Default)]
-pub struct QuarantineGate(AtomicBool);
-
-impl QuarantineGate {
-    /// A lifted (clue-serving) gate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Engage the quarantine: subsequent batches serve clue-less.
-    pub fn engage(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Lift the quarantine: subsequent batches consult clues again.
-    pub fn lift(&self) {
-        self.0.store(false, Ordering::Relaxed);
-    }
-
-    /// Set the gate from a reputation decision (`true` = quarantined).
-    pub fn set(&self, engaged: bool) {
-        self.0.store(engaged, Ordering::Relaxed);
-    }
-
-    /// Whether the quarantine is engaged (one relaxed load — the
-    /// per-batch price of the whole mechanism).
-    pub fn is_engaged(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -459,7 +393,7 @@ mod tests {
     #[test]
     fn book_counts_transitions_and_quarantined_links() {
         let mut book = ReputationBook::new(3, ReputationConfig::default());
-        assert_eq!(book.len(), 3);
+        assert_eq!(book.neighbors.len(), 3);
         assert_eq!(book.quarantined(), 0);
         for _ in 0..8 {
             book.observe(1, &dirty(100));
@@ -473,7 +407,7 @@ mod tests {
         // batch after the hold-down re-quarantines, so more is fine.
         assert!(book.quarantines() >= 1);
         assert!(book.min_score() < 0.5);
-        assert_eq!(book.neighbor(0).score(), 1.0);
+        assert_eq!(book.neighbors[0].score(), 1.0);
     }
 
     #[test]
@@ -484,17 +418,5 @@ mod tests {
         n.observe(&BatchSignals::default(), &config);
         assert_eq!(n.state(), LinkState::Healthy);
         assert!(n.score() >= score, "an idle batch must not punish");
-    }
-
-    #[test]
-    fn gate_toggles() {
-        let gate = QuarantineGate::new();
-        assert!(!gate.is_engaged());
-        gate.engage();
-        assert!(gate.is_engaged());
-        gate.lift();
-        assert!(!gate.is_engaged());
-        gate.set(true);
-        assert!(gate.is_engaged());
     }
 }

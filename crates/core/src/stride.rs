@@ -331,16 +331,6 @@ impl<A: Address> StrideEngine<A> {
         self.config
     }
 
-    /// Number of multibit inner nodes.
-    pub fn inner_node_count(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Number of expanded inner slots across all multibit nodes.
-    pub fn inner_slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Per-level `(resident bytes, expected visits per uniform-random
     /// clueless lookup)` of the stride walk, hottest level first:
     /// level 0 is the direct-indexed root array (always visited once),
@@ -857,8 +847,8 @@ mod tests {
         );
         let stride = StrideEngine::compile(&scalar, &StrideConfig::new(8, 8)).unwrap();
         assert_eq!(stride.root.len(), 256);
-        assert!(stride.inner_node_count() > 0);
-        assert_eq!(stride.inner_slot_count(), stride.inner_node_count() * 256);
+        assert!(!stride.inner.is_empty());
+        assert_eq!(stride.slots.len(), stride.inner.len() * 256);
         assert!(stride.memory_bytes() > 0);
         assert_eq!(stride.method(), Method::Advance);
         assert_eq!(stride.config(), StrideConfig::new(8, 8));

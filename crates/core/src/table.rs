@@ -87,11 +87,6 @@ impl<A: Address> CandidateRange<A> {
         self.inline.is_empty()
     }
 
-    /// `true` iff the set fits the entry's cache line.
-    pub fn is_inline(&self) -> bool {
-        self.index.is_none()
-    }
-
     /// Approximate resident bytes beyond the base entry.
     pub fn memory_bytes(&self) -> usize {
         self.inline.len() * core::mem::size_of::<Prefix<A>>()
@@ -493,7 +488,7 @@ mod tests {
     #[test]
     fn candidate_range_inline_is_free() {
         let cr = CandidateRange::new(vec![p("10.1.0.0/16"), p("10.2.0.0/16")], 3);
-        assert!(cr.is_inline());
+        assert!(cr.index.is_none(), "a small set stays inline");
         let mut c = Cost::new();
         assert_eq!(
             cr.lookup("10.1.9.9".parse().unwrap(), None, &mut c),
@@ -508,7 +503,7 @@ mod tests {
         let cands: Vec<Prefix<Ip4>> =
             (0..32u32).map(|i| Prefix::new(Ip4(0x0A00_0000 | i << 16), 16)).collect();
         let cr = CandidateRange::new(cands, 3);
-        assert!(!cr.is_inline());
+        assert!(cr.index.is_some(), "a large set gets a counted index");
         let mut c = Cost::new();
         let addr: Ip4 = "10.5.1.2".parse().unwrap();
         assert_eq!(cr.lookup(addr, None, &mut c), Some(p("10.5.0.0/16")));

@@ -4,7 +4,7 @@
 //! neighbor must always complete the quarantine → probation →
 //! re-admission round trip in bounded time. These are the guarantees
 //! the fleet's per-link quarantine ([`clue_netsim`]'s adversarial leg)
-//! and the serving runtime's `QuarantineGate` rely on.
+//! relies on.
 
 use clue_core::{BatchSignals, LinkState, NeighborReputation, ReputationConfig, Transition};
 use proptest::prelude::*;

@@ -25,28 +25,17 @@
 //!   defeat naive "bad last batch" detection; the reputation layer's
 //!   hysteresis (`clue_core::reputation`) is the counter.
 //!
-//! [`run_scenario`] plays one adversary against a chaos-style
-//! sender/receiver pair under a [`ReputationBook`], differentially
-//! checking **every** batch against the clue-less baseline
-//! ([`clue_core::check_soundness`]) and recording when quarantine
-//! engages, when probation re-admits, and whether post-attack cost
-//! reconverges to the honest baseline. The fleet-scale version (many
-//! routers, partial deployment) lives in
-//! [`Fleet::run_adversarial`](crate::Fleet::run_adversarial) and
-//! [`participation_sweep`].
+//! [`Fleet::run_adversarial`](crate::Fleet::run_adversarial) plays
+//! the adversaries inside a fleet: every router scores its incoming
+//! links in a [`ReputationBook`](clue_core::ReputationBook), every
+//! clued hop is checked against the clue-less baseline, and the report
+//! records when quarantine engages, when probation re-admits, and
+//! whether post-attack savings reconverge to the honest fleet's.
+//! [`participation_sweep`] repeats that run over partial deployments.
 
-use clue_core::{
-    check_soundness, BackendError, BatchSignals, ClueEngine, CompiledBackend, EngineConfig,
-    Method, ReputationBook, ReputationConfig, Transition,
-};
-use clue_lookup::Family;
-use clue_tablegen::{
-    derive_neighbor, generate, synthesize_ipv4, NeighborConfig, TrafficConfig,
-};
-use clue_telemetry::{AdversaryTelemetry, ReputationTelemetry};
-use clue_trie::{BinaryTrie, Cost, Ip4, Prefix};
+use clue_core::{BackendError, Method};
+use clue_trie::{Ip4, Prefix};
 
-use crate::churn::ChurnError;
 use crate::fleet::{Fleet, FleetAdversaryConfig, FleetConfig};
 use crate::sim::packet_seed;
 
@@ -97,12 +86,12 @@ impl AttackProfile {
 /// expensive, ties broken toward the deeper clue. `price` receives the
 /// candidate clue and must return the victim's total lookup cost for
 /// `dest` under it — callers close over their engine of record (the
-/// frozen engine in the chaos harness, the stride engine in the
-/// fleet).
+/// frozen engine in the chaos harness, the next router's link engine
+/// in the fleet).
 ///
 /// Soundness caps the damage: the worst candidate costs at most the
-/// clue-less walk plus one probe, and [`run_scenario`] proves exactly
-/// that on every packet.
+/// clue-less walk plus one probe, and the chaos harness and the
+/// fleet's adversarial run check exactly that on every clued lookup.
 pub fn deepest_mismatch_clue<F>(dest: Ip4, mut price: F) -> Prefix<Ip4>
 where
     F: FnMut(Option<Prefix<Ip4>>) -> u64,
@@ -138,281 +127,6 @@ pub fn flood_clue(dest: Ip4, seed: u64, index: u64) -> Prefix<Ip4> {
     let addr = Ip4((dest.0 ^ 0x8000_0000) ^ (roll as u32 & 0x00FF_FFFF));
     let len = 8 + (roll >> 32) as u8 % 25; // 8..=32
     Prefix::of_address(addr, len)
-}
-
-/// Parameters of a pair-level adversarial scenario.
-#[derive(Debug, Clone)]
-pub struct ScenarioConfig {
-    /// The attacker model.
-    pub attack: AttackProfile,
-    /// Seed for tables, traffic and flood streams.
-    pub seed: u64,
-    /// Sender table size (the receiver derives from it).
-    pub table_size: usize,
-    /// Total batches played (the reputation layer's time base).
-    pub batches: usize,
-    /// Batches during which the adversary is active (from batch 0);
-    /// the remainder is the honest tail that must reconverge.
-    pub attack_batches: usize,
-    /// Packets per batch.
-    pub packets_per_batch: usize,
-    /// Reputation tuning.
-    pub reputation: ReputationConfig,
-}
-
-impl ScenarioConfig {
-    /// A scenario sized for tests and the CLI smoke: 20 batches of
-    /// `packets_per_batch` with the attack on for the first 6.
-    pub fn new(attack: AttackProfile, seed: u64) -> Self {
-        ScenarioConfig {
-            attack,
-            seed,
-            table_size: 400,
-            batches: 20,
-            attack_batches: 6,
-            packets_per_batch: 512,
-            reputation: ReputationConfig::default(),
-        }
-    }
-}
-
-/// One batch's outcome in a scenario run.
-#[derive(Debug, Clone)]
-pub struct ScenarioBatch {
-    /// Batch index.
-    pub batch: usize,
-    /// The adversary misbehaved this batch.
-    pub hostile: bool,
-    /// The link served clue-less (quarantined) this batch.
-    pub quarantined: bool,
-    /// The reputation score after folding this batch.
-    pub score: f64,
-    /// Degradation evidence the batch produced.
-    pub signals: BatchSignals,
-    /// Total clued-path cost of the batch.
-    pub cost: u64,
-    /// Total clue-less baseline cost of the batch.
-    pub baseline_cost: u64,
-    /// Worst single-packet overhead versus the baseline.
-    pub overhead_max: u64,
-}
-
-/// What a scenario run did and proved.
-#[derive(Debug, Clone)]
-pub struct ScenarioReport {
-    /// The attacker model played.
-    pub attack: AttackProfile,
-    /// Per-batch outcomes.
-    pub batches: Vec<ScenarioBatch>,
-    /// Forwarding decisions differing from the clue-less baseline
-    /// (soundness requires 0, attacker or not).
-    pub divergences: u64,
-    /// Packets whose overhead exceeded the bound (baseline + 1 probe).
-    /// Must stay 0.
-    pub bound_violations: u64,
-    /// First batch whose serving ran quarantined, if any.
-    pub quarantine_batch: Option<usize>,
-    /// Batch at which probation re-admitted the neighbor, if any.
-    pub readmit_batch: Option<usize>,
-    /// Mean per-packet cost over the final honest batches.
-    pub final_cost_per_packet: f64,
-    /// Mean per-packet cost of a never-attacked reference over the
-    /// same destinations.
-    pub honest_cost_per_packet: f64,
-}
-
-impl ScenarioReport {
-    /// The scenario's verdict: the soundness bound held on every
-    /// packet and no forwarding decision changed.
-    pub fn sound(&self) -> bool {
-        self.divergences == 0 && self.bound_violations == 0
-    }
-
-    /// Whether the post-attack tail reconverged to within `tolerance`
-    /// (relative) of the honest reference cost.
-    pub fn reconverged(&self, tolerance: f64) -> bool {
-        if self.honest_cost_per_packet == 0.0 {
-            return true;
-        }
-        let ratio = self.final_cost_per_packet / self.honest_cost_per_packet;
-        (ratio - 1.0).abs() <= tolerance
-    }
-}
-
-/// Plays one adversary against a chaos-style sender/receiver pair
-/// under a [`ReputationBook`], checking every batch against the
-/// clue-less baseline. See the module docs for the models.
-///
-/// # Errors
-/// Returns [`ChurnError::Freeze`] if the synthesized pair cannot be
-/// frozen.
-pub fn run_scenario(
-    config: &ScenarioConfig,
-    adversary_telemetry: Option<&AdversaryTelemetry>,
-    reputation_telemetry: Option<&ReputationTelemetry>,
-) -> Result<ScenarioReport, ChurnError> {
-    let sender = synthesize_ipv4(config.table_size, config.seed);
-    let receiver = derive_neighbor(&sender, &NeighborConfig::same_isp(config.seed ^ 0x0EC3));
-    // Method::Simple — sound for ANY clue (the chaos harness's trust
-    // argument, see `run_chaos`): an adversary scenario must not hand
-    // the attacker the Advance method's epoch trust.
-    let engine_config = EngineConfig::new(Family::Regular, Method::Simple);
-    let mut engine = ClueEngine::precomputed(&sender, &receiver, engine_config);
-    let frozen = engine.freeze().map_err(ChurnError::Freeze)?;
-    let t1: BinaryTrie<Ip4, ()> = sender.iter().map(|p| (*p, ())).collect();
-
-    let mut book = ReputationBook::new(1, config.reputation);
-    let mut batches = Vec::with_capacity(config.batches);
-    let mut divergences = 0u64;
-    let mut bound_violations = 0u64;
-    let mut quarantine_batch = None;
-    let mut readmit_batch = None;
-    let mut final_cost = 0u64;
-    let mut final_packets = 0u64;
-    let mut honest_cost = 0u64;
-
-    for batch in 0..config.batches {
-        let traffic = TrafficConfig {
-            count: config.packets_per_batch,
-            ..TrafficConfig::paper(config.seed ^ 0x7AFF ^ ((batch as u64) << 20))
-        };
-        let dests = generate(&sender, &receiver, &traffic);
-        let quarantined = !book.uses_clues(0);
-        let attacking = batch < config.attack_batches && config.attack.hostile(batch as u64);
-
-        let honest_clues: Vec<Option<Prefix<Ip4>>> = dests
-            .iter()
-            .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
-            .collect();
-        let clues: Vec<Option<Prefix<Ip4>>> = if quarantined {
-            // The quarantine switch: the incoming-link engine is
-            // bypassed and every packet served clue-less.
-            vec![None; dests.len()]
-        } else if attacking {
-            dests
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| {
-                    if let Some(t) = adversary_telemetry {
-                        t.attacked_hops_total.inc();
-                    }
-                    match config.attack {
-                        AttackProfile::Flooding => {
-                            if let Some(t) = adversary_telemetry {
-                                t.flood_clues_total.inc();
-                            }
-                            Some(flood_clue(d, config.seed, (batch * dests.len() + i) as u64))
-                        }
-                        _ => {
-                            if let Some(t) = adversary_telemetry {
-                                t.crafted_clues_total.inc();
-                            }
-                            Some(deepest_mismatch_clue(d, |clue| {
-                                let mut cost = Cost::new();
-                                frozen.lookup(d, clue, &mut cost);
-                                cost.total()
-                            }))
-                        }
-                    }
-                })
-                .collect()
-        } else {
-            honest_clues.clone()
-        };
-
-        let report = check_soundness(&mut engine, &frozen, &dests, &clues);
-        divergences += report.divergence_count;
-        let violations =
-            report.overheads.iter().filter(|&&o| o > 1).count() as u64;
-        bound_violations += violations;
-        if let Some(t) = adversary_telemetry {
-            t.bound_violations_total.add(violations);
-            for &o in &report.overheads {
-                t.attack_overhead.observe(o);
-            }
-            if report.overhead_max as f64 > t.worst_overhead.get() {
-                t.worst_overhead.set(report.overhead_max as f64);
-            }
-        }
-
-        // Price the batch: clued path as served, and the clue-less
-        // baseline the soundness bound is stated against.
-        let mut cost = Cost::new();
-        for (&d, &c) in dests.iter().zip(&clues) {
-            frozen.lookup(d, c, &mut cost);
-        }
-        let batch_cost = cost.total();
-        let mut base = Cost::new();
-        for &d in &dests {
-            frozen.lookup(d, None, &mut base);
-        }
-        let baseline_cost = base.total();
-        // The never-attacked reference over the same destinations.
-        let mut honest = Cost::new();
-        for (&d, &c) in dests.iter().zip(&honest_clues) {
-            frozen.lookup(d, c, &mut honest);
-        }
-        honest_cost += honest.total();
-
-        let signals = BatchSignals {
-            lookups: report.checked,
-            malformed: report.frozen_stats.malformed,
-            overruns: report.overheads.iter().filter(|&&o| o >= 1).count() as u64,
-        };
-        let transition = book.observe(0, &signals);
-        if let Some(t) = reputation_telemetry {
-            t.batches_observed_total.inc();
-            match transition {
-                Transition::Quarantined => t.quarantines_total.inc(),
-                Transition::Probation => t.probations_total.inc(),
-                Transition::Readmitted => t.readmissions_total.inc(),
-                Transition::None => {}
-            }
-            t.quarantined_links.set(book.quarantined() as f64);
-            t.min_score.set(book.min_score());
-        }
-        if quarantined && quarantine_batch.is_none() {
-            quarantine_batch = Some(batch);
-        }
-        if transition == Transition::Readmitted && readmit_batch.is_none() {
-            readmit_batch = Some(batch);
-        }
-        if batch + 1 + 4 > config.batches {
-            // The final window the reconvergence verdict averages.
-            final_cost += batch_cost;
-            final_packets += dests.len() as u64;
-        }
-        batches.push(ScenarioBatch {
-            batch,
-            hostile: attacking,
-            quarantined,
-            score: book.neighbor(0).score(),
-            signals,
-            cost: batch_cost,
-            baseline_cost,
-            overhead_max: report.overhead_max,
-        });
-    }
-
-    let total_packets: u64 = batches.iter().map(|b| b.signals.lookups).sum();
-    Ok(ScenarioReport {
-        attack: config.attack,
-        batches,
-        divergences,
-        bound_violations,
-        quarantine_batch,
-        readmit_batch,
-        final_cost_per_packet: if final_packets == 0 {
-            0.0
-        } else {
-            final_cost as f64 / final_packets as f64
-        },
-        honest_cost_per_packet: if total_packets == 0 {
-            0.0
-        } else {
-            honest_cost as f64 / total_packets as f64
-        },
-    })
 }
 
 /// One point of a partial-deployment sweep: what the attack costs a
@@ -487,6 +201,13 @@ pub fn participation_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clue_core::{
+        check_soundness, BatchSignals, ClueEngine, CompiledBackend, EngineConfig, FrozenEngine,
+        ReputationBook, ReputationConfig, Transition,
+    };
+    use clue_lookup::Family;
+    use clue_tablegen::{derive_neighbor, generate, synthesize_ipv4, NeighborConfig, TrafficConfig};
+    use clue_trie::{BinaryTrie, Cost};
 
     #[test]
     fn profiles_round_trip_their_labels() {
@@ -522,51 +243,193 @@ mod tests {
         assert!(seen.len() > 200, "flood clues must thrash, not repeat: {}", seen.len());
     }
 
+    /// What one adversary did to a single sender→receiver link.
+    struct PairRun {
+        /// Per batch: hostile, served quarantined, signals, worst overhead.
+        batches: Vec<(bool, bool, BatchSignals, u64)>,
+        divergences: u64,
+        bound_violations: u64,
+        quarantine_batch: Option<usize>,
+        readmit_batch: Option<usize>,
+        /// Cost of the last four batches as served, and under honest clues.
+        final_cost: u64,
+        final_honest_cost: u64,
+    }
+
+    impl PairRun {
+        fn sound(&self) -> bool {
+            self.divergences == 0 && self.bound_violations == 0
+        }
+
+        fn reconverged(&self, tolerance: f64) -> bool {
+            (self.final_cost as f64 / self.final_honest_cost as f64 - 1.0).abs() <= tolerance
+        }
+    }
+
+    fn served_cost(frozen: &FrozenEngine<Ip4>, dests: &[Ip4], clues: &[Option<Prefix<Ip4>>]) -> u64 {
+        let mut cost = Cost::new();
+        for (&d, &c) in dests.iter().zip(clues) {
+            frozen.lookup(d, c, &mut cost);
+        }
+        cost.total()
+    }
+
+    /// Plays `attack` over the first `attack_batches` of `batches`
+    /// batches of 512 packets against one 400-prefix sender/receiver
+    /// link scored by a one-link [`ReputationBook`]. Every packet goes
+    /// through [`check_soundness`], so the scalar and the frozen engine
+    /// must both answer like the clue-less baseline whatever the clue.
+    fn play_pair(attack: AttackProfile, seed: u64, batches: usize, attack_batches: usize) -> PairRun {
+        let sender = synthesize_ipv4(400, seed);
+        let receiver = derive_neighbor(&sender, &NeighborConfig::same_isp(seed ^ 0x0EC3));
+        // Method::Simple is sound for any clue; Advance trusts the clue epoch.
+        let config = EngineConfig::new(Family::Regular, Method::Simple);
+        let mut engine = ClueEngine::precomputed(&sender, &receiver, config);
+        let frozen = engine.freeze().expect("the synthesized pair freezes");
+        let t1: BinaryTrie<Ip4, ()> = sender.iter().map(|p| (*p, ())).collect();
+        let mut book = ReputationBook::new(1, ReputationConfig::default());
+        let mut run = PairRun {
+            batches: Vec::with_capacity(batches),
+            divergences: 0,
+            bound_violations: 0,
+            quarantine_batch: None,
+            readmit_batch: None,
+            final_cost: 0,
+            final_honest_cost: 0,
+        };
+        for batch in 0..batches {
+            let traffic = TrafficConfig {
+                count: 512,
+                ..TrafficConfig::paper(seed ^ 0x7AFF ^ ((batch as u64) << 20))
+            };
+            let dests = generate(&sender, &receiver, &traffic);
+            let honest: Vec<Option<Prefix<Ip4>>> = dests
+                .iter()
+                .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
+                .collect();
+            let quarantined = !book.uses_clues(0);
+            let hostile = batch < attack_batches && attack.hostile(batch as u64);
+            let clues: Vec<Option<Prefix<Ip4>>> = if quarantined {
+                vec![None; dests.len()]
+            } else if hostile {
+                dests
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &d)| {
+                        Some(match attack {
+                            AttackProfile::Flooding => {
+                                flood_clue(d, seed, (batch * dests.len() + i) as u64)
+                            }
+                            _ => deepest_mismatch_clue(d, |clue| {
+                                let mut cost = Cost::new();
+                                frozen.lookup(d, clue, &mut cost);
+                                cost.total()
+                            }),
+                        })
+                    })
+                    .collect()
+            } else {
+                honest.clone()
+            };
+
+            let report = check_soundness(&mut engine, &frozen, &dests, &clues);
+            run.divergences += report.divergence_count;
+            run.bound_violations += report.overheads.iter().filter(|&&o| o > 1).count() as u64;
+            let signals = BatchSignals {
+                lookups: report.checked,
+                malformed: report.frozen_stats.malformed,
+                overruns: report.overheads.iter().filter(|&&o| o >= 1).count() as u64,
+            };
+            let transition = book.observe(0, &signals);
+            if quarantined && run.quarantine_batch.is_none() {
+                run.quarantine_batch = Some(batch);
+            }
+            if transition == Transition::Readmitted && run.readmit_batch.is_none() {
+                run.readmit_batch = Some(batch);
+            }
+            if batch + 4 >= batches {
+                run.final_cost += served_cost(&frozen, &dests, &clues);
+                run.final_honest_cost += served_cost(&frozen, &dests, &honest);
+            }
+            run.batches.push((hostile, quarantined, signals, report.overhead_max));
+        }
+        run
+    }
+
     #[test]
     fn lying_scenario_is_sound_quarantines_and_reconverges() {
-        let config = ScenarioConfig::new(AttackProfile::Lying, 21);
-        let report = run_scenario(&config, None, None).unwrap();
-        assert!(report.sound(), "divergences or bound violations under a lying neighbor");
-        let q = report.quarantine_batch.expect("a full-time liar must be quarantined");
+        let run = play_pair(AttackProfile::Lying, 21, 20, 6);
+        assert!(run.sound(), "divergences or bound violations under a lying neighbor");
+        let q = run.quarantine_batch.expect("a full-time liar must be quarantined");
         assert!(q <= 4, "quarantine should engage within the window, got {q}");
-        assert!(report.readmit_batch.is_some(), "honesty after the attack earns re-admission");
-        assert!(report.reconverged(0.05), "post-attack cost must return to honest baseline");
+        assert!(run.readmit_batch.is_some(), "honesty after the attack earns re-admission");
+        assert!(run.reconverged(0.05), "post-attack cost must return to honest baseline");
         // The attack batches really hurt before quarantine: the first
         // batch is hostile, un-quarantined, and pays about the bound
         // on every packet.
-        let first = &report.batches[0];
-        assert!(first.hostile && !first.quarantined);
-        assert!(first.signals.overruns * 2 > first.signals.lookups);
-        assert_eq!(first.overhead_max, 1, "the soundness bound caps the damage at one probe");
+        let (hostile, quarantined, signals, overhead_max) = run.batches[0];
+        assert!(hostile && !quarantined);
+        assert!(signals.overruns * 2 > signals.lookups);
+        assert_eq!(overhead_max, 1, "the soundness bound caps the damage at one probe");
     }
 
     #[test]
     fn flooding_scenario_trips_malformed_accounting() {
-        let mut config = ScenarioConfig::new(AttackProfile::Flooding, 22);
-        config.batches = 12;
-        config.attack_batches = 4;
-        let report = run_scenario(&config, None, None).unwrap();
-        assert!(report.sound());
-        let first = &report.batches[0];
-        assert_eq!(
-            first.signals.malformed, first.signals.lookups,
-            "every flood clue must hit the malformed path"
-        );
-        assert!(report.quarantine_batch.is_some());
+        let run = play_pair(AttackProfile::Flooding, 22, 12, 4);
+        assert!(run.sound());
+        let (_, _, signals, _) = run.batches[0];
+        assert_eq!(signals.malformed, signals.lookups, "every flood clue must hit the malformed path");
+        assert!(run.quarantine_batch.is_some());
     }
 
     #[test]
     fn oscillating_liar_cannot_dodge_hysteresis() {
-        let mut config = ScenarioConfig::new(AttackProfile::Oscillating, 23);
-        config.batches = 24;
-        config.attack_batches = 10;
-        let report = run_scenario(&config, None, None).unwrap();
-        assert!(report.sound());
+        let run = play_pair(AttackProfile::Oscillating, 23, 24, 10);
+        assert!(run.sound());
         assert!(
-            report.quarantine_batch.is_some(),
+            run.quarantine_batch.is_some(),
             "alternating honest epochs must not launder the score"
         );
-        assert!(report.reconverged(0.05));
+        assert!(run.reconverged(0.05));
+    }
+
+    /// The run `clue metrics` makes: two liars in a small
+    /// `Method::Simple` fleet feed the registered `clue_adversary_*`
+    /// and `clue_reputation_*` series of a Prometheus dump.
+    #[test]
+    fn scenario_feeds_telemetry() {
+        use clue_telemetry::{AdversaryTelemetry, Registry, ReputationTelemetry};
+        let registry = Registry::new();
+        let at = AdversaryTelemetry::registered(&registry, "clue_adversary");
+        let rt = ReputationTelemetry::registered(&registry, "clue_reputation");
+        let mut fleet_config = FleetConfig::new(48, 24);
+        fleet_config.origins = 8;
+        fleet_config.specifics_per_origin = 4;
+        fleet_config.engine.method = Method::Simple;
+        let fleet = Fleet::build(fleet_config).unwrap();
+        let mut attack = FleetAdversaryConfig::new(AttackProfile::Lying, 2);
+        attack.rounds = 12;
+        attack.attack_rounds = 3;
+        attack.flows_per_round = 128;
+        let report = fleet.run_adversarial(&attack, Some(&at), Some(&rt), None);
+        assert!(report.sound());
+        let attacked: u64 = report.rounds.iter().map(|r| r.attacked_hops).sum();
+        assert!(attacked > 0);
+        assert_eq!(at.attacked_hops_total.get(), attacked);
+        assert!(at.crafted_clues_total.get() > 0);
+        assert_eq!(at.bound_violations_total.get(), 0);
+        assert!(at.worst_overhead.get() <= 1.0);
+        assert!(rt.batches_observed_total.get() > 0);
+        assert!(rt.quarantines_total.get() >= 1);
+        assert_eq!(rt.quarantines_total.get(), report.quarantines);
+        let prom = registry.to_prometheus();
+        for line in [
+            format!("clue_adversary_attacked_hops_total {attacked}"),
+            "clue_adversary_bound_violations_total 0".to_string(),
+            format!("clue_reputation_quarantines_total {}", report.quarantines),
+        ] {
+            assert!(prom.lines().any(|l| l == line), "missing `{line}` in the dump");
+        }
     }
 
     #[test]
@@ -602,24 +465,5 @@ mod tests {
         assert_eq!(points[2].worst_overhead, 1);
         assert!(points[2].quarantine_round.is_some());
         assert!(points[2].attacked_savings < points[2].honest_savings);
-    }
-
-    #[test]
-    fn scenario_feeds_telemetry() {
-        use clue_telemetry::Registry;
-        let registry = Registry::new();
-        let at = AdversaryTelemetry::registered(&registry, "clue_adversary");
-        let rt = ReputationTelemetry::registered(&registry, "clue_reputation");
-        let mut config = ScenarioConfig::new(AttackProfile::Lying, 24);
-        config.batches = 10;
-        config.attack_batches = 3;
-        let report = run_scenario(&config, Some(&at), Some(&rt)).unwrap();
-        assert!(report.sound());
-        assert!(at.attacked_hops_total.get() > 0);
-        assert!(at.crafted_clues_total.get() > 0);
-        assert_eq!(at.bound_violations_total.get(), 0);
-        assert!(at.worst_overhead.get() <= 1.0);
-        assert_eq!(rt.batches_observed_total.get(), 10);
-        assert!(rt.quarantines_total.get() >= 1);
     }
 }

@@ -924,9 +924,9 @@ impl Fleet {
     /// misbehaving ([`AttackProfile`]) for the first
     /// `config.attack_rounds` rounds while every router scores its
     /// incoming links in a [`ReputationBook`] and quarantines bad
-    /// clue sources. Quarantine decisions are frozen per round — the
-    /// batch-boundary semantics of the serving runtime's
-    /// [`QuarantineGate`](clue_core::QuarantineGate) — and every
+    /// clue sources. Quarantine decisions are frozen per round — each
+    /// round starts from a snapshot of every link's
+    /// [`ReputationBook::uses_clues`] — and every
     /// clued hop is differentially checked in-walk: the clued tag must
     /// resolve the same BMP as the clue-less base lookup, and its cost
     /// may exceed the baseline by at most one probe.
@@ -1226,14 +1226,6 @@ pub struct LinkStats {
     pub misses: u64,
     /// Hops that crossed this link without a usable clue.
     pub clueless: u64,
-}
-
-impl LinkStats {
-    /// Hit rate over the link's clued lookups, `None` if it saw none.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let clued = self.hits + self.problematic + self.misses;
-        (clued > 0).then(|| self.hits as f64 / clued as f64)
-    }
 }
 
 /// Memory-reference accounting at one hop position (0 = ingress).
@@ -1805,10 +1797,12 @@ mod tests {
             report.final_savings(),
             report.honest_final_savings()
         );
-        // During the attack the attacked fleet saves less than honest.
+        // During the attack the attacked fleet saves less than honest,
+        // and the worst crafted clue costs exactly the one-probe bound.
         let first = &report.rounds[0];
-        assert!(first.attacked_hops > 0);
+        assert!(first.hostile && first.attacked_hops > 0);
         assert!(first.savings() < first.honest_savings());
+        assert_eq!(first.overhead_max, 1, "the soundness bound caps the damage at one probe");
     }
 
     #[test]
@@ -1842,8 +1836,11 @@ mod tests {
         // Flood clues never contain the destination: every forced clue
         // decodes Malformed, which costs zero extra references.
         let first = &report.rounds[0];
-        assert!(first.malformed > 0, "flood clues must register as malformed");
         assert!(first.attacked_hops > 0);
+        assert_eq!(
+            first.malformed, first.attacked_hops,
+            "at full participation every flood clue hits the malformed path"
+        );
     }
 
     #[test]

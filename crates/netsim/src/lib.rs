@@ -41,10 +41,10 @@
 //!   drops, reorders, reader panics and stalled rebuilds, checked
 //!   against the soundness invariant (any fault degrades cost, never
 //!   the forwarding decision);
-//! * [`adversary`] / [`run_scenario`] — systematic attackers beyond
-//!   random faults (a table-aware lying neighbor, clue-flooding
-//!   bursts, an oscillating liar) played against the
-//!   `clue_core::reputation` quarantine, every batch differentially
+//! * [`adversary`] / [`Fleet::run_adversarial`] — systematic attackers
+//!   beyond random faults (a table-aware lying neighbor, clue-flooding
+//!   bursts, an oscillating liar) played inside a fleet against the
+//!   `clue_core::reputation` quarantine, every clued hop differentially
 //!   checked against the clue-less baseline.
 
 #![forbid(unsafe_code)]
@@ -62,8 +62,7 @@ mod sim;
 mod topology;
 
 pub use adversary::{
-    deepest_mismatch_clue, flood_clue, participation_sweep, run_scenario, AttackProfile,
-    ScenarioBatch, ScenarioConfig, ScenarioReport, SweepPoint,
+    deepest_mismatch_clue, flood_clue, participation_sweep, AttackProfile, SweepPoint,
 };
 pub use churn::{run_churn, ChurnDriverConfig, ChurnError, ChurnReport};
 pub use faults::{

@@ -147,20 +147,10 @@ impl<A: Address> PathTrace<A> {
         self.hops.iter().map(|h| h.cost.total() + h.shift_cost.total()).sum()
     }
 
-    /// The per-hop BMP lengths — the paper's Figure 1 top curve.
-    pub fn bmp_lengths(&self) -> Vec<u8> {
-        self.hops.iter().map(|h| h.bmp.map_or(0, |p| p.len())).collect()
-    }
-
     /// The per-hop work (own + shifted) — the paper's Figure 1 bottom
     /// curve.
     pub fn work(&self) -> Vec<u64> {
         self.hops.iter().map(|h| h.cost.total() + h.shift_cost.total()).collect()
-    }
-
-    /// The per-hop *own* lookup work, excluding Section 5.4 shifted work.
-    pub fn own_work(&self) -> Vec<u64> {
-        self.hops.iter().map(|h| h.cost.total()).collect()
     }
 }
 
@@ -386,18 +376,6 @@ impl<A: Address> Network<A> {
         &self.routers
     }
 
-    /// Mutable router access (e.g. to toggle participation in
-    /// heterogeneous-deployment experiments).
-    pub fn routers_mut(&mut self) -> &mut [RouterNode<A>] {
-        &mut self.routers
-    }
-
-    /// The specifics advertised by origin `i` (index into
-    /// `config.origins`).
-    pub fn origin_specifics(&self, i: usize) -> &[Prefix<A>] {
-        &self.specifics[i]
-    }
-
     /// A random destination address covered by origin `i`'s space.
     pub fn random_destination(&self, i: usize, rng: &mut StdRng) -> A {
         let s = self.specifics[i].choose(rng).expect("origin has specifics");
@@ -531,7 +509,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let dest = net.random_destination(1, &mut rng);
         let trace = net.route_packet(0, dest);
-        let lens = trace.bmp_lengths();
+        // The per-hop BMP lengths: the paper's Figure 1 top curve.
+        let lens: Vec<u8> = trace.hops.iter().map(|h| h.bmp.map_or(0, |p| p.len())).collect();
         assert!(lens.windows(2).all(|w| w[0] <= w[1]), "non-monotone {lens:?}");
         assert!(lens[0] < *lens.last().unwrap(), "no growth at all: {lens:?}");
         assert_eq!(*lens.last().unwrap(), 24);

@@ -76,7 +76,7 @@ use std::time::{Duration, Instant};
 
 use clue_core::{
     BackendError, ClueEngine, ClueHeader, CompiledBackend, CompressedEngine, Decision, EngineStats,
-    EpochCell, EpochReader, Meter, PreparedLookup, QuarantineGate, StageMeter, StageProfiler,
+    EpochCell, EpochReader, Meter, PreparedLookup, StageMeter, StageProfiler,
     StrideConfig, StrideEngine, DEFAULT_INTERLEAVE, NO_TAG,
 };
 use clue_telemetry::{LookupClass, RuntimeTelemetry};
@@ -103,12 +103,6 @@ pub struct RuntimeConfig {
     /// Interleave group for the workers' prefetched batch loops
     /// (engine serving only; `<= 1` disables prefetch).
     pub prefetch: usize,
-    /// Reputation-layer quarantine switch for the served link. Workers
-    /// read it once per job at the epoch-refresh boundary: while
-    /// engaged, the job is served entirely clue-less — the hot path
-    /// stays branchless within a batch and never touches the flag
-    /// per packet.
-    pub gate: Option<std::sync::Arc<QuarantineGate>>,
 }
 
 impl Default for RuntimeConfig {
@@ -117,7 +111,6 @@ impl Default for RuntimeConfig {
             workers: available_workers(),
             batch: 512,
             prefetch: DEFAULT_INTERLEAVE,
-            gate: None,
         }
     }
 }
@@ -993,14 +986,11 @@ impl ServeReport {
 /// One serving core's private state: its registered epoch reader, the
 /// replica cloned from the snapshot it last pinned, and what it served
 /// and refreshed since priming.
-struct ServeCore<'c, A: Address, E> {
+struct ServeCore<'c, E> {
     reader: EpochReader<'c, E>,
     replica: E,
     epoch: u64,
     classes: EngineStats,
-    /// Quarantine substitution buffer: sized once, reused every gated
-    /// job, so engaging the gate allocates nothing on the hot path.
-    no_clues: Vec<Option<Prefix<A>>>,
     refresh_clones: u64,
     refresh_ns: u64,
     max_staleness: u64,
@@ -1038,7 +1028,6 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
 ) -> ServeReport {
     assert_eq!(dests.len(), clues.len(), "one clue slot per destination");
     let batch = config.batch.max(1);
-    let gate = config.gate.as_deref();
     out.clear();
     out.resize(dests.len(), Decision::default());
     let jobs = out.chunks_mut(batch).enumerate().map(|(i, slice)| (i * batch, slice));
@@ -1057,7 +1046,6 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
                 replica,
                 epoch,
                 classes: EngineStats::default(),
-                no_clues: vec![None; batch],
                 refresh_clones: 0,
                 refresh_ns: 0,
                 max_staleness: 0,
@@ -1086,17 +1074,9 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
                 t.staleness_epochs.observe(staleness);
             }
             let hi = lo + slice.len();
-            // The quarantine switch, observed per job like churn: while
-            // the reputation layer holds the gate engaged, this batch
-            // serves clue-less — same engine, same decisions
-            // (soundness), no clue-table probes.
-            let job_clues = match gate {
-                Some(g) if g.is_engaged() => &core.no_clues[..slice.len()],
-                _ => &clues[lo..hi],
-            };
             let s = core.replica.lookup_batch_interleaved(
                 &dests[lo..hi],
-                job_clues,
+                &clues[lo..hi],
                 slice,
                 config.prefetch,
             );
@@ -1566,38 +1546,6 @@ mod tests {
             assert_eq!(attributed, dests.len() as u64);
             assert_eq!(report.cores.iter().map(|c| c.max_staleness).max(), Some(0));
         }
-    }
-
-    #[test]
-    fn engaged_gate_serves_exactly_like_an_all_none_clue_run() {
-        let (engine, dests, clues) = engine_fixture();
-        let stride = StrideEngine::compile(&engine, &StrideConfig::default()).unwrap();
-        let none_clues: Vec<Option<Prefix<Ip4>>> = vec![None; dests.len()];
-        let mut want_quarantined = vec![Decision::default(); dests.len()];
-        let want_quarantined_stats =
-            stride.lookup_batch(&dests, &none_clues, &mut want_quarantined);
-        let mut want_clued = vec![Decision::default(); dests.len()];
-        stride.lookup_batch(&dests, &clues, &mut want_clued);
-        let cell = EpochCell::new(stride);
-        let gate = std::sync::Arc::new(QuarantineGate::default());
-        gate.engage();
-        let cfg = RuntimeConfig {
-            workers: 2,
-            batch: 128,
-            gate: Some(gate.clone()),
-            ..RuntimeConfig::default()
-        };
-        let mut got = Vec::new();
-        let report = serve_lookups(&cell, &dests, &clues, &mut got, &cfg, None);
-        assert_eq!(got, want_quarantined, "an engaged gate must serve clue-less");
-        assert_eq!(report.stats, want_quarantined_stats);
-        let clued = |s: &EngineStats| s.finals + s.continued + s.misses;
-        assert_eq!(clued(&report.stats), 0, "no clue may cross an engaged gate");
-        // Lifting the gate restores clued serving with the same config.
-        gate.lift();
-        let report = serve_lookups(&cell, &dests, &clues, &mut got, &cfg, None);
-        assert_eq!(got, want_clued, "a lifted gate must serve clues again");
-        assert!(clued(&report.stats) > 0);
     }
 
     #[test]

@@ -323,11 +323,6 @@ impl Topology {
         EcmpTree { dest, dist, next_hops }
     }
 
-    /// All-pairs ECMP trees (one BFS per router).
-    pub fn all_ecmp_routes(&self) -> Vec<EcmpTree> {
-        (0..self.n).map(|d| self.ecmp_toward(d)).collect()
-    }
-
     /// BFS from `dest`: per router, its distance to `dest` and the next
     /// hop toward it (`None` at `dest` itself and on unreachable
     /// routers).
@@ -349,11 +344,6 @@ impl Topology {
             }
         }
         RouteTree { dest, dist, next_hop }
-    }
-
-    /// All-pairs route trees (one BFS per router).
-    pub fn all_routes(&self) -> Vec<RouteTree> {
-        (0..self.n).map(|d| self.routes_toward(d)).collect()
     }
 }
 

@@ -57,29 +57,28 @@ proptest! {
         keys in proptest::collection::vec(any::<u64>(), 1..5),
     ) {
         let t = build(n, &edges);
-        let routes = t.all_routes();
-        let ecmp = t.all_ecmp_routes();
         for dest in 0..n {
+            let (route, ecmp) = (t.routes_toward(dest), t.ecmp_toward(dest));
             for src in 0..n {
                 // Spanning-tree construction ⇒ everything reachable,
                 // and both tree kinds agree on the metric.
-                let d = routes[dest].distance(src).expect("connected by construction");
-                prop_assert_eq!(ecmp[dest].distance(src), Some(d));
+                let d = route.distance(src).expect("connected by construction");
+                prop_assert_eq!(ecmp.distance(src), Some(d));
 
                 // Every equal-cost next hop is a neighbor exactly one
                 // hop closer — the strict descent that rules loops out.
-                for &nh in &ecmp[dest].next_hops[src] {
+                for &nh in &ecmp.next_hops[src] {
                     prop_assert!(t.has_link(src, nh));
-                    prop_assert_eq!(ecmp[dest].dist[nh] + 1, d);
+                    prop_assert_eq!(ecmp.dist[nh] + 1, d);
                 }
-                prop_assert_eq!(ecmp[dest].next_hops[src].is_empty(), src == dest);
+                prop_assert_eq!(ecmp.next_hops[src].is_empty(), src == dest);
 
                 // The single-path BFS tree is hop-minimal too.
-                let path = routes[dest].path_from(src).expect("reachable");
+                let path = route.path_from(src).expect("reachable");
                 prop_assert_eq!(path.len(), d + 1);
 
                 for &key in &keys {
-                    let path = ecmp[dest].path_from(src, key).expect("reachable");
+                    let path = ecmp.path_from(src, key).expect("reachable");
                     prop_assert_eq!(path.len(), d + 1, "flow path not hop-minimal");
                     let mut seen = vec![false; n];
                     for pair in path.windows(2) {

@@ -53,7 +53,7 @@ fn border_aggregation_shows_in_hop_bmps() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
     let dest = net.random_destination(1, &mut rng);
     let trace = net.route_packet(0, dest);
-    let lens = trace.bmp_lengths();
+    let lens: Vec<u8> = trace.hops.iter().map(|h| h.bmp.map_or(0, |p| p.len())).collect();
     // AS 1 routers see only AS 2's /16 aggregate; once inside AS 2 the
     // /24 specific applies. (Both ASes contain routers 3..=5.)
     assert_eq!(lens[0], 16, "{lens:?}");

@@ -5,18 +5,17 @@
 //! neighbors crafting deepest-mismatch clues, clue-flooding bursts,
 //! oscillating liars — and the reputation layer
 //! (`clue_core::reputation`) answers with quarantine. Two bundles name
-//! what those scenarios observe, under the workspace
+//! what the fleet's adversarial run observes, under the workspace
 //! `clue_<component>_<metric>` convention:
 //!
 //! * [`AdversaryTelemetry`] (`clue_adversary_*`) — the attack side:
 //!   hops attacked, clues crafted, malformed floods injected, and the
-//!   measured per-packet overhead against the soundness bound.
+//!   worst measured per-hop overhead against the soundness bound.
 //! * [`ReputationTelemetry`] (`clue_reputation_*`) — the defense side:
 //!   batches scored, quarantine/probation/re-admission transitions,
 //!   links currently quarantined, and the worst score in the book.
 
-use crate::registry::{Counter, Gauge, Histogram, Registry};
-use crate::DEGRADED_COST_BOUNDS;
+use crate::registry::{Counter, Gauge, Registry};
 
 /// Telemetry for attacker activity and its measured cost. Detached or
 /// registered like every workspace bundle; clones share cells.
@@ -34,9 +33,6 @@ pub struct AdversaryTelemetry {
     pub bound_violations_total: Counter,
     /// Worst per-packet overhead observed in the current run.
     pub worst_overhead: Gauge,
-    /// Per-packet overhead versus the clue-less baseline on attacked
-    /// hops (the soundness bound caps this at 1).
-    pub attack_overhead: Histogram,
 }
 
 impl AdversaryTelemetry {
@@ -54,7 +50,6 @@ impl AdversaryTelemetry {
     /// * `{prefix}_flood_clues_total`
     /// * `{prefix}_bound_violations_total`
     /// * `{prefix}_worst_overhead` (gauge)
-    /// * `{prefix}_attack_overhead` (histogram)
     pub fn registered(registry: &Registry, prefix: &str) -> Self {
         AdversaryTelemetry {
             attacked_hops_total: registry.counter(
@@ -76,11 +71,6 @@ impl AdversaryTelemetry {
             worst_overhead: registry.gauge(
                 &format!("{prefix}_worst_overhead"),
                 "Worst per-packet overhead observed",
-            ),
-            attack_overhead: registry.histogram(
-                &format!("{prefix}_attack_overhead"),
-                "Per-packet overhead versus the clue-less baseline on attacked hops",
-                DEGRADED_COST_BOUNDS,
             ),
         }
     }
@@ -164,15 +154,12 @@ mod tests {
             "clue_adversary_flood_clues_total",
             "clue_adversary_bound_violations_total",
             "clue_adversary_worst_overhead",
-            "clue_adversary_attack_overhead",
         ] {
             assert!(registry.contains(name), "missing {name}");
         }
         t.attacked_hops_total.add(5);
-        t.attack_overhead.observe(1);
         let again = AdversaryTelemetry::registered(&registry, "clue_adversary");
         assert_eq!(again.attacked_hops_total.get(), 5, "registered handles share cells");
-        assert_eq!(again.attack_overhead.count(), 1);
     }
 
     #[test]

@@ -124,15 +124,6 @@ impl DegradationTelemetry {
         }
     }
 
-    /// The per-class counter at construction index `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range for the labels the bundle was
-    /// built with.
-    pub fn class_at(&self, i: usize) -> &Counter {
-        &self.classes[i].1
-    }
-
     /// The per-class counter for `label`, if the bundle knows it.
     pub fn class(&self, label: &str) -> Option<&Counter> {
         self.classes.iter().find(|(l, _)| l == label).map(|(_, c)| c)
@@ -172,7 +163,7 @@ mod tests {
             assert!(registry.contains(name), "missing {name}");
         }
         t.injected_total.inc();
-        t.class_at(0).add(3);
+        t.class("corrupt_clue").unwrap().add(3);
         t.degraded_cost_overhead.observe(7);
         // Registered handles share cells with the registry.
         let again = DegradationTelemetry::registered(
@@ -191,7 +182,7 @@ mod tests {
         let t = DegradationTelemetry::detached(&["dropped"]);
         t.reader_panics_total.inc();
         t.watchdog_trips_total.add(2);
-        t.class_at(0).inc();
+        t.class("dropped").unwrap().inc();
         let clone = t.clone();
         clone.reader_panics_total.inc();
         assert_eq!(t.reader_panics_total.get(), 2, "clones share cells");

@@ -18,9 +18,9 @@
 //! * [`ScrapeServer`] — a zero-dependency HTTP endpoint (std
 //!   `TcpListener`) serving `/metrics` (Prometheus) and
 //!   `/metrics.json` live while a workload runs.
-//! * [`trace`] — structured per-lookup events ([`LookupEvent`]) with a
-//!   pluggable [`Subscriber`]; the default [`RingBufferSubscriber`]
-//!   keeps the last N events in bounded memory.
+//! * [`trace`] — structured per-lookup events ([`LookupEvent`]) that
+//!   [`LookupTelemetry::record`] folds into its counters and
+//!   histograms.
 //! * `export` — renders any registry to Prometheus text-exposition
 //!   format or to JSON (hand-rolled writer; no serde).
 //! * [`LookupTelemetry`] / [`CacheTelemetry`] and the other bundles —
@@ -63,7 +63,7 @@ pub use lookup::{CacheTelemetry, LookupTelemetry};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Metric, Registry, Snapshot};
 pub use runtime::RuntimeTelemetry;
 pub use server::ScrapeServer;
-pub use trace::{LookupClass, LookupEvent, RingBufferSubscriber, Subscriber};
+pub use trace::{LookupClass, LookupEvent};
 
 /// Default memory-reference histogram bounds: fine granularity around
 /// the 1-access clue-hit ideal, coarser toward full-lookup costs.

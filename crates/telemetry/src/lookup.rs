@@ -2,8 +2,8 @@
 //!
 //! Components don't invent metric names ad hoc: they hold a
 //! [`LookupTelemetry`] (per-lookup classification, memory references,
-//! search depth) or a [`CacheTelemetry`] (hits/misses/evictions/
-//! invalidations), *registered* into a shared [`Registry`] under the
+//! search depth) or a [`CacheTelemetry`] (hits/misses/evictions),
+//! *registered* into a shared [`Registry`] under the
 //! workspace naming convention `clue_<component>_<metric>`, or
 //! *detached*: the same bundle registered into a private registry, so
 //! its cells are live but nothing exports them.
@@ -12,17 +12,15 @@
 //! recording into a registered bundle is automatically visible to
 //! every exporter with no copying or locking.
 
-use std::sync::Arc;
-
 use crate::registry::{Counter, Histogram, Registry};
-use crate::trace::{LookupClass, LookupEvent, Subscriber};
+use crate::trace::{LookupClass, LookupEvent};
 use crate::{MEMORY_REFERENCE_BOUNDS, PREFIX_LENGTH_BOUNDS, SEARCH_DEPTH_BOUNDS};
 
 /// Telemetry for one lookup path (an engine, a simulator, a CLI run).
 ///
 /// Recording one [`LookupEvent`] costs a handful of relaxed atomic
 /// adds; cloning shares the underlying cells.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct LookupTelemetry {
     /// Every lookup observed.
     pub lookups_total: Counter,
@@ -35,21 +33,11 @@ pub struct LookupTelemetry {
     pub search_depth: Histogram,
     /// Length of the clue carried, for clue-bearing lookups.
     pub clue_length: Histogram,
-    subscriber: Option<Arc<dyn Subscriber>>,
-}
-
-impl std::fmt::Debug for LookupTelemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LookupTelemetry")
-            .field("lookups_total", &self.lookups_total.get())
-            .field("has_subscriber", &self.subscriber.is_some())
-            .finish()
-    }
 }
 
 impl LookupTelemetry {
     /// A detached bundle: live cells in a private registry, exported
-    /// nowhere, and no subscriber.
+    /// nowhere.
     pub fn detached() -> Self {
         Self::registered(&Registry::new(), "detached")
     }
@@ -97,19 +85,7 @@ impl LookupTelemetry {
                 "Length of the clue carried by the packet",
                 PREFIX_LENGTH_BOUNDS,
             ),
-            subscriber: None,
         }
-    }
-
-    /// Attaches a trace subscriber; every recorded event is forwarded.
-    pub fn with_subscriber(mut self, subscriber: Arc<dyn Subscriber>) -> Self {
-        self.subscriber = Some(subscriber);
-        self
-    }
-
-    /// The attached subscriber, if any.
-    pub fn subscriber(&self) -> Option<&Arc<dyn Subscriber>> {
-        self.subscriber.as_ref()
     }
 
     /// Records one lookup.
@@ -121,9 +97,6 @@ impl LookupTelemetry {
         self.search_depth.observe(event.search_depth);
         if let Some(len) = event.clue_len {
             self.clue_length.observe(len as u64);
-        }
-        if let Some(sub) = &self.subscriber {
-            sub.record(event);
         }
     }
 
@@ -153,8 +126,6 @@ pub struct CacheTelemetry {
     pub misses: Counter,
     /// Entries evicted to make room.
     pub evictions: Counter,
-    /// Entries dropped by explicit invalidation.
-    pub invalidations: Counter,
 }
 
 impl CacheTelemetry {
@@ -166,7 +137,7 @@ impl CacheTelemetry {
 
     /// A bundle registered into `registry` under `prefix` (the
     /// workspace uses `clue_cache`), creating or sharing
-    /// `{prefix}_{hits,misses,evictions,invalidations}_total`.
+    /// `{prefix}_{hits,misses,evictions}_total`.
     pub fn registered(registry: &Registry, prefix: &str) -> Self {
         CacheTelemetry {
             hits: registry
@@ -177,10 +148,6 @@ impl CacheTelemetry {
             ),
             evictions: registry
                 .counter(&format!("{prefix}_evictions_total"), "Entries evicted to make room"),
-            invalidations: registry.counter(
-                &format!("{prefix}_invalidations_total"),
-                "Entries dropped by explicit invalidation",
-            ),
         }
     }
 
@@ -198,14 +165,12 @@ impl CacheTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::RingBufferSubscriber;
 
     fn ev(class: LookupClass, refs: u64) -> LookupEvent {
         LookupEvent {
             clue_len: Some(20),
             class,
             search_depth: if class == LookupClass::Continued { 3 } else { 0 },
-            cache_hit: None,
             memory_references: refs,
         }
     }
@@ -263,24 +228,12 @@ mod tests {
     }
 
     #[test]
-    fn subscriber_receives_every_event() {
-        let ring = Arc::new(RingBufferSubscriber::new(8));
-        let t = LookupTelemetry::detached().with_subscriber(ring.clone());
-        t.record(&ev(LookupClass::Continued, 5));
-        t.record(&ev(LookupClass::Final, 1));
-        assert_eq!(ring.seen(), 2);
-        assert_eq!(ring.events()[0].class, LookupClass::Continued);
-        assert!(t.subscriber().is_some());
-    }
-
-    #[test]
     fn cache_telemetry_hit_rate() {
         let reg = Registry::new();
         let c = CacheTelemetry::registered(&reg, "clue_cache");
         c.hits.add(3);
         c.misses.inc();
         c.evictions.inc();
-        c.invalidations.inc();
         assert_eq!(c.hit_rate(), 0.75);
         assert!(reg.contains("clue_cache_hits_total"));
         assert!(reg.contains("clue_cache_evictions_total"));

@@ -189,13 +189,6 @@ impl Histogram {
         }
     }
 
-    /// A consistent copy of the per-bucket counts (including the final
-    /// overflow bucket): `Σ counts == count()` as observed by one
-    /// coherent snapshot. Routed through [`Self::snapshot`].
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.snapshot().counts
-    }
-
     /// A point-in-time snapshot with `Σ counts == count` guaranteed;
     /// see the type docs for the ordering argument.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -528,7 +521,7 @@ mod tests {
         // Overflow.
         h.observe(17);
         h.observe(1_000_000);
-        assert_eq!(h.bucket_counts(), vec![1, 2, 1, 2]);
+        assert_eq!(h.snapshot().counts, vec![1, 2, 1, 2]);
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1 + 4 + 16 + 2 + 17 + 1_000_000);
     }
@@ -537,7 +530,7 @@ mod tests {
     fn histogram_zero_lands_in_first_bucket() {
         let h = Histogram::new(&[0, 2]);
         h.observe(0);
-        assert_eq!(h.bucket_counts(), vec![1, 0, 0]);
+        assert_eq!(h.snapshot().counts, vec![1, 0, 0]);
     }
 
     #[test]
@@ -549,7 +542,7 @@ mod tests {
         h.reset();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.bucket_counts(), vec![0, 0]);
+        assert_eq!(h.snapshot().counts, vec![0, 0]);
     }
 
     #[test]

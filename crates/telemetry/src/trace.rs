@@ -1,15 +1,8 @@
-//! Structured per-lookup tracing.
+//! Structured per-lookup events.
 //!
-//! Aggregate metrics answer "how many"; traces answer "what exactly
-//! happened on this lookup". Components build a [`LookupEvent`] per
-//! lookup and hand it to a pluggable [`Subscriber`]. The default
-//! [`RingBufferSubscriber`] keeps the most recent N events in bounded
-//! memory, which is enough for the CLI and tests to show recent
-//! history without unbounded growth.
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+//! Components build one [`LookupEvent`] per instrumented lookup and
+//! hand it to [`LookupTelemetry::record`](crate::LookupTelemetry::record),
+//! which folds it into the aggregate counters and histograms.
 
 /// How a lookup resolved — the classification axis of the paper's
 /// Tables 4–9 plus the failure modes.
@@ -61,9 +54,6 @@ pub struct LookupEvent {
     /// Structure nodes visited *beyond* the mandatory table consult
     /// (the continued-search depth; 0 for a final hit).
     pub search_depth: u64,
-    /// Cache consult outcome: `Some(true)` hit, `Some(false)` miss,
-    /// `None` when no cache is configured.
-    pub cache_hit: Option<bool>,
     /// Total memory references the lookup performed.
     pub memory_references: u64,
 }
@@ -75,99 +65,14 @@ impl LookupEvent {
             clue_len: None,
             class: LookupClass::Clueless,
             search_depth: 0,
-            cache_hit: None,
             memory_references,
         }
-    }
-}
-
-/// A sink for lookup events. Implementations must be cheap: the hot
-/// path calls [`Subscriber::record`] once per instrumented lookup.
-pub trait Subscriber: Send + Sync {
-    /// Consumes one event.
-    fn record(&self, event: &LookupEvent);
-}
-
-/// The default subscriber: a bounded ring of the most recent events.
-#[derive(Debug)]
-pub struct RingBufferSubscriber {
-    capacity: usize,
-    ring: Mutex<VecDeque<LookupEvent>>,
-    seen: AtomicU64,
-}
-
-impl RingBufferSubscriber {
-    /// A ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingBufferSubscriber {
-            capacity,
-            ring: Mutex::new(VecDeque::with_capacity(capacity)),
-            seen: AtomicU64::new(0),
-        }
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    pub fn seen(&self) -> u64 {
-        self.seen.load(Ordering::Relaxed)
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<LookupEvent> {
-        self.ring.lock().expect("ring poisoned").iter().copied().collect()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl Subscriber for RingBufferSubscriber {
-    fn record(&self, event: &LookupEvent) {
-        self.seen.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock().expect("ring poisoned");
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(*event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(refs: u64) -> LookupEvent {
-        LookupEvent {
-            clue_len: Some(16),
-            class: LookupClass::Final,
-            search_depth: 0,
-            cache_hit: None,
-            memory_references: refs,
-        }
-    }
-
-    #[test]
-    fn ring_keeps_most_recent_events() {
-        let ring = RingBufferSubscriber::new(3);
-        for i in 0..5 {
-            ring.record(&ev(i));
-        }
-        assert_eq!(ring.seen(), 5);
-        let kept: Vec<u64> = ring.events().iter().map(|e| e.memory_references).collect();
-        assert_eq!(kept, vec![2, 3, 4]);
-        assert_eq!(ring.capacity(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        RingBufferSubscriber::new(0);
-    }
 
     #[test]
     fn class_labels_are_distinct() {

@@ -301,13 +301,6 @@ impl<A: Address, T> BinaryTrie<A, T> {
             .expect("dangling RouteId")
     }
 
-    /// The vertex at which a route is marked.
-    pub fn node_of_route(&self, rid: RouteId) -> NodeId {
-        let slot = &self.routes[rid.index()];
-        assert!(slot.value.is_some(), "dangling RouteId {rid:?}");
-        slot.node
-    }
-
     /// The vertex representing `prefix`, if that string lies in the trie.
     ///
     /// This is the test “vertex `s` exists in the trie of R2” from the
@@ -339,37 +332,6 @@ impl<A: Address, T> BinaryTrie<A, T> {
     /// The two children of a vertex (`[zero-child, one-child]`).
     pub fn children(&self, id: NodeId) -> [Option<NodeId>; 2] {
         self.node(id).children
-    }
-
-    /// `true` iff the vertex has at least one child. Because unmarked
-    /// childless vertices are pruned, a vertex with a child always has a
-    /// marked strict descendant — the Simple method's continuation test.
-    pub fn has_descendants(&self, id: NodeId) -> bool {
-        let c = self.node(id).children;
-        c[0].is_some() || c[1].is_some()
-    }
-
-    /// The parent vertex (`None` for the root).
-    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).parent
-    }
-
-    /// The nearest marked ancestor of a vertex, **including the vertex
-    /// itself** — i.e. the BMP of the vertex's string in this trie.
-    pub fn nearest_marked_at_or_above(&self, id: NodeId) -> Option<RouteId> {
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            if let Some(r) = self.node(c).route {
-                return Some(r);
-            }
-            cur = self.node(c).parent;
-        }
-        None
-    }
-
-    /// The nearest marked **strict** ancestor of a vertex.
-    pub fn nearest_marked_above(&self, id: NodeId) -> Option<RouteId> {
-        self.parent(id).and_then(|p| self.nearest_marked_at_or_above(p))
     }
 
     /// Best matching prefix of an arbitrary *string* (not only a full
@@ -620,7 +582,7 @@ mod tests {
         // All leaves are marked after pruning.
         let root = t.root();
         t.walk_subtree(root, |n| {
-            if !t.has_descendants(n) && n != root {
+            if t.children(n) == [None, None] && n != root {
                 assert!(t.is_marked(n), "unmarked leaf survived pruning");
             }
             true
@@ -649,14 +611,17 @@ mod tests {
 
     #[test]
     fn nearest_marked_ancestors() {
+        // A string's BMP is the nearest marked vertex at or above it.
         let t = sample();
-        let n24 = t.node_of_prefix(&p("10.1.2.0/24")).unwrap();
-        let bmp = t.nearest_marked_at_or_above(n24).unwrap();
-        assert_eq!(t.prefix(bmp), p("10.1.2.0/24"));
-        let above = t.nearest_marked_above(n24).unwrap();
+        let s24 = p("10.1.2.0/24");
+        assert!(t.node_of_prefix(&s24).is_some());
+        let bmp = t.best_match_of_prefix(&s24).unwrap();
+        assert_eq!(t.prefix(bmp), s24);
+        let above = t.best_match_of_prefix(&s24.parent().unwrap()).unwrap();
         assert_eq!(t.prefix(above), p("10.1.0.0/16"));
-        let n12 = t.node_of_prefix(&p("10.1.0.0/12")).unwrap();
-        let bmp12 = t.nearest_marked_at_or_above(n12).unwrap();
+        let s12 = p("10.1.0.0/12");
+        assert!(t.node_of_prefix(&s12).is_some(), "an unmarked vertex on the path");
+        let bmp12 = t.best_match_of_prefix(&s12).unwrap();
         assert_eq!(t.prefix(bmp12), p("10.0.0.0/8"));
     }
 
@@ -745,7 +710,7 @@ mod tests {
         assert_eq!(t.root().index(), 0);
         for (rid, p, _) in t.iter() {
             assert_eq!(t.prefix(rid), p);
-            assert_eq!(t.node_prefix(t.node_of_route(rid)), p);
+            assert_eq!(t.node_prefix(t.routes[rid.index()].node), p);
         }
         let mut ids: Vec<usize> = t.iter().map(|(rid, _, _)| rid.index()).collect();
         ids.sort_unstable();

@@ -166,11 +166,6 @@ impl<A: Address> PatriciaTrie<A> {
         self.node(id).children
     }
 
-    /// The parent of a vertex (`None` for the root).
-    pub fn parent(&self, id: PNodeId) -> Option<PNodeId> {
-        self.node(id).parent
-    }
-
     /// Inserts a prefix; returns `false` if it was already present.
     pub fn insert(&mut self, p: Prefix<A>) -> bool {
         let mut cur = self.root();

@@ -105,14 +105,23 @@ target/release/clue bench-diff BENCH_compressed.json "$fresh/BENCH_compressed.js
 # deterministic series must be exact: 2 cores, 2000 packets in 8 jobs
 # of 256, one priming clone per core timed once, one staleness sample
 # per job. The same scrape must show the simulator's series from its
-# 200-packet instrumented run (every packet delivered) and the
-# compressed and fleet families, registered at zero.
+# 200-packet instrumented run (every packet delivered), the compressed,
+# fleet and fault families registered at zero, and the adversarial
+# fleet's seeded series: 151 crafted hops within the one-probe bound,
+# and every one of the 6 quarantined links re-admitted through
+# probation over 12 rounds of 162 directed links.
 metrics=$(target/release/clue metrics 2000 1 --prom)
 for line in 'clue_runtime_workers 2' 'clue_runtime_packets_total 2000' \
   'clue_runtime_batches_total 8' 'clue_runtime_replica_clones_total 2' \
   'clue_runtime_replica_clone_us_count 2' 'clue_runtime_staleness_epochs_count 8' \
   'clue_netsim_packets_total 200' 'clue_netsim_delivered_total 200' \
-  'clue_compressed_packets_total 0' 'clue_fleet_flows_total 0'; do
+  'clue_compressed_packets_total 0' 'clue_fleet_flows_total 0' \
+  'clue_fault_injected_total 0' \
+  'clue_adversary_attacked_hops_total 151' 'clue_adversary_crafted_clues_total 151' \
+  'clue_adversary_bound_violations_total 0' 'clue_adversary_worst_overhead 1' \
+  'clue_reputation_batches_observed_total 1944' 'clue_reputation_quarantines_total 6' \
+  'clue_reputation_probations_total 6' 'clue_reputation_readmissions_total 6' \
+  'clue_reputation_quarantined_links 0'; do
   grep -qx "$line" <<<"$metrics"
 done
 

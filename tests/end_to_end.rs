@@ -153,7 +153,7 @@ fn network_simulation_is_sound() {
             assert_eq!(h.bmp, want, "router {} diverged from its own FIB", h.router);
         }
         // Figure 1 invariant: BMP length never shrinks along the path.
-        let lens = trace.bmp_lengths();
+        let lens: Vec<u8> = trace.hops.iter().map(|h| h.bmp.map_or(0, |p| p.len())).collect();
         assert!(lens.windows(2).all(|w| w[0] <= w[1]), "{lens:?}");
     }
 }
