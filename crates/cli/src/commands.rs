@@ -42,10 +42,11 @@ usage:
                                                  and touched record bytes to
                                                  the root/inner/clue-probe/
                                                  continuation/cache stages of
-                                                 the scalar, frozen and
-                                                 stride paths (plus the
-                                                 network driver), reporting
-                                                 ns/lookup percentiles and
+                                                 the scalar, frozen, stride
+                                                 and compressed paths (plus
+                                                 the network driver),
+                                                 reporting ns/lookup
+                                                 percentiles and
                                                  the predicted-vs-measured
                                                  correlation; --check proves
                                                  profiling is semantically
@@ -55,15 +56,17 @@ usage:
                                                  compare two BENCH_*.json
                                                  exports key by key: booleans
                                                  and strings exactly, numbers
-                                                 within a relative tolerance
-                                                 (timing- and run-variable
-                                                 keys get the wider
-                                                 --time-tolerance; defaults
-                                                 10 / 100); --min (repeatable)
-                                                 also requires the fresh
-                                                 run's KEY to be >= FLOOR,
-                                                 --max (repeatable) to be
-                                                 <= CEIL
+                                                 within --tolerance (default
+                                                 10), except those whose leaf
+                                                 name the baseline's \"timing\"
+                                                 list declares a timing,
+                                                 which get --time-tolerance
+                                                 (default 100); the two
+                                                 timing lists must match;
+                                                 --min (repeatable) also
+                                                 requires the fresh run's KEY
+                                                 to be >= FLOOR, --max
+                                                 (repeatable) to be <= CEIL
   clue throughput [packets] [seed] [--threads N] [--table P] [--stride BITS]
                   [--prefetch G] [--backend B] [--runtime] [--json PATH]
                   [--serve ADDR] [--check]       packets/sec for the scalar,
@@ -376,24 +379,10 @@ fn minimize_cmd(path: &str) -> Result<(), String> {
 /// Runs a synthetic sender→receiver workload with telemetry enabled and
 /// dumps the whole registry: Prometheus text exposition, JSON, or both.
 fn metrics(args: &[String]) -> Result<(), String> {
-    let mut packets = 10_000usize;
-    let mut seed = 1u64;
-    let (mut prom, mut json) = (true, true);
-    let mut positional = 0;
-    for a in args {
-        match a.as_str() {
-            "--prom" => json = false,
-            "--json" => prom = false,
-            other => {
-                match positional {
-                    0 => packets = other.parse().map_err(|_| "bad packet count")?,
-                    1 => seed = other.parse().map_err(|_| "bad seed")?,
-                    _ => return Err(format!("unexpected argument {other:?}")),
-                }
-                positional += 1;
-            }
-        }
-    }
+    let flags = Flags::read(args, ["packets", "seed"], &[], &["--prom", "--json"])?;
+    let packets = flags.get("packets", 10_000usize)?;
+    let seed = flags.get("seed", 1u64)?;
+    let (prom, json) = (!flags.switch("--json"), !flags.switch("--prom"));
     if !prom && !json {
         return Err("--prom and --json are mutually exclusive".to_owned());
     }
@@ -520,28 +509,84 @@ fn metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Starts the zero-dependency scrape server on `addr` and announces
-/// the endpoint; the returned guard keeps it serving until dropped.
-/// Parses and validates the value of a `--threads N` flag — shared by
-/// every subcommand with a worker pool (`throughput --runtime`,
-/// `fleet`), so the validation rules can't drift apart.
-fn parse_threads(it: &mut std::slice::Iter<'_, String>) -> Result<usize, String> {
-    let threads: usize =
-        it.next().ok_or("--threads needs a value")?.parse().map_err(|_| "bad thread count")?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".to_owned());
+/// One subcommand's command line, read once: the positionals under the
+/// names the subcommand gives them (`[count] [seed]`), `--name VALUE`
+/// options and bare `--name` switches. The getters parse on demand; a
+/// repeated option keeps its last value.
+struct Flags<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Flags<'a> {
+    /// Reads `args`: `options` take the next argument as their value,
+    /// `switches` stand alone, and anything else fills the next of the
+    /// two `positional` names.
+    fn read(
+        args: &'a [String],
+        positional: [&'a str; 2],
+        options: &[&str],
+        switches: &[&str],
+    ) -> Result<Self, String> {
+        let mut read = Vec::new();
+        let mut names = positional.into_iter();
+        let mut it = args.iter().map(String::as_str);
+        while let Some(a) = it.next() {
+            if options.contains(&a) {
+                read.push((a, it.next().ok_or_else(|| format!("{a} needs a value"))?));
+            } else if switches.contains(&a) {
+                read.push((a, ""));
+            } else {
+                let name = names.next().ok_or_else(|| format!("unexpected argument {a:?}"))?;
+                read.push((name, a));
+            }
+        }
+        Ok(Flags(read))
     }
-    Ok(threads)
+
+    /// Every value given for `name`, in order.
+    fn all<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.0.iter().filter(move |(n, _)| *n == name).map(|&(_, v)| v)
+    }
+
+    fn text(&self, name: &str) -> Option<&'a str> {
+        self.all(name).last()
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.text(name).is_some()
+    }
+
+    /// `name`'s value as a `T`, or `default` when it was not given.
+    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.text(name)
+            .map_or(Ok(default), |v| v.parse().map_err(|e| format!("bad {name} {v:?}: {e}")))
+    }
+
+    /// A count that must be at least `min` when given.
+    fn count(&self, name: &str, default: usize, min: usize) -> Result<usize, String> {
+        let n = self.get(name, default)?;
+        if self.text(name).is_some() && n < min {
+            return Err(format!("{name} must be at least {min}"));
+        }
+        Ok(n)
+    }
 }
 
-fn start_scrape(addr: &str, registry: &Arc<Registry>) -> Result<ScrapeServer, String> {
+/// Starts the zero-dependency scrape server when `--serve` gave an
+/// address and announces the endpoint; the returned guard keeps it
+/// serving until dropped.
+fn start_scrape(
+    addr: Option<&str>,
+    registry: &Arc<Registry>,
+) -> Result<Option<ScrapeServer>, String> {
+    let Some(addr) = addr else { return Ok(None) };
     let server =
         ScrapeServer::start(addr, registry.clone()).map_err(|e| format!("--serve {addr}: {e}"))?;
     println!("serving metrics on http://{}/metrics (and /metrics.json)", server.addr());
-    Ok(server)
+    Ok(Some(server))
 }
 
-/// `{:.2}`-formats an optional statistic, `-` when undefined.
 /// One backend's row of the human-readable CRAM table: arena bytes per
 /// receiver prefix, the byte split, and the model's expected per-lookup
 /// references and cache misses.
@@ -560,42 +605,212 @@ fn print_cram(name: &str, prefixes: usize, r: &CramReport) {
     );
 }
 
-/// The same CRAM block as flat `BENCH_*.json` keys (appended to an
-/// open JSON object). Everything here is a pure function of the seeded
-/// layout, so bench-diff compares these keys at the strict tolerance.
-fn cram_json(json: &mut String, name: &str, prefixes: usize, r: &CramReport) {
-    let _ = write!(
-        json,
-        ",\n  \"{name}_bytes_per_prefix\": {:.3},\n  \
-         \"cram_{name}_arena_bytes\": {},\n  \
-         \"cram_{name}_bucket_bytes\": {},\n  \
-         \"cram_{name}_dict_bytes\": {},\n  \
-         \"cram_{name}_levels\": {},\n  \
-         \"cram_{name}_expected_refs\": {:.4},\n  \
-         \"cram_{name}_l1_miss\": {:.4},\n  \
-         \"cram_{name}_l2_miss\": {:.4},\n  \
-         \"cram_{name}_l3_miss\": {:.4}",
-        r.arena_bytes as f64 / prefixes.max(1) as f64,
-        r.arena_bytes,
-        r.bucket_bytes,
-        r.dict_bytes,
-        r.levels.len(),
-        r.expected_refs,
-        r.expected_l1_misses,
-        r.expected_l2_misses,
-        r.expected_l3_misses
-    );
+/// The same CRAM block as report keys. Everything here is a pure
+/// function of the seeded layout.
+fn report_cram(report: &mut Report, name: &str, prefixes: usize, r: &CramReport) {
+    report
+        .seeded(
+            &format!("{name}_bytes_per_prefix"),
+            Num::fixed(r.arena_bytes as f64 / prefixes.max(1) as f64, 3),
+        )
+        .seeded(&format!("cram_{name}_arena_bytes"), r.arena_bytes)
+        .seeded(&format!("cram_{name}_bucket_bytes"), r.bucket_bytes)
+        .seeded(&format!("cram_{name}_dict_bytes"), r.dict_bytes)
+        .seeded(&format!("cram_{name}_levels"), r.levels.len())
+        .seeded(&format!("cram_{name}_expected_refs"), Num::fixed(r.expected_refs, 4))
+        .seeded(&format!("cram_{name}_l1_miss"), Num::fixed(r.expected_l1_misses, 4))
+        .seeded(&format!("cram_{name}_l2_miss"), Num::fixed(r.expected_l2_misses, 4))
+        .seeded(&format!("cram_{name}_l3_miss"), Num::fixed(r.expected_l3_misses, 4));
 }
 
+/// `{:.2}`-formats an optional statistic, `-` when undefined.
 fn fmt_opt(v: Option<f64>) -> String {
     v.map_or_else(|| "-".to_owned(), |x| format!("{x:.2}"))
 }
 
-/// JSON-formats an optional statistic, `null` when undefined.
-fn json_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x:.4}"),
-        _ => "null".to_owned(),
+/// One number of a [`Report`], rendered once at the precision its key
+/// exports; an undefined or non-finite number is `null`.
+struct Num(String);
+
+impl Num {
+    /// `x` with `decimals` places.
+    fn fixed(x: impl Into<Option<f64>>, decimals: usize) -> Num {
+        match x.into() {
+            Some(x) if x.is_finite() => Num(format!("{x:.decimals$}")),
+            _ => Num("null".to_owned()),
+        }
+    }
+}
+
+/// A real number in its shortest exact form (`1`, `0.25`).
+impl From<f64> for Num {
+    fn from(x: f64) -> Num {
+        if x.is_finite() {
+            Num(x.to_string())
+        } else {
+            Num("null".to_owned())
+        }
+    }
+}
+
+macro_rules! num_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Num {
+            fn from(x: $t) -> Num {
+                Num(x.to_string())
+            }
+        }
+    )*};
+}
+num_from_int!(u8, u64, usize);
+
+/// An optional count: `null` when undefined.
+impl<T: Into<Num>> From<Option<T>> for Num {
+    fn from(x: Option<T>) -> Num {
+        x.map_or_else(|| Num("null".to_owned()), Into::into)
+    }
+}
+
+/// A value of a [`Report`], its scalars already rendered.
+enum Json {
+    Scalar(String),
+    List(Vec<Json>),
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Renders `self` at nesting depth `indent`: a container holding
+    /// only scalars on one line, any other one child per line.
+    fn render(&self, out: &mut String, indent: usize) {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Scalar(s) => return out.push_str(s),
+            Json::List(v) => ('[', ']', v.iter().map(|j| (None, j)).collect()),
+            Json::Object(v) => ('{', '}', v.iter().map(|(k, j)| (Some(k.as_str()), j)).collect()),
+        };
+        let nested = items.iter().any(|(_, j)| !matches!(j, Json::Scalar(_)));
+        let pad = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.push_str(&" ".repeat(depth));
+        };
+        out.push(open);
+        for (i, (key, value)) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(if nested { "," } else { ", " });
+            }
+            if nested {
+                pad(out, indent + 2);
+            }
+            if let Some(key) = key {
+                out.push_str(&quote(key));
+                out.push_str(": ");
+            }
+            value.render(out, indent + 2);
+        }
+        if nested {
+            pad(out, indent);
+        }
+        out.push(close);
+    }
+}
+
+/// `s` as a JSON string literal.
+fn quote(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// One `BENCH_*.json` export: an ordered `key → value` object. Every
+/// number goes in as seeded (a pure function of the seeded workload,
+/// held to `bench-diff --tolerance`) or as a timing (read off the wall
+/// clock or the thread schedule, held to `--time-tolerance`), and the
+/// rendered file ends in a top-level `timing` list of the leaf names
+/// written as timings — the declaration `bench-diff` reads the classes
+/// from.
+#[derive(Default)]
+struct Report {
+    fields: Vec<(String, Json)>,
+    timings: Vec<String>,
+}
+
+impl Report {
+    fn put(&mut self, key: &str, value: Json) -> &mut Self {
+        self.fields.push((key.to_owned(), value));
+        self
+    }
+
+    fn declare_timing(&mut self, leaf: &str) {
+        if !self.timings.iter().any(|t| t == leaf) {
+            self.timings.push(leaf.to_owned());
+        }
+    }
+
+    fn seeded(&mut self, key: &str, n: impl Into<Num>) -> &mut Self {
+        self.put(key, Json::Scalar(n.into().0))
+    }
+
+    fn timing(&mut self, key: &str, n: impl Into<Num>) -> &mut Self {
+        self.declare_timing(key);
+        self.seeded(key, n)
+    }
+
+    /// A list of timings under one key.
+    fn timing_list(&mut self, key: &str, ns: impl IntoIterator<Item = Num>) -> &mut Self {
+        self.declare_timing(key);
+        self.put(key, Json::List(ns.into_iter().map(|n| Json::Scalar(n.0)).collect()))
+    }
+
+    fn flag(&mut self, key: &str, b: bool) -> &mut Self {
+        self.put(key, Json::Scalar(b.to_string()))
+    }
+
+    fn text(&mut self, key: &str, s: &str) -> &mut Self {
+        self.put(key, Json::Scalar(quote(s)))
+    }
+
+    /// A nested object; its timings join this report's.
+    fn child(&mut self, key: &str, child: Report) -> &mut Self {
+        let value = self.adopt(child);
+        self.put(key, value)
+    }
+
+    /// A list of nested objects; their timings join this report's.
+    fn rows(&mut self, key: &str, rows: Vec<Report>) -> &mut Self {
+        let rows = rows.into_iter().map(|r| self.adopt(r)).collect();
+        self.put(key, Json::List(rows))
+    }
+
+    fn adopt(&mut self, child: Report) -> Json {
+        for t in &child.timings {
+            self.declare_timing(t);
+        }
+        Json::Object(child.fields)
+    }
+
+    /// The JSON document, `timing` list last.
+    fn render(mut self) -> String {
+        let timings = self.timings.iter().map(|t| Json::Scalar(quote(t))).collect();
+        self.fields.push(("timing".to_owned(), Json::List(timings)));
+        let mut out = String::new();
+        Json::Object(self.fields).render(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(self, path: &str) -> Result<(), String> {
+        fs::write(path, self.render()).map_err(|e| format!("{path}: {e}"))?;
+        println!("wrote {path}");
+        Ok(())
     }
 }
 
@@ -635,43 +850,39 @@ fn print_profile_path(name: &str, prof: &StageProfiler, snap: &HistogramSnapshot
     );
 }
 
-/// One profiled path as a `BENCH_profile.json` object body.
-fn profile_path_json(prof: &StageProfiler, snap: &HistogramSnapshot) -> String {
-    let mut stages = String::new();
-    let live: Vec<Stage> = Stage::all().into_iter().filter(|s| prof.stage(*s).visits > 0).collect();
-    for (i, stage) in live.iter().enumerate() {
-        let s = prof.stage(*stage);
-        let sep = if i + 1 < live.len() { "," } else { "" };
-        write!(
-            stages,
-            "\n      \"{}\": {{\"visits\": {}, \"ticks\": {}, \"bytes\": {}, \"nanos\": {}, \
-             \"ticks_per_visit\": {}, \"ns_per_tick\": {}, \"correlation\": {}}}{sep}",
-            stage.label(),
-            s.visits,
-            s.ticks,
-            s.bytes,
-            s.nanos,
-            json_opt(s.ticks_per_visit()),
-            json_opt(s.ns_per_tick()),
-            json_opt(s.correlation()),
-        )
-        .expect("write to string");
+/// One profiled path as a `BENCH_profile.json` object: predicted visits,
+/// ticks and bytes are seeded; measured nanoseconds and the
+/// correlations that read them are timings.
+fn profile_report(prof: &StageProfiler, snap: &HistogramSnapshot) -> Report {
+    let mut stages = Report::default();
+    for stage in Stage::all() {
+        let s = prof.stage(stage);
+        if s.visits == 0 {
+            continue;
+        }
+        let mut row = Report::default();
+        row.seeded("visits", s.visits)
+            .seeded("ticks", s.ticks)
+            .seeded("bytes", s.bytes)
+            .timing("nanos", s.nanos)
+            .seeded("ticks_per_visit", Num::fixed(s.ticks_per_visit(), 4))
+            .timing("ns_per_tick", Num::fixed(s.ns_per_tick(), 4))
+            .timing("correlation", Num::fixed(s.correlation(), 4));
+        stages.child(stage.label(), row);
     }
-    format!(
-        "{{\n    \"lookups\": {}, \"total_ticks\": {}, \"total_bytes\": {}, \
-         \"total_nanos\": {},\n    \"ns_p50\": {:.1}, \"ns_p90\": {:.1}, \"ns_p99\": {:.1},\n    \
-         \"bytes_per_lookup\": {}, \"cost_time_correlation\": {},\n    \"stages\": {{{stages}\n    \
-         }}\n  }}",
-        prof.lookups(),
-        prof.total_ticks(),
-        prof.total_bytes(),
-        prof.total_nanos(),
-        snap.p50(),
-        snap.p90(),
-        snap.p99(),
-        json_opt(prof.bytes_per_lookup()),
-        json_opt(prof.lookup_correlation()),
-    )
+    let mut report = Report::default();
+    report
+        .seeded("lookups", prof.lookups())
+        .seeded("total_ticks", prof.total_ticks())
+        .seeded("total_bytes", prof.total_bytes())
+        .timing("total_nanos", prof.total_nanos())
+        .timing("ns_p50", Num::fixed(snap.p50(), 1))
+        .timing("ns_p90", Num::fixed(snap.p90(), 1))
+        .timing("ns_p99", Num::fixed(snap.p99(), 1))
+        .seeded("bytes_per_lookup", Num::fixed(prof.bytes_per_lookup(), 4))
+        .timing("cost_time_correlation", Num::fixed(prof.lookup_correlation(), 4))
+        .child("stages", stages);
+    report
 }
 
 /// Profiles one compiled backend over the workload: every packet runs
@@ -712,50 +923,17 @@ fn profile_backend<E: CompiledBackend<Ip4>>(
 /// the attribution for the `BENCH_*.json` trajectory; `--serve ADDR`
 /// exposes the per-path latency histograms live while the run is hot.
 fn profile(args: &[String]) -> Result<(), String> {
-    let mut packets = 20_000usize;
-    let mut seed = 1u64;
-    let mut table = 40_000usize;
-    let mut stride_bits = clue_core::DEFAULT_INITIAL_BITS;
-    let mut json_path: Option<String> = None;
-    let mut serve: Option<String> = None;
-    let mut check = false;
-    let mut positional = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--table" => {
-                table = it
-                    .next()
-                    .ok_or("--table needs a prefix count")?
-                    .parse()
-                    .map_err(|_| "bad table size")?;
-                if table == 0 {
-                    return Err("--table must be at least 1".to_owned());
-                }
-            }
-            "--stride" => {
-                stride_bits = it
-                    .next()
-                    .ok_or("--stride needs a bit count")?
-                    .parse()
-                    .map_err(|_| "bad stride bit count")?;
-            }
-            "--json" => json_path = Some(it.next().ok_or("--json needs a path")?.clone()),
-            "--serve" => serve = Some(it.next().ok_or("--serve needs an address")?.clone()),
-            "--check" => check = true,
-            other => {
-                match positional {
-                    0 => packets = other.parse().map_err(|_| "bad packet count")?,
-                    1 => seed = other.parse().map_err(|_| "bad seed")?,
-                    _ => return Err(format!("unexpected argument {other:?}")),
-                }
-                positional += 1;
-            }
-        }
-    }
-    if packets == 0 {
-        return Err("packet count must be at least 1".to_owned());
-    }
+    let flags = Flags::read(
+        args,
+        ["packets", "seed"],
+        &["--table", "--stride", "--json", "--serve"],
+        &["--check"],
+    )?;
+    let packets = flags.count("packets", 20_000, 1)?;
+    let seed = flags.get("seed", 1u64)?;
+    let table = flags.count("--table", 40_000, 1)?;
+    let stride_bits = flags.get("--stride", clue_core::DEFAULT_INITIAL_BITS)?;
+    let check = flags.switch("--check");
 
     // Same table/traffic shape as `clue throughput`, so the profile
     // explains the numbers that command reports. The scalar pair
@@ -799,10 +977,7 @@ fn profile(args: &[String]) -> Result<(), String> {
         (hist("scalar"), hist("frozen"), hist("stride"), hist("compressed"));
     let lookups_total =
         registry.counter("clue_profile_lookups_total", "Profiled lookups across all paths");
-    let _server = match &serve {
-        Some(addr) => Some(start_scrape(addr, &registry)?),
-        None => None,
-    };
+    let _server = start_scrape(flags.text("--serve"), &registry)?;
 
     let mut inert = true;
 
@@ -885,21 +1060,28 @@ fn profile(args: &[String]) -> Result<(), String> {
         println!("check: profiled paths semantically inert (bmp, class, cost, stats parity)");
     }
 
-    if let Some(path) = json_path {
-        let json = format!(
-            "{{\n  \"packets\": {packets},\n  \"net_packets\": {net_packets},\n  \
-             \"seed\": {seed},\n  \"table\": {table},\n  \"stride_bits\": {stride_bits},\n  \
-             \"checked\": {check},\n  \"inert\": {inert},\n  \"paths\": {{\n  \
-             \"scalar\": {},\n  \"frozen\": {},\n  \"stride\": {},\n  \"compressed\": {},\n  \
-             \"network\": {}\n  }}\n}}\n",
-            profile_path_json(&prof_scalar, &h_scalar.snapshot()),
-            profile_path_json(&prof_frozen, &h_frozen.snapshot()),
-            profile_path_json(&prof_stride, &h_stride.snapshot()),
-            profile_path_json(&prof_compressed, &h_compressed.snapshot()),
-            profile_path_json(&prof_net, &h_net.snapshot()),
-        );
-        fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
+    if let Some(path) = flags.text("--json") {
+        let mut paths = Report::default();
+        for (name, prof, hist) in [
+            ("scalar", &prof_scalar, &h_scalar),
+            ("frozen", &prof_frozen, &h_frozen),
+            ("stride", &prof_stride, &h_stride),
+            ("compressed", &prof_compressed, &h_compressed),
+            ("network", &prof_net, &h_net),
+        ] {
+            paths.child(name, profile_report(prof, &hist.snapshot()));
+        }
+        let mut bench = Report::default();
+        bench
+            .seeded("packets", packets)
+            .seeded("net_packets", net_packets)
+            .seeded("seed", seed)
+            .seeded("table", table)
+            .seeded("stride_bits", stride_bits)
+            .flag("checked", check)
+            .flag("inert", inert)
+            .child("paths", paths);
+        bench.write(path)?;
     }
     Ok(())
 }
@@ -1066,19 +1248,21 @@ fn flatten_json(text: &str) -> Result<BTreeMap<String, JsonVal>, String> {
     Ok(out)
 }
 
-/// Keys whose values are timing-derived or run-variable rather than
-/// seed-deterministic: measured rates/latencies, correlations and
-/// scheduler-dependent counts. They get `--time-tolerance` instead of
-/// the strict `--tolerance`. Matching is by substring, so a fragment
-/// here must not also name a seeded count (`recovered_rebuilds`,
-/// `churn_reclaimed`): every rebuild and freeze timing already ends in
-/// `_ms` or `_us`.
-fn is_noisy_key(key: &str) -> bool {
-    const NOISY: &[&str] = &[
-        "pps", "_ms", "_us", "nanos", "ns_p", "ns_per", "speedup", "correlation", "stale",
-        "lookups_total", "epochs", "swaps", "retired",
-    ];
-    NOISY.iter().any(|p| key.contains(p))
+/// The leaf names an export declares as timings: its top-level `timing`
+/// list (empty when it has none).
+fn timing_leaves(flat: &BTreeMap<String, JsonVal>) -> Vec<&str> {
+    (0..)
+        .map_while(|i| match flat.get(&format!("timing.{i}")) {
+            Some(JsonVal::Str(leaf)) => Some(leaf.as_str()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The leaf name of a flattened key: its last segment that is not an
+/// array index (`per_core_pps.2` → `per_core_pps`).
+fn leaf(key: &str) -> &str {
+    key.rsplit('.').find(|seg| !seg.bytes().all(|b| b.is_ascii_digit())).unwrap_or(key)
 }
 
 /// How far apart two numbers are, in percent: the larger over the
@@ -1096,58 +1280,43 @@ fn drift_pct(x: f64, y: f64) -> f64 {
 
 /// Compares two `BENCH_*.json` exports key by key: every baseline key
 /// must exist in the fresh run; booleans and strings must match
-/// exactly; numbers must agree within a relative tolerance —
-/// seed-deterministic keys (packet counts, predicted ticks, bytes)
-/// under `--tolerance`, timing-derived/run-variable keys (pps,
-/// latencies, correlations) under the wider `--time-tolerance`. `null`
-/// on either side is a wildcard (an undefined statistic such as a
-/// constant-series correlation). `--min KEY=FLOOR` / `--max KEY=CEIL`
-/// (both repeatable) additionally require the fresh run's `KEY` to be
-/// a number `>= FLOOR` / `<= CEIL` — absolute quality bounds on top of
-/// the relative drift check (a ceiling is how the compressed backend's
+/// exactly; numbers must agree within a relative tolerance — under
+/// `--time-tolerance` when the baseline's `timing` list declares the
+/// key's leaf name a timing, under `--tolerance` otherwise (so a
+/// baseline without the list is strict on every number). The two
+/// `timing` lists must match, so a key that changes class fails
+/// instead of moving to the other tolerance. `null` on either side is
+/// a wildcard (an undefined statistic such as a constant-series
+/// correlation). `--min KEY=FLOOR` / `--max KEY=CEIL` (both repeatable)
+/// additionally require the fresh run's `KEY` to be a number
+/// `>= FLOOR` / `<= CEIL` — absolute quality bounds on top of the
+/// relative drift check (a ceiling is how the compressed backend's
 /// bytes-per-prefix budget is enforced). The perf-regression gate in
 /// `scripts/verify.sh` is built on this.
 fn bench_diff(args: &[String]) -> Result<(), String> {
-    let mut tolerance = 10.0f64;
-    let mut time_tolerance = 100.0f64;
-    let mut floors: Vec<(String, f64)> = Vec::new();
-    let mut ceilings: Vec<(String, f64)> = Vec::new();
-    let mut paths: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .ok_or("--tolerance needs a percentage")?
-                    .parse()
-                    .map_err(|_| "bad tolerance")?;
-            }
-            "--time-tolerance" => {
-                time_tolerance = it
-                    .next()
-                    .ok_or("--time-tolerance needs a percentage")?
-                    .parse()
-                    .map_err(|_| "bad time tolerance")?;
-            }
-            "--min" => {
-                let spec = it.next().ok_or("--min needs KEY=FLOOR")?;
-                let (key, floor) = spec.split_once('=').ok_or("--min needs KEY=FLOOR")?;
-                let floor: f64 =
-                    floor.parse().map_err(|_| format!("bad --min floor in {spec:?}"))?;
-                floors.push((key.to_owned(), floor));
-            }
-            "--max" => {
-                let spec = it.next().ok_or("--max needs KEY=CEIL")?;
-                let (key, ceil) = spec.split_once('=').ok_or("--max needs KEY=CEIL")?;
-                let ceil: f64 =
-                    ceil.parse().map_err(|_| format!("bad --max ceiling in {spec:?}"))?;
-                ceilings.push((key.to_owned(), ceil));
-            }
-            _ => paths.push(a),
-        }
-    }
-    let [baseline_path, fresh_path] = paths[..] else {
+    let flags = Flags::read(
+        args,
+        ["baseline", "fresh"],
+        &["--tolerance", "--time-tolerance", "--min", "--max"],
+        &[],
+    )?;
+    let tolerance = flags.get("--tolerance", 10.0f64)?;
+    let time_tolerance = flags.get("--time-tolerance", 100.0f64)?;
+    let bounds = |flag: &str| -> Result<Vec<(String, f64)>, String> {
+        flags
+            .all(flag)
+            .map(|spec| {
+                let (key, bound) =
+                    spec.split_once('=').ok_or_else(|| format!("{flag} needs KEY=VALUE"))?;
+                let bound = bound.parse().map_err(|_| format!("bad {flag} bound in {spec:?}"))?;
+                Ok((key.to_owned(), bound))
+            })
+            .collect()
+    };
+    let floors = bounds("--min")?;
+    let ceilings = bounds("--max")?;
+    let (Some(baseline_path), Some(fresh_path)) = (flags.text("baseline"), flags.text("fresh"))
+    else {
         return Err("bench-diff needs exactly two files: <baseline.json> <fresh.json>".to_owned());
     };
     let read = |p: &str| -> Result<BTreeMap<String, JsonVal>, String> {
@@ -1156,10 +1325,17 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
     };
     let baseline = read(baseline_path)?;
     let fresh = read(fresh_path)?;
+    let (timing, fresh_timing) = (timing_leaves(&baseline), timing_leaves(&fresh));
 
     let mut compared = 0usize;
+    let mut timed = 0usize;
     let mut worst: Option<(f64, String)> = None;
     let mut failures: Vec<String> = Vec::new();
+    if timing != fresh_timing {
+        failures.push(format!(
+            "timing: the declared timing keys changed: {timing:?} -> {fresh_timing:?}"
+        ));
+    }
     for (key, b) in &baseline {
         let Some(f) = fresh.get(key) else {
             failures.push(format!("{key}: present in baseline, missing in fresh run"));
@@ -1181,7 +1357,12 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
             }
             (JsonVal::Num(x), JsonVal::Num(y)) => {
                 compared += 1;
-                let tol = if is_noisy_key(key) { time_tolerance } else { tolerance };
+                let tol = if timing.contains(&leaf(key)) {
+                    timed += 1;
+                    time_tolerance
+                } else {
+                    tolerance
+                };
                 let drift = drift_pct(*x, *y);
                 if worst.as_ref().is_none_or(|(w, _)| drift > *w) {
                     worst = Some((drift, key.clone()));
@@ -1220,7 +1401,8 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
     let extra = fresh.keys().filter(|k| !baseline.contains_key(k.as_str())).count();
     println!(
         "bench-diff: {compared} keys compared ({} baseline, {extra} new in fresh), \
-         tolerance {tolerance}% / {time_tolerance}% (timing), {} floor(s), {} ceiling(s)",
+         tolerance {tolerance}% / {time_tolerance}% ({timed} timing), {} floor(s), \
+         {} ceiling(s)",
         baseline.len(),
         floors.len(),
         ceilings.len()
@@ -1239,18 +1421,24 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Times `f` `reps` times and keeps the best run — the standard
-/// treatment against scheduler noise on a shared (often single-CPU)
-/// box. Only used for the stateless read-only pipelines, where a
-/// repeat is the identical computation.
-fn best_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+/// Packets per second of `engine`'s batch lookup at interleave `group`,
+/// best of three runs — the standard treatment against scheduler noise
+/// on a shared (often single-CPU) box; a repeat is the identical
+/// stateless computation.
+fn batch_pps<E: CompiledBackend<Ip4>>(
+    engine: &E,
+    dests: &[Ip4],
+    clues: &[Option<Prefix<Ip4>>],
+    out: &mut [clue_core::Decision<Ip4>],
+    group: usize,
+) -> f64 {
     let mut best = f64::INFINITY;
-    for _ in 0..reps {
+    for _ in 0..3 {
         let t0 = std::time::Instant::now();
-        f();
+        let _ = engine.lookup_batch_interleaved(dests, clues, out, group);
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    best.max(1e-9)
+    dests.len() as f64 / best.max(1e-9)
 }
 
 /// Benchmarks the four lookup pipelines — mutable scalar engine,
@@ -1261,66 +1449,21 @@ fn best_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 /// ([`clue_netsim::serve_lookups`] over an epoch cell). `--json PATH`
 /// exports the measurements for the `BENCH_*.json` trajectory.
 fn throughput(args: &[String]) -> Result<(), String> {
-    let mut packets = 20_000usize;
-    let mut seed = 1u64;
-    let mut threads = clue_netsim::available_workers();
-    let mut table = 40_000usize;
-    let mut stride_bits = clue_core::DEFAULT_INITIAL_BITS;
-    let mut prefetch = clue_core::DEFAULT_INTERLEAVE;
-    let mut json_path: Option<String> = None;
-    let mut serve: Option<String> = None;
-    let mut check = false;
-    let mut runtime_leg = false;
-    let mut backend: Option<clue_core::BackendKind> = None;
-    let mut positional = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--runtime" => runtime_leg = true,
-            "--backend" => {
-                backend = Some(it.next().ok_or("--backend needs a name")?.parse()?);
-            }
-            "--threads" => threads = parse_threads(&mut it)?,
-            "--table" => {
-                table = it
-                    .next()
-                    .ok_or("--table needs a prefix count")?
-                    .parse()
-                    .map_err(|_| "bad table size")?;
-                if table == 0 {
-                    return Err("--table must be at least 1".to_owned());
-                }
-            }
-            "--stride" => {
-                stride_bits = it
-                    .next()
-                    .ok_or("--stride needs a bit count")?
-                    .parse()
-                    .map_err(|_| "bad stride bit count")?;
-            }
-            "--prefetch" => {
-                prefetch = it
-                    .next()
-                    .ok_or("--prefetch needs a group size")?
-                    .parse()
-                    .map_err(|_| "bad prefetch group")?;
-            }
-            "--json" => json_path = Some(it.next().ok_or("--json needs a path")?.clone()),
-            "--serve" => serve = Some(it.next().ok_or("--serve needs an address")?.clone()),
-            "--check" => check = true,
-            other => {
-                match positional {
-                    0 => packets = other.parse().map_err(|_| "bad packet count")?,
-                    1 => seed = other.parse().map_err(|_| "bad seed")?,
-                    _ => return Err(format!("unexpected argument {other:?}")),
-                }
-                positional += 1;
-            }
-        }
-    }
-    if packets == 0 {
-        return Err("packet count must be at least 1".to_owned());
-    }
+    let flags = Flags::read(
+        args,
+        ["packets", "seed"],
+        &["--threads", "--table", "--stride", "--prefetch", "--backend", "--json", "--serve"],
+        &["--runtime", "--check"],
+    )?;
+    let packets = flags.count("packets", 20_000, 1)?;
+    let seed = flags.get("seed", 1u64)?;
+    let threads = flags.count("--threads", clue_netsim::available_workers(), 1)?;
+    let table = flags.count("--table", 40_000, 1)?;
+    let stride_bits = flags.get("--stride", clue_core::DEFAULT_INITIAL_BITS)?;
+    let prefetch = flags.get("--prefetch", clue_core::DEFAULT_INTERLEAVE)?;
+    let backend = flags.text("--backend").map(str::parse::<clue_core::BackendKind>).transpose()?;
+    let check = flags.switch("--check");
+    let runtime_leg = flags.switch("--runtime");
     if backend.is_some() && runtime_leg {
         return Err("--backend benchmarks one engine; it has no --runtime leg".to_owned());
     }
@@ -1364,25 +1507,22 @@ fn throughput(args: &[String]) -> Result<(), String> {
     // batches are instrumented — the counters cost a few sharded
     // fetch_adds per packet, paid only when someone asked to watch.
     let registry = Arc::new(Registry::new());
-    let _server = match &serve {
-        Some(addr) => {
-            scalar.instrument(&registry);
-            if let Some(stride) = &mut stride {
-                stride.attach_batch_telemetry(clue_telemetry::BatchTelemetry::registered(
-                    &registry,
-                    "clue_stride",
-                    "stride",
-                ));
-            }
-            if let Some(compressed) = &mut compressed {
-                compressed.attach_compressed_telemetry(
-                    clue_telemetry::CompressedTelemetry::registered(&registry, "clue_compressed"),
-                );
-            }
-            Some(start_scrape(addr, &registry)?)
+    if flags.switch("--serve") {
+        scalar.instrument(&registry);
+        if let Some(stride) = &mut stride {
+            stride.attach_batch_telemetry(clue_telemetry::BatchTelemetry::registered(
+                &registry,
+                "clue_stride",
+                "stride",
+            ));
         }
-        None => None,
-    };
+        if let Some(compressed) = &mut compressed {
+            compressed.attach_compressed_telemetry(
+                clue_telemetry::CompressedTelemetry::registered(&registry, "clue_compressed"),
+            );
+        }
+    }
+    let _server = start_scrape(flags.text("--serve"), &registry)?;
     let dests = generate(
         &sender,
         &receiver,
@@ -1413,30 +1553,17 @@ fn throughput(args: &[String]) -> Result<(), String> {
         let receiver_len = receiver.len();
         let mut out = vec![clue_core::Decision::default(); dests.len()];
         let (pps, cram) = match kind {
-            clue_core::BackendKind::Frozen => {
-                let pps = packets as f64
-                    / best_secs(3, || {
-                        let _ = frozen.lookup_batch(&dests, &clues, &mut out);
-                    });
-                (pps, frozen.cram())
-            }
+            clue_core::BackendKind::Frozen => (
+                batch_pps(&frozen, &dests, &clues, &mut out, clue_core::DEFAULT_INTERLEAVE),
+                frozen.cram(),
+            ),
             clue_core::BackendKind::Stride => {
                 let stride = stride.as_ref().expect("compiled for this mode");
-                let pps = packets as f64
-                    / best_secs(3, || {
-                        let _ =
-                            stride.lookup_batch_interleaved(&dests, &clues, &mut out, prefetch);
-                    });
-                (pps, stride.cram())
+                (batch_pps(stride, &dests, &clues, &mut out, prefetch), stride.cram())
             }
             clue_core::BackendKind::Compressed => {
                 let compressed = compressed.as_ref().expect("compiled for this mode");
-                let pps = packets as f64
-                    / best_secs(3, || {
-                        let _ = compressed
-                            .lookup_batch_interleaved(&dests, &clues, &mut out, prefetch);
-                    });
-                (pps, compressed.cram())
+                (batch_pps(compressed, &dests, &clues, &mut out, prefetch), compressed.cram())
             }
         };
         let mut equivalent = true;
@@ -1465,17 +1592,20 @@ fn throughput(args: &[String]) -> Result<(), String> {
         if check {
             println!("equivalence: OK ({name} == scalar)");
         }
-        if let Some(path) = json_path {
-            let mut json = format!(
-                "{{\n  \"packets\": {packets},\n  \"seed\": {seed},\n  \"table\": {table},\n  \
-                 \"backend\": \"{name}\",\n  \"prefetch_group\": {prefetch},\n  \
-                 \"scalar_pps\": {scalar_pps:.1},\n  \"{name}_pps\": {pps:.1},\n  \
-                 \"{name}_speedup_vs_scalar\": {speedup:.3}"
-            );
-            cram_json(&mut json, name, receiver_len, &cram);
-            let _ = write!(json, ",\n  \"checked\": {check},\n  \"equivalent\": {equivalent}\n}}\n");
-            fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
-            println!("wrote {path}");
+        if let Some(path) = flags.text("--json") {
+            let mut bench = Report::default();
+            bench
+                .seeded("packets", packets)
+                .seeded("seed", seed)
+                .seeded("table", table)
+                .text("backend", name)
+                .seeded("prefetch_group", prefetch)
+                .timing("scalar_pps", Num::fixed(scalar_pps, 1))
+                .timing(&format!("{name}_pps"), Num::fixed(pps, 1))
+                .timing(&format!("{name}_speedup_vs_scalar"), Num::fixed(speedup, 3));
+            report_cram(&mut bench, name, receiver_len, &cram);
+            bench.flag("checked", check).flag("equivalent", equivalent);
+            bench.write(path)?;
         }
         return Ok(());
     }
@@ -1483,27 +1613,11 @@ fn throughput(args: &[String]) -> Result<(), String> {
     let compressed = compressed.as_ref().expect("compiled in full-matrix mode");
 
     let mut out = vec![clue_core::Decision::default(); dests.len()];
-    let batch_pps = packets as f64
-        / best_secs(3, || {
-            let _ = frozen.lookup_batch(&dests, &clues, &mut out);
-        });
-
-    let mut stride_out = vec![clue_core::Decision::default(); dests.len()];
-    let stride_pps = packets as f64
-        / best_secs(3, || {
-            let _ = stride.lookup_batch_interleaved(&dests, &clues, &mut stride_out, prefetch);
-        });
-
-    let mut compressed_out = vec![clue_core::Decision::default(); dests.len()];
-    let compressed_pps = packets as f64
-        / best_secs(3, || {
-            let _ = compressed.lookup_batch_interleaved(
-                &dests,
-                &clues,
-                &mut compressed_out,
-                prefetch,
-            );
-        });
+    let mut stride_out = out.clone();
+    let mut compressed_out = out.clone();
+    let frozen_pps = batch_pps(&frozen, &dests, &clues, &mut out, clue_core::DEFAULT_INTERLEAVE);
+    let stride_pps = batch_pps(stride, &dests, &clues, &mut stride_out, prefetch);
+    let compressed_pps = batch_pps(compressed, &dests, &clues, &mut compressed_out, prefetch);
 
     let mut equivalent = true;
     if check {
@@ -1562,7 +1676,6 @@ fn throughput(args: &[String]) -> Result<(), String> {
     }
     let (par, report) = best.expect("ran at least once");
     let par_pps = report.pps();
-    let per_core_pps: Vec<f64> = report.cores.iter().map(|c| c.pps()).collect();
     let replica_clone_ms = report.replica_clone_ns as f64 / 1e6;
 
     if check && par != seq {
@@ -1608,19 +1721,16 @@ fn throughput(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let batch_speedup = batch_pps / scalar_pps.max(1e-9);
-    let stride_speedup = stride_pps / batch_pps.max(1e-9);
-    let compressed_speedup = compressed_pps / batch_pps.max(1e-9);
+    let batch_speedup = frozen_pps / scalar_pps.max(1e-9);
+    let stride_speedup = stride_pps / frozen_pps.max(1e-9);
+    let compressed_speedup = compressed_pps / frozen_pps.max(1e-9);
     let par_speedup = par_pps / seq_pps.max(1e-9);
-    let stride_beats_batch = stride_pps > batch_pps;
-    let parallel_scales = par_speedup > 1.0;
     let receiver_len = receiver.len();
-    let cram_frozen = frozen.cram();
-    let cram_stride = stride.cram();
-    let cram_compressed = compressed.cram();
+    let crams =
+        [("frozen", frozen.cram()), ("stride", stride.cram()), ("compressed", compressed.cram())];
     println!("engine workload: {packets} packets (sender {table} prefixes, seed {seed})");
     println!("  scalar engine:  {scalar_pps:>12.0} pkts/s");
-    println!("  frozen batch:   {batch_pps:>12.0} pkts/s  ({batch_speedup:.2}x scalar)");
+    println!("  frozen batch:   {frozen_pps:>12.0} pkts/s  ({batch_speedup:.2}x scalar)");
     println!(
         "  stride batch:   {stride_pps:>12.0} pkts/s  ({stride_speedup:.2}x batch; \
          initial stride {stride_bits}, prefetch group {prefetch})"
@@ -1630,9 +1740,9 @@ fn throughput(args: &[String]) -> Result<(), String> {
          prefetch group {prefetch})"
     );
     println!("memory layout (CRAM cache model, receiver {receiver_len} prefixes):");
-    print_cram("frozen", receiver_len, &cram_frozen);
-    print_cram("stride", receiver_len, &cram_stride);
-    print_cram("compressed", receiver_len, &cram_compressed);
+    for (name, cram) in &crams {
+        print_cram(name, receiver_len, cram);
+    }
     println!("network workload: {net_packets} packets over a 4x2 backbone");
     println!("  per-packet seq: {seq_pps:>12.0} pkts/s");
     println!("  freeze (setup): {freeze_ms:>12.2} ms (outside the timed runs)");
@@ -1653,46 +1763,46 @@ fn throughput(args: &[String]) -> Result<(), String> {
         );
     }
 
-    if let Some(path) = json_path {
-        let fmt_pps = |values: &[f64]| {
-            let cells: Vec<String> = values.iter().map(|v| format!("{v:.1}")).collect();
-            format!("[{}]", cells.join(", "))
+    if let Some(path) = flags.text("--json") {
+        let core_pps = |cores: &[clue_netsim::CoreStats]| {
+            cores.iter().map(|c| Num::fixed(c.pps(), 1)).collect::<Vec<_>>()
         };
-        let per_core = fmt_pps(&per_core_pps);
-        let mut json = format!(
-            "{{\n  \"packets\": {packets},\n  \"net_packets\": {net_packets},\n  \
-             \"seed\": {seed},\n  \"threads\": {threads},\n  \"table\": {table},\n  \
-             \"stride_bits\": {stride_bits},\n  \"prefetch_group\": {prefetch},\n  \
-             \"scalar_pps\": {scalar_pps:.1},\n  \"batch_pps\": {batch_pps:.1},\n  \
-             \"batch_speedup\": {batch_speedup:.3},\n  \
-             \"stride_pps\": {stride_pps:.1},\n  \"stride_speedup\": {stride_speedup:.3},\n  \
-             \"stride_beats_batch\": {stride_beats_batch},\n  \
-             \"compressed_pps\": {compressed_pps:.1},\n  \
-             \"compressed_speedup\": {compressed_speedup:.3},\n  \
-             \"seq_pps\": {seq_pps:.1},\n  \"freeze_ms\": {freeze_ms:.2},\n  \
-             \"replica_clone_ms\": {replica_clone_ms:.3},\n  \
-             \"per_core_pps\": {per_core},\n  \
-             \"parallel_pps\": {par_pps:.1},\n  \
-             \"parallel_speedup\": {par_speedup:.3},\n  \
-             \"parallel_scales\": {parallel_scales},\n  \
-             \"checked\": {check},\n  \"equivalent\": {equivalent}"
-        );
-        cram_json(&mut json, "frozen", receiver_len, &cram_frozen);
-        cram_json(&mut json, "stride", receiver_len, &cram_stride);
-        cram_json(&mut json, "compressed", receiver_len, &cram_compressed);
-        if let Some(r) = &serve_report {
-            let _ = write!(
-                json,
-                ",\n  \"runtime_pps\": {:.1},\n  \"runtime_per_core_pps\": {},\n  \
-                 \"runtime_replica_clone_ms\": {:.3}",
-                r.pps(),
-                fmt_pps(&r.cores.iter().map(|c| c.pps()).collect::<Vec<_>>()),
-                r.replica_clone_ns as f64 / 1e6
-            );
+        let mut bench = Report::default();
+        bench
+            .seeded("packets", packets)
+            .seeded("net_packets", net_packets)
+            .seeded("seed", seed)
+            .seeded("threads", threads)
+            .seeded("table", table)
+            .seeded("stride_bits", stride_bits)
+            .seeded("prefetch_group", prefetch)
+            .timing("scalar_pps", Num::fixed(scalar_pps, 1))
+            .timing("batch_pps", Num::fixed(frozen_pps, 1))
+            .timing("batch_speedup", Num::fixed(batch_speedup, 3))
+            .timing("stride_pps", Num::fixed(stride_pps, 1))
+            .timing("stride_speedup", Num::fixed(stride_speedup, 3))
+            .flag("stride_beats_batch", stride_pps > frozen_pps)
+            .timing("compressed_pps", Num::fixed(compressed_pps, 1))
+            .timing("compressed_speedup", Num::fixed(compressed_speedup, 3))
+            .timing("seq_pps", Num::fixed(seq_pps, 1))
+            .timing("freeze_ms", Num::fixed(freeze_ms, 2))
+            .timing("replica_clone_ms", Num::fixed(replica_clone_ms, 3))
+            .timing_list("per_core_pps", core_pps(&report.cores))
+            .timing("parallel_pps", Num::fixed(par_pps, 1))
+            .timing("parallel_speedup", Num::fixed(par_speedup, 3))
+            .flag("parallel_scales", par_speedup > 1.0)
+            .flag("checked", check)
+            .flag("equivalent", equivalent);
+        for (name, cram) in &crams {
+            report_cram(&mut bench, name, receiver_len, cram);
         }
-        json.push_str("\n}\n");
-        fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
+        if let Some(r) = &serve_report {
+            bench
+                .timing("runtime_pps", Num::fixed(r.pps(), 1))
+                .timing_list("runtime_per_core_pps", core_pps(&r.cores))
+                .timing("runtime_replica_clone_ms", Num::fixed(r.replica_clone_ns as f64 / 1e6, 3));
+        }
+        bench.write(path)?;
     }
     Ok(())
 }
@@ -1704,42 +1814,12 @@ fn throughput(args: &[String]) -> Result<(), String> {
 /// bit-identical to freezing the end-state table from scratch;
 /// `--json PATH` exports the run for the `BENCH_*.json` trajectory.
 fn churn(args: &[String]) -> Result<(), String> {
-    let mut updates = 2_000usize;
-    let mut seed = 1u64;
-    let mut readers = 4usize;
-    let mut json_path: Option<String> = None;
-    let mut serve: Option<String> = None;
-    let mut check = false;
-    let mut positional = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--readers" => {
-                readers = it
-                    .next()
-                    .ok_or("--readers needs a value")?
-                    .parse()
-                    .map_err(|_| "bad reader count")?;
-                if readers == 0 {
-                    return Err("--readers must be at least 1".to_owned());
-                }
-            }
-            "--json" => json_path = Some(it.next().ok_or("--json needs a path")?.clone()),
-            "--serve" => serve = Some(it.next().ok_or("--serve needs an address")?.clone()),
-            "--check" => check = true,
-            other => {
-                match positional {
-                    0 => updates = other.parse().map_err(|_| "bad update count")?,
-                    1 => seed = other.parse().map_err(|_| "bad seed")?,
-                    _ => return Err(format!("unexpected argument {other:?}")),
-                }
-                positional += 1;
-            }
-        }
-    }
-    if updates == 0 {
-        return Err("update count must be at least 1".to_owned());
-    }
+    let flags =
+        Flags::read(args, ["updates", "seed"], &["--readers", "--json", "--serve"], &["--check"])?;
+    let updates = flags.count("updates", 2_000, 1)?;
+    let seed = flags.get("seed", 1u64)?;
+    let readers = flags.count("--readers", 4, 1)?;
+    let check = flags.switch("--check");
 
     let sender = synthesize_ipv4(3000, seed);
     let receiver = derive_neighbor(&sender, &NeighborConfig::same_isp(seed.wrapping_add(1)));
@@ -1750,10 +1830,7 @@ fn churn(args: &[String]) -> Result<(), String> {
 
     let registry = Arc::new(Registry::new());
     let telemetry = clue_telemetry::ChurnTelemetry::registered(&registry, "clue_churn");
-    let _server = match &serve {
-        Some(addr) => Some(start_scrape(addr, &registry)?),
-        None => None,
-    };
+    let _server = start_scrape(flags.text("--serve"), &registry)?;
     let mut cfg = clue_netsim::ChurnDriverConfig::new(readers, seed);
     cfg.check = check;
     let report = clue_netsim::run_churn(&sender, &receiver, &stream, &cfg, Some(&telemetry), None)
@@ -1791,28 +1868,26 @@ fn churn(args: &[String]) -> Result<(), String> {
         println!("check: final snapshot bit-identical to from-scratch rebuild");
     }
 
-    if let Some(path) = json_path {
-        let identical = report.final_identical == Some(true);
-        let json = format!(
-            "{{\n  \"updates\": {updates},\n  \"seed\": {seed},\n  \"readers\": {readers},\n  \
-             \"epochs\": {},\n  \"swaps\": {},\n  \
-             \"mean_rebuild_us\": {:.1},\n  \"max_rebuild_us\": {},\n  \
-             \"lookups_total\": {},\n  \"stale_lookups\": {},\n  \
-             \"stale_fraction\": {:.4},\n  \"max_staleness\": {},\n  \
-             \"retired_after\": {},\n  \
-             \"checked\": {check},\n  \"identical\": {identical}\n}}\n",
-            report.epochs,
-            telemetry.swaps_total.get(),
-            report.mean_rebuild_us(),
-            report.max_rebuild_us(),
-            report.lookups_total,
-            report.stale_lookups,
-            report.stale_fraction(),
-            report.max_staleness,
-            report.retired_after,
-        );
-        fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
+    // Epochs, swaps and every lookup count depend on how the readers'
+    // threads interleave with the builder's, so they are timings too.
+    if let Some(path) = flags.text("--json") {
+        let mut bench = Report::default();
+        bench
+            .seeded("updates", updates)
+            .seeded("seed", seed)
+            .seeded("readers", readers)
+            .timing("epochs", report.epochs)
+            .timing("swaps", telemetry.swaps_total.get())
+            .timing("mean_rebuild_us", Num::fixed(report.mean_rebuild_us(), 1))
+            .timing("max_rebuild_us", report.max_rebuild_us())
+            .timing("lookups_total", report.lookups_total)
+            .timing("stale_lookups", report.stale_lookups)
+            .timing("stale_fraction", Num::fixed(report.stale_fraction(), 4))
+            .timing("max_staleness", report.max_staleness)
+            .timing("retired_after", report.retired_after)
+            .flag("checked", check)
+            .flag("identical", report.final_identical == Some(true));
+        bench.write(path)?;
     }
     Ok(())
 }
@@ -1826,43 +1901,19 @@ fn churn(args: &[String]) -> Result<(), String> {
 /// run is sound; `--json PATH` exports per-class counts and
 /// degraded-cost percentiles for the `BENCH_*.json` trajectory.
 fn chaos(args: &[String]) -> Result<(), String> {
-    let mut packets = 1_000_000usize;
-    let mut seed = 1u64;
-    let mut spec = "all".to_owned();
-    let mut json_path: Option<String> = None;
-    let mut serve: Option<String> = None;
-    let mut check = false;
-    let mut positional = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => spec = it.next().ok_or("--faults needs a spec")?.clone(),
-            "--json" => json_path = Some(it.next().ok_or("--json needs a path")?.clone()),
-            "--serve" => serve = Some(it.next().ok_or("--serve needs an address")?.clone()),
-            "--check" => check = true,
-            other => {
-                match positional {
-                    0 => packets = other.parse().map_err(|_| "bad packet count")?,
-                    1 => seed = other.parse().map_err(|_| "bad seed")?,
-                    _ => return Err(format!("unexpected argument {other:?}")),
-                }
-                positional += 1;
-            }
-        }
-    }
-    if packets == 0 {
-        return Err("packet count must be at least 1".to_owned());
-    }
+    let flags =
+        Flags::read(args, ["packets", "seed"], &["--faults", "--json", "--serve"], &["--check"])?;
+    let packets = flags.count("packets", 1_000_000, 1)?;
+    let seed = flags.get("seed", 1u64)?;
+    let spec = flags.text("--faults").unwrap_or("all");
+    let check = flags.switch("--check");
 
-    let plan = clue_netsim::FaultPlan::parse(&spec, seed)?;
+    let plan = clue_netsim::FaultPlan::parse(spec, seed)?;
     let registry = Arc::new(Registry::new());
     let labels: Vec<&str> = plan.classes().iter().map(|c| c.label()).collect();
     let telemetry =
         clue_telemetry::DegradationTelemetry::registered(&registry, "clue_fault", &labels);
-    let _server = match &serve {
-        Some(addr) => Some(start_scrape(addr, &registry)?),
-        None => None,
-    };
+    let _server = start_scrape(flags.text("--serve"), &registry)?;
     let mut config = clue_netsim::ChaosConfig::new(packets, seed);
     config.plan = plan;
     let report = clue_netsim::run_chaos(&config, Some(&telemetry)).map_err(|e| e.to_string())?;
@@ -1905,54 +1956,46 @@ fn chaos(args: &[String]) -> Result<(), String> {
         report.churn.recovered_rebuilds + report.churn.recovery_publishes,
     );
 
-    if let Some(path) = &json_path {
-        let mut by_class = String::new();
-        for (i, o) in report.by_class.iter().enumerate() {
-            let sep = if i + 1 < report.by_class.len() { "," } else { "" };
-            write!(
-                by_class,
-                "\n    {{\"class\": \"{}\", \"injected\": {}, \"delivered\": {}, \
-                 \"parse_errors\": {}, \"degraded\": {}, \"overhead_p50\": {}, \
-                 \"overhead_p90\": {}, \"overhead_p99\": {}, \"overhead_max\": {}, \
-                 \"overhead_mean\": {:.3}}}{sep}",
-                o.class.label(),
-                o.injected,
-                o.delivered,
-                o.parse_errors,
-                o.degraded,
-                o.overhead_p50,
-                o.overhead_p90,
-                o.overhead_p99,
-                o.overhead_max,
-                o.overhead_mean,
-            )
-            .expect("write to string");
-        }
-        let sound = report.sound();
-        let json = format!(
-            "{{\n  \"packets\": {},\n  \"seed\": {seed},\n  \"faults\": \"{spec}\",\n  \
-             \"delivered\": {},\n  \"dropped\": {},\n  \"reordered\": {},\n  \
-             \"parse_errors\": {},\n  \"divergences\": {},\n  \"stats_parity\": {},\n  \
-             \"reader_panics\": {},\n  \"watchdog_trips\": {},\n  \
-             \"backoff_retries\": {},\n  \"recovered_rebuilds\": {},\n  \
-             \"recovery_publishes\": {},\n  \"churn_survived\": {},\n  \
-             \"checked\": {check},\n  \"sound\": {sound},\n  \"by_class\": [{by_class}\n  ]\n}}\n",
-            report.packets,
-            report.delivered,
-            report.dropped,
-            report.reordered,
-            report.parse_errors,
-            report.divergences,
-            report.stats_parity,
-            report.churn.reader_panics.len(),
-            report.churn.watchdog_trips,
-            report.churn.backoff_retries,
-            report.churn.recovered_rebuilds,
-            report.churn.recovery_publishes,
-            report.churn_survived,
-        );
-        fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
+    if let Some(path) = flags.text("--json") {
+        let by_class = report
+            .by_class
+            .iter()
+            .map(|o| {
+                let mut row = Report::default();
+                row.text("class", o.class.label())
+                    .seeded("injected", o.injected)
+                    .seeded("delivered", o.delivered)
+                    .seeded("parse_errors", o.parse_errors)
+                    .seeded("degraded", o.degraded)
+                    .seeded("overhead_p50", o.overhead_p50)
+                    .seeded("overhead_p90", o.overhead_p90)
+                    .seeded("overhead_p99", o.overhead_p99)
+                    .seeded("overhead_max", o.overhead_max)
+                    .seeded("overhead_mean", Num::fixed(o.overhead_mean, 3));
+                row
+            })
+            .collect();
+        let mut bench = Report::default();
+        bench
+            .seeded("packets", report.packets)
+            .seeded("seed", seed)
+            .text("faults", spec)
+            .seeded("delivered", report.delivered)
+            .seeded("dropped", report.dropped)
+            .seeded("reordered", report.reordered)
+            .seeded("parse_errors", report.parse_errors)
+            .seeded("divergences", report.divergences)
+            .flag("stats_parity", report.stats_parity)
+            .seeded("reader_panics", report.churn.reader_panics.len())
+            .seeded("watchdog_trips", report.churn.watchdog_trips)
+            .seeded("backoff_retries", report.churn.backoff_retries)
+            .seeded("recovered_rebuilds", report.churn.recovered_rebuilds)
+            .seeded("recovery_publishes", report.churn.recovery_publishes)
+            .flag("churn_survived", report.churn_survived)
+            .flag("checked", check)
+            .flag("sound", report.sound())
+            .rows("by_class", by_class);
+        bench.write(path)?;
     }
 
     if check && !report.sound() {
@@ -1976,121 +2019,48 @@ fn chaos(args: &[String]) -> Result<(), String> {
 /// routing. `--check` proves the sharded run bit-identical to the
 /// sequential reference at 1/2/4/8 workers.
 fn fleet(args: &[String]) -> Result<(), String> {
-    let mut flows = 20_000usize;
-    let mut seed = 1u64;
-    let mut routers = 1_024usize;
-    let mut topology = clue_netsim::TopologyKind::TransitStub;
-    let mut origins: Option<usize> = None;
-    let mut participation = 1.0f64;
-    let mut threads = clue_netsim::available_workers();
-    let mut churn_events = 0usize;
-    let mut adversaries = 0usize;
-    let mut attack = clue_netsim::AttackProfile::Lying;
-    let mut json_path: Option<String> = None;
-    let mut serve: Option<String> = None;
-    let mut check = false;
-    let mut positional = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--routers" => {
-                routers = it
-                    .next()
-                    .ok_or("--routers needs a count")?
-                    .parse()
-                    .map_err(|_| "bad router count")?;
-                if routers < 2 {
-                    return Err("--routers must be at least 2".to_owned());
-                }
-            }
-            "--topology" => {
-                topology = match it.next().ok_or("--topology needs a kind")?.as_str() {
-                    "transit-stub" => clue_netsim::TopologyKind::TransitStub,
-                    "preferential" => clue_netsim::TopologyKind::Preferential,
-                    other => {
-                        return Err(format!(
-                            "unknown topology {other:?} (transit-stub | preferential)"
-                        ))
-                    }
-                };
-            }
-            "--origins" => {
-                let o: usize = it
-                    .next()
-                    .ok_or("--origins needs a count")?
-                    .parse()
-                    .map_err(|_| "bad origin count")?;
-                if o == 0 {
-                    return Err("--origins must be at least 1".to_owned());
-                }
-                origins = Some(o);
-            }
-            "--participation" => {
-                participation = it
-                    .next()
-                    .ok_or("--participation needs a fraction")?
-                    .parse()
-                    .map_err(|_| "bad participation fraction")?;
-                if !(0.0..=1.0).contains(&participation) {
-                    return Err("--participation must be in 0..=1".to_owned());
-                }
-            }
-            "--threads" => threads = parse_threads(&mut it)?,
-            "--churn" => {
-                churn_events = it
-                    .next()
-                    .ok_or("--churn needs an event count")?
-                    .parse()
-                    .map_err(|_| "bad churn event count")?;
-                if churn_events == 0 {
-                    return Err("--churn needs at least 1 event".to_owned());
-                }
-            }
-            "--adversaries" => {
-                adversaries = it
-                    .next()
-                    .ok_or("--adversaries needs a count")?
-                    .parse()
-                    .map_err(|_| "bad adversary count")?;
-                if adversaries == 0 {
-                    return Err("--adversaries needs at least 1 router".to_owned());
-                }
-            }
-            "--attack" => {
-                let label = it.next().ok_or("--attack needs a profile")?;
-                attack = clue_netsim::AttackProfile::parse(label).ok_or_else(|| {
-                    format!("unknown attack {label:?} (lying | flooding | oscillating)")
-                })?;
-            }
-            "--json" => json_path = Some(it.next().ok_or("--json needs a path")?.clone()),
-            "--serve" => serve = Some(it.next().ok_or("--serve needs an address")?.clone()),
-            "--check" => check = true,
-            other => {
-                match positional {
-                    0 => flows = other.parse().map_err(|_| "bad flow count")?,
-                    1 => seed = other.parse().map_err(|_| "bad seed")?,
-                    _ => return Err(format!("unexpected argument {other:?}")),
-                }
-                positional += 1;
-            }
-        }
+    let flags = Flags::read(
+        args,
+        ["flows", "seed"],
+        &[
+            "--routers", "--topology", "--origins", "--participation", "--threads", "--churn",
+            "--adversaries", "--attack", "--json", "--serve",
+        ],
+        &["--check"],
+    )?;
+    let flows = flags.count("flows", 20_000, 1)?;
+    let seed = flags.get("seed", 1u64)?;
+    let routers = flags.count("--routers", 1_024, 2)?;
+    let topo_label = flags.text("--topology").unwrap_or("transit-stub");
+    let topology = match topo_label {
+        "transit-stub" => clue_netsim::TopologyKind::TransitStub,
+        "preferential" => clue_netsim::TopologyKind::Preferential,
+        other => return Err(format!("unknown topology {other:?} (transit-stub | preferential)")),
+    };
+    let origins = flags.count("--origins", 0, 1)?;
+    let participation = flags.get("--participation", 1.0f64)?;
+    if !(0.0..=1.0).contains(&participation) {
+        return Err("--participation must be in 0..=1".to_owned());
     }
-    if flows == 0 {
-        return Err("flow count must be at least 1".to_owned());
-    }
+    let threads = flags.count("--threads", clue_netsim::available_workers(), 1)?;
+    let churn_events = flags.count("--churn", 0, 1)?;
+    let adversaries = flags.count("--adversaries", 0, 1)?;
+    let attack = match flags.text("--attack") {
+        None => clue_netsim::AttackProfile::Lying,
+        Some(label) => clue_netsim::AttackProfile::parse(label)
+            .ok_or_else(|| format!("unknown attack {label:?} (lying | flooding | oscillating)"))?,
+    };
+    let check = flags.switch("--check");
 
     let registry = Arc::new(Registry::new());
     let telemetry = clue_telemetry::FleetTelemetry::registered(&registry, "clue_fleet");
-    let _server = match &serve {
-        Some(addr) => Some(start_scrape(addr, &registry)?),
-        None => None,
-    };
+    let _server = start_scrape(flags.text("--serve"), &registry)?;
 
     let mut config = clue_netsim::FleetConfig::new(routers, seed);
     config.topology = topology;
     config.participation = participation;
-    if let Some(o) = origins {
-        config.origins = o;
+    if origins > 0 {
+        config.origins = origins;
     }
     if adversaries > 0 && config.engine.method != Method::Simple {
         // The adversarial trust boundary: Method::Advance trusts the
@@ -2100,10 +2070,6 @@ fn fleet(args: &[String]) -> Result<(), String> {
         config.engine.method = Method::Simple;
         println!("adversarial run: engine method forced to simple (sound for any clue)");
     }
-    let topo_label = match topology {
-        clue_netsim::TopologyKind::TransitStub => "transit-stub",
-        clue_netsim::TopologyKind::Preferential => "preferential",
-    };
 
     let t0 = std::time::Instant::now();
     let fleet = clue_netsim::Fleet::build(config).map_err(|e| format!("fleet build: {e:?}"))?;
@@ -2337,122 +2303,98 @@ fn fleet(args: &[String]) -> Result<(), String> {
 
     fleet.record(stats, churn_report.as_ref(), &telemetry);
 
-    if let Some(path) = &json_path {
-        let mut per_hop = String::new();
-        for (pos, h) in stats.per_hop.iter().enumerate() {
-            let sep = if pos + 1 < stats.per_hop.len() { "," } else { "" };
-            write!(
-                per_hop,
-                "\n    {{\"hop\": {pos}, \"lookups\": {}, \"clue_refs\": {}, \
-                 \"base_refs\": {}, \"savings\": {:.4}}}{sep}",
-                h.hops, h.clue_refs, h.base_refs, h.savings(),
-            )
-            .expect("write to string");
+    if let Some(path) = flags.text("--json") {
+        let mut bench = Report::default();
+        bench
+            .seeded("routers", fleet.router_count())
+            .seeded("links", fleet.link_count())
+            .seeded("directed_links", fleet.directed_link_count())
+            .seeded("origins", fleet.origin_routers().len())
+            .text("topology", topo_label)
+            .seeded("flows", stats.flows)
+            .seeded("seed", seed)
+            .seeded("participation", participation)
+            .seeded("delivered", stats.delivered)
+            .seeded("dropped", stats.dropped)
+            .seeded("hops", stats.hops)
+            .seeded("clue_hops", stats.clue_hops)
+            .seeded("link_hits", stats.link_hits())
+            .seeded("link_problematic", stats.link_problematic())
+            .seeded("link_misses", stats.link_misses())
+            .seeded("link_clueless", stats.link_clueless())
+            .seeded("clue_refs", stats.clue_refs)
+            .seeded("baseline_refs", stats.baseline_refs)
+            .seeded("savings", Num::fixed(stats.savings(), 4))
+            .flag("checked", check)
+            .seeded("engine_arena_bytes", memory.arena)
+            .seeded("engine_link_bytes", memory.link)
+            .seeded("engine_bucket_bytes", memory.buckets)
+            .timing("build_ms", Num::fixed(build_ms, 1))
+            .timing("route_ms", Num::fixed(route_ms, 1))
+            .timing("flows_pps", Num::fixed(flows_pps, 0));
+        // The live churn leg's staleness and served counts depend on
+        // how the serving workers interleave with the republisher.
+        if let Some(c) = &churn_report {
+            bench
+                .seeded("churn_events", c.events)
+                .seeded("churn_republished", c.republished)
+                .seeded("churn_reclaimed", c.reclaimed)
+                .timing("churn_rebuild_ms", Num::fixed(c.rebuild_ns as f64 / 1e6, 1))
+                .timing("churn_max_staleness", c.stats.max_staleness)
+                .timing("churn_stale_hops", c.stats.lagged_hops)
+                .timing("churn_served_lookups_total", c.stats.flows);
         }
-        let churn_json = match &churn_report {
-            Some(c) => format!(
-                ",\n  \"churn_events\": {},\n  \"churn_republished\": {},\n  \
-                 \"churn_reclaimed\": {},\n  \"churn_rebuild_ms\": {:.1},\n  \
-                 \"churn_max_staleness\": {},\n  \"churn_stale_hops\": {},\n  \
-                 \"churn_served_lookups_total\": {}",
-                c.events,
-                c.republished,
-                c.reclaimed,
-                c.rebuild_ns as f64 / 1e6,
-                c.stats.max_staleness,
-                c.stats.lagged_hops,
-                c.stats.flows,
-            ),
-            None => String::new(),
-        };
-        let adversary_json = match &adversarial {
-            Some((cfg, report, sweep, adversary_ms, sweep_ms)) => {
-                let mut sweep_rows = String::new();
-                for (i, p) in sweep.iter().enumerate() {
-                    let sep = if i + 1 < sweep.len() { "," } else { "" };
-                    write!(
-                        sweep_rows,
-                        "\n    {{\"participation\": {}, \"honest_savings\": {:.4}, \
-                         \"attacked_savings\": {:.4}, \"final_savings\": {:.4}, \
-                         \"worst_overhead\": {}, \"quarantine_round\": {}, \
-                         \"sound\": {}}}{sep}",
-                        p.participation,
-                        p.honest_savings,
-                        p.attacked_savings,
-                        p.final_savings,
-                        p.worst_overhead,
-                        p.quarantine_round.map_or_else(|| "null".to_owned(), |q| q.to_string()),
-                        p.sound,
-                    )
-                    .expect("write to string");
-                }
-                format!(
-                    ",\n  \"attack\": \"{}\",\n  \"adversaries\": {},\n  \
-                     \"adversary_rounds\": {},\n  \"attack_rounds\": {},\n  \
-                     \"sound\": {},\n  \"adversary_divergences\": {},\n  \
-                     \"adversary_bound_violations\": {},\n  \
-                     \"adversary_overhead_max\": {},\n  \"quarantine_round\": {},\n  \
-                     \"readmit_round\": {},\n  \"quarantines\": {},\n  \
-                     \"probations\": {},\n  \"readmissions\": {},\n  \
-                     \"final_savings\": {:.4},\n  \"honest_final_savings\": {:.4},\n  \
-                     \"adversary_ms\": {:.1},\n  \"sweep_ms\": {:.1},\n  \
-                     \"sweep\": [{sweep_rows}\n  ]",
-                    report.attack.label(),
-                    report.adversaries.len(),
-                    cfg.rounds,
-                    cfg.attack_rounds,
-                    report.sound(),
-                    report.divergences,
-                    report.bound_violations,
-                    report.overhead_max(),
-                    report.quarantine_round.map_or_else(|| "null".to_owned(), |q| q.to_string()),
-                    report.readmit_round.map_or_else(|| "null".to_owned(), |r| r.to_string()),
-                    report.quarantines,
-                    report.probations,
-                    report.readmissions,
-                    report.final_savings(),
-                    report.honest_final_savings(),
-                    adversary_ms,
-                    sweep_ms,
-                )
-            }
-            None => String::new(),
-        };
-        let json = format!(
-            "{{\n  \"routers\": {},\n  \"links\": {},\n  \"directed_links\": {},\n  \
-             \"origins\": {},\n  \"topology\": \"{topo_label}\",\n  \"flows\": {},\n  \
-             \"seed\": {seed},\n  \"participation\": {participation},\n  \
-             \"delivered\": {},\n  \"dropped\": {},\n  \"hops\": {},\n  \
-             \"clue_hops\": {},\n  \"link_hits\": {},\n  \"link_problematic\": {},\n  \
-             \"link_misses\": {},\n  \"link_clueless\": {},\n  \"clue_refs\": {},\n  \
-             \"baseline_refs\": {},\n  \"savings\": {:.4},\n  \"checked\": {check},\n  \
-             \"engine_arena_bytes\": {},\n  \"engine_link_bytes\": {},\n  \
-             \"engine_bucket_bytes\": {},\n  \
-             \"build_ms\": {build_ms:.1},\n  \"route_ms\": {route_ms:.1},\n  \
-             \"flows_pps\": {flows_pps:.0}{churn_json}{adversary_json},\n  \
-             \"per_hop\": [{per_hop}\n  ]\n}}\n",
-            fleet.router_count(),
-            fleet.link_count(),
-            fleet.directed_link_count(),
-            fleet.origin_routers().len(),
-            stats.flows,
-            stats.delivered,
-            stats.dropped,
-            stats.hops,
-            stats.clue_hops,
-            stats.link_hits(),
-            stats.link_problematic(),
-            stats.link_misses(),
-            stats.link_clueless(),
-            stats.clue_refs,
-            stats.baseline_refs,
-            stats.savings(),
-            memory.arena,
-            memory.link,
-            memory.buckets,
-        );
-        fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
+        if let Some((cfg, report, sweep, adversary_ms, sweep_ms)) = &adversarial {
+            let sweep = sweep
+                .iter()
+                .map(|p| {
+                    let mut row = Report::default();
+                    row.seeded("participation", p.participation)
+                        .seeded("honest_savings", Num::fixed(p.honest_savings, 4))
+                        .seeded("attacked_savings", Num::fixed(p.attacked_savings, 4))
+                        .seeded("final_savings", Num::fixed(p.final_savings, 4))
+                        .seeded("worst_overhead", p.worst_overhead)
+                        .seeded("quarantine_round", p.quarantine_round)
+                        .flag("sound", p.sound);
+                    row
+                })
+                .collect();
+            bench
+                .text("attack", report.attack.label())
+                .seeded("adversaries", report.adversaries.len())
+                .seeded("adversary_rounds", cfg.rounds)
+                .seeded("attack_rounds", cfg.attack_rounds)
+                .flag("sound", report.sound())
+                .seeded("adversary_divergences", report.divergences)
+                .seeded("adversary_bound_violations", report.bound_violations)
+                .seeded("adversary_overhead_max", report.overhead_max())
+                .seeded("quarantine_round", report.quarantine_round)
+                .seeded("readmit_round", report.readmit_round)
+                .seeded("quarantines", report.quarantines)
+                .seeded("probations", report.probations)
+                .seeded("readmissions", report.readmissions)
+                .seeded("final_savings", Num::fixed(report.final_savings(), 4))
+                .seeded("honest_final_savings", Num::fixed(report.honest_final_savings(), 4))
+                .timing("adversary_ms", Num::fixed(*adversary_ms, 1))
+                .timing("sweep_ms", Num::fixed(*sweep_ms, 1))
+                .rows("sweep", sweep);
+        }
+        let per_hop = stats
+            .per_hop
+            .iter()
+            .enumerate()
+            .map(|(pos, h)| {
+                let mut row = Report::default();
+                row.seeded("hop", pos)
+                    .seeded("lookups", h.hops)
+                    .seeded("clue_refs", h.clue_refs)
+                    .seeded("base_refs", h.base_refs)
+                    .seeded("savings", Num::fixed(h.savings(), 4));
+                row
+            })
+            .collect();
+        bench.rows("per_hop", per_hop);
+        bench.write(path)?;
     }
     println!("checked: {check}\ndropped: {}", stats.dropped);
     Ok(())
@@ -2464,6 +2406,23 @@ mod tests {
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// Reads an export back, checking that it flattens and that every
+    /// leaf name in its `timing` list names a number it wrote (`null`
+    /// being an undefined one).
+    fn read_export(path: &std::path::Path) -> String {
+        let text = std::fs::read_to_string(path).unwrap();
+        let flat = flatten_json(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        for name in timing_leaves(&flat) {
+            assert!(
+                flat.iter().any(|(k, v)| !k.starts_with("timing.")
+                    && leaf(k) == name
+                    && matches!(v, JsonVal::Num(_) | JsonVal::Null)),
+                "timing {name:?} names no number: {text}"
+            );
+        }
+        text
     }
 
     #[test]
@@ -2546,7 +2505,7 @@ mod tests {
             "--prefetch", "4", "--check", "--json", &j,
         ]))
         .unwrap();
-        let text = std::fs::read_to_string(&json).unwrap();
+        let text = read_export(&json);
         assert!(text.contains("\"equivalent\": true"), "bad export: {text}");
         assert!(text.contains("\"threads\": 2"));
         assert!(text.contains("\"table\": 900"));
@@ -2582,7 +2541,7 @@ mod tests {
                 "--json", &j,
             ]))
             .unwrap();
-            let text = std::fs::read_to_string(&json).unwrap();
+            let text = read_export(&json);
             assert!(text.contains("\"equivalent\": true"), "bad export: {text}");
             assert!(text.contains(&format!("\"backend\": \"{backend}\"")));
             assert!(text.contains(&format!("\"{backend}_pps\"")));
@@ -2605,7 +2564,7 @@ mod tests {
         let j = json.to_str().unwrap().to_owned();
         run(&s(&["throughput", "250", "3", "--threads", "2", "--table", "800", "--json", &j]))
             .unwrap();
-        let text = std::fs::read_to_string(&json).unwrap();
+        let text = read_export(&json);
         for backend in ["frozen", "stride", "compressed"] {
             assert!(text.contains(&format!("\"{backend}_bytes_per_prefix\"")), "{text}");
             assert!(text.contains(&format!("\"cram_{backend}_expected_refs\"")), "{text}");
@@ -2634,7 +2593,7 @@ mod tests {
         let json = dir.join("churn.json");
         let j = json.to_str().unwrap().to_owned();
         run(&s(&["churn", "150", "3", "--readers", "2", "--check", "--json", &j])).unwrap();
-        let text = std::fs::read_to_string(&json).unwrap();
+        let text = read_export(&json);
         assert!(text.contains("\"identical\": true"), "bad export: {text}");
         assert!(text.contains("\"checked\": true"));
         assert!(text.contains("\"readers\": 2"));
@@ -2652,7 +2611,7 @@ mod tests {
         let json = dir.join("chaos.json");
         let j = json.to_str().unwrap().to_owned();
         run(&s(&["chaos", "800", "3", "--check", "--json", &j])).unwrap();
-        let text = std::fs::read_to_string(&json).unwrap();
+        let text = read_export(&json);
         assert!(text.contains("\"divergences\": 0"), "bad export: {text}");
         assert!(text.contains("\"churn_survived\": true"), "bad export: {text}");
         assert!(text.contains("\"sound\": true"));
@@ -2675,7 +2634,7 @@ mod tests {
             "--churn", "2", "--check", "--json", &j,
         ]))
         .unwrap();
-        let text = std::fs::read_to_string(&json).unwrap();
+        let text = read_export(&json);
         assert!(text.contains("\"checked\": true"), "bad export: {text}");
         assert!(text.contains("\"dropped\": 0"), "bad export: {text}");
         assert!(text.contains("\"topology\": \"transit-stub\""));
@@ -2685,8 +2644,17 @@ mod tests {
         assert!(text.contains("\"flows_pps\""));
         assert!(text.contains("\"churn_events\": 2"));
         assert!(text.contains("\"churn_rebuild_ms\""));
-        run(&s(&["fleet", "200", "3", "--routers", "48", "--topology", "preferential"]))
-            .unwrap();
+        // The adversarial export.
+        run(&s(&[
+            "fleet", "400", "3", "--routers", "72", "--origins", "8", "--threads", "2",
+            "--adversaries", "2", "--check", "--json", &j,
+        ]))
+        .unwrap();
+        let text = read_export(&json);
+        assert!(text.contains("\"sound\": true"), "bad export: {text}");
+        assert!(text.contains("\"adversary_bound_violations\": 0"), "bad export: {text}");
+        assert!(text.contains("\"sweep\""));
+        run(&s(&["fleet", "200", "3", "--routers", "48", "--topology", "preferential"])).unwrap();
         assert!(run(&s(&["fleet", "0"])).is_err());
         assert!(run(&s(&["fleet", "--routers", "1"])).is_err());
         assert!(run(&s(&["fleet", "--routers"])).is_err());
@@ -2708,7 +2676,7 @@ mod tests {
             "profile", "400", "3", "--table", "900", "--stride", "10", "--check", "--json", &j,
         ]))
         .unwrap();
-        let text = std::fs::read_to_string(&json).unwrap();
+        let text = read_export(&json);
         assert!(text.contains("\"inert\": true"), "bad export: {text}");
         assert!(text.contains("\"checked\": true"));
         for path in ["scalar", "frozen", "stride", "network"] {
@@ -2732,18 +2700,22 @@ mod tests {
         let b = dir.join("b.json");
         std::fs::write(
             &a,
-            "{\"packets\": 100, \"scalar_pps\": 1000.0, \"equivalent\": true, \"corr\": null}\n",
+            "{\"packets\": 100, \"scalar_pps\": 1000.0, \"per_core_pps\": [500.0, 500.0], \
+             \"equivalent\": true, \"corr\": null, \"timing\": [\"scalar_pps\", \"per_core_pps\"]}\n",
         )
         .unwrap();
         std::fs::write(
             &b,
-            "{\"packets\": 100, \"scalar_pps\": 1400.0, \"equivalent\": true, \"corr\": 0.5, \
-             \"extra\": 1}\n",
+            "{\"packets\": 100, \"scalar_pps\": 1400.0, \"per_core_pps\": [500.0, 700.0], \
+             \"equivalent\": true, \"corr\": 0.5, \"extra\": 1, \
+             \"timing\": [\"scalar_pps\", \"per_core_pps\"]}\n",
         )
         .unwrap();
         let (pa, pb) = (a.to_str().unwrap().to_owned(), b.to_str().unwrap().to_owned());
-        // pps is a timing key: a 40% drift sits inside the default
+        // The baseline declares both pps keys timings (an array element
+        // by its array's name): a 40% drift sits inside the default
         // 100% time tolerance, and null is a wildcard.
+        assert_eq!(leaf("per_core_pps.1"), "per_core_pps");
         run(&s(&["bench-diff", &pa, &pb])).unwrap();
         // A tight time tolerance trips on the same drift.
         assert!(run(&s(&["bench-diff", &pa, &pb, "--time-tolerance", "10"])).is_err());
@@ -2753,7 +2725,8 @@ mod tests {
         // Booleans compare exactly, no tolerance.
         std::fs::write(
             &b,
-            "{\"packets\": 100, \"scalar_pps\": 1000.0, \"equivalent\": false, \"corr\": null}\n",
+            "{\"packets\": 100, \"scalar_pps\": 1000.0, \"per_core_pps\": [500.0, 500.0], \
+             \"equivalent\": false, \"corr\": null, \"timing\": [\"scalar_pps\", \"per_core_pps\"]}\n",
         )
         .unwrap();
         assert!(run(&s(&["bench-diff", &pa, &pb])).is_err());
@@ -2762,29 +2735,59 @@ mod tests {
         assert!(run(&s(&["bench-diff", &pa, &pb, "--tolerance"])).is_err());
     }
 
-    #[test]
-    fn seeded_counts_get_no_timing_tolerance() {
-        let dir = std::env::temp_dir().join("clue-cli-test9b");
+    /// Writes `baseline`, then diffs each fresh export against it under
+    /// verify.sh's flags for its zero-tolerance legs.
+    fn strict_diff(dir: &str, baseline: &str) -> impl Fn(&str) -> Result<(), String> {
+        let dir = std::env::temp_dir().join(dir);
         std::fs::create_dir_all(&dir).unwrap();
         let (a, b) = (dir.join("a.json"), dir.join("b.json"));
-        let (pa, pb) = (a.to_str().unwrap().to_owned(), b.to_str().unwrap().to_owned());
+        std::fs::write(&a, baseline).unwrap();
+        move |fresh| {
+            std::fs::write(&b, fresh).unwrap();
+            let (pa, pb) = (a.to_str().unwrap(), b.to_str().unwrap());
+            run(&s(&["bench-diff", pa, pb, "--tolerance", "0", "--time-tolerance", "100000"]))
+        }
+    }
+
+    #[test]
+    fn seeded_counts_get_no_timing_tolerance() {
         let export = |rebuilds: u32, reclaimed: u32, freeze_ms: f64, rebuild_us: f64| {
             format!(
                 "{{\"recovered_rebuilds\": {rebuilds}, \"churn_reclaimed\": {reclaimed}, \
-                 \"freeze_ms\": {freeze_ms}, \"mean_rebuild_us\": {rebuild_us}}}\n"
+                 \"freeze_ms\": {freeze_ms}, \"mean_rebuild_us\": {rebuild_us}, \
+                 \"timing\": [\"freeze_ms\", \"mean_rebuild_us\"]}}\n"
             )
         };
-        // verify.sh's flags for the chaos and fleet legs.
-        let verify = |fresh: String| {
-            std::fs::write(&b, fresh).unwrap();
-            run(&s(&["bench-diff", &pa, &pb, "--tolerance", "0", "--time-tolerance", "100000"]))
+        let verify = strict_diff("clue-cli-test9b", &export(1, 52, 5.3, 4002.2));
+        // The chaos and fleet counts are not declared timings: any drift
+        // fails.
+        assert!(verify(&export(2, 52, 5.3, 4002.2)).is_err());
+        assert!(verify(&export(1, 43, 5.3, 4002.2)).is_err());
+        // The declared freeze and rebuild timings get the timing
+        // tolerance.
+        verify(&export(1, 52, 50.0, 9.5)).unwrap();
+    }
+
+    #[test]
+    fn a_key_that_changes_class_fails() {
+        let export = |timing: &str| {
+            format!("{{\"packets\": 100, \"scalar_pps\": 1000.0, \"timing\": [{timing}]}}\n")
         };
-        std::fs::write(&a, export(1, 52, 5.3, 4002.2)).unwrap();
-        // The chaos and fleet counts are seeded: any drift fails.
-        assert!(verify(export(2, 52, 5.3, 4002.2)).is_err());
-        assert!(verify(export(1, 43, 5.3, 4002.2)).is_err());
-        // The freeze and rebuild timings still get the timing tolerance.
-        verify(export(1, 52, 50.0, 9.5)).unwrap();
+        let verify = strict_diff("clue-cli-test9c", &export("\"scalar_pps\""));
+        verify(&export("\"scalar_pps\"")).unwrap();
+        // Same values, but a timing turned seeded or a seeded count
+        // turned timing.
+        assert!(verify(&export("")).is_err());
+        assert!(verify(&export("\"scalar_pps\", \"packets\"")).is_err());
+    }
+
+    #[test]
+    fn a_baseline_without_a_timing_list_is_strict() {
+        let verify =
+            strict_diff("clue-cli-test9d", "{\"scalar_pps\": 1000.0, \"freeze_ms\": 5.3}\n");
+        verify("{\"scalar_pps\": 1000.0, \"freeze_ms\": 5.3}\n").unwrap();
+        assert!(verify("{\"scalar_pps\": 1001.0, \"freeze_ms\": 5.3}\n").is_err());
+        assert!(verify("{\"scalar_pps\": 1000.0, \"freeze_ms\": 5.4}\n").is_err());
     }
 
     #[test]

@@ -268,7 +268,9 @@ mod tests {
         assert_eq!(s.hits, t.hits.get());
         assert_eq!(s.misses, t.misses.get());
         assert_eq!(s.evictions, t.evictions.get());
-        assert!(reg.to_prometheus().contains("clue_cache_evictions_total 1"));
+        let prom = reg.to_prometheus();
+        assert!(prom.contains("clue_cache_hits_total 1"), "{prom}");
+        assert!(prom.contains("clue_cache_evictions_total 1"), "{prom}");
     }
 
     #[test]

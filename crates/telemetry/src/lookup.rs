@@ -150,16 +150,6 @@ impl CacheTelemetry {
                 .counter(&format!("{prefix}_evictions_total"), "Entries evicted to make room"),
         }
     }
-
-    /// Hit rate in `[0, 1]` (0 when no lookups recorded).
-    pub fn hit_rate(&self) -> f64 {
-        let n = self.hits.get() + self.misses.get();
-        if n == 0 {
-            0.0
-        } else {
-            self.hits.get() as f64 / n as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -225,18 +215,5 @@ mod tests {
         a.record(&ev(LookupClass::Miss, 9));
         assert_eq!(b.lookups_total.get(), 1);
         assert_eq!(b.class_count(LookupClass::Miss), 1);
-    }
-
-    #[test]
-    fn cache_telemetry_hit_rate() {
-        let reg = Registry::new();
-        let c = CacheTelemetry::registered(&reg, "clue_cache");
-        c.hits.add(3);
-        c.misses.inc();
-        c.evictions.inc();
-        assert_eq!(c.hit_rate(), 0.75);
-        assert!(reg.contains("clue_cache_hits_total"));
-        assert!(reg.contains("clue_cache_evictions_total"));
-        assert_eq!(CacheTelemetry::detached().hit_rate(), 0.0);
     }
 }

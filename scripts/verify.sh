@@ -127,11 +127,14 @@ done
 
 # Churn smoke: builder + 4 epoch-pinned readers; --check aborts unless
 # the final published snapshot is bit-identical to a from-scratch
-# freeze of the end-state table. Its epoch and lookup counts depend on
-# thread timing, so the export is checked but not diffed.
+# freeze of the end-state table. Its epoch, swap and lookup counts
+# depend on thread timing, so the export declares them timings; the
+# run shape is diffed exactly.
 target/release/clue churn 1000 1 --readers 4 --check --json "$fresh/BENCH_churn.json"
 test -s "$fresh/BENCH_churn.json"
 grep -q '"identical": true' "$fresh/BENCH_churn.json"
+target/release/clue bench-diff BENCH_churn.json "$fresh/BENCH_churn.json" \
+  --tolerance 0 --time-tolerance 100000
 # A route update costs only its chain, so the 1000-update run above
 # ends in well under a second. A 20000-update run (several seconds on
 # a 2-vCPU host) serves the scrape endpoint, and a mid-run curl must
