@@ -17,6 +17,8 @@
 //! sender's table) that stops a continued walk as soon as no candidate
 //! can lie below the current vertex.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use clue_lookup::{Family, LengthBinarySearch, RangeIndex, StrideTrie};
 use clue_telemetry::{CacheTelemetry, LookupClass, LookupEvent, LookupTelemetry, Registry};
 use clue_trie::{Address, BinaryTrie, Cost, Location, NodeId, PatriciaTrie, Prefix};
@@ -24,6 +26,7 @@ use clue_trie::{Address, BinaryTrie, Cost, Location, NodeId, PatriciaTrie, Prefi
 use crate::cache::{CacheStats, PresenceCache};
 use crate::classify::{classify, sweep, Classification, SortedClues, Swept};
 use crate::clue::ClueHeader;
+use crate::frozen::PatchBase;
 use crate::fxhash::FxHashSet;
 use crate::profile::{Meter, Stage};
 use crate::table::{CandidateRange, ClueEntry, ClueTable, Continuation, TableKind};
@@ -207,6 +210,11 @@ pub struct ClueEngine<A: Address> {
     /// Cache telemetry to hand to the cache — kept here so a cache
     /// enabled *after* instrumentation is still wired up.
     cache_telemetry: Option<CacheTelemetry>,
+    /// The last freeze and the receiver updates since, for
+    /// [`Self::freeze`] to patch; dropped by any other change. Behind
+    /// a lock only because `freeze` takes `&self`: updates hold `&mut
+    /// self` and reach it without locking.
+    last_freeze: Mutex<Option<PatchBase<A>>>,
 }
 
 impl<A: Address> ClueEngine<A> {
@@ -345,6 +353,7 @@ impl<A: Address> ClueEngine<A> {
             stats: EngineStats::default(),
             telemetry: None,
             cache_telemetry: None,
+            last_freeze: Mutex::new(None),
         }
     }
 
@@ -403,6 +412,7 @@ impl<A: Address> ClueEngine<A> {
     /// [`Cost::cache_read`] instead of a slow-memory probe; misses pay
     /// both and promote the entry.
     pub fn enable_cache(&mut self, capacity: usize) {
+        self.forget_freeze();
         let mut cache = PresenceCache::new(capacity);
         if let Some(t) = &self.cache_telemetry {
             cache.attach_telemetry(t.clone());
@@ -434,6 +444,20 @@ impl<A: Address> ClueEngine<A> {
     /// The Section 4 per-vertex Booleans, if computed, for the freezer.
     pub(crate) fn bits_bin_ref(&self) -> Option<&[bool]> {
         self.bits_bin.as_deref()
+    }
+
+    /// The last freeze to patch, for the freezer. A freeze takes the
+    /// note out before it patches and puts the new one back after, so
+    /// a panic between leaves `None`, a valid note: poisoning is
+    /// ignored.
+    pub(crate) fn last_freeze(&self) -> MutexGuard<'_, Option<PatchBase<A>>> {
+        self.last_freeze.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Makes the next freeze start from scratch: for every change a
+    /// patch cannot follow (sender knowledge, learned clues, the cache).
+    fn forget_freeze(&mut self) {
+        *self.last_freeze.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// Whether an LRU cache sits in front of the clue table.
@@ -710,6 +734,7 @@ impl<A: Address> ClueEngine<A> {
         }
         // The clue is a sender prefix by definition: grow our knowledge
         // first, then classify against it.
+        self.forget_freeze();
         self.sender.insert(clue);
         let entry = self.build_entry(clue);
         let index = match self.config.table_kind {
@@ -730,6 +755,7 @@ impl<A: Address> ClueEngine<A> {
     pub fn reclassify_all(&mut self) {
         // Every clue lies on the chain of the root prefix.
         self.reclassify_chain(&Prefix::ROOT);
+        self.forget_freeze();
     }
 
     /// Adds a route to the receiver's table, updating the search
@@ -769,6 +795,7 @@ impl<A: Address> ClueEngine<A> {
         }
         self.reclassify_chain(&prefix);
         self.refresh_vertex_bits(&prefix);
+        self.forget_freeze();
     }
 
     /// Records that the sender withdrew a prefix. The entry itself is
@@ -778,6 +805,7 @@ impl<A: Address> ClueEngine<A> {
         self.sender.remove(prefix);
         self.reclassify_chain(prefix);
         self.refresh_vertex_bits(prefix);
+        self.forget_freeze();
     }
 
     fn apply_receiver_change(&mut self, prefix: &Prefix<A>, added: bool) {
@@ -797,20 +825,28 @@ impl<A: Address> ClueEngine<A> {
             Inner::LogW(l) => *l = LengthBinarySearch::new(self.t2.prefixes()),
             Inner::Stride(s) => *s = StrideTrie::new(self.t2.prefixes()),
         }
-        self.reclassify_chain(prefix);
+        let chain = self.reclassify_chain(prefix);
         self.refresh_vertex_bits(prefix);
+        let last = self.last_freeze.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let clues = chain.into_iter().map(|(_, clue)| clue);
+        if last.as_mut().is_some_and(|base| !base.note(*prefix, clues)) {
+            *last = None;
+        }
     }
 
     /// Rebuilds every clue-table entry on the ancestor/descendant chain
     /// of `changed` — the only entries whose FD, classification,
     /// continuation pointer or candidate set a single-prefix change can
     /// affect. (Trie vertices elsewhere are untouched by insert/remove
-    /// pruning, so their stored `NodeId`s remain valid.)
-    fn reclassify_chain(&mut self, changed: &Prefix<A>) {
-        for (index, clue) in self.table.chain(changed) {
+    /// pruning, so their stored `NodeId`s remain valid.) Returns the
+    /// rebuilt `(slot, clue)` pairs.
+    fn reclassify_chain(&mut self, changed: &Prefix<A>) -> Vec<(Option<u16>, Prefix<A>)> {
+        let chain = self.table.chain(changed);
+        for &(index, clue) in &chain {
             let entry = self.build_entry(clue);
             self.table.insert(entry, index);
         }
+        chain
     }
 
     /// Brings the Section 4 per-vertex Booleans, if in use, up to date

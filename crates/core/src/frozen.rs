@@ -18,8 +18,12 @@
 //!   pre-order walk meets the vertices. So the freeze sweeps the live
 //!   trie once in pre-order, counting vertices and routes per depth,
 //!   and places each vertex at its level's next free index on a second
-//!   pass over that record. Every snapshot published under churn is
-//!   such a freeze, so this sweep is most of the write path;
+//!   pass over that record. That sweep is the canonical freeze. Under
+//!   churn the engine patches its previous snapshot instead, while
+//!   that snapshot is alive: a route update touches only its prefix's
+//!   root path, so the patch copies the rest of the array with shifted
+//!   indices and re-reads only those paths and the rebuilt clue
+//!   entries. Its result is bit-identical to the sweep's;
 //! * the clue table becomes a flat entry array behind one
 //!   [`FxHashMap`] probe (the paper's single mandatory access);
 //! * lookups take `&self` — the frozen engine is `Sync` and can be
@@ -35,10 +39,11 @@
 //! `tests/frozen_prop.rs`). Freezing is a snapshot: later mutation of
 //! the live engine does not show through.
 
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Weak};
 
 use clue_telemetry::{LookupClass, LookupTelemetry};
-use clue_trie::{Address, Cost, Prefix};
+use clue_trie::{Address, BinaryTrie, Cost, NodeId, Prefix};
 
 use crate::backend::{
     trie_level_visits, BackendError, CompiledBackend, PacketOp, PreparedLookup, NO_TAG,
@@ -149,15 +154,17 @@ impl<A: Address> Default for Decision<A> {
 pub struct FrozenEngine<A: Address> {
     method: Method,
     /// BFS-ordered vertices; index 0 is the root.
-    nodes: Vec<FrozenNode>,
+    nodes: Arc<Vec<FrozenNode>>,
     /// Route prefixes referenced by the nodes' route words, then the
     /// FD-only tags; shared with the router's engine by
     /// [`CompiledBackend::compile_link`].
     routes: Arc<Vec<Prefix<A>>>,
     /// Clue-table entries, dense.
-    entries: Vec<FrozenEntry<A>>,
-    /// Clue → entry index, one fast-hash probe per consult.
-    map: FxHashMap<Prefix<A>, u32>,
+    entries: Arc<Vec<FrozenEntry<A>>>,
+    /// Clue → entry index, one fast-hash probe per consult; shared by
+    /// every snapshot patched from this one (a receiver update never
+    /// changes the clue set).
+    map: Arc<FxHashMap<Prefix<A>, u32>>,
     /// Inherited from the live engine at freeze time (shared cells), so
     /// frozen lookups keep feeding the same registry metrics.
     telemetry: Option<LookupTelemetry>,
@@ -170,6 +177,11 @@ impl<A: Address> ClueEngine<A> {
     /// hashed clue table and no LRU cache — the paper's headline
     /// deployment. Any attached lookup telemetry is inherited (the
     /// frozen engine records into the same cells).
+    ///
+    /// When the engine's last snapshot is still alive and only receiver
+    /// routes changed since (a few, against the table's size), the new
+    /// snapshot is that one patched; otherwise it is built from scratch.
+    /// Either way the result is the same canonical freeze.
     pub fn freeze(&self) -> Result<FrozenEngine<A>, FreezeError> {
         if !self.is_regular_family() {
             return Err(FreezeError::UnsupportedFamily);
@@ -180,7 +192,18 @@ impl<A: Address> ClueEngine<A> {
         if self.has_cache() {
             return Err(FreezeError::CacheEnabled);
         }
+        let mut last = self.last_freeze();
+        let frozen = match last.take().and_then(|base| self.patch(base)) {
+            Some(frozen) => frozen,
+            None => self.freeze_from_scratch()?,
+        };
+        *last = Some(PatchBase::new(&frozen));
+        Ok(frozen)
+    }
 
+    /// The canonical freeze, built from the live trie and table alone:
+    /// what a patched freeze must equal.
+    fn freeze_from_scratch(&self) -> Result<FrozenEngine<A>, FreezeError> {
         let t2 = self.t2_ref();
         let bits = self.bits_bin_ref();
 
@@ -235,19 +258,8 @@ impl<A: Address> ClueEngine<A> {
                 }
                 None => NO_ROUTE,
             };
-            // With no Claim-1 bits (Simple, or Advance without them) the
-            // scalar continuation is `lookup_from`, which walks while
-            // children exist — exactly an always-set continue bit.
-            let cont = match bits {
-                Some(b) => b.get(id.index()).copied().unwrap_or(false),
-                None => true,
-            };
-            let [left, right] = t2.children(id);
-            let first = next_node[d + 1];
-            let children = [
-                if left.is_some() { first } else { NONE_NODE },
-                if right.is_some() { first + u32::from(left.is_some()) } else { NONE_NODE },
-            ];
+            let cont = continues(bits, id);
+            let children = child_slots(t2.children(id).map(|c| c.is_some()), next_node[d + 1]);
             nodes[at as usize] =
                 FrozenNode { children, route_word: route | if cont { CONT_BIT } else { 0 } };
         }
@@ -299,13 +311,308 @@ impl<A: Address> ClueEngine<A> {
 
         Ok(FrozenEngine {
             method: self.config().method,
-            nodes,
+            nodes: Arc::new(nodes),
             routes: Arc::new(routes),
-            entries,
+            entries: Arc::new(entries),
+            map: Arc::new(map),
+            telemetry: self.telemetry().cloned(),
+        })
+    }
+
+    /// The snapshot `base` points at, patched with the receiver changes
+    /// recorded since; `None` when that snapshot is gone (every copy
+    /// dropped) or has FD-only tags, or an entry cannot be placed, so
+    /// the from-scratch freeze runs instead.
+    ///
+    /// A route update changes children, route marks and Claim-1 bits
+    /// only on the changed prefix's root path, and adds or prunes
+    /// vertices only there ([`ClueEngine::add_receiver_route`] refreshes
+    /// the bits on the same fact). Walking the base layout and the live
+    /// trie side by side down each changed prefix finds the base
+    /// vertices to re-read. One pass over the base then emits the new
+    /// layout in breadth-first order: the runs between path vertices
+    /// are copied with shifted indices, path vertices are re-read from
+    /// the live trie, and a vertex the base lacks is queued, when its
+    /// parent is emitted, before the base index where its level's order
+    /// puts it. The clue set is unchanged, so the map is shared; every
+    /// entry is remapped through the old-to-new indices, and the
+    /// entries the updates rebuilt are re-read from the live table.
+    fn patch(&self, mut base: PatchBase<A>) -> Option<FrozenEngine<A>> {
+        let old_nodes = base.nodes.upgrade()?;
+        let old_routes = base.routes.upgrade()?;
+        let old_entries = base.entries.upgrade()?;
+        let map = base.map.upgrade()?;
+        let t2 = self.t2_ref();
+
+        // Base vertices on a changed prefix's path, each with the live
+        // vertex of the same string (`None`: pruned since), by index.
+        let mut path: Vec<(u32, Option<NodeId>)> = Vec::new();
+        for p in &base.changed {
+            let (mut at, mut live) = (0u32, Some(t2.root()));
+            path.push((at, live));
+            for d in 0..p.len() {
+                let side = usize::from(p.bit(d));
+                at = old_nodes[at as usize].children[side];
+                if at == NONE_NODE {
+                    break;
+                }
+                live = live.and_then(|v| t2.children(v)[side]);
+                path.push((at, live));
+            }
+        }
+        path.sort_unstable_by_key(|&(at, _)| at);
+        path.dedup_by_key(|&mut (at, _)| at);
+        let mut path = path.into_iter().peekable();
+
+        let mut out = Layout {
+            t2,
+            bits: self.bits_bin_ref(),
+            old_routes: &old_routes,
+            nodes: Vec::with_capacity(old_nodes.len() + 2 * base.changed.len()),
+            routes: Vec::with_capacity(old_routes.len() + base.changed.len()),
+            next_child: 1,
+            old_child: 1,
+            old_marked: 0,
+            node_to_new: Vec::with_capacity(old_nodes.len()),
+            route_to_new: Vec::with_capacity(old_routes.len()),
+            fresh: VecDeque::new(),
+        };
+        let mut i = 0;
+        loop {
+            // Copy up to the next path vertex or queued vertex, then
+            // emit that one.
+            let stop = path.peek().map_or(old_nodes.len(), |&(at, _)| at as usize);
+            let stop = out.fresh.front().map_or(stop, |&(before, _)| stop.min(before as usize));
+            out.copy(&old_nodes[i..stop]);
+            i = stop;
+            if let Some(&(before, id)) = out.fresh.front() {
+                if before as usize == i {
+                    out.fresh.pop_front();
+                    out.push_live(id, [false; 2]);
+                    continue;
+                }
+            }
+            let Some((_, live)) = path.next() else { break };
+            let node = &old_nodes[i];
+            let kids = node.children.map(|c| c != NONE_NODE);
+            let at = live.map_or(NONE_NODE, |id| out.push_live(id, kids));
+            out.node_to_new.push(at);
+            if node.route_word & NO_ROUTE != NO_ROUTE {
+                let route = match at {
+                    NONE_NODE => NO_ROUTE,
+                    at => out.nodes[at as usize].route_word & NO_ROUTE,
+                };
+                out.route_to_new.push(route);
+                out.old_marked += 1;
+            }
+            out.old_child += u32::from(kids[0]) + u32::from(kids[1]);
+            i += 1;
+        }
+        debug_assert_eq!(out.next_child as usize, out.nodes.len(), "every child placed");
+        // The base's vertex routes fall short of its tags: FD-only ones.
+        if out.old_marked != old_routes.len() {
+            return None;
+        }
+        let Layout { nodes, routes, node_to_new, route_to_new, .. } = out;
+
+        let mut entries: Vec<FrozenEntry<A>> = old_entries
+            .iter()
+            .map(|e| FrozenEntry {
+                fd: e.fd,
+                cont: if e.cont == NONE_NODE { NONE_NODE } else { node_to_new[e.cont as usize] },
+                fd_tag: if e.fd_tag == NO_ROUTE { NO_ROUTE } else { route_to_new[e.fd_tag as usize] },
+            })
+            .collect();
+        base.clues.sort_unstable();
+        base.clues.dedup();
+        let mut uncounted = Cost::new();
+        for clue in &base.clues {
+            let e = self.table().get(clue, None, &mut uncounted)?;
+            let cont = match &e.cont {
+                None => NONE_NODE,
+                Some(Continuation::TrieNode(_)) => vertex_at(&nodes, clue),
+                Some(_) => return None,
+            };
+            // An FD that is no route-marked vertex needs an FD-only tag.
+            let fd_tag = match e.fd {
+                None => NO_ROUTE,
+                Some(fd) => match vertex_at(&nodes, &fd) {
+                    NONE_NODE => return None,
+                    v => match nodes[v as usize].route_word & NO_ROUTE {
+                        NO_ROUTE => return None,
+                        tag => tag,
+                    },
+                },
+            };
+            entries[*map.get(clue)? as usize] = FrozenEntry { fd: e.fd, cont, fd_tag };
+        }
+
+        Some(FrozenEngine {
+            method: self.config().method,
+            nodes: Arc::new(nodes),
+            routes: Arc::new(routes),
+            entries: Arc::new(entries),
             map,
             telemetry: self.telemetry().cloned(),
         })
     }
+}
+
+/// Past one change record per this many vertices of the last snapshot
+/// (with a floor of [`PATCH_FLOOR`]), re-walking every changed path
+/// costs about as much as a fresh freeze, so the engine stops recording
+/// and the next freeze starts from scratch.
+const PATCH_SHARE: usize = 16;
+/// The change records any table may patch, however small.
+const PATCH_FLOOR: usize = 64;
+
+/// A [`ClueEngine`]'s last snapshot and the receiver changes made
+/// since: what lets [`ClueEngine::freeze`] patch that snapshot instead
+/// of rebuilding it. The arrays are held weakly, so the engine never
+/// keeps a snapshot alive; once every copy is dropped the next freeze
+/// starts from scratch.
+#[derive(Debug)]
+pub(crate) struct PatchBase<A: Address> {
+    nodes: Weak<Vec<FrozenNode>>,
+    routes: Weak<Vec<Prefix<A>>>,
+    entries: Weak<Vec<FrozenEntry<A>>>,
+    map: Weak<FxHashMap<Prefix<A>, u32>>,
+    /// Receiver prefixes announced or withdrawn since.
+    changed: Vec<Prefix<A>>,
+    /// Clues whose entries those updates rebuilt.
+    clues: Vec<Prefix<A>>,
+    /// Records (changed prefixes plus clues) a patch may take.
+    limit: usize,
+}
+
+impl<A: Address> PatchBase<A> {
+    fn new(frozen: &FrozenEngine<A>) -> Self {
+        PatchBase {
+            nodes: Arc::downgrade(&frozen.nodes),
+            routes: Arc::downgrade(&frozen.routes),
+            entries: Arc::downgrade(&frozen.entries),
+            map: Arc::downgrade(&frozen.map),
+            changed: Vec::new(),
+            clues: Vec::new(),
+            limit: PATCH_FLOOR.max(frozen.nodes.len() / PATCH_SHARE),
+        }
+    }
+
+    /// Records a receiver update at `prefix` that rebuilt the entries
+    /// of `clues`. Returns `false` once the updates outgrow a patch.
+    pub(crate) fn note(&mut self, prefix: Prefix<A>, clues: impl Iterator<Item = Prefix<A>>) -> bool {
+        self.changed.push(prefix);
+        self.clues.extend(clues);
+        self.changed.len() + self.clues.len() <= self.limit
+    }
+}
+
+/// A breadth-first layout being emitted vertex by vertex from a base
+/// layout and the live trie, with a cursor into each.
+struct Layout<'t, A: Address> {
+    t2: &'t BinaryTrie<A, ()>,
+    bits: Option<&'t [bool]>,
+    old_routes: &'t [Prefix<A>],
+    nodes: Vec<FrozenNode>,
+    routes: Vec<Prefix<A>>,
+    /// Where the next emitted vertex's first child goes.
+    next_child: u32,
+    /// The base index of the next base vertex's first child.
+    old_child: u32,
+    /// The base's route-marked vertices passed so far.
+    old_marked: usize,
+    /// Each base vertex's new index ([`NONE_NODE`] once pruned), and
+    /// each base vertex route's new index ([`NO_ROUTE`] once withdrawn).
+    node_to_new: Vec<u32>,
+    route_to_new: Vec<u32>,
+    /// Live vertices the base lacks, each with the base index it goes
+    /// before, in emission order.
+    fresh: VecDeque<(u32, NodeId)>,
+}
+
+impl<A: Address> Layout<'_, A> {
+    /// Copies a run of base vertices whose children, routes and bits
+    /// are unchanged. Their children and routes are contiguous in both
+    /// layouts, so each index shifts by one constant for the whole run.
+    fn copy(&mut self, run: &[FrozenNode]) {
+        let child_shift = self.next_child.wrapping_sub(self.old_child);
+        let route_shift = (self.routes.len() as u32).wrapping_sub(self.old_marked as u32);
+        let (mut kids, mut marked) = (0u32, 0u32);
+        let first = self.nodes.len() as u32;
+        self.nodes.extend(run.iter().map(|n| {
+            let route = n.route_word & NO_ROUTE;
+            kids += u32::from(n.children[0] != NONE_NODE) + u32::from(n.children[1] != NONE_NODE);
+            marked += u32::from(route != NO_ROUTE);
+            let route = if route == NO_ROUTE { NO_ROUTE } else { route.wrapping_add(route_shift) };
+            FrozenNode {
+                children: n.children.map(|c| if c == NONE_NODE { c } else { c.wrapping_add(child_shift) }),
+                route_word: route | (n.route_word & CONT_BIT),
+            }
+        }));
+        self.node_to_new.extend(first..first + run.len() as u32);
+        let new_route = self.routes.len() as u32;
+        let old_routes = &self.old_routes[self.old_marked..self.old_marked + marked as usize];
+        self.routes.extend_from_slice(old_routes);
+        self.route_to_new.extend(new_route..new_route + marked);
+        self.old_marked += marked as usize;
+        self.old_child += kids;
+        self.next_child += kids;
+    }
+
+    /// Appends live vertex `id` and queues its children that the base
+    /// lacks (`base_kids` marks the ones it has) before the base index
+    /// they take; returns the vertex's index.
+    fn push_live(&mut self, id: NodeId, base_kids: [bool; 2]) -> u32 {
+        let (t2, bits) = (self.t2, self.bits);
+        let kids = t2.children(id);
+        for (side, kid) in kids.into_iter().enumerate() {
+            if let (Some(kid), false) = (kid, base_kids[side]) {
+                let before = self.old_child + u32::from(side == 1 && base_kids[0]);
+                self.fresh.push_back((before, kid));
+            }
+        }
+        let at = u32::try_from(self.nodes.len()).expect("trie fits u32");
+        let children = child_slots(kids.map(|k| k.is_some()), self.next_child);
+        self.next_child += kids.iter().flatten().count() as u32;
+        let route = match t2.route_at(id) {
+            Some(r) => {
+                self.routes.push(t2.prefix(r));
+                self.routes.len() as u32 - 1
+            }
+            None => NO_ROUTE,
+        };
+        let cont = continues(bits, id);
+        self.nodes.push(FrozenNode { children, route_word: route | if cont { CONT_BIT } else { 0 } });
+        at
+    }
+}
+
+/// The Claim-1 continue bit of live vertex `id`. With no bits
+/// (Simple, or Advance without them) the scalar continuation is
+/// `lookup_from`, which walks while children exist — exactly an
+/// always-set continue bit.
+fn continues(bits: Option<&[bool]>, id: NodeId) -> bool {
+    bits.is_none_or(|b| b.get(id.index()).copied().unwrap_or(false))
+}
+
+/// The child slots of a vertex whose children (present where `kids`
+/// says) take the breadth-first indices from `first` on.
+fn child_slots(kids: [bool; 2], first: u32) -> [u32; 2] {
+    [
+        if kids[0] { first } else { NONE_NODE },
+        if kids[1] { first + u32::from(kids[0]) } else { NONE_NODE },
+    ]
+}
+
+/// The index of `p`'s vertex in a breadth-first layout, or
+/// [`NONE_NODE`] if the layout has no such vertex.
+fn vertex_at<A: Address>(nodes: &[FrozenNode], p: &Prefix<A>) -> u32 {
+    (0..p.len())
+        .try_fold(0u32, |at, d| {
+            let c = nodes[at as usize].children[usize::from(p.bit(d))];
+            (c != NONE_NODE).then_some(c)
+        })
+        .unwrap_or(NONE_NODE)
 }
 
 /// Exclusive prefix sums of per-level counts: the first index of each
@@ -629,9 +936,14 @@ impl<A: Address> CompiledBackend<A> for FrozenEngine<A> {
     /// is `Arc`-shared; telemetry is detached so replicas never
     /// contend on shared counter cells.
     fn replicate(&self) -> Self {
-        let mut replica = self.clone();
-        replica.detach_telemetry();
-        replica
+        FrozenEngine {
+            method: self.method,
+            nodes: Arc::new(self.nodes.to_vec()),
+            routes: Arc::clone(&self.routes),
+            entries: Arc::new(self.entries.to_vec()),
+            map: Arc::new(FxHashMap::clone(&self.map)),
+            telemetry: None,
+        }
     }
 
     /// Resident bytes of the flattened arrays (nodes + routes +
@@ -985,10 +1297,10 @@ pub(crate) mod tests {
         }
         FrozenEngine {
             method: engine.config().method,
-            nodes,
+            nodes: Arc::new(nodes),
             routes: Arc::new(routes),
-            entries,
-            map,
+            entries: Arc::new(entries),
+            map: Arc::new(map),
             telemetry: None,
         }
     }
@@ -1092,6 +1404,46 @@ pub(crate) mod tests {
         ) {
             check_sweep::<Ip6>(&sender, &receiver, &ops)?;
         }
+    }
+
+    /// A freeze patches the last snapshot while it is alive and only
+    /// receiver routes changed (the patched one shares its clue map),
+    /// and starts from scratch after a sender change or once every copy
+    /// of that snapshot is dropped; each result equals a fresh freeze.
+    #[test]
+    fn freeze_patches_the_live_snapshot_and_falls_back_otherwise() {
+        let (sender, receiver) = tables();
+        let config = EngineConfig::new(Family::Regular, Method::Advance);
+        let mut engine = ClueEngine::precomputed(&sender, &receiver, config);
+        let fresh = |engine: &ClueEngine<Ip4>| {
+            let receiver: Vec<_> = engine.t2_ref().prefixes().collect();
+            ClueEngine::precomputed(&sender, &receiver, config).freeze().unwrap()
+        };
+        let first = engine.freeze().unwrap();
+        engine.add_receiver_route(p("10.1.2.128/25"));
+        engine.remove_receiver_route(&p("10.2.0.0/16"));
+        engine.add_receiver_route(p("172.16.0.0/12"));
+        let patched = engine.freeze().unwrap();
+        assert!(Arc::ptr_eq(&first.map, &patched.map), "patched from the live snapshot");
+        assert!(patched.bit_identical(&fresh(&engine)));
+        assert!(!patched.bit_identical(&first));
+
+        let again = engine.freeze().unwrap();
+        assert!(Arc::ptr_eq(&patched.map, &again.map), "no updates: still a patch");
+        assert!(again.bit_identical(&patched));
+
+        engine.add_sender_prefix(p("10.2.0.0/16"));
+        let rebuilt = engine.freeze().unwrap();
+        assert!(!Arc::ptr_eq(&again.map, &rebuilt.map), "a sender change forces a rebuild");
+
+        drop(rebuilt);
+        engine.remove_receiver_route(&p("10.1.2.128/25"));
+        let orphan = engine.freeze().unwrap();
+        assert!(!Arc::ptr_eq(&again.map, &orphan.map));
+        let senders: Vec<_> = sender.iter().copied().chain([p("10.2.0.0/16")]).collect();
+        let receivers: Vec<_> = engine.t2_ref().prefixes().collect();
+        let want = ClueEngine::precomputed(&senders, &receivers, config).freeze().unwrap();
+        assert!(orphan.bit_identical(&want), "a dropped base freezes from scratch");
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! of such identities. The sequence property at the end checks the
 //! composition directly: after every step of a random update stream the
 //! incrementally updated engine equals a from-scratch precompute of the
-//! same state, at both address widths.
+//! same state, at both address widths, and every freeze between
+//! multi-update batches (which patches the engine's previous snapshot)
+//! is bit-identical to a from-scratch freeze.
 
 use std::collections::BTreeSet;
 
-use clue_core::{ClueEngine, EngineConfig, Method};
+use clue_core::{ClueEngine, EngineConfig, FrozenEngine, Method};
 use clue_lookup::{reference_bmp, Family};
 use clue_trie::{Address, Cost, Ip4, Ip6, Prefix};
 use proptest::prelude::*;
@@ -132,11 +134,13 @@ proptest! {
         prop_assert!(pristine.freeze().unwrap().bit_identical(&churned.freeze().unwrap()));
     }
 
-    /// A random stream of receiver announces, withdraws, modifies and
-    /// re-announces (so pruned arena slots are recycled), interleaved
-    /// with sender announces, leaves the engine equal to a from-scratch
-    /// precompute after every step: same clue-table classifications,
-    /// same lookup answers and costs, and a bit-identical freeze.
+    /// A random stream of receiver announces, withdraws, modifies,
+    /// announce-withdraw flaps and re-announces (so pruned arena slots
+    /// are recycled), interleaved with sender announces, leaves the
+    /// engine equal to a from-scratch precompute after every step: same
+    /// clue-table classifications, same lookup answers and costs. The
+    /// freezes cut the stream into batches (empty ones included), and
+    /// each is bit-identical to a from-scratch freeze.
     #[test]
     fn update_sequences_match_precomputed_ip4(
         (sender, receiver) in arb_tables(),
@@ -161,6 +165,47 @@ proptest! {
     }
 }
 
+/// A fixed stream that takes every freeze path at both widths: two
+/// freezes with nothing between, a multi-update batch, a flap, a
+/// dropped snapshot (the next freeze has no base to patch), and a
+/// sender announce (which the patch cannot follow).
+#[test]
+fn batched_freezes_cover_every_patch_path() {
+    use Op::*;
+    let ops = [
+        Freeze,
+        Freeze,
+        Announce(3, 5),
+        Withdraw(1),
+        Modify(2),
+        Freeze,
+        Flap(5, 3),
+        Freeze,
+        Announce(9, 7),
+        Announce(9, 8),
+        FreezeAndDrop,
+        Modify(0),
+        Freeze,
+        SenderAnnounce(9, 6),
+        Announce(12, 4),
+        Freeze,
+        Reannounce,
+        Flap(3, 5),
+        Freeze,
+    ];
+    let shapes = |ids: &[(u32, usize)]| -> Vec<Prefix<Ip4>> {
+        ids.iter().map(|&(s, l)| shaped(s, l, Ip4)).collect()
+    };
+    let sender = shapes(&[(1, 1), (3, 3), (5, 2), (9, 4), (12, 1), (7, 6)]);
+    let receiver = shapes(&[(1, 1), (1, 4), (3, 3), (3, 6), (9, 2), (9, 7), (12, 3)]);
+    check_sequence(&sender, &receiver, &ops, &[7, 1 << 30, 99], Ip4).unwrap();
+    let widen = |p: &Prefix<Ip4>| Prefix::new(Ip6(u128::from(p.bits().0) << 96), p.len());
+    let sender: Vec<_> = sender.iter().map(widen).collect();
+    let receiver: Vec<_> = receiver.iter().map(widen).collect();
+    check_sequence(&sender, &receiver, &ops, &[7, 1 << 30, 99], |v| Ip6(u128::from(v) << 96))
+        .unwrap();
+}
+
 /// One step of an update stream. Prefixes are drawn as `(shape, length
 /// index)` so both widths share one strategy; picks select among the
 /// receiver's current routes.
@@ -169,9 +214,17 @@ enum Op {
     Announce(u32, usize),
     Withdraw(u32),
     Modify(u32),
+    /// Announce a route and withdraw it again.
+    Flap(u32, usize),
     /// Re-announce the most recently withdrawn route, if any.
     Reannounce,
     SenderAnnounce(u32, usize),
+    /// End the batch: freeze, and keep the snapshot as the churn
+    /// driver's epoch cell does.
+    Freeze,
+    /// End the batch: freeze, and drop the snapshot as the churn
+    /// driver's watchdog does with an over-budget one.
+    FreezeAndDrop,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -179,8 +232,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u32..32, 0usize..9).prop_map(|(s, l)| Op::Announce(s, l)),
         any::<u32>().prop_map(Op::Withdraw),
         any::<u32>().prop_map(Op::Modify),
+        (0u32..32, 0usize..9).prop_map(|(s, l)| Op::Flap(s, l)),
         Just(Op::Reannounce),
         (0u32..32, 0usize..9).prop_map(|(s, l)| Op::SenderAnnounce(s, l)),
+        Just(Op::Freeze),
+        Just(Op::Freeze),
+        Just(Op::FreezeAndDrop),
     ]
 }
 
@@ -207,6 +264,9 @@ fn check_sequence<A: Address>(
         .map(|&f| ClueEngine::precomputed(sender, receiver, EngineConfig::new(f, Method::Advance)))
         .collect();
     let mut withdrawn: Vec<Prefix<A>> = Vec::new();
+    // The Regular engine's last kept snapshot: what its next freeze
+    // patches.
+    let mut kept: Option<FrozenEngine<A>> = None;
     let pick = |set: &BTreeSet<Prefix<A>>, k: u32| {
         (!set.is_empty()).then(|| *set.iter().nth(k as usize % set.len()).expect("in range"))
     };
@@ -235,6 +295,14 @@ fn check_sequence<A: Address>(
                     }
                 }
             }
+            Op::Flap(s, l) => {
+                let p = shaped(s, l, addr);
+                receiver_now.remove(&p);
+                for e in &mut engines {
+                    e.add_receiver_route(p);
+                    prop_assert!(e.remove_receiver_route(&p), "step {}: flap {}", step, p);
+                }
+            }
             Op::Reannounce => {
                 if let Some(p) = withdrawn.pop() {
                     receiver_now.insert(p);
@@ -246,7 +314,9 @@ fn check_sequence<A: Address>(
                 sender_now.insert(p);
                 engines.iter_mut().for_each(|e| e.add_sender_prefix(p));
             }
+            Op::Freeze | Op::FreezeAndDrop => {}
         }
+        let freeze = matches!(op, Op::Freeze | Op::FreezeAndDrop) || step + 1 == ops.len();
 
         let sender_v: Vec<_> = sender_now.iter().copied().collect();
         let receiver_v: Vec<_> = receiver_now.iter().copied().collect();
@@ -287,12 +357,14 @@ fn check_sequence<A: Address>(
                 prop_assert_eq!(got, want, "{}", at);
                 prop_assert_eq!(c_inc, c_fresh, "cost at {}", at);
             }
-            if family == Family::Regular {
-                let a = engine.freeze().expect("Regular engines freeze");
-                let b = fresh.freeze().expect("Regular engines freeze");
-                prop_assert!(a.bit_identical(&b), "step {} ({:?}): freeze differs", step, op);
+            if family == Family::Regular && freeze {
+                let got = engine.freeze().expect("Regular engines freeze");
+                let want = fresh.freeze().expect("Regular engines freeze");
+                prop_assert!(got.bit_identical(&want), "step {} ({:?}): freeze differs", step, op);
+                kept = (!matches!(op, Op::FreezeAndDrop)).then_some(got);
             }
         }
     }
+    drop(kept);
     Ok(())
 }
