@@ -151,9 +151,8 @@ usage:
                                                  corrupted/truncated/stale/
                                                  adversarial clues, clueless
                                                  hops, drops, reorders, plus a
-                                                 churn leg with a reader panic
-                                                 and a stalled rebuild; SPEC is
-                                                 \"all\" or comma-separated
+                                                 churn leg with a reader panic;
+                                                 SPEC is \"all\" or comma-separated
                                                  fault classes; --check fails
                                                  unless forwarding stayed
                                                  bit-identical to the clue-less
@@ -1897,7 +1896,7 @@ fn churn(args: &[String]) -> Result<(), String> {
 /// hops, drops, reorders) through the receiver pipeline, every
 /// forwarding decision differentially checked against the clue-less
 /// baseline, plus a churn leg that must survive an injected reader
-/// panic and a watchdog-tripped rebuild. `--check` fails unless the
+/// panic. `--check` fails unless the
 /// run is sound; `--json PATH` exports per-class counts and
 /// degraded-cost percentiles for the `BENCH_*.json` trajectory.
 fn chaos(args: &[String]) -> Result<(), String> {
@@ -1948,12 +1947,9 @@ fn chaos(args: &[String]) -> Result<(), String> {
         if report.stats_parity { "OK" } else { "BROKEN" }
     );
     println!(
-        "churn leg: {} (caught panics: {}, watchdog trips: {}, retries: {}, recoveries: {})",
+        "churn leg: {} (caught panics: {})",
         if report.churn_survived { "survived" } else { "DID NOT SURVIVE" },
         report.churn.reader_panics.len(),
-        report.churn.watchdog_trips,
-        report.churn.backoff_retries,
-        report.churn.recovered_rebuilds + report.churn.recovery_publishes,
     );
 
     if let Some(path) = flags.text("--json") {
@@ -1987,10 +1983,6 @@ fn chaos(args: &[String]) -> Result<(), String> {
             .seeded("divergences", report.divergences)
             .flag("stats_parity", report.stats_parity)
             .seeded("reader_panics", report.churn.reader_panics.len())
-            .seeded("watchdog_trips", report.churn.watchdog_trips)
-            .seeded("backoff_retries", report.churn.backoff_retries)
-            .seeded("recovered_rebuilds", report.churn.recovered_rebuilds)
-            .seeded("recovery_publishes", report.churn.recovery_publishes)
             .flag("churn_survived", report.churn_survived)
             .flag("checked", check)
             .flag("sound", report.sound())
@@ -2751,9 +2743,9 @@ mod tests {
 
     #[test]
     fn seeded_counts_get_no_timing_tolerance() {
-        let export = |rebuilds: u32, reclaimed: u32, freeze_ms: f64, rebuild_us: f64| {
+        let export = |panics: u32, reclaimed: u32, freeze_ms: f64, rebuild_us: f64| {
             format!(
-                "{{\"recovered_rebuilds\": {rebuilds}, \"churn_reclaimed\": {reclaimed}, \
+                "{{\"reader_panics\": {panics}, \"churn_reclaimed\": {reclaimed}, \
                  \"freeze_ms\": {freeze_ms}, \"mean_rebuild_us\": {rebuild_us}, \
                  \"timing\": [\"freeze_ms\", \"mean_rebuild_us\"]}}\n"
             )

@@ -222,8 +222,8 @@ enum Op {
     /// End the batch: freeze, and keep the snapshot as the churn
     /// driver's epoch cell does.
     Freeze,
-    /// End the batch: freeze, and drop the snapshot as the churn
-    /// driver's watchdog does with an over-budget one.
+    /// End the batch: freeze, and drop the snapshot, so the next
+    /// freeze finds no live patch base and must fall back.
     FreezeAndDrop,
 }
 

@@ -25,14 +25,14 @@
 //!   with lookup throughput.
 //!
 //! The driver is hardened for partial failure: it returns a typed
-//! [`ChurnError`] instead of panicking, reader panics are caught by
-//! the job driver and attributed per reader (a panicking reader
+//! [`ChurnError`] instead of panicking, and reader panics are caught
+//! by the job driver and attributed per reader (a panicking reader
 //! unwinds through its `EpochGuard` and its registration, quiescing
-//! both, so reclamation never wedges), and an optional
-//! [`RebuildWatchdog`] discards over-budget rebuilds with
-//! backoff-and-retry instead of publishing over-stale snapshots — one
-//! slow rebuild can delay convergence but never stop the serving loop. The chaos harness
-//! ([`run_chaos`](crate::run_chaos)) injects exactly these failures.
+//! both, so reclamation never wedges). Every batch's freeze is
+//! published: a patched freeze costs milliseconds, so holding one back
+//! would only make the readers staler. The chaos harness
+//! ([`run_chaos`](crate::run_chaos)) injects a reader panic through
+//! [`ChurnDriverConfig::panic_reader`].
 //!
 //! With [`ChurnDriverConfig::check`] set, the run ends by freezing a
 //! from-scratch engine built on [`end_state`] of the stream and
@@ -54,7 +54,6 @@ use clue_tablegen::{end_state, RouteUpdate, UpdateKind};
 use clue_telemetry::{ChurnTelemetry, DegradationTelemetry};
 use clue_trie::{Address, BinaryTrie, Cost, Prefix};
 
-use crate::faults::{ChurnFaultPlan, RebuildWatchdog};
 use crate::runtime::drive_while;
 
 /// Why a churn run could not complete. Every failure the driver can
@@ -68,8 +67,9 @@ pub enum ChurnError {
     NoReaders,
     /// The derived traffic pool was empty — nothing to serve.
     EmptyTraffic,
-    /// A reader panicked outside any injected fault plan; the job
-    /// driver caught the panic, and it is attributed here.
+    /// A reader other than [`ChurnDriverConfig::panic_reader`]
+    /// panicked; the job driver caught the panic, and it is attributed
+    /// here.
     ReaderPanicked {
         /// Index of the reader that panicked.
         reader: usize,
@@ -122,17 +122,16 @@ pub struct ChurnDriverConfig {
     pub seed: u64,
     /// Verify the final snapshot against a from-scratch rebuild.
     pub check: bool,
-    /// Budget-and-backoff acceptance gate for rebuilds (`None` =
-    /// publish whatever the freeze produces, however long it took).
-    pub watchdog: Option<RebuildWatchdog>,
-    /// Deterministic failures to inject (chaos harness only).
-    pub fault: Option<ChurnFaultPlan>,
+    /// This reader panics (while holding its `EpochGuard`) after its
+    /// first served chunk; the driver must catch and attribute it
+    /// (chaos harness only).
+    pub panic_reader: Option<usize>,
 }
 
 impl ChurnDriverConfig {
     /// A driver with `readers` threads and defaults sized for tests
     /// and the CLI smoke: 256-lookup chunks over 4 096 packets, no
-    /// watchdog, no injected faults.
+    /// injected reader panic.
     pub fn new(readers: usize, seed: u64) -> Self {
         ChurnDriverConfig {
             readers,
@@ -140,8 +139,7 @@ impl ChurnDriverConfig {
             traffic: 4_096,
             seed,
             check: true,
-            watchdog: None,
-            fault: None,
+            panic_reader: None,
         }
     }
 }
@@ -149,7 +147,7 @@ impl ChurnDriverConfig {
 /// What a churn run did and observed.
 #[derive(Debug, Clone)]
 pub struct ChurnReport {
-    /// Final published epoch (= successful publishes).
+    /// Final published epoch (= batches applied).
     pub epochs: u64,
     /// Individual route updates applied by the builder.
     pub updates_applied: u64,
@@ -162,7 +160,7 @@ pub struct ChurnReport {
     pub stale_by_epoch: Vec<u64>,
     /// Worst epoch lag any reader batch observed.
     pub max_staleness: u64,
-    /// Microseconds per accepted freeze, one entry per published epoch.
+    /// Microseconds per freeze, one entry per published epoch.
     pub rebuild_us: Vec<u64>,
     /// Lookups served per reader, as the job driver counted them
     /// ([`CoreStats::packets`](crate::CoreStats::packets); 0 for a
@@ -174,19 +172,9 @@ pub struct ChurnReport {
     /// accounting for the same traffic.
     pub batch_stats: EngineStats,
     /// Caught reader panics, attributed `(reader index, message)`.
-    /// Non-empty only under an injected fault plan — an unplanned
-    /// panic fails the run as [`ChurnError::ReaderPanicked`].
+    /// Non-empty only with [`ChurnDriverConfig::panic_reader`] set — an
+    /// unplanned panic fails the run as [`ChurnError::ReaderPanicked`].
     pub reader_panics: Vec<(usize, String)>,
-    /// Freeze attempts that exceeded the watchdog budget.
-    pub watchdog_trips: u64,
-    /// Backoff-then-retry cycles the watchdog scheduled.
-    pub backoff_retries: u64,
-    /// Epochs skipped after exhausting watchdog retries.
-    pub skipped_epochs: u64,
-    /// Rebuilds that landed within budget after at least one trip.
-    pub recovered_rebuilds: u64,
-    /// Unbudgeted convergence publishes issued for skipped epochs.
-    pub recovery_publishes: u64,
     /// Retired snapshots still unreclaimed after the final grace
     /// period (0 — every superseded snapshot was freed).
     pub retired_after: usize,
@@ -256,9 +244,8 @@ struct ChurnReader<'e, A: Address> {
 /// nature, but every *answer* comes from some published snapshot and
 /// the final state is checkable.
 ///
-/// Churn observability goes to `telemetry`; degradation events
-/// (caught panics, watchdog trips, retries, recoveries) additionally
-/// go to `degradation` when attached.
+/// Churn observability goes to `telemetry`; caught reader panics
+/// additionally go to `degradation` when attached.
 ///
 /// # Errors
 /// [`ChurnError::NoReaders`] / [`ChurnError::EmptyTraffic`] on a
@@ -266,8 +253,8 @@ struct ChurnReader<'e, A: Address> {
 /// being freezable (the driver builds a Regular-family, hashed,
 /// cache-less engine, so this only fires for address families without
 /// a flattened walk); [`ChurnError::ReaderPanicked`] for a caught
-/// reader panic that no fault plan injected. The driver itself does
-/// not panic.
+/// panic of any reader but [`ChurnDriverConfig::panic_reader`]. The
+/// driver itself does not panic.
 pub fn run_churn<A: Address>(
     sender: &[Prefix<A>],
     receiver: &[Prefix<A>],
@@ -300,17 +287,11 @@ pub fn run_churn<A: Address>(
     let max_staleness = AtomicU64::new(0);
     let mut rebuild_us = Vec::with_capacity(batches.len());
     let mut updates_applied = 0u64;
-    let mut watchdog_trips = 0u64;
-    let mut backoff_retries = 0u64;
-    let mut skipped_epochs = 0u64;
-    let mut recovered_rebuilds = 0u64;
-    let mut recovery_publishes = 0u64;
     let chunk = config.chunk.min(dests.len()).max(1);
-    let injected_panic = config.fault.as_ref().and_then(|f| f.panic_reader);
 
     // The builder, on the calling thread while the readers serve.
     let build = || -> Result<(), FreezeError> {
-        for (b, batch) in batches.iter().enumerate() {
+        for batch in batches {
             for update in batch {
                 apply_update(&mut live, update);
             }
@@ -318,61 +299,13 @@ pub fn run_churn<A: Address>(
             if let Some(t) = telemetry {
                 t.updates_applied_total.add(batch.len() as u64);
             }
-            // Freeze-and-publish, gated by the watchdog: an attempt
-            // that comes back over budget is discarded (not published
-            // — its snapshot is already staler than the budget
-            // allows), backed off, and retried; after `max_retries`
-            // the epoch is skipped and its updates ride the next
-            // successful publish.
-            let mut attempt = 0u32;
-            loop {
-                attempt += 1;
-                let started = Instant::now();
-                // Inside the timed window: the stall models a slow
-                // rebuild, so the watchdog must see it.
-                if let Some(fault) = &config.fault {
-                    if fault.stall_epoch == Some(b as u64)
-                        && attempt == 1
-                        && !fault.stall.is_zero()
-                    {
-                        std::thread::sleep(fault.stall);
-                    }
-                }
-                let frozen = live.freeze()?;
-                let elapsed = started.elapsed();
-                if let Some(watchdog) = &config.watchdog {
-                    if elapsed > watchdog.budget {
-                        watchdog_trips += 1;
-                        if let Some(d) = degradation {
-                            d.watchdog_trips_total.inc();
-                        }
-                        if attempt <= watchdog.max_retries {
-                            backoff_retries += 1;
-                            if let Some(d) = degradation {
-                                d.backoff_retries_total.inc();
-                            }
-                            std::thread::sleep(
-                                watchdog.backoff * 2u32.saturating_pow(attempt - 1),
-                            );
-                            continue;
-                        }
-                        skipped_epochs += 1;
-                        break;
-                    }
-                }
-                epochs.publish(frozen);
-                let us = elapsed.as_micros() as u64;
-                rebuild_us.push(us);
-                if let Some(t) = telemetry {
-                    t.rebuild_latency_us.observe(us);
-                }
-                if attempt > 1 {
-                    recovered_rebuilds += 1;
-                    if let Some(d) = degradation {
-                        d.recoveries_total.inc();
-                    }
-                }
-                break;
+            let started = Instant::now();
+            let frozen = live.freeze()?;
+            let us = started.elapsed().as_micros() as u64;
+            epochs.publish(frozen);
+            rebuild_us.push(us);
+            if let Some(t) = telemetry {
+                t.rebuild_latency_us.observe(us);
             }
         }
         Ok(())
@@ -403,7 +336,7 @@ pub fn run_churn<A: Address>(
                 guard.lookup_batch(&dests[pos..end], &clues[pos..end], &mut rd.out[..window]);
             let lag = guard.lag();
             let epoch = guard.epoch();
-            if injected_panic == Some(rd.index) {
+            if config.panic_reader == Some(rd.index) {
                 // Deliberately while the guard is held: the unwind must
                 // quiesce it.
                 panic!("injected reader fault: reader {} panicked while pinned", rd.index);
@@ -452,21 +385,9 @@ pub fn run_churn<A: Address>(
         d.reader_panics_total.add(reader_panics.len() as u64);
     }
     if let Some((reader, message)) =
-        reader_panics.iter().find(|(r, _)| Some(*r) != injected_panic)
+        reader_panics.iter().find(|(r, _)| Some(*r) != config.panic_reader)
     {
         return Err(ChurnError::ReaderPanicked { reader: *reader, message: message.clone() });
-    }
-
-    // Deferred convergence for skipped epochs: their updates are still
-    // in the live engine — one unbudgeted publish carries them, so the
-    // watchdog can delay convergence but never forfeit it.
-    if skipped_epochs > 0 {
-        let frozen = live.freeze()?;
-        epochs.publish(frozen);
-        recovery_publishes += 1;
-        if let Some(d) = degradation {
-            d.recoveries_total.inc();
-        }
     }
 
     // All readers have deregistered: one reclaim empties the retire
@@ -495,11 +416,6 @@ pub fn run_churn<A: Address>(
         reader_lookups,
         batch_stats,
         reader_panics,
-        watchdog_trips,
-        backoff_retries,
-        skipped_epochs,
-        recovered_rebuilds,
-        recovery_publishes,
         retired_after,
         final_identical,
     })
@@ -536,7 +452,6 @@ mod tests {
         NeighborConfig,
     };
     use clue_trie::Ip4;
-    use std::time::Duration;
 
     fn pair() -> (Vec<Prefix<Ip4>>, Vec<Prefix<Ip4>>) {
         let sender = synthesize_ipv4(600, 42);
@@ -569,8 +484,6 @@ mod tests {
             // Exactly-once accounting across every completed batch.
             assert_eq!(report.batch_stats.total(), report.lookups_total);
             assert!(report.reader_panics.is_empty());
-            assert_eq!(report.watchdog_trips, 0);
-            assert_eq!(report.skipped_epochs, 0);
         }
     }
 
@@ -672,7 +585,7 @@ mod tests {
         let mut cfg = ChurnDriverConfig::new(2, 7);
         cfg.traffic = 256;
         cfg.chunk = 32;
-        cfg.fault = Some(ChurnFaultPlan { panic_reader: Some(0), ..Default::default() });
+        cfg.panic_reader = Some(0);
         let report = run_churn(&sender, &receiver, &batches, &cfg, None, None).unwrap();
         assert_eq!(report.reader_panics.len(), 1);
         assert_eq!(report.reader_panics[0].0, 0);
@@ -695,54 +608,5 @@ mod tests {
         assert_eq!(report.final_identical, Some(true));
         assert!(report.reader_lookups.iter().all(|&n| n > 0), "{:?}", report.reader_lookups);
         assert_eq!(report.batch_stats.total(), report.lookups_total);
-    }
-
-    #[test]
-    fn watchdog_trips_retries_and_recovers_on_a_stalled_rebuild() {
-        let (sender, receiver) = pair();
-        let batches = generate_churn(&receiver, &ChurnConfig::bgp(60, 5));
-        let mut cfg = ChurnDriverConfig::new(1, 7);
-        cfg.traffic = 256;
-        cfg.chunk = 64;
-        cfg.watchdog = Some(RebuildWatchdog {
-            budget: Duration::from_millis(80),
-            max_retries: 2,
-            backoff: Duration::from_micros(100),
-        });
-        cfg.fault = Some(ChurnFaultPlan {
-            stall_epoch: Some(0),
-            stall: Duration::from_millis(150),
-            ..Default::default()
-        });
-        let report = run_churn(&sender, &receiver, &batches, &cfg, None, None).unwrap();
-        assert!(report.watchdog_trips >= 1, "the stalled attempt trips the budget");
-        assert!(report.backoff_retries >= 1);
-        assert!(
-            report.recovered_rebuilds >= 1 || report.recovery_publishes >= 1,
-            "the retry (or the convergence publish) recovers"
-        );
-        assert_eq!(report.final_identical, Some(true), "convergence survives the stall");
-    }
-
-    #[test]
-    fn exhausted_watchdog_skips_epochs_but_still_converges() {
-        // A 0-budget watchdog rejects every freeze: all epochs skip,
-        // and the single deferred convergence publish still lands the
-        // end state — degraded, never wedged.
-        let (sender, receiver) = pair();
-        let batches = generate_churn(&receiver, &ChurnConfig::bgp(30, 5));
-        let mut cfg = ChurnDriverConfig::new(1, 7);
-        cfg.traffic = 128;
-        cfg.chunk = 32;
-        cfg.watchdog = Some(RebuildWatchdog {
-            budget: Duration::ZERO,
-            max_retries: 1,
-            backoff: Duration::ZERO,
-        });
-        let report = run_churn(&sender, &receiver, &batches, &cfg, None, None).unwrap();
-        assert_eq!(report.skipped_epochs, batches.len() as u64);
-        assert_eq!(report.recovery_publishes, 1);
-        assert_eq!(report.epochs, 1, "only the convergence publish landed");
-        assert_eq!(report.final_identical, Some(true));
     }
 }

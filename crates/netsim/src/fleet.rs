@@ -76,6 +76,13 @@ const NO_ORIGIN: u32 = u32::MAX;
 /// uses (topology build, participation draw, churn).
 const FLOW_SALT: u64 = 0x5EED_F10E;
 
+/// Stride shape of every router's compiled engines. A fleet expands
+/// one stride arena per router; each of its `2·links` link engines
+/// shares its router's and owns only its binary nodes and clue
+/// buckets. The root array is `2^initial_bits` slots per router, so
+/// it stays small.
+const FLEET_STRIDE: StrideConfig = StrideConfig { initial_bits: 8, inner_bits: 4 };
+
 /// Flows per job of the sharded walk. Every job pins one epoch guard
 /// per router, so short jobs pay that pinning on every few flows;
 /// 100k flows still make ~100 jobs, plenty to balance 8 workers.
@@ -126,12 +133,6 @@ pub struct FleetConfig {
     pub bands: Vec<(usize, u8)>,
     /// Clue-engine configuration for the per-link engines.
     pub engine: EngineConfig,
-    /// Stride shape for the compiled engines. A fleet expands one
-    /// stride arena per router; each of its `2·links` link engines
-    /// shares its router's and owns only its binary nodes and clue
-    /// buckets. The root array is `2^initial_bits` slots per router,
-    /// so keep it small.
-    pub stride: StrideConfig,
     /// Fraction of routers that participate in the clue scheme
     /// (Section 5.3's heterogeneous deployment).
     pub participation: f64,
@@ -145,8 +146,7 @@ impl FleetConfig {
     /// Defaults for a fleet of at least `routers` routers: transit-stub
     /// topology, `routers/12` origins (8..=192), 6 specifics each in
     /// disjoint /14 blocks, detail decaying /24 → /20 → /14, Advance
-    /// method over a small (8, 4) stride shape, full participation,
-    /// Zipf(0.9) destination locality.
+    /// method, full participation, Zipf(0.9) destination locality.
     pub fn new(routers: usize, seed: u64) -> Self {
         FleetConfig {
             routers,
@@ -156,7 +156,6 @@ impl FleetConfig {
             block_len: 14,
             bands: vec![(1, 24), (3, 20), (usize::MAX, 14)],
             engine: EngineConfig::new(Family::Regular, Method::Advance),
-            stride: StrideConfig::new(8, 4),
             participation: 1.0,
             zipf_exponent: 0.9,
             seed,
@@ -287,41 +286,8 @@ impl Fleet {
         let zipf = ZipfSampler::new(origins, config.zipf_exponent, &mut rng);
 
         // -- Per-router FIBs ------------------------------------------
-        // Each entry is (prefix, origin); origins' blocks are disjoint,
-        // so the merged table is conflict-free and sorted.
-        let band_len = |dist: usize| -> u8 {
-            config
-                .bands
-                .iter()
-                .find(|&&(max_d, _)| dist <= max_d)
-                .map(|&(_, l)| l)
-                .unwrap_or(config.block_len)
-        };
         let fibs: Vec<Vec<(Prefix<Ip4>, u32)>> = (0..n)
-            .map(|r| {
-                let mut fib: Vec<(Prefix<Ip4>, u32)> = Vec::new();
-                for (oi, specs) in specifics.iter().enumerate() {
-                    if origin_of_router[r] == oi as u32 {
-                        fib.extend(specs.iter().map(|&p| (p, oi as u32)));
-                        continue;
-                    }
-                    let dist = ecmp[oi].distance(r).unwrap_or(usize::MAX);
-                    let len = band_len(dist);
-                    let mut seen: Option<Prefix<Ip4>> = None;
-                    for s in specs {
-                        let t = s.truncate(len.min(s.len()));
-                        if seen != Some(t) {
-                            // Truncation collapses sorted neighbors;
-                            // a full dedup pass still runs below.
-                            fib.push((t, oi as u32));
-                            seen = Some(t);
-                        }
-                    }
-                }
-                fib.sort_unstable();
-                fib.dedup();
-                fib
-            })
+            .map(|r| router_fib(&config, &specifics, &origin_of_router, &ecmp, r))
             .collect();
 
         // -- Participation --------------------------------------------
@@ -773,17 +739,7 @@ impl Fleet {
                     if dist > config.detail_radius && self.origin_of_router[r] != oi as u32 {
                         continue;
                     }
-                    let fibs = self.rebuild_fibs_for(&specifics, r);
-                    let router = compile_router(
-                        &self.topology,
-                        &fibs,
-                        &self.ecmp,
-                        r,
-                        self.participates[r],
-                        &self.config,
-                    )
-                    .expect("the build already compiled this shape");
-                    reclaimed += self.cells[r].publish(router).reclaimed as u64;
+                    reclaimed += self.republish(&specifics, r) as u64;
                     republished += 1;
                 }
                 rebuild_ns += t0.elapsed().as_nanos() as u64;
@@ -827,45 +783,20 @@ impl Fleet {
         FleetChurnReport { events, republished, rebuild_ns, reclaimed, stats }
     }
 
-    /// Rebuilds the FIB table slice `compile_router` needs for router
-    /// `r` under an updated address plan. Only `fibs[r]` and its
-    /// neighbors' tables are populated — the others stay empty, which
-    /// `compile_router` never reads.
-    fn rebuild_fibs_for(
-        &self,
-        specifics: &[Vec<Prefix<Ip4>>],
-        r: RouterId,
-    ) -> Vec<Vec<(Prefix<Ip4>, u32)>> {
-        let band_len = |dist: usize| -> u8 {
-            self.config
-                .bands
-                .iter()
-                .find(|&&(max_d, _)| dist <= max_d)
-                .map(|&(_, l)| l)
-                .unwrap_or(self.config.block_len)
-        };
-        let mut fibs: Vec<Vec<(Prefix<Ip4>, u32)>> =
-            (0..self.topology.len()).map(|_| Vec::new()).collect();
-        let mut wanted: Vec<RouterId> = vec![r];
-        wanted.extend_from_slice(self.topology.neighbors(r));
-        for &x in &wanted {
-            let mut fib: Vec<(Prefix<Ip4>, u32)> = Vec::new();
-            for (oi, specs) in specifics.iter().enumerate() {
-                if self.origin_of_router[x] == oi as u32 {
-                    fib.extend(specs.iter().map(|&p| (p, oi as u32)));
-                    continue;
-                }
-                let dist = self.ecmp[oi].distance(x).unwrap_or(usize::MAX);
-                let len = band_len(dist);
-                for s in specs {
-                    fib.push((s.truncate(len.min(s.len())), oi as u32));
-                }
-            }
-            fib.sort_unstable();
-            fib.dedup();
-            fibs[x] = fib;
+    /// Recompiles router `r` under an updated address plan and
+    /// publishes it through its epoch cell, returning the snapshots the
+    /// publish reclaimed. `compile_router` reads only the FIBs of `r`
+    /// and its neighbors, so only those are built; the others stay
+    /// empty.
+    fn republish(&self, specifics: &[Vec<Prefix<Ip4>>], r: RouterId) -> usize {
+        let mut fibs: Vec<Vec<(Prefix<Ip4>, u32)>> = vec![Vec::new(); self.topology.len()];
+        for &x in std::iter::once(&r).chain(self.topology.neighbors(r)) {
+            fibs[x] = router_fib(&self.config, specifics, &self.origin_of_router, &self.ecmp, x);
         }
-        fibs
+        let router =
+            compile_router(&self.topology, &fibs, &self.ecmp, r, self.participates[r], &self.config)
+                .expect("the build already compiled this shape");
+        self.cells[r].publish(router).reclaimed
     }
 
     /// Flushes a run's statistics (and optionally a churn report) into
@@ -1089,6 +1020,47 @@ impl Fleet {
     }
 }
 
+/// Router `r`'s FIB under an address plan: `(prefix, origin)` pairs,
+/// sorted and deduplicated. An origin installs its own specifics whole;
+/// every other router installs them truncated to the detail band of its
+/// ECMP distance from the origin. Origins' blocks are disjoint, so the
+/// merged table is conflict-free. Serves the build and every churn
+/// republish.
+fn router_fib(
+    config: &FleetConfig,
+    specifics: &[Vec<Prefix<Ip4>>],
+    origin_of_router: &[u32],
+    ecmp: &[EcmpTree],
+    r: RouterId,
+) -> Vec<(Prefix<Ip4>, u32)> {
+    let mut fib: Vec<(Prefix<Ip4>, u32)> = Vec::new();
+    for (oi, specs) in specifics.iter().enumerate() {
+        if origin_of_router[r] == oi as u32 {
+            fib.extend(specs.iter().map(|&p| (p, oi as u32)));
+            continue;
+        }
+        let dist = ecmp[oi].distance(r).unwrap_or(usize::MAX);
+        let len = config
+            .bands
+            .iter()
+            .find(|&&(max_d, _)| dist <= max_d)
+            .map_or(config.block_len, |&(_, l)| l);
+        let mut seen: Option<Prefix<Ip4>> = None;
+        for s in specs {
+            let t = s.truncate(len.min(s.len()));
+            if seen != Some(t) {
+                // Truncation collapses sorted neighbors; a full dedup
+                // pass still runs below.
+                fib.push((t, oi as u32));
+                seen = Some(t);
+            }
+        }
+    }
+    fib.sort_unstable();
+    fib.dedup();
+    fib
+}
+
 /// Compiles router `r`'s engine bundle from the FIB tables: a
 /// `Method::Common` base engine, and (for participants) one
 /// precomputed clue engine per incoming link, built over the base
@@ -1124,7 +1096,7 @@ fn compile_router(
             .collect();
         ClueEngine::precomputed_over(&base, &clues, config.engine)
     });
-    ClueRouter::compile(participates, &base, links, &config.stride, origin_of)
+    ClueRouter::compile(participates, &base, links, &FLEET_STRIDE, origin_of)
 }
 
 /// Flows each churn-serving worker routes between epoch re-pins.
@@ -1712,6 +1684,21 @@ mod tests {
         // Liveness: serving never wedges; delivery may dip but the
         // aggregate keeps flows routable.
         assert!(report.stats.delivered > 0);
+    }
+
+    #[test]
+    fn republishing_the_unchanged_plan_changes_nothing() {
+        // The churn republish path (FIB, compile, publish) run over the
+        // build's own address plan must reproduce what the build
+        // published, for participants and bystanders alike.
+        let fleet = Fleet::build(FleetConfig { participation: 0.5, ..small_config() }).unwrap();
+        let (stats, memory) = (fleet.run_flows_sequential(400), fleet.memory());
+        for r in 0..fleet.router_count() {
+            fleet.republish(&fleet.specifics, r);
+        }
+        assert!(fleet.cells.iter().all(|c| c.current_epoch() == 1));
+        assert_eq!(fleet.run_flows_sequential(400), stats);
+        assert_eq!(fleet.memory(), memory);
     }
 
     #[test]

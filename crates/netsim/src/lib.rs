@@ -38,7 +38,7 @@
 //!   scheme exploits (Section 3.3.2);
 //! * [`run_chaos`] — the fault-injection harness: seeded, reproducible
 //!   corrupted/truncated/stale/adversarial clues, clue-less hops,
-//!   drops, reorders, reader panics and stalled rebuilds, checked
+//!   drops, reorders and a reader panic under churn, checked
 //!   against the soundness invariant (any fault degrades cost, never
 //!   the forwarding decision);
 //! * [`adversary`] / [`Fleet::run_adversarial`] — systematic attackers
@@ -65,10 +65,7 @@ pub use adversary::{
     deepest_mismatch_clue, flood_clue, participation_sweep, AttackProfile, SweepPoint,
 };
 pub use churn::{run_churn, ChurnDriverConfig, ChurnError, ChurnReport};
-pub use faults::{
-    run_chaos, ChaosConfig, ChaosReport, ChurnFaultPlan, ClassOutcome, FaultClass, FaultPlan,
-    RebuildWatchdog,
-};
+pub use faults::{run_chaos, ChaosConfig, ChaosReport, ClassOutcome, FaultClass, FaultPlan};
 pub use fleet::{
     AdversaryRound, Fleet, FleetAdversaryConfig, FleetAdversaryReport, FleetChurnConfig,
     FleetChurnReport, FleetConfig, FleetRunReport, FleetStats, Flow, HopSavings, LinkStats,

@@ -7,8 +7,8 @@
 //! the workspace `clue_<component>_<metric>` convention under the
 //! `clue_fault` prefix: how many faults of each class were injected,
 //! how many packets degraded to the clue-less fallback, how much extra
-//! lookup cost the degradation charged, and how the serving loop
-//! recovered from reader panics and watchdog-tripped rebuilds.
+//! lookup cost the degradation charged, and how many reader panics the
+//! serving loop caught.
 
 use crate::registry::{Counter, Histogram, Registry};
 use crate::DEGRADED_COST_BOUNDS;
@@ -39,13 +39,6 @@ pub struct DegradationTelemetry {
     /// Reader threads that panicked and were caught + attributed by
     /// the churn driver.
     pub reader_panics_total: Counter,
-    /// Rebuilds whose freeze exceeded the watchdog budget.
-    pub watchdog_trips_total: Counter,
-    /// Backoff-then-retry cycles the watchdog scheduled after a trip.
-    pub backoff_retries_total: Counter,
-    /// Recoveries: rebuilds that succeeded within budget after at
-    /// least one watchdog trip, plus deferred convergence publishes.
-    pub recoveries_total: Counter,
     /// Extra memory references a degraded lookup paid versus the
     /// clue-less baseline for the same destination (0 = the fault cost
     /// nothing).
@@ -70,9 +63,6 @@ impl DegradationTelemetry {
     /// * `{prefix}_degraded_lookups_total`
     /// * `{prefix}_divergences_total`
     /// * `{prefix}_reader_panics_total`
-    /// * `{prefix}_watchdog_trips_total`
-    /// * `{prefix}_backoff_retries_total`
-    /// * `{prefix}_recoveries_total`
     /// * `{prefix}_degraded_cost_overhead` (histogram)
     pub fn registered(registry: &Registry, prefix: &str, class_labels: &[&str]) -> Self {
         DegradationTelemetry {
@@ -93,18 +83,6 @@ impl DegradationTelemetry {
             reader_panics_total: registry.counter(
                 &format!("{prefix}_reader_panics_total"),
                 "Reader threads that panicked and were caught",
-            ),
-            watchdog_trips_total: registry.counter(
-                &format!("{prefix}_watchdog_trips_total"),
-                "Rebuilds exceeding the watchdog budget",
-            ),
-            backoff_retries_total: registry.counter(
-                &format!("{prefix}_backoff_retries_total"),
-                "Backoff-then-retry cycles after a watchdog trip",
-            ),
-            recoveries_total: registry.counter(
-                &format!("{prefix}_recoveries_total"),
-                "Rebuilds recovered after a trip, plus convergence publishes",
             ),
             degraded_cost_overhead: registry.histogram(
                 &format!("{prefix}_degraded_cost_overhead"),
@@ -155,9 +133,6 @@ mod tests {
             "clue_fault_degraded_lookups_total",
             "clue_fault_divergences_total",
             "clue_fault_reader_panics_total",
-            "clue_fault_watchdog_trips_total",
-            "clue_fault_backoff_retries_total",
-            "clue_fault_recoveries_total",
             "clue_fault_degraded_cost_overhead",
         ] {
             assert!(registry.contains(name), "missing {name}");
@@ -181,12 +156,10 @@ mod tests {
     fn detached_cells_are_live_and_shared_by_clones() {
         let t = DegradationTelemetry::detached(&["dropped"]);
         t.reader_panics_total.inc();
-        t.watchdog_trips_total.add(2);
         t.class("dropped").unwrap().inc();
         let clone = t.clone();
         clone.reader_panics_total.inc();
         assert_eq!(t.reader_panics_total.get(), 2, "clones share cells");
-        assert_eq!(t.watchdog_trips_total.get(), 2);
         assert_eq!(t.class("dropped").unwrap().get(), 1);
         assert_eq!(t.class_labels().collect::<Vec<_>>(), vec!["dropped"]);
     }

@@ -613,10 +613,17 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         let h = Histogram::new(&[1, 2, 4, 8]);
         let stop = Arc::new(AtomicBool::new(false));
+        // Writers start only once the reader has snapshotted, so the
+        // race happens however the threads are scheduled.
+        let reading = Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..4)
             .map(|t| {
                 let h = h.clone();
+                let reading = reading.clone();
                 std::thread::spawn(move || {
+                    while !reading.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     for i in 0..50_000u64 {
                         h.observe((t * 3 + i) % 10);
                     }
@@ -636,6 +643,7 @@ mod tests {
                         "scrape skew: buckets disagree with count in {s:?}"
                     );
                     snaps += 1;
+                    reading.store(true, Ordering::Release);
                 }
                 snaps
             })

@@ -135,12 +135,13 @@ test -s "$fresh/BENCH_churn.json"
 grep -q '"identical": true' "$fresh/BENCH_churn.json"
 target/release/clue bench-diff BENCH_churn.json "$fresh/BENCH_churn.json" \
   --tolerance 0 --time-tolerance 100000
-# A route update costs only its chain, so the 1000-update run above
-# ends in well under a second. A 20000-update run (several seconds on
-# a 2-vCPU host) serves the scrape endpoint, and a mid-run curl must
+# A route update costs only its chain and each freeze patches the last
+# snapshot, so the 1000-update run above ends in well under a second
+# and a 20000-update run in about 1.5 s. A 60000-update run (about 4 s
+# on a 2-vCPU host) serves the scrape endpoint, and a mid-run curl must
 # see live clue_churn_* metrics — the "observable while serving"
 # contract, end to end over real HTTP.
-target/release/clue churn 20000 1 --readers 4 --check --serve 127.0.0.1:9184 &
+target/release/clue churn 60000 1 --readers 4 --check --serve 127.0.0.1:9184 &
 CHURN_PID=$!
 scrape_until "$CHURN_PID" http://127.0.0.1:9184/metrics '^clue_churn_swaps_total'
 scrape_until "$CHURN_PID" http://127.0.0.1:9184/metrics.json '"clue_churn_rebuild_latency_us"'
@@ -162,8 +163,8 @@ target/release/clue bench-diff BENCH_profile.json "$fresh/BENCH_profile.json" \
 
 # Chaos smoke: a million fault-injected packets spanning every fault
 # class must forward bit-identically to the clue-less baseline, and the
-# churn leg must survive an injected reader panic plus a watchdog
-# rebuild retry (--check aborts on any divergence or wedge). The fresh
+# churn leg must survive an injected reader panic (--check aborts on any
+# divergence or wedge). The fresh
 # run is also diffed against the committed baseline: fault-class
 # outcomes are seeded and deterministic, so any drift in the
 # non-timing keys is a behaviour change, not noise.
