@@ -72,8 +72,10 @@ usage:
                   [--serve ADDR] [--check]       packets/sec for the scalar,
                                                  batched-frozen, stride-
                                                  compiled (initial stride BITS,
-                                                 prefetch interleave G; G<=1
-                                                 disables prefetch) and
+                                                 rolling prefetch window of G
+                                                 packets; G<=1 prepares then
+                                                 finishes each packet, no
+                                                 lookahead) and
                                                  entropy-compressed pipelines
                                                  and the multi-core network
                                                  runtime over a P-prefix
@@ -93,7 +95,8 @@ usage:
                                                  --runtime adds the engine-
                                                  level serving leg over an
                                                  epoch cell; --check verifies
-                                                 result equivalence; --serve
+                                                 result equivalence, window G
+                                                 against window 1 too; --serve
                                                  ADDR exposes /metrics and
                                                  /metrics.json live during
                                                  the run (also on churn,
@@ -1440,6 +1443,20 @@ fn batch_pps<E: CompiledBackend<Ip4>>(
     dests.len() as f64 / best.max(1e-9)
 }
 
+/// `--check`'s window leg: `engine`'s batch at window 1 (each packet
+/// prepared, then finished) must equal `want`, its batch at a wider
+/// window on the same packets — a window-dependent answer fails it.
+fn window_agrees<E: CompiledBackend<Ip4>>(
+    engine: &E,
+    dests: &[Ip4],
+    clues: &[Option<Prefix<Ip4>>],
+    want: &[clue_core::Decision<Ip4>],
+) -> bool {
+    let mut out = vec![clue_core::Decision::default(); dests.len()];
+    engine.lookup_batch_interleaved(dests, clues, &mut out, 1);
+    out == want
+}
+
 /// Benchmarks the four lookup pipelines — mutable scalar engine,
 /// frozen batch API, stride-compiled prefetched batch, and the
 /// shared-nothing multi-core network runtime — and optionally
@@ -1551,18 +1568,21 @@ fn throughput(args: &[String]) -> Result<(), String> {
     if let Some(kind) = backend {
         let receiver_len = receiver.len();
         let mut out = vec![clue_core::Decision::default(); dests.len()];
-        let (pps, cram) = match kind {
-            clue_core::BackendKind::Frozen => (
-                batch_pps(&frozen, &dests, &clues, &mut out, clue_core::DEFAULT_INTERLEAVE),
-                frozen.cram(),
-            ),
+        let (pps, cram, same_at_window_1) = match kind {
+            clue_core::BackendKind::Frozen => {
+                let window = clue_core::DEFAULT_INTERLEAVE;
+                let pps = batch_pps(&frozen, &dests, &clues, &mut out, window);
+                (pps, frozen.cram(), !check || window_agrees(&frozen, &dests, &clues, &out))
+            }
             clue_core::BackendKind::Stride => {
                 let stride = stride.as_ref().expect("compiled for this mode");
-                (batch_pps(stride, &dests, &clues, &mut out, prefetch), stride.cram())
+                let pps = batch_pps(stride, &dests, &clues, &mut out, prefetch);
+                (pps, stride.cram(), !check || window_agrees(stride, &dests, &clues, &out))
             }
             clue_core::BackendKind::Compressed => {
                 let compressed = compressed.as_ref().expect("compiled for this mode");
-                (batch_pps(compressed, &dests, &clues, &mut out, prefetch), compressed.cram())
+                let pps = batch_pps(compressed, &dests, &clues, &mut out, prefetch);
+                (pps, compressed.cram(), !check || window_agrees(compressed, &dests, &clues, &out))
             }
         };
         let mut equivalent = true;
@@ -1578,18 +1598,25 @@ fn throughput(args: &[String]) -> Result<(), String> {
                     kind.name()
                 ));
             }
+            if !same_at_window_1 {
+                return Err(format!(
+                    "equivalence check failed: the {} backend's answers depend on the \
+                     prefetch window",
+                    kind.name()
+                ));
+            }
         }
         let name = kind.name();
         let speedup = pps / scalar_pps.max(1e-9);
         println!("engine workload: {packets} packets (sender {table} prefixes, seed {seed})");
         println!("  scalar engine:  {scalar_pps:>12.0} pkts/s");
         println!(
-            "  {name:<15} {pps:>12.0} pkts/s  ({speedup:.2}x scalar; prefetch group {prefetch})"
+            "  {name:<15} {pps:>12.0} pkts/s  ({speedup:.2}x scalar; prefetch window {prefetch})"
         );
         println!("memory layout (CRAM cache model, receiver {receiver_len} prefixes):");
         print_cram(name, receiver_len, &cram);
         if check {
-            println!("equivalence: OK ({name} == scalar)");
+            println!("equivalence: OK ({name} == scalar, window {prefetch} == window 1)");
         }
         if let Some(path) = flags.text("--json") {
             let mut bench = Report::default();
@@ -1627,6 +1654,9 @@ fn throughput(args: &[String]) -> Result<(), String> {
                 equivalent = false;
             }
         }
+        equivalent &= window_agrees(&frozen, &dests, &clues, &out)
+            && window_agrees(stride, &dests, &clues, &stride_out)
+            && window_agrees(compressed, &dests, &clues, &compressed_out);
     }
 
     // Stage 2 — the network workload: sequential per-packet reference
@@ -1732,11 +1762,11 @@ fn throughput(args: &[String]) -> Result<(), String> {
     println!("  frozen batch:   {frozen_pps:>12.0} pkts/s  ({batch_speedup:.2}x scalar)");
     println!(
         "  stride batch:   {stride_pps:>12.0} pkts/s  ({stride_speedup:.2}x batch; \
-         initial stride {stride_bits}, prefetch group {prefetch})"
+         initial stride {stride_bits}, prefetch window {prefetch})"
     );
     println!(
         "  compressed:     {compressed_pps:>12.0} pkts/s  ({compressed_speedup:.2}x batch; \
-         prefetch group {prefetch})"
+         prefetch window {prefetch})"
     );
     println!("memory layout (CRAM cache model, receiver {receiver_len} prefixes):");
     for (name, cram) in &crams {
@@ -1758,7 +1788,8 @@ fn throughput(args: &[String]) -> Result<(), String> {
     }
     if check {
         println!(
-            "equivalence: OK (batch == stride == compressed == scalar, runtime == sequential)"
+            "equivalence: OK (batch == stride == compressed == scalar, windows 1 and \
+             {prefetch} agree, runtime == sequential)"
         );
     }
 

@@ -55,14 +55,14 @@ use crate::CompressedEngine;
 /// every real tag is below it.
 pub const NO_TAG: u32 = NO_ROUTE;
 
-/// Default interleave group for the prefetched batch loop: 8 packets
-/// in flight cover an L2 miss on the machines we target without
-/// spilling the per-group state out of registers. Chosen over 1/4/16;
-/// re-run the sweep with `clue throughput --prefetch N`.
+/// Default prefetch window for the batched lookup: the smallest of
+/// 1/4/8/16/32 past which 1M-prefix DFZ traffic measured no clear
+/// gain (DESIGN.md §11); re-run the sweep with `clue throughput
+/// --prefetch N`.
 pub const DEFAULT_INTERLEAVE: usize = 8;
 
-/// Hard cap on the interleave group: the decoded ops live in a fixed
-/// stack buffer so the group loop never touches the allocator (larger
+/// Hard cap on the prefetch window: the prepared ops live in a fixed
+/// stack ring so the batch loop never touches the allocator (larger
 /// requests are clamped, which is semantically inert — see
 /// [`CompiledBackend::lookup_batch_interleaved`]).
 const MAX_INTERLEAVE: usize = 64;
@@ -341,16 +341,20 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
         (self.found_tag(found), class)
     }
 
-    /// Batched lookup in lockstep groups of `group` packets: pass one
-    /// prepares (and prefetches for) every packet of a group, pass two
-    /// resolves the group while the fetches are in flight. `group <= 1`
-    /// resolves each packet right after preparing it; larger groups
-    /// are clamped to an internal cap (64) so the decoded ops stay on
-    /// the stack. Decisions and stats are identical at every group size
-    /// — interleave is a latency treatment, not a semantic one.
+    /// Batched lookup through a rolling prefetch window of `window`
+    /// packets: packet `i` is prepared (and its first line prefetched)
+    /// `window` packets before it is finished, and finishing it frees
+    /// the window slot for packet `i + window`, so a full window of
+    /// fetches stays in flight across the whole batch. `window <= 1`
+    /// finishes each packet right after preparing it; larger windows
+    /// are clamped to an internal cap (64) so the prepared ops stay on
+    /// the stack. Decisions, stats and telemetry events are identical
+    /// at every window size — the window is a latency treatment, not a
+    /// semantic one.
     ///
     /// With lookup telemetry attached every packet records a full
-    /// [`LookupEvent`]; attached batch counters record the batch once.
+    /// [`LookupEvent`], in packet order; attached batch counters record
+    /// the batch once.
     ///
     /// # Panics
     /// Panics unless `dests`, `clues` and `out` have equal lengths.
@@ -359,16 +363,16 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
         dests: &[A],
         clues: &[Option<Prefix<A>>],
         out: &mut [Decision<A>],
-        group: usize,
+        window: usize,
     ) -> EngineStats {
         assert_eq!(dests.len(), clues.len(), "one clue slot per destination");
         assert_eq!(dests.len(), out.len(), "one decision slot per destination");
-        let group = group.clamp(1, MAX_INTERLEAVE);
+        let window = window.clamp(1, MAX_INTERLEAVE);
         // The telemetry branch is hoisted clear of the loop; both arms
         // monomorphize `batch_core` with their record closure inlined.
         let stats = match self.telemetry() {
-            None => batch_core(self, dests, clues, out, group, |_, _| {}),
-            Some(t) => batch_core(self, dests, clues, out, group, |clue, d| {
+            None => batch_core(self, dests, clues, out, window, |_, _| {}),
+            Some(t) => batch_core(self, dests, clues, out, window, |clue, d| {
                 t.record(&LookupEvent {
                     clue_len: clue.map(|s| s.len()),
                     class: d.class,
@@ -379,8 +383,8 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
         };
         if let Some(bt) = self.batch_telemetry() {
             let packets = dests.len() as u64;
-            let prefetches = if group > 1 { packets } else { 0 };
-            bt.record_batch(packets, dests.len().div_ceil(group) as u64, prefetches);
+            let prefetches = if window > 1 { packets } else { 0 };
+            bt.record_batch(packets, prefetches);
         }
         stats
     }
@@ -397,32 +401,45 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
     }
 }
 
-/// The batch loop body: each group is prepared in one pass and
-/// resolved in a second, so every prefetch has a group's worth of work
-/// to hide behind and the classify/hash step runs once per packet.
+/// The batch loop body, a software pipeline: a ring of `window`
+/// prepared lookups runs ahead of the packet being finished. Each step
+/// finishes packet `i` and prepares packet `i + window` into the slot
+/// it just freed, so `window` prefetches stay in flight across the
+/// whole batch. At `window` 1 every packet is prepared and then
+/// finished, with no lookahead.
 fn batch_core<A: Address, E: CompiledBackend<A>>(
     engine: &E,
     dests: &[A],
     clues: &[Option<Prefix<A>>],
     out: &mut [Decision<A>],
-    group: usize,
+    window: usize,
     mut record: impl FnMut(Option<Prefix<A>>, &Decision<A>),
 ) -> EngineStats {
     let mut stats = EngineStats::default();
-    let mut ops = [PreparedLookup(PacketOp::Walk(LookupClass::Clueless)); MAX_INTERLEAVE];
+    let mut ring = [PreparedLookup(PacketOp::Walk(LookupClass::Clueless)); MAX_INTERLEAVE];
+    for ((&dest, &clue), op) in dests.iter().zip(clues).zip(&mut ring[..window]) {
+        *op = engine.prepare(dest, clue);
+    }
+    // Packet `i` sits at slot `i % window`. Walking the batch a window
+    // at a time refills slot `s` from slot `s` of the next window and
+    // keeps the slot a plain loop counter (a running `i % window`
+    // measured slower, most at a constant window).
+    let mut ahead = dests.chunks(window).zip(clues.chunks(window)).skip(1);
     for ((dests, clues), out) in
-        dests.chunks(group).zip(clues.chunks(group)).zip(out.chunks_mut(group))
+        dests.chunks(window).zip(clues.chunks(window)).zip(out.chunks_mut(window))
     {
-        for ((&dest, &clue), op) in dests.iter().zip(clues).zip(ops.iter_mut()) {
-            *op = engine.prepare(dest, clue);
-        }
-        for (((&dest, &clue), slot), &op) in dests.iter().zip(clues).zip(out.iter_mut()).zip(&ops)
+        let (next_dests, next_clues) = ahead.next().unwrap_or_default();
+        for (s, (((&dest, &clue), slot), op)) in
+            dests.iter().zip(clues).zip(out.iter_mut()).zip(ring.iter_mut()).enumerate()
         {
             let mut cost = Cost::new();
-            let (found, class) = engine.finish(op, dest, clue, &mut cost);
+            let (found, class) = engine.finish(*op, dest, clue, &mut cost);
             *slot = Decision { bmp: engine.found_prefix(found, dest), class, cost };
             bump(&mut stats, class);
             record(clue, slot);
+            if let (Some(&next), Some(&next_clue)) = (next_dests.get(s), next_clues.get(s)) {
+                *op = engine.prepare(next, next_clue);
+            }
         }
     }
     stats

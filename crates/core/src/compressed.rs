@@ -731,7 +731,7 @@ mod tests {
         let ct = compressed.compressed_telemetry().unwrap();
         assert_eq!(ct.batch.batches_total.get(), 1);
         assert_eq!(ct.batch.packets_total.get(), 3);
-        assert_eq!(ct.batch.groups_total.get(), 2);
+        assert_eq!(ct.batch.prefetches_total.get(), 3);
         assert_eq!(ct.arena_bytes.get(), compressed.arena_bytes() as f64);
     }
 

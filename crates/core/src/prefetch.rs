@@ -1,10 +1,11 @@
 //! Software prefetch behind a safe wrapper.
 //!
 //! The compiled backends' batch loop
-//! ([`crate::CompiledBackend::lookup_batch_interleaved`]) processes
-//! packets in interleaved groups: pass one computes where each packet's walk will
-//! start and asks the hardware to pull that line toward L1, pass two
-//! does the walks while the fetches are in flight. The intrinsic lives
+//! ([`crate::CompiledBackend::lookup_batch_interleaved`]) is a rolling
+//! window: it computes where a packet's walk will start and asks the
+//! hardware to pull that line toward L1 a window of packets before it
+//! walks it, and each finished walk frees the slot for the next
+//! packet's request, so the fetches stay in flight across the batch. The intrinsic lives
 //! here so the rest of the crate stays `#![deny(unsafe_code)]`.
 //!
 //! On x86_64 this issues `prefetcht0`; elsewhere it compiles to

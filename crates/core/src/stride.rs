@@ -21,9 +21,9 @@
 //!   with the compressed engine: one multiply-shift home slot per
 //!   clue length, no SipHash, no FxHash;
 //! * a software-**prefetched** `prepare`: the batch loop
-//!   ([`CompiledBackend::lookup_batch_interleaved`]) prepares a group
-//!   of packets — prefetching each one's root slot or clue-bucket home
-//!   — before resolving any of them (see [`crate::prefetch`]).
+//!   ([`CompiledBackend::lookup_batch_interleaved`]) prepares each
+//!   packet — prefetching its root slot or clue-bucket home — a window
+//!   of packets before resolving it (see [`crate::prefetch`]).
 //!
 //! **The `Decision` contract is unchanged.** For every (destination,
 //! clue) pair the stride engine returns the same BMP, the same
@@ -383,7 +383,7 @@ impl<A: Address> StrideEngine<A> {
         self.telemetry = Some(telemetry);
     }
 
-    /// Attaches the batch-loop counters (batches, groups, prefetches).
+    /// Attaches the batch-loop counters (batches, packets, prefetches).
     pub fn attach_batch_telemetry(&mut self, telemetry: BatchTelemetry) {
         self.batch_telemetry = Some(telemetry);
     }
@@ -753,7 +753,6 @@ mod tests {
         let st = stride.batch_telemetry().unwrap();
         assert_eq!(st.batches_total.get(), 1);
         assert_eq!(st.packets_total.get(), 3);
-        assert_eq!(st.groups_total.get(), 2);
         assert_eq!(st.prefetches_total.get(), 3);
     }
 

@@ -126,6 +126,12 @@ pub struct ChurnDriverConfig {
     /// first served chunk; the driver must catch and attribute it
     /// (chaos harness only).
     pub panic_reader: Option<usize>,
+    /// This reader panics after its first served chunk without the
+    /// plan: the driver must fail the run with
+    /// [`ChurnError::ReaderPanicked`]. A test hook, never compiled into
+    /// the library.
+    #[cfg(test)]
+    unplanned_panic: Option<usize>,
 }
 
 impl ChurnDriverConfig {
@@ -140,6 +146,8 @@ impl ChurnDriverConfig {
             seed,
             check: true,
             panic_reader: None,
+            #[cfg(test)]
+            unplanned_panic: None,
         }
     }
 }
@@ -340,6 +348,10 @@ pub fn run_churn<A: Address>(
                 // Deliberately while the guard is held: the unwind must
                 // quiesce it.
                 panic!("injected reader fault: reader {} panicked while pinned", rd.index);
+            }
+            #[cfg(test)]
+            if config.unplanned_panic == Some(rd.index) {
+                panic!("unplanned reader fault: reader {}", rd.index);
             }
             drop(guard);
             rd.stats.merge(&chunk_stats);
@@ -573,13 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn an_unplanned_reader_panic_is_caught_and_attributed() {
-        // Inject the panic but pretend it wasn't planned by aiming the
-        // plan at a reader index that exists — then checking the error
-        // carries the right attribution requires an unplanned one, so
-        // plan a panic for reader 0 of 2 and expect the run to treat a
-        // panic at any *other* reader as fatal. Here: planned reader 0
-        // panics — the run survives and attributes it.
+    fn a_planned_reader_panic_is_survived_and_attributed() {
         let (sender, receiver) = pair();
         let batches = generate_churn(&receiver, &ChurnConfig::bgp(60, 5));
         let mut cfg = ChurnDriverConfig::new(2, 7);
@@ -594,6 +600,31 @@ mod tests {
         assert!(report.reader_lookups[1] > 0, "surviving reader kept serving");
         assert_eq!(report.final_identical, Some(true), "convergence survives the panic");
         assert_eq!(report.retired_after, 0, "the unwound guard never blocks reclamation");
+    }
+
+    #[test]
+    fn an_unplanned_reader_panic_is_caught_and_attributed() {
+        let (sender, receiver) = pair();
+        let batches = generate_churn(&receiver, &ChurnConfig::bgp(60, 5));
+        // With and without a planned panic beside it: only the
+        // unplanned one fails the run, and the error names its reader.
+        for planned in [None, Some(0)] {
+            let mut cfg = ChurnDriverConfig::new(3, 7);
+            cfg.traffic = 256;
+            cfg.chunk = 32;
+            cfg.panic_reader = planned;
+            cfg.unplanned_panic = Some(2);
+            let degradation = DegradationTelemetry::detached(&[]);
+            match run_churn(&sender, &receiver, &batches, &cfg, None, Some(&degradation)) {
+                Err(ChurnError::ReaderPanicked { reader, message }) => {
+                    assert_eq!(reader, 2, "planned {planned:?}");
+                    assert!(message.contains("unplanned reader fault: reader 2"), "{message}");
+                }
+                other => panic!("planned {planned:?}: expected ReaderPanicked, got {other:?}"),
+            }
+            let panics = 1 + u64::from(planned.is_some());
+            assert_eq!(degradation.reader_panics_total.get(), panics, "planned {planned:?}");
+        }
     }
 
     #[test]

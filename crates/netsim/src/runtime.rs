@@ -100,8 +100,8 @@ pub struct RuntimeConfig {
     /// Packets per job — the unit the driver deals to the workers and
     /// of replica refresh (churn is observed at job boundaries).
     pub batch: usize,
-    /// Interleave group for the workers' prefetched batch loops
-    /// (engine serving only; `<= 1` disables prefetch).
+    /// Prefetch window of the workers' batch loops (engine serving
+    /// only; `<= 1` prepares then finishes each packet, no lookahead).
     pub prefetch: usize,
 }
 
@@ -1028,7 +1028,8 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
 ) -> ServeReport {
     assert_eq!(dests.len(), clues.len(), "one clue slot per destination");
     let batch = config.batch.max(1);
-    out.clear();
+    // No clear: every job overwrites its whole slice, so only slots a
+    // longer call adds are filled, and a reused buffer costs nothing.
     out.resize(dests.len(), Decision::default());
     let jobs = out.chunks_mut(batch).enumerate().map(|(i, slice)| (i * batch, slice));
 
@@ -1545,6 +1546,33 @@ mod tests {
             let attributed: u64 = report.cores.iter().map(|c| c.packets).sum();
             assert_eq!(attributed, dests.len() as u64);
             assert_eq!(report.cores.iter().map(|c| c.max_staleness).max(), Some(0));
+        }
+    }
+
+    #[test]
+    fn serving_into_a_reused_buffer_overwrites_every_slot() {
+        let (engine, dests, clues) = engine_fixture();
+        let stride = StrideEngine::compile(&engine, &StrideConfig::default()).unwrap();
+        let mut want = vec![Decision::default(); dests.len()];
+        stride.lookup_batch(&dests, &clues, &mut want);
+        let cell = EpochCell::new(stride);
+        let cfg = RuntimeConfig { workers: 3, batch: 128, ..RuntimeConfig::default() };
+        let mut fresh = Vec::new();
+        serve_lookups(&cell, &dests, &clues, &mut fresh, &cfg, None);
+        assert_eq!(fresh, want, "a fresh buffer");
+        // Another call's packets: the workload reversed, then its head
+        // again, so it can leave a shorter, equal or longer buffer.
+        let n = dests.len();
+        let other_dests: Vec<Ip4> = dests.iter().rev().chain(&dests[..700]).copied().collect();
+        let other_clues: Vec<_> = clues.iter().rev().chain(&clues[..700]).copied().collect();
+        for len in [n - 700, n, n + 700] {
+            let mut out = Vec::new();
+            serve_lookups(&cell, &other_dests[..len], &other_clues[..len], &mut out, &cfg, None);
+            let common = len.min(n);
+            assert_ne!(out[..common], fresh[..common], "the stale call must differ");
+            let report = serve_lookups(&cell, &dests, &clues, &mut out, &cfg, None);
+            assert_eq!(out, fresh, "reused buffer of {len} decisions");
+            assert_eq!(report.packets, n as u64);
         }
     }
 

@@ -1,17 +1,17 @@
-//! Metric bundle for a compiled engine's interleaved batch loop.
+//! Metric bundle for a compiled engine's prefetched batch loop.
 //!
 //! A compiled engine's per-packet walk is deliberately uninstrumented
 //! (it inherits the ordinary [`crate::LookupTelemetry`] stream from
 //! the engine it was compiled from); this bundle counts what is *new*
-//! about the batch path — batch calls, interleave groups and issued
-//! prefetches — so an operator can see whether the prefetched loop is
-//! actually engaged and at what group size it runs. The stride engine
+//! about the batch path — batch calls, packets and issued prefetches —
+//! so an operator can see whether the prefetched loop is actually
+//! engaged. The stride engine
 //! registers it as `clue_stride_*`; the compressed engine carries it
 //! inside [`crate::CompressedTelemetry`] as `clue_compressed_*`.
 
 use crate::registry::{Counter, Registry};
 
-/// Telemetry for a compiled engine's interleaved batch loop.
+/// Telemetry for a compiled engine's prefetched batch loop.
 ///
 /// Counters are recorded once per batch (accumulated locally in the
 /// hot loop), so attaching the bundle costs a handful of relaxed adds
@@ -22,10 +22,8 @@ pub struct BatchTelemetry {
     pub batches_total: Counter,
     /// Packets resolved.
     pub packets_total: Counter,
-    /// Interleave groups processed (one prefetch pass each).
-    pub groups_total: Counter,
-    /// Software prefetches issued (0 when interleaving is disabled or
-    /// the target has no prefetch intrinsic wired up).
+    /// Software prefetches issued ahead of their lookup (0 when the
+    /// prefetch window is 1).
     pub prefetches_total: Counter,
 }
 
@@ -42,7 +40,6 @@ impl BatchTelemetry {
     ///
     /// * `{prefix}_batches_total`
     /// * `{prefix}_packets_total`
-    /// * `{prefix}_groups_total`
     /// * `{prefix}_prefetches_total`
     pub fn registered(registry: &Registry, prefix: &str, path: &str) -> Self {
         BatchTelemetry {
@@ -54,10 +51,6 @@ impl BatchTelemetry {
                 &format!("{prefix}_packets_total"),
                 &format!("Packets resolved by the {path} path"),
             ),
-            groups_total: registry.counter(
-                &format!("{prefix}_groups_total"),
-                &format!("Interleave groups processed by the {path} batch loop"),
-            ),
             prefetches_total: registry.counter(
                 &format!("{prefix}_prefetches_total"),
                 &format!("Software prefetches issued by the {path} batch loop"),
@@ -65,13 +58,12 @@ impl BatchTelemetry {
         }
     }
 
-    /// Records one batch: `packets` resolved across `groups` interleave
-    /// groups with `prefetches` prefetch hints issued.
+    /// Records one batch: `packets` resolved with `prefetches` prefetch
+    /// hints issued.
     #[inline]
-    pub fn record_batch(&self, packets: u64, groups: u64, prefetches: u64) {
+    pub fn record_batch(&self, packets: u64, prefetches: u64) {
         self.batches_total.inc();
         self.packets_total.add(packets);
-        self.groups_total.add(groups);
         self.prefetches_total.add(prefetches);
     }
 }
@@ -83,11 +75,10 @@ mod tests {
     #[test]
     fn detached_counts() {
         let t = BatchTelemetry::detached();
-        t.record_batch(64, 8, 64);
-        t.record_batch(10, 2, 0);
+        t.record_batch(64, 64);
+        t.record_batch(10, 0);
         assert_eq!(t.batches_total.get(), 2);
         assert_eq!(t.packets_total.get(), 74);
-        assert_eq!(t.groups_total.get(), 10);
         assert_eq!(t.prefetches_total.get(), 64);
     }
 
@@ -95,11 +86,10 @@ mod tests {
     fn registered_uses_the_naming_convention() {
         let registry = Registry::new();
         let t = BatchTelemetry::registered(&registry, "clue_stride", "stride");
-        t.record_batch(5, 1, 5);
+        t.record_batch(5, 5);
         for name in [
             "clue_stride_batches_total",
             "clue_stride_packets_total",
-            "clue_stride_groups_total",
             "clue_stride_prefetches_total",
         ] {
             assert!(registry.contains(name), "{name} registered");

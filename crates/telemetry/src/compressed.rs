@@ -2,8 +2,7 @@
 //!
 //! The per-packet walk inherits the ordinary [`crate::LookupTelemetry`]
 //! stream; this bundle counts the compressed batch loop through the
-//! shared [`BatchTelemetry`] counters (batches, interleave groups,
-//! prefetches) and additionally exposes the layout gauges the CRAM analysis reports —
+//! shared [`BatchTelemetry`] counters (batches, packets, prefetches) and additionally exposes the layout gauges the CRAM analysis reports —
 //! arena bytes, bucket bytes, dictionary bytes and bytes/prefix — so a
 //! scrape shows at a glance whether a table fits its cache budget.
 
@@ -47,7 +46,6 @@ impl CompressedTelemetry {
     ///
     /// * `{prefix}_batches_total`
     /// * `{prefix}_packets_total`
-    /// * `{prefix}_groups_total`
     /// * `{prefix}_prefetches_total`
     /// * `{prefix}_arena_bytes`
     /// * `{prefix}_bucket_bytes`
@@ -103,11 +101,10 @@ mod tests {
     #[test]
     fn detached_counts() {
         let t = CompressedTelemetry::detached();
-        t.batch.record_batch(64, 8, 64);
-        t.batch.record_batch(10, 2, 0);
+        t.batch.record_batch(64, 64);
+        t.batch.record_batch(10, 0);
         assert_eq!(t.batch.batches_total.get(), 2);
         assert_eq!(t.batch.packets_total.get(), 74);
-        assert_eq!(t.batch.groups_total.get(), 10);
         assert_eq!(t.batch.prefetches_total.get(), 64);
         t.record_layout(4096, 512, 256, 1000, 4.1);
         assert_eq!(t.arena_bytes.get(), 4096.0);
@@ -118,12 +115,11 @@ mod tests {
     fn registered_uses_the_naming_convention() {
         let registry = Registry::new();
         let t = CompressedTelemetry::registered(&registry, "clue_compressed");
-        t.batch.record_batch(5, 1, 5);
+        t.batch.record_batch(5, 5);
         t.record_layout(1, 2, 3, 4, 5.0);
         for name in [
             "clue_compressed_batches_total",
             "clue_compressed_packets_total",
-            "clue_compressed_groups_total",
             "clue_compressed_prefetches_total",
             "clue_compressed_arena_bytes",
             "clue_compressed_bucket_bytes",
