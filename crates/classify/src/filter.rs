@@ -67,7 +67,7 @@ impl<A: Address> Filter<A> {
     }
 
     /// `true` iff the flow key satisfies every dimension.
-    pub fn matches(&self, key: &FlowKey<A>) -> bool {
+    pub(crate) fn matches(&self, key: &FlowKey<A>) -> bool {
         self.src.contains(key.src)
             && self.dst.contains(key.dst)
             && self.src_ports.contains(&key.src_port)
@@ -78,7 +78,7 @@ impl<A: Address> Filter<A> {
     /// `true` iff some flow key could match both filters: every
     /// dimension's constraints overlap. (Prefixes overlap iff one is a
     /// prefix of the other.)
-    pub fn intersects(&self, other: &Self) -> bool {
+    pub(crate) fn intersects(&self, other: &Self) -> bool {
         let prefixes_overlap = |a: &Prefix<A>, b: &Prefix<A>| !a.is_disjoint(b);
         let ranges_overlap = |a: &RangeInclusive<u16>, b: &RangeInclusive<u16>| {
             a.start() <= b.end() && b.start() <= a.end()
@@ -98,7 +98,7 @@ impl<A: Address> Filter<A> {
     /// the “filters that both routers have” notion of Section 7. The
     /// action is allowed to differ (one router may mark where another
     /// permits).
-    pub fn same_rule(&self, other: &Self) -> bool {
+    pub(crate) fn same_rule(&self, other: &Self) -> bool {
         self.src == other.src
             && self.dst == other.dst
             && self.src_ports == other.src_ports

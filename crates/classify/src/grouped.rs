@@ -38,11 +38,6 @@ impl<A: Address> GroupedClassifier<A> {
         GroupedClassifier { rules, buckets }
     }
 
-    /// The underlying rule set.
-    pub fn rules(&self) -> &RuleSet<A> {
-        &self.rules
-    }
-
     /// Classifies: walk the dst trie (one access per vertex), then scan
     /// the rules of every bucket on the path (one access per rule),
     /// picking the highest-priority match.

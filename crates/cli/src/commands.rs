@@ -11,9 +11,9 @@ use clue_core::{
 };
 use clue_lookup::{reference_bmp, Family};
 use clue_tablegen::{
-    derive_neighbor, export_length_histogram, format_prefixes, generate, length_histogram,
-    minimize, parse_prefixes, parse_table, synthesize_ipv4, NeighborConfig, PairStats,
-    TrafficConfig,
+    derive_neighbor, export_length_histogram, format_prefixes, generate_with_clues,
+    length_histogram, minimize, parse_prefixes, parse_table, synthesize_ipv4, NeighborConfig,
+    PairStats, TrafficConfig,
 };
 use clue_telemetry::{Histogram, HistogramSnapshot, Registry, ScrapeServer};
 use clue_trie::{BinaryTrie, Cost, CostStats, Ip4, Prefix};
@@ -245,12 +245,8 @@ fn pair(sender_path: &str, receiver_path: &str, packets: Option<&str>) -> Result
         ps.problematic_fraction() * 100.0
     );
 
-    let dests = generate(&sender, &receiver, &TrafficConfig { count: n, ..TrafficConfig::paper(1) });
-    let t1: BinaryTrie<Ip4, ()> = sender.iter().map(|p| (*p, ())).collect();
-    let clues: Vec<Option<Prefix<Ip4>>> = dests
-        .iter()
-        .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
-        .collect();
+    let traffic = TrafficConfig { count: n, ..TrafficConfig::paper(1) };
+    let (dests, clues) = generate_with_clues(&sender, &receiver, &traffic);
 
     println!("\naverage memory accesses over {} packets:", dests.len());
     println!("{:<10} {:>10} {:>10} {:>10}", "family", "common", "Simple", "Advance");
@@ -408,16 +404,11 @@ fn metrics(args: &[String]) -> Result<(), String> {
     );
     engine.instrument(&registry);
     engine.enable_cache(256);
-    let dests = generate(
+    let (dests, clues) = generate_with_clues(
         &sender,
         &receiver,
         &TrafficConfig { count: packets, ..TrafficConfig::paper(seed) },
     );
-    let t1: BinaryTrie<Ip4, ()> = sender.iter().map(|p| (*p, ())).collect();
-    let clues: Vec<Option<Prefix<Ip4>>> = dests
-        .iter()
-        .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
-        .collect();
     for (&dest, &clue) in dests.iter().zip(&clues) {
         let mut cost = Cost::new();
         engine.lookup(dest, clue, None, &mut cost);
@@ -956,16 +947,11 @@ fn profile(args: &[String]) -> Result<(), String> {
         .compile_stride(clue_core::StrideConfig::new(stride_bits, clue_core::DEFAULT_INNER_BITS))
         .map_err(|e| format!("--stride: {e}"))?;
     let compressed = frozen.compile_compressed(clue_core::CompressedConfig);
-    let dests = generate(
+    let (dests, clues) = generate_with_clues(
         &sender,
         &receiver,
         &TrafficConfig { count: packets, ..TrafficConfig::paper(seed) },
     );
-    let t1: BinaryTrie<Ip4, ()> = sender.iter().map(|p| (*p, ())).collect();
-    let clues: Vec<Option<Prefix<Ip4>>> = dests
-        .iter()
-        .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
-        .collect();
 
     let registry = Arc::new(Registry::new());
     let hist = |path: &str| -> Histogram {
@@ -1457,6 +1443,22 @@ fn window_agrees<E: CompiledBackend<Ip4>>(
     out == want
 }
 
+/// One backend's timing leg, shared by every backend so none can time
+/// a window other than the one reported: [`batch_pps`] at `window` into
+/// `out`, and with `check` whether [`window_agrees`] on the result
+/// (`true` without `check`).
+fn time_backend<E: CompiledBackend<Ip4>>(
+    engine: &E,
+    dests: &[Ip4],
+    clues: &[Option<Prefix<Ip4>>],
+    out: &mut [clue_core::Decision<Ip4>],
+    window: usize,
+    check: bool,
+) -> (f64, bool) {
+    let pps = batch_pps(engine, dests, clues, out, window);
+    (pps, !check || window_agrees(engine, dests, clues, out))
+}
+
 /// Benchmarks the four lookup pipelines — mutable scalar engine,
 /// frozen batch API, stride-compiled prefetched batch, and the
 /// shared-nothing multi-core network runtime — and optionally
@@ -1539,16 +1541,11 @@ fn throughput(args: &[String]) -> Result<(), String> {
         }
     }
     let _server = start_scrape(flags.text("--serve"), &registry)?;
-    let dests = generate(
+    let (dests, clues) = generate_with_clues(
         &sender,
         &receiver,
         &TrafficConfig { count: packets, ..TrafficConfig::paper(seed) },
     );
-    let t1: BinaryTrie<Ip4, ()> = sender.iter().map(|p| (*p, ())).collect();
-    let clues: Vec<Option<Prefix<Ip4>>> = dests
-        .iter()
-        .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
-        .collect();
 
     // The scalar engine learns through `&mut self`, so it is timed on
     // its single authoritative pass; the frozen/stride pipelines are
@@ -1568,21 +1565,19 @@ fn throughput(args: &[String]) -> Result<(), String> {
     if let Some(kind) = backend {
         let receiver_len = receiver.len();
         let mut out = vec![clue_core::Decision::default(); dests.len()];
-        let (pps, cram, same_at_window_1) = match kind {
-            clue_core::BackendKind::Frozen => {
-                let window = clue_core::DEFAULT_INTERLEAVE;
-                let pps = batch_pps(&frozen, &dests, &clues, &mut out, window);
-                (pps, frozen.cram(), !check || window_agrees(&frozen, &dests, &clues, &out))
-            }
+        let ((pps, same_at_window_1), cram) = match kind {
+            clue_core::BackendKind::Frozen => (
+                time_backend(&frozen, &dests, &clues, &mut out, prefetch, check),
+                frozen.cram(),
+            ),
             clue_core::BackendKind::Stride => {
                 let stride = stride.as_ref().expect("compiled for this mode");
-                let pps = batch_pps(stride, &dests, &clues, &mut out, prefetch);
-                (pps, stride.cram(), !check || window_agrees(stride, &dests, &clues, &out))
+                (time_backend(stride, &dests, &clues, &mut out, prefetch, check), stride.cram())
             }
             clue_core::BackendKind::Compressed => {
                 let compressed = compressed.as_ref().expect("compiled for this mode");
-                let pps = batch_pps(compressed, &dests, &clues, &mut out, prefetch);
-                (pps, compressed.cram(), !check || window_agrees(compressed, &dests, &clues, &out))
+                let timed = time_backend(compressed, &dests, &clues, &mut out, prefetch, check);
+                (timed, compressed.cram())
             }
         };
         let mut equivalent = true;
@@ -1641,9 +1636,12 @@ fn throughput(args: &[String]) -> Result<(), String> {
     let mut out = vec![clue_core::Decision::default(); dests.len()];
     let mut stride_out = out.clone();
     let mut compressed_out = out.clone();
-    let frozen_pps = batch_pps(&frozen, &dests, &clues, &mut out, clue_core::DEFAULT_INTERLEAVE);
-    let stride_pps = batch_pps(stride, &dests, &clues, &mut stride_out, prefetch);
-    let compressed_pps = batch_pps(compressed, &dests, &clues, &mut compressed_out, prefetch);
+    let (frozen_pps, frozen_window) =
+        time_backend(&frozen, &dests, &clues, &mut out, prefetch, check);
+    let (stride_pps, stride_window) =
+        time_backend(stride, &dests, &clues, &mut stride_out, prefetch, check);
+    let (compressed_pps, compressed_window) =
+        time_backend(compressed, &dests, &clues, &mut compressed_out, prefetch, check);
 
     let mut equivalent = true;
     if check {
@@ -1654,9 +1652,7 @@ fn throughput(args: &[String]) -> Result<(), String> {
                 equivalent = false;
             }
         }
-        equivalent &= window_agrees(&frozen, &dests, &clues, &out)
-            && window_agrees(stride, &dests, &clues, &stride_out)
-            && window_agrees(compressed, &dests, &clues, &compressed_out);
+        equivalent &= frozen_window && stride_window && compressed_window;
     }
 
     // Stage 2 — the network workload: sequential per-packet reference

@@ -35,8 +35,7 @@
 //! BMP, [`LookupClass`] and tick-identical [`Cost`] versus the scalar
 //! engine — so backends are interchangeable *results-wise* and differ
 //! only in bytes touched per lookup. The equivalence property tests
-//! (`tests/*_prop.rs`) enforce this per backend; a future `planb`
-//! backend slots in by implementing this trait.
+//! (`tests/*_prop.rs`) enforce this per backend.
 
 use std::fmt;
 use std::str::FromStr;

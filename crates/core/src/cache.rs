@@ -15,9 +15,8 @@ use clue_telemetry::CacheTelemetry;
 use clue_trie::Prefix;
 
 use crate::fxhash::{FxBuildHasher, FxHashMap};
-use crate::table::ClueEntry;
 
-/// Hit/miss/eviction accounting for a [`ClueCache`].
+/// Hit/miss/eviction accounting for a [`LruCache`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -25,7 +24,7 @@ pub struct CacheStats {
     /// Lookups that fell through to the backing table.
     pub misses: u64,
     /// Entries evicted by LRU pressure.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
 }
 
 impl CacheStats {
@@ -56,7 +55,7 @@ const NIL: usize = usize::MAX;
 /// Operations are O(1): a `HashMap` finds the slot, an intrusive doubly
 /// linked list maintains recency, and eviction pops the tail.
 #[derive(Debug)]
-pub struct LruCache<K: Copy + Eq + core::hash::Hash, V> {
+pub(crate) struct LruCache<K: Copy + Eq + core::hash::Hash, V> {
     capacity: usize,
     /// Fast-hashed: the cache probe sits on the per-packet path in
     /// front of the clue table.
@@ -70,20 +69,17 @@ pub struct LruCache<K: Copy + Eq + core::hash::Hash, V> {
     telemetry: Option<CacheTelemetry>,
 }
 
-/// The Section 3.5 clue cache: LRU over full clue-table entries.
-pub type ClueCache<A> = LruCache<Prefix<A>, ClueEntry<A>>;
-
 /// A presence-only cache: tracks *which* clues are resident in fast
 /// memory while the entry bytes stay in the backing table — the form
 /// [`crate::ClueEngine`] uses internally.
-pub type PresenceCache<A> = LruCache<Prefix<A>, ()>;
+pub(crate) type PresenceCache<A> = LruCache<Prefix<A>, ()>;
 
 impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
     /// Creates a cache holding at most `capacity` entries.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         LruCache {
             capacity,
@@ -99,37 +95,30 @@ impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
     /// Mirrors hit/miss/eviction counts into `telemetry`
     /// (shared metric cells, typically registered in a
     /// [`clue_telemetry::Registry`]) from now on.
-    pub fn attach_telemetry(&mut self, telemetry: CacheTelemetry) {
+    pub(crate) fn attach_telemetry(&mut self, telemetry: CacheTelemetry) {
         self.telemetry = Some(telemetry);
     }
 
     /// The attached telemetry bundle, if any.
-    pub fn telemetry(&self) -> Option<&CacheTelemetry> {
+    #[cfg(test)]
+    pub(crate) fn telemetry(&self) -> Option<&CacheTelemetry> {
         self.telemetry.as_ref()
     }
 
     /// Number of cached entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// `true` iff nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Hit/miss statistics so far.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
     /// Resets the statistics (e.g. after a warm-up phase).
-    pub fn reset_stats(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 
@@ -160,7 +149,7 @@ impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
     }
 
     /// Looks up a key, recording a hit or miss and refreshing recency.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
         match self.map.get(key).copied() {
             Some(i) => {
                 self.stats.hits += 1;
@@ -185,7 +174,7 @@ impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
 
     /// Inserts (or refreshes) a key/value, evicting the least recently
     /// used one when full. Returns the evicted key, if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<K> {
         if let Some(&i) = self.map.get(&key) {
             self.slots[i].value = value;
             if self.head != i {
@@ -222,7 +211,11 @@ impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::ClueEntry;
     use clue_trie::Ip4;
+
+    /// The Section 3.5 clue cache: LRU over full clue-table entries.
+    type ClueCache<A> = LruCache<Prefix<A>, ClueEntry<A>>;
 
     fn p(s: &str) -> Prefix<Ip4> {
         s.parse().unwrap()

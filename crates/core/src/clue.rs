@@ -28,7 +28,7 @@ impl EncodedClue {
     ///
     /// Returns `None` for the empty prefix: a zero-length BMP (default
     /// route) tells the next router nothing, so no clue is attached.
-    pub fn encode<A: Address>(bmp: &Prefix<A>) -> Option<Self> {
+    pub(crate) fn encode<A: Address>(bmp: &Prefix<A>) -> Option<Self> {
         if bmp.is_empty() {
             None
         } else {
@@ -37,12 +37,12 @@ impl EncodedClue {
     }
 
     /// Decodes against the destination address found in the same header.
-    pub fn decode<A: Address>(self, destination: A) -> Prefix<A> {
+    pub(crate) fn decode<A: Address>(self, destination: A) -> Prefix<A> {
         Prefix::of_address(destination, self.prefix_len::<A>())
     }
 
     /// The prefix length this clue denotes.
-    pub fn prefix_len<A: Address>(self) -> u8 {
+    pub(crate) fn prefix_len<A: Address>(self) -> u8 {
         debug_assert!(self.0 < A::BITS, "encoded clue out of range for this family");
         self.0 + 1
     }
@@ -96,23 +96,6 @@ impl ClueHeader {
         self.clue.map(|c| c.decode(destination))
     }
 
-    /// Header bits consumed by this scheme for family `A`: the paper's
-    /// 5 (IPv4) / 7 (IPv6), plus 16 with the indexing technique.
-    pub fn bits_on_wire<A: Address>(&self) -> u8 {
-        A::CLUE_BITS + if self.index.is_some() { 16 } else { 0 }
-    }
-
-    /// Truncates the clue to at most `max_len` bits — the privacy measure
-    /// of Section 5.3 (“a router may truncate some clues; truncated clues
-    /// are also beneficial”). A clue truncated to zero disappears.
-    pub fn truncated<A: Address>(&self, destination: A, max_len: u8) -> Self {
-        match self.decode(destination) {
-            Some(p) if p.len() > max_len => {
-                ClueHeader { clue: EncodedClue::encode(&p.truncate(max_len)), index: None }
-            }
-            _ => *self,
-        }
-    }
 }
 
 impl fmt::Display for ClueHeader {
@@ -172,31 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn header_bits_on_wire() {
-        let h = ClueHeader::with_clue(&p4("10.0.0.0/8"));
-        assert_eq!(h.bits_on_wire::<Ip4>(), 5);
-        let hi = ClueHeader::with_indexed_clue(&p4("10.0.0.0/8"), 7);
-        assert_eq!(hi.bits_on_wire::<Ip4>(), 21);
-    }
-
-    #[test]
     fn decode_against_destination() {
         let dest: Ip4 = "10.1.2.3".parse().unwrap();
         let h = ClueHeader::with_clue(&p4("10.1.0.0/16"));
         assert_eq!(h.decode(dest), Some(p4("10.1.0.0/16")));
         assert_eq!(ClueHeader::none().decode(dest), None);
-    }
-
-    #[test]
-    fn truncation_shortens_and_drops_index() {
-        let dest: Ip4 = "10.1.2.3".parse().unwrap();
-        let h = ClueHeader::with_indexed_clue(&p4("10.1.2.0/24"), 3);
-        let t = h.truncated(dest, 16);
-        assert_eq!(t.decode(dest), Some(p4("10.1.0.0/16")));
-        assert_eq!(t.index, None);
-        // Already short enough: untouched.
-        let same = h.truncated(dest, 24);
-        assert_eq!(same, h);
     }
 
     #[test]

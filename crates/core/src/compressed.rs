@@ -201,19 +201,14 @@ impl<A: Address> FrozenEngine<A> {
 
 impl<A: Address> CompressedEngine<A> {
     /// Vertices encoded in the arena.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.node_count as usize
     }
 
     /// Vertices per BFS level (level 0 is the root) — the per-level
     /// byte map the CRAM analysis consumes.
-    pub fn level_node_counts(&self) -> &[u64] {
+    pub(crate) fn level_node_counts(&self) -> &[u64] {
         &self.level_nodes
-    }
-
-    /// Replaces the inherited per-lookup telemetry bundle.
-    pub fn attach_telemetry(&mut self, telemetry: LookupTelemetry) {
-        self.telemetry = Some(telemetry);
     }
 
     /// Attaches the compressed-path bundle (batch counters + layout
@@ -227,11 +222,6 @@ impl<A: Address> CompressedEngine<A> {
             0.0,
         );
         self.compressed_telemetry = Some(telemetry);
-    }
-
-    /// The attached compressed-path telemetry, if any.
-    pub fn compressed_telemetry(&self) -> Option<&CompressedTelemetry> {
-        self.compressed_telemetry.as_ref()
     }
 
     /// The 4-bit nibble of vertex `node`.
@@ -726,13 +716,14 @@ mod tests {
         let mut out = vec![Decision::default(); dests.len()];
         let stats = compressed.lookup_batch_interleaved(&dests, &clues, &mut out, 2);
         let t = compressed.telemetry().unwrap();
-        assert_eq!(t.lookups_total.get(), 3);
+        assert_eq!(registry.counter("clue_core_lookups_total", "").get(), 3);
         assert_eq!(t.class_count(LookupClass::Final), stats.finals);
-        let ct = compressed.compressed_telemetry().unwrap();
-        assert_eq!(ct.batch.batches_total.get(), 1);
-        assert_eq!(ct.batch.packets_total.get(), 3);
-        assert_eq!(ct.batch.prefetches_total.get(), 3);
-        assert_eq!(ct.arena_bytes.get(), compressed.arena_bytes() as f64);
+        let counter = |name: &str| registry.counter(name, "").get();
+        assert_eq!(counter("clue_compressed_batches_total"), 1);
+        assert_eq!(counter("clue_compressed_packets_total"), 3);
+        assert_eq!(counter("clue_compressed_prefetches_total"), 3);
+        let arena = registry.gauge("clue_compressed_arena_bytes", "").get();
+        assert_eq!(arena, compressed.arena_bytes() as f64);
     }
 
     #[test]

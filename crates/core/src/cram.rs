@@ -24,18 +24,18 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CramLevel {
     /// Resident bytes of this level's share of the walk structure.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Expected visits per lookup (level 0 is visited by every walk,
     /// deeper levels by the fraction of walks that reach them).
-    pub visits: f64,
+    pub(crate) visits: f64,
 }
 
 /// Bytes of a typical per-core L1 data cache.
-pub const L1_BYTES: u64 = 32 * 1024;
+pub(crate) const L1_BYTES: u64 = 32 * 1024;
 /// Bytes of a typical per-core L2 cache.
-pub const L2_BYTES: u64 = 1024 * 1024;
+pub(crate) const L2_BYTES: u64 = 1024 * 1024;
 /// Bytes of a typical shared L3 slice available to one core.
-pub const L3_BYTES: u64 = 32 * 1024 * 1024;
+pub(crate) const L3_BYTES: u64 = 32 * 1024 * 1024;
 
 /// The CRAM analysis of one compiled backend: layout byte totals plus
 /// modelled per-lookup miss counts at each cache level.
@@ -74,7 +74,7 @@ impl CramReport {
     /// Runs the greedy residency model over a per-level layout. The
     /// `levels` must be in walk order (hottest first); byte totals for
     /// the non-walk structures are carried through for reporting.
-    pub fn build(
+    pub(crate) fn build(
         levels: Vec<CramLevel>,
         arena_bytes: u64,
         bucket_bytes: u64,

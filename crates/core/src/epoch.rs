@@ -92,11 +92,11 @@ struct Retired<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Publication {
     /// The epoch of the snapshot just published.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Retired snapshots freed because their grace period had expired.
     pub reclaimed: usize,
     /// Retired snapshots still awaiting a grace period after this call.
-    pub retired: usize,
+    pub(crate) retired: usize,
 }
 
 /// An atomic generation-swap cell; see the module docs.
@@ -337,7 +337,7 @@ impl<A: Address> EpochEngine<A> {
     }
 
     /// Wraps an already-frozen snapshot as epoch 0.
-    pub fn from_frozen(frozen: FrozenEngine<A>) -> Self {
+    pub(crate) fn from_frozen(frozen: FrozenEngine<A>) -> Self {
         EpochEngine { cell: EpochCell::new(frozen), telemetry: None }
     }
 
@@ -348,7 +348,8 @@ impl<A: Address> EpochEngine<A> {
     }
 
     /// The attached telemetry, if any.
-    pub fn telemetry(&self) -> Option<&ChurnTelemetry> {
+    #[cfg(test)]
+    pub(crate) fn telemetry(&self) -> Option<&ChurnTelemetry> {
         self.telemetry.as_ref()
     }
 
@@ -519,7 +520,7 @@ mod tests {
             EngineConfig::new(Family::Regular, Method::Advance),
         );
         let mut epochs = EpochEngine::new(&live).unwrap();
-        epochs.attach_telemetry(ChurnTelemetry::detached());
+        epochs.attach_telemetry(ChurnTelemetry::registered(&clue_telemetry::Registry::new(), "clue_churn"));
 
         let dest: Ip4 = "10.1.2.3".parse().unwrap();
         let clue = Some(p("10.1.0.0/16"));

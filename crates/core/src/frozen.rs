@@ -55,7 +55,7 @@ use crate::profile::{Meter, Stage};
 use crate::table::{Continuation, TableKind};
 
 /// “No child” sentinel in `FrozenNode::children`.
-pub const NONE_NODE: u32 = u32::MAX;
+pub(crate) const NONE_NODE: u32 = u32::MAX;
 /// Claim-1 continue bit: set iff a candidate may lie strictly below.
 pub(crate) const CONT_BIT: u32 = 1 << 31;
 /// “No route marked here” in the low 31 bits of the route word.
@@ -630,7 +630,8 @@ fn level_starts(counts: &[u32]) -> Vec<u32> {
 
 impl<A: Address> FrozenEngine<A> {
     /// Number of flattened trie vertices.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -652,16 +653,6 @@ impl<A: Address> FrozenEngine<A> {
             && self.entries == other.entries
             && self.map.len() == other.map.len()
             && self.map.iter().all(|(clue, i)| other.map.get(clue) == Some(i))
-    }
-
-    /// Replaces the inherited telemetry bundle.
-    pub fn attach_telemetry(&mut self, telemetry: LookupTelemetry) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Drops the telemetry bundle (lookups stop recording).
-    pub fn detach_telemetry(&mut self) {
-        self.telemetry = None;
     }
 
     /// [`CompiledBackend::lookup_batch`], callable without the trait in
@@ -1100,7 +1091,7 @@ pub(crate) mod tests {
         let clues = vec![Some(p("10.1.0.0/16")), Some(p("192.168.0.0/16"))];
         let stats = frozen.lookup_batch(&dests, &clues, &mut [Decision::default(); 2]);
         let t = frozen.telemetry().unwrap();
-        assert_eq!(t.lookups_total.get(), 2);
+        assert_eq!(registry.counter("clue_core_lookups_total", "").get(), 2);
         assert_eq!(t.class_count(LookupClass::Final), stats.finals);
         assert_eq!(t.class_count(LookupClass::Continued), stats.continued);
     }

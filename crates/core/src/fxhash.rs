@@ -107,7 +107,7 @@ impl BuildHasher for FxBuildHasher {
 }
 
 /// A `HashMap` keyed by the fast hasher — the per-packet-path map type.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` over the fast hasher.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;

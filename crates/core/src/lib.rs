@@ -7,7 +7,7 @@
 //! matching prefix it found, encoded in 5 bits (IPv4) as a pointer into
 //! the destination address. R2 keeps a [`ClueTable`] whose entries say,
 //! per clue, either “the final decision is already known” (the FD field)
-//! or “resume the lookup here” (a family-specific [`Continuation`]). The
+//! or “resume the lookup here” (a family-specific `Continuation`). The
 //! longest-prefix-match computation is thereby *distributed* along the
 //! packet's path: each router starts where its upstream neighbor stopped.
 //!
@@ -63,6 +63,7 @@
 // argument. Everything else stays safe-only.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod backend;
 mod buckets;
@@ -72,15 +73,15 @@ mod clue;
 mod compressed;
 mod cram;
 mod engine;
-pub mod epoch;
+pub(crate) mod epoch;
 mod frozen;
-pub mod fxhash;
+pub(crate) mod fxhash;
 pub mod mpls;
 pub mod neighbors;
-pub mod prefetch;
+pub(crate) mod prefetch;
 mod profile;
 pub mod recursive;
-pub mod reputation;
+pub(crate) mod reputation;
 mod soundness;
 mod stride;
 mod table;
@@ -88,21 +89,16 @@ mod table;
 pub use backend::{
     BackendError, BackendKind, CompiledBackend, PreparedLookup, DEFAULT_INTERLEAVE, NO_TAG,
 };
-pub use cache::{CacheStats, ClueCache, LruCache, PresenceCache};
-pub use compressed::{CompressedConfig, CompressedEngine};
-pub use cram::{CramLevel, CramReport, L1_BYTES, L2_BYTES, L3_BYTES};
-pub use classify::{classify, classify_all, problematic_fraction, Classification};
+pub use classify::{classify, classify_all, Classification};
 pub use clue::{ClueHeader, EncodedClue};
+pub use compressed::{CompressedConfig, CompressedEngine};
+pub use cram::{CramLevel, CramReport};
 pub use engine::{ClueEngine, EngineConfig, EngineStats, Method};
 pub use epoch::{EpochCell, EpochEngine, EpochGuard, EpochReader};
-pub use frozen::{Decision, FreezeError, FrozenEngine, NONE_NODE};
-pub use profile::{Meter, Stage, StageAccum, StageMeter, StageProfiler};
-pub use reputation::{
-    BatchSignals, LinkState, NeighborReputation, ReputationBook, ReputationConfig, Transition,
-};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use frozen::{Decision, FreezeError, FrozenEngine};
+pub use fxhash::FxHashSet;
+pub use profile::{Meter, Stage, StageMeter, StageProfiler};
+pub use reputation::{BatchSignals, ReputationBook, ReputationConfig};
 pub use soundness::{check_soundness, Divergence, SoundnessReport};
-pub use stride::{
-    StrideConfig, StrideEngine, StrideError, DEFAULT_INITIAL_BITS, DEFAULT_INNER_BITS,
-};
-pub use table::{CandidateRange, ClueEntry, ClueIndexer, ClueTable, Continuation, TableKind};
+pub use stride::{StrideConfig, StrideEngine, DEFAULT_INITIAL_BITS, DEFAULT_INNER_BITS};
+pub use table::{ClueEntry, ClueIndexer, ClueTable, TableKind};

@@ -43,7 +43,7 @@ impl core::fmt::Display for MplsMode {
 pub struct SwitchDecision<A: Address> {
     /// The BMP governing the packet at this router (the route / next
     /// label binding).
-    pub bmp: Option<Prefix<A>>,
+    pub(crate) bmp: Option<Prefix<A>>,
     /// `true` iff this router was an aggregation point for the label.
     pub aggregation_point: bool,
 }
@@ -103,7 +103,8 @@ impl<A: Address> MplsRouter<A> {
     }
 
     /// The FEC bound to a label.
-    pub fn fec(&self, label: u32) -> Prefix<A> {
+    #[cfg(test)]
+    pub(crate) fn fec(&self, label: u32) -> Prefix<A> {
         self.labels[label as usize].fec
     }
 

@@ -186,11 +186,6 @@ impl<A: Address> MultiNeighborTable<A> {
         table
     }
 
-    /// Number of neighbors sharing this table.
-    pub fn neighbors(&self) -> usize {
-        self.neighbors
-    }
-
     /// Looks up `dest` for a packet from `neighbor` carrying `clue`.
     /// Charges one hash probe per table consulted (two for a sub-table
     /// overflow), plus the continuation walk.

@@ -20,7 +20,7 @@
 /// `&T` is always valid anyway. A no-op on targets without a prefetch
 /// intrinsic.
 #[inline(always)]
-pub fn prefetch_read<T>(r: &T) {
+pub(crate) fn prefetch_read<T>(r: &T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `_mm_prefetch` is a hint instruction — it performs no
     // load, cannot fault even on unmapped addresses, and has no

@@ -186,7 +186,7 @@ impl StageProfiler {
     /// Records one stage event: `ticks` predicted accesses, `bytes`
     /// record bytes, `nanos` measured for the stage's span.
     #[inline]
-    pub fn record(&mut self, stage: Stage, ticks: u64, bytes: u64, nanos: u64) {
+    pub(crate) fn record(&mut self, stage: Stage, ticks: u64, bytes: u64, nanos: u64) {
         let s = &mut self.stages[stage.index()];
         s.visits += 1;
         s.ticks += ticks;
@@ -198,7 +198,7 @@ impl StageProfiler {
     /// Records one whole lookup (total predicted ticks vs total
     /// measured nanoseconds) for the cross-stage correlation.
     #[inline]
-    pub fn record_lookup(&mut self, ticks: u64, nanos: u64) {
+    pub(crate) fn record_lookup(&mut self, ticks: u64, nanos: u64) {
         self.lookups += 1;
         self.lookup_corr.push(ticks as f64, nanos as f64);
     }
@@ -222,7 +222,7 @@ impl StageProfiler {
         &self.stages[stage.index()]
     }
 
-    /// Lookups recorded via [`Self::record_lookup`].
+    /// Lookups recorded via `Self::record_lookup`.
     pub fn lookups(&self) -> u64 {
         self.lookups
     }

@@ -55,24 +55,24 @@ pub struct ReputationConfig {
     /// (malformed + overruns per clued lookup) exceeds this is
     /// evidence of hostility. Sits above the honest noise floor —
     /// stale clues and genuine misses stay well under 2%.
-    pub suspicion: f64,
+    pub(crate) suspicion: f64,
     /// Multiplicative decay on a dirty batch:
     /// `score *= 1 - attack_decay * fraction`.
-    pub attack_decay: f64,
+    pub(crate) attack_decay: f64,
     /// Recovery pull toward 1.0 on a clean clue-carrying batch:
     /// `score += recovery * (1 - score)`.
-    pub recovery: f64,
+    pub(crate) recovery: f64,
     /// A Healthy neighbor whose score falls below this is quarantined.
-    pub quarantine_below: f64,
+    pub(crate) quarantine_below: f64,
     /// Probation re-admits only once the score has recovered past
     /// this (strictly above `quarantine_below` — the hysteresis gap).
-    pub readmit_above: f64,
+    pub(crate) readmit_above: f64,
     /// Hold-down: batches a quarantined link serves clue-less before
     /// probation begins.
-    pub quarantine_batches: u64,
+    pub(crate) quarantine_batches: u64,
     /// Consecutive clean probation batches required (in addition to
     /// the score gate) before re-admission.
-    pub probation_batches: u64,
+    pub(crate) probation_batches: u64,
 }
 
 impl Default for ReputationConfig {
@@ -91,7 +91,7 @@ impl Default for ReputationConfig {
 
 /// Where a neighbor stands in the quarantine state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkState {
+pub(crate) enum LinkState {
     /// Clues are trusted and used.
     Healthy,
     /// Clues are bypassed; the link serves clue-less for the
@@ -124,12 +124,13 @@ pub struct BatchSignals {
 
 impl BatchSignals {
     /// A clean batch of `lookups` lookups.
-    pub fn clean(lookups: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn clean(lookups: u64) -> Self {
         BatchSignals { lookups, malformed: 0, overruns: 0 }
     }
 
     /// The dirty fraction of the batch (0.0 for an empty batch).
-    pub fn fraction(&self) -> f64 {
+    pub(crate) fn fraction(&self) -> f64 {
         if self.lookups == 0 {
             0.0
         } else {
@@ -154,7 +155,7 @@ pub enum Transition {
 
 /// One neighbor's score and quarantine state.
 #[derive(Debug, Clone, Copy)]
-pub struct NeighborReputation {
+pub(crate) struct NeighborReputation {
     score: f64,
     state: LinkState,
 }
@@ -167,19 +168,20 @@ impl Default for NeighborReputation {
 
 impl NeighborReputation {
     /// The current score in `[0, 1]`.
-    pub fn score(&self) -> f64 {
+    pub(crate) fn score(&self) -> f64 {
         self.score
     }
 
     /// The current state.
-    pub fn state(&self) -> LinkState {
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> LinkState {
         self.state
     }
 
     /// Whether the serving side should consult this neighbor's clues
     /// for the *next* batch (Healthy and Probation do; Quarantined
     /// serves clue-less).
-    pub fn uses_clues(&self) -> bool {
+    pub(crate) fn uses_clues(&self) -> bool {
         !matches!(self.state, LinkState::Quarantined { .. })
     }
 
@@ -189,7 +191,7 @@ impl NeighborReputation {
     /// clue-less, so `signals` carries no clue information — the score
     /// holds (no recovery a liar could exploit) and only the hold-down
     /// ticks.
-    pub fn observe(&mut self, signals: &BatchSignals, config: &ReputationConfig) -> Transition {
+    pub(crate) fn observe(&mut self, signals: &BatchSignals, config: &ReputationConfig) -> Transition {
         match self.state {
             LinkState::Quarantined { remaining } => {
                 if remaining <= 1 {
@@ -240,7 +242,7 @@ impl NeighborReputation {
 }
 
 /// The per-neighbor reputation ledger a router (or the fleet
-/// simulator) keeps: one [`NeighborReputation`] per incoming link,
+/// simulator) keeps: one `NeighborReputation` per incoming link,
 /// plus transition counters for telemetry.
 #[derive(Debug, Clone)]
 pub struct ReputationBook {
@@ -418,5 +420,173 @@ mod tests {
         n.observe(&BatchSignals::default(), &config);
         assert_eq!(n.state(), LinkState::Healthy);
         assert!(n.score() >= score, "an idle batch must not punish");
+    }
+}
+
+#[cfg(test)]
+/// Reputation state-machine properties: over arbitrary thresholds and
+/// evidence streams, a sustained liar's score must fall monotonically
+/// (and never re-admit while the lying continues), and an honest
+/// neighbor must always complete the quarantine → probation →
+/// re-admission round trip in bounded time. These are the guarantees
+/// the fleet's per-link quarantine (`clue_netsim`'s adversarial leg)
+/// relies on.
+mod props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Arbitrary-but-coherent configs: a real hysteresis gap between the
+    /// quarantine and re-admission thresholds, nonzero decay/recovery.
+    fn arb_config() -> impl Strategy<Value = ReputationConfig> {
+        (
+            (
+                0.0f64..0.1,  // suspicion
+                0.2f64..0.9,  // attack_decay
+                0.05f64..0.6, // recovery
+            ),
+            (
+                0.2f64..0.6,  // quarantine_below
+                0.7f64..0.95, // readmit_above
+            ),
+            (
+                1u64..8, // quarantine_batches
+                1u64..5, // probation_batches
+            ),
+        )
+            .prop_map(
+                |(
+                    (suspicion, attack_decay, recovery),
+                    (quarantine_below, readmit_above),
+                    (quarantine_batches, probation_batches),
+                )| ReputationConfig {
+                    suspicion,
+                    attack_decay,
+                    recovery,
+                    quarantine_below,
+                    readmit_above,
+                    quarantine_batches,
+                    probation_batches,
+                },
+            )
+    }
+
+    /// A fully dirty batch: every lookup overran the baseline.
+    fn dirty(lookups: u64) -> BatchSignals {
+        BatchSignals { lookups, malformed: 0, overruns: lookups }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Sustained lying: the score never rises, quarantine engages in
+        /// bounded time, and while the lying continues the link is never
+        /// re-admitted to clued serving (quarantine is an evidence
+        /// blackout, so the only healthy-looking state a liar can reach
+        /// is the probation that instantly re-quarantines).
+        #[test]
+        fn score_is_monotone_under_sustained_lying(
+            config in arb_config(),
+            lookups in 1u64..10_000,
+            batches in 8usize..64,
+        ) {
+            let mut n = NeighborReputation::default();
+            let mut prev = n.score();
+            let mut quarantined_at: Option<usize> = None;
+            for batch in 0..batches {
+                let t = n.observe(&dirty(lookups), &config);
+                prop_assert!(
+                    n.score() <= prev + 1e-12,
+                    "score rose under attack at batch {batch}: {} -> {}",
+                    prev,
+                    n.score(),
+                );
+                prev = n.score();
+                // A sustained liar must never be re-admitted.
+                prop_assert_ne!(t, Transition::Readmitted);
+                if matches!(n.state(), LinkState::Quarantined { .. }) && quarantined_at.is_none() {
+                    quarantined_at = Some(batch);
+                }
+                if quarantined_at.is_some() {
+                    // Once evidence forced a quarantine, a full-dirty
+                    // stream can never hold the link Healthy again.
+                    prop_assert_ne!(n.state(), LinkState::Healthy);
+                }
+            }
+            // score(k) = (1 - decay)^k decays below any positive
+            // threshold; 64 full-dirty batches are far beyond the bound.
+            prop_assert!(
+                quarantined_at.is_some() || batches < 64,
+                "64 full-dirty batches never quarantined (score {})",
+                n.score(),
+            );
+        }
+
+        /// Honest round trip: drive a link into quarantine, then feed only
+        /// clean evidence — it must pass through probation and be
+        /// re-admitted with a recovered score, in time bounded by the
+        /// hold-down plus the recovery geometry.
+        #[test]
+        fn honest_neighbor_always_completes_the_round_trip(
+            config in arb_config(),
+            lookups in 1u64..10_000,
+        ) {
+            let mut n = NeighborReputation::default();
+            // Attack until quarantined (bounded: score decays geometrically).
+            let mut batches = 0;
+            while !matches!(n.state(), LinkState::Quarantined { .. }) {
+                n.observe(&dirty(lookups), &config);
+                batches += 1;
+                prop_assert!(batches <= 512, "quarantine never engaged");
+            }
+            // Now the neighbor is honest forever.
+            let clean = BatchSignals::clean(lookups);
+            let mut saw_probation = false;
+            let mut readmitted_at = None;
+            // Hold-down + recovery to readmit_above from any score floor +
+            // probation dwell is comfortably inside this bound for the
+            // config ranges above.
+            for batch in 0..4096 {
+                match n.observe(&clean, &config) {
+                    Transition::Probation => saw_probation = true,
+                    Transition::Readmitted => {
+                        readmitted_at = Some(batch);
+                        break;
+                    }
+                    Transition::Quarantined => {
+                        prop_assert!(false, "clean evidence caused a quarantine");
+                    }
+                    Transition::None => {}
+                }
+            }
+            prop_assert!(saw_probation, "re-admission must pass through probation");
+            prop_assert!(readmitted_at.is_some(), "honest neighbor never re-admitted");
+            prop_assert_eq!(n.state(), LinkState::Healthy);
+            prop_assert!(n.score() >= config.readmit_above);
+            prop_assert!(n.uses_clues());
+        }
+
+        /// Hysteresis: between the quarantine trip and re-admission the
+        /// link never serves clues, no matter how the two evidence kinds
+        /// interleave afterward.
+        #[test]
+        fn quarantine_always_blacks_out_clued_serving(
+            config in arb_config(),
+            pattern in proptest::collection::vec(any::<bool>(), 1..64),
+        ) {
+            let mut n = NeighborReputation::default();
+            for &is_dirty in &pattern {
+                let signals = if is_dirty {
+                    dirty(100)
+                } else {
+                    BatchSignals::clean(100)
+                };
+                n.observe(&signals, &config);
+                prop_assert_eq!(
+                    n.uses_clues(),
+                    !matches!(n.state(), LinkState::Quarantined { .. }),
+                    "uses_clues must mirror the quarantine state exactly",
+                );
+            }
+        }
     }
 }

@@ -49,15 +49,15 @@ use crate::frozen::FrozenEngine;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence<A: Address> {
     /// Which pipeline diverged: `"scalar"` or `"frozen"`.
-    pub path: &'static str,
+    pub(crate) path: &'static str,
     /// The destination looked up.
-    pub dest: A,
+    pub(crate) dest: A,
     /// The clue the lookup carried.
-    pub clue: Option<Prefix<A>>,
+    pub(crate) clue: Option<Prefix<A>>,
     /// What the clued lookup answered.
-    pub got: Option<Prefix<A>>,
+    pub(crate) got: Option<Prefix<A>>,
     /// The clue-less baseline (the true BMP).
-    pub want: Option<Prefix<A>>,
+    pub(crate) want: Option<Prefix<A>>,
 }
 
 /// What a differential soundness run observed.
@@ -68,7 +68,7 @@ pub struct SoundnessReport<A: Address> {
     /// Total divergences observed across both pipelines.
     pub divergence_count: u64,
     /// The first few divergences, retained for diagnostics (capped at
-    /// [`SoundnessReport::RETAINED`]).
+    /// `SoundnessReport::RETAINED`).
     pub divergences: Vec<Divergence<A>>,
     /// Extra memory references the clued lookups paid versus the
     /// clue-less baseline, summed (frozen pipeline; clamped at 0 per
@@ -103,7 +103,7 @@ impl<A: Address> Default for SoundnessReport<A> {
 
 impl<A: Address> SoundnessReport<A> {
     /// How many divergences are retained verbatim.
-    pub const RETAINED: usize = 8;
+    pub(crate) const RETAINED: usize = 8;
 
     /// No divergence on either pipeline.
     pub fn is_sound(&self) -> bool {
@@ -120,7 +120,7 @@ impl<A: Address> SoundnessReport<A> {
 /// Differentially checks the soundness invariant over `dests[i]` /
 /// `clues[i]` pairs: both the mutable `engine` and its `frozen`
 /// compilation must answer exactly like the clue-less baseline
-/// ([`ClueEngine::reference_lookup`]), whatever the clue.
+/// (`ClueEngine::reference_lookup`), whatever the clue.
 ///
 /// The scalar engine's stat counters advance as a side effect (that is
 /// the point — the delta is how exactly-once accounting is pinned);

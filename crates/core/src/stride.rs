@@ -327,7 +327,8 @@ impl<A: Address> FrozenEngine<A> {
 
 impl<A: Address> StrideEngine<A> {
     /// The stride shape this engine was compiled with.
-    pub fn config(&self) -> StrideConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> StrideConfig {
         self.config
     }
 
@@ -376,11 +377,6 @@ impl<A: Address> StrideEngine<A> {
         by_base.sort_by_key(|(b, _, _)| *b);
         levels.extend(by_base.into_iter().map(|(_, b, v)| (b, v)));
         levels
-    }
-
-    /// Replaces the inherited per-lookup telemetry bundle.
-    pub fn attach_telemetry(&mut self, telemetry: LookupTelemetry) {
-        self.telemetry = Some(telemetry);
     }
 
     /// Attaches the batch-loop counters (batches, packets, prefetches).
@@ -748,12 +744,12 @@ mod tests {
         let mut out = vec![Decision::default(); dests.len()];
         let stats = stride.lookup_batch_interleaved(&dests, &clues, &mut out, 2);
         let t = stride.telemetry().unwrap();
-        assert_eq!(t.lookups_total.get(), 3);
+        assert_eq!(registry.counter("clue_core_lookups_total", "").get(), 3);
         assert_eq!(t.class_count(LookupClass::Final), stats.finals);
-        let st = stride.batch_telemetry().unwrap();
-        assert_eq!(st.batches_total.get(), 1);
-        assert_eq!(st.packets_total.get(), 3);
-        assert_eq!(st.prefetches_total.get(), 3);
+        let counter = |name: &str| registry.counter(name, "").get();
+        assert_eq!(counter("clue_stride_batches_total"), 1);
+        assert_eq!(counter("clue_stride_packets_total"), 3);
+        assert_eq!(counter("clue_stride_prefetches_total"), 3);
     }
 
     #[test]

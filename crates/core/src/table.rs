@@ -45,7 +45,7 @@ pub enum TableKind {
 /// arrived with the entry. Larger sets get a [`RangeIndex`] searched with
 /// counted probes.
 #[derive(Debug, Clone)]
-pub struct CandidateRange<A: Address> {
+pub(crate) struct CandidateRange<A: Address> {
     inline: Vec<Prefix<A>>,
     index: Option<RangeIndex<A>>,
 }
@@ -53,7 +53,7 @@ pub struct CandidateRange<A: Address> {
 impl<A: Address> CandidateRange<A> {
     /// Builds from the (sorted) candidate set; sets of at most
     /// `line_capacity` prefixes are kept in line.
-    pub fn new(candidates: Vec<Prefix<A>>, line_capacity: usize) -> Self {
+    pub(crate) fn new(candidates: Vec<Prefix<A>>, line_capacity: usize) -> Self {
         if candidates.len() <= line_capacity {
             CandidateRange { inline: candidates, index: None }
         } else {
@@ -64,7 +64,7 @@ impl<A: Address> CandidateRange<A> {
 
     /// Longest candidate containing `dest`. `bway` selects B-way search
     /// with the given branching factor; `None` selects binary search.
-    pub fn lookup(&self, dest: A, bway: Option<u8>, cost: &mut Cost) -> Option<Prefix<A>> {
+    pub(crate) fn lookup(&self, dest: A, bway: Option<u8>, cost: &mut Cost) -> Option<Prefix<A>> {
         match &self.index {
             None => {
                 // In-line scan: free, the line came with the entry.
@@ -77,18 +77,8 @@ impl<A: Address> CandidateRange<A> {
         }
     }
 
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.inline.len()
-    }
-
-    /// `true` iff there are no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.inline.is_empty()
-    }
-
     /// Approximate resident bytes beyond the base entry.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.inline.len() * core::mem::size_of::<Prefix<A>>()
             + self.index.as_ref().map_or(0, RangeIndex::memory_bytes)
     }
@@ -97,7 +87,7 @@ impl<A: Address> CandidateRange<A> {
 /// Where and how a continued search proceeds — the family-specific
 /// incarnation of the paper's `Ptr` field.
 #[derive(Debug, Clone)]
-pub enum Continuation<A: Address> {
+pub(crate) enum Continuation<A: Address> {
     /// Resume the bit-by-bit walk at this vertex (Regular family).
     TrieNode(NodeId),
     /// Resume the Patricia walk at this location (Patricia family).
@@ -123,7 +113,7 @@ pub struct ClueEntry<A: Address> {
     /// Final decision / fallback: the BMP of the clue in this router.
     pub fd: Option<Prefix<A>>,
     /// `None` = the paper's “Ptr = Empty”: FD is final.
-    pub cont: Option<Continuation<A>>,
+    pub(crate) cont: Option<Continuation<A>>,
 }
 
 impl<A: Address> ClueEntry<A> {
@@ -154,7 +144,7 @@ pub struct ClueTable<A: Address> {
 
 impl<A: Address> ClueTable<A> {
     /// An empty table of the given kind.
-    pub fn new(kind: TableKind) -> Self {
+    pub(crate) fn new(kind: TableKind) -> Self {
         Self::with_capacity(kind, 0)
     }
 
@@ -167,7 +157,7 @@ impl<A: Address> ClueTable<A> {
     }
 
     /// The addressing flavour.
-    pub fn kind(&self) -> TableKind {
+    pub(crate) fn kind(&self) -> TableKind {
         self.kind
     }
 
@@ -191,7 +181,7 @@ impl<A: Address> ClueTable<A> {
     /// required; the stored clue is compared against the received one (a
     /// free check) and a mismatch reads as a miss, which makes stale slots
     /// harmless (the paper's robustness argument).
-    pub fn get(&self, clue: &Prefix<A>, index: Option<u16>, cost: &mut Cost) -> Option<&ClueEntry<A>> {
+    pub(crate) fn get(&self, clue: &Prefix<A>, index: Option<u16>, cost: &mut Cost) -> Option<&ClueEntry<A>> {
         self.get_with_residency(clue, index, false, cost)
     }
 
@@ -199,7 +189,7 @@ impl<A: Address> ClueTable<A> {
     /// already resident in fast memory (Section 3.5's cache) and the
     /// slow-memory probe is skipped — the caller has charged a
     /// [`Cost::cache_read`] instead.
-    pub fn get_with_residency(
+    pub(crate) fn get_with_residency(
         &self,
         clue: &Prefix<A>,
         index: Option<u16>,
@@ -229,7 +219,7 @@ impl<A: Address> ClueTable<A> {
 
     /// Inserts or overwrites an entry. For indexed tables `index` selects
     /// the slot (required); for hashed tables it is ignored.
-    pub fn insert(&mut self, entry: ClueEntry<A>, index: Option<u16>) {
+    pub(crate) fn insert(&mut self, entry: ClueEntry<A>, index: Option<u16>) {
         match self.kind {
             TableKind::Hashed => {
                 let clue = entry.clue;
@@ -259,7 +249,7 @@ impl<A: Address> ClueTable<A> {
     /// first query builds the index from the sorted keys in one pass.
     /// An indexed table has at most 64K slots and is never frozen, so it
     /// scans them.
-    pub fn chain(&mut self, p: &Prefix<A>) -> Vec<(Option<u16>, Prefix<A>)> {
+    pub(crate) fn chain(&mut self, p: &Prefix<A>) -> Vec<(Option<u16>, Prefix<A>)> {
         match self.kind {
             TableKind::Hashed => {
                 let map = &self.map;
@@ -287,19 +277,11 @@ impl<A: Address> ClueTable<A> {
 
     /// Iterates over indexed slots as `(index, entry)`. Empty for hashed
     /// tables (their entries carry no index).
-    pub fn entries_with_indices(&self) -> impl Iterator<Item = (u16, &ClueEntry<A>)> + '_ {
+    pub(crate) fn entries_with_indices(&self) -> impl Iterator<Item = (u16, &ClueEntry<A>)> + '_ {
         self.slots
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|e| (i as u16, e)))
-    }
-
-    /// Removes every entry (e.g. after a routing-table change when not
-    /// using the paper's keep-and-mark-invalid option).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.keys = None;
-        self.slots.clear();
     }
 
     /// The paper's Section 3.5 size model: clue value + FD always, plus a
@@ -372,14 +354,11 @@ impl<A: Address> ClueIndexer<A> {
     }
 
     /// Number of clues enumerated so far.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.indices.len()
     }
 
-    /// `true` iff no clue has been enumerated.
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -575,15 +554,4 @@ mod tests {
         }
     }
 
-    #[test]
-    fn clear_empties_both_kinds() {
-        for kind in [TableKind::Hashed, TableKind::Indexed] {
-            let mut t = ClueTable::new(kind);
-            t.insert(entry("10.0.0.0/8", None), Some(0));
-            assert!(!t.is_empty());
-            t.clear();
-            assert!(t.is_empty());
-            assert!(t.chain(&p("10.0.0.0/8")).is_empty(), "{kind:?} key index cleared");
-        }
-    }
 }

@@ -27,14 +27,14 @@ fn engines_for_all_families(
 fn malformed_clue_falls_back_to_common_lookup() {
     let sender = vec![p("10.0.0.0/8"), p("20.0.0.0/8")];
     let receiver = vec![p("10.0.0.0/8"), p("10.1.0.0/16"), p("20.0.0.0/8")];
-    for engine in &mut engines_for_all_families(&sender, &receiver) {
+    for (i, engine) in engines_for_all_families(&sender, &receiver).iter_mut().enumerate() {
         let dest = a("10.1.2.3");
         // A clue that is NOT a prefix of the destination (e.g. a
         // corrupted header decoded against the wrong packet).
         let bogus = Some(p("20.0.0.0/8"));
         let mut cost = Cost::new();
         let got = engine.lookup(dest, bogus, None, &mut cost);
-        assert_eq!(got, Some(p("10.1.0.0/16")), "{}", engine.config().family);
+        assert_eq!(got, Some(p("10.1.0.0/16")), "engine {i}");
         assert!(cost.total() >= 1);
     }
 }

@@ -310,8 +310,6 @@ fn engine_stats_track_resolution_paths() {
     assert_eq!(s.clueless, 1, "{s:?}");
     assert_eq!(s.malformed, 1, "{s:?}");
     assert_eq!(s.total(), 5);
-    engine.reset_stats();
-    assert_eq!(engine.stats().total(), 0);
 }
 
 /// Randomised cross-check of the full 15-scheme matrix on a bigger pair

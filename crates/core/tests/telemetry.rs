@@ -1,6 +1,5 @@
-//! Telemetry integration: an instrumented engine's registry counters,
-//! its `EngineStats`, and the `from_telemetry` view must all agree, for
-//! arbitrary lookup workloads.
+//! Telemetry integration: an instrumented engine's registry counters
+//! and its `EngineStats` must agree, for arbitrary lookup workloads.
 
 use clue_core::{ClueEngine, EngineConfig, EngineStats, Method};
 use clue_lookup::{reference_bmp, Family};
@@ -22,13 +21,24 @@ const CLASS_COUNTERS: [&str; 5] = [
     "clue_core_lookups_malformed_total",
 ];
 
+/// `EngineStats` as the registry's per-class counters report them.
+fn registry_stats(registry: &Registry) -> EngineStats {
+    let count = |name: &str| registry.counter(name, "").get();
+    EngineStats {
+        clueless: count(CLASS_COUNTERS[0]),
+        finals: count(CLASS_COUNTERS[1]),
+        continued: count(CLASS_COUNTERS[2]),
+        misses: count(CLASS_COUNTERS[3]),
+        malformed: count(CLASS_COUNTERS[4]),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Satellite invariant: over any sequence of lookups, the registry's
     /// total counter equals the number of `lookup` calls, the per-class
-    /// counters sum to it, and the `from_telemetry` view reproduces
-    /// `engine.stats()` exactly.
+    /// counters sum to it and reproduce `engine.stats()` class by class.
     #[test]
     fn counter_sums_equal_lookup_calls(
         sender in proptest::collection::hash_set(arb_prefix(), 1..20),
@@ -68,39 +78,6 @@ proptest! {
         prop_assert_eq!(class_sum, calls);
         let stats = engine.stats();
         prop_assert_eq!(stats.total(), calls);
-        let t = engine.telemetry().expect("instrumented");
-        prop_assert_eq!(EngineStats::from_telemetry(t), stats);
+        prop_assert_eq!(registry_stats(&registry), stats);
     }
-}
-
-#[test]
-fn every_lookup_is_counted_and_reset_clears_both_views() {
-    let sender: Vec<Prefix<Ip4>> = ["10.0.0.0/8", "10.1.0.0/16", "20.0.0.0/8"]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
-    let registry = Registry::new();
-    let mut engine = ClueEngine::precomputed(
-        &sender,
-        &sender,
-        EngineConfig::new(Family::Regular, Method::Advance),
-    );
-    engine.instrument(&registry);
-
-    let dests = ["10.1.2.3", "10.200.0.1", "20.0.0.7", "99.0.0.1"];
-    for d in dests {
-        let dest: Ip4 = d.parse().unwrap();
-        let clue = reference_bmp(&sender, dest).filter(|c| !c.is_empty());
-        let mut cost = Cost::new();
-        engine.lookup(dest, clue, None, &mut cost);
-    }
-    let total = registry.counter("clue_core_lookups_total", "");
-    assert_eq!(total.get(), dests.len() as u64);
-    assert_eq!(engine.stats().total(), dests.len() as u64);
-
-    engine.reset_stats();
-    assert_eq!(engine.stats(), EngineStats::default());
-    let t = engine.telemetry().expect("still attached");
-    assert_eq!(EngineStats::from_telemetry(t), EngineStats::default());
-    assert_eq!(total.get(), 0);
 }

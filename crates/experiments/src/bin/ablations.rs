@@ -14,8 +14,8 @@
 
 use clue_core::{ClueEngine, ClueIndexer, EngineConfig, Method};
 use clue_lookup::Family;
-use clue_tablegen::{derive_neighbor, generate, synthesize_ipv4, NeighborConfig, TrafficConfig};
-use clue_trie::{BinaryTrie, Cost, CostStats, Ip4, Prefix};
+use clue_tablegen::{derive_neighbor, generate_with_clues, synthesize_ipv4, NeighborConfig, TrafficConfig};
+use clue_trie::{Cost, CostStats};
 
 fn main() {
     let sender = synthesize_ipv4(12_000, 71);
@@ -25,16 +25,11 @@ fn main() {
         &sender,
         &NeighborConfig { share: 0.97, refine: 0.05, extra: 0.02, refine_bits: 8, seed: 72 },
     );
-    let dests = generate(
+    let (dests, clues) = generate_with_clues(
         &sender,
         &receiver,
         &TrafficConfig { count: 8_000, ..TrafficConfig::paper(73) },
     );
-    let t1: BinaryTrie<Ip4, ()> = sender.iter().map(|p| (*p, ())).collect();
-    let clues: Vec<Option<Prefix<Ip4>>> = dests
-        .iter()
-        .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
-        .collect();
 
     let run = |config: EngineConfig, indexed: bool| -> f64 {
         let mut engine = ClueEngine::precomputed(&sender, &receiver, config);

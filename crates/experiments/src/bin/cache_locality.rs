@@ -17,14 +17,14 @@
 use clue_core::{ClueEngine, EngineConfig, Method};
 use clue_lookup::Family;
 use clue_tablegen::{
-    derive_neighbor, generate, synthesize_ipv4, NeighborConfig, TrafficConfig, TrafficModel,
+    derive_neighbor, generate_with_clues, synthesize_ipv4, NeighborConfig, TrafficConfig, TrafficModel,
 };
-use clue_trie::{BinaryTrie, Cost, Ip4};
+use clue_trie::Cost;
 
 fn main() {
     let sender = synthesize_ipv4(20_000, 901);
     let receiver = derive_neighbor(&sender, &NeighborConfig::same_isp(902));
-    let dests = generate(
+    let (dests, clues) = generate_with_clues(
         &sender,
         &receiver,
         &TrafficConfig {
@@ -34,11 +34,6 @@ fn main() {
             seed: 903,
         },
     );
-    let t1: BinaryTrie<Ip4, ()> = sender.iter().map(|p| (*p, ())).collect();
-    let clues: Vec<_> = dests
-        .iter()
-        .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
-        .collect();
 
     println!("=== Section 3.5: LRU clue cache under Zipf(1.05) traffic ===");
     println!(

@@ -14,10 +14,10 @@
 use clue_core::{ClueEngine, EngineConfig, Method};
 use clue_lookup::Family;
 use clue_tablegen::{
-    derive_neighbor, generate, minimize, synthesize_ipv4, NeighborConfig, PairStats,
+    derive_neighbor, generate_with_clues, minimize, synthesize_ipv4, NeighborConfig, PairStats,
     TrafficConfig,
 };
-use clue_trie::{BinaryTrie, Cost, CostStats, Ip4, Prefix};
+use clue_trie::{Cost, CostStats, Ip4, Prefix};
 
 fn main() {
     let sender = synthesize_ipv4(10_000, 81);
@@ -46,16 +46,11 @@ fn main() {
         100.0 * minimized.len() as f64 / receiver.len() as f64
     );
 
-    let dests = generate(
+    let (dests, clues) = generate_with_clues(
         &sender,
         &receiver,
         &TrafficConfig { count: 6_000, ..TrafficConfig::paper(83) },
     );
-    let t1: BinaryTrie<Ip4, ()> = sender.iter().map(|p| (*p, ())).collect();
-    let clues: Vec<Option<Prefix<Ip4>>> = dests
-        .iter()
-        .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
-        .collect();
 
     println!(
         "{:<22} {:>10} {:>14} {:>10} {:>10} {:>10}",

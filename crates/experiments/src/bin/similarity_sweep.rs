@@ -16,7 +16,7 @@ use clue_core::Method;
 use clue_experiments::{mean_accesses, PairWorkload};
 use clue_lookup::Family;
 use clue_tablegen::{
-    derive_neighbor, generate, synthesize_ipv4, NeighborConfig, PairStats, TrafficConfig,
+    derive_neighbor, generate_with_clues, synthesize_ipv4, NeighborConfig, PairStats, TrafficConfig,
 };
 use clue_trie::BinaryTrie;
 
@@ -32,14 +32,10 @@ fn main() {
     for share in [0.30, 0.50, 0.70, 0.85, 0.95, 0.99, 1.00] {
         let receiver = derive_neighbor(&base, &NeighborConfig::with_share(share, 603));
         let stats = PairStats::compute(&base, &receiver);
-        let dests = generate(&base, &receiver, &traffic);
-        let t1: BinaryTrie<clue_trie::Ip4, ()> = base.iter().map(|p| (*p, ())).collect();
+        let (dests, clues) = generate_with_clues(&base, &receiver, &traffic);
         let t2: BinaryTrie<clue_trie::Ip4, ()> = receiver.iter().map(|p| (*p, ())).collect();
         let wl = PairWorkload {
-            clues: dests
-                .iter()
-                .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
-                .collect(),
+            clues,
             expected: dests.iter().map(|&d| t2.lookup(d).map(|r| t2.prefix(r))).collect(),
             dests,
         };

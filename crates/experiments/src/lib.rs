@@ -7,7 +7,7 @@
 
 use clue_core::{ClueEngine, EngineConfig, Method};
 use clue_lookup::Family;
-use clue_tablegen::{derive_neighbor, generate, synthesize_ipv4, NeighborConfig, TrafficConfig};
+use clue_tablegen::{derive_neighbor, generate_with_clues, synthesize_ipv4, NeighborConfig, TrafficConfig};
 use clue_trie::{BinaryTrie, Cost, CostStats, Ip4, Prefix};
 
 /// The synthetic stand-ins for the paper's seven routers, with the sizes
@@ -105,17 +105,12 @@ pub struct PairWorkload {
 /// Builds the paper's 10 000-packet workload for a sender→receiver pair,
 /// with per-packet clues and expected results precomputed.
 pub fn workload(sender: &[Prefix<Ip4>], receiver: &[Prefix<Ip4>], seed: u64) -> PairWorkload {
-    let dests = generate(
+    let (dests, clues) = generate_with_clues(
         sender,
         receiver,
         &TrafficConfig { count: 10_000 / scale(), ..TrafficConfig::paper(seed) },
     );
-    let t1: BinaryTrie<Ip4, ()> = sender.iter().map(|p| (*p, ())).collect();
     let t2: BinaryTrie<Ip4, ()> = receiver.iter().map(|p| (*p, ())).collect();
-    let clues = dests
-        .iter()
-        .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
-        .collect();
     let expected = dests.iter().map(|&d| t2.lookup(d).map(|r| t2.prefix(r))).collect();
     PairWorkload { dests, clues, expected }
 }

@@ -5,11 +5,11 @@
 //!
 //! | Paper name | Type | Accesses per lookup |
 //! |------------|------|---------------------|
-//! | Regular    | [`RegularScheme`]  — bit-by-bit trie walk | `O(W)` |
-//! | Patricia   | [`PatriciaScheme`] — compressed-trie walk | branch points |
-//! | Binary     | [`BinaryScheme`]   — search over range endpoints | `⌈log₂ 2N⌉` |
-//! | 6-way      | [`BWayScheme`]     — B-way search (cache-line probes) | `⌈log_B 2N⌉` |
-//! | Log W      | [`LogWScheme`]     — binary search over lengths | `⌈log₂ #levels⌉` |
+//! | Regular    | `RegularScheme`  — bit-by-bit trie walk | `O(W)` |
+//! | Patricia   | `PatriciaScheme` — compressed-trie walk | branch points |
+//! | Binary     | `BinaryScheme`   — search over range endpoints | `⌈log₂ 2N⌉` |
+//! | 6-way      | `BWayScheme`     — B-way search (cache-line probes) | `⌈log_B 2N⌉` |
+//! | Log W      | `LogWScheme`     — binary search over lengths | `⌈log₂ #levels⌉` |
 //!
 //! All schemes return bit-identical best matching prefixes (property-tested
 //! against [`reference_bmp`]); they differ only in the memory accesses they
@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod lenbs;
 mod ranges;
@@ -29,13 +30,16 @@ mod scheme;
 mod stride;
 mod trie_schemes;
 
-pub use lenbs::{LengthBinarySearch, LogWScheme};
-pub use ranges::{BWayScheme, BinaryScheme, RangeIndex};
+pub use lenbs::LengthBinarySearch;
+pub use ranges::RangeIndex;
 pub use scheme::{reference_bmp, Family, LookupScheme};
-pub use stride::{default_strides, SNodeId, StrideScheme, StrideTrie};
-pub use trie_schemes::{PatriciaScheme, RegularScheme};
+pub use stride::{SNodeId, StrideTrie};
 
 use clue_trie::{Address, Prefix};
+use lenbs::LogWScheme;
+use ranges::{BWayScheme, BinaryScheme};
+use stride::StrideScheme;
+use trie_schemes::{PatriciaScheme, RegularScheme};
 
 /// Builds the scheme of the given family over `prefixes`, boxed behind the
 /// common trait — convenience for experiment harnesses that sweep the

@@ -57,16 +57,6 @@ impl<A: Address> RangeIndex<A> {
         RangeIndex { keys, bmp_at, bmp_after }
     }
 
-    /// Number of endpoints.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// `true` iff the index holds no prefixes.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     fn resolve(&self, idx: usize, addr: A) -> Option<Prefix<A>> {
         if self.keys[idx] == addr {
             self.bmp_at[idx]
@@ -162,13 +152,13 @@ impl<A: Address> RangeIndex<A> {
 
 /// Baseline (3): binary search over range endpoints.
 #[derive(Debug, Clone)]
-pub struct BinaryScheme<A: Address> {
+pub(crate) struct BinaryScheme<A: Address> {
     index: RangeIndex<A>,
 }
 
 impl<A: Address> BinaryScheme<A> {
     /// Builds the scheme over the given prefixes.
-    pub fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I) -> Self {
+    pub(crate) fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I) -> Self {
         BinaryScheme { index: RangeIndex::new(prefixes) }
     }
 }
@@ -193,14 +183,14 @@ impl<A: Address> LookupScheme<A> for BinaryScheme<A> {
 
 /// Baseline (4): B-way search over range endpoints (default B = 6).
 #[derive(Debug, Clone)]
-pub struct BWayScheme<A: Address> {
+pub(crate) struct BWayScheme<A: Address> {
     index: RangeIndex<A>,
     b: u8,
 }
 
 impl<A: Address> BWayScheme<A> {
     /// Builds the scheme with branching factor `b` (the paper uses 6).
-    pub fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I, b: u8) -> Self {
+    pub(crate) fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I, b: u8) -> Self {
         assert!(b >= 2, "B-way search needs B >= 2");
         BWayScheme { index: RangeIndex::new(prefixes), b }
     }

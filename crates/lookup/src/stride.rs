@@ -49,7 +49,7 @@ pub struct StrideTrie<A: Address> {
 
 /// The default stride plan: one 16-bit first level, then 8-bit levels to
 /// the full width (16-8-8 for IPv4 — the classic DIR-24-ish layout).
-pub fn default_strides(width: u8) -> Vec<u8> {
+pub(crate) fn default_strides(width: u8) -> Vec<u8> {
     let mut strides = vec![16u8.min(width)];
     let mut used = strides[0];
     while used < width {
@@ -66,7 +66,7 @@ impl<A: Address> StrideTrie<A> {
     /// # Panics
     /// Panics if the strides do not sum to the address width or any
     /// stride is 0 or larger than 24 (slot arrays would explode).
-    pub fn with_strides<I: IntoIterator<Item = Prefix<A>>>(prefixes: I, strides: Vec<u8>) -> Self {
+    pub(crate) fn with_strides<I: IntoIterator<Item = Prefix<A>>>(prefixes: I, strides: Vec<u8>) -> Self {
         assert!(
             strides.iter().map(|&s| s as u32).sum::<u32>() == A::BITS as u32,
             "strides must cover the address width exactly"
@@ -87,7 +87,7 @@ impl<A: Address> StrideTrie<A> {
         trie
     }
 
-    /// Builds with [`default_strides`].
+    /// Builds with `default_strides`.
     pub fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I) -> Self {
         Self::with_strides(prefixes, default_strides(A::BITS))
     }
@@ -167,17 +167,20 @@ impl<A: Address> StrideTrie<A> {
     }
 
     /// Number of prefixes stored.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// `true` iff no prefixes are stored.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Number of allocated nodes.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -201,7 +204,8 @@ impl<A: Address> StrideTrie<A> {
     }
 
     /// Uncounted lookup.
-    pub fn lookup(&self, addr: A) -> Option<Prefix<A>> {
+    #[cfg(test)]
+    pub(crate) fn lookup(&self, addr: A) -> Option<Prefix<A>> {
         self.lookup_counted(addr, &mut Cost::new())
     }
 
@@ -251,27 +255,23 @@ impl<A: Address> StrideTrie<A> {
     }
 
     /// Approximate resident size in bytes (the cost of expansion).
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.nodes.iter().map(|n| n.slots.len() * core::mem::size_of::<Slot<A>>()).sum()
     }
 }
 
 /// The multibit-stride family as a [`LookupScheme`].
 #[derive(Debug, Clone)]
-pub struct StrideScheme<A: Address> {
+pub(crate) struct StrideScheme<A: Address> {
     trie: StrideTrie<A>,
 }
 
 impl<A: Address> StrideScheme<A> {
     /// Builds with the default 16-8-8… stride plan.
-    pub fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I) -> Self {
+    pub(crate) fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I) -> Self {
         StrideScheme { trie: StrideTrie::new(prefixes) }
     }
 
-    /// The underlying stride trie.
-    pub fn trie(&self) -> &StrideTrie<A> {
-        &self.trie
-    }
 }
 
 impl<A: Address> LookupScheme<A> for StrideScheme<A> {

@@ -9,21 +9,16 @@ use crate::scheme::{Family, LookupScheme};
 /// binary trie. Worst case `O(W)` accesses (`W` = address width), the
 /// standard scheme the paper reports ~22× slower than Advance.
 #[derive(Debug, Clone)]
-pub struct RegularScheme<A: Address> {
+pub(crate) struct RegularScheme<A: Address> {
     trie: BinaryTrie<A, ()>,
 }
 
 impl<A: Address> RegularScheme<A> {
     /// Builds the scheme over the given prefixes.
-    pub fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I) -> Self {
+    pub(crate) fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I) -> Self {
         RegularScheme { trie: prefixes.into_iter().map(|p| (p, ())).collect() }
     }
 
-    /// The underlying trie (shared with the clue machinery, which resumes
-    /// walks from clue vertices).
-    pub fn trie(&self) -> &BinaryTrie<A, ()> {
-        &self.trie
-    }
 }
 
 impl<A: Address> LookupScheme<A> for RegularScheme<A> {
@@ -47,20 +42,16 @@ impl<A: Address> LookupScheme<A> for RegularScheme<A> {
 /// Baseline (2): the Patricia walk — one access per path-compressed vertex
 /// visited.
 #[derive(Debug, Clone)]
-pub struct PatriciaScheme<A: Address> {
+pub(crate) struct PatriciaScheme<A: Address> {
     trie: PatriciaTrie<A>,
 }
 
 impl<A: Address> PatriciaScheme<A> {
     /// Builds the scheme over the given prefixes.
-    pub fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I) -> Self {
+    pub(crate) fn new<I: IntoIterator<Item = Prefix<A>>>(prefixes: I) -> Self {
         PatriciaScheme { trie: prefixes.into_iter().collect() }
     }
 
-    /// The underlying compressed trie.
-    pub fn trie(&self) -> &PatriciaTrie<A> {
-        &self.trie
-    }
 }
 
 impl<A: Address> LookupScheme<A> for PatriciaScheme<A> {

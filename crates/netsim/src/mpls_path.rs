@@ -15,8 +15,6 @@ use clue_trie::{Address, BinaryTrie, Cost, Prefix};
 /// One router's accounting for a packet traversing the LSP.
 #[derive(Debug, Clone)]
 pub struct LspHop {
-    /// Index along the path (0 = ingress).
-    pub position: usize,
     /// Memory accesses at this router.
     pub accesses: u64,
     /// Whether this router was an aggregation point for the label.
@@ -56,13 +54,8 @@ impl<A: Address> LabelSwitchedPath<A> {
     }
 
     /// Number of routers on the path (ingress + transit).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         1 + self.transit.len()
-    }
-
-    /// `true` iff the path has no transit routers.
-    pub fn is_empty(&self) -> bool {
-        self.transit.is_empty()
     }
 
     /// Sends one packet down the path, returning per-hop accounting.
@@ -76,13 +69,12 @@ impl<A: Address> LabelSwitchedPath<A> {
             .lookup_counted(dest, &mut cost)
             .map(|r| self.ingress_fib.prefix(r))?;
         let label = *self.labels.get(&fec).expect("ingress FIB holds exactly the FECs");
-        hops.push(LspHop { position: 0, accesses: cost.total(), aggregation_point: false });
+        hops.push(LspHop { accesses: cost.total(), aggregation_point: false });
 
-        for (i, router) in self.transit.iter().enumerate() {
+        for router in &self.transit {
             let mut cost = Cost::new();
             let decision = router.switch(label, dest, mode, &mut cost);
             hops.push(LspHop {
-                position: i + 1,
                 accesses: cost.total(),
                 aggregation_point: decision.aggregation_point,
             });
@@ -91,7 +83,8 @@ impl<A: Address> LabelSwitchedPath<A> {
     }
 
     /// Total accesses for one packet, per mode.
-    pub fn total_accesses(&self, dest: A, mode: MplsMode) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn total_accesses(&self, dest: A, mode: MplsMode) -> Option<u64> {
         self.send(dest, mode).map(|hops| hops.iter().map(|h| h.accesses).sum())
     }
 }

@@ -37,7 +37,7 @@ pub enum Hop {
 
 /// How much detail a router installs for an origin, by hop distance:
 /// `(max_distance_inclusive, installed_prefix_length)`, checked in order.
-pub type DetailBands = Vec<(usize, u8)>;
+pub(crate) type DetailBands = Vec<(usize, u8)>;
 
 /// Address-plan and engine configuration for [`Network::build`].
 #[derive(Debug, Clone)]
@@ -48,14 +48,14 @@ pub struct NetworkConfig {
     /// Long prefixes advertised per origin.
     pub specifics_per_origin: usize,
     /// Length of the advertised specifics.
-    pub specific_len: u8,
+    pub(crate) specific_len: u8,
     /// Disjointness length of origin blocks (every band length must be
     /// ≥ this; supports `2^block_len` origins).
-    pub block_len: u8,
+    pub(crate) block_len: u8,
     /// Distance-decaying detail bands.
     pub bands: DetailBands,
     /// Clue-engine configuration used by every participating router.
-    pub engine: EngineConfig,
+    pub(crate) engine: EngineConfig,
     /// Fraction of routers that participate in the clue scheme
     /// (Section 5.3's heterogeneous deployment); selected by seed.
     pub participation: f64,
@@ -73,7 +73,7 @@ pub struct NetworkConfig {
     pub edge_detail: bool,
     /// Put an LRU cache of this many entries in front of every clue
     /// table (Section 3.5); `None` = no caching.
-    pub cache_capacity: Option<usize>,
+    pub(crate) cache_capacity: Option<usize>,
     /// RNG seed (address plan + participation draw).
     pub seed: u64,
 }
@@ -105,11 +105,11 @@ pub struct RouterNode<A: Address> {
     /// The forwarding table (value = forwarding decision).
     pub fib: BinaryTrie<A, Hop>,
     /// Clue engines, one per incoming neighbor (participants only).
-    pub engines: HashMap<RouterId, ClueEngine<A>>,
+    pub(crate) engines: HashMap<RouterId, ClueEngine<A>>,
     /// The clue-less engine used for packets with no usable clue.
-    pub base: ClueEngine<A>,
+    pub(crate) base: ClueEngine<A>,
     /// Whether this router participates in the clue scheme.
-    pub participates: bool,
+    pub(crate) participates: bool,
 }
 
 /// One hop of a packet's journey.
@@ -117,15 +117,13 @@ pub struct RouterNode<A: Address> {
 pub struct HopRecord<A: Address> {
     /// The router doing the lookup.
     pub router: RouterId,
-    /// Where the packet came from (`None` at the source).
-    pub from: Option<RouterId>,
     /// The BMP found here.
     pub bmp: Option<Prefix<A>>,
     /// Memory accesses this router spent on its own lookup.
     pub cost: Cost,
     /// Extra accesses spent resolving the packet in the *next* router's
     /// table under the Section 5.4 load-shifting mode.
-    pub shift_cost: Cost,
+    pub(crate) shift_cost: Cost,
     /// Whether this router used a clue for the lookup.
     pub used_clue: bool,
 }
@@ -133,8 +131,6 @@ pub struct HopRecord<A: Address> {
 /// A packet's full journey.
 #[derive(Debug, Clone)]
 pub struct PathTrace<A: Address> {
-    /// The destination address.
-    pub dest: A,
     /// Per-hop records, source first.
     pub hops: Vec<HopRecord<A>>,
     /// `true` iff the packet reached a router that originates its BMP.
@@ -162,7 +158,6 @@ pub struct Network<A: Address> {
     routers: Vec<RouterNode<A>>,
     /// Specific prefixes per origin (parallel to `config.origins`).
     specifics: Vec<Vec<Prefix<A>>>,
-    route_trees: Vec<RouteTree>,
 }
 
 impl<A: Address> Network<A> {
@@ -244,7 +239,7 @@ impl<A: Address> Network<A> {
         let participates: Vec<bool> =
             (0..topology.len()).map(|_| rng.random_bool(config.participation)).collect();
 
-        Self::assemble(topology, config, fibs, participates, specifics, route_trees)
+        Self::assemble(topology, config, fibs, participates, specifics)
     }
 
     /// Builds a network from externally computed FIBs — e.g. the
@@ -271,9 +266,7 @@ impl<A: Address> Network<A> {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let participates: Vec<bool> =
             (0..topology.len()).map(|_| rng.random_bool(config.participation)).collect();
-        let route_trees: Vec<RouteTree> =
-            config.origins.iter().map(|&o| topology.routes_toward(o)).collect();
-        Self::assemble(topology, config, fibs, participates, specifics, route_trees)
+        Self::assemble(topology, config, fibs, participates, specifics)
     }
 
     /// Builds a network from a **converged** path-vector instance: FIBs
@@ -305,7 +298,6 @@ impl<A: Address> Network<A> {
         fibs: Vec<BinaryTrie<A, Hop>>,
         participates: Vec<bool>,
         specifics: Vec<Vec<Prefix<A>>>,
-        route_trees: Vec<RouteTree>,
     ) -> Self {
         // Engines: per participating router, one per incoming neighbor,
         // with the clue set = the neighbor's prefixes routed through us.
@@ -358,11 +350,11 @@ impl<A: Address> Network<A> {
             })
             .collect();
 
-        Network { topology, config, routers, specifics, route_trees }
+        Network { topology, config, routers, specifics }
     }
 
     /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topology
     }
 
@@ -383,11 +375,6 @@ impl<A: Address> Network<A> {
         let host =
             if span == 0 { 0 } else { (rng.random::<u64>() as u128) & ((1u128 << span) - 1) };
         A::from_u128(s.bits().to_u128() | host)
-    }
-
-    /// Hop distance between two routers, if connected.
-    pub fn distance(&self, from: RouterId, origin_index: usize) -> Option<usize> {
-        self.route_trees[origin_index].distance(from)
     }
 
     /// Forwards one packet from `src` to `dest`, recording per-hop BMPs
@@ -458,7 +445,7 @@ impl<A: Address> Network<A> {
                 }
             }
 
-            hops.push(HopRecord { router: cur, from: prev, bmp, cost, shift_cost, used_clue });
+            hops.push(HopRecord { router: cur, bmp, cost, shift_cost, used_clue });
 
             match next {
                 Some(Hop::Local) => {
@@ -472,7 +459,7 @@ impl<A: Address> Network<A> {
                 None => break, // no route: dropped
             }
         }
-        PathTrace { dest, hops, delivered }
+        PathTrace { hops, delivered }
     }
 }
 

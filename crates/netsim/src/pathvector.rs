@@ -40,9 +40,9 @@ pub enum Aggregation {
 
 /// One route in a RIB: the prefix's path back to its origin.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Route {
+pub(crate) struct Route {
     /// Routers from origin (first) to the announcer (last).
-    pub path: Vec<RouterId>,
+    pub(crate) path: Vec<RouterId>,
 }
 
 impl Route {
@@ -56,7 +56,7 @@ impl Route {
 pub struct Rib<A: Address> {
     /// Best route per prefix, with the neighbor it was learned from
     /// (`None` = originated here).
-    pub best: BTreeMap<Prefix<A>, (Route, Option<RouterId>)>,
+    pub(crate) best: BTreeMap<Prefix<A>, (Route, Option<RouterId>)>,
 }
 
 impl<A: Address> Default for Rib<A> {
@@ -87,7 +87,6 @@ pub struct PathVector<A: Address> {
     originated: Vec<Vec<Prefix<A>>>,
     aggregation: Aggregation,
     ribs: Vec<Rib<A>>,
-    rounds_run: usize,
 }
 
 impl<A: Address> PathVector<A> {
@@ -110,7 +109,7 @@ impl<A: Address> PathVector<A> {
                 ribs[r].best.insert(*p, (Route { path: vec![r] }, None));
             }
         }
-        PathVector { topology, as_of, originated, aggregation, ribs, rounds_run: 0 }
+        PathVector { topology, as_of, originated, aggregation, ribs }
     }
 
     /// The converged (or current) RIBs.
@@ -119,18 +118,13 @@ impl<A: Address> PathVector<A> {
     }
 
     /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topology
     }
 
     /// The prefixes a router originates.
     pub fn originated(&self, r: RouterId) -> &[Prefix<A>] {
         &self.originated[r]
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds_run(&self) -> usize {
-        self.rounds_run
     }
 
     /// The AS of a router.
@@ -179,8 +173,7 @@ impl<A: Address> PathVector<A> {
     }
 
     /// Runs one synchronous round. Returns `true` if any RIB changed.
-    pub fn step(&mut self) -> bool {
-        self.rounds_run += 1;
+    pub(crate) fn step(&mut self) -> bool {
         let n = self.topology.len();
         // Collect all announcements first (synchronous semantics).
         let mut inbox: Vec<Vec<(RouterId, Prefix<A>, Route)>> = vec![Vec::new(); n];

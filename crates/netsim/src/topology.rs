@@ -62,12 +62,12 @@ impl Topology {
     }
 
     /// The neighbors of a router.
-    pub fn neighbors(&self, r: RouterId) -> &[RouterId] {
+    pub(crate) fn neighbors(&self, r: RouterId) -> &[RouterId] {
         &self.adjacency[r]
     }
 
     /// Total number of undirected links.
-    pub fn link_count(&self) -> usize {
+    pub(crate) fn link_count(&self) -> usize {
         self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
     }
 
@@ -82,7 +82,8 @@ impl Topology {
     }
 
     /// A ring.
-    pub fn ring(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn ring(n: usize) -> Self {
         let mut t = Topology::line(n);
         if n > 2 {
             t.add_link(n - 1, 0);
@@ -91,7 +92,8 @@ impl Topology {
     }
 
     /// A star with router 0 in the center.
-    pub fn star(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn star(n: usize) -> Self {
         let mut t = Topology::new(n);
         for i in 1..n {
             t.add_link(0, i);
@@ -161,7 +163,7 @@ impl Topology {
     /// # Panics
     /// Panics unless `domains`, `transit_size` and `stub_size` are
     /// all at least 1.
-    pub fn transit_stub(
+    pub(crate) fn transit_stub(
         domains: usize,
         transit_size: usize,
         stubs_per_transit: usize,
@@ -244,7 +246,7 @@ impl Topology {
     ///
     /// # Panics
     /// Panics unless `1 <= m < n`.
-    pub fn preferential_attachment(n: usize, m: usize, seed: u64) -> Self {
+    pub(crate) fn preferential_attachment(n: usize, m: usize, seed: u64) -> Self {
         assert!(m >= 1 && m < n, "need 1 <= m < n");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut t = Topology::new(n);
@@ -351,11 +353,11 @@ impl Topology {
 #[derive(Debug, Clone)]
 pub struct RouteTree {
     /// The tree's destination.
-    pub dest: RouterId,
+    pub(crate) dest: RouterId,
     /// Hop distance per router (`usize::MAX` if unreachable).
-    pub dist: Vec<usize>,
+    pub(crate) dist: Vec<usize>,
     /// Next hop toward `dest` per router.
-    pub next_hop: Vec<Option<RouterId>>,
+    pub(crate) next_hop: Vec<Option<RouterId>>,
 }
 
 impl RouteTree {
@@ -383,9 +385,9 @@ impl RouteTree {
 #[derive(Debug, Clone)]
 pub struct EcmpTree {
     /// The DAG's destination.
-    pub dest: RouterId,
+    pub(crate) dest: RouterId,
     /// Hop distance per router (`usize::MAX` if unreachable).
-    pub dist: Vec<usize>,
+    pub(crate) dist: Vec<usize>,
     /// All equal-cost next hops per router (empty at `dest` and on
     /// unreachable routers), in adjacency-list order.
     pub next_hops: Vec<Vec<RouterId>>,
@@ -416,7 +418,7 @@ impl EcmpTree {
     /// chosen index is unchanged). Mixing the hop position in keeps a
     /// flow from always landing on the same index at every hop, which
     /// would polarize traffic the way real ECMP hash reuse does.
-    pub fn next_hop(&self, r: RouterId, flow_key: u64, hop: usize) -> Option<RouterId> {
+    pub(crate) fn next_hop(&self, r: RouterId, flow_key: u64, hop: usize) -> Option<RouterId> {
         let set = &self.next_hops[r];
         if set.is_empty() {
             return None;

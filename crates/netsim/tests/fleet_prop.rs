@@ -69,7 +69,7 @@ proptest! {
                 // hop closer — the strict descent that rules loops out.
                 for &nh in &ecmp.next_hops[src] {
                     prop_assert!(t.has_link(src, nh));
-                    prop_assert_eq!(ecmp.dist[nh] + 1, d);
+                    prop_assert_eq!(ecmp.distance(nh).map(|h| h + 1), Some(d));
                 }
                 prop_assert_eq!(ecmp.next_hops[src].is_empty(), src == dest);
 

@@ -211,9 +211,9 @@ fn check_serving<A: Address, E: CompiledBackend<A>>(
         prop_assert_eq!(packets, n as u64, "every packet attributed to a core: {}", at);
         let batches: u64 = report.cores.iter().map(|c| c.batches).sum();
         prop_assert_eq!(batches, n.div_ceil(batch) as u64, "every job served once: {}", at);
-        for c in &report.cores {
-            prop_assert!(c.replica_clones >= 1, "core {} never primed: {}", c.worker, at);
-            prop_assert_eq!(c.max_staleness, 0, "core {} ran stale: {}", c.worker, at);
+        for (w, c) in report.cores.iter().enumerate() {
+            prop_assert!(c.replica_clones >= 1, "core {} never primed: {}", w, at);
+            prop_assert_eq!(c.max_staleness, 0, "core {} ran stale: {}", w, at);
         }
     }
     Ok(())

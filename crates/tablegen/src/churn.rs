@@ -49,26 +49,26 @@ pub struct RouteUpdate<A: Address> {
 #[derive(Debug, Clone)]
 pub struct ChurnConfig {
     /// Total updates across the whole stream.
-    pub updates: usize,
+    pub(crate) updates: usize,
     /// Mean updates per batch (one batch = one snapshot republish).
-    pub mean_batch: usize,
+    pub(crate) mean_batch: usize,
     /// Burstiness in `[0, 1]`: 0 draws every batch size uniformly
     /// around the mean; higher values mix in rare batches an order of
     /// magnitude larger (session resets).
-    pub burstiness: f64,
+    pub(crate) burstiness: f64,
     /// Prefix locality in `[0, 1]`: the probability that an update
     /// targets the neighborhood of a recently-touched prefix (flap
     /// clusters) instead of a uniformly random victim.
-    pub locality: f64,
+    pub(crate) locality: f64,
     /// Fraction of updates that withdraw a live prefix.
-    pub withdraw_fraction: f64,
+    pub(crate) withdraw_fraction: f64,
     /// Fraction of updates that modify a live prefix in place.
-    pub modify_fraction: f64,
+    pub(crate) modify_fraction: f64,
     /// The table never shrinks below this many prefixes (withdraws
     /// redraw as announces at the floor).
-    pub min_table: usize,
+    pub(crate) min_table: usize,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl ChurnConfig {

@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod churn;
 mod neighbor;
@@ -36,14 +37,10 @@ mod traffic;
 
 pub use churn::{end_state, generate_churn, ChurnConfig, RouteUpdate, UpdateKind};
 pub use neighbor::{derive_neighbor, NeighborConfig};
-pub use ortc::{minimize, minimize_with_hops, NextHop};
-pub use parse::{format_prefixes, parse_prefixes, parse_table, ParseTableError, TableLine};
-pub use stats::{
-    export_length_histogram, intersection_size, length_histogram, length_l1_distance,
-    problematic_clues, PairStats,
-};
+pub use ortc::minimize;
+pub use parse::{format_prefixes, parse_prefixes, parse_table};
+pub use stats::{export_length_histogram, length_histogram, length_l1_distance, PairStats};
 pub use synth::{
-    rebase_into_block, synthesize, synthesize_ipv4, synthesize_ipv4_modern, synthesize_ipv6,
-    SynthConfig,
+    rebase_into_block, synthesize_ipv4, synthesize_ipv4_modern, synthesize_ipv6, SynthConfig,
 };
-pub use traffic::{generate, TrafficConfig, TrafficModel, ZipfSampler};
+pub use traffic::{generate, generate_with_clues, TrafficConfig, TrafficModel, ZipfSampler};

@@ -140,13 +140,9 @@ mod tests {
 
     #[test]
     fn refinements_create_problematic_clues() {
-        use clue_core::problematic_fraction;
-        use clue_trie::BinaryTrie;
         let base = synthesize_ipv4(3000, 9);
         let neighbor = derive_neighbor(&base, &NeighborConfig::same_isp(2));
-        let t1: BinaryTrie<clue_trie::Ip4, ()> = base.iter().map(|p| (*p, ())).collect();
-        let t2: BinaryTrie<clue_trie::Ip4, ()> = neighbor.iter().map(|p| (*p, ())).collect();
-        let frac = problematic_fraction(&t1, &t2);
+        let frac = crate::PairStats::compute(&base, &neighbor).problematic_fraction();
         assert!(frac > 0.0, "no problematic clues generated");
         assert!(frac < 0.10, "too many problematic clues: {frac}");
     }

@@ -33,7 +33,7 @@ use std::collections::BTreeSet;
 use clue_trie::{Address, BinaryTrie, NodeId, Prefix};
 
 /// A next-hop label.
-pub type NextHop = u32;
+pub(crate) type NextHop = u32;
 
 #[derive(Debug, Clone, Default)]
 struct OrtcNode {
@@ -170,18 +170,6 @@ pub fn minimize<A: Address>(entries: &[(Prefix<A>, NextHop)]) -> Vec<(Prefix<A>,
     let root = ortc.build(trie.root(), None);
     ortc.select(trie.root(), root, None);
     ortc.out
-}
-
-/// Convenience: minimize a prefix *set* where every prefix maps to its
-/// position's next hop in `hops` (parallel slices).
-pub fn minimize_with_hops<A: Address>(
-    prefixes: &[Prefix<A>],
-    hops: &[NextHop],
-) -> Vec<(Prefix<A>, NextHop)> {
-    assert_eq!(prefixes.len(), hops.len(), "parallel slices");
-    let entries: Vec<(Prefix<A>, NextHop)> =
-        prefixes.iter().copied().zip(hops.iter().copied()).collect();
-    minimize(&entries)
 }
 
 #[cfg(test)]

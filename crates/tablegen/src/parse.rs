@@ -23,9 +23,9 @@ pub struct TableLine<A: Address> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseTableError {
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
     /// The underlying address error.
-    pub source: ParseAddressError,
+    pub(crate) source: ParseAddressError,
 }
 
 impl fmt::Display for ParseTableError {

@@ -21,20 +21,20 @@ use rand::{RngExt, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct SynthConfig {
     /// Number of prefixes to generate.
-    pub target: usize,
+    pub(crate) target: usize,
     /// Probability that a new prefix is nested under an already-generated
     /// shorter prefix (producing the aggregate/refinement structure that
     /// drives the clue dynamics).
-    pub nesting: f64,
+    pub(crate) nesting: f64,
     /// Weighted prefix-length histogram `(length, weight)`.
-    pub histogram: Vec<(u8, f64)>,
+    pub(crate) histogram: Vec<(u8, f64)>,
     /// Number of distinct top-level blocks addresses cluster into
     /// (models the bounded allocated space of the era).
-    pub top_blocks: u32,
+    pub(crate) top_blocks: u32,
     /// Bit length of a top-level block (8 for IPv4 /8s).
-    pub top_block_len: u8,
+    pub(crate) top_block_len: u8,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Redirect draws away from saturated prefix lengths.
     ///
     /// At 1M–10M prefixes the short end of the histogram runs out of
@@ -46,7 +46,7 @@ pub struct SynthConfig {
     /// every unsaturated table) is untouched. The historical
     /// [`SynthConfig::ipv4`] / [`SynthConfig::ipv6`] presets leave it
     /// off to keep their seeded outputs byte-identical.
-    pub capacity_aware: bool,
+    pub(crate) capacity_aware: bool,
 }
 
 impl SynthConfig {
@@ -123,7 +123,7 @@ impl SynthConfig {
     /// can ever emit: fresh prefixes shorter than a top-level block are
     /// unconstrained (`2^len`), everything else lives inside one of the
     /// `top_blocks` blocks.
-    pub fn length_capacity(&self, len: u8) -> u128 {
+    pub(crate) fn length_capacity(&self, len: u8) -> u128 {
         if len < self.top_block_len {
             1u128 << len
         } else {
@@ -134,7 +134,7 @@ impl SynthConfig {
     /// IPv6 defaults: the aggregation structure the paper assumes
     /// (“assuming IPv6 uses aggregation in a way similar to IPv4”) —
     /// /32 allocations, /48 sites, /64 subnets.
-    pub fn ipv6(target: usize, seed: u64) -> Self {
+    pub(crate) fn ipv6(target: usize, seed: u64) -> Self {
         SynthConfig {
             target,
             nesting: 0.45,
@@ -163,7 +163,7 @@ impl SynthConfig {
 /// Generates a synthetic forwarding table per `config`.
 ///
 /// Deterministic in the seed; output is sorted and duplicate-free.
-pub fn synthesize<A: Address>(config: &SynthConfig) -> Vec<Prefix<A>> {
+pub(crate) fn synthesize<A: Address>(config: &SynthConfig) -> Vec<Prefix<A>> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let weights: f64 = config.histogram.iter().map(|(_, w)| w).sum();
     assert!(weights > 0.0, "histogram must have positive total weight");

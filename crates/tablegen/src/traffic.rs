@@ -89,16 +89,6 @@ impl ZipfSampler {
         ZipfSampler { cdf, order }
     }
 
-    /// Number of items the sampler draws over.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// `true` iff the sampler has no items (every draw returns `None`).
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
     /// Draws one item index (one `rng` draw), `None` if empty.
     pub fn sample(&self, rng: &mut StdRng) -> Option<usize> {
         let &total = self.cdf.last()?;
@@ -117,8 +107,37 @@ pub fn generate<A: Address>(
     receiver: &[Prefix<A>],
     config: &TrafficConfig,
 ) -> Vec<A> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let t1: BinaryTrie<A, ()> = sender.iter().map(|p| (*p, ())).collect();
+    draw(&t1, sender, receiver, config)
+}
+
+/// Generates destinations as [`generate`] does, each with the honest
+/// clue its sender stamps: the destination's best matching prefix in
+/// `sender`, or `None` where that is absent or the empty /0 prefix (a
+/// default route says nothing about where the lookup may start). The
+/// sender trie is built once and shared by the draw and the clues.
+pub fn generate_with_clues<A: Address>(
+    sender: &[Prefix<A>],
+    receiver: &[Prefix<A>],
+    config: &TrafficConfig,
+) -> (Vec<A>, Vec<Option<Prefix<A>>>) {
+    let t1: BinaryTrie<A, ()> = sender.iter().map(|p| (*p, ())).collect();
+    let dests = draw(&t1, sender, receiver, config);
+    let clues = dests
+        .iter()
+        .map(|&d| t1.lookup(d).map(|r| t1.prefix(r)).filter(|c| !c.is_empty()))
+        .collect();
+    (dests, clues)
+}
+
+/// The draw behind [`generate`], over the prebuilt sender trie `t1`.
+fn draw<A: Address>(
+    t1: &BinaryTrie<A, ()>,
+    sender: &[Prefix<A>],
+    receiver: &[Prefix<A>],
+    config: &TrafficConfig,
+) -> Vec<A> {
+    let mut rng = StdRng::seed_from_u64(config.seed);
     let t2: BinaryTrie<A, ()> = receiver.iter().map(|p| (*p, ())).collect();
     let width_mask: u128 =
         if A::BITS as u32 >= 128 { u128::MAX } else { (1u128 << A::BITS) - 1 };

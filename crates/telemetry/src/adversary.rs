@@ -38,7 +38,8 @@ pub struct AdversaryTelemetry {
 impl AdversaryTelemetry {
     /// A detached bundle: live cells in a private registry, exported
     /// nowhere.
-    pub fn detached() -> Self {
+    #[cfg(test)]
+    pub(crate) fn detached() -> Self {
         Self::registered(&Registry::new(), "detached")
     }
 
@@ -97,7 +98,8 @@ pub struct ReputationTelemetry {
 impl ReputationTelemetry {
     /// A detached bundle: live cells in a private registry, exported
     /// nowhere.
-    pub fn detached() -> Self {
+    #[cfg(test)]
+    pub(crate) fn detached() -> Self {
         Self::registered(&Registry::new(), "detached")
     }
 

@@ -19,18 +19,19 @@ use crate::registry::{Counter, Registry};
 #[derive(Clone, Debug)]
 pub struct BatchTelemetry {
     /// Batch calls served.
-    pub batches_total: Counter,
+    pub(crate) batches_total: Counter,
     /// Packets resolved.
-    pub packets_total: Counter,
+    pub(crate) packets_total: Counter,
     /// Software prefetches issued ahead of their lookup (0 when the
     /// prefetch window is 1).
-    pub prefetches_total: Counter,
+    pub(crate) prefetches_total: Counter,
 }
 
 impl BatchTelemetry {
     /// A detached bundle: live cells in a private registry, exported
     /// nowhere.
-    pub fn detached() -> Self {
+    #[cfg(test)]
+    pub(crate) fn detached() -> Self {
         Self::registered(&Registry::new(), "detached", "detached")
     }
 

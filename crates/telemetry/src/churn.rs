@@ -38,7 +38,8 @@ pub struct ChurnTelemetry {
 impl ChurnTelemetry {
     /// A detached bundle: live cells in a private registry, exported
     /// nowhere.
-    pub fn detached() -> Self {
+    #[cfg(test)]
+    pub(crate) fn detached() -> Self {
         Self::registered(&Registry::new(), "detached")
     }
 

@@ -21,23 +21,24 @@ pub struct CompressedTelemetry {
     pub batch: BatchTelemetry,
     /// Bytes of the compressed walk arena (bitmap quads + rank
     /// directories).
-    pub arena_bytes: Gauge,
+    pub(crate) arena_bytes: Gauge,
     /// Bytes of the clue buckets (descriptors, slots, FD tags).
-    pub bucket_bytes: Gauge,
+    pub(crate) bucket_bytes: Gauge,
     /// Bytes of the tag → prefix dictionary (control plane only; the
     /// hot walk never touches it).
-    pub dict_bytes: Gauge,
+    pub(crate) dict_bytes: Gauge,
     /// Trie vertices encoded in the arena.
-    pub nodes: Gauge,
+    pub(crate) nodes: Gauge,
     /// Walk-arena bytes per receiver prefix — the headline compression
     /// figure (the frozen arena runs ~60 B/prefix at 1M routes).
-    pub bytes_per_prefix: Gauge,
+    pub(crate) bytes_per_prefix: Gauge,
 }
 
 impl CompressedTelemetry {
     /// A detached bundle: live cells in a private registry, exported
     /// nowhere.
-    pub fn detached() -> Self {
+    #[cfg(test)]
+    pub(crate) fn detached() -> Self {
         Self::registered(&Registry::new(), "detached")
     }
 

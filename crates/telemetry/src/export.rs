@@ -9,6 +9,7 @@
 //! estimates (see [`crate::HistogramSnapshot::quantile`]) as untyped
 //! `{name}_p50`… samples in Prometheus and as `"p50"`… fields in JSON.
 
+#[cfg(test)]
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -38,6 +39,7 @@ fn escape_help(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
+#[cfg(test)]
 fn unescape_help(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -80,7 +82,7 @@ fn escape_label_value(s: &str) -> String {
 /// `# TYPE` comments followed by samples; histograms expand into
 /// cumulative `_bucket{le="…"}` series plus `_sum`, `_count` and
 /// untyped interpolated `_p50`/`_p90`/`_p99` quantile estimates.
-pub fn to_prometheus(registry: &Registry) -> String {
+pub(crate) fn to_prometheus(registry: &Registry) -> String {
     let mut out = String::new();
     for (name, help, snap) in registry.snapshot() {
         if !help.is_empty() {
@@ -129,7 +131,7 @@ pub fn to_prometheus(registry: &Registry) -> String {
 ///   }
 /// }
 /// ```
-pub fn to_json(registry: &Registry) -> String {
+pub(crate) fn to_json(registry: &Registry) -> String {
     let snapshot = registry.snapshot();
     let mut out = String::from("{\n");
     for (i, (name, _help, snap)) in snapshot.iter().enumerate() {
@@ -178,29 +180,33 @@ pub fn to_json(registry: &Registry) -> String {
 /// A parsed Prometheus text-exposition document — the verification side
 /// of the exporter, used to round-trip what the scrape server serves.
 #[derive(Debug, Default, Clone, PartialEq)]
-pub struct PromDocument {
+#[cfg(test)]
+pub(crate) struct PromDocument {
     /// `# HELP` texts by metric family name, unescaped.
-    pub helps: BTreeMap<String, String>,
+    pub(crate) helps: BTreeMap<String, String>,
     /// `# TYPE` declarations by metric family name.
-    pub types: BTreeMap<String, String>,
+    pub(crate) types: BTreeMap<String, String>,
     /// Sample values keyed by full series id (`name` or
     /// `name{labels}`, labels verbatim as rendered).
-    pub samples: BTreeMap<String, f64>,
+    pub(crate) samples: BTreeMap<String, f64>,
 }
 
+#[cfg(test)]
 impl PromDocument {
     /// The value of the series `id` (`name` or `name{labels}`).
-    pub fn sample(&self, id: &str) -> Option<f64> {
+    pub(crate) fn sample(&self, id: &str) -> Option<f64> {
         self.samples.get(id).copied()
     }
 }
 
+#[cfg(test)]
 fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     chars.next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
         && name.chars().skip(1).all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
+#[cfg(test)]
 fn parse_prom_value(s: &str) -> Result<f64, String> {
     match s {
         "NaN" => Ok(f64::NAN),
@@ -214,7 +220,8 @@ fn parse_prom_value(s: &str) -> Result<f64, String> {
 /// validating enough structure for conformance tests: `# HELP` /
 /// `# TYPE` comment grammar, metric-name syntax, balanced label braces
 /// and numeric sample values (including `NaN` / `±Inf`).
-pub fn parse_prometheus(text: &str) -> Result<PromDocument, String> {
+#[cfg(test)]
+pub(crate) fn parse_prometheus(text: &str) -> Result<PromDocument, String> {
     let mut doc = PromDocument::default();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim_end();

@@ -50,7 +50,8 @@ pub struct DegradationTelemetry {
 impl DegradationTelemetry {
     /// A detached bundle with per-class counters for `class_labels`:
     /// live cells in a private registry, exported nowhere.
-    pub fn detached(class_labels: &[&str]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn detached(class_labels: &[&str]) -> Self {
         Self::registered(&Registry::new(), "detached", class_labels)
     }
 
@@ -108,7 +109,8 @@ impl DegradationTelemetry {
     }
 
     /// The class labels, in construction order.
-    pub fn class_labels(&self) -> impl Iterator<Item = &str> {
+    #[cfg(test)]
+    pub(crate) fn class_labels(&self) -> impl Iterator<Item = &str> {
         self.classes.iter().map(|(l, _)| l.as_str())
     }
 }

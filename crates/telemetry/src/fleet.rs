@@ -75,7 +75,8 @@ pub struct FleetTelemetry {
 impl FleetTelemetry {
     /// A detached bundle: live cells in a private registry, exported
     /// nowhere.
-    pub fn detached() -> Self {
+    #[cfg(test)]
+    pub(crate) fn detached() -> Self {
         Self::registered(&Registry::new(), "detached")
     }
 

@@ -8,7 +8,7 @@
 //! what it did, in a form that can be aggregated, snapshotted and
 //! exported. This crate provides it, with zero external dependencies:
 //!
-//! * [`Registry`] — named [`Counter`]s, [`Gauge`]s and fixed-bucket
+//! * [`Registry`] — named [`Counter`]s, `Gauge`s and fixed-bucket
 //!   [`Histogram`]s over `AtomicU64` cells. Handles are cheap clones
 //!   of shared atomics, so the hot path never takes a lock and a
 //!   shared `&Registry` works from parallel workloads. Counters and
@@ -18,7 +18,7 @@
 //! * [`ScrapeServer`] — a zero-dependency HTTP endpoint (std
 //!   `TcpListener`) serving `/metrics` (Prometheus) and
 //!   `/metrics.json` live while a workload runs.
-//! * [`trace`] — structured per-lookup events ([`LookupEvent`]) that
+//! * `trace` — structured per-lookup events ([`LookupEvent`]) that
 //!   [`LookupTelemetry::record`] folds into its counters and
 //!   histograms.
 //! * `export` — renders any registry to Prometheus text-exposition
@@ -27,9 +27,7 @@
 //!   pre-named metric bundles for the workspace's hot paths, following
 //!   the `clue_<component>_<metric>` naming convention
 //!   (`clue_core_lookups_total`, `clue_cache_hits_total`, …). Each
-//!   bundle has one constructor, `registered(registry, prefix, …)`; a
-//!   `detached()` bundle is the same bundle registered into a private
-//!   registry that nothing exports.
+//!   bundle has one constructor, `registered(registry, prefix, …)`.
 //!
 //! Instrumentation is runtime-gated: components hold an
 //! `Option<LookupTelemetry>` and skip all recording when it is absent,
@@ -37,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod adversary;
 mod churn;
@@ -50,17 +49,16 @@ mod registry;
 mod runtime;
 mod server;
 mod shard;
-pub mod trace;
+pub(crate) mod trace;
 
 pub use adversary::{AdversaryTelemetry, ReputationTelemetry};
 pub use churn::ChurnTelemetry;
 pub use batch::BatchTelemetry;
 pub use compressed::CompressedTelemetry;
 pub use fault::DegradationTelemetry;
-pub use export::{parse_prometheus, to_json, to_prometheus, PromDocument};
 pub use fleet::FleetTelemetry;
 pub use lookup::{CacheTelemetry, LookupTelemetry};
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Metric, Registry, Snapshot};
+pub use registry::{Counter, Histogram, HistogramSnapshot, Registry};
 pub use runtime::RuntimeTelemetry;
 pub use server::ScrapeServer;
 pub use trace::{LookupClass, LookupEvent};
@@ -70,7 +68,7 @@ pub use trace::{LookupClass, LookupEvent};
 pub const MEMORY_REFERENCE_BOUNDS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
 
 /// Default search-depth histogram bounds (continued-walk lengths).
-pub const SEARCH_DEPTH_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32];
+pub(crate) const SEARCH_DEPTH_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32];
 
 /// Default clue/prefix-length histogram bounds (IPv4-centric, but the
 /// overflow bucket absorbs IPv6 lengths).
@@ -80,7 +78,7 @@ pub const PREFIX_LENGTH_BOUNDS: &[u64] = &[8, 12, 16, 20, 24, 28, 32];
 /// table re-freezes in well under a millisecond, a production-scale
 /// one in the tens of milliseconds — the overflow bucket absorbs
 /// pathological stalls.
-pub const REBUILD_LATENCY_BOUNDS_US: &[u64] =
+pub(crate) const REBUILD_LATENCY_BOUNDS_US: &[u64] =
     &[50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000];
 
 /// Default degraded-lookup cost-overhead bounds, in extra memory
@@ -88,7 +86,7 @@ pub const REBUILD_LATENCY_BOUNDS_US: &[u64] =
 /// A sound fault costs at most a wasted clue-table probe plus the full
 /// fallback walk, so the interesting range is small; the overflow
 /// bucket would indicate an unsound (and therefore buggy) degradation.
-pub const DEGRADED_COST_BOUNDS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
+pub(crate) const DEGRADED_COST_BOUNDS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
 
 /// Default per-lookup latency bounds, in nanoseconds: geometric from a
 /// cache-resident clue hit (tens of ns) up past a cold full walk; the

@@ -23,22 +23,23 @@ use crate::{MEMORY_REFERENCE_BOUNDS, PREFIX_LENGTH_BOUNDS, SEARCH_DEPTH_BOUNDS};
 #[derive(Debug, Clone)]
 pub struct LookupTelemetry {
     /// Every lookup observed.
-    pub lookups_total: Counter,
+    pub(crate) lookups_total: Counter,
     /// Lookups by resolution class, indexed by `class as usize`, which
     /// is the class's position in [`LookupClass::all`].
-    pub by_class: [Counter; 5],
+    pub(crate) by_class: [Counter; 5],
     /// Total memory references per lookup.
-    pub memory_references: Histogram,
+    pub(crate) memory_references: Histogram,
     /// Continued-search depth per lookup (0 for final hits).
-    pub search_depth: Histogram,
+    pub(crate) search_depth: Histogram,
     /// Length of the clue carried, for clue-bearing lookups.
-    pub clue_length: Histogram,
+    pub(crate) clue_length: Histogram,
 }
 
 impl LookupTelemetry {
     /// A detached bundle: live cells in a private registry, exported
     /// nowhere.
-    pub fn detached() -> Self {
+    #[cfg(test)]
+    pub(crate) fn detached() -> Self {
         Self::registered(&Registry::new(), "detached")
     }
 
@@ -129,11 +130,6 @@ pub struct CacheTelemetry {
 }
 
 impl CacheTelemetry {
-    /// A detached bundle: live cells in a private registry, exported
-    /// nowhere.
-    pub fn detached() -> Self {
-        Self::registered(&Registry::new(), "detached")
-    }
 
     /// A bundle registered into `registry` under `prefix` (the
     /// workspace uses `clue_cache`), creating or sharing

@@ -25,11 +25,11 @@ pub struct RuntimeTelemetry {
     /// Worker cores in the most recent run.
     pub workers: Gauge,
     /// Packet batches (jobs) served by worker cores.
-    pub batches_total: Counter,
+    pub(crate) batches_total: Counter,
     /// Packets served by worker cores.
-    pub packets_total: Counter,
+    pub(crate) packets_total: Counter,
     /// Per-core replica re-clones triggered by an epoch publish.
-    pub replica_clones_total: Counter,
+    pub(crate) replica_clones_total: Counter,
     /// Replica clone latency (microseconds), priming and mid-run.
     pub replica_clone_us: Histogram,
     /// Epoch staleness observed per served batch (epochs behind the
@@ -40,7 +40,8 @@ pub struct RuntimeTelemetry {
 impl RuntimeTelemetry {
     /// A detached bundle: live cells in a private registry, exported
     /// nowhere.
-    pub fn detached() -> Self {
+    #[cfg(test)]
+    pub(crate) fn detached() -> Self {
         Self::registered(&Registry::new(), "detached")
     }
 

@@ -32,7 +32,7 @@ use crate::registry::Registry;
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
 /// A live metrics endpoint serving a shared [`Registry`]; see the
-/// module docs. Shuts down on [`ScrapeServer::shutdown`] or drop.
+/// module docs. Shuts down on `ScrapeServer::shutdown` or drop.
 #[derive(Debug)]
 pub struct ScrapeServer {
     addr: SocketAddr,
@@ -64,7 +64,7 @@ impl ScrapeServer {
     }
 
     /// Stops the accept loop and joins the server thread. Idempotent.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
             let _ = t.join();

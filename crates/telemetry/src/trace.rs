@@ -22,7 +22,7 @@ pub enum LookupClass {
 
 impl LookupClass {
     /// All classes, in a stable order.
-    pub fn all() -> [LookupClass; 5] {
+    pub(crate) fn all() -> [LookupClass; 5] {
         [
             LookupClass::Clueless,
             LookupClass::Final,
@@ -33,7 +33,7 @@ impl LookupClass {
     }
 
     /// The metric-name fragment for this class.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             LookupClass::Clueless => "clueless",
             LookupClass::Final => "final",
@@ -60,7 +60,8 @@ pub struct LookupEvent {
 
 impl LookupEvent {
     /// An event for a clue-less full lookup costing `memory_references`.
-    pub fn clueless(memory_references: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn clueless(memory_references: u64) -> Self {
         LookupEvent {
             clue_len: None,
             class: LookupClass::Clueless,

@@ -243,9 +243,9 @@ impl fmt::Debug for Ip6 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseAddressError {
     /// The text that failed to parse.
-    pub input: String,
+    pub(crate) input: String,
     /// Human-readable reason.
-    pub reason: &'static str,
+    pub(crate) reason: &'static str,
 }
 
 impl fmt::Display for ParseAddressError {

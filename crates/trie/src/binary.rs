@@ -56,7 +56,7 @@ impl RouteId {
     }
 
     /// The arena index (useful for building per-route side tables).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0.get() as usize - 1
     }
 }
@@ -474,11 +474,6 @@ impl<A: Address, T> BinaryTrie<A, T> {
     /// Iterates over all marked prefixes.
     pub fn prefixes(&self) -> impl Iterator<Item = Prefix<A>> + '_ {
         self.iter().map(|(_, p, _)| p)
-    }
-
-    /// `true` iff `prefix` is marked in this trie.
-    pub fn contains_prefix(&self, prefix: &Prefix<A>) -> bool {
-        self.by_prefix.contains_key(prefix)
     }
 
     /// Approximate resident size in bytes (vertex array + route array),

@@ -79,10 +79,6 @@ impl Cost {
         self.cache_reads += 1;
     }
 
-    /// Reset all counters to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 impl AddAssign for Cost {
@@ -175,10 +171,6 @@ impl CostStats {
         self.sum += other.sum;
     }
 
-    /// Sum of all recorded costs, by category.
-    pub fn sum(&self) -> Cost {
-        self.sum
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +216,7 @@ mod tests {
         assert_eq!(s.samples(), 2);
         assert_eq!(s.mean(), 2.0);
         assert_eq!(s.max(), 3);
-        assert_eq!(s.sum().hash_probes, 3);
+        assert_eq!(s.sum.hash_probes, 3);
     }
 
     #[test]
@@ -242,7 +234,7 @@ mod tests {
         assert_eq!(a.samples(), 2);
         assert_eq!(a.mean(), 3.0);
         assert_eq!(a.max(), 5);
-        assert_eq!(a.sum().hash_probes, 5);
+        assert_eq!(a.sum.hash_probes, 5);
     }
 
     #[test]
@@ -254,14 +246,6 @@ mod tests {
         assert_eq!(c.total(), 3);
         assert_eq!(c.slow_total(), 1);
         assert_eq!(c.cache_reads, 2);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut c = Cost::new();
-        c.trie_node();
-        c.reset();
-        assert_eq!(c, Cost::new());
     }
 
     #[test]

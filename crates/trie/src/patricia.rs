@@ -119,11 +119,6 @@ impl<A: Address> PatriciaTrie<A> {
         self.len == 0
     }
 
-    /// Number of live vertices including the root.
-    pub fn node_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.alive).count()
-    }
-
     fn node(&self, id: PNodeId) -> &PNode<A> {
         let n = &self.nodes[id.0 as usize];
         debug_assert!(n.alive, "dangling PNodeId {id:?}");
@@ -271,7 +266,8 @@ impl<A: Address> PatriciaTrie<A> {
     }
 
     /// `true` iff the prefix is stored.
-    pub fn contains(&self, p: &Prefix<A>) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, p: &Prefix<A>) -> bool {
         matches!(self.locate(p), Location::AtNode(id) if self.node(id).marked)
     }
 
@@ -305,7 +301,8 @@ impl<A: Address> PatriciaTrie<A> {
 
     /// The longest stored prefix of the string `s` (its BMP in this trie),
     /// uncounted — used when precomputing clue-table FD fields.
-    pub fn best_match_of_prefix(&self, s: &Prefix<A>) -> Option<Prefix<A>> {
+    #[cfg(test)]
+    pub(crate) fn best_match_of_prefix(&self, s: &Prefix<A>) -> Option<Prefix<A>> {
         let mut cur = self.root();
         let mut best = None;
         loop {
@@ -325,7 +322,8 @@ impl<A: Address> PatriciaTrie<A> {
     }
 
     /// Longest-prefix match of an address, uncounted.
-    pub fn lookup(&self, addr: A) -> Option<Prefix<A>> {
+    #[cfg(test)]
+    pub(crate) fn lookup(&self, addr: A) -> Option<Prefix<A>> {
         self.best_match_of_prefix(&Prefix::of_address(addr, A::BITS))
     }
 
@@ -400,7 +398,8 @@ impl<A: Address> PatriciaTrie<A> {
     }
 
     /// Iterates over all stored prefixes (pre-order).
-    pub fn prefixes(&self) -> Vec<Prefix<A>> {
+    #[cfg(test)]
+    pub(crate) fn prefixes(&self) -> Vec<Prefix<A>> {
         let mut out = Vec::with_capacity(self.len);
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {

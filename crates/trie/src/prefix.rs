@@ -101,7 +101,7 @@ impl<A: Address> Prefix<A> {
     }
 
     /// The last bit of the prefix (`None` for the root).
-    pub fn last_bit(&self) -> Option<bool> {
+    pub(crate) fn last_bit(&self) -> Option<bool> {
         if self.len == 0 {
             None
         } else {

@@ -84,5 +84,5 @@ fn full_length_host_routes() {
     pt.insert(host);
     pt.insert(p("2001:db8::/32"));
     pt.check_invariants().unwrap();
-    assert_eq!(pt.lookup(a("2001:db8::1")), Some(host));
+    assert_eq!(pt.lookup_counted(a("2001:db8::1"), &mut Cost::new()), Some(host));
 }

@@ -88,7 +88,7 @@ proptest! {
                     let a = Ip4(addr.0);
                     prop_assert_eq!(
                         bin.lookup(a).map(|r| bin.prefix(r)),
-                        pat.lookup(a)
+                        pat.lookup_counted(a, &mut Cost::new())
                     );
                 }
             }

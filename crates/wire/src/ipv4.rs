@@ -16,13 +16,13 @@ use crate::option::{
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipv4Packet {
     /// Differentiated services + ECN byte.
-    pub dscp_ecn: u8,
+    pub(crate) dscp_ecn: u8,
     /// Total length (header + payload) in bytes.
-    pub total_length: u16,
+    pub(crate) total_length: u16,
     /// Identification field.
     pub identification: u16,
     /// Flags (3 bits) and fragment offset (13 bits).
-    pub flags_fragment: u16,
+    pub(crate) flags_fragment: u16,
     /// Time to live.
     pub ttl: u8,
     /// Payload protocol.
@@ -55,11 +55,6 @@ impl Ipv4Packet {
     pub fn with_clue(mut self, clue: ClueHeader) -> Self {
         self.clue = clue;
         self
-    }
-
-    /// Header length in bytes, including options and padding.
-    pub fn header_len(&self) -> usize {
-        20 + clue_option_len(&self.clue).div_ceil(4) * 4
     }
 
     /// Serializes the header, computing the checksum.

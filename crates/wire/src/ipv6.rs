@@ -193,7 +193,7 @@ mod tests {
             let pkt = packet().with_clue(ClueHeader::with_clue(&clue));
             let back = Ipv6Packet::parse(&pkt.to_bytes()).unwrap();
             assert_eq!(
-                back.clue.clue.map(|c| c.prefix_len::<Ip6>()),
+                back.clue.decode(back.dst).map(|p| p.len()),
                 Some(len),
                 "length {len}"
             );

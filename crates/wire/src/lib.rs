@@ -6,7 +6,7 @@
 //!
 //! * [`Ipv4Packet`] — a full IPv4 header codec (checksum included) with
 //!   the clue carried as an experimental option
-//!   ([`option::CLUE_OPTION_KIND`]); 3 bytes for the plain 5-bit clue, 5
+//!   (`option::CLUE_OPTION_KIND`); 3 bytes for the plain 5-bit clue, 5
 //!   bytes with the 16-bit indexing-technique slot;
 //! * [`Ipv6Packet`] — the IPv6 variant: a hop-by-hop extension header
 //!   (routers on the path may read and rewrite it), carrying the same
@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod error;
 mod ipv4;

@@ -21,18 +21,18 @@ use clue_trie::Address;
 use crate::error::WireError;
 
 /// The experimental option kind used for clues (RFC 4727 value).
-pub const CLUE_OPTION_KIND: u8 = 0x5E;
+pub(crate) const CLUE_OPTION_KIND: u8 = 0x5E;
 
 /// Flag bit marking that a 16-bit index follows the clue byte.
 const INDEX_FLAG: u8 = 0x80;
 
 /// The largest encoded clue option: kind + length + clue byte + 16-bit
 /// index. A stack buffer of this size always fits the `_into` encoders.
-pub const MAX_CLUE_OPTION_LEN: usize = 5;
+pub(crate) const MAX_CLUE_OPTION_LEN: usize = 5;
 
 /// Length in bytes the encoded option for `header` will occupy (zero
 /// when no clue is attached).
-pub fn clue_option_len(header: &ClueHeader) -> usize {
+pub(crate) fn clue_option_len(header: &ClueHeader) -> usize {
     match (header.clue, header.index) {
         (None, _) => 0,
         (Some(_), None) => 3,
@@ -43,7 +43,8 @@ pub fn clue_option_len(header: &ClueHeader) -> usize {
 /// Serializes a clue header into IPv4 option bytes, where the length
 /// byte covers the whole option (kind + length + data). Empty when no
 /// clue is attached — an absent clue is simply no option.
-pub fn encode_clue_option(header: &ClueHeader) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn encode_clue_option(header: &ClueHeader) -> Vec<u8> {
     let mut buf = [0u8; MAX_CLUE_OPTION_LEN];
     let n = encode_clue_option_into(header, &mut buf).expect("buffer fits the largest option");
     buf[..n].to_vec()
@@ -51,7 +52,7 @@ pub fn encode_clue_option(header: &ClueHeader) -> Vec<u8> {
 
 /// Serializes a clue header into IPv6 option bytes, where the length
 /// byte covers the data only (the IPv6 options convention).
-pub fn encode_clue_option_v6(header: &ClueHeader) -> Vec<u8> {
+pub(crate) fn encode_clue_option_v6(header: &ClueHeader) -> Vec<u8> {
     let mut buf = [0u8; MAX_CLUE_OPTION_LEN];
     let n = encode_clue_option_v6_into(header, &mut buf).expect("buffer fits the largest option");
     buf[..n].to_vec()
@@ -61,13 +62,13 @@ pub fn encode_clue_option_v6(header: &ClueHeader) -> Vec<u8> {
 /// and returns the number of bytes written (zero when no clue is
 /// attached). Fails with [`WireError::Truncated`] when `buf` is shorter
 /// than the encoded option; nothing is written in that case.
-pub fn encode_clue_option_into(header: &ClueHeader, buf: &mut [u8]) -> Result<usize, WireError> {
+pub(crate) fn encode_clue_option_into(header: &ClueHeader, buf: &mut [u8]) -> Result<usize, WireError> {
     write_option(header, buf, true)
 }
 
 /// [`encode_clue_option_into`] with the IPv6 length convention (the
 /// length byte covers the data only).
-pub fn encode_clue_option_v6_into(
+pub(crate) fn encode_clue_option_v6_into(
     header: &ClueHeader,
     buf: &mut [u8],
 ) -> Result<usize, WireError> {

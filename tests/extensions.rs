@@ -135,5 +135,37 @@ fn cached_learning_engine_stays_bounded_and_fast() {
     assert_eq!(hot.slow_total(), 0, "{hot}");
     assert!(warm.slow_total() >= 1);
     assert!(engine.table().len() <= 8);
-    assert!(engine.describe().contains("cache"));
+}
+
+/// Section 5.2 across two routers: the upstream resolves a packet with
+/// the clue-less BGP-then-IGP double lookup and stamps both BMPs; the
+/// downstream, holding the same tables, resolves it to the same
+/// interface in one clue-table access per stage.
+#[test]
+fn recursive_lookup_takes_both_clues_from_the_upstream() {
+    use clue_routing::core::recursive::RecursiveLookup;
+    let a = |s: &str| -> Ip4 { s.parse().unwrap() };
+    let bgp = vec![
+        (p("20.0.0.0/8"), a("192.168.0.1")),
+        (p("20.5.0.0/16"), a("192.168.0.2")),
+        (p("30.0.0.0/8"), a("192.168.0.2")),
+    ];
+    let igp = vec![(p("192.168.0.0/30"), 1u32), (p("192.168.0.2/31"), 2u32)];
+    let bgp_prefixes: Vec<Prefix<Ip4>> = bgp.iter().map(|(q, _)| *q).collect();
+    let igp_prefixes: Vec<Prefix<Ip4>> = igp.iter().map(|(q, _)| *q).collect();
+    let router = || {
+        let config = EngineConfig::new(Family::Patricia, Method::Advance);
+        RecursiveLookup::new(bgp.clone(), igp.clone(), &bgp_prefixes, &igp_prefixes, config)
+    };
+    let (upstream, mut downstream) = (router(), router());
+    for dest in ["20.1.2.3", "20.5.9.9", "30.7.0.1"].map(a) {
+        let stamped = upstream.lookup(dest, &mut Cost::new()).expect("routable");
+        let mut cost = Cost::new();
+        let got = downstream
+            .lookup_with_clues(dest, Some(stamped.bgp_bmp), Some(stamped.igp_bmp), &mut cost)
+            .expect("routable");
+        assert_eq!(got, stamped, "{dest}");
+        assert_eq!(cost.total(), 2, "{dest}: {cost}");
+    }
+    assert!(upstream.lookup(a("99.0.0.1"), &mut Cost::new()).is_none());
 }
