@@ -11,10 +11,19 @@
 //! at clue-table prices: the cached object is a tiny FD/Ptr record, not
 //! an expensive CAM line.
 
-use clue_telemetry::CacheTelemetry;
 use clue_trie::Prefix;
 
 use crate::fxhash::{FxBuildHasher, FxHashMap};
+
+clue_telemetry::bundle! {
+    /// Telemetry for the clue-table cache (`clue_cache_*`), mirroring
+    /// [`CacheStats`].
+    pub(crate) struct CacheTelemetry in "clue_cache" {
+        hits_total: Counter = "Cache lookups served from the cache",
+        misses_total: Counter = "Cache lookups that fell through to the backing store",
+        evictions_total: Counter = "Entries evicted to make room",
+    }
+}
 
 /// Hit/miss/eviction accounting for a [`LruCache`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -154,7 +163,7 @@ impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
             Some(i) => {
                 self.stats.hits += 1;
                 if let Some(t) = &self.telemetry {
-                    t.hits.inc();
+                    t.hits_total.inc();
                 }
                 if self.head != i {
                     self.unlink(i);
@@ -165,7 +174,7 @@ impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
             None => {
                 self.stats.misses += 1;
                 if let Some(t) = &self.telemetry {
-                    t.misses.inc();
+                    t.misses_total.inc();
                 }
                 None
             }
@@ -198,7 +207,7 @@ impl<K: Copy + Eq + core::hash::Hash, V> LruCache<K, V> {
         self.map.remove(&old);
         self.stats.evictions += 1;
         if let Some(t) = &self.telemetry {
-            t.evictions.inc();
+            t.evictions_total.inc();
         }
         self.slots[victim] = Slot { key, value, prev: NIL, next: NIL };
         self.map.insert(key, victim);
@@ -251,16 +260,16 @@ mod tests {
         use clue_telemetry::Registry;
         let reg = Registry::new();
         let mut c = ClueCache::new(2);
-        c.attach_telemetry(CacheTelemetry::registered(&reg, "clue_cache"));
+        c.attach_telemetry(CacheTelemetry::registered(&reg));
         c.insert(p("1.0.0.0/8"), e("1.0.0.0/8"));
         c.insert(p("2.0.0.0/8"), e("2.0.0.0/8"));
         c.insert(p("3.0.0.0/8"), e("3.0.0.0/8"));
         let _ = c.get(&p("3.0.0.0/8"));
         let _ = c.get(&p("1.0.0.0/8"));
         let (s, t) = (c.stats(), c.telemetry().unwrap().clone());
-        assert_eq!(s.hits, t.hits.get());
-        assert_eq!(s.misses, t.misses.get());
-        assert_eq!(s.evictions, t.evictions.get());
+        assert_eq!(s.hits, t.hits_total.get());
+        assert_eq!(s.misses, t.misses_total.get());
+        assert_eq!(s.evictions, t.evictions_total.get());
         let prom = reg.to_prometheus();
         assert!(prom.contains("clue_cache_hits_total 1"), "{prom}");
         assert!(prom.contains("clue_cache_evictions_total 1"), "{prom}");

@@ -498,7 +498,7 @@ impl<A: Address> CompiledBackend<A> for CompressedEngine<A> {
     }
 
     fn batch_telemetry(&self) -> Option<&BatchTelemetry> {
-        self.compressed_telemetry.as_ref().map(|t| &t.batch)
+        self.compressed_telemetry.as_ref().map(CompressedTelemetry::batch)
     }
 
     /// A per-core replica with both telemetry bundles detached. The
@@ -707,21 +707,22 @@ mod tests {
         scalar.instrument(&registry);
         let mut compressed = CompressedEngine::compile(&scalar, &CompressedConfig).unwrap();
         assert!(compressed.telemetry().is_some(), "lookup telemetry inherited");
-        compressed.attach_compressed_telemetry(CompressedTelemetry::registered(
-            &registry,
-            "clue_compressed",
-        ));
+        compressed.attach_compressed_telemetry(CompressedTelemetry::registered(&registry));
         let dests = vec![a("10.1.2.3"), a("192.168.3.4"), a("10.9.9.9")];
         let clues = vec![Some(p("10.1.0.0/16")), Some(p("192.168.0.0/16")), None];
         let mut out = vec![Decision::default(); dests.len()];
         let stats = compressed.lookup_batch_interleaved(&dests, &clues, &mut out, 2);
         let t = compressed.telemetry().unwrap();
-        assert_eq!(registry.counter("clue_core_lookups_total", "").get(), 3);
+        let counter = |name: &str| {
+            assert!(registry.contains(name), "{name} registered");
+            registry.counter(name, "").get()
+        };
+        assert_eq!(counter("clue_core_lookups_total"), 3);
         assert_eq!(t.class_count(LookupClass::Final), stats.finals);
-        let counter = |name: &str| registry.counter(name, "").get();
         assert_eq!(counter("clue_compressed_batches_total"), 1);
         assert_eq!(counter("clue_compressed_packets_total"), 3);
         assert_eq!(counter("clue_compressed_prefetches_total"), 3);
+        assert!(registry.contains("clue_compressed_arena_bytes"));
         let arena = registry.gauge("clue_compressed_arena_bytes", "").get();
         assert_eq!(arena, compressed.arena_bytes() as f64);
     }

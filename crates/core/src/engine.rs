@@ -20,10 +20,10 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use clue_lookup::{Family, LengthBinarySearch, RangeIndex, StrideTrie};
-use clue_telemetry::{CacheTelemetry, LookupClass, LookupEvent, LookupTelemetry, Registry};
+use clue_telemetry::{LookupClass, LookupEvent, LookupTelemetry, Registry};
 use clue_trie::{Address, BinaryTrie, Cost, Location, NodeId, PatriciaTrie, Prefix};
 
-use crate::cache::{CacheStats, PresenceCache};
+use crate::cache::{CacheStats, CacheTelemetry, PresenceCache};
 use crate::classify::{classify, sweep, Classification, SortedClues, Swept};
 use crate::clue::ClueHeader;
 use crate::frozen::PatchBase;
@@ -349,19 +349,12 @@ impl<A: Address> ClueEngine<A> {
     /// search-depth / clue-length histograms, and — for a cache enabled
     /// before or after this call — `clue_cache_*` counters.
     pub fn instrument(&mut self, registry: &Registry) {
-        self.attach_telemetry(LookupTelemetry::registered(registry, "clue_core"));
-        let cache_t = CacheTelemetry::registered(registry, "clue_cache");
+        self.telemetry = Some(LookupTelemetry::registered(registry));
+        let cache_t = CacheTelemetry::registered(registry);
         if let Some(cache) = &mut self.cache {
             cache.attach_telemetry(cache_t.clone());
         }
         self.cache_telemetry = Some(cache_t);
-    }
-
-    /// Attaches a custom lookup-telemetry bundle (detached, or
-    /// registered under a non-default prefix); recording starts
-    /// immediately and mirrors every [`Self::stats`] increment.
-    pub(crate) fn attach_telemetry(&mut self, telemetry: LookupTelemetry) {
-        self.telemetry = Some(telemetry);
     }
 
     /// The attached lookup telemetry, if any.

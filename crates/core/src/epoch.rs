@@ -354,12 +354,11 @@ impl<A: Address> EpochEngine<A> {
     }
 
     /// Publishes a freshly frozen snapshot. The caller times its own
-    /// rebuild and records it in the telemetry's `rebuild_latency_us`.
+    /// rebuild and records it with [`ChurnTelemetry::record_rebuild_us`].
     pub fn publish(&self, frozen: FrozenEngine<A>) -> Publication {
         let publication = self.cell.publish(frozen);
         if let Some(t) = &self.telemetry {
-            t.swaps_total.inc();
-            t.reclaimed_total.add(publication.reclaimed as u64);
+            t.record_publish(publication.reclaimed as u64);
         }
         publication
     }
@@ -383,7 +382,7 @@ impl<A: Address> EpochEngine<A> {
     pub fn reclaim(&self) -> usize {
         let freed = self.cell.reclaim();
         if let Some(t) = &self.telemetry {
-            t.reclaimed_total.add(freed as u64);
+            t.record_reclaimed(freed as u64);
         }
         freed
     }
@@ -520,7 +519,7 @@ mod tests {
             EngineConfig::new(Family::Regular, Method::Advance),
         );
         let mut epochs = EpochEngine::new(&live).unwrap();
-        epochs.attach_telemetry(ChurnTelemetry::registered(&clue_telemetry::Registry::new(), "clue_churn"));
+        epochs.attach_telemetry(ChurnTelemetry::registered(&clue_telemetry::Registry::new()));
 
         let dest: Ip4 = "10.1.2.3".parse().unwrap();
         let clue = Some(p("10.1.0.0/16"));
@@ -537,6 +536,6 @@ mod tests {
         assert_eq!(bmp, Some(p("10.1.2.0/24")), "re-pin sees the new route");
 
         let t = epochs.telemetry().unwrap();
-        assert_eq!(t.swaps_total.get(), 1);
+        assert_eq!(t.swaps(), 1);
     }
 }

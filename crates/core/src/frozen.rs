@@ -1091,6 +1091,7 @@ pub(crate) mod tests {
         let clues = vec![Some(p("10.1.0.0/16")), Some(p("192.168.0.0/16"))];
         let stats = frozen.lookup_batch(&dests, &clues, &mut [Decision::default(); 2]);
         let t = frozen.telemetry().unwrap();
+        assert!(registry.contains("clue_core_lookups_total"));
         assert_eq!(registry.counter("clue_core_lookups_total", "").get(), 2);
         assert_eq!(t.class_count(LookupClass::Final), stats.finals);
         assert_eq!(t.class_count(LookupClass::Continued), stats.continued);

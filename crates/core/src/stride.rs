@@ -734,19 +734,18 @@ mod tests {
         scalar.instrument(&registry);
         let mut stride = StrideEngine::compile(&scalar, &StrideConfig::default()).unwrap();
         assert!(stride.telemetry().is_some(), "lookup telemetry inherited through freeze");
-        stride.attach_batch_telemetry(BatchTelemetry::registered(
-            &registry,
-            "clue_stride",
-            "stride",
-        ));
+        stride.attach_batch_telemetry(BatchTelemetry::registered(&registry, "clue_stride"));
         let dests = vec![a("10.1.2.3"), a("192.168.3.4"), a("10.9.9.9")];
         let clues = vec![Some(p("10.1.0.0/16")), Some(p("192.168.0.0/16")), None];
         let mut out = vec![Decision::default(); dests.len()];
         let stats = stride.lookup_batch_interleaved(&dests, &clues, &mut out, 2);
         let t = stride.telemetry().unwrap();
-        assert_eq!(registry.counter("clue_core_lookups_total", "").get(), 3);
+        let counter = |name: &str| {
+            assert!(registry.contains(name), "{name} registered");
+            registry.counter(name, "").get()
+        };
+        assert_eq!(counter("clue_core_lookups_total"), 3);
         assert_eq!(t.class_count(LookupClass::Final), stats.finals);
-        let counter = |name: &str| registry.counter(name, "").get();
         assert_eq!(counter("clue_stride_batches_total"), 1);
         assert_eq!(counter("clue_stride_packets_total"), 3);
         assert_eq!(counter("clue_stride_prefetches_total"), 3);

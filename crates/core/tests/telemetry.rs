@@ -21,9 +21,16 @@ const CLASS_COUNTERS: [&str; 5] = [
     "clue_core_lookups_malformed_total",
 ];
 
+/// The counter `name`, which must be registered: a misspelt name would
+/// otherwise read a fresh zero.
+fn registered_count(registry: &Registry, name: &str) -> u64 {
+    assert!(registry.contains(name), "{name} registered");
+    registry.counter(name, "").get()
+}
+
 /// `EngineStats` as the registry's per-class counters report them.
 fn registry_stats(registry: &Registry) -> EngineStats {
-    let count = |name: &str| registry.counter(name, "").get();
+    let count = |name: &str| registered_count(registry, name);
     EngineStats {
         clueless: count(CLASS_COUNTERS[0]),
         finals: count(CLASS_COUNTERS[1]),
@@ -71,10 +78,9 @@ proptest! {
             calls += 1;
         }
 
-        let total = registry.counter("clue_core_lookups_total", "").get();
+        let total = registered_count(&registry, "clue_core_lookups_total");
         prop_assert_eq!(total, calls);
-        let class_sum: u64 =
-            CLASS_COUNTERS.iter().map(|n| registry.counter(n, "").get()).sum();
+        let class_sum: u64 = CLASS_COUNTERS.iter().map(|n| registered_count(&registry, n)).sum();
         prop_assert_eq!(class_sum, calls);
         let stats = engine.stats();
         prop_assert_eq!(stats.total(), calls);

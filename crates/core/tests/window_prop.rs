@@ -77,6 +77,7 @@ fn check_windows<A: Address, E: CompiledBackend<A>>(
             prop_assert_eq!(stats, tally(&want[..len]), "{} window {} stats", E::NAME, window);
             seen.merge(&stats);
             prop_assert_eq!(recorded(t), seen, "{} window {} events", E::NAME, window);
+            prop_assert!(registry.contains("clue_core_lookups_total"));
             let lookups = registry.counter("clue_core_lookups_total", "").get();
             prop_assert_eq!(lookups, seen.total());
         }

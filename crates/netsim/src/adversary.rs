@@ -32,12 +32,85 @@
 //! records when quarantine engages, when probation re-admits, and
 //! whether post-attack savings reconverge to the honest fleet's.
 //! [`participation_sweep`] repeats that run over partial deployments.
+//!
+//! Two metric bundles name what that run observes: [`AdversaryTelemetry`]
+//! (`clue_adversary_*`) the attack side — hops attacked, clues crafted,
+//! malformed floods injected, the worst measured per-hop overhead
+//! against the soundness bound — and [`ReputationTelemetry`]
+//! (`clue_reputation_*`) the defense side — batches scored,
+//! quarantine/probation/re-admission transitions, links currently
+//! quarantined and the worst score in the book.
 
-use clue_core::{BackendError, Method};
+use clue_core::{BackendError, Method, ReputationBook};
 use clue_trie::{Ip4, Prefix};
 
 use crate::fleet::{Fleet, FleetAdversaryConfig, FleetConfig};
 use crate::sim::packet_seed;
+
+clue_telemetry::bundle! {
+    /// Telemetry for attacker activity and its measured cost
+    /// (`clue_adversary_*`); clones share cells.
+    pub struct AdversaryTelemetry in "clue_adversary" {
+        attacked_hops_total: Counter = "Link crossings where an adversary picked the clue",
+        crafted_clues_total: Counter = "Deepest-mismatch clues crafted against a victim table",
+        flood_clues_total: Counter = "Malformed clues injected by flooding bursts",
+        /// Packets whose overhead exceeded clue-less cost + 1 probe.
+        /// Anything but 0 is an engine bug, not a successful attack.
+        bound_violations_total: Counter = "Packets exceeding the soundness bound (must stay 0)",
+        worst_overhead: Gauge = "Worst per-packet overhead observed",
+    }
+}
+
+impl AdversaryTelemetry {
+    /// Records one adversarial round's tally.
+    pub(crate) fn record_round(
+        &self,
+        attacked_hops: u64,
+        crafted: u64,
+        floods: u64,
+        bound_violations: u64,
+        overhead_max: u64,
+    ) {
+        self.attacked_hops_total.add(attacked_hops);
+        self.crafted_clues_total.add(crafted);
+        self.flood_clues_total.add(floods);
+        self.bound_violations_total.add(bound_violations);
+        if overhead_max as f64 > self.worst_overhead.get() {
+            self.worst_overhead.set(overhead_max as f64);
+        }
+    }
+}
+
+clue_telemetry::bundle! {
+    /// Telemetry for the reputation / quarantine defense
+    /// (`clue_reputation_*`); clones share cells.
+    pub struct ReputationTelemetry in "clue_reputation" {
+        batches_observed_total: Counter = "Batches folded into the reputation book",
+        quarantines_total: Counter = "Transitions into quarantine",
+        probations_total: Counter = "Quarantine hold-downs expired into probation",
+        readmissions_total: Counter = "Probations succeeded back to Healthy",
+        quarantined_links: Gauge = "Links currently serving clue-less under quarantine",
+        /// 1.0 = pristine, 0.0 = fully collapsed.
+        min_score: Gauge = "Lowest reputation score in the book",
+    }
+}
+
+impl ReputationTelemetry {
+    /// Records one round that folded a batch from each of `links` links
+    /// into `book`.
+    pub(crate) fn record_round(&self, links: u64, book: &ReputationBook) {
+        self.batches_observed_total.add(links);
+        self.quarantined_links.set(book.quarantined() as f64);
+        self.min_score.set(book.min_score());
+    }
+
+    /// Records the state transitions `book` made over a whole run.
+    pub(crate) fn record_transitions(&self, book: &ReputationBook) {
+        self.quarantines_total.add(book.quarantines());
+        self.probations_total.add(book.probations());
+        self.readmissions_total.add(book.readmissions());
+    }
+}
 
 /// Which systematic adversary to play.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,7 +282,65 @@ mod tests {
     use clue_tablegen::{
         derive_neighbor, generate_with_clues, synthesize_ipv4, NeighborConfig, TrafficConfig,
     };
+    use clue_telemetry::Registry;
     use clue_trie::Cost;
+
+    #[test]
+    fn adversary_names_follow_the_convention() {
+        let registry = Registry::new();
+        let t = AdversaryTelemetry::registered(&registry);
+        for name in [
+            "clue_adversary_attacked_hops_total",
+            "clue_adversary_crafted_clues_total",
+            "clue_adversary_flood_clues_total",
+            "clue_adversary_bound_violations_total",
+            "clue_adversary_worst_overhead",
+        ] {
+            assert!(registry.contains(name), "missing {name}");
+        }
+        t.record_round(5, 0, 0, 0, 1);
+        t.record_round(0, 0, 0, 0, 0);
+        let again = AdversaryTelemetry::registered(&registry);
+        assert_eq!(again.attacked_hops_total.get(), 5, "registered handles share cells");
+        assert_eq!(again.worst_overhead.get(), 1.0, "the worst overhead is a running max");
+    }
+
+    #[test]
+    fn reputation_names_follow_the_convention() {
+        let registry = Registry::new();
+        let t = ReputationTelemetry::registered(&registry);
+        for name in [
+            "clue_reputation_batches_observed_total",
+            "clue_reputation_quarantines_total",
+            "clue_reputation_probations_total",
+            "clue_reputation_readmissions_total",
+            "clue_reputation_quarantined_links",
+            "clue_reputation_min_score",
+        ] {
+            assert!(registry.contains(name), "missing {name}");
+        }
+        t.quarantines_total.inc();
+        t.quarantined_links.set(2.0);
+        t.min_score.set(0.412);
+        let again = ReputationTelemetry::registered(&registry);
+        assert_eq!(again.quarantines_total.get(), 1);
+        assert_eq!(again.quarantined_links.get(), 2.0);
+        assert_eq!(again.min_score.get(), 0.412);
+    }
+
+    #[test]
+    fn detached_cells_are_live_and_shared_by_clones() {
+        let t = AdversaryTelemetry::registered(&Registry::new());
+        t.crafted_clues_total.inc();
+        let clone = t.clone();
+        clone.crafted_clues_total.inc();
+        assert_eq!(t.crafted_clues_total.get(), 2);
+
+        let r = ReputationTelemetry::registered(&Registry::new());
+        r.batches_observed_total.add(3);
+        let clone = r.clone();
+        assert_eq!(clone.batches_observed_total.get(), 3);
+    }
 
     #[test]
     fn profiles_round_trip_their_labels() {
@@ -395,10 +526,9 @@ mod tests {
     /// and `clue_reputation_*` series of a Prometheus dump.
     #[test]
     fn scenario_feeds_telemetry() {
-        use clue_telemetry::{AdversaryTelemetry, Registry, ReputationTelemetry};
         let registry = Registry::new();
-        let at = AdversaryTelemetry::registered(&registry, "clue_adversary");
-        let rt = ReputationTelemetry::registered(&registry, "clue_reputation");
+        let at = AdversaryTelemetry::registered(&registry);
+        let rt = ReputationTelemetry::registered(&registry);
         let mut fleet_config = FleetConfig::new(48, 24);
         fleet_config.origins = 8;
         fleet_config.specifics_per_origin = 4;

@@ -51,9 +51,10 @@ use clue_core::{
 };
 use clue_lookup::Family;
 use clue_tablegen::{end_state, RouteUpdate, UpdateKind};
-use clue_telemetry::{ChurnTelemetry, DegradationTelemetry};
+use clue_telemetry::ChurnTelemetry;
 use clue_trie::{Address, Prefix};
 
+use crate::faults::DegradationTelemetry;
 use crate::runtime::drive_while;
 
 /// Why a churn run could not complete. Every failure the driver can
@@ -292,7 +293,7 @@ pub fn run_churn<A: Address>(
             }
             updates_applied += batch.len() as u64;
             if let Some(t) = telemetry {
-                t.updates_applied_total.add(batch.len() as u64);
+                t.record_updates(batch.len() as u64);
             }
             let started = Instant::now();
             let frozen = live.freeze()?;
@@ -300,7 +301,7 @@ pub fn run_churn<A: Address>(
             epochs.publish(frozen);
             rebuild_us.push(us);
             if let Some(t) = telemetry {
-                t.rebuild_latency_us.observe(us);
+                t.record_rebuild_us(us);
             }
         }
         Ok(())
@@ -344,10 +345,7 @@ pub fn run_churn<A: Address>(
                 max_staleness.fetch_max(lag, Relaxed);
             }
             if let Some(t) = telemetry {
-                t.staleness.set(lag as f64);
-                if lag > 0 {
-                    t.stale_lookups_total.add(window as u64);
-                }
+                t.record_reader_batch(lag, window as u64);
             }
             rd.pos = if end == dests.len() { 0 } else { end };
             window
@@ -375,7 +373,7 @@ pub fn run_churn<A: Address>(
     }
 
     if let Some(d) = degradation {
-        d.reader_panics_total.add(reader_panics.len() as u64);
+        d.record_reader_panics(reader_panics.len() as u64);
     }
     if let Some((reader, message)) =
         reader_panics.iter().find(|(r, _)| Some(*r) != config.panic_reader)
@@ -516,19 +514,23 @@ mod tests {
         let (sender, receiver) = pair();
         let batches = generate_churn(&receiver, &ChurnConfig::bgp(120, 9));
         let registry = Registry::new();
-        let telemetry = ChurnTelemetry::registered(&registry, "clue_churn");
+        let telemetry = ChurnTelemetry::registered(&registry);
         let mut cfg = ChurnDriverConfig::new(2, 13);
         cfg.traffic = 256;
         cfg.chunk = 64;
         let report =
             run_churn(&sender, &receiver, &batches, &cfg, Some(&telemetry), None).unwrap();
-        assert_eq!(telemetry.updates_applied_total.get(), report.updates_applied);
+        assert!(registry.contains("clue_churn_updates_applied_total"));
+        let updates = registry.counter("clue_churn_updates_applied_total", "").get();
+        assert_eq!(updates, report.updates_applied);
         assert_eq!(report.rebuild_us.len() as u64, report.epochs);
-        // Note: swaps/rebuild histogram are recorded by the
-        // EpochEngine only when the bundle is attached to it — the
-        // driver attaches it, so the counts line up with the epochs.
-        assert!(registry.contains("clue_churn_swaps_total"));
-        assert_eq!(telemetry.rebuild_latency_us.snapshot().count, report.epochs);
+        // Swaps are recorded by the EpochEngine only when the bundle is
+        // attached to it — the driver attaches it, so the counts line
+        // up with the epochs.
+        assert_eq!(telemetry.swaps(), report.epochs);
+        assert!(registry.contains("clue_churn_rebuild_latency_us"));
+        let rebuilds = registry.histogram("clue_churn_rebuild_latency_us", "", &[1]).snapshot();
+        assert_eq!(rebuilds.count, report.epochs);
     }
 
     #[test]
@@ -578,7 +580,8 @@ mod tests {
             cfg.chunk = 32;
             cfg.panic_reader = planned;
             cfg.unplanned_panic = Some(2);
-            let degradation = DegradationTelemetry::registered(&Registry::new(), "fault", &[]);
+            let registry = Registry::new();
+            let degradation = DegradationTelemetry::registered(&registry, &[]);
             match run_churn(&sender, &receiver, &batches, &cfg, None, Some(&degradation)) {
                 Err(ChurnError::ReaderPanicked { reader, message }) => {
                     assert_eq!(reader, 2, "planned {planned:?}");
@@ -587,7 +590,9 @@ mod tests {
                 other => panic!("planned {planned:?}: expected ReaderPanicked, got {other:?}"),
             }
             let panics = 1 + u64::from(planned.is_some());
-            assert_eq!(degradation.reader_panics_total.get(), panics, "planned {planned:?}");
+            assert!(registry.contains("clue_fault_reader_panics_total"));
+            let caught = registry.counter("clue_fault_reader_panics_total", "").get();
+            assert_eq!(caught, panics, "planned {planned:?}");
         }
     }
 

@@ -17,6 +17,11 @@
 //! Everything is derived from the plan seed with per-packet SplitMix64
 //! streams (the [`crate::run_workload_per_packet`] idiom), so a chaos
 //! run is exactly reproducible from its command line.
+//!
+//! [`DegradationTelemetry`] (`clue_fault_*`) names what the harness
+//! observes: faults injected per class, packets degraded to the
+//! clue-less fallback, the extra lookup cost that charged, and reader
+//! panics the serving loop caught.
 
 use clue_core::{
     check_soundness, ClueEngine, ClueHeader, CompiledBackend, Divergence, EngineConfig, Method,
@@ -26,13 +31,77 @@ use clue_tablegen::{
     derive_neighbor, end_state, generate, generate_churn, synthesize_ipv4, ChurnConfig,
     NeighborConfig, TrafficConfig,
 };
-use clue_telemetry::DegradationTelemetry;
+use clue_telemetry::Counter;
 use clue_trie::{BinaryTrie, Cost, Ip4, Prefix};
 use clue_wire::{checksum, Ipv4Packet};
 
 use crate::adversary::deepest_mismatch_clue;
 use crate::churn::{run_churn, ChurnDriverConfig, ChurnError, ChurnReport};
 use crate::sim::packet_seed;
+
+clue_telemetry::bundle! {
+    /// Telemetry for fault injection and graceful degradation
+    /// (`clue_fault_*`); clones share cells.
+    pub struct DegradationTelemetry in "clue_fault" {
+        /// Clean packets count when the plan mixes them in.
+        injected_total: Counter = "Faults injected, all classes",
+        /// Truncation, corruption, out-of-range clue: the receiver
+        /// fell back to a clue-less lookup.
+        parse_errors_total: Counter = "Packets whose faulted wire image no longer parsed",
+        /// Malformed, unknown or missing clue.
+        degraded_lookups_total: Counter = "Lookups degraded to the full common lookup",
+        /// The soundness invariant keeps this at 0; anything else is a
+        /// bug, not a degradation.
+        divergences_total: Counter =
+            "Forwarding decisions differing from the clue-less baseline (must stay 0)",
+        reader_panics_total: Counter = "Reader threads that panicked and were caught",
+        /// A sound fault costs at most a wasted probe plus the full
+        /// fallback walk; the overflow bucket would flag an unsound one.
+        degraded_cost_overhead: Histogram(&[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]) =
+            "Extra memory references versus the clue-less baseline",
+    }
+    with |registry, classes: &[FaultClass]| {
+        /// `clue_fault_{class}_injected_total` for each of `classes`.
+        classes: Vec<(FaultClass, Counter)> = classes
+            .iter()
+            .map(|&class| {
+                let name = format!("clue_fault_{}_injected_total", class.label());
+                (class, registry.counter(&name, "Faults of this class injected"))
+            })
+            .collect(),
+    }
+}
+
+impl DegradationTelemetry {
+    /// Adds `n` to the per-class counter of `class`, if the bundle was
+    /// registered with it.
+    fn record_class(&self, class: FaultClass, n: u64) {
+        if let Some((_, c)) = self.classes.iter().find(|(c, _)| *c == class) {
+            c.add(n);
+        }
+    }
+
+    /// Records one adversarial round: `attacked` hops carried an
+    /// injected clue of `class`, `malformed` of them degraded to the
+    /// clue-less lookup.
+    pub(crate) fn record_attack(
+        &self,
+        class: FaultClass,
+        attacked: u64,
+        malformed: u64,
+        divergences: u64,
+    ) {
+        self.injected_total.add(attacked);
+        self.record_class(class, attacked);
+        self.degraded_lookups_total.add(malformed);
+        self.divergences_total.add(divergences);
+    }
+
+    /// Records `n` reader panics caught by the churn driver.
+    pub(crate) fn record_reader_panics(&self, n: u64) {
+        self.reader_panics_total.add(n);
+    }
+}
 
 /// One way a path can mistreat a packet or its clue. The classes cover
 /// every degradation the paper's deployment story admits; `Clean`
@@ -62,7 +131,7 @@ pub enum FaultClass {
     /// A systematically lying neighbor: the deepest-mismatch
     /// *containing* clue for each destination, crafted against the
     /// victim's own table to maximize continuation cost
-    /// ([`crate::deepest_mismatch_clue`]) — rides the wire like an
+    /// (`deepest_mismatch_clue`) — rides the wire like an
     /// honest clue.
     LyingNeighbor,
     /// The packet never arrives.
@@ -488,9 +557,7 @@ pub fn run_chaos(
         let degraded = lost + stats.malformed + stats.misses;
 
         if let Some(t) = telemetry {
-            if let Some(c) = t.class(class.label()) {
-                c.add(injected[class.index()]);
-            }
+            t.record_class(class, injected[class.index()]);
             t.parse_errors_total.add(parse_errors);
             t.degraded_lookups_total.add(degraded);
             t.divergences_total.add(report.divergence_count);
@@ -529,9 +596,7 @@ pub fn run_chaos(
         });
     }
     if let Some(t) = telemetry {
-        if let Some(c) = t.class(FaultClass::Dropped.label()) {
-            c.add(injected[FaultClass::Dropped.index()]);
-        }
+        t.record_class(FaultClass::Dropped, injected[FaultClass::Dropped.index()]);
     }
 
     // The churn leg: serving must survive a reader panic without
@@ -591,8 +656,52 @@ fn fix_ipv4_checksum(bytes: &mut [u8]) {
 mod tests {
     use super::*;
     use clue_core::ClueHeader;
+    use clue_telemetry::Registry;
     use clue_trie::Ip6;
     use clue_wire::{Ipv6Packet, WireError};
+
+    #[test]
+    fn registered_names_follow_the_convention() {
+        let registry = Registry::new();
+        let classes = [FaultClass::CorruptClue, FaultClass::StaleClue];
+        let t = DegradationTelemetry::registered(&registry, &classes);
+        for name in [
+            "clue_fault_injected_total",
+            "clue_fault_corrupt_clue_injected_total",
+            "clue_fault_stale_clue_injected_total",
+            "clue_fault_parse_errors_total",
+            "clue_fault_degraded_lookups_total",
+            "clue_fault_divergences_total",
+            "clue_fault_reader_panics_total",
+            "clue_fault_degraded_cost_overhead",
+        ] {
+            assert!(registry.contains(name), "missing {name}");
+        }
+        assert!(!registry.contains("clue_fault_dropped_injected_total"), "only the given classes");
+        t.record_attack(FaultClass::CorruptClue, 3, 2, 0);
+        t.degraded_cost_overhead.observe(7);
+        // Registered handles share cells with the registry.
+        let again = DegradationTelemetry::registered(&registry, &classes);
+        assert_eq!(again.injected_total.get(), 3);
+        assert_eq!(again.degraded_lookups_total.get(), 2);
+        assert_eq!(again.classes[0].1.get(), 3);
+        assert_eq!(again.degraded_cost_overhead.snapshot().count, 1);
+        // A class the bundle was not registered with is not counted.
+        again.record_class(FaultClass::Dropped, 5);
+        assert_eq!(again.classes.iter().map(|(_, c)| c.get()).sum::<u64>(), 3);
+    }
+
+    #[test]
+    fn detached_cells_are_live_and_shared_by_clones() {
+        let t = DegradationTelemetry::registered(&Registry::new(), &[FaultClass::Dropped]);
+        t.record_reader_panics(1);
+        t.record_class(FaultClass::Dropped, 1);
+        let clone = t.clone();
+        clone.record_reader_panics(1);
+        assert_eq!(t.reader_panics_total.get(), 2, "clones share cells");
+        assert_eq!(t.classes[0].1.get(), 1);
+        assert_eq!(t.classes[0].0, FaultClass::Dropped);
+    }
 
     #[test]
     fn plans_are_reproducible_and_cover_their_classes() {
@@ -712,10 +821,8 @@ mod tests {
 
     #[test]
     fn telemetry_observes_the_chaos() {
-        use clue_telemetry::Registry;
         let registry = Registry::new();
-        let labels: Vec<&str> = FaultClass::ALL.iter().map(|c| c.label()).collect();
-        let telemetry = DegradationTelemetry::registered(&registry, "clue_fault", &labels);
+        let telemetry = DegradationTelemetry::registered(&registry, &FaultClass::ALL);
         let mut config = ChaosConfig::new(600, 5);
         config.table_size = 200;
         config.churn_updates = 40;
@@ -724,10 +831,8 @@ mod tests {
         assert_eq!(telemetry.divergences_total.get(), 0);
         assert_eq!(telemetry.parse_errors_total.get(), report.parse_errors);
         assert_eq!(telemetry.reader_panics_total.get(), 1);
-        let by_counter: u64 = FaultClass::ALL
-            .iter()
-            .map(|c| telemetry.class(c.label()).unwrap().get())
-            .sum();
+        let by_counter: u64 = telemetry.classes.iter().map(|(_, c)| c.get()).sum();
+        assert_eq!(telemetry.classes.len(), FaultClass::ALL.len());
         assert_eq!(by_counter, report.packets, "class counters partition the injections");
         assert!(registry.contains("clue_fault_degraded_cost_overhead"));
     }

@@ -47,7 +47,7 @@
 //! per-link clue hit / problematic / clueless rates, per-hop-position
 //! and end-to-end memory-reference savings against a clue-less
 //! baseline run over the *same* hops, and churn-induced staleness per
-//! router.
+//! router. [`FleetTelemetry`] (`clue_fleet_*`) carries it to a scrape.
 
 use std::time::Instant;
 
@@ -57,14 +57,15 @@ use clue_core::{
 };
 use clue_lookup::Family;
 use clue_tablegen::{rebase_into_block, synthesize_ipv4, ZipfSampler};
-use clue_telemetry::{
-    AdversaryTelemetry, DegradationTelemetry, FleetTelemetry, LookupClass, ReputationTelemetry,
-};
+use clue_telemetry::LookupClass;
 use clue_trie::{Address, Cost, Ip4, Prefix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::adversary::{deepest_mismatch_clue, flood_clue, AttackProfile};
+use crate::adversary::{
+    deepest_mismatch_clue, flood_clue, AdversaryTelemetry, AttackProfile, ReputationTelemetry,
+};
+use crate::faults::{DegradationTelemetry, FaultClass};
 use crate::runtime::{drive_jobs, drive_while, expect_workers, ClueRouter, EngineMemory};
 use crate::sim::packet_seed;
 use crate::topology::{EcmpTree, RouterId, Topology};
@@ -183,6 +184,80 @@ pub(crate) struct Flow {
 /// and tag codes that are origin indices ([`NO_ORIGIN`] when the tag
 /// prefix left the FIB).
 type StrideRouter = ClueRouter<Ip4, StrideEngine<Ip4>>;
+
+clue_telemetry::bundle! {
+    /// Telemetry for the fleet-scale simulator (`clue_fleet_*`).
+    ///
+    /// Both legs accumulate plain integers and flush here once at the
+    /// end of a leg; nothing in this bundle is touched per packet.
+    pub struct FleetTelemetry in "clue_fleet" {
+        routers: Gauge = "Routers in the generated fleet topology",
+        links: Gauge = "Undirected links in the generated fleet topology",
+        flows_total: Counter = "Flows routed end to end",
+        hops_total: Counter = "Router-hops walked across all flows",
+        clue_hops_total: Counter = "Hops resolved through a per-link clue engine",
+        delivered_total: Counter = "Flows delivered to their destination's origin router",
+        link_hits_total: Counter = "Clued hops resolved final by the clue table (Case 2)",
+        link_problematic_total: Counter =
+            "Clued hops that ran a problematic-clue continuation (Case 3)",
+        link_misses_total: Counter =
+            "Clued hops whose clue was absent from the link's table (Case 1)",
+        link_clueless_total: Counter =
+            "Hops through a clue-capable link that carried no usable clue",
+        clue_refs_total: Counter = "Memory references spent by the clue deployment",
+        baseline_refs_total: Counter =
+            "Memory references the clue-less baseline needs for the same hops",
+        savings_ratio: Gauge = "Fleet-wide memory-reference savings (1 - clue/baseline)",
+        /// One sample per directed link with clued traffic.
+        link_hit_rate_pct: Histogram(&[10, 25, 50, 70, 80, 90, 95, 99, 100]) =
+            "Per-link clue hit rate in percent of clued lookups",
+        churn_events_total: Counter = "Churn events applied by the fleet builder",
+        republished_total: Counter = "Per-router engine-bundle publishes triggered by churn",
+        rebuild_us: Histogram(&[100, 250, 500, 1_000, 2_500, 5_000, 20_000, 100_000]) =
+            "Mean per-router engine-bundle rebuild latency of one churn leg, in microseconds",
+        staleness_epochs: Histogram(&[0, 1, 2, 4, 8, 16]) = "Worst epochs a pinned router \
+            snapshot lagged the writer in one churn leg (0 = current)",
+    }
+}
+
+impl FleetTelemetry {
+    /// Records the fleet's topology: its router and link counts.
+    pub fn record_topology(&self, fleet: &Fleet) {
+        self.routers.set(fleet.router_count() as f64);
+        self.links.set(fleet.link_count() as f64);
+    }
+
+    /// Flushes a run's statistics (and optionally a churn report)
+    /// along with the fleet's topology.
+    pub fn record_run(&self, fleet: &Fleet, stats: &FleetStats, churn: Option<&FleetChurnReport>) {
+        self.record_topology(fleet);
+        self.flows_total.add(stats.flows);
+        self.hops_total.add(stats.hops);
+        self.clue_hops_total.add(stats.clue_hops);
+        self.delivered_total.add(stats.delivered);
+        self.link_hits_total.add(stats.link_hits());
+        self.link_problematic_total.add(stats.link_problematic());
+        self.link_misses_total.add(stats.link_misses());
+        self.link_clueless_total.add(stats.link_clueless());
+        self.clue_refs_total.add(stats.clue_refs);
+        self.baseline_refs_total.add(stats.baseline_refs);
+        self.savings_ratio.set(stats.savings());
+        for link in &stats.per_link {
+            let clued = link.hits + link.problematic + link.misses;
+            if let Some(pct) = (link.hits * 100).checked_div(clued) {
+                self.link_hit_rate_pct.observe(pct);
+            }
+        }
+        if let Some(c) = churn {
+            self.churn_events_total.add(c.events);
+            self.republished_total.add(c.republished);
+            if let Some(us) = (c.rebuild_ns / 1_000).checked_div(c.republished) {
+                self.rebuild_us.observe(us);
+            }
+            self.staleness_epochs.observe(c.stats.max_staleness);
+        }
+    }
+}
 
 /// The built fleet: topology, address plan, ECMP trees, and one
 /// epoch-published `StrideRouter` per router.
@@ -801,44 +876,6 @@ impl Fleet {
         self.cells[r].publish(router).reclaimed
     }
 
-    /// Flushes a run's statistics (and optionally a churn report) into
-    /// a [`FleetTelemetry`] bundle.
-    pub fn record(
-        &self,
-        stats: &FleetStats,
-        churn: Option<&FleetChurnReport>,
-        t: &FleetTelemetry,
-    ) {
-        t.routers.set(self.router_count() as f64);
-        t.links.set(self.link_count() as f64);
-        t.flows_total.add(stats.flows);
-        t.packets_total.add(stats.flows);
-        t.hops_total.add(stats.hops);
-        t.clue_hops_total.add(stats.clue_hops);
-        t.delivered_total.add(stats.delivered);
-        t.link_hits_total.add(stats.link_hits());
-        t.link_problematic_total.add(stats.link_problematic());
-        t.link_misses_total.add(stats.link_misses());
-        t.link_clueless_total.add(stats.link_clueless());
-        t.clue_refs_total.add(stats.clue_refs);
-        t.baseline_refs_total.add(stats.baseline_refs);
-        t.savings_ratio.set(stats.savings());
-        for link in &stats.per_link {
-            let clued = link.hits + link.problematic + link.misses;
-            if let Some(pct) = (link.hits * 100).checked_div(clued) {
-                t.link_hit_rate_pct.observe(pct);
-            }
-        }
-        if let Some(c) = churn {
-            t.churn_events_total.add(c.events);
-            t.republished_total.add(c.republished);
-            if let Some(us) = (c.rebuild_ns / 1_000).checked_div(c.republished) {
-                t.rebuild_us.observe(us);
-            }
-            t.staleness_epochs.observe(c.stats.max_staleness);
-        }
-    }
-
     /// Picks the fleet's adversaries deterministically: participating
     /// non-origin routers of highest degree (an attacker wants to sit
     /// on as many paths as possible), ties broken by router id.
@@ -896,9 +933,9 @@ impl Fleet {
         let mut readers = self.readers();
         let guards: Vec<EpochGuard<'_, StrideRouter>> =
             readers.iter_mut().map(|r| r.pin()).collect();
-        let fault_label = match config.attack {
-            AttackProfile::Flooding => "adversarial_clue",
-            _ => "lying_neighbor",
+        let fault_class = match config.attack {
+            AttackProfile::Flooding => FaultClass::AdversarialClue,
+            _ => FaultClass::LyingNeighbor,
         };
 
         let mut rounds = Vec::with_capacity(config.rounds);
@@ -960,26 +997,19 @@ impl Fleet {
             }
 
             if let Some(t) = adversary_telemetry {
-                t.attacked_hops_total.add(tally.attacked_hops);
-                t.crafted_clues_total.add(tally.crafted);
-                t.flood_clues_total.add(tally.floods);
-                t.bound_violations_total.add(tally.bound_violations);
-                if tally.overhead_max as f64 > t.worst_overhead.get() {
-                    t.worst_overhead.set(tally.overhead_max as f64);
-                }
+                t.record_round(
+                    tally.attacked_hops,
+                    tally.crafted,
+                    tally.floods,
+                    tally.bound_violations,
+                    tally.overhead_max,
+                );
             }
             if let Some(t) = reputation_telemetry {
-                t.batches_observed_total.add(links as u64);
-                t.quarantined_links.set(book.quarantined() as f64);
-                t.min_score.set(book.min_score());
+                t.record_round(links as u64, &book);
             }
             if let Some(t) = degradation_telemetry {
-                t.injected_total.add(tally.attacked_hops);
-                if let Some(c) = t.class(fault_label) {
-                    c.add(tally.attacked_hops);
-                }
-                t.degraded_lookups_total.add(malformed);
-                t.divergences_total.add(tally.divergences);
+                t.record_attack(fault_class, tally.attacked_hops, malformed, tally.divergences);
             }
 
             rounds.push(AdversaryRound {
@@ -992,9 +1022,7 @@ impl Fleet {
             });
         }
         if let Some(t) = reputation_telemetry {
-            t.quarantines_total.add(book.quarantines());
-            t.probations_total.add(book.probations());
-            t.readmissions_total.add(book.readmissions());
+            t.record_transitions(&book);
         }
         drop(guards);
 
@@ -1504,6 +1532,19 @@ mod tests {
     use super::*;
     use clue_telemetry::Registry;
 
+    /// The counter `name`, which must be registered: a misspelt name
+    /// would otherwise read a fresh zero.
+    fn counter(registry: &Registry, name: &str) -> u64 {
+        assert!(registry.contains(name), "{name} registered");
+        registry.counter(name, "").get()
+    }
+
+    /// The gauge `name`, which must be registered.
+    fn gauge(registry: &Registry, name: &str) -> f64 {
+        assert!(registry.contains(name), "{name} registered");
+        registry.gauge(name, "").get()
+    }
+
     fn small_config() -> FleetConfig {
         let mut c = FleetConfig::new(64, 11);
         c.origins = 8;
@@ -1686,12 +1727,32 @@ mod tests {
         let fleet = Fleet::build(small_config()).unwrap();
         let stats = fleet.run_flows_sequential(200);
         let registry = Registry::new();
-        let t = FleetTelemetry::registered(&registry, "fleet");
-        fleet.record(&stats, None, &t);
+        let t = FleetTelemetry::registered(&registry);
+        t.record_run(&fleet, &stats, None);
+        assert_eq!(t.routers.get(), fleet.router_count() as f64);
         assert_eq!(t.flows_total.get(), 200);
         assert_eq!(t.hops_total.get(), stats.hops);
         assert!(t.savings_ratio.get() > 0.0);
         assert!(t.link_hit_rate_pct.snapshot().count > 0);
+        assert_eq!(t.churn_events_total.get(), 0, "no churn report, no churn series");
+    }
+
+    #[test]
+    fn detached_counts() {
+        let t = FleetTelemetry::registered(&Registry::new());
+        t.routers.set(1024.0);
+        t.flows_total.add(500);
+        t.link_hits_total.add(400);
+        t.link_problematic_total.add(20);
+        t.clue_refs_total.add(900);
+        t.baseline_refs_total.add(4000);
+        t.savings_ratio.set(1.0 - 900.0 / 4000.0);
+        t.link_hit_rate_pct.observe(92);
+        t.staleness_epochs.observe(1);
+        assert_eq!(t.routers.get(), 1024.0);
+        assert_eq!(t.flows_total.get(), 500);
+        assert_eq!(t.link_hit_rate_pct.snapshot().count, 1);
+        assert!(t.savings_ratio.get() > 0.7);
     }
 
     fn simple_fleet() -> Fleet {
@@ -1756,13 +1817,14 @@ mod tests {
     fn attack_free_round_routes_exactly_like_the_honest_walk() {
         let fleet = simple_fleet();
         let config = FleetAdversaryConfig::new(AttackProfile::Lying, 0);
-        let at = AdversaryTelemetry::registered(&Registry::new(), "adv");
+        let registry = Registry::new();
+        let at = AdversaryTelemetry::registered(&registry);
         let report = fleet.run_adversarial(&config, Some(&at), None, None);
         // With no adversary planted nobody lies and no link is ever
         // quarantined, so round 0 is the honest walk over flows
         // 0..flows_per_round.
         assert_eq!(report.quarantine_round, None);
-        assert_eq!(at.attacked_hops_total.get(), 0);
+        assert_eq!(counter(&registry, "clue_adversary_attacked_hops_total"), 0);
         let first = &report.rounds[0];
         assert_eq!(first.clue_refs, first.honest_clue_refs);
         assert_eq!(first.baseline_refs, first.honest_baseline_refs);
@@ -1785,14 +1847,15 @@ mod tests {
         config.rounds = 1;
         config.attack_rounds = 1;
         let registry = Registry::new();
-        let at = AdversaryTelemetry::registered(&registry, "adv");
-        let dt = DegradationTelemetry::registered(&registry, "fault", &[]);
+        let at = AdversaryTelemetry::registered(&registry);
+        let dt = DegradationTelemetry::registered(&registry, &[]);
         let report = fleet.run_adversarial(&config, Some(&at), None, Some(&dt));
         assert!(report.sound());
-        assert!(at.attacked_hops_total.get() > 0);
+        let attacked = counter(&registry, "clue_adversary_attacked_hops_total");
+        assert!(attacked > 0);
         assert_eq!(
-            dt.degraded_lookups_total.get(),
-            at.attacked_hops_total.get(),
+            counter(&registry, "clue_fault_degraded_lookups_total"),
+            attacked,
             "at full participation every flood clue hits the malformed path"
         );
     }
@@ -1817,22 +1880,22 @@ mod tests {
         config.rounds = 6;
         config.attack_rounds = 2;
         let registry = Registry::new();
-        let at = AdversaryTelemetry::registered(&registry, "adv");
-        let rt = ReputationTelemetry::registered(&registry, "rep");
+        let at = AdversaryTelemetry::registered(&registry);
+        let rt = ReputationTelemetry::registered(&registry);
         let dt = DegradationTelemetry::registered(
             &registry,
-            "fault",
-            &["lying_neighbor", "adversarial_clue"],
+            &[FaultClass::LyingNeighbor, FaultClass::AdversarialClue],
         );
         let report = fleet.run_adversarial(&config, Some(&at), Some(&rt), Some(&dt));
-        let attacked = at.attacked_hops_total.get();
+        let attacked = counter(&registry, "clue_adversary_attacked_hops_total");
         assert!(attacked > 0);
-        assert!(at.crafted_clues_total.get() > 0);
-        assert_eq!(at.bound_violations_total.get(), 0);
-        assert!(at.worst_overhead.get() <= 1.0);
-        assert!(rt.batches_observed_total.get() > 0);
-        assert_eq!(rt.quarantines_total.get(), report.quarantines);
-        assert_eq!(dt.injected_total.get(), attacked);
-        assert_eq!(dt.class("lying_neighbor").unwrap().get(), attacked);
+        assert!(counter(&registry, "clue_adversary_crafted_clues_total") > 0);
+        assert_eq!(counter(&registry, "clue_adversary_bound_violations_total"), 0);
+        assert!(gauge(&registry, "clue_adversary_worst_overhead") <= 1.0);
+        assert!(counter(&registry, "clue_reputation_batches_observed_total") > 0);
+        assert_eq!(counter(&registry, "clue_reputation_quarantines_total"), report.quarantines);
+        assert_eq!(counter(&registry, "clue_fault_injected_total"), attacked);
+        assert_eq!(counter(&registry, "clue_fault_lying_neighbor_injected_total"), attacked);
+        assert_eq!(counter(&registry, "clue_fault_adversarial_clue_injected_total"), 0);
     }
 }

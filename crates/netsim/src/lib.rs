@@ -62,18 +62,19 @@ mod runtime;
 mod sim;
 mod topology;
 
-pub use adversary::{participation_sweep, AttackProfile};
+pub use adversary::{participation_sweep, AdversaryTelemetry, AttackProfile, ReputationTelemetry};
 pub use churn::{run_churn, ChurnDriverConfig, ChurnReport};
-pub use faults::{run_chaos, ChaosConfig, FaultPlan};
+pub use faults::{run_chaos, ChaosConfig, DegradationTelemetry, FaultClass, FaultPlan};
 pub use fleet::{
-    Fleet, FleetAdversaryConfig, FleetChurnConfig, FleetConfig, FleetStats, TopologyKind,
+    Fleet, FleetAdversaryConfig, FleetChurnConfig, FleetConfig, FleetStats, FleetTelemetry,
+    TopologyKind,
 };
 pub use mpls_path::LabelSwitchedPath;
 pub use network::{Hop, Network, NetworkConfig};
 pub use pathvector::{Aggregation, PathVector};
 pub use runtime::{
     available_workers, serve_lookups, CompiledNetwork, CoreStats, RuntimeConfig, RuntimeReport,
-    ServeReport, StrideNetwork,
+    RuntimeTelemetry, ServeReport, StrideNetwork,
 };
 pub use sim::{run_workload, run_workload_instrumented, run_workload_per_packet, RunStats};
 pub use topology::{RouterId, Topology};

@@ -80,12 +80,50 @@ use clue_core::{
     EpochCell, EpochReader, Meter, PreparedLookup, StageMeter, StageProfiler,
     StrideConfig, StrideEngine, DEFAULT_INTERLEAVE, NO_TAG,
 };
-use clue_telemetry::{LookupClass, RuntimeTelemetry};
+use clue_telemetry::LookupClass;
 use clue_trie::{Address, Cost, Prefix};
 
 use crate::network::{Hop, Network};
 use crate::sim::{draw_packet, Accum, RunStats};
 use crate::topology::RouterId;
+
+clue_telemetry::bundle! {
+    /// Telemetry for the multi-core serving runtime (`clue_runtime_*`).
+    ///
+    /// The hot loop touches no shared cell per packet: workers
+    /// accumulate plain integers and flush them once per run, and the
+    /// per-job series are sharded cells, so flushes from different
+    /// cores do not contend on one cache line.
+    pub struct RuntimeTelemetry in "clue_runtime" {
+        workers: Gauge = "Worker cores in the most recent serving run",
+        batches_total: Counter = "Packet batches served by runtime worker cores",
+        packets_total: Counter = "Packets served by runtime worker cores",
+        replica_clones_total: Counter =
+            "Per-core engine replica clones (priming and epoch refresh)",
+        /// Priming and mid-run refresh clones alike.
+        replica_clone_us: Histogram(&[50, 100, 250, 500, 1_000, 5_000, 20_000, 100_000]) =
+            "Replica clone latency in microseconds",
+        /// Observed at each job boundary.
+        staleness_epochs: Histogram(&[0, 1, 2, 4, 8, 16]) =
+            "Epochs behind the writer per served batch (0 = current)",
+    }
+}
+
+impl RuntimeTelemetry {
+    /// Flushes per-core attribution: the worker gauge, each core's
+    /// counters and its priming clone's latency (`priming_ns`, in core
+    /// order). Mid-run refresh clones are observed when they happen, so
+    /// every clone lands in `replica_clone_us` once.
+    fn record_cores(&self, cores: &[CoreStats], priming_ns: impl Iterator<Item = u64>) {
+        self.workers.set(cores.len() as f64);
+        for (c, ns) in cores.iter().zip(priming_ns) {
+            self.packets_total.add(c.packets);
+            self.batches_total.add(c.batches);
+            self.replica_clones_total.add(c.replica_clones);
+            self.replica_clone_us.observe(ns / 1_000);
+        }
+    }
+}
 
 /// The number of worker cores [`RuntimeConfig::default`] uses: every
 /// core the OS reports, falling back to one.
@@ -178,20 +216,8 @@ impl RuntimeReport {
     }
 
     /// Flushes this report into a telemetry bundle.
-    pub(crate) fn record(&self, t: &RuntimeTelemetry) {
-        record_cores(t, &self.cores, self.cores.iter().map(|c| c.replica_clone_ns));
-    }
-}
-
-/// Flushes per-core attribution into a telemetry bundle: the worker
-/// gauge, each core's counters and its priming clone's latency
-/// (`priming_ns`, in core order). Mid-run refresh clones are observed
-/// when they happen, so every clone lands in `replica_clone_us` once.
-fn record_cores(t: &RuntimeTelemetry, cores: &[CoreStats], priming_ns: impl Iterator<Item = u64>) {
-    t.workers.set(cores.len() as f64);
-    for (c, ns) in cores.iter().zip(priming_ns) {
-        t.record_core(c.packets, c.batches, c.replica_clones);
-        t.replica_clone_us.observe(ns / 1_000);
+    fn record(&self, t: &RuntimeTelemetry) {
+        t.record_cores(&self.cores, self.cores.iter().map(|c| c.replica_clone_ns));
     }
 }
 
@@ -1089,7 +1115,7 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
         cores.push(c);
     }
     if let Some(t) = telemetry {
-        record_cores(t, &cores, priming_ns.iter().copied());
+        t.record_cores(&cores, priming_ns.iter().copied());
     }
     ServeReport {
         packets: dests.len() as u64,
@@ -1196,14 +1222,39 @@ mod tests {
         let (net, edges) = build(Method::Simple);
         let stride = StrideNetwork::freeze(&net, StrideConfig::default()).unwrap();
         let registry = Registry::new();
-        let t = RuntimeTelemetry::registered(&registry, "rt");
+        let t = RuntimeTelemetry::registered(&registry);
         let cfg = RuntimeConfig { workers: 2, batch: 32, ..RuntimeConfig::default() };
         stride.run_workload_timed(&edges, 100, 3, &cfg, Some(&t));
-        let counter = |name: &str| registry.counter(name, "").get();
-        assert_eq!(registry.gauge("rt_workers", "").get(), 2.0);
-        assert_eq!(counter("rt_packets_total"), 100);
-        assert!(counter("rt_batches_total") >= 4, "100 packets / batch 32 needs >= 4 jobs");
-        assert_eq!(counter("rt_replica_clones_total"), 2, "one priming clone per core");
+        let counter = |name: &str| {
+            assert!(registry.contains(name), "{name} registered");
+            registry.counter(name, "").get()
+        };
+        assert!(registry.contains("clue_runtime_workers"));
+        assert_eq!(registry.gauge("clue_runtime_workers", "").get(), 2.0);
+        assert_eq!(counter("clue_runtime_packets_total"), 100);
+        let batches = counter("clue_runtime_batches_total");
+        assert!(batches >= 4, "100 packets / batch 32 needs >= 4 jobs");
+        assert_eq!(counter("clue_runtime_replica_clones_total"), 2, "one priming clone per core");
+    }
+
+    #[test]
+    fn detached_counts() {
+        let t = RuntimeTelemetry::registered(&Registry::new());
+        let core = |packets, batches, replica_clones| CoreStats {
+            packets,
+            batches,
+            replica_clones,
+            ..CoreStats::default()
+        };
+        t.record_cores(&[core(1000, 2, 1), core(500, 1, 0)], [120_000, 3_000].into_iter());
+        t.staleness_epochs.observe(0);
+        t.staleness_epochs.observe(2);
+        assert_eq!(t.workers.get(), 2.0);
+        assert_eq!(t.packets_total.get(), 1500);
+        assert_eq!(t.batches_total.get(), 3);
+        assert_eq!(t.replica_clones_total.get(), 1);
+        assert_eq!(t.replica_clone_us.snapshot().sum, 123);
+        assert_eq!(t.staleness_epochs.snapshot().count, 2);
     }
 
     #[test]
@@ -1596,7 +1647,7 @@ mod tests {
         // re-clone. Either way the decisions cannot change.
         cell.publish(stride.replicate());
         let registry = Registry::new();
-        let t = RuntimeTelemetry::registered(&registry, "rt");
+        let t = RuntimeTelemetry::registered(&registry);
         let cfg = RuntimeConfig { workers: 2, batch: 64, ..RuntimeConfig::default() };
         let mut got = Vec::new();
         let report = serve_lookups(&cell, &dests, &clues, &mut got, &cfg, Some(&t));
@@ -1620,7 +1671,7 @@ mod tests {
         let mut want = vec![Decision::default(); dests.len()];
         stride.lookup_batch(&dests, &clues, &mut want);
         let registry = Registry::new();
-        let t = RuntimeTelemetry::registered(&registry, "rt");
+        let t = RuntimeTelemetry::registered(&registry);
         std::thread::scope(|scope| {
             let publisher = scope.spawn(|| {
                 for _ in 0..50 {
@@ -1639,7 +1690,8 @@ mod tests {
             let clones: u64 = report.cores.iter().map(|c| c.replica_clones).sum();
             let clone_ns: u64 = report.cores.iter().map(|c| c.replica_clone_ns).sum();
             let timed = t.replica_clone_us.snapshot();
-            assert_eq!(registry.counter("rt_replica_clones_total", "").get(), clones);
+            assert!(registry.contains("clue_runtime_replica_clones_total"));
+            assert_eq!(registry.counter("clue_runtime_replica_clones_total", "").get(), clones);
             assert_eq!(timed.count, clones);
             assert!(timed.sum <= clone_ns / 1_000, "no clone time counted twice");
             assert!(report.replica_clone_ns <= clone_ns, "the report counts priming only");

@@ -9,9 +9,7 @@
 //! packets the same way and route them through one loop that folds
 //! every hop into an integer [`Accum`].
 
-use clue_telemetry::{
-    Counter, Histogram, Registry, MEMORY_REFERENCE_BOUNDS, PREFIX_LENGTH_BOUNDS,
-};
+use clue_telemetry::{Registry, MEMORY_REFERENCE_BOUNDS, PREFIX_LENGTH_BOUNDS};
 use clue_trie::{Address, Cost, CostStats};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -20,51 +18,32 @@ use rand::{RngExt, SeedableRng};
 use crate::network::{Network, PathTrace};
 use crate::topology::RouterId;
 
-/// The simulator's per-hop metric bundle, registered under
-/// `clue_netsim_*`.
-struct HopTelemetry {
-    packets: Counter,
-    delivered: Counter,
-    hops: Counter,
-    clue_hops: Counter,
-    hop_references: Histogram,
-    bmp_length: Histogram,
+clue_telemetry::bundle! {
+    /// The simulator's per-hop metric bundle (`clue_netsim_*`).
+    struct HopTelemetry in "clue_netsim" {
+        packets_total: Counter = "Packets injected",
+        delivered_total: Counter = "Packets that reached their destination",
+        hops_total: Counter = "Hops taken across all packets",
+        clue_hops_total: Counter = "Hops that consulted a clue",
+        hop_memory_references: Histogram(MEMORY_REFERENCE_BOUNDS) =
+            "Memory references per hop (including Section 5.4 shift work)",
+        bmp_length: Histogram(PREFIX_LENGTH_BOUNDS) = "Length of the BMP found at each hop",
+    }
 }
 
 impl HopTelemetry {
-    fn registered(registry: &Registry) -> Self {
-        HopTelemetry {
-            packets: registry.counter("clue_netsim_packets_total", "Packets injected"),
-            delivered: registry
-                .counter("clue_netsim_delivered_total", "Packets that reached their destination"),
-            hops: registry.counter("clue_netsim_hops_total", "Hops taken across all packets"),
-            clue_hops: registry
-                .counter("clue_netsim_clue_hops_total", "Hops that consulted a clue"),
-            hop_references: registry.histogram(
-                "clue_netsim_hop_memory_references",
-                "Memory references per hop (including Section 5.4 shift work)",
-                MEMORY_REFERENCE_BOUNDS,
-            ),
-            bmp_length: registry.histogram(
-                "clue_netsim_bmp_length",
-                "Length of the BMP found at each hop",
-                PREFIX_LENGTH_BOUNDS,
-            ),
-        }
-    }
-
     /// Records one routed packet and each of its hops.
     fn record<A: Address>(&self, trace: &PathTrace<A>) {
-        self.packets.inc();
+        self.packets_total.inc();
         if trace.delivered {
-            self.delivered.inc();
+            self.delivered_total.inc();
         }
         for hop in &trace.hops {
-            self.hops.inc();
+            self.hops_total.inc();
             if hop.used_clue {
-                self.clue_hops.inc();
+                self.clue_hops_total.inc();
             }
-            self.hop_references.observe(hop.cost.total() + hop.shift_cost.total());
+            self.hop_memory_references.observe(hop.cost.total() + hop.shift_cost.total());
             self.bmp_length.observe(hop.bmp.map_or(0, |p| p.len()) as u64);
         }
     }
@@ -495,14 +474,15 @@ mod tests {
         let (mut net, edges) = build(Method::Advance, 1.0);
         let registry = Registry::new();
         let stats = run_workload_instrumented(&mut net, &edges, 100, 7, &registry);
-        let packets = registry.counter("clue_netsim_packets_total", "");
-        assert_eq!(packets.get(), stats.packets as u64);
-        let delivered = registry.counter("clue_netsim_delivered_total", "");
-        assert_eq!(delivered.get(), stats.delivered as u64);
-        let hops = registry.counter("clue_netsim_hops_total", "");
-        assert_eq!(hops.get(), stats.total_hops);
-        let clue_hops = registry.counter("clue_netsim_clue_hops_total", "");
-        assert_eq!(clue_hops.get(), stats.clue_hops);
+        let counter = |name: &str| {
+            assert!(registry.contains(name), "{name} registered");
+            registry.counter(name, "").get()
+        };
+        assert_eq!(counter("clue_netsim_packets_total"), stats.packets as u64);
+        assert_eq!(counter("clue_netsim_delivered_total"), stats.delivered as u64);
+        assert_eq!(counter("clue_netsim_hops_total"), stats.total_hops);
+        assert_eq!(counter("clue_netsim_clue_hops_total"), stats.clue_hops);
+        assert!(registry.contains("clue_netsim_hop_memory_references"));
         let refs = registry
             .histogram("clue_netsim_hop_memory_references", "", MEMORY_REFERENCE_BOUNDS)
             .snapshot();

@@ -192,10 +192,15 @@ mod tests {
         let s = PairStats::compute(&sender, &receiver);
         let registry = Registry::new();
         s.export_into(&registry);
-        assert_eq!(registry.gauge("clue_tablegen_sender_size", "").get(), 2.0);
-        assert_eq!(registry.gauge("clue_tablegen_receiver_size", "").get(), 3.0);
-        assert_eq!(registry.gauge("clue_tablegen_problematic", "").get(), 1.0);
+        let gauge = |name: &str| {
+            assert!(registry.contains(name), "{name} registered");
+            registry.gauge(name, "").get()
+        };
+        assert_eq!(gauge("clue_tablegen_sender_size"), 2.0);
+        assert_eq!(gauge("clue_tablegen_receiver_size"), 3.0);
+        assert_eq!(gauge("clue_tablegen_problematic"), 1.0);
         export_length_histogram(&registry, "clue_tablegen_sender_length", &sender);
+        assert!(registry.contains("clue_tablegen_sender_length"));
         let h = registry
             .histogram("clue_tablegen_sender_length", "", PREFIX_LENGTH_BOUNDS)
             .snapshot();

@@ -9,56 +9,29 @@
 //! registers it as `clue_stride_*`; the compressed engine carries it
 //! inside [`crate::CompressedTelemetry`] as `clue_compressed_*`.
 
-use crate::registry::{Counter, Registry};
+crate::bundle! {
+    /// Telemetry for a compiled engine's prefetched batch loop,
+    /// registered under `prefix` (`clue_stride` or `clue_compressed`;
+    /// the help texts name the path after `clue_`).
+    ///
+    /// Counters are recorded once per batch (accumulated locally in the
+    /// hot loop), so attaching the bundle costs a handful of relaxed adds
+    /// per `lookup_batch`, not per packet.
+    pub struct BatchTelemetry in prefix {
+        batches_total: Counter = format!("Batch calls served by the {} path", path(prefix)),
+        packets_total: Counter = format!("Packets resolved by the {} path", path(prefix)),
+        /// 0 when the prefetch window is 1.
+        prefetches_total: Counter =
+            format!("Software prefetches issued by the {} batch loop", path(prefix)),
+    }
+}
 
-/// Telemetry for a compiled engine's prefetched batch loop.
-///
-/// Counters are recorded once per batch (accumulated locally in the
-/// hot loop), so attaching the bundle costs a handful of relaxed adds
-/// per `lookup_batch`, not per packet.
-#[derive(Clone, Debug)]
-pub struct BatchTelemetry {
-    /// Batch calls served.
-    pub(crate) batches_total: Counter,
-    /// Packets resolved.
-    pub(crate) packets_total: Counter,
-    /// Software prefetches issued ahead of their lookup (0 when the
-    /// prefetch window is 1).
-    pub(crate) prefetches_total: Counter,
+/// The path a series prefix names: `clue_stride` serves `stride`.
+fn path(prefix: &str) -> &str {
+    prefix.strip_prefix("clue_").unwrap_or(prefix)
 }
 
 impl BatchTelemetry {
-    /// A detached bundle: live cells in a private registry, exported
-    /// nowhere.
-    #[cfg(test)]
-    pub(crate) fn detached() -> Self {
-        Self::registered(&Registry::new(), "detached", "detached")
-    }
-
-    /// A bundle registered into `registry` under `prefix` (e.g.
-    /// `clue_stride`), with help text naming the `path` that serves it
-    /// (e.g. `stride`), creating or sharing:
-    ///
-    /// * `{prefix}_batches_total`
-    /// * `{prefix}_packets_total`
-    /// * `{prefix}_prefetches_total`
-    pub fn registered(registry: &Registry, prefix: &str, path: &str) -> Self {
-        BatchTelemetry {
-            batches_total: registry.counter(
-                &format!("{prefix}_batches_total"),
-                &format!("Batch calls served by the {path} path"),
-            ),
-            packets_total: registry.counter(
-                &format!("{prefix}_packets_total"),
-                &format!("Packets resolved by the {path} path"),
-            ),
-            prefetches_total: registry.counter(
-                &format!("{prefix}_prefetches_total"),
-                &format!("Software prefetches issued by the {path} batch loop"),
-            ),
-        }
-    }
-
     /// Records one batch: `packets` resolved with `prefetches` prefetch
     /// hints issued.
     #[inline]
@@ -72,29 +45,15 @@ impl BatchTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn detached_counts() {
-        let t = BatchTelemetry::detached();
+        let t = BatchTelemetry::registered(&Registry::new(), "clue_stride");
         t.record_batch(64, 64);
         t.record_batch(10, 0);
         assert_eq!(t.batches_total.get(), 2);
         assert_eq!(t.packets_total.get(), 74);
         assert_eq!(t.prefetches_total.get(), 64);
-    }
-
-    #[test]
-    fn registered_uses_the_naming_convention() {
-        let registry = Registry::new();
-        let t = BatchTelemetry::registered(&registry, "clue_stride", "stride");
-        t.record_batch(5, 5);
-        for name in [
-            "clue_stride_batches_total",
-            "clue_stride_packets_total",
-            "clue_stride_prefetches_total",
-        ] {
-            assert!(registry.contains(name), "{name} registered");
-        }
-        assert_eq!(t.packets_total.get(), 5);
     }
 }

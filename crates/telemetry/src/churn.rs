@@ -5,92 +5,85 @@
 //! serving lookups from pinned snapshots. The interesting numbers are
 //! on the *boundary* between the two: how often the snapshot swaps,
 //! how long a rebuild takes, and how far behind the freshest snapshot
-//! the readers are allowed to fall. [`ChurnTelemetry`] names them
-//! once, following the workspace `clue_<component>_<metric>`
-//! convention under the `clue_churn` prefix.
+//! the readers are allowed to fall. Two writers share the bundle —
+//! `clue_core`'s epoch engine (swaps, reclamation) and `clue_netsim`'s
+//! churn driver (updates, rebuilds, reader lag) — so both record
+//! through its methods.
 
-use crate::registry::{Counter, Gauge, Histogram, Registry};
-use crate::REBUILD_LATENCY_BOUNDS_US;
-
-/// Telemetry for an epoch-swapped engine under a route-update stream.
-///
-/// Like [`crate::LookupTelemetry`], a bundle is either *detached*
-/// (live cells, nothing exported) or *registered* into a shared
-/// [`Registry`]; cloning shares the underlying cells, so the builder
-/// and every reader thread can hold the same bundle.
-#[derive(Debug, Clone)]
-pub struct ChurnTelemetry {
-    /// Snapshots published (epoch swaps) since start.
-    pub swaps_total: Counter,
-    /// Route updates (announce/withdraw/modify) applied by the builder.
-    pub updates_applied_total: Counter,
-    /// Microseconds to re-freeze and publish one snapshot.
-    pub rebuild_latency_us: Histogram,
-    /// Epochs the most recently observed reader batch lagged behind
-    /// the freshest published snapshot (0 = fully current).
-    pub staleness: Gauge,
-    /// Lookups answered from snapshot N while snapshot N+1 existed.
-    pub stale_lookups_total: Counter,
-    /// Retired snapshots reclaimed after their grace period expired.
-    pub reclaimed_total: Counter,
+crate::bundle! {
+    /// Telemetry for an epoch-swapped engine under a route-update
+    /// stream (`clue_churn_*`).
+    ///
+    /// Cloning shares the underlying cells, so the builder and every
+    /// reader thread can hold the same bundle.
+    pub struct ChurnTelemetry in "clue_churn" {
+        swaps_total: Counter = "Frozen snapshots published (epoch swaps)",
+        updates_applied_total: Counter = "Route updates applied to the live engine",
+        /// A small table re-freezes in well under a millisecond, a
+        /// production-scale one in the tens of milliseconds; the
+        /// overflow bucket absorbs pathological stalls.
+        rebuild_latency_us: Histogram(&[
+            50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
+        ]) = "Microseconds to re-freeze and publish one snapshot",
+        /// Epochs behind; 0 = fully current.
+        staleness: Gauge = "Epochs the last observed reader batch lagged the freshest snapshot",
+        stale_lookups_total: Counter = "Lookups answered from a superseded snapshot",
+        reclaimed_total: Counter = "Retired snapshots freed after their grace period",
+    }
 }
 
 impl ChurnTelemetry {
-    /// A detached bundle: live cells in a private registry, exported
-    /// nowhere.
-    #[cfg(test)]
-    pub(crate) fn detached() -> Self {
-        Self::registered(&Registry::new(), "detached")
+    /// Records one published snapshot that reclaimed `reclaimed`
+    /// retired ones on the way.
+    pub fn record_publish(&self, reclaimed: u64) {
+        self.swaps_total.inc();
+        self.reclaimed_total.add(reclaimed);
     }
 
-    /// A bundle registered into `registry` under `prefix` (the
-    /// workspace uses `clue_churn`), creating or sharing:
-    ///
-    /// * `{prefix}_swaps_total`
-    /// * `{prefix}_updates_applied_total`
-    /// * `{prefix}_rebuild_latency_us` (histogram)
-    /// * `{prefix}_staleness` (gauge, epochs behind)
-    /// * `{prefix}_stale_lookups_total`
-    /// * `{prefix}_reclaimed_total`
-    pub fn registered(registry: &Registry, prefix: &str) -> Self {
-        ChurnTelemetry {
-            swaps_total: registry.counter(
-                &format!("{prefix}_swaps_total"),
-                "Frozen snapshots published (epoch swaps)",
-            ),
-            updates_applied_total: registry.counter(
-                &format!("{prefix}_updates_applied_total"),
-                "Route updates applied to the live engine",
-            ),
-            rebuild_latency_us: registry.histogram(
-                &format!("{prefix}_rebuild_latency_us"),
-                "Microseconds to re-freeze and publish one snapshot",
-                REBUILD_LATENCY_BOUNDS_US,
-            ),
-            staleness: registry.gauge(
-                &format!("{prefix}_staleness"),
-                "Epochs the last observed reader batch lagged the freshest snapshot",
-            ),
-            stale_lookups_total: registry.counter(
-                &format!("{prefix}_stale_lookups_total"),
-                "Lookups answered from a superseded snapshot",
-            ),
-            reclaimed_total: registry.counter(
-                &format!("{prefix}_reclaimed_total"),
-                "Retired snapshots freed after their grace period",
-            ),
+    /// Records `freed` retired snapshots reclaimed outside a publish.
+    pub fn record_reclaimed(&self, freed: u64) {
+        self.reclaimed_total.add(freed);
+    }
+
+    /// Records one applied batch of `updates` route updates.
+    pub fn record_updates(&self, updates: u64) {
+        self.updates_applied_total.add(updates);
+    }
+
+    /// Records one re-freeze that took `us` microseconds.
+    pub fn record_rebuild_us(&self, us: u64) {
+        self.rebuild_latency_us.observe(us);
+    }
+
+    /// Records one reader batch of `lookups` served `lag` epochs behind
+    /// the freshest snapshot.
+    pub fn record_reader_batch(&self, lag: u64, lookups: u64) {
+        self.staleness.set(lag as f64);
+        if lag > 0 {
+            self.stale_lookups_total.add(lookups);
         }
+    }
+
+    /// Snapshots published so far.
+    pub fn swaps(&self) -> u64 {
+        self.swaps_total.get()
+    }
+
+    /// Retired snapshots reclaimed so far.
+    pub fn reclaimed(&self) -> u64 {
+        self.reclaimed_total.get()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn registered_names_follow_the_convention() {
         let registry = Registry::new();
-        let t = ChurnTelemetry::registered(&registry, "clue_churn");
+        let t = ChurnTelemetry::registered(&registry);
         for name in [
             "clue_churn_swaps_total",
             "clue_churn_updates_applied_total",
@@ -101,28 +94,31 @@ mod tests {
         ] {
             assert!(registry.contains(name), "missing {name}");
         }
-        t.swaps_total.inc();
-        t.rebuild_latency_us.observe(180);
-        t.staleness.set(2.0);
+        t.record_publish(0);
+        t.record_rebuild_us(180);
+        t.record_reader_batch(2, 8);
         // Registered handles share cells with the registry: a second
-        // bundle under the same prefix sees the same values.
-        let again = ChurnTelemetry::registered(&registry, "clue_churn");
-        assert_eq!(again.swaps_total.get(), 1);
+        // bundle in the same registry sees the same values.
+        let again = ChurnTelemetry::registered(&registry);
+        assert_eq!(again.swaps(), 1);
         assert_eq!(again.rebuild_latency_us.count(), 1);
         assert_eq!(again.staleness.get(), 2.0);
+        assert_eq!(again.stale_lookups_total.get(), 8);
     }
 
     #[test]
     fn detached_cells_are_live() {
-        let t = ChurnTelemetry::detached();
-        t.updates_applied_total.add(7);
-        t.stale_lookups_total.inc();
-        t.reclaimed_total.inc();
+        let t = ChurnTelemetry::registered(&Registry::new());
+        t.record_updates(7);
+        t.record_reader_batch(1, 1);
+        t.record_reader_batch(0, 5);
+        t.record_reclaimed(1);
         assert_eq!(t.updates_applied_total.get(), 7);
-        assert_eq!(t.stale_lookups_total.get(), 1);
-        assert_eq!(t.reclaimed_total.get(), 1);
+        assert_eq!(t.stale_lookups_total.get(), 1, "a current batch is not stale");
+        assert_eq!(t.staleness.get(), 0.0);
+        assert_eq!(t.reclaimed(), 1);
         let clone = t.clone();
-        clone.updates_applied_total.add(3);
+        clone.record_updates(3);
         assert_eq!(t.updates_applied_total.get(), 10, "clones share cells");
     }
 }

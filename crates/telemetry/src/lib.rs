@@ -8,7 +8,7 @@
 //! what it did, in a form that can be aggregated, snapshotted and
 //! exported. This crate provides it, with zero external dependencies:
 //!
-//! * [`Registry`] — named [`Counter`]s, `Gauge`s and fixed-bucket
+//! * [`Registry`] — named [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s over `AtomicU64` cells. Handles are cheap clones
 //!   of shared atomics, so the hot path never takes a lock and a
 //!   shared `&Registry` works from parallel workloads. Counters and
@@ -23,11 +23,18 @@
 //!   histograms.
 //! * `export` — renders any registry to Prometheus text-exposition
 //!   format or to JSON (hand-rolled writer; no serde).
-//! * [`LookupTelemetry`] / [`CacheTelemetry`] and the other bundles —
-//!   pre-named metric bundles for the workspace's hot paths, following
-//!   the `clue_<component>_<metric>` naming convention
-//!   (`clue_core_lookups_total`, `clue_cache_hits_total`, …). Each
-//!   bundle has one constructor, `registered(registry, prefix, …)`.
+//! * [`bundle!`] — the one declaration form for a metric bundle: a
+//!   series prefix and one line per metric (field, kind, help text,
+//!   histogram bounds) generate the bundle struct, with private fields,
+//!   and its `registered(registry)` constructor. The series name is the
+//!   prefix followed by the field name (`clue_core_lookups_total`, …).
+//!   Each bundle is declared beside the code that records into it and
+//!   records through its own methods: this crate declares the
+//!   lookup-path bundles ([`LookupTelemetry`], [`BatchTelemetry`],
+//!   [`CompressedTelemetry`]) and [`ChurnTelemetry`], which both
+//!   `clue-core` and `clue-netsim` write; the cache bundle lives in
+//!   `clue-core` and the runtime, fleet, adversary, reputation and fault
+//!   bundles in `clue-netsim`.
 //!
 //! Instrumentation is runtime-gated: components hold an
 //! `Option<LookupTelemetry>` and skip all recording when it is absent,
@@ -37,29 +44,22 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-mod adversary;
-mod churn;
 mod batch;
+mod bundle;
+mod churn;
 mod compressed;
 mod export;
-mod fault;
-mod fleet;
 mod lookup;
 mod registry;
-mod runtime;
 mod server;
 mod shard;
 pub(crate) mod trace;
 
-pub use adversary::{AdversaryTelemetry, ReputationTelemetry};
-pub use churn::ChurnTelemetry;
 pub use batch::BatchTelemetry;
+pub use churn::ChurnTelemetry;
 pub use compressed::CompressedTelemetry;
-pub use fault::DegradationTelemetry;
-pub use fleet::FleetTelemetry;
-pub use lookup::{CacheTelemetry, LookupTelemetry};
-pub use registry::{Counter, Histogram, HistogramSnapshot, Registry};
-pub use runtime::RuntimeTelemetry;
+pub use lookup::LookupTelemetry;
+pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use server::ScrapeServer;
 pub use trace::{LookupClass, LookupEvent};
 
@@ -67,26 +67,9 @@ pub use trace::{LookupClass, LookupEvent};
 /// the 1-access clue-hit ideal, coarser toward full-lookup costs.
 pub const MEMORY_REFERENCE_BOUNDS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
 
-/// Default search-depth histogram bounds (continued-walk lengths).
-pub(crate) const SEARCH_DEPTH_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32];
-
 /// Default clue/prefix-length histogram bounds (IPv4-centric, but the
 /// overflow bucket absorbs IPv6 lengths).
 pub const PREFIX_LENGTH_BOUNDS: &[u64] = &[8, 12, 16, 20, 24, 28, 32];
-
-/// Default snapshot-rebuild latency bounds, in microseconds: a small
-/// table re-freezes in well under a millisecond, a production-scale
-/// one in the tens of milliseconds — the overflow bucket absorbs
-/// pathological stalls.
-pub(crate) const REBUILD_LATENCY_BOUNDS_US: &[u64] =
-    &[50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000];
-
-/// Default degraded-lookup cost-overhead bounds, in extra memory
-/// references versus the clue-less baseline for the same destination.
-/// A sound fault costs at most a wasted clue-table probe plus the full
-/// fallback walk, so the interesting range is small; the overflow
-/// bucket would indicate an unsound (and therefore buggy) degradation.
-pub(crate) const DEGRADED_COST_BOUNDS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
 
 /// Default per-lookup latency bounds, in nanoseconds: geometric from a
 /// cache-resident clue hit (tens of ns) up past a cold full walk; the

@@ -1,99 +1,41 @@
-//! Pre-named metric bundles for the workspace's hot paths.
+//! The per-lookup metric bundle of the workspace's lookup paths.
 //!
-//! Components don't invent metric names ad hoc: they hold a
-//! [`LookupTelemetry`] (per-lookup classification, memory references,
-//! search depth) or a [`CacheTelemetry`] (hits/misses/evictions),
-//! *registered* into a shared [`Registry`] under the
-//! workspace naming convention `clue_<component>_<metric>`, or
-//! *detached*: the same bundle registered into a private registry, so
-//! its cells are live but nothing exports them.
-//!
-//! Because handles share their cells with the registry, a component
-//! recording into a registered bundle is automatically visible to
-//! every exporter with no copying or locking.
+//! An engine holds a [`LookupTelemetry`] registered into a shared
+//! [`Registry`](crate::Registry) under `clue_core_*`; the engines compiled from
+//! it inherit the same handles. Because handles share their cells with
+//! the registry, every recorded lookup is visible to every exporter
+//! with no copying or locking.
 
-use crate::registry::{Counter, Histogram, Registry};
+use crate::registry::Counter;
 use crate::trace::{LookupClass, LookupEvent};
-use crate::{MEMORY_REFERENCE_BOUNDS, PREFIX_LENGTH_BOUNDS, SEARCH_DEPTH_BOUNDS};
+use crate::{MEMORY_REFERENCE_BOUNDS, PREFIX_LENGTH_BOUNDS};
 
-/// Telemetry for one lookup path (an engine, a simulator, a CLI run).
-///
-/// Recording one [`LookupEvent`] costs a handful of relaxed atomic
-/// adds; cloning shares the underlying cells.
-#[derive(Debug, Clone)]
-pub struct LookupTelemetry {
-    /// Every lookup observed.
-    pub(crate) lookups_total: Counter,
-    /// Lookups by resolution class, indexed by `class as usize`, which
-    /// is the class's position in [`LookupClass::all`].
-    pub(crate) by_class: [Counter; 5],
-    /// Total memory references per lookup.
-    pub(crate) memory_references: Histogram,
-    /// Continued-search depth per lookup (0 for final hits).
-    pub(crate) search_depth: Histogram,
-    /// Length of the clue carried, for clue-bearing lookups.
-    pub(crate) clue_length: Histogram,
+crate::bundle! {
+    /// Telemetry for one lookup path (an engine and the engines
+    /// compiled from it).
+    ///
+    /// Recording one [`LookupEvent`] costs a handful of relaxed atomic
+    /// adds; cloning shares the underlying cells.
+    pub struct LookupTelemetry in "clue_core" {
+        lookups_total: Counter = "Total lookups performed",
+        lookups_clueless_total: Counter = "Lookups that arrived without a usable clue",
+        lookups_final_total: Counter = "Clue hits resolved by the FD alone",
+        lookups_continued_total: Counter = "Clue hits that ran a continued search",
+        lookups_miss_total: Counter = "Clue-table misses (full lookup)",
+        lookups_malformed_total: Counter = "Clues ignored as not a prefix of the destination",
+        memory_references: Histogram(MEMORY_REFERENCE_BOUNDS) = "Memory references per lookup",
+        /// Continued-walk lengths, 0 for final hits.
+        search_depth: Histogram(&[0, 1, 2, 4, 8, 16, 32]) = "Continued-search depth per lookup",
+        clue_length: Histogram(PREFIX_LENGTH_BOUNDS) = "Length of the clue carried by the packet",
+    }
 }
 
 impl LookupTelemetry {
-    /// A detached bundle: live cells in a private registry, exported
-    /// nowhere.
-    #[cfg(test)]
-    pub(crate) fn detached() -> Self {
-        Self::registered(&Registry::new(), "detached")
-    }
-
-    /// A bundle registered into `registry` under `prefix` (e.g.
-    /// `clue_core`), creating or sharing:
-    ///
-    /// * `{prefix}_lookups_total`
-    /// * `{prefix}_lookups_{clueless,final,continued,miss,malformed}_total`
-    /// * `{prefix}_memory_references` (histogram)
-    /// * `{prefix}_search_depth` (histogram)
-    /// * `{prefix}_clue_length` (histogram)
-    pub fn registered(registry: &Registry, prefix: &str) -> Self {
-        let lookups_total = registry.counter(
-            &format!("{prefix}_lookups_total"),
-            "Total lookups performed",
-        );
-        let by_class = LookupClass::all().map(|class| {
-            registry.counter(
-                &format!("{prefix}_lookups_{}_total", class.label()),
-                match class {
-                    LookupClass::Clueless => "Lookups that arrived without a usable clue",
-                    LookupClass::Final => "Clue hits resolved by the FD alone",
-                    LookupClass::Continued => "Clue hits that ran a continued search",
-                    LookupClass::Miss => "Clue-table misses (full lookup)",
-                    LookupClass::Malformed => "Clues ignored as not a prefix of the destination",
-                },
-            )
-        });
-        LookupTelemetry {
-            lookups_total,
-            by_class,
-            memory_references: registry.histogram(
-                &format!("{prefix}_memory_references"),
-                "Memory references per lookup",
-                MEMORY_REFERENCE_BOUNDS,
-            ),
-            search_depth: registry.histogram(
-                &format!("{prefix}_search_depth"),
-                "Continued-search depth per lookup",
-                SEARCH_DEPTH_BOUNDS,
-            ),
-            clue_length: registry.histogram(
-                &format!("{prefix}_clue_length"),
-                "Length of the clue carried by the packet",
-                PREFIX_LENGTH_BOUNDS,
-            ),
-        }
-    }
-
     /// Records one lookup.
     #[inline]
     pub fn record(&self, event: &LookupEvent) {
         self.lookups_total.inc();
-        self.by_class[event.class as usize].inc();
+        self.class_counter(event.class).inc();
         self.memory_references.observe(event.memory_references);
         self.search_depth.observe(event.search_depth);
         if let Some(len) = event.clue_len {
@@ -103,47 +45,16 @@ impl LookupTelemetry {
 
     /// The count recorded for `class`.
     pub fn class_count(&self, class: LookupClass) -> u64 {
-        self.by_class[class as usize].get()
+        self.class_counter(class).get()
     }
 
-    /// Resets every cell (e.g. after a warm-up phase).
-    pub fn reset(&self) {
-        self.lookups_total.reset();
-        for c in &self.by_class {
-            c.reset();
-        }
-        self.memory_references.reset();
-        self.search_depth.reset();
-        self.clue_length.reset();
-    }
-}
-
-/// Telemetry for an LRU cache.
-#[derive(Debug, Clone)]
-pub struct CacheTelemetry {
-    /// Lookups served from the cache.
-    pub hits: Counter,
-    /// Lookups that fell through to the backing store.
-    pub misses: Counter,
-    /// Entries evicted to make room.
-    pub evictions: Counter,
-}
-
-impl CacheTelemetry {
-
-    /// A bundle registered into `registry` under `prefix` (the
-    /// workspace uses `clue_cache`), creating or sharing
-    /// `{prefix}_{hits,misses,evictions}_total`.
-    pub fn registered(registry: &Registry, prefix: &str) -> Self {
-        CacheTelemetry {
-            hits: registry
-                .counter(&format!("{prefix}_hits_total"), "Cache lookups served from the cache"),
-            misses: registry.counter(
-                &format!("{prefix}_misses_total"),
-                "Cache lookups that fell through to the backing store",
-            ),
-            evictions: registry
-                .counter(&format!("{prefix}_evictions_total"), "Entries evicted to make room"),
+    fn class_counter(&self, class: LookupClass) -> &Counter {
+        match class {
+            LookupClass::Clueless => &self.lookups_clueless_total,
+            LookupClass::Final => &self.lookups_final_total,
+            LookupClass::Continued => &self.lookups_continued_total,
+            LookupClass::Miss => &self.lookups_miss_total,
+            LookupClass::Malformed => &self.lookups_malformed_total,
         }
     }
 }
@@ -151,6 +62,7 @@ impl CacheTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     fn ev(class: LookupClass, refs: u64) -> LookupEvent {
         LookupEvent {
@@ -163,7 +75,7 @@ mod tests {
 
     #[test]
     fn record_updates_totals_classes_and_histograms() {
-        let t = LookupTelemetry::detached();
+        let t = LookupTelemetry::registered(&Registry::new());
         t.record(&ev(LookupClass::Final, 1));
         t.record(&ev(LookupClass::Final, 1));
         t.record(&ev(LookupClass::Continued, 4));
@@ -177,39 +89,18 @@ mod tests {
         assert_eq!(t.memory_references.sum(), 19);
         // The clueless event has no clue, so only 3 lengths recorded.
         assert_eq!(t.clue_length.count(), 3);
-        t.reset();
-        assert_eq!(t.lookups_total.get(), 0);
-        assert_eq!(t.memory_references.count(), 0);
-    }
-
-    #[test]
-    fn a_class_discriminant_is_its_position_in_all() {
-        for (i, class) in LookupClass::all().into_iter().enumerate() {
-            assert_eq!(class as usize, i, "{class:?}");
-        }
-    }
-
-    #[test]
-    fn registered_bundle_is_visible_through_the_registry() {
-        let reg = Registry::new();
-        let t = LookupTelemetry::registered(&reg, "clue_core");
-        t.record(&ev(LookupClass::Final, 1));
-        assert!(reg.contains("clue_core_lookups_total"));
-        assert!(reg.contains("clue_core_lookups_final_total"));
-        assert!(reg.contains("clue_core_memory_references"));
-        let prom = reg.to_prometheus();
-        assert!(prom.contains("clue_core_lookups_total 1"));
-        assert!(prom.contains("clue_core_lookups_final_total 1"));
-        assert!(prom.contains("clue_core_memory_references_bucket{le=\"1\"} 1"));
     }
 
     #[test]
     fn two_registered_bundles_share_cells() {
         let reg = Registry::new();
-        let a = LookupTelemetry::registered(&reg, "clue_core");
-        let b = LookupTelemetry::registered(&reg, "clue_core");
+        let a = LookupTelemetry::registered(&reg);
+        let b = LookupTelemetry::registered(&reg);
         a.record(&ev(LookupClass::Miss, 9));
         assert_eq!(b.lookups_total.get(), 1);
         assert_eq!(b.class_count(LookupClass::Miss), 1);
+        let prom = reg.to_prometheus();
+        assert!(prom.contains("clue_core_lookups_miss_total 1"));
+        assert!(prom.contains("clue_core_memory_references_bucket{le=\"12\"} 1"));
     }
 }

@@ -46,11 +46,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cell.sum()
     }
-
-    /// Resets to zero (e.g. after a warm-up phase).
-    pub(crate) fn reset(&self) {
-        self.cell.reset();
-    }
 }
 
 /// A gauge: an arbitrary value that can go up and down. Stored as the
@@ -218,17 +213,6 @@ impl Histogram {
             count += c;
         }
         HistogramSnapshot { bounds: self.bounds.as_slice().to_vec(), counts, sum, count }
-    }
-
-    /// Resets every cell in every shard to zero.
-    pub(crate) fn reset(&self) {
-        for shard in self.shards.iter() {
-            for b in shard.buckets.iter() {
-                b.store(0, Ordering::Relaxed);
-            }
-            shard.sum.store(0, Ordering::Relaxed);
-            shard.count.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -466,8 +450,6 @@ mod tests {
         b.add(4);
         assert_eq!(a.get(), 5);
         assert_eq!(b.get(), 5);
-        a.reset();
-        assert_eq!(b.get(), 0);
     }
 
     #[test]
@@ -518,15 +500,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_mean_and_reset() {
+    fn histogram_mean() {
         let h = Histogram::new(&[10]);
+        assert_eq!(h.mean(), 0.0);
         h.observe(4);
         h.observe(8);
         assert_eq!(h.mean(), 6.0);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.snapshot().counts, vec![0, 0]);
     }
 
     #[test]

@@ -62,13 +62,6 @@ impl ShardedU64 {
     pub(crate) fn sum(&self) -> u64 {
         self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
-
-    /// Zeroes every shard.
-    pub(crate) fn reset(&self) {
-        for c in &self.cells {
-            c.0.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -100,8 +93,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(cell.sum(), 80_000);
-        cell.reset();
-        assert_eq!(cell.sum(), 0);
     }
 
     #[test]

@@ -20,30 +20,6 @@ pub enum LookupClass {
     Malformed,
 }
 
-impl LookupClass {
-    /// All classes, in a stable order.
-    pub(crate) fn all() -> [LookupClass; 5] {
-        [
-            LookupClass::Clueless,
-            LookupClass::Final,
-            LookupClass::Continued,
-            LookupClass::Miss,
-            LookupClass::Malformed,
-        ]
-    }
-
-    /// The metric-name fragment for this class.
-    pub(crate) fn label(&self) -> &'static str {
-        match self {
-            LookupClass::Clueless => "clueless",
-            LookupClass::Final => "final",
-            LookupClass::Continued => "continued",
-            LookupClass::Miss => "miss",
-            LookupClass::Malformed => "malformed",
-        }
-    }
-}
-
 /// One lookup, structurally described.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LookupEvent {
@@ -71,14 +47,3 @@ impl LookupEvent {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn class_labels_are_distinct() {
-        let labels: std::collections::HashSet<&str> =
-            LookupClass::all().iter().map(|c| c.label()).collect();
-        assert_eq!(labels.len(), 5);
-    }
-}
