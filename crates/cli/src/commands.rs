@@ -15,7 +15,7 @@ use clue_tablegen::{
     length_histogram, minimize, parse_prefixes, parse_table, synthesize_ipv4, NeighborConfig,
     PairStats, TrafficConfig,
 };
-use clue_telemetry::{Histogram, HistogramSnapshot, Registry, ScrapeServer};
+use clue_telemetry::{BatchTelemetry, Histogram, HistogramSnapshot, Registry, ScrapeServer};
 use clue_trie::{BinaryTrie, Cost, CostStats, Ip4, Prefix};
 
 /// Top-level usage text.
@@ -442,21 +442,20 @@ fn metrics_registry(packets: usize, seed: u64) -> Result<Registry, String> {
     )
     .freeze()
     .map_err(|e| format!("cannot freeze the engine ({} blocks it): {e}", e.feature()))?;
-    let mut stride = frozen
+    let stride = frozen
         .compile_stride(clue_core::StrideConfig::default())
         .map_err(|e| e.to_string())?;
-    stride.attach_batch_telemetry(clue_telemetry::BatchTelemetry::registered(
-        &registry,
-        "clue_stride",
-    ));
+    let stride_batches = BatchTelemetry::registered(&registry, "clue_stride");
     let mut out = vec![clue_core::Decision::default(); dests.len()];
-    let _ = stride.lookup_batch_interleaved(&dests, &clues, &mut out, clue_core::DEFAULT_INTERLEAVE);
+    let window = clue_core::DEFAULT_INTERLEAVE;
+    let _ = stride.lookup_batch_interleaved(&dests, &clues, &mut out, window);
+    record_batch(&stride_batches, dests.len(), window);
 
     // The multi-core serving runtime, driven over the same stream so
     // its clue_runtime_* series are live in the dump: two worker cores,
     // each a private replica of the stride engine behind an epoch cell.
     let runtime_telemetry = clue_netsim::RuntimeTelemetry::registered(&registry);
-    let cell = clue_core::EpochCell::new(stride.replicate());
+    let cell = clue_core::EpochCell::new(stride);
     let runtime_cfg = clue_netsim::RuntimeConfig {
         workers: 2,
         batch: 256,
@@ -1422,13 +1421,16 @@ fn batch_pps<E: CompiledBackend<Ip4>>(
     group: usize,
 ) -> f64 {
     let mut best = f64::INFINITY;
-    for _ in 0..3 {
+    for _ in 0..TIMED_BATCHES {
         let t0 = std::time::Instant::now();
         let _ = engine.lookup_batch_interleaved(dests, clues, out, group);
         best = best.min(t0.elapsed().as_secs_f64());
     }
     dests.len() as f64 / best.max(1e-9)
 }
+
+/// The batch calls [`batch_pps`] times, keeping the fastest.
+const TIMED_BATCHES: usize = 3;
 
 /// `--check`'s window leg: `engine`'s batch at window 1 (each packet
 /// prepared, then finished) must equal `want`, its batch at a wider
@@ -1447,7 +1449,8 @@ fn window_agrees<E: CompiledBackend<Ip4>>(
 /// One backend's timing leg, shared by every backend so none can time
 /// a window other than the one reported: [`batch_pps`] at `window` into
 /// `out`, and with `check` whether [`window_agrees`] on the result
-/// (`true` without `check`).
+/// (`true` without `check`). Every batch call it made is recorded into
+/// `batches` when given.
 fn time_backend<E: CompiledBackend<Ip4>>(
     engine: &E,
     dests: &[Ip4],
@@ -1455,9 +1458,27 @@ fn time_backend<E: CompiledBackend<Ip4>>(
     out: &mut [clue_core::Decision<Ip4>],
     window: usize,
     check: bool,
+    batches: Option<&BatchTelemetry>,
 ) -> (f64, bool) {
     let pps = batch_pps(engine, dests, clues, out, window);
-    (pps, !check || window_agrees(engine, dests, clues, out))
+    let agrees = !check || window_agrees(engine, dests, clues, out);
+    if let Some(t) = batches {
+        for _ in 0..TIMED_BATCHES {
+            record_batch(t, dests.len(), window);
+        }
+        if check {
+            record_batch(t, dests.len(), 1);
+        }
+    }
+    (pps, agrees)
+}
+
+/// Records one `lookup_batch_interleaved` call over `packets` packets
+/// at `window`: the batch loop prefetches every packet unless the
+/// window is 1 or less.
+fn record_batch(batches: &BatchTelemetry, packets: usize, window: usize) {
+    let packets = packets as u64;
+    batches.record_batch(packets, if window > 1 { packets } else { 0 });
 }
 
 /// Benchmarks the four lookup pipelines — mutable scalar engine,
@@ -1517,29 +1538,31 @@ fn throughput(args: &[String]) -> Result<(), String> {
     // from); the full run compiles all three.
     let need_stride = backend.is_none_or(|k| k == clue_core::BackendKind::Stride);
     let need_compressed = backend.is_none_or(|k| k == clue_core::BackendKind::Compressed);
-    let mut stride = need_stride
+    let stride = need_stride
         .then(|| frozen.compile_stride(stride_cfg).map_err(|e| format!("--stride: {e}")))
         .transpose()?;
-    let mut compressed =
+    let compressed =
         need_compressed.then(|| frozen.compile_compressed(clue_core::CompressedConfig));
-    // With a live scrape endpoint the scalar engine and the compiled
-    // batches are instrumented — the counters cost a few sharded
-    // fetch_adds per packet, paid only when someone asked to watch.
+    // With a live scrape endpoint the scalar engine's lookups are
+    // instrumented — the counters cost a few sharded fetch_adds per
+    // packet, paid only when someone asked to watch — and each compiled
+    // batch call is counted once, with the compressed layout beside it.
     let registry = Arc::new(Registry::new());
-    if flags.switch("--serve") {
+    let serve = flags.switch("--serve");
+    if serve {
         scalar.instrument(&registry);
-        if let Some(stride) = &mut stride {
-            stride.attach_batch_telemetry(clue_telemetry::BatchTelemetry::registered(
-                &registry,
-                "clue_stride",
-            ));
-        }
-        if let Some(compressed) = &mut compressed {
-            compressed.attach_compressed_telemetry(
-                clue_telemetry::CompressedTelemetry::registered(&registry),
-            );
-        }
     }
+    let stride_batches = (serve && stride.is_some())
+        .then(|| BatchTelemetry::registered(&registry, "clue_stride"));
+    let compressed_telemetry = compressed.as_ref().filter(|_| serve).map(|c| {
+        let t = clue_telemetry::CompressedTelemetry::registered(&registry);
+        let arena = c.arena_bytes();
+        let per_prefix = arena as f64 / receiver.len().max(1) as f64;
+        t.record_layout(arena, c.bucket_bytes(), c.dict_bytes(), c.node_count() as u64, per_prefix);
+        t
+    });
+    let stride_batches = stride_batches.as_ref();
+    let compressed_batches = compressed_telemetry.as_ref().map(|t| t.batch());
     let _server = start_scrape(flags.text("--serve"), &registry)?;
     let (dests, clues) = generate_with_clues(
         &sender,
@@ -1567,16 +1590,20 @@ fn throughput(args: &[String]) -> Result<(), String> {
         let mut out = vec![clue_core::Decision::default(); dests.len()];
         let ((pps, same_at_window_1), cram) = match kind {
             clue_core::BackendKind::Frozen => (
-                time_backend(&frozen, &dests, &clues, &mut out, prefetch, check),
+                time_backend(&frozen, &dests, &clues, &mut out, prefetch, check, None),
                 frozen.cram(),
             ),
             clue_core::BackendKind::Stride => {
                 let stride = stride.as_ref().expect("compiled for this mode");
-                (time_backend(stride, &dests, &clues, &mut out, prefetch, check), stride.cram())
+                let timed =
+                    time_backend(stride, &dests, &clues, &mut out, prefetch, check, stride_batches);
+                (timed, stride.cram())
             }
             clue_core::BackendKind::Compressed => {
                 let compressed = compressed.as_ref().expect("compiled for this mode");
-                let timed = time_backend(compressed, &dests, &clues, &mut out, prefetch, check);
+                let timed = time_backend(
+                    compressed, &dests, &clues, &mut out, prefetch, check, compressed_batches,
+                );
                 (timed, compressed.cram())
             }
         };
@@ -1637,11 +1664,12 @@ fn throughput(args: &[String]) -> Result<(), String> {
     let mut stride_out = out.clone();
     let mut compressed_out = out.clone();
     let (frozen_pps, frozen_window) =
-        time_backend(&frozen, &dests, &clues, &mut out, prefetch, check);
+        time_backend(&frozen, &dests, &clues, &mut out, prefetch, check, None);
     let (stride_pps, stride_window) =
-        time_backend(stride, &dests, &clues, &mut stride_out, prefetch, check);
-    let (compressed_pps, compressed_window) =
-        time_backend(compressed, &dests, &clues, &mut compressed_out, prefetch, check);
+        time_backend(stride, &dests, &clues, &mut stride_out, prefetch, check, stride_batches);
+    let (compressed_pps, compressed_window) = time_backend(
+        compressed, &dests, &clues, &mut compressed_out, prefetch, check, compressed_batches,
+    );
 
     let mut equivalent = true;
     if check {
@@ -1719,7 +1747,7 @@ fn throughput(args: &[String]) -> Result<(), String> {
     // published into an epoch cell and served by per-core replicas.
     let mut serve_report = None;
     if runtime_leg {
-        let cell = clue_core::EpochCell::new(stride.replicate());
+        let cell = clue_core::EpochCell::new(stride.clone());
         let mut best: Option<(Vec<clue_core::Decision<Ip4>>, clue_netsim::ServeReport)> = None;
         for _ in 0..3 {
             let mut out = Vec::new();
@@ -2527,6 +2555,24 @@ mod tests {
             assert_eq!(got, want, "line {} of metrics_schema.txt", i + 1);
         }
         assert_eq!(schema.len(), committed.len(), "series count");
+    }
+
+    /// `clue metrics` records its one stride batch call itself: one
+    /// batch of every packet, each prefetched at the default window.
+    /// Compiled batches add nothing to the scalar engine's `clue_core_*`
+    /// lookups.
+    #[test]
+    fn metrics_records_the_stride_batch_beside_the_scalar_lookups() {
+        let registry = metrics_registry(200, 3).unwrap();
+        for (name, want) in [
+            ("clue_stride_batches_total", 1),
+            ("clue_stride_packets_total", 200),
+            ("clue_stride_prefetches_total", 200),
+            ("clue_core_lookups_total", 200),
+        ] {
+            assert!(registry.contains(name), "{name} registered");
+            assert_eq!(registry.counter(name, "").get(), want, "{name}");
+        }
     }
 
     #[test]

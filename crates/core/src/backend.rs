@@ -19,9 +19,14 @@
 //! route tag, each with the one final load the layout needs. Every
 //! other lookup entry point — single, decision, tagged, batched,
 //! profiled — is a default method built from those four, so a backend
-//! adds only its kernel, its layout description
+//! adds only its kernel and its layout description
 //! ([`CompiledBackend::cram_levels`] and the byte accessors feeding
-//! [`CramReport`]) and a cheap [`CompiledBackend::replicate`].
+//! [`CramReport`]).
+//!
+//! A compiled engine is plain data: it holds no telemetry handle, and
+//! every array sits behind an [`Arc`](std::sync::Arc) and never
+//! changes, so a per-core replica is a `clone`. The code that runs a
+//! lookup or a batch records what it observed.
 //!
 //! A router compiles one arena for all its incoming links (paper
 //! §3.4): [`CompiledBackend::compile`] builds the router's own engine,
@@ -40,7 +45,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use clue_telemetry::{BatchTelemetry, LookupClass, LookupEvent, LookupTelemetry};
+use clue_telemetry::LookupClass;
 use clue_trie::{Address, Cost, Prefix};
 
 use crate::cram::{CramLevel, CramReport};
@@ -261,19 +266,6 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
     /// identical on every backend compiled from one snapshot.
     fn tag_prefixes(&self) -> &[Prefix<A>];
 
-    /// The per-lookup telemetry inherited from the scalar engine, if
-    /// any; the batch loop records one event per packet into it.
-    fn telemetry(&self) -> Option<&LookupTelemetry>;
-
-    /// The batch-loop counters, if the backend has them attached.
-    fn batch_telemetry(&self) -> Option<&BatchTelemetry> {
-        None
-    }
-
-    /// A telemetry-detached per-core replica sharing the compiled
-    /// arenas where the backend can (no deep copy).
-    fn replicate(&self) -> Self;
-
     /// Total resident bytes of every compiled structure.
     fn memory_bytes(&self) -> usize;
 
@@ -347,13 +339,8 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
     /// fetches stays in flight across the whole batch. `window <= 1`
     /// finishes each packet right after preparing it; larger windows
     /// are clamped to an internal cap (64) so the prepared ops stay on
-    /// the stack. Decisions, stats and telemetry events are identical
-    /// at every window size — the window is a latency treatment, not a
-    /// semantic one.
-    ///
-    /// With lookup telemetry attached every packet records a full
-    /// [`LookupEvent`], in packet order; attached batch counters record
-    /// the batch once.
+    /// the stack. Decisions and stats are identical at every window
+    /// size — the window is a latency treatment, not a semantic one.
     ///
     /// # Panics
     /// Panics unless `dests`, `clues` and `out` have equal lengths.
@@ -366,26 +353,7 @@ pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized 
     ) -> EngineStats {
         assert_eq!(dests.len(), clues.len(), "one clue slot per destination");
         assert_eq!(dests.len(), out.len(), "one decision slot per destination");
-        let window = window.clamp(1, MAX_INTERLEAVE);
-        // The telemetry branch is hoisted clear of the loop; both arms
-        // monomorphize `batch_core` with their record closure inlined.
-        let stats = match self.telemetry() {
-            None => batch_core(self, dests, clues, out, window, |_, _| {}),
-            Some(t) => batch_core(self, dests, clues, out, window, |clue, d| {
-                t.record(&LookupEvent {
-                    clue_len: clue.map(|s| s.len()),
-                    class: d.class,
-                    search_depth: search_depth(d.class, d.cost),
-                    memory_references: d.cost.total(),
-                });
-            }),
-        };
-        if let Some(bt) = self.batch_telemetry() {
-            let packets = dests.len() as u64;
-            let prefetches = if window > 1 { packets } else { 0 };
-            bt.record_batch(packets, prefetches);
-        }
-        stats
+        batch_core(self, dests, clues, out, window.clamp(1, MAX_INTERLEAVE))
     }
 
     /// Batched lookup at [`DEFAULT_INTERLEAVE`]; see
@@ -412,7 +380,6 @@ fn batch_core<A: Address, E: CompiledBackend<A>>(
     clues: &[Option<Prefix<A>>],
     out: &mut [Decision<A>],
     window: usize,
-    mut record: impl FnMut(Option<Prefix<A>>, &Decision<A>),
 ) -> EngineStats {
     let mut stats = EngineStats::default();
     let mut ring = [PreparedLookup(PacketOp::Walk(LookupClass::Clueless)); MAX_INTERLEAVE];
@@ -435,7 +402,6 @@ fn batch_core<A: Address, E: CompiledBackend<A>>(
             let (found, class) = engine.finish(*op, dest, clue, &mut cost);
             *slot = Decision { bmp: engine.found_prefix(found, dest), class, cost };
             bump(&mut stats, class);
-            record(clue, slot);
             if let (Some(&next), Some(&next_clue)) = (next_dests.get(s), next_clues.get(s)) {
                 *op = engine.prepare(next, next_clue);
             }
@@ -452,18 +418,6 @@ fn bump(stats: &mut EngineStats, class: LookupClass) {
         LookupClass::Continued => stats.continued += 1,
         LookupClass::Miss => stats.misses += 1,
         LookupClass::Malformed => stats.malformed += 1,
-    }
-}
-
-/// The scalar engine reports the continuation's cost as the search
-/// depth; for a Continued lookup that is everything but the mandatory
-/// table probe.
-#[inline]
-fn search_depth(class: LookupClass, cost: Cost) -> u64 {
-    if class == LookupClass::Continued {
-        cost.total() - cost.hash_probes
-    } else {
-        0
     }
 }
 
@@ -505,7 +459,7 @@ mod tests {
 
     /// Runs every lookup entry point of backend `E` over one packet of
     /// each class, for every method, and checks they agree: the tagged
-    /// path, the batch loop, a replica, and the profiling meter — which
+    /// path, the batch loop and the profiling meter — which
     /// must return the same BMP, class and cost, record one lookup per
     /// packet, attribute every charged tick to exactly one stage, and
     /// never report a Cache stage (compiled engines have no cache).
@@ -553,13 +507,6 @@ mod tests {
             let mut out = vec![Decision::default(); cases.len()];
             backend.lookup_batch_interleaved(&dests, &clues, &mut out, 4);
             assert_eq!(out, decisions, "{} batch parity", E::NAME);
-            let replica = backend.replicate();
-            assert_eq!(
-                replica.lookup_decision(dests[1], clues[1]),
-                decisions[1],
-                "{} replica parity",
-                E::NAME
-            );
             all.extend(decisions);
         }
         let backend = E::compile(&engine(Method::Advance), config).unwrap();

@@ -39,7 +39,7 @@
 
 use std::sync::Arc;
 
-use clue_telemetry::{BatchTelemetry, CompressedTelemetry, LookupClass, LookupTelemetry};
+use clue_telemetry::LookupClass;
 use clue_trie::{Address, Prefix};
 
 use crate::backend::{
@@ -84,8 +84,7 @@ pub struct CompressedConfig;
 /// The entropy-compressed engine; see the module docs. Compiled from a
 /// [`FrozenEngine`] via [`FrozenEngine::compile_compressed`],
 /// read-only and `Sync` like its source. All compiled arrays live
-/// behind [`Arc`]s, so [`Self::replicate`] is a refcount bump, not a
-/// deep copy.
+/// behind [`Arc`]s, so a clone is a refcount bump, not a deep copy.
 #[derive(Debug, Clone)]
 pub struct CompressedEngine<A: Address> {
     method: Method,
@@ -107,8 +106,6 @@ pub struct CompressedEngine<A: Address> {
     buckets: Arc<ClueBuckets<A>>,
     /// Vertices per BFS level (level 0 = root) — the CRAM byte map.
     level_nodes: Arc<Vec<u64>>,
-    telemetry: Option<LookupTelemetry>,
-    compressed_telemetry: Option<CompressedTelemetry>,
 }
 
 impl<A: Address> FrozenEngine<A> {
@@ -143,8 +140,6 @@ impl<A: Address> FrozenEngine<A> {
             routes: Arc::new(self.raw_routes().to_vec()),
             buckets: Arc::new(ClueBuckets::build(self)),
             level_nodes: Arc::new(self.level_node_counts()),
-            telemetry: self.telemetry().cloned(),
-            compressed_telemetry: None,
         };
 
         // The whole scheme rests on the BFS child-adjacency invariant
@@ -201,7 +196,7 @@ impl<A: Address> FrozenEngine<A> {
 
 impl<A: Address> CompressedEngine<A> {
     /// Vertices encoded in the arena.
-    pub(crate) fn node_count(&self) -> usize {
+    pub fn node_count(&self) -> usize {
         self.node_count as usize
     }
 
@@ -209,19 +204,6 @@ impl<A: Address> CompressedEngine<A> {
     /// byte map the CRAM analysis consumes.
     pub(crate) fn level_node_counts(&self) -> &[u64] {
         &self.level_nodes
-    }
-
-    /// Attaches the compressed-path bundle (batch counters + layout
-    /// gauges; the layout gauges are set immediately).
-    pub fn attach_compressed_telemetry(&mut self, telemetry: CompressedTelemetry) {
-        telemetry.record_layout(
-            self.arena_bytes(),
-            self.bucket_bytes(),
-            self.dict_bytes(),
-            u64::from(self.node_count),
-            0.0,
-        );
-        self.compressed_telemetry = Some(telemetry);
     }
 
     /// The 4-bit nibble of vertex `node`.
@@ -399,8 +381,6 @@ impl<A: Address> CompiledBackend<A> for CompressedEngine<A> {
             routes: Arc::clone(&router.routes),
             buckets: Arc::new(ClueBuckets::build(&frozen)),
             level_nodes: Arc::clone(&router.level_nodes),
-            telemetry: frozen.telemetry().cloned(),
-            compressed_telemetry: None,
         })
     }
 
@@ -491,23 +471,6 @@ impl<A: Address> CompiledBackend<A> for CompressedEngine<A> {
     /// from the same snapshot.
     fn tag_prefixes(&self) -> &[Prefix<A>] {
         &self.routes
-    }
-
-    fn telemetry(&self) -> Option<&LookupTelemetry> {
-        self.telemetry.as_ref()
-    }
-
-    fn batch_telemetry(&self) -> Option<&BatchTelemetry> {
-        self.compressed_telemetry.as_ref().map(CompressedTelemetry::batch)
-    }
-
-    /// A per-core replica with both telemetry bundles detached. The
-    /// arenas are `Arc`-shared: constant-time, no deep copy.
-    fn replicate(&self) -> Self {
-        let mut replica = self.clone();
-        replica.telemetry = None;
-        replica.compressed_telemetry = None;
-        replica
     }
 
     fn memory_bytes(&self) -> usize {
@@ -695,40 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_streams_are_recorded() {
-        use clue_telemetry::Registry;
-        let (sender, receiver) = tables();
-        let mut scalar = ClueEngine::precomputed(
-            &sender,
-            &receiver,
-            EngineConfig::new(Family::Regular, Method::Advance),
-        );
-        let registry = Registry::new();
-        scalar.instrument(&registry);
-        let mut compressed = CompressedEngine::compile(&scalar, &CompressedConfig).unwrap();
-        assert!(compressed.telemetry().is_some(), "lookup telemetry inherited");
-        compressed.attach_compressed_telemetry(CompressedTelemetry::registered(&registry));
-        let dests = vec![a("10.1.2.3"), a("192.168.3.4"), a("10.9.9.9")];
-        let clues = vec![Some(p("10.1.0.0/16")), Some(p("192.168.0.0/16")), None];
-        let mut out = vec![Decision::default(); dests.len()];
-        let stats = compressed.lookup_batch_interleaved(&dests, &clues, &mut out, 2);
-        let t = compressed.telemetry().unwrap();
-        let counter = |name: &str| {
-            assert!(registry.contains(name), "{name} registered");
-            registry.counter(name, "").get()
-        };
-        assert_eq!(counter("clue_core_lookups_total"), 3);
-        assert_eq!(t.class_count(LookupClass::Final), stats.finals);
-        assert_eq!(counter("clue_compressed_batches_total"), 1);
-        assert_eq!(counter("clue_compressed_packets_total"), 3);
-        assert_eq!(counter("clue_compressed_prefetches_total"), 3);
-        assert!(registry.contains("clue_compressed_arena_bytes"));
-        let arena = registry.gauge("clue_compressed_arena_bytes", "").get();
-        assert_eq!(arena, compressed.arena_bytes() as f64);
-    }
-
-    #[test]
-    fn replicate_shares_the_arena() {
+    fn clones_share_the_arena() {
         let (sender, receiver) = tables();
         let scalar = ClueEngine::precomputed(
             &sender,
@@ -736,9 +666,8 @@ mod tests {
             EngineConfig::new(Family::Regular, Method::Advance),
         );
         let compressed = CompressedEngine::compile(&scalar, &CompressedConfig).unwrap();
-        let replica = compressed.replicate();
+        let replica = compressed.clone();
         assert!(Arc::ptr_eq(&compressed.quads, &replica.quads), "arena is shared, not copied");
-        assert!(replica.telemetry().is_none());
         assert_eq!(
             replica.lookup_decision(a("10.1.2.3"), Some(p("10.1.0.0/16"))),
             compressed.lookup_decision(a("10.1.2.3"), Some(p("10.1.0.0/16")))

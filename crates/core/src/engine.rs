@@ -357,11 +357,6 @@ impl<A: Address> ClueEngine<A> {
         self.cache_telemetry = Some(cache_t);
     }
 
-    /// The attached lookup telemetry, if any.
-    pub(crate) fn telemetry(&self) -> Option<&LookupTelemetry> {
-        self.telemetry.as_ref()
-    }
-
     /// Puts an LRU cache of `capacity` clue entries in front of the clue
     /// table (Section 3.5). Cached consults cost a
     /// [`Cost::cache_read`] instead of a slow-memory probe; misses pay

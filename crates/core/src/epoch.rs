@@ -14,9 +14,9 @@
 //!   reader has provably moved past them (an epoch-counter grace
 //!   period).
 //! * [`EpochEngine<A>`] — the cell specialised to
-//!   `FrozenEngine<A>`, with freeze-and-publish plumbing and
-//!   [`ChurnTelemetry`] hooks (swap count, rebuild latency,
-//!   reclamation).
+//!   `FrozenEngine<A>`, with freeze-and-publish plumbing. It records
+//!   nothing: [`EpochEngine::publish`] and [`EpochEngine::reclaim`]
+//!   return what they did, and the caller records it.
 //!
 //! # Protocol
 //!
@@ -62,7 +62,6 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
-use clue_telemetry::ChurnTelemetry;
 use clue_trie::Address;
 
 use crate::engine::ClueEngine;
@@ -327,7 +326,6 @@ impl<T> Drop for EpochGuard<'_, T> {
 /// pinned guards.
 pub struct EpochEngine<A: Address> {
     cell: EpochCell<FrozenEngine<A>>,
-    telemetry: Option<ChurnTelemetry>,
 }
 
 impl<A: Address> EpochEngine<A> {
@@ -338,29 +336,12 @@ impl<A: Address> EpochEngine<A> {
 
     /// Wraps an already-frozen snapshot as epoch 0.
     pub(crate) fn from_frozen(frozen: FrozenEngine<A>) -> Self {
-        EpochEngine { cell: EpochCell::new(frozen), telemetry: None }
+        EpochEngine { cell: EpochCell::new(frozen) }
     }
 
-    /// Attaches a churn telemetry bundle; every later publish records
-    /// the swap and any reclamation into it.
-    pub fn attach_telemetry(&mut self, telemetry: ChurnTelemetry) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// The attached telemetry, if any.
-    #[cfg(test)]
-    pub(crate) fn telemetry(&self) -> Option<&ChurnTelemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// Publishes a freshly frozen snapshot. The caller times its own
-    /// rebuild and records it with [`ChurnTelemetry::record_rebuild_us`].
+    /// Publishes a freshly frozen snapshot.
     pub fn publish(&self, frozen: FrozenEngine<A>) -> Publication {
-        let publication = self.cell.publish(frozen);
-        if let Some(t) = &self.telemetry {
-            t.record_publish(publication.reclaimed as u64);
-        }
-        publication
+        self.cell.publish(frozen)
     }
 
     /// Registers a reader; see [`EpochCell::reader`].
@@ -380,11 +361,7 @@ impl<A: Address> EpochEngine<A> {
 
     /// Frees expired retired snapshots; returns how many.
     pub fn reclaim(&self) -> usize {
-        let freed = self.cell.reclaim();
-        if let Some(t) = &self.telemetry {
-            t.record_reclaimed(freed as u64);
-        }
-        freed
+        self.cell.reclaim()
     }
 }
 
@@ -518,8 +495,7 @@ mod tests {
             &receiver,
             EngineConfig::new(Family::Regular, Method::Advance),
         );
-        let mut epochs = EpochEngine::new(&live).unwrap();
-        epochs.attach_telemetry(ChurnTelemetry::registered(&clue_telemetry::Registry::new()));
+        let epochs = EpochEngine::new(&live).unwrap();
 
         let dest: Ip4 = "10.1.2.3".parse().unwrap();
         let clue = Some(p("10.1.0.0/16"));
@@ -534,8 +510,6 @@ mod tests {
         let mut cost = Cost::new();
         let (bmp, _) = reader.pin().lookup(dest, clue, &mut cost);
         assert_eq!(bmp, Some(p("10.1.2.0/24")), "re-pin sees the new route");
-
-        let t = epochs.telemetry().unwrap();
-        assert_eq!(t.swaps(), 1);
+        assert_eq!(epochs.current_epoch(), 1);
     }
 }

@@ -42,7 +42,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
 
-use clue_telemetry::{LookupClass, LookupTelemetry};
+use clue_telemetry::LookupClass;
 use clue_trie::{Address, BinaryTrie, Cost, NodeId, Prefix};
 
 use crate::backend::{
@@ -165,9 +165,6 @@ pub struct FrozenEngine<A: Address> {
     /// every snapshot patched from this one (a receiver update never
     /// changes the clue set).
     map: Arc<FxHashMap<Prefix<A>, u32>>,
-    /// Inherited from the live engine at freeze time (shared cells), so
-    /// frozen lookups keep feeding the same registry metrics.
-    telemetry: Option<LookupTelemetry>,
 }
 
 impl<A: Address> ClueEngine<A> {
@@ -175,8 +172,7 @@ impl<A: Address> ClueEngine<A> {
     ///
     /// Supported configuration: [`clue_lookup::Family::Regular`] with a
     /// hashed clue table and no LRU cache — the paper's headline
-    /// deployment. Any attached lookup telemetry is inherited (the
-    /// frozen engine records into the same cells).
+    /// deployment.
     ///
     /// When the engine's last snapshot is still alive and only receiver
     /// routes changed since (a few, against the table's size), the new
@@ -315,7 +311,6 @@ impl<A: Address> ClueEngine<A> {
             routes: Arc::new(routes),
             entries: Arc::new(entries),
             map: Arc::new(map),
-            telemetry: self.telemetry().cloned(),
         })
     }
 
@@ -453,7 +448,6 @@ impl<A: Address> ClueEngine<A> {
             routes: Arc::new(routes),
             entries: Arc::new(entries),
             map,
-            telemetry: self.telemetry().cloned(),
         })
     }
 }
@@ -918,25 +912,6 @@ impl<A: Address> CompiledBackend<A> for FrozenEngine<A> {
         &self.routes
     }
 
-    fn telemetry(&self) -> Option<&LookupTelemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// A per-core replica for the shared-nothing runtime. The nodes
-    /// and clue entries are owned (deep-cloned), the route dictionary
-    /// is `Arc`-shared; telemetry is detached so replicas never
-    /// contend on shared counter cells.
-    fn replicate(&self) -> Self {
-        FrozenEngine {
-            method: self.method,
-            nodes: Arc::new(self.nodes.to_vec()),
-            routes: Arc::clone(&self.routes),
-            entries: Arc::new(self.entries.to_vec()),
-            map: Arc::new(FxHashMap::clone(&self.map)),
-            telemetry: None,
-        }
-    }
-
     /// Resident bytes of the flattened arrays (nodes + routes +
     /// entries), excluding the hash map — the structures the hot walk
     /// touches.
@@ -1072,29 +1047,6 @@ pub(crate) mod tests {
             (1, 1, 1, 1)
         );
         assert_eq!(stats.total(), 4);
-    }
-
-    #[test]
-    fn batch_records_inherited_telemetry() {
-        use clue_telemetry::Registry;
-        let (sender, receiver) = tables();
-        let mut scalar = ClueEngine::precomputed(
-            &sender,
-            &receiver,
-            EngineConfig::new(Family::Regular, Method::Advance),
-        );
-        let registry = Registry::new();
-        scalar.instrument(&registry);
-        let frozen = scalar.freeze().unwrap();
-        assert!(frozen.telemetry().is_some(), "telemetry inherited at freeze");
-        let dests = vec![a("10.1.2.3"), a("192.168.3.4")];
-        let clues = vec![Some(p("10.1.0.0/16")), Some(p("192.168.0.0/16"))];
-        let stats = frozen.lookup_batch(&dests, &clues, &mut [Decision::default(); 2]);
-        let t = frozen.telemetry().unwrap();
-        assert!(registry.contains("clue_core_lookups_total"));
-        assert_eq!(registry.counter("clue_core_lookups_total", "").get(), 2);
-        assert_eq!(t.class_count(LookupClass::Final), stats.finals);
-        assert_eq!(t.class_count(LookupClass::Continued), stats.continued);
     }
 
     #[test]
@@ -1293,7 +1245,6 @@ pub(crate) mod tests {
             routes: Arc::new(routes),
             entries: Arc::new(entries),
             map: Arc::new(map),
-            telemetry: None,
         }
     }
 

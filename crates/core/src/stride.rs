@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use clue_telemetry::{BatchTelemetry, LookupClass, LookupTelemetry};
+use clue_telemetry::LookupClass;
 use clue_trie::{Address, Prefix};
 
 use crate::backend::{BackendError, CompiledBackend, PacketOp, PreparedLookup, NO_TAG};
@@ -173,9 +173,8 @@ struct InnerNode {
 /// [`FrozenEngine`] via [`FrozenEngine::compile_stride`], read-only
 /// and `Sync` like its source.
 /// All compiled arrays live behind [`Arc`]s: the engine is immutable
-/// after compilation, so [`StrideEngine::replicate`] hands each worker
-/// core a reference-counted view instead of deep-copying megabytes of
-/// arena — cloning is a handful of refcount bumps.
+/// after compilation, so a worker core's replica is a clone, a handful
+/// of refcount bumps instead of a deep copy of megabytes of arena.
 #[derive(Debug, Clone)]
 pub struct StrideEngine<A: Address> {
     method: Method,
@@ -199,8 +198,6 @@ pub struct StrideEngine<A: Address> {
     /// The clue buckets, FD payloads inlined, continuations pointing
     /// into `bin_nodes`.
     buckets: Arc<ClueBuckets<A>>,
-    telemetry: Option<LookupTelemetry>,
-    batch_telemetry: Option<BatchTelemetry>,
 }
 
 /// Walks `width` bits of `value` (MSB first) down the binary trie from
@@ -319,8 +316,6 @@ impl<A: Address> FrozenEngine<A> {
             bin_nodes: Arc::new(nodes.to_vec()),
             routes: Arc::new(self.raw_routes().to_vec()),
             buckets: Arc::new(ClueBuckets::build(self)),
-            telemetry: self.telemetry().cloned(),
-            batch_telemetry: None,
         })
     }
 }
@@ -377,11 +372,6 @@ impl<A: Address> StrideEngine<A> {
         by_base.sort_by_key(|(b, _, _)| *b);
         levels.extend(by_base.into_iter().map(|(_, b, v)| (b, v)));
         levels
-    }
-
-    /// Attaches the batch-loop counters (batches, packets, prefetches).
-    pub fn attach_batch_telemetry(&mut self, telemetry: BatchTelemetry) {
-        self.batch_telemetry = Some(telemetry);
     }
 
     #[inline]
@@ -465,8 +455,6 @@ impl<A: Address> CompiledBackend<A> for StrideEngine<A> {
             bin_nodes: Arc::new(frozen.raw_nodes().to_vec()),
             routes: Arc::clone(&router.routes),
             buckets: Arc::new(ClueBuckets::build(&frozen)),
-            telemetry: frozen.telemetry().cloned(),
-            batch_telemetry: None,
         })
     }
 
@@ -556,28 +544,6 @@ impl<A: Address> CompiledBackend<A> for StrideEngine<A> {
 
     fn tag_prefixes(&self) -> &[Prefix<A>] {
         &self.routes
-    }
-
-    fn telemetry(&self) -> Option<&LookupTelemetry> {
-        self.telemetry.as_ref()
-    }
-
-    fn batch_telemetry(&self) -> Option<&BatchTelemetry> {
-        self.batch_telemetry.as_ref()
-    }
-
-    /// A per-core replica with both telemetry bundles detached, so a
-    /// worker owns no handle into shared registries — the serving
-    /// runtime attributes its own counts through sharded cells
-    /// instead. The compiled arrays are immutable and `Arc`-shared, so
-    /// this is a constant-time refcount bump per array, not a deep
-    /// copy — replicating a million-prefix engine for N workers costs
-    /// microseconds, not seconds.
-    fn replicate(&self) -> Self {
-        let mut replica = self.clone();
-        replica.telemetry = None;
-        replica.batch_telemetry = None;
-        replica
     }
 
     /// Resident bytes of every structure the hot paths touch: root
@@ -719,36 +685,6 @@ mod tests {
             (want_stats.continued, want_stats.finals, want_stats.malformed, want_stats.clueless),
             (1, 1, 1, 1)
         );
-    }
-
-    #[test]
-    fn telemetry_streams_are_recorded() {
-        use clue_telemetry::Registry;
-        let (sender, receiver) = tables();
-        let mut scalar = ClueEngine::precomputed(
-            &sender,
-            &receiver,
-            EngineConfig::new(Family::Regular, Method::Advance),
-        );
-        let registry = Registry::new();
-        scalar.instrument(&registry);
-        let mut stride = StrideEngine::compile(&scalar, &StrideConfig::default()).unwrap();
-        assert!(stride.telemetry().is_some(), "lookup telemetry inherited through freeze");
-        stride.attach_batch_telemetry(BatchTelemetry::registered(&registry, "clue_stride"));
-        let dests = vec![a("10.1.2.3"), a("192.168.3.4"), a("10.9.9.9")];
-        let clues = vec![Some(p("10.1.0.0/16")), Some(p("192.168.0.0/16")), None];
-        let mut out = vec![Decision::default(); dests.len()];
-        let stats = stride.lookup_batch_interleaved(&dests, &clues, &mut out, 2);
-        let t = stride.telemetry().unwrap();
-        let counter = |name: &str| {
-            assert!(registry.contains(name), "{name} registered");
-            registry.counter(name, "").get()
-        };
-        assert_eq!(counter("clue_core_lookups_total"), 3);
-        assert_eq!(t.class_count(LookupClass::Final), stats.finals);
-        assert_eq!(counter("clue_stride_batches_total"), 1);
-        assert_eq!(counter("clue_stride_packets_total"), 3);
-        assert_eq!(counter("clue_stride_prefetches_total"), 3);
     }
 
     #[test]

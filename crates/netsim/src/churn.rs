@@ -265,10 +265,7 @@ pub fn run_churn<A: Address>(
     }
     let engine_config = EngineConfig::new(Family::Regular, Method::Advance);
     let mut live = ClueEngine::precomputed(sender, receiver, engine_config);
-    let mut epochs = EpochEngine::new(&live)?;
-    if let Some(t) = telemetry {
-        epochs.attach_telemetry(t.clone());
-    }
+    let epochs = EpochEngine::new(&live)?;
 
     // The packet stream: destinations covered by the sender table,
     // each carrying the sender's BMP as its clue (None where the
@@ -298,9 +295,10 @@ pub fn run_churn<A: Address>(
             let started = Instant::now();
             let frozen = live.freeze()?;
             let us = started.elapsed().as_micros() as u64;
-            epochs.publish(frozen);
+            let publication = epochs.publish(frozen);
             rebuild_us.push(us);
             if let Some(t) = telemetry {
+                t.record_publish(publication.reclaimed as u64);
                 t.record_rebuild_us(us);
             }
         }
@@ -382,8 +380,11 @@ pub fn run_churn<A: Address>(
     }
 
     // All readers have deregistered: one reclaim empties the retire
-    // list (the EpochEngine records it into the telemetry bundle).
-    epochs.reclaim();
+    // list.
+    let freed = epochs.reclaim();
+    if let Some(t) = telemetry {
+        t.record_reclaimed(freed as u64);
+    }
     let retired_after = epochs.retired_count();
 
     let final_identical = if config.check {
@@ -524,10 +525,11 @@ mod tests {
         let updates = registry.counter("clue_churn_updates_applied_total", "").get();
         assert_eq!(updates, report.updates_applied);
         assert_eq!(report.rebuild_us.len() as u64, report.epochs);
-        // Swaps are recorded by the EpochEngine only when the bundle is
-        // attached to it — the driver attaches it, so the counts line
-        // up with the epochs.
+        // The driver records every publish and the final reclaim, so
+        // the swaps line up with the epochs and nothing stays retired.
         assert_eq!(telemetry.swaps(), report.epochs);
+        assert_eq!(report.retired_after, 0);
+        assert_eq!(telemetry.reclaimed(), report.epochs);
         assert!(registry.contains("clue_churn_rebuild_latency_us"));
         let rebuilds = registry.histogram("clue_churn_rebuild_latency_us", "", &[1]).snapshot();
         assert_eq!(rebuilds.count, report.epochs);

@@ -113,6 +113,17 @@ pub enum TopologyKind {
     Preferential,
 }
 
+/// Disjointness length of origin blocks.
+const BLOCK_LEN: u8 = 14;
+
+/// Distance-decaying detail bands `(max_distance, prefix_len)`, checked
+/// in order; the last is the origin-block aggregate, so every router
+/// can route every flow.
+const BANDS: [(usize, u8); 3] = [(1, 24), (3, 20), (usize::MAX, BLOCK_LEN)];
+
+/// Zipf exponent of the destination-locality draw over origins.
+const ZIPF_EXPONENT: f64 = 0.9;
+
 /// Configuration of a [`Fleet`] build.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -122,23 +133,15 @@ pub struct FleetConfig {
     /// Topology family.
     pub topology: TopologyKind,
     /// Routers that originate address space (spread over the stub /
-    /// low-degree routers). Capped at `2^block_len`.
+    /// low-degree routers). Capped at `2^BLOCK_LEN`.
     pub origins: usize,
     /// Specifics advertised per origin (before rebase dedup).
     pub specifics_per_origin: usize,
-    /// Disjointness length of origin blocks.
-    pub(crate) block_len: u8,
-    /// Distance-decaying detail bands `(max_distance, prefix_len)`,
-    /// checked in order; the last band should be the origin-block
-    /// aggregate so every router can route every flow.
-    pub(crate) bands: Vec<(usize, u8)>,
     /// Clue-engine configuration for the per-link engines.
     pub engine: EngineConfig,
     /// Fraction of routers that participate in the clue scheme
     /// (Section 5.3's heterogeneous deployment).
     pub participation: f64,
-    /// Zipf exponent of the destination-locality draw over origins.
-    pub(crate) zipf_exponent: f64,
     /// Seed for topology, address plan, participation and flows.
     pub(crate) seed: u64,
 }
@@ -154,11 +157,8 @@ impl FleetConfig {
             topology: TopologyKind::TransitStub,
             origins: (routers / 12).clamp(8, 192),
             specifics_per_origin: 6,
-            block_len: 14,
-            bands: vec![(1, 24), (3, 20), (usize::MAX, 14)],
             engine: EngineConfig::new(Family::Regular, Method::Advance),
             participation: 1.0,
-            zipf_exponent: 0.9,
             seed,
         }
     }
@@ -213,9 +213,11 @@ clue_telemetry::bundle! {
             "Per-link clue hit rate in percent of clued lookups",
         churn_events_total: Counter = "Churn events applied by the fleet builder",
         republished_total: Counter = "Per-router engine-bundle publishes triggered by churn",
-        rebuild_us: Histogram(&[100, 250, 500, 1_000, 2_500, 5_000, 20_000, 100_000]) =
+        /// Set once per churn leg, like every gauge here: `clue fleet`
+        /// runs at most one leg.
+        rebuild_us: Gauge =
             "Mean per-router engine-bundle rebuild latency of one churn leg, in microseconds",
-        staleness_epochs: Histogram(&[0, 1, 2, 4, 8, 16]) = "Worst epochs a pinned router \
+        staleness_epochs: Gauge = "Worst epochs a pinned router \
             snapshot lagged the writer in one churn leg (0 = current)",
     }
 }
@@ -251,10 +253,10 @@ impl FleetTelemetry {
         if let Some(c) = churn {
             self.churn_events_total.add(c.events);
             self.republished_total.add(c.republished);
-            if let Some(us) = (c.rebuild_ns / 1_000).checked_div(c.republished) {
-                self.rebuild_us.observe(us);
+            if c.republished > 0 {
+                self.rebuild_us.set(c.rebuild_ns as f64 / 1e3 / c.republished as f64);
             }
-            self.staleness_epochs.observe(c.stats.max_staleness);
+            self.staleness_epochs.set(c.stats.max_staleness as f64);
         }
     }
 }
@@ -306,10 +308,6 @@ impl Fleet {
     pub fn build(config: FleetConfig) -> Result<Self, BackendError> {
         assert!(config.routers >= 2, "a fleet needs at least two routers");
         assert!(config.specifics_per_origin > 0, "origins must advertise something");
-        assert!(
-            config.bands.last().is_some_and(|&(d, l)| d == usize::MAX && l == config.block_len),
-            "the last band must install the origin-block aggregate everywhere"
-        );
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         // -- Topology and roles ---------------------------------------
@@ -334,7 +332,7 @@ impl Fleet {
         let n = topology.len();
 
         // Origins: an even spread over the source routers.
-        let origins = config.origins.clamp(1, 1 << config.block_len).min(sources.len());
+        let origins = config.origins.clamp(1, 1 << BLOCK_LEN).min(sources.len());
         let origin_routers: Vec<RouterId> =
             (0..origins).map(|i| sources[i * sources.len() / origins]).collect();
         let mut origin_of_router = vec![NO_ORIGIN; n];
@@ -343,7 +341,7 @@ impl Fleet {
         }
 
         // -- Address plan ---------------------------------------------
-        let min_len = config.block_len + 2;
+        let min_len = BLOCK_LEN + 2;
         let max_len = 28.max(min_len);
         let specifics: Vec<Vec<Prefix<Ip4>>> = (0..origins)
             .map(|oi| {
@@ -351,18 +349,18 @@ impl Fleet {
                     config.specifics_per_origin,
                     config.seed ^ (oi as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 );
-                rebase_into_block(&raw, oi as u128, config.block_len, min_len, max_len)
+                rebase_into_block(&raw, oi as u128, BLOCK_LEN, min_len, max_len)
             })
             .collect();
         let ecmp: Vec<EcmpTree> =
             origin_routers.iter().map(|&r| topology.ecmp_toward(r)).collect();
 
         // Destination locality over origins, drawn once at build time.
-        let zipf = ZipfSampler::new(origins, config.zipf_exponent, &mut rng);
+        let zipf = ZipfSampler::new(origins, ZIPF_EXPONENT, &mut rng);
 
         // -- Per-router FIBs ------------------------------------------
         let fibs: Vec<Vec<(Prefix<Ip4>, u32)>> = (0..n)
-            .map(|r| router_fib(&config, &specifics, &origin_of_router, &ecmp, r))
+            .map(|r| router_fib(&specifics, &origin_of_router, &ecmp, r))
             .collect();
 
         // -- Participation --------------------------------------------
@@ -789,7 +787,7 @@ impl Fleet {
         let build = || {
             let mut rng = StdRng::seed_from_u64(config.seed);
             let mut specifics = self.specifics.clone();
-            let min_len = self.config.block_len + 2;
+            let min_len = BLOCK_LEN + 2;
             let max_len = 28.max(min_len);
             for e in 0..config.events {
                 let oi = rng.random_range(0..specifics.len());
@@ -797,13 +795,7 @@ impl Fleet {
                     self.config.specifics_per_origin,
                     config.seed ^ (e as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 );
-                specifics[oi] = rebase_into_block(
-                    &raw,
-                    oi as u128,
-                    self.config.block_len,
-                    min_len,
-                    max_len,
-                );
+                specifics[oi] = rebase_into_block(&raw, oi as u128, BLOCK_LEN, min_len, max_len);
                 events += 1;
 
                 // Only routers close enough to hold the origin's
@@ -868,7 +860,7 @@ impl Fleet {
     fn republish(&self, specifics: &[Vec<Prefix<Ip4>>], r: RouterId) -> usize {
         let mut fibs: Vec<Vec<(Prefix<Ip4>, u32)>> = vec![Vec::new(); self.topology.len()];
         for &x in std::iter::once(&r).chain(self.topology.neighbors(r)) {
-            fibs[x] = router_fib(&self.config, specifics, &self.origin_of_router, &self.ecmp, x);
+            fibs[x] = router_fib(specifics, &self.origin_of_router, &self.ecmp, x);
         }
         let router =
             compile_router(&self.topology, &fibs, &self.ecmp, r, self.participates[r], &self.config)
@@ -929,7 +921,7 @@ impl Fleet {
             is_adversary[a] = true;
         }
         let links = self.link_from.len();
-        let mut book = ReputationBook::new(links, config.reputation);
+        let mut book = ReputationBook::new(links, ReputationConfig::default());
         let mut readers = self.readers();
         let guards: Vec<EpochGuard<'_, StrideRouter>> =
             readers.iter_mut().map(|r| r.pin()).collect();
@@ -1049,7 +1041,6 @@ impl Fleet {
 /// merged table is conflict-free. Serves the build and every churn
 /// republish.
 fn router_fib(
-    config: &FleetConfig,
     specifics: &[Vec<Prefix<Ip4>>],
     origin_of_router: &[u32],
     ecmp: &[EcmpTree],
@@ -1062,11 +1053,7 @@ fn router_fib(
             continue;
         }
         let dist = ecmp[oi].distance(r).unwrap_or(usize::MAX);
-        let len = config
-            .bands
-            .iter()
-            .find(|&&(max_d, _)| dist <= max_d)
-            .map_or(config.block_len, |&(_, l)| l);
+        let len = BANDS.iter().find(|&&(max_d, _)| dist <= max_d).map_or(BLOCK_LEN, |&(_, l)| l);
         let mut seen: Option<Prefix<Ip4>> = None;
         for s in specs {
             let t = s.truncate(len.min(s.len()));
@@ -1367,8 +1354,6 @@ pub struct FleetAdversaryConfig {
     pub flows_per_round: usize,
     /// Trailing rounds over which final savings are measured.
     pub window: usize,
-    /// Reputation state-machine thresholds.
-    pub(crate) reputation: ReputationConfig,
 }
 
 impl FleetAdversaryConfig {
@@ -1384,7 +1369,6 @@ impl FleetAdversaryConfig {
             attack_rounds: 6,
             flows_per_round: 1_000,
             window: 4,
-            reputation: ReputationConfig::default(),
         }
     }
 }
@@ -1735,6 +1719,18 @@ mod tests {
         assert!(t.savings_ratio.get() > 0.0);
         assert!(t.link_hit_rate_pct.snapshot().count > 0);
         assert_eq!(t.churn_events_total.get(), 0, "no churn report, no churn series");
+        // A churn leg sets its two gauges: the mean rebuild over its
+        // publishes, and its worst staleness.
+        let churn = FleetChurnReport {
+            events: 2,
+            republished: 4,
+            rebuild_ns: 10_000,
+            reclaimed: 4,
+            stats: FleetStats { max_staleness: 3, ..stats.clone() },
+        };
+        t.record_run(&fleet, &stats, Some(&churn));
+        assert_eq!(t.rebuild_us.get(), 2.5);
+        assert_eq!(t.staleness_epochs.get(), 3.0);
     }
 
     #[test]
@@ -1748,7 +1744,7 @@ mod tests {
         t.baseline_refs_total.add(4000);
         t.savings_ratio.set(1.0 - 900.0 / 4000.0);
         t.link_hit_rate_pct.observe(92);
-        t.staleness_epochs.observe(1);
+        t.staleness_epochs.set(1.0);
         assert_eq!(t.routers.get(), 1024.0);
         assert_eq!(t.flows_total.get(), 500);
         assert_eq!(t.link_hit_rate_pct.snapshot().count, 1);

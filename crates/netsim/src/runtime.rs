@@ -15,9 +15,9 @@
 //! each hop runs ([`ClueRouter`]) is the fleet's too.
 //!
 //! * **Per-core replicas.** Each worker owns a private clone of every
-//!   compiled engine it serves from ([`CompiledBackend::replicate`]
-//!   detaches telemetry handles and shares only the immutable arenas
-//!   with its siblings). Replica priming happens before the timed
+//!   compiled engine it serves from. A compiled engine holds no
+//!   telemetry handle, so the clone shares only the immutable arenas
+//!   with its siblings. Replica priming happens before the timed
 //!   region and is reported separately ([`CoreStats::replica_clone_ns`]).
 //! * **Jobs dealt up front.** The driver deals the caller's jobs
 //!   round-robin into one list per worker before any worker starts,
@@ -47,8 +47,9 @@
 //!   ([`CoreStats::max_staleness`]).
 //!
 //! Three details make the network driver fast enough to clear the
-//! 2.5x `parallel_speedup` floor `scripts/verify.sh` gates on, even
-//! before true parallelism:
+//! floors `scripts/verify.sh` gates on — `backend_speedup` ≥ 1.56 (one
+//! worker over the scalar walk) and `scaling_efficiency` ≥ 0.59 (N
+//! workers over one) — even before true parallelism:
 //! router lookups run on stride-compiled engines (a direct-indexed
 //! root plus multibit nodes instead of a bit-by-bit trie walk);
 //! next-hop resolution — `fib.get(&bmp)`, an *uncharged* binary-trie
@@ -278,9 +279,8 @@ fn hop_of(code: u32) -> Option<Hop> {
 /// the resolved BMP as the next hop's clue if the router participates.
 ///
 /// The tag codes are immutable and `Arc`-shared into every replica,
-/// so together with the engines' own `Arc`-shared arenas
-/// [`Self::replicate`] is a handful of refcount bumps even at
-/// million-prefix scale.
+/// so together with the engines' own `Arc`-shared arenas a clone is a
+/// handful of refcount bumps even at million-prefix scale.
 #[derive(Debug, Clone)]
 pub(crate) struct ClueRouter<A: Address, E: CompiledBackend<A>> {
     /// Does this router use (and stamp) clues? Non-participants route
@@ -381,19 +381,6 @@ impl<A: Address, E: CompiledBackend<A>> ClueRouter<A, E> {
         }
         assert_eq!(self.codes.len(), self.base.tag_prefixes().len());
         self.engines.len()
-    }
-
-    /// A worker-private replica: every engine re-cloned with telemetry
-    /// detached ([`CompiledBackend::replicate`]); the tag codes are
-    /// `Arc`-shared.
-    pub(crate) fn replicate(&self) -> Self {
-        ClueRouter {
-            participates: self.participates,
-            base: self.base.replicate(),
-            engines: self.engines.iter().map(E::replicate).collect(),
-            codes: Arc::clone(&self.codes),
-            family: PhantomData,
-        }
     }
 
     /// The engine a hop runs: the clue engine of incoming link `slot`
@@ -618,8 +605,7 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
             jobs,
             config.workers,
             |_| {
-                let replicas: Vec<ClueRouter<A, E>> =
-                    self.routers.iter().map(ClueRouter::replicate).collect();
+                let replicas: Vec<ClueRouter<A, E>> = self.routers.clone();
                 (replicas, Accum::new(n), M::default())
             },
             |(replicas, acc, meter), job| {
@@ -1057,7 +1043,7 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
             let mut reader = cell.reader();
             let (replica, epoch) = {
                 let guard = reader.pin();
-                (guard.replicate(), guard.epoch())
+                (E::clone(&guard), guard.epoch())
             };
             ServeCore {
                 reader,
@@ -1079,7 +1065,7 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
                 core.max_staleness = core.max_staleness.max(staleness);
                 let t = Instant::now();
                 let guard = core.reader.pin();
-                core.replica = guard.replicate();
+                core.replica = E::clone(&guard);
                 core.epoch = guard.epoch();
                 let ns = t.elapsed().as_nanos() as u64;
                 core.refresh_clones += 1;
@@ -1429,7 +1415,7 @@ mod tests {
             let links: usize = compiled.routers.iter().map(ClueRouter::assert_one_arena).sum();
             assert!(links > 0, "{}: the network has clue links", E::NAME);
             for r in &compiled.routers {
-                r.replicate().assert_one_arena();
+                r.clone().assert_one_arena();
             }
         }
         for shift in [false, true] {
@@ -1640,12 +1626,12 @@ mod tests {
         let stride = StrideEngine::compile(&engine, &StrideConfig::default()).unwrap();
         let mut want = vec![Decision::default(); dests.len()];
         stride.lookup_batch(&dests, &clues, &mut want);
-        let cell = EpochCell::new(stride.replicate());
+        let cell = EpochCell::new(stride.clone());
         // Publish a bit-identical recompile before serving: every core
         // primes at epoch 1... unless it pinned before the publish, in
         // which case it must observe the publish at a job boundary and
         // re-clone. Either way the decisions cannot change.
-        cell.publish(stride.replicate());
+        cell.publish(stride.clone());
         let registry = Registry::new();
         let t = RuntimeTelemetry::registered(&registry);
         let cfg = RuntimeConfig { workers: 2, batch: 64, ..RuntimeConfig::default() };
@@ -1663,7 +1649,7 @@ mod tests {
     fn mid_run_publish_refreshes_replicas_at_a_job_boundary() {
         let (engine, dests, clues) = engine_fixture();
         let stride = StrideEngine::compile(&engine, &StrideConfig::default()).unwrap();
-        let cell = EpochCell::new(stride.replicate());
+        let cell = EpochCell::new(stride.clone());
         // A writer hammers bit-identical publishes while the runtime
         // serves: workers must keep answering correctly and observe at
         // least the publishes' existence (staleness/refresh counters),
@@ -1675,7 +1661,7 @@ mod tests {
         std::thread::scope(|scope| {
             let publisher = scope.spawn(|| {
                 for _ in 0..50 {
-                    cell.publish(stride.replicate());
+                    cell.publish(stride.clone());
                     cell.reclaim();
                     std::thread::yield_now();
                 }

@@ -1,22 +1,19 @@
 //! Metric bundle for a compiled engine's prefetched batch loop.
 //!
-//! A compiled engine's per-packet walk is deliberately uninstrumented
-//! (it inherits the ordinary [`crate::LookupTelemetry`] stream from
-//! the engine it was compiled from); this bundle counts what is *new*
-//! about the batch path — batch calls, packets and issued prefetches —
-//! so an operator can see whether the prefetched loop is actually
-//! engaged. The stride engine
-//! registers it as `clue_stride_*`; the compressed engine carries it
-//! inside [`crate::CompressedTelemetry`] as `clue_compressed_*`.
+//! A compiled engine's per-packet walk is deliberately uninstrumented;
+//! this bundle counts its batch path — batch calls, packets and issued
+//! prefetches — so an operator can see whether the prefetched loop is
+//! actually engaged. The code that calls a batch records it: the
+//! stride batches as `clue_stride_*`, the compressed ones inside
+//! [`crate::CompressedTelemetry`] as `clue_compressed_*`.
 
 crate::bundle! {
     /// Telemetry for a compiled engine's prefetched batch loop,
     /// registered under `prefix` (`clue_stride` or `clue_compressed`;
     /// the help texts name the path after `clue_`).
     ///
-    /// Counters are recorded once per batch (accumulated locally in the
-    /// hot loop), so attaching the bundle costs a handful of relaxed adds
-    /// per `lookup_batch`, not per packet.
+    /// Counters are recorded once per batch, so the bundle costs a
+    /// handful of relaxed adds per `lookup_batch`, not per packet.
     pub struct BatchTelemetry in prefix {
         batches_total: Counter = format!("Batch calls served by the {} path", path(prefix)),
         packets_total: Counter = format!("Packets resolved by the {} path", path(prefix)),

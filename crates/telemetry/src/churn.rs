@@ -5,10 +5,9 @@
 //! serving lookups from pinned snapshots. The interesting numbers are
 //! on the *boundary* between the two: how often the snapshot swaps,
 //! how long a rebuild takes, and how far behind the freshest snapshot
-//! the readers are allowed to fall. Two writers share the bundle —
-//! `clue_core`'s epoch engine (swaps, reclamation) and `clue_netsim`'s
-//! churn driver (updates, rebuilds, reader lag) — so both record
-//! through its methods.
+//! the readers are allowed to fall. `clue_netsim`'s churn driver is
+//! its only writer: it records the updates it applies, each publish
+//! and reclaim the epoch engine reports back, and its readers' lag.
 
 crate::bundle! {
     /// Telemetry for an epoch-swapped engine under a route-update

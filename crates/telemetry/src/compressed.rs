@@ -1,11 +1,11 @@
 //! Metric bundle for the entropy-compressed compiled path.
 //!
-//! The per-packet walk inherits the ordinary [`crate::LookupTelemetry`]
-//! stream; this bundle counts the compressed batch loop through the
-//! shared [`BatchTelemetry`] counters (batches, packets, prefetches)
-//! and adds the layout gauges the CRAM analysis reports — arena bytes,
-//! bucket bytes, dictionary bytes and bytes/prefix — so a scrape shows
-//! at a glance whether a table fits its cache budget.
+//! The per-packet walk is uninstrumented; this bundle counts the
+//! compressed batch loop through the shared [`BatchTelemetry`]
+//! counters (batches, packets, prefetches) and adds the layout gauges
+//! the CRAM analysis reports — arena bytes, bucket bytes, dictionary
+//! bytes and bytes/prefix — so a scrape shows at a glance whether a
+//! table fits its cache budget.
 
 use crate::batch::BatchTelemetry;
 
@@ -14,7 +14,7 @@ crate::bundle! {
     /// layout.
     ///
     /// Counters are recorded once per batch; the layout gauges are set
-    /// once at compile/attach time and are pure descriptions of the
+    /// once, after compiling, and are pure descriptions of the
     /// immutable arena.
     pub struct CompressedTelemetry in "clue_compressed" {
         arena_bytes: Gauge = "Bytes of the compressed walk arena (quads + rank directories)",

@@ -31,14 +31,16 @@
 //!   Each bundle is declared beside the code that records into it and
 //!   records through its own methods: this crate declares the
 //!   lookup-path bundles ([`LookupTelemetry`], [`BatchTelemetry`],
-//!   [`CompressedTelemetry`]) and [`ChurnTelemetry`], which both
-//!   `clue-core` and `clue-netsim` write; the cache bundle lives in
-//!   `clue-core` and the runtime, fleet, adversary, reputation and fault
-//!   bundles in `clue-netsim`.
+//!   [`CompressedTelemetry`]), which `clue-core` and `clue-cli` write,
+//!   and [`ChurnTelemetry`], which `clue-netsim`'s churn driver writes;
+//!   the cache bundle lives in `clue-core` and the runtime, fleet,
+//!   adversary, reputation and fault bundles in `clue-netsim`.
 //!
-//! Instrumentation is runtime-gated: components hold an
-//! `Option<LookupTelemetry>` and skip all recording when it is absent,
+//! Instrumentation is runtime-gated: the scalar engine holds an
+//! `Option<LookupTelemetry>` and skips all recording when it is absent,
 //! so a disabled registry costs one predictable branch per lookup.
+//! Compiled engines hold no handle at all; the caller of a batch
+//! records it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

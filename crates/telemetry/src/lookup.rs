@@ -1,18 +1,16 @@
 //! The per-lookup metric bundle of the workspace's lookup paths.
 //!
-//! An engine holds a [`LookupTelemetry`] registered into a shared
-//! [`Registry`](crate::Registry) under `clue_core_*`; the engines compiled from
-//! it inherit the same handles. Because handles share their cells with
-//! the registry, every recorded lookup is visible to every exporter
-//! with no copying or locking.
+//! The scalar engine holds a [`LookupTelemetry`] registered into a
+//! shared [`Registry`](crate::Registry) under `clue_core_*`. Because
+//! handles share their cells with the registry, every recorded lookup
+//! is visible to every exporter with no copying or locking.
 
 use crate::registry::Counter;
 use crate::trace::{LookupClass, LookupEvent};
 use crate::{MEMORY_REFERENCE_BOUNDS, PREFIX_LENGTH_BOUNDS};
 
 crate::bundle! {
-    /// Telemetry for one lookup path (an engine and the engines
-    /// compiled from it).
+    /// Telemetry for the scalar engine's lookup path.
     ///
     /// Recording one [`LookupEvent`] costs a handful of relaxed atomic
     /// adds; cloning shares the underlying cells.

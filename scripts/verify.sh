@@ -109,9 +109,11 @@ target/release/clue bench-diff BENCH_compressed.json "$fresh/BENCH_compressed.js
 # live in one scrape of the default instrumented workload, and its
 # deterministic series must be exact: 2 cores, 2000 packets in 8 jobs
 # of 256, one priming clone per core timed once, one staleness sample
-# per job. The same scrape must show the simulator's series from its
-# 200-packet instrumented run (every packet delivered), the compressed,
-# fleet and fault families registered at zero, and the adversarial
+# per job. The one stride batch `clue metrics` records itself must be
+# exact too: 2000 packets, each prefetched. The same scrape must show
+# the simulator's series from its 200-packet instrumented run (every
+# packet delivered), the compressed, fleet and fault families
+# registered at zero, and the adversarial
 # fleet's seeded series: 151 crafted hops within the one-probe bound,
 # and every one of the 6 quarantined links re-admitted through
 # probation over 12 rounds of 162 directed links.
@@ -119,6 +121,8 @@ metrics=$(target/release/clue metrics 2000 1 --prom)
 for line in 'clue_runtime_workers 2' 'clue_runtime_packets_total 2000' \
   'clue_runtime_batches_total 8' 'clue_runtime_replica_clones_total 2' \
   'clue_runtime_replica_clone_us_count 2' 'clue_runtime_staleness_epochs_count 8' \
+  'clue_stride_batches_total 1' 'clue_stride_packets_total 2000' \
+  'clue_stride_prefetches_total 2000' \
   'clue_netsim_packets_total 200' 'clue_netsim_delivered_total 200' \
   'clue_compressed_packets_total 0' 'clue_fleet_flows_total 0' \
   'clue_fault_injected_total 0' \
