@@ -68,7 +68,7 @@ usage:
                                                  to be >= FLOOR, --max
                                                  (repeatable) to be <= CEIL
   clue throughput [packets] [seed] [--threads N] [--table P] [--stride BITS]
-                  [--prefetch G] [--backend B] [--runtime] [--json PATH]
+                  [--prefetch G] [--backend B] [--json PATH]
                   [--serve ADDR] [--check]       packets/sec for the scalar,
                                                  batched-frozen, stride-
                                                  compiled (initial stride BITS,
@@ -76,9 +76,11 @@ usage:
                                                  packets; G<=1 prepares then
                                                  finishes each packet, no
                                                  lookahead) and
-                                                 entropy-compressed pipelines
-                                                 and the multi-core network
-                                                 runtime over a P-prefix
+                                                 entropy-compressed pipelines,
+                                                 the multi-core network
+                                                 runtime and the engine-
+                                                 level serving loop (one
+                                                 epoch cell) over a P-prefix
                                                  table (N worker cores,
                                                  default: all; tables of
                                                  >= 200000 prefixes use the
@@ -90,11 +92,10 @@ usage:
                                                  compressed benchmarks one
                                                  compiled backend against the
                                                  scalar reference (skipping
-                                                 the network legs — the
-                                                 1M-10M single-engine matrix);
-                                                 --runtime adds the engine-
-                                                 level serving leg over an
-                                                 epoch cell; --check verifies
+                                                 the network and serving
+                                                 legs — the 1M-10M single-
+                                                 engine matrix);
+                                                 --check verifies
                                                  result equivalence, window G
                                                  against window 1 too; --serve
                                                  ADDR exposes /metrics and
@@ -452,8 +453,8 @@ fn metrics_registry(packets: usize, seed: u64) -> Result<Registry, String> {
     record_batch(&stride_batches, dests.len(), window);
 
     // The multi-core serving runtime, driven over the same stream so
-    // its clue_runtime_* series are live in the dump: two worker cores,
-    // each a private replica of the stride engine behind an epoch cell.
+    // its clue_runtime_* series are live in the dump: two worker cores
+    // serving the stride engine from one epoch cell.
     let runtime_telemetry = clue_netsim::RuntimeTelemetry::registered(&registry);
     let cell = clue_core::EpochCell::new(stride);
     let runtime_cfg = clue_netsim::RuntimeConfig {
@@ -478,7 +479,7 @@ fn metrics_registry(packets: usize, seed: u64) -> Result<Registry, String> {
 
     let plan = clue_netsim::FaultPlan::parse("all", seed)?;
     let _ = clue_netsim::DegradationTelemetry::registered(&registry, plan.classes());
-    let _ = clue_telemetry::ChurnTelemetry::registered(&registry);
+    let _ = clue_netsim::ChurnTelemetry::registered(&registry);
     let _ = clue_telemetry::CompressedTelemetry::registered(&registry);
     let _ = clue_netsim::FleetTelemetry::registered(&registry);
 
@@ -1481,19 +1482,19 @@ fn record_batch(batches: &BatchTelemetry, packets: usize, window: usize) {
     batches.record_batch(packets, if window > 1 { packets } else { 0 });
 }
 
-/// Benchmarks the four lookup pipelines — mutable scalar engine,
-/// frozen batch API, stride-compiled prefetched batch, and the
-/// shared-nothing multi-core network runtime — and optionally
+/// Benchmarks the lookup pipelines — mutable scalar engine, frozen
+/// batch API, stride-compiled prefetched batch, compressed batch, the
+/// multi-core network runtime and the engine-level serving loop
+/// ([`clue_netsim::serve_lookups`] over an epoch cell) — and optionally
 /// (`--check`) proves they return identical results before reporting
-/// any numbers. `--runtime` adds the engine-level serving leg
-/// ([`clue_netsim::serve_lookups`] over an epoch cell). `--json PATH`
-/// exports the measurements for the `BENCH_*.json` trajectory.
+/// any numbers. `--json PATH` exports the measurements for the
+/// `BENCH_*.json` trajectory.
 fn throughput(args: &[String]) -> Result<(), String> {
     let flags = Flags::read(
         args,
         ["packets", "seed"],
         &["--threads", "--table", "--stride", "--prefetch", "--backend", "--json", "--serve"],
-        &["--runtime", "--check"],
+        &["--check"],
     )?;
     let packets = flags.count("packets", 20_000, 1)?;
     let seed = flags.get("seed", 1u64)?;
@@ -1503,10 +1504,6 @@ fn throughput(args: &[String]) -> Result<(), String> {
     let prefetch = flags.get("--prefetch", clue_core::DEFAULT_INTERLEAVE)?;
     let backend = flags.text("--backend").map(str::parse::<clue_core::BackendKind>).transpose()?;
     let check = flags.switch("--check");
-    let runtime_leg = flags.switch("--runtime");
-    if backend.is_some() && runtime_leg {
-        return Err("--backend benchmarks one engine; it has no --runtime leg".to_owned());
-    }
 
     // Stage 1 — single receiver, paper-style traffic with honest clues:
     // the scalar engine vs its frozen batch compilation vs the
@@ -1544,7 +1541,7 @@ fn throughput(args: &[String]) -> Result<(), String> {
     let compressed =
         need_compressed.then(|| frozen.compile_compressed(clue_core::CompressedConfig));
     // With a live scrape endpoint the scalar engine's lookups are
-    // instrumented — the counters cost a few sharded fetch_adds per
+    // instrumented — the counters cost a few relaxed fetch_adds per
     // packet, paid only when someone asked to watch — and each compiled
     // batch call is counted once, with the compressed layout beside it.
     let registry = Arc::new(Registry::new());
@@ -1684,10 +1681,10 @@ fn throughput(args: &[String]) -> Result<(), String> {
     }
 
     // Stage 2 — the network workload: sequential per-packet reference
-    // vs the shared-nothing multi-core runtime over `threads` worker
-    // cores. The stride compile is one-off setup and happens outside
-    // the timed region; the per-run replica priming is hoisted out of
-    // the runtime's own clock too and reported as replica_clone_ms.
+    // vs the multi-core runtime over `threads` worker cores. The stride
+    // compile is one-off setup and happens outside the timed region;
+    // the per-run worker priming is hoisted out of the runtime's own
+    // clock too.
     let (topo, edges) = clue_netsim::Topology::backbone(4, 2);
     let mut net_cfg = clue_netsim::NetworkConfig::new(
         edges.clone(),
@@ -1709,7 +1706,7 @@ fn throughput(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot stride-compile the network: {e}"))?;
     let freeze_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Best-of-3 on the runtime's own steady-state clock (replica
+    // Best-of-3 on the runtime's own steady-state clock (worker
     // priming excluded); the report picked is the fastest run's.
     // Batch so each worker sees a handful of jobs: long jobs keep the
     // lane-interleaved walk's lanes full, and a handful (rather than
@@ -1732,7 +1729,6 @@ fn throughput(args: &[String]) -> Result<(), String> {
     };
     let (par, report) = best_of_3(&runtime_cfg);
     let par_pps = report.pps();
-    let replica_clone_ms = report.replica_clone_ns as f64 / 1e6;
     // The same runtime at one worker splits the speedup over the
     // scalar walk into its two causes: the backend, and more threads.
     let (single, single_report) =
@@ -1743,24 +1739,20 @@ fn throughput(args: &[String]) -> Result<(), String> {
         equivalent = false;
     }
 
-    // Optional engine-level serving leg: the stage-1 stride engine
-    // published into an epoch cell and served by per-core replicas.
-    let mut serve_report = None;
-    if runtime_leg {
-        let cell = clue_core::EpochCell::new(stride.clone());
-        let mut best: Option<(Vec<clue_core::Decision<Ip4>>, clue_netsim::ServeReport)> = None;
-        for _ in 0..3 {
-            let mut out = Vec::new();
-            let r = clue_netsim::serve_lookups(&cell, &dests, &clues, &mut out, &runtime_cfg, None);
-            if best.as_ref().is_none_or(|(_, b)| r.pps() > b.pps()) {
-                best = Some((out, r));
-            }
+    // Engine-level serving leg: the stage-1 stride engine published
+    // into an epoch cell and served by every worker from it.
+    let cell = clue_core::EpochCell::new(stride.clone());
+    let mut best: Option<(Vec<clue_core::Decision<Ip4>>, clue_netsim::ServeReport)> = None;
+    for _ in 0..3 {
+        let mut out = Vec::new();
+        let r = clue_netsim::serve_lookups(&cell, &dests, &clues, &mut out, &runtime_cfg, None);
+        if best.as_ref().is_none_or(|(_, b)| r.pps() > b.pps()) {
+            best = Some((out, r));
         }
-        let (decisions, r) = best.expect("ran at least once");
-        if check && decisions != stride_out {
-            equivalent = false;
-        }
-        serve_report = Some(r);
+    }
+    let (decisions, serve_report) = best.expect("ran at least once");
+    if check && decisions != stride_out {
+        equivalent = false;
     }
     if check && !equivalent {
         return Err("equivalence check failed: pipelines disagree".to_owned());
@@ -1777,9 +1769,7 @@ fn throughput(args: &[String]) -> Result<(), String> {
             ))
         };
         clock("network", par_pps, &report.cores)?;
-        if let Some(r) = &serve_report {
-            clock("serving", r.pps(), &r.cores)?;
-        }
+        clock("serving", serve_report.pps(), &serve_report.cores)?;
     }
 
     let batch_speedup = frozen_pps / scalar_pps.max(1e-9);
@@ -1814,16 +1804,9 @@ fn throughput(args: &[String]) -> Result<(), String> {
     );
     println!(
         "  runtime x{threads}:     {par_pps:>12.0} pkts/s  ({par_speedup:.2}x seq, \
-         {scaling_efficiency:.2}x x1; replica clones {replica_clone_ms:.2} ms, outside the \
-         timed region)"
+         {scaling_efficiency:.2}x x1)"
     );
-    if let Some(r) = &serve_report {
-        println!(
-            "engine serving x{threads}: {:>10.0} pkts/s  (replica clones {:.2} ms)",
-            r.pps(),
-            r.replica_clone_ns as f64 / 1e6
-        );
-    }
+    println!("engine serving x{threads}: {:>10.0} pkts/s", serve_report.pps());
     if check {
         println!(
             "equivalence: OK (batch == stride == compressed == scalar, windows 1 and \
@@ -1854,7 +1837,6 @@ fn throughput(args: &[String]) -> Result<(), String> {
             .timing("compressed_speedup", Num::fixed(compressed_speedup, 3))
             .timing("seq_pps", Num::fixed(seq_pps, 1))
             .timing("freeze_ms", Num::fixed(freeze_ms, 2))
-            .timing("replica_clone_ms", Num::fixed(replica_clone_ms, 3))
             .timing_list("per_core_pps", core_pps(&report.cores))
             .timing("parallel_pps", Num::fixed(par_pps, 1))
             .timing("parallel_speedup", Num::fixed(par_speedup, 3))
@@ -1866,12 +1848,9 @@ fn throughput(args: &[String]) -> Result<(), String> {
         for (name, cram) in &crams {
             report_cram(&mut bench, name, receiver_len, cram);
         }
-        if let Some(r) = &serve_report {
-            bench
-                .timing("runtime_pps", Num::fixed(r.pps(), 1))
-                .timing_list("runtime_per_core_pps", core_pps(&r.cores))
-                .timing("runtime_replica_clone_ms", Num::fixed(r.replica_clone_ns as f64 / 1e6, 3));
-        }
+        bench
+            .timing("runtime_pps", Num::fixed(serve_report.pps(), 1))
+            .timing_list("runtime_per_core_pps", core_pps(&serve_report.cores));
         bench.write(path)?;
     }
     Ok(())
@@ -1899,7 +1878,7 @@ fn churn(args: &[String]) -> Result<(), String> {
     );
 
     let registry = Arc::new(Registry::new());
-    let telemetry = clue_telemetry::ChurnTelemetry::registered(&registry);
+    let telemetry = clue_netsim::ChurnTelemetry::registered(&registry);
     let _server = start_scrape(flags.text("--serve"), &registry)?;
     let mut cfg = clue_netsim::ChurnDriverConfig::new(readers, seed);
     cfg.check = check;
@@ -2603,6 +2582,7 @@ mod tests {
         assert!(text.contains("\"prefetch_group\": 4"));
         assert!(text.contains("\"stride_pps\""));
         assert!(text.contains("\"freeze_ms\""));
+        assert!(text.contains("\"runtime_pps\""), "the serving leg always runs");
         // Prefetch off (group 1) must still check out — interleave is
         // a latency knob, not a semantic one.
         run(&s(&["throughput", "200", "3", "--table", "600", "--prefetch", "1", "--check"]))
@@ -2643,7 +2623,7 @@ mod tests {
         }
         assert!(run(&s(&["throughput", "--backend", "planb"])).is_err());
         assert!(run(&s(&["throughput", "--backend"])).is_err());
-        assert!(run(&s(&["throughput", "--backend", "frozen", "--runtime"])).is_err());
+        assert!(run(&s(&["throughput", "--runtime"])).is_err(), "no such switch");
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!
 //! A compiled engine is plain data: it holds no telemetry handle, and
 //! every array sits behind an [`Arc`](std::sync::Arc) and never
-//! changes, so a per-core replica is a `clone`. The code that runs a
-//! lookup or a batch records what it observed.
+//! changes, so every worker core reads one published engine in place.
+//! The code that runs a lookup or a batch records what it observed.
 //!
 //! A router compiles one arena for all its incoming links (paper
 //! §3.4): [`CompiledBackend::compile`] builds the router's own engine,

@@ -204,7 +204,7 @@ impl StageProfiler {
     }
 
     /// Folds `other` into this profiler (per-thread profilers merged at
-    /// scrape/report time — same pattern as the sharded telemetry).
+    /// report time).
     pub fn merge(&mut self, other: &StageProfiler) {
         for (a, b) in self.stages.iter_mut().zip(&other.stages) {
             a.visits += b.visits;

@@ -172,9 +172,10 @@ struct InnerNode {
 /// The stride-compiled engine; see the module docs. Compiled from a
 /// [`FrozenEngine`] via [`FrozenEngine::compile_stride`], read-only
 /// and `Sync` like its source.
-/// All compiled arrays live behind [`Arc`]s: the engine is immutable
-/// after compilation, so a worker core's replica is a clone, a handful
-/// of refcount bumps instead of a deep copy of megabytes of arena.
+/// All compiled arrays live behind [`Arc`]s and never change after
+/// compilation, so a clone is a handful of refcount bumps instead of
+/// a deep copy of megabytes of arena, and worker cores share one
+/// engine in place.
 #[derive(Debug, Clone)]
 pub struct StrideEngine<A: Address> {
     method: Method,

@@ -76,10 +76,8 @@ pub trait LookupScheme<A: Address> {
     /// Approximate resident size in bytes, for space comparisons.
     fn memory_bytes(&self) -> usize;
 
-    /// A boxed deep copy of this scheme — the replica path used by the
-    /// shared-nothing serving runtime, which hands every core its own
-    /// private copy of a boxed scheme instead of sharing one behind a
-    /// lock. Every scheme is a plain owned structure, so the copy
+    /// A boxed deep copy of this scheme, behind `Clone` for a boxed
+    /// scheme. Every scheme is a plain owned structure, so the copy
     /// shares no state with the original.
     fn clone_box(&self) -> Box<dyn LookupScheme<A> + Send + Sync>;
 }

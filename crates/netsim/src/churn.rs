@@ -51,11 +51,79 @@ use clue_core::{
 };
 use clue_lookup::Family;
 use clue_tablegen::{end_state, RouteUpdate, UpdateKind};
-use clue_telemetry::ChurnTelemetry;
 use clue_trie::{Address, Prefix};
 
 use crate::faults::DegradationTelemetry;
 use crate::runtime::drive_while;
+
+clue_telemetry::bundle! {
+    /// Telemetry for an epoch-swapped engine under a route-update
+    /// stream (`clue_churn_*`): how often the snapshot swaps, how long a
+    /// rebuild takes, and how far behind the freshest snapshot the
+    /// readers fall. [`run_churn`] is its only writer: it records the
+    /// updates it applies, each publish and reclaim the epoch engine
+    /// reports back, and its readers' lag.
+    ///
+    /// Cloning shares the underlying cells, so the builder and every
+    /// reader thread can hold the same bundle.
+    pub struct ChurnTelemetry in "clue_churn" {
+        swaps_total: Counter = "Frozen snapshots published (epoch swaps)",
+        updates_applied_total: Counter = "Route updates applied to the live engine",
+        /// A small table re-freezes in well under a millisecond, a
+        /// production-scale one in the tens of milliseconds; the
+        /// overflow bucket absorbs pathological stalls.
+        rebuild_latency_us: Histogram(&[
+            50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
+        ]) = "Microseconds to re-freeze and publish one snapshot",
+        /// Epochs behind; 0 = fully current.
+        staleness: Gauge = "Epochs the last observed reader batch lagged the freshest snapshot",
+        stale_lookups_total: Counter = "Lookups answered from a superseded snapshot",
+        reclaimed_total: Counter = "Retired snapshots freed after their grace period",
+    }
+}
+
+impl ChurnTelemetry {
+    /// Records one published snapshot that reclaimed `reclaimed`
+    /// retired ones on the way.
+    pub(crate) fn record_publish(&self, reclaimed: u64) {
+        self.swaps_total.inc();
+        self.reclaimed_total.add(reclaimed);
+    }
+
+    /// Records `freed` retired snapshots reclaimed outside a publish.
+    pub(crate) fn record_reclaimed(&self, freed: u64) {
+        self.reclaimed_total.add(freed);
+    }
+
+    /// Records one applied batch of `updates` route updates.
+    pub(crate) fn record_updates(&self, updates: u64) {
+        self.updates_applied_total.add(updates);
+    }
+
+    /// Records one re-freeze that took `us` microseconds.
+    pub(crate) fn record_rebuild_us(&self, us: u64) {
+        self.rebuild_latency_us.observe(us);
+    }
+
+    /// Records one reader batch of `lookups` served `lag` epochs behind
+    /// the freshest snapshot.
+    pub(crate) fn record_reader_batch(&self, lag: u64, lookups: u64) {
+        self.staleness.set(lag as f64);
+        if lag > 0 {
+            self.stale_lookups_total.add(lookups);
+        }
+    }
+
+    /// Snapshots published so far.
+    pub fn swaps(&self) -> u64 {
+        self.swaps_total.get()
+    }
+
+    /// Retired snapshots reclaimed so far.
+    pub fn reclaimed(&self) -> u64 {
+        self.reclaimed_total.get()
+    }
+}
 
 /// Why a churn run could not complete. Every failure the driver can
 /// hit is typed here — the serving loop itself never panics.
@@ -612,5 +680,47 @@ mod tests {
         // builder returns (runtime's
         // `an_instant_writer_still_gets_one_serve_from_every_worker`).
         assert!(report.lookups_total >= cfg.readers as u64, "{}", report.lookups_total);
+    }
+
+    #[test]
+    fn registered_names_follow_the_convention() {
+        let registry = Registry::new();
+        let t = ChurnTelemetry::registered(&registry);
+        for name in [
+            "clue_churn_swaps_total",
+            "clue_churn_updates_applied_total",
+            "clue_churn_rebuild_latency_us",
+            "clue_churn_staleness",
+            "clue_churn_stale_lookups_total",
+            "clue_churn_reclaimed_total",
+        ] {
+            assert!(registry.contains(name), "missing {name}");
+        }
+        t.record_publish(0);
+        t.record_rebuild_us(180);
+        t.record_reader_batch(2, 8);
+        // Registered handles share cells with the registry: a second
+        // bundle in the same registry sees the same values.
+        let again = ChurnTelemetry::registered(&registry);
+        assert_eq!(again.swaps(), 1);
+        assert_eq!(again.rebuild_latency_us.snapshot().count, 1);
+        assert_eq!(again.staleness.get(), 2.0);
+        assert_eq!(again.stale_lookups_total.get(), 8);
+    }
+
+    #[test]
+    fn detached_cells_are_live() {
+        let t = ChurnTelemetry::registered(&Registry::new());
+        t.record_updates(7);
+        t.record_reader_batch(1, 1);
+        t.record_reader_batch(0, 5);
+        t.record_reclaimed(1);
+        assert_eq!(t.updates_applied_total.get(), 7);
+        assert_eq!(t.stale_lookups_total.get(), 1, "a current batch is not stale");
+        assert_eq!(t.staleness.get(), 0.0);
+        assert_eq!(t.reclaimed(), 1);
+        let clone = t.clone();
+        clone.record_updates(3);
+        assert_eq!(t.updates_applied_total.get(), 10, "clones share cells");
     }
 }

@@ -694,12 +694,12 @@ impl Fleet {
             order.chunks(FLOW_JOB),
             workers,
             // Priming = registering this worker's epoch readers (one
-            // per router), hoisted out of the timed region like the
-            // serving runtime's replica clones.
+            // per router), hoisted out of the timed region like every
+            // driver's priming.
             |_| (self.readers(), FleetAccum::new(links)),
             |(readers, acc), keys| {
-                // Pin per job: the runtime's epoch refresh at job
-                // boundaries.
+                // Pin per job, as `serve_lookups` does: a publish is
+                // seen at the next job boundary.
                 let guards: Vec<EpochGuard<'_, StrideRouter>> =
                     readers.iter_mut().map(|r| r.pin()).collect();
                 for &key in keys {

@@ -17,14 +17,13 @@
 //!   statistics (Figure 1's two curves fall straight out), and
 //!   [`run_workload_per_packet`], the same workload drawn from one RNG
 //!   stream per packet: the live reference of the compiled runtime;
-//! * [`CompiledNetwork`] / [`serve_lookups`] — the shared-nothing
-//!   multi-core serving runtime and the one compiled view of a
-//!   network: per-core replicas of any compiled backend
-//!   ([`StrideNetwork`], compressed, frozen) serving jobs
-//!   dealt to them up front, bit-identical to the live reference at any
-//!   core count (a 1-worker run is the compiled sequential
-//!   reference), profiled through the same walk, with barrier-free
-//!   epoch-churn propagation;
+//! * [`CompiledNetwork`] / [`serve_lookups`] — the multi-core serving
+//!   runtime and the one compiled view of a network: worker cores
+//!   reading one shared compiled backend ([`StrideNetwork`],
+//!   compressed, frozen) in place, serving jobs dealt to them up
+//!   front, bit-identical to the live reference at any core count (a
+//!   1-worker run is the compiled sequential reference), profiled
+//!   through the same walk, with barrier-free epoch-churn propagation;
 //! * [`Fleet`] — the deployment question at internet scale: thousands
 //!   of stride-compiled routers behind epoch cells, ECMP forwarding and
 //!   per-link clue analytics, with honest, churned and attacked flows
@@ -63,7 +62,7 @@ mod sim;
 mod topology;
 
 pub use adversary::{participation_sweep, AdversaryTelemetry, AttackProfile, ReputationTelemetry};
-pub use churn::{run_churn, ChurnDriverConfig, ChurnReport};
+pub use churn::{run_churn, ChurnDriverConfig, ChurnReport, ChurnTelemetry};
 pub use faults::{run_chaos, ChaosConfig, DegradationTelemetry, FaultClass, FaultPlan};
 pub use fleet::{
     Fleet, FleetAdversaryConfig, FleetChurnConfig, FleetConfig, FleetStats, FleetTelemetry,

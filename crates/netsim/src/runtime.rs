@@ -1,5 +1,4 @@
-//! Shared-nothing multi-core serving runtime: the one compiled view of
-//! a [`Network`].
+//! Multi-core serving runtime: the one compiled view of a [`Network`].
 //!
 //! [`CompiledNetwork`] compiles every router's clue engines to one
 //! [`CompiledBackend`] and routes seeded workloads through
@@ -14,11 +13,12 @@
 //! source ([`drive_while`]) both churn loops, and the compiled router
 //! each hop runs ([`ClueRouter`]) is the fleet's too.
 //!
-//! * **Per-core replicas.** Each worker owns a private clone of every
-//!   compiled engine it serves from. A compiled engine holds no
-//!   telemetry handle, so the clone shares only the immutable arenas
-//!   with its siblings. Replica priming happens before the timed
-//!   region and is reported separately ([`CoreStats::replica_clone_ns`]).
+//! * **Shared read-only engines.** Every worker reads the compiled
+//!   routers, or the published engine, in place. A compiled engine is
+//!   immutable between publishes and holds no telemetry handle, so
+//!   workers share it without a copy or a lock; each owns only its
+//!   accumulators, its meter and its epoch reader, built before the
+//!   timed region starts.
 //! * **Jobs dealt up front.** The driver deals the caller's jobs
 //!   round-robin into one list per worker before any worker starts,
 //!   so a worker never waits for work and nothing passes between
@@ -39,12 +39,12 @@
 //!   [`run_workload_per_packet`](crate::run_workload_per_packet) at
 //!   any worker count** — the property `tests/runtime_equivalence.rs`
 //!   pins down.
-//! * **Barrier-free churn propagation.** [`serve_lookups`] serves from
-//!   an [`EpochCell`]: each worker holds a pinned [`EpochReader`] and
-//!   re-clones its replica at the first batch boundary after a
-//!   publish — no barrier, no coordination with other cores, and the
-//!   epochs-behind lag is attributed per core
-//!   ([`CoreStats::max_staleness`]).
+//! * **Churn seen at job boundaries.** [`serve_lookups`] serves from
+//!   an [`EpochCell`]: each worker registers an [`EpochReader`], pins
+//!   the cell once per job and serves the job from that guard, so a
+//!   publish reaches every core at its next job with no barrier and
+//!   no coordination with other cores. The guard's epochs-behind lag
+//!   is attributed per core ([`CoreStats::max_staleness`]).
 //!
 //! Three details make the network driver fast enough to clear the
 //! floors `scripts/verify.sh` gates on — `backend_speedup` ≥ 1.56 (one
@@ -73,7 +73,6 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clue_core::{
@@ -92,36 +91,27 @@ clue_telemetry::bundle! {
     /// Telemetry for the multi-core serving runtime (`clue_runtime_*`).
     ///
     /// The hot loop touches no shared cell per packet: workers
-    /// accumulate plain integers and flush them once per run, and the
-    /// per-job series are sharded cells, so flushes from different
-    /// cores do not contend on one cache line.
+    /// accumulate plain integers and flush them once per run; only the
+    /// staleness histogram is observed once per job.
     pub struct RuntimeTelemetry in "clue_runtime" {
         workers: Gauge = "Worker cores in the most recent serving run",
         batches_total: Counter = "Packet batches served by runtime worker cores",
         packets_total: Counter = "Packets served by runtime worker cores",
-        replica_clones_total: Counter =
-            "Per-core engine replica clones (priming and epoch refresh)",
-        /// Priming and mid-run refresh clones alike.
-        replica_clone_us: Histogram(&[50, 100, 250, 500, 1_000, 5_000, 20_000, 100_000]) =
-            "Replica clone latency in microseconds",
-        /// Observed at each job boundary.
+        /// Observed once per served job, from the guard it was served
+        /// from.
         staleness_epochs: Histogram(&[0, 1, 2, 4, 8, 16]) =
             "Epochs behind the writer per served batch (0 = current)",
     }
 }
 
 impl RuntimeTelemetry {
-    /// Flushes per-core attribution: the worker gauge, each core's
-    /// counters and its priming clone's latency (`priming_ns`, in core
-    /// order). Mid-run refresh clones are observed when they happen, so
-    /// every clone lands in `replica_clone_us` once.
-    fn record_cores(&self, cores: &[CoreStats], priming_ns: impl Iterator<Item = u64>) {
+    /// Flushes per-core attribution: the worker gauge and each core's
+    /// counters.
+    fn record_cores(&self, cores: &[CoreStats]) {
         self.workers.set(cores.len() as f64);
-        for (c, ns) in cores.iter().zip(priming_ns) {
+        for c in cores {
             self.packets_total.add(c.packets);
             self.batches_total.add(c.batches);
-            self.replica_clones_total.add(c.replica_clones);
-            self.replica_clone_us.observe(ns / 1_000);
         }
     }
 }
@@ -137,8 +127,9 @@ pub fn available_workers() -> usize {
 pub struct RuntimeConfig {
     /// Worker cores (default: [`available_workers`]).
     pub workers: usize,
-    /// Packets per job — the unit the driver deals to the workers and
-    /// of replica refresh (churn is observed at job boundaries).
+    /// Packets per job — the unit the driver deals to the workers.
+    /// [`serve_lookups`] pins the published engine once per job, so
+    /// churn is observed at job boundaries.
     pub batch: usize,
     /// Prefetch window of the workers' batch loops (engine serving
     /// only; `<= 1` prepares then finishes each packet, no lookahead).
@@ -173,11 +164,9 @@ pub struct CoreStats {
     /// Nanoseconds spent serving jobs (excludes priming and the wait
     /// for the other workers).
     pub busy_ns: u64,
-    /// Replica clones: the priming clone plus one per observed epoch
-    /// publish.
-    pub replica_clones: u64,
-    /// Nanoseconds spent cloning replicas (priming + refreshes).
-    pub(crate) replica_clone_ns: u64,
+    /// Nanoseconds this core spent priming its state, before the
+    /// timed region.
+    pub(crate) priming_ns: u64,
     /// Worst epochs-behind-the-writer this core served a batch at.
     pub max_staleness: u64,
     /// Always 0: every worker's jobs are dealt before it starts, so it
@@ -195,16 +184,12 @@ impl CoreStats {
 }
 
 /// What a runtime run did, beyond its workload result: wall-clock of
-/// the timed region, setup cost kept out of it, and per-core
-/// attribution.
+/// the timed region and per-core attribution.
 #[derive(Debug, Clone)]
 pub struct RuntimeReport {
-    /// Nanoseconds from "every replica primed" to "every worker
+    /// Nanoseconds from "every worker primed" to "every worker
     /// joined" — the steady-state serving time.
     pub elapsed_ns: u64,
-    /// Total nanoseconds workers spent priming their replicas, all of
-    /// it **outside** the timed region.
-    pub replica_clone_ns: u64,
     /// Per-core attribution, indexed by worker.
     pub cores: Vec<CoreStats>,
 }
@@ -214,11 +199,6 @@ impl RuntimeReport {
     pub fn pps(&self) -> f64 {
         let packets: u64 = self.cores.iter().map(|c| c.packets).sum();
         packets as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Flushes this report into a telemetry bundle.
-    fn record(&self, t: &RuntimeTelemetry) {
-        t.record_cores(&self.cores, self.cores.iter().map(|c| c.replica_clone_ns));
     }
 }
 
@@ -277,11 +257,7 @@ fn hop_of(code: u32) -> Option<Hop> {
 /// the incoming link when the packet carries a clue, and its own
 /// clue-less table otherwise ([`Self::engine`]). The owner then stamps
 /// the resolved BMP as the next hop's clue if the router participates.
-///
-/// The tag codes are immutable and `Arc`-shared into every replica,
-/// so together with the engines' own `Arc`-shared arenas a clone is a
-/// handful of refcount bumps even at million-prefix scale.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ClueRouter<A: Address, E: CompiledBackend<A>> {
     /// Does this router use (and stamp) clues? Non-participants route
     /// with the base engine and relay the incoming header (Section
@@ -291,7 +267,7 @@ pub(crate) struct ClueRouter<A: Address, E: CompiledBackend<A>> {
     engines: Vec<E>,
     /// Tag codes, parallel to the tag dictionary every engine shares
     /// ([`CompiledBackend::tag_prefixes`]).
-    codes: Arc<[u32]>,
+    codes: Box<[u32]>,
     family: PhantomData<A>,
 }
 
@@ -535,7 +511,7 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
     }
 
     /// As [`Self::run_workload`], returning the runtime report
-    /// (steady-state wall clock with replica priming hoisted out of
+    /// (steady-state wall clock with worker priming hoisted out of
     /// it, per-core attribution) and optionally flushing it into a
     /// telemetry bundle.
     ///
@@ -551,7 +527,7 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
     ) -> (RunStats, RuntimeReport) {
         let (stats, report, _) = self.run_metered::<Cost>(sources, packets, seed, config);
         if let Some(t) = telemetry {
-            report.record(t);
+            t.record_cores(&report.cores);
         }
         (stats, report)
     }
@@ -583,9 +559,9 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
         (stats, prof)
     }
 
-    /// The runtime behind every entry point: each worker primes a
-    /// private replica of every router, then walks its jobs through
-    /// [`Self::route_job_into`] charging its own meter. Shards, cores and
+    /// The runtime behind every entry point: each worker walks its jobs
+    /// through [`Self::route_job_into`] over the shared compiled
+    /// routers, into its own accumulator and meter. Shards, cores and
     /// meters come back in worker order.
     fn run_metered<M: Meter + Default + Send>(
         &self,
@@ -604,13 +580,10 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
         let (shards, elapsed_ns) = drive_jobs(
             jobs,
             config.workers,
-            |_| {
-                let replicas: Vec<ClueRouter<A, E>> = self.routers.clone();
-                (replicas, Accum::new(n), M::default())
-            },
-            |(replicas, acc, meter), job| {
+            |_| (Accum::new(n), M::default()),
+            |(acc, meter), job| {
                 let items = (job.end - job.start) as usize;
-                self.route_job_into(replicas, sources, &origins, seed, job, meter, acc);
+                self.route_job_into(sources, &origins, seed, job, meter, acc);
                 items
             },
         );
@@ -618,13 +591,12 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
         let mut acc = Accum::new(n);
         let mut cores = Vec::with_capacity(shards.len());
         let mut meters = Vec::with_capacity(shards.len());
-        for ((_, shard, meter), core) in shards {
+        for ((shard, meter), core) in shards {
             acc.merge(&shard);
             meters.push(meter);
             cores.push(core);
         }
-        let replica_clone_ns = cores.iter().map(|c| c.replica_clone_ns).sum();
-        let report = RuntimeReport { elapsed_ns, replica_clone_ns, cores };
+        let report = RuntimeReport { elapsed_ns, cores };
         (acc.finish(packets), report, meters)
     }
 
@@ -641,10 +613,8 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
     /// attributes the lookup to pipeline stages, and the route is the same
     /// either way (see [`Meter`]). The shifted-work leg is charged outside
     /// the meter, straight into the hop's recorded cost.
-    #[allow(clippy::too_many_arguments)]
     fn route_job_into<M: Meter>(
         &self,
-        routers: &[ClueRouter<A, E>],
         sources: &[RouterId],
         origins: &[RouterId],
         seed: u64,
@@ -656,6 +626,7 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
         let config = net.config();
         let live = net.routers();
         let max_hops = net.topology().len() * 2 + 4;
+        let routers = &self.routers;
 
         // The lookup a packet runs at `cur`: engine picked, clue
         // decoded, first line prefetched — resolved a lane rotation
@@ -770,8 +741,8 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
 /// lists on scoped worker threads ([`drive`]).
 ///
 /// Each worker first builds its private state with `prime`, given its
-/// index (replica clones, epoch-reader registration: setup, timed into
-/// [`CoreStats::replica_clone_ns`] and kept out of the clock), then
+/// index (accumulators, epoch-reader registration: setup, timed into
+/// `CoreStats::priming_ns` and kept out of the clock), then
 /// hands every job of its list to `serve`, which returns how many items
 /// the job held ([`CoreStats::packets`]). Returns every worker's state
 /// with its [`CoreStats`], in worker order, and the nanoseconds from
@@ -900,12 +871,12 @@ fn work<J, W>(
     prime: &impl Fn(usize) -> W,
     serve: &impl Fn(&mut W, J) -> usize,
 ) -> WorkerSlot<W> {
-    let mut stats = CoreStats { replica_clones: 1, ..CoreStats::default() };
+    let mut stats = CoreStats::default();
     let mut primed = false;
     let run = catch_unwind(AssertUnwindSafe(|| {
         let t0 = Instant::now();
         let mut state = prime(w);
-        stats.replica_clone_ns = t0.elapsed().as_nanos() as u64;
+        stats.priming_ns = t0.elapsed().as_nanos() as u64;
         primed = true;
         priming.fetch_sub(1, Ordering::Release);
         wait_until(|| started.load(Ordering::Acquire));
@@ -967,11 +938,12 @@ struct Flight<A: Address> {
 pub struct ServeReport {
     /// Packets served.
     pub packets: u64,
-    /// Nanoseconds from "every replica primed" to "every worker
+    /// Nanoseconds from "every worker primed" to "every worker
     /// joined".
     pub elapsed_ns: u64,
-    /// Total priming-clone nanoseconds, outside the timed region
-    /// (mid-run refresh clones are inside it, attributed per core).
+    /// Total nanoseconds the workers spent priming (registering their
+    /// epoch readers), outside the timed region. No engine is cloned;
+    /// the field keeps the name the benchmark reads.
     pub replica_clone_ns: u64,
     /// Merged resolution-class counts.
     pub stats: EngineStats,
@@ -986,34 +958,28 @@ impl ServeReport {
     }
 }
 
-/// One serving core's private state: its registered epoch reader, the
-/// replica cloned from the snapshot it last pinned, and what it served
-/// and refreshed since priming.
+/// One serving core's private state: its registered epoch reader and
+/// what it served.
 struct ServeCore<'c, E> {
     reader: EpochReader<'c, E>,
-    replica: E,
-    epoch: u64,
     classes: EngineStats,
-    refresh_clones: u64,
-    refresh_ns: u64,
     max_staleness: u64,
 }
 
-/// Serves one batch workload from an [`EpochCell`] across per-core
-/// engine replicas — the engine-level serving loop, generic over any
+/// Serves one batch workload from an [`EpochCell`] on every worker
+/// core — the engine-level serving loop, generic over any
 /// [`CompiledBackend`] (stride by default; the compressed backend
 /// drops in unchanged).
 ///
 /// `out` is cut into jobs of `config.batch` decisions, dealt to the
 /// workers by the job driver. Each worker registers an
-/// [`EpochReader`], clones a private replica from the pinned snapshot
-/// (priming, outside the timed region), then runs the prefetched batch
-/// lookup of every job it pulls straight into that job's disjoint
-/// slice of `out`. At every job boundary the worker compares its
-/// replica's epoch with the cell's: a newer publish triggers a re-pin
-/// and re-clone — churn propagates to every core without any barrier,
-/// and the observed lag lands in [`CoreStats::max_staleness`] (and the
-/// `staleness_epochs` histogram when telemetry is attached).
+/// [`EpochReader`] (priming, outside the timed region), then for every
+/// job it pulls pins the cell and runs the prefetched batch lookup
+/// from that guard straight into the job's disjoint slice of `out`.
+/// A publish therefore reaches every core at its next job boundary
+/// without any barrier; the guard's lag after the job lands in
+/// [`CoreStats::max_staleness`] (and the `staleness_epochs` histogram
+/// when telemetry is attached).
 ///
 /// With no concurrent publish the decisions are exactly
 /// `engine.lookup_batch` of the same inputs, independent of worker
@@ -1039,74 +1005,41 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
     let (shards, elapsed_ns) = drive_jobs(
         jobs,
         config.workers,
-        |_| {
-            let mut reader = cell.reader();
-            let (replica, epoch) = {
-                let guard = reader.pin();
-                (E::clone(&guard), guard.epoch())
-            };
-            ServeCore {
-                reader,
-                replica,
-                epoch,
-                classes: EngineStats::default(),
-                refresh_clones: 0,
-                refresh_ns: 0,
-                max_staleness: 0,
-            }
-        },
+        |_| ServeCore { reader: cell.reader(), classes: EngineStats::default(), max_staleness: 0 },
         |core, (lo, slice)| {
-            // Churn propagation, no barrier: a publish since this
-            // replica was cloned is observed here, at the job boundary,
-            // by this core alone.
-            let current = core.reader.current_epoch();
-            let staleness = current.saturating_sub(core.epoch);
-            if current != core.epoch {
-                core.max_staleness = core.max_staleness.max(staleness);
-                let t = Instant::now();
-                let guard = core.reader.pin();
-                core.replica = E::clone(&guard);
-                core.epoch = guard.epoch();
-                let ns = t.elapsed().as_nanos() as u64;
-                core.refresh_clones += 1;
-                core.refresh_ns += ns;
-                if let Some(t) = telemetry {
-                    t.replica_clone_us.observe(ns / 1_000);
-                }
-            }
-            if let Some(t) = telemetry {
-                t.staleness_epochs.observe(staleness);
-            }
             let hi = lo + slice.len();
-            let s = core.replica.lookup_batch_interleaved(
+            let guard = core.reader.pin();
+            let s = guard.lookup_batch_interleaved(
                 &dests[lo..hi],
                 &clues[lo..hi],
                 slice,
                 config.prefetch,
             );
+            let lag = guard.lag();
+            drop(guard);
             core.classes.merge(&s);
+            core.max_staleness = core.max_staleness.max(lag);
+            if let Some(t) = telemetry {
+                t.staleness_epochs.observe(lag);
+            }
             slice.len()
         },
     );
 
     let mut stats = EngineStats::default();
-    let mut priming_ns = Vec::with_capacity(shards.len());
     let mut cores = Vec::with_capacity(shards.len());
     for (core, mut c) in shards {
         stats.merge(&core.classes);
-        priming_ns.push(c.replica_clone_ns);
-        c.replica_clones += core.refresh_clones;
-        c.replica_clone_ns += core.refresh_ns;
         c.max_staleness = core.max_staleness;
         cores.push(c);
     }
     if let Some(t) = telemetry {
-        t.record_cores(&cores, priming_ns.iter().copied());
+        t.record_cores(&cores);
     }
     ServeReport {
         packets: dests.len() as u64,
         elapsed_ns,
-        replica_clone_ns: priming_ns.iter().sum(),
+        replica_clone_ns: cores.iter().map(|c| c.priming_ns).sum(),
         stats,
         cores,
     }
@@ -1188,8 +1121,6 @@ mod tests {
         let batches: Vec<u64> = report.cores.iter().map(|c| c.batches).collect();
         assert_eq!(packets, [72, 64, 64]);
         assert_eq!(batches, [5, 4, 4]);
-        assert!(report.cores.iter().all(|c| c.replica_clones == 1));
-        assert!(report.replica_clone_ns > 0);
         assert!(report.pps() > 0.0);
         assert!(report.cores.iter().all(|c| c.pps() > 0.0));
     }
@@ -1220,26 +1151,18 @@ mod tests {
         assert_eq!(counter("clue_runtime_packets_total"), 100);
         let batches = counter("clue_runtime_batches_total");
         assert!(batches >= 4, "100 packets / batch 32 needs >= 4 jobs");
-        assert_eq!(counter("clue_runtime_replica_clones_total"), 2, "one priming clone per core");
     }
 
     #[test]
     fn detached_counts() {
         let t = RuntimeTelemetry::registered(&Registry::new());
-        let core = |packets, batches, replica_clones| CoreStats {
-            packets,
-            batches,
-            replica_clones,
-            ..CoreStats::default()
-        };
-        t.record_cores(&[core(1000, 2, 1), core(500, 1, 0)], [120_000, 3_000].into_iter());
+        let core = |packets, batches| CoreStats { packets, batches, ..CoreStats::default() };
+        t.record_cores(&[core(1000, 2), core(500, 1)]);
         t.staleness_epochs.observe(0);
         t.staleness_epochs.observe(2);
         assert_eq!(t.workers.get(), 2.0);
         assert_eq!(t.packets_total.get(), 1500);
         assert_eq!(t.batches_total.get(), 3);
-        assert_eq!(t.replica_clones_total.get(), 1);
-        assert_eq!(t.replica_clone_us.snapshot().sum, 123);
         assert_eq!(t.staleness_epochs.snapshot().count, 2);
     }
 
@@ -1406,17 +1329,13 @@ mod tests {
     }
 
     /// Every router compiles one arena: its link engines share it on
-    /// every backend, with and without Section 5.4's shifted clues, and
-    /// replicas keep sharing it.
+    /// every backend, with and without Section 5.4's shifted clues.
     #[test]
     fn link_engines_share_their_routers_arena() {
         fn check<E: CompiledBackend<Ip4>>(net: &Network<Ip4>, config: &E::Config) {
             let compiled = CompiledNetwork::<Ip4, E>::compile(net, config).unwrap();
             let links: usize = compiled.routers.iter().map(ClueRouter::assert_one_arena).sum();
             assert!(links > 0, "{}: the network has clue links", E::NAME);
-            for r in &compiled.routers {
-                r.clone().assert_one_arena();
-            }
         }
         for shift in [false, true] {
             let (topo, edges) = Topology::backbone(4, 1);
@@ -1627,10 +1546,8 @@ mod tests {
         let mut want = vec![Decision::default(); dests.len()];
         stride.lookup_batch(&dests, &clues, &mut want);
         let cell = EpochCell::new(stride.clone());
-        // Publish a bit-identical recompile before serving: every core
-        // primes at epoch 1... unless it pinned before the publish, in
-        // which case it must observe the publish at a job boundary and
-        // re-clone. Either way the decisions cannot change.
+        // Publish a bit-identical recompile before serving: every job
+        // pins epoch 1, and the decisions cannot change.
         cell.publish(stride.clone());
         let registry = Registry::new();
         let t = RuntimeTelemetry::registered(&registry);
@@ -1638,11 +1555,13 @@ mod tests {
         let mut got = Vec::new();
         let report = serve_lookups(&cell, &dests, &clues, &mut got, &cfg, Some(&t));
         assert_eq!(got, want, "a bit-identical publish never changes decisions");
-        // Every core primed from the freshest snapshot (pin loads the
-        // current pointer), so no refresh was needed; the staleness
-        // histogram saw only zeros.
+        // Every job was served from the freshest snapshot (pin loads
+        // the current pointer): one staleness sample per job, all zero.
         assert_eq!(report.cores.len(), 2);
-        assert!(t.staleness_epochs.snapshot().count > 0);
+        let lags = t.staleness_epochs.snapshot();
+        assert_eq!(lags.count, dests.len().div_ceil(64) as u64);
+        assert_eq!(lags.sum, 0);
+        assert!(report.cores.iter().all(|c| c.max_staleness == 0));
     }
 
     #[test]
@@ -1651,9 +1570,9 @@ mod tests {
         let stride = StrideEngine::compile(&engine, &StrideConfig::default()).unwrap();
         let cell = EpochCell::new(stride.clone());
         // A writer hammers bit-identical publishes while the runtime
-        // serves: workers must keep answering correctly and observe at
-        // least the publishes' existence (staleness/refresh counters),
-        // with zero locks anywhere on the path.
+        // serves: workers must keep answering correctly, pinning
+        // whatever snapshot is current at each job boundary, with zero
+        // locks anywhere on the path.
         let mut want = vec![Decision::default(); dests.len()];
         stride.lookup_batch(&dests, &clues, &mut want);
         let registry = Registry::new();
@@ -1671,16 +1590,12 @@ mod tests {
             let report = serve_lookups(&cell, &dests, &clues, &mut got, &cfg, Some(&t));
             assert_eq!(got, want, "bit-identical publishes never change decisions");
             assert_eq!(report.packets, dests.len() as u64);
-            // Every clone, priming or refresh, is counted and timed
-            // exactly once.
-            let clones: u64 = report.cores.iter().map(|c| c.replica_clones).sum();
-            let clone_ns: u64 = report.cores.iter().map(|c| c.replica_clone_ns).sum();
-            let timed = t.replica_clone_us.snapshot();
-            assert!(registry.contains("clue_runtime_replica_clones_total"));
-            assert_eq!(registry.counter("clue_runtime_replica_clones_total", "").get(), clones);
-            assert_eq!(timed.count, clones);
-            assert!(timed.sum <= clone_ns / 1_000, "no clone time counted twice");
-            assert!(report.replica_clone_ns <= clone_ns, "the report counts priming only");
+            // Every job records the lag of the guard it was served
+            // from, exactly once; no lag exceeds the publishes.
+            let jobs = dests.len().div_ceil(16) as u64;
+            assert_eq!(t.staleness_epochs.snapshot().count, jobs);
+            assert_eq!(report.cores.iter().map(|c| c.batches).sum::<u64>(), jobs);
+            assert!(report.cores.iter().all(|c| c.max_staleness <= 50));
             publisher.join().unwrap();
         });
         assert_eq!(cell.current_epoch(), 50);

@@ -11,10 +11,9 @@
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s over `AtomicU64` cells. Handles are cheap clones
 //!   of shared atomics, so the hot path never takes a lock and a
-//!   shared `&Registry` works from parallel workloads. Counters and
-//!   histograms are **cacheline-sharded** per recording thread and
-//!   merged only at scrape time, so parallel recording never bounces a
-//!   cacheline between cores.
+//!   shared `&Registry` works from parallel workloads. Multi-core
+//!   code accumulates plain integers and flushes them once per job or
+//!   per run, so one cell per metric is enough.
 //! * [`ScrapeServer`] — a zero-dependency HTTP endpoint (std
 //!   `TcpListener`) serving `/metrics` (Prometheus) and
 //!   `/metrics.json` live while a workload runs.
@@ -31,10 +30,9 @@
 //!   Each bundle is declared beside the code that records into it and
 //!   records through its own methods: this crate declares the
 //!   lookup-path bundles ([`LookupTelemetry`], [`BatchTelemetry`],
-//!   [`CompressedTelemetry`]), which `clue-core` and `clue-cli` write,
-//!   and [`ChurnTelemetry`], which `clue-netsim`'s churn driver writes;
-//!   the cache bundle lives in `clue-core` and the runtime, fleet,
-//!   adversary, reputation and fault bundles in `clue-netsim`.
+//!   [`CompressedTelemetry`]), which `clue-core` and `clue-cli` write;
+//!   the cache bundle lives in `clue-core` and the runtime, churn,
+//!   fleet, adversary, reputation and fault bundles in `clue-netsim`.
 //!
 //! Instrumentation is runtime-gated: the scalar engine holds an
 //! `Option<LookupTelemetry>` and skips all recording when it is absent,
@@ -48,17 +46,14 @@
 
 mod batch;
 mod bundle;
-mod churn;
 mod compressed;
 mod export;
 mod lookup;
 mod registry;
 mod server;
-mod shard;
 pub(crate) mod trace;
 
 pub use batch::BatchTelemetry;
-pub use churn::ChurnTelemetry;
 pub use compressed::CompressedTelemetry;
 pub use lookup::LookupTelemetry;
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};

@@ -1,27 +1,21 @@
 //! The metric registry: named counters, gauges and histograms over
-//! lock-free, cacheline-sharded atomic cells.
+//! lock-free atomic cells.
 //!
 //! Registration takes a short mutex to update the name map; the handles
-//! it returns are clones of `Arc`-shared cells, so recording on the hot
-//! path is a relaxed atomic add with no lock anywhere. Counters and
-//! histograms are **sharded** ([`crate::shard`]): each recording thread
-//! writes its own cacheline-padded cell and the shards are merged only
-//! when something reads — `get()`, `snapshot()`, an exporter, the
-//! scrape server. A shared `&Registry` (or a cloned handle) therefore
-//! works unchanged from parallel workloads, with no cross-core
-//! cacheline traffic on the record path.
+//! it returns are clones of `Arc`-shared cells, so recording is a
+//! relaxed atomic add with no lock anywhere, and a shared `&Registry`
+//! (or a cloned handle) works unchanged from parallel workloads. Every
+//! recorder in the workspace flushes once per job or per run, so one
+//! cell per metric sees little contention.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::shard::{shard_index, ShardedU64, SHARDS};
-
-/// A monotonically increasing counter. Sharded: `inc`/`add` touch only
-/// the calling thread's cell; `get` merges at read time.
+/// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    cell: Arc<ShardedU64>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
@@ -33,25 +27,24 @@ impl Counter {
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
-        self.cell.add(1);
+        self.add(1);
     }
 
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cell.add(n);
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current value (merged across shards).
+    /// The current value.
     pub fn get(&self) -> u64 {
-        self.cell.sum()
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
 /// A gauge: an arbitrary value that can go up and down. Stored as the
 /// bit pattern of an `f64` so fractions (hit rates, problematic
-/// fractions) fit alongside sizes. Gauges are *set*, not accumulated,
-/// so they stay a single cell — sharding has nothing to merge.
+/// fractions) fit alongside sizes.
 #[derive(Debug, Clone)]
 pub struct Gauge {
     bits: Arc<AtomicU64>,
@@ -81,32 +74,8 @@ impl Gauge {
     }
 }
 
-/// One shard of a histogram: its own buckets, sum and count, alone on
-/// its cachelines so concurrent observers never write a line another
-/// observer reads. `count` is incremented **last, with Release** — the
-/// snapshot's consistency anchor (see [`Histogram::snapshot`]).
-#[repr(align(64))]
-#[derive(Debug)]
-struct HistShard {
-    /// `bounds.len() + 1` cells; the last is the overflow (`+Inf`).
-    buckets: Box<[AtomicU64]>,
-    sum: AtomicU64,
-    count: AtomicU64,
-}
-
-impl HistShard {
-    fn new(buckets: usize) -> Self {
-        HistShard {
-            buckets: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-}
-
 /// A fixed-bucket histogram with inclusive upper bounds and an overflow
-/// bucket, plus running `sum` and `count`, sharded per recording
-/// thread.
+/// bucket, plus running `sum` and `count`.
 ///
 /// `observe(v)` increments the first bucket whose bound satisfies
 /// `v <= bound`, or the overflow bucket when `v` exceeds every bound —
@@ -117,17 +86,28 @@ impl HistShard {
 /// and render a histogram whose `_count` line disagreed with its own
 /// cumulative buckets. The fix is ordered: `observe` bumps the bucket
 /// and sum first and the count **last with Release**; `snapshot` reads
-/// each shard's count **first with Acquire** (so every counted
-/// observation's bucket increment is visible) and then clamps the
-/// bucket counts down to the count, trimming in-flight observations
-/// that had reached their bucket but not yet the count. Every snapshot
-/// therefore satisfies `Σ counts == count` exactly. (`sum` may still
-/// momentarily include an in-flight value — the same benign skew real
-/// Prometheus client libraries exhibit.)
+/// the count **first with Acquire** (so every counted observation's
+/// bucket increment is visible) and then clamps the bucket counts down
+/// to the count, trimming in-flight observations that had reached their
+/// bucket but not yet the count. Every snapshot therefore satisfies
+/// `Σ counts == count` exactly. (`sum` may still momentarily include an
+/// in-flight value — the same benign skew real Prometheus client
+/// libraries exhibit.)
 #[derive(Debug, Clone)]
 pub struct Histogram {
     bounds: Arc<Vec<u64>>,
-    shards: Arc<Vec<HistShard>>,
+    cells: Arc<HistCells>,
+}
+
+/// A histogram's shared cells.
+#[derive(Debug)]
+struct HistCells {
+    /// `bounds.len() + 1` cells; the last is the overflow (`+Inf`).
+    buckets: Box<[AtomicU64]>,
+    sum: AtomicU64,
+    /// Incremented last, with Release: the snapshot's consistency
+    /// anchor.
+    count: AtomicU64,
 }
 
 impl Histogram {
@@ -141,34 +121,35 @@ impl Histogram {
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
         );
-        Histogram {
-            shards: Arc::new((0..SHARDS).map(|_| HistShard::new(bounds.len() + 1)).collect()),
-            bounds: Arc::new(bounds.to_vec()),
-        }
+        let cells = HistCells {
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+        };
+        Histogram { bounds: Arc::new(bounds.to_vec()), cells: Arc::new(cells) }
     }
 
-    /// Records one observation (into the calling thread's shard only).
+    /// Records one observation.
     #[inline]
     pub fn observe(&self, v: u64) {
         let i = self.bounds.partition_point(|&b| b < v);
-        let shard = &self.shards[shard_index()];
-        shard.buckets[i].fetch_add(1, Ordering::Relaxed);
-        shard.sum.fetch_add(v, Ordering::Relaxed);
+        self.cells.buckets[i].fetch_add(1, Ordering::Relaxed);
+        self.cells.sum.fetch_add(v, Ordering::Relaxed);
         // Last, with Release: once a reader acquires this increment it
         // also sees the bucket and sum increments above.
-        shard.count.fetch_add(1, Ordering::Release);
+        self.cells.count.fetch_add(1, Ordering::Release);
     }
 
     /// Number of observations.
     #[cfg(test)]
     pub(crate) fn count(&self) -> u64 {
-        self.shards.iter().map(|s| s.count.load(Ordering::Acquire)).sum()
+        self.cells.count.load(Ordering::Acquire)
     }
 
     /// Sum of all observed values.
     #[cfg(test)]
     pub(crate) fn sum(&self) -> u64 {
-        self.shards.iter().map(|s| s.sum.load(Ordering::Relaxed)).sum()
+        self.cells.sum.load(Ordering::Relaxed)
     }
 
     /// Mean observed value (0.0 when empty).
@@ -185,33 +166,24 @@ impl Histogram {
     /// A point-in-time snapshot with `Σ counts == count` guaranteed;
     /// see the type docs for the ordering argument.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut counts = vec![0u64; self.bounds.len() + 1];
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for shard in self.shards.iter() {
-            // Count first (Acquire): every observation included in it
-            // has already published its bucket increment.
-            let c = shard.count.load(Ordering::Acquire);
-            let mut shard_counts: Vec<u64> =
-                shard.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-            // Trim in-flight observations (bucket bumped, count not
-            // yet): remove the excess from the highest buckets down so
-            // the shard's bucket total equals its count.
-            let mut excess = shard_counts.iter().sum::<u64>().saturating_sub(c);
-            for b in shard_counts.iter_mut().rev() {
-                if excess == 0 {
-                    break;
-                }
-                let trim = excess.min(*b);
-                *b -= trim;
-                excess -= trim;
+        // Count first (Acquire): every observation included in it has
+        // already published its bucket increment.
+        let count = self.cells.count.load(Ordering::Acquire);
+        let mut counts: Vec<u64> =
+            self.cells.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        // Trim in-flight observations (bucket bumped, count not yet):
+        // remove the excess from the highest buckets down so the bucket
+        // total equals the count.
+        let mut excess = counts.iter().sum::<u64>().saturating_sub(count);
+        for b in counts.iter_mut().rev() {
+            if excess == 0 {
+                break;
             }
-            for (m, s) in counts.iter_mut().zip(&shard_counts) {
-                *m += s;
-            }
-            sum += shard.sum.load(Ordering::Relaxed);
-            count += c;
+            let trim = excess.min(*b);
+            *b -= trim;
+            excess -= trim;
         }
+        let sum = self.cells.sum.load(Ordering::Relaxed);
         HistogramSnapshot { bounds: self.bounds.as_slice().to_vec(), counts, sum, count }
     }
 }
@@ -544,6 +516,25 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.get(), 4000);
+    }
+
+    #[test]
+    fn adds_from_many_threads_merge_exactly() {
+        let c = Registry::new().counter("clue_test_adds_total", "");
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let c = c.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..10_000 {
+                        c.add(1);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(c.get(), 80_000);
     }
 
     #[test]

@@ -46,12 +46,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Throughput smoke: the batched-frozen, stride-compiled,
-# entropy-compressed and multi-core runtime pipelines must agree exactly
-# with the scalar engine (--check aborts on any divergence), and the
+# entropy-compressed, multi-core runtime and engine-serving pipelines
+# must agree exactly with the scalar engine (--check aborts on any divergence), and the
 # fresh export is diffed against the committed BENCH_throughput.json.
 # The perf gates are part of the bar: the stride path must beat the
 # frozen batch path on the same (paper-scale table) workload, and the
-# shared-nothing runtime's speedup over the sequential reference is
+# multi-core runtime's speedup over the sequential reference is
 # gated per cause (see --min below): backend_speedup (the 1-worker
 # stride runtime over the scalar walk) and scaling_efficiency (the
 # runtime at 4 workers over the same runtime at 1). Each floor is the
@@ -62,7 +62,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # a multiplier without any code regression.
 throughput_ok=0
 for attempt in 1 2 3; do
-  target/release/clue throughput 100000 1 --threads 4 --check --runtime \
+  target/release/clue throughput 100000 1 --threads 4 --check \
     --json "$fresh/BENCH_throughput.json"
   test -s "$fresh/BENCH_throughput.json"
   grep -q '"equivalent": true' "$fresh/BENCH_throughput.json"
@@ -108,8 +108,8 @@ target/release/clue bench-diff BENCH_compressed.json "$fresh/BENCH_compressed.js
 # The serving runtime's whole metric family must be registered and
 # live in one scrape of the default instrumented workload, and its
 # deterministic series must be exact: 2 cores, 2000 packets in 8 jobs
-# of 256, one priming clone per core timed once, one staleness sample
-# per job. The one stride batch `clue metrics` records itself must be
+# of 256, one staleness sample per job, every one at lag 0 (nothing
+# publishes while `clue metrics` serves). The one stride batch `clue metrics` records itself must be
 # exact too: 2000 packets, each prefetched. The same scrape must show
 # the simulator's series from its 200-packet instrumented run (every
 # packet delivered), the compressed, fleet and fault families
@@ -119,8 +119,8 @@ target/release/clue bench-diff BENCH_compressed.json "$fresh/BENCH_compressed.js
 # probation over 12 rounds of 162 directed links.
 metrics=$(target/release/clue metrics 2000 1 --prom)
 for line in 'clue_runtime_workers 2' 'clue_runtime_packets_total 2000' \
-  'clue_runtime_batches_total 8' 'clue_runtime_replica_clones_total 2' \
-  'clue_runtime_replica_clone_us_count 2' 'clue_runtime_staleness_epochs_count 8' \
+  'clue_runtime_batches_total 8' 'clue_runtime_staleness_epochs_count 8' \
+  'clue_runtime_staleness_epochs_bucket{le="0"} 8' \
   'clue_stride_batches_total 1' 'clue_stride_packets_total 2000' \
   'clue_stride_prefetches_total 2000' \
   'clue_netsim_packets_total 200' 'clue_netsim_delivered_total 200' \
